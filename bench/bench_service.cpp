@@ -37,8 +37,8 @@ constexpr std::size_t kSessions = 4;
 constexpr std::uint64_t kDicePerLot = 700;
 constexpr std::size_t kPoolThreads = 4;
 
-/// Lot-scale settings (the roofline bench's regime), one lot per session
-/// with its own seed series.
+/// Lot-scale settings (short acquisitions, calibration-dominated), one lot
+/// per session with its own seed series.
 shard::lot_manifest lot_for_session(std::size_t session) {
     shard::lot_manifest manifest;
     manifest.sigma = 0.02;

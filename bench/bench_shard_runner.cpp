@@ -1,7 +1,7 @@
 // Multi-process shard runner: fan a multi-thousand-die screening lot
 // across 4 worker processes and compare wall clock against 1 worker
 // running the identical lot -- the process-level scaling story on top of
-// the in-process roofline.  Gates:
+// the in-process lane-major executor.  Gates:
 //
 //   * >= 1.7x full-lot wall clock at 4 workers vs 1 worker (each worker
 //     single-threaded, so the ratio isolates process fan-out + merge
@@ -27,8 +27,8 @@ using namespace bistna;
 
 constexpr std::uint64_t kDice = 4000;
 
-/// Lot-scale settings (the roofline bench's regime): short acquisitions
-/// with the grounded offset calibration still the dominant per-die term.
+/// Lot-scale settings: short acquisitions with the grounded offset
+/// calibration still the dominant per-die term.
 shard::lot_manifest lot_manifest_for_bench() {
     shard::lot_manifest manifest;
     manifest.sigma = 0.02;

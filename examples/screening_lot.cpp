@@ -1,11 +1,11 @@
-// Monte Carlo lot screening through the batched evaluation pipeline: a
-// production flow's view of the paper's test-economics pitch.  A lot of
-// process-drawn dice is screened against the 1 kHz Butterworth spec mask
-// with dice grouped into SoA modulator-bank lanes (threads x lanes in
-// lockstep).  The lot is submitted as an asynchronous job and consumed as
-// a stream, so yield is visible while the lot is still running; the scalar
-// path then runs the same lot on the same worker pool for a wall-clock
-// comparison, and the two are verified to agree die for die.
+// Monte Carlo lot screening through the sweep engine's lane-major
+// executor: a production flow's view of the paper's test-economics pitch.
+// A lot of process-drawn dice is screened against the 1 kHz Butterworth
+// spec mask with dice grouped into lockstep lanes (threads x lanes in
+// flight).  The lot is submitted as an asynchronous job and consumed as a
+// stream, so yield is visible while the lot is still running; the scalar
+// oracle, core::screen_lot on one thread, then screens the same lot for a
+// wall-clock comparison, and the two lot results are verified to agree.
 //
 //   ./screening_lot [--dice=N] [--sigma=S] [--threads=N] [--lanes=N]
 //                   [--store=PATH] [--trace=PATH] [--metrics]
@@ -86,7 +86,7 @@ screen_streamed(const core::board_factory& factory, const core::analyzer_setting
             sink->append(store::to_record(item->value, kFirstSeed + item->index));
         }
         const std::size_t done = handle.completed_items();
-        std::cout << "\r  " << (batch_lanes > 1 ? "batched" : "scalar ") << ": " << done
+        std::cout << "\r  engine: " << done
                   << "/" << dice << " dice screened, " << failing << " failing" << std::flush;
     }
     std::cout << "\n";
@@ -96,22 +96,16 @@ screen_streamed(const core::board_factory& factory, const core::analyzer_setting
     return reports;
 }
 
-bool reports_identical(const std::vector<core::screening_report>& a,
-                       const std::vector<core::screening_report>& b) {
-    if (a.size() != b.size()) {
+bool lots_identical(const core::lot_result& a, const core::lot_result& b) {
+    if (a.dice != b.dice || a.passed != b.passed ||
+        a.gain_distributions.size() != b.gain_distributions.size()) {
         return false;
     }
-    for (std::size_t die = 0; die < a.size(); ++die) {
-        if (a[die].passed != b[die].passed ||
-            a[die].stimulus_volts != b[die].stimulus_volts ||
-            a[die].limits.size() != b[die].limits.size()) {
+    for (std::size_t i = 0; i < a.gain_distributions.size(); ++i) {
+        const auto& x = a.gain_distributions[i];
+        const auto& y = b.gain_distributions[i];
+        if (x.mean != y.mean || x.stddev != y.stddev || x.min != y.min || x.max != y.max) {
             return false;
-        }
-        for (std::size_t i = 0; i < a[die].limits.size(); ++i) {
-            if (a[die].limits[i].measured_db != b[die].limits[i].measured_db ||
-                a[die].limits[i].measured_bounds_db != b[die].limits[i].measured_bounds_db) {
-                return false;
-            }
         }
     }
     return true;
@@ -162,8 +156,8 @@ int main(int argc, char** argv) {
                   << format_fixed(tuned.autotune_seconds * 1e3, 1) << " ms\n\n";
     }
 
-    // One worker pool serves both sessions below (and could serve any
-    // number of concurrent lots).
+    // One worker pool serves the lot below (and could serve any number of
+    // concurrent lots).
     const auto queue = std::make_shared<core::job_queue>(threads);
 
     std::cout << "=== Monte Carlo lot screening: " << dice << " dice, " << sigma * 100.0
@@ -189,14 +183,16 @@ int main(int argc, char** argv) {
         }
     }
 
-    double batched_seconds = 0.0;
+    double engine_seconds = 0.0;
     const auto reports = screen_streamed(factory, settings, mask, dice, lanes, queue,
-                                         batched_seconds, result_store.get());
-    double scalar_seconds = 0.0;
-    const auto scalar_reports =
-        screen_streamed(factory, settings, mask, dice, 1, queue, scalar_seconds);
-    const bool identical = reports_identical(reports, scalar_reports);
+                                         engine_seconds, result_store.get());
     const auto lot = core::aggregate_lot(reports);
+    const auto scalar_start = std::chrono::steady_clock::now();
+    const auto scalar_lot = core::screen_lot(factory, settings, mask, dice, kFirstSeed);
+    const double scalar_seconds =
+        std::chrono::duration<double>(std::chrono::steady_clock::now() - scalar_start)
+            .count();
+    const bool identical = lots_identical(lot, scalar_lot);
 
     std::cout << "\nyield: " << lot.passed << "/" << lot.dice << " ("
               << format_fixed(100.0 * lot.yield(), 1) << " %)\n\n";
@@ -214,11 +210,10 @@ int main(int argc, char** argv) {
     }
     limits_table.print(std::cout);
 
-    std::cout << "\nwall clock: " << format_fixed(batched_seconds * 1e3, 1)
-              << " ms batched (" << lanes << " bank lanes) vs "
-              << format_fixed(scalar_seconds * 1e3, 1) << " ms scalar -- "
-              << format_fixed(scalar_seconds / batched_seconds, 2)
-              << "x from lockstep evaluation, reports "
+    std::cout << "\nwall clock: " << format_fixed(engine_seconds * 1e3, 1) << " ms engine ("
+              << queue->threads() << " threads x " << lanes << " lanes) vs "
+              << format_fixed(scalar_seconds * 1e3, 1) << " ms scalar core::screen_lot -- "
+              << format_fixed(scalar_seconds / engine_seconds, 2) << "x, lot results "
               << (identical ? "bit-identical" : "DIVERGED") << "\n";
 
     if (result_store) {

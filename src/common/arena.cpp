@@ -1,7 +1,10 @@
 #include "common/arena.hpp"
 
+#include <sys/mman.h>
+
 #include <algorithm>
 #include <cstring>
+#include <new>
 
 #include "common/error.hpp"
 
@@ -22,6 +25,15 @@ void arena::reset() noexcept {
     }
     active_ = 0;
     used_ = 0;
+}
+
+void arena::reserve(std::size_t bytes) {
+    BISTNA_EXPECTS(used_ == 0, "arena::reserve needs an empty arena");
+    if (!blocks_.empty() && blocks_.front().size >= bytes) {
+        return;
+    }
+    shrink();
+    grow(bytes);
 }
 
 void arena::shrink() noexcept {
@@ -59,15 +71,27 @@ void* arena::allocate_bytes(std::size_t bytes) {
     return p;
 }
 
+void detail::unmap::operator()(unsigned char* p) const noexcept {
+    ::munmap(p, bytes);
+}
+
 arena::block& arena::grow(std::size_t min_bytes) {
     const std::size_t last = blocks_.empty() ? initial_bytes_ : blocks_.back().size * 2;
     const std::size_t size = std::max(min_bytes, last);
 
+    // Blocks are mapped straight from the kernel rather than the heap: pages
+    // the workload never touches never become resident, and a released
+    // block (a worker thread's arena dying with it) goes back to the kernel
+    // at once instead of lingering in the allocator's free lists.
+    void* mapped = ::mmap(nullptr, size, PROT_READ | PROT_WRITE, MAP_PRIVATE | MAP_ANONYMOUS,
+                          -1, 0);
+    if (mapped == MAP_FAILED) {
+        throw std::bad_alloc();
+    }
     block b;
-    b.storage = std::make_unique<unsigned char[]>(size + alignment);
-    const auto addr = reinterpret_cast<std::uintptr_t>(b.storage.get());
-    const std::uintptr_t aligned = (addr + alignment - 1) / alignment * alignment;
-    b.base = b.storage.get() + (aligned - addr);
+    b.storage = std::unique_ptr<unsigned char, detail::unmap>(
+        static_cast<unsigned char*>(mapped), detail::unmap{size});
+    b.base = b.storage.get(); // page-aligned, so cache-line aligned
     b.size = size;
     b.offset = 0;
     capacity_ += size;

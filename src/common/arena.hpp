@@ -32,6 +32,14 @@
 
 namespace bistna {
 
+namespace detail {
+/// Releases an arena block's kernel mapping.
+struct unmap {
+    std::size_t bytes = 0;
+    void operator()(unsigned char* p) const noexcept;
+};
+} // namespace detail
+
 class arena {
 public:
     /// `initial_bytes` sizes the first block, allocated lazily on first use.
@@ -60,7 +68,13 @@ public:
     /// allocation sequence reuses the existing blocks front to back.
     void reset() noexcept;
 
-    /// Release all blocks back to the heap (capacity drops to zero).
+    /// Make the first block hold at least `bytes`, replacing every block
+    /// when it does not, so a workload whose largest allocation is known
+    /// up front reuses one block instead of a chain of growth steps.
+    /// Requires an empty arena (right after construction or reset()).
+    void reserve(std::size_t bytes);
+
+    /// Release all blocks back to the kernel (capacity drops to zero).
     void shrink() noexcept;
 
     /// Bytes currently handed out (since construction or the last reset).
@@ -77,7 +91,7 @@ public:
 
 private:
     struct block {
-        std::unique_ptr<unsigned char[]> storage;
+        std::unique_ptr<unsigned char, detail::unmap> storage;
         std::size_t size = 0;    ///< usable bytes (aligned base)
         std::size_t offset = 0;  ///< bump pointer within the block
         unsigned char* base = nullptr;

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
-#include <span>
 #include <thread>
 #include <utility>
 
@@ -14,6 +13,7 @@
 #include "dut/state_space.hpp"
 #include "eval/acquire_plan.hpp"
 #include "eval/batch_evaluator.hpp"
+#include "sim/timebase.hpp"
 #include "telemetry/span.hpp"
 
 namespace bistna::core {
@@ -57,14 +57,6 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
     }
 }
 
-demonstrator_board sweep_engine::make_board(std::uint64_t seed) const {
-    demonstrator_board board = factory_(seed);
-    if (stimulus_cache_) {
-        board.set_stimulus_cache(stimulus_cache_);
-    }
-    return board;
-}
-
 stimulus_cache_stats sweep_engine::stimulus_stats() const {
     return stimulus_cache_ ? stimulus_cache_->stats() : stimulus_cache_stats{};
 }
@@ -73,12 +65,11 @@ sweep_stats sweep_engine::stats() const {
     sweep_stats stats;
     stats.threads = resolved_threads();
     stats.batch_lanes = std::max<std::size_t>(1, options_.batch_lanes);
-    stats.pipeline = options_.pipeline;
     stats.autotuned = autotuned_;
     stats.autotune_seconds = autotune_seconds_;
     stats.autotune_candidates = autotune_candidates_;
     stats.stimulus = stimulus_stats();
-    stats.calibration_snapshots = calibration_share_ ? calibration_share_->entries() : 0;
+    stats.calibration_snapshots = calibration_share_->entries();
     return stats;
 }
 
@@ -156,6 +147,40 @@ std::size_t sweep_engine::resolved_threads() const noexcept {
     return queue_->threads();
 }
 
+// --- Measurement programs --------------------------------------------------
+
+namespace {
+
+/// The scalar analyzer's call sequence as a program: calibrate() once, then
+/// measure_point(f) per frequency -- re-measuring the stimulus first under
+/// recalibrate_per_point, as measure_point does -- then optionally
+/// measure_distortion.
+measurement_program analyzer_program(const std::vector<hertz>& frequencies,
+                                     bool recalibrate_per_point,
+                                     std::optional<program_stage> thd) {
+    using kind = program_stage::kind;
+    measurement_program program;
+    program.stages.push_back({kind::calibrate});
+    for (hertz f : frequencies) {
+        if (recalibrate_per_point) {
+            program.stages.push_back({kind::calibrate});
+        }
+        program.stages.push_back({kind::harmonic, f});
+    }
+    if (thd) {
+        program.stages.push_back(*thd);
+    }
+    return program;
+}
+
+/// The frequency a stage measures at: its own, or else the lane's (the
+/// points of a Bode batch).
+hertz stage_frequency(const program_stage& stage, hertz lane_f) {
+    return stage.f.value > 0.0 ? stage.f : lane_f;
+}
+
+} // namespace
+
 // --- Bode sessions ---------------------------------------------------------
 
 namespace {
@@ -165,103 +190,60 @@ namespace {
 struct bode_job {
     std::vector<hertz> frequencies;
     std::uint64_t board_seed = 0;
-    std::optional<stimulus_calibration> calibration;
+    measurement_program program;
 };
 
 } // namespace
-
-frequency_point sweep_engine::bode_point(hertz f, std::uint64_t board_seed,
-                                         const std::optional<stimulus_calibration>& calibration,
-                                         std::size_t index) {
-    demonstrator_board board = make_board(board_seed);
-    analyzer_settings point_settings = settings_;
-    point_settings.evaluator.seed = sweep_item_seed(options_.base_seed, index + 1);
-    network_analyzer analyzer(board, point_settings);
-    if (calibration) {
-        analyzer.set_calibration(*calibration);
-    }
-    return analyzer.measure_point(f);
-}
-
-void sweep_engine::bode_group(const std::vector<hertz>& frequencies,
-                              std::uint64_t board_seed,
-                              const stimulus_calibration& calibration, std::size_t first,
-                              std::size_t count, frequency_point* out) {
-    // Lockstep lanes: a group of points renders its records (scalar,
-    // cache-shared) and acquires them through one SoA modulator bank.
-    // Per-point seeds and arithmetic match the scalar path exactly.
-    std::vector<demonstrator_board> boards;
-    boards.reserve(count);
-    std::vector<eval::evaluator_config> configs(count, settings_.evaluator);
-    std::vector<std::vector<double>> records(count);
-    std::vector<std::span<const double>> spans(count);
-    {
-        telemetry::trace_span render_span("engine.render");
-        render_span.arg("lanes", static_cast<double>(count));
-        for (std::size_t l = 0; l < count; ++l) {
-            boards.push_back(make_board(board_seed));
-            configs[l].seed = sweep_item_seed(options_.base_seed, first + l + 1);
-            const auto tb = sim::timebase::for_wave_frequency(frequencies[first + l]);
-            records[l] = boards[l].render(tb, settings_.periods, signal_path::through_dut,
-                                          settings_.settle_periods);
-            spans[l] = records[l];
-        }
-    }
-    eval::batch_evaluator evaluators(std::move(configs));
-    if (options_.pipeline == sweep_pipeline::lane_major) {
-        arena& scratch = worker_arena();
-        scratch.reset();
-        evaluators.set_shared_resources(demod_tables_.get(), &scratch,
-                                        calibration_share_.get());
-    }
-    telemetry::trace_span evaluate_span("engine.evaluate");
-    evaluate_span.arg("lanes", static_cast<double>(count));
-    const auto outputs = evaluators.measure_harmonic(spans, 1, settings_.periods);
-    for (std::size_t l = 0; l < count; ++l) {
-        out[l] = assemble_frequency_point(frequencies[first + l], calibration, outputs[l],
-                                          settings_.hold_compensation, boards[l].dut());
-    }
-}
 
 job_handle<frequency_point>
 sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed,
                           job_handle<frequency_point>::item_callback on_point) {
     BISTNA_EXPECTS(!frequencies.empty(), "sweep requires at least one frequency");
 
-    // One-time calibration, shared by every point.  The system is
-    // clock-normalized, so this is exactly the paper's single calibration;
-    // performing it with the batch's base seed keeps it independent of the
-    // per-point seeds and of scheduling.  It runs here, on the submitting
-    // thread, so every streamed point is a pure per-index function.
-    std::optional<stimulus_calibration> shared_calibration;
+    // Each point is one lane measuring at its own frequency; without a
+    // shared calibration it characterizes the stimulus first, exactly as
+    // measure_point does on a fresh analyzer.
+    measurement_program program;
     if (options_.share_calibration && !settings_.recalibrate_per_point) {
-        demonstrator_board board = make_board(board_seed);
-        analyzer_settings calibration_settings = settings_;
-        calibration_settings.evaluator.seed = sweep_item_seed(options_.base_seed, 0);
-        network_analyzer analyzer(board, calibration_settings);
-        shared_calibration = analyzer.calibrate();
+        // One-time calibration, shared by every point.  The system is
+        // clock-normalized, so this is exactly the paper's single
+        // calibration; performing it with the batch's base seed keeps it
+        // independent of the per-point seeds and of scheduling.  It runs
+        // here, on the submitting thread, so every streamed point is a pure
+        // per-index function.
+        eval::evaluator_config config = settings_.evaluator;
+        config.seed = sweep_item_seed(options_.base_seed, 0);
+        std::vector<program_lane> lane;
+        lane.push_back({factory_(board_seed), config});
+        measurement_program calibrate_only;
+        calibrate_only.stages.push_back({program_stage::kind::calibrate});
+        acquisition_result calibration;
+        arena scratch;
+        execute(calibrate_only, lane, &calibration, scratch);
+        program.calibration = calibration.calibration;
+    } else {
+        program.stages.push_back({program_stage::kind::calibrate});
     }
+    program.stages.push_back({program_stage::kind::harmonic});
 
-    const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
-    // Lockstep lanes apply only with a shared calibration
-    // (recalibrate_per_point falls back to the scalar path).
-    const bool lockstep = lanes > 1 && shared_calibration.has_value();
     auto job = std::make_shared<const bode_job>(
-        bode_job{std::move(frequencies), board_seed, std::move(shared_calibration)});
+        bode_job{std::move(frequencies), board_seed, std::move(program)});
     return queue_->submit<frequency_point>(
-        job->frequencies.size(), lockstep ? lanes : 1,
-        [this, job, lockstep](std::size_t first, std::size_t count, frequency_point* out,
-                              const job_progress& progress) {
-            if (lockstep) {
-                bode_group(job->frequencies, job->board_seed, *job->calibration, first,
-                           count, out);
-                progress.items_done(count);
-                return;
-            }
+        job->frequencies.size(), std::max<std::size_t>(1, options_.batch_lanes),
+        [this, job](std::size_t first, std::size_t count, frequency_point* out,
+                    const job_progress& progress) {
+            std::vector<program_lane> lanes;
+            lanes.reserve(count);
             for (std::size_t l = 0; l < count; ++l) {
-                out[l] = bode_point(job->frequencies[first + l], job->board_seed,
-                                    job->calibration, first + l);
-                progress.items_done();
+                eval::evaluator_config config = settings_.evaluator;
+                config.seed = sweep_item_seed(options_.base_seed, first + l + 1);
+                lanes.push_back(
+                    {factory_(job->board_seed), config, job->frequencies[first + l]});
+            }
+            std::vector<acquisition_result> results(count);
+            execute(job->program, lanes, results.data(), worker_arena(), progress);
+            for (std::size_t l = 0; l < count; ++l) {
+                out[l] = results[l].points.front();
             }
         },
         std::move(on_point));
@@ -303,9 +285,33 @@ namespace {
 /// Job-lifetime state of a submitted screening lot.
 struct screening_job {
     spec_mask mask;
-    screening_options screening;
     std::uint64_t first_seed = 0;
+    double thd_f_hz = 0.0;
+    measurement_program program;
 };
+
+/// A die's report from its program outcome: the same fields, verdicts and
+/// order core::screen assembles from the scalar analyzer.
+screening_report to_screening_report(const sweep_engine::acquisition_result& result,
+                                     const spec_mask& mask, double thd_f_hz) {
+    screening_report report;
+    report.stimulus_volts = result.calibration.amplitude.volts;
+    report.stimulus_phase_deg = rad_to_deg(result.calibration.phase.radians);
+    report.offset_rate = result.offset_rate;
+    report.self_test_passed = stimulus_self_test(mask, report.stimulus_volts);
+    report.passed = report.self_test_passed;
+    for (std::size_t i = 0; i < result.points.size(); ++i) {
+        const auto limit = evaluate_limit(mask.limits[i], result.points[i], i);
+        report.passed = report.passed && limit.passed;
+        report.limits.push_back(limit);
+    }
+    if (result.has_thd) {
+        report.distortion_measured = true;
+        report.thd_db = result.thd_db;
+        report.thd_f_hz = thd_f_hz;
+    }
+    return report;
+}
 
 } // namespace
 
@@ -317,36 +323,41 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
     BISTNA_EXPECTS(dice > 0, "batch must contain at least one die");
     BISTNA_EXPECTS(!mask.limits.empty(), "spec mask has no limits");
 
-    auto job = std::make_shared<const screening_job>(
-        screening_job{mask, screening, first_seed});
-    const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
-    if (lanes > 1) {
-        // Lockstep lanes: each task screens a contiguous group of dice
-        // through one SoA modulator bank (threads x lanes dice in flight).
-        return queue_->submit<screening_report>(
-            dice, lanes,
-            [this, job](std::size_t first, std::size_t count, screening_report* out,
-                        const job_progress& progress) {
-                screen_group(job->mask, job->screening, job->first_seed + first, count, out,
-                             progress);
-            },
-            std::move(on_report), std::move(on_published));
+    const double thd_f_hz = screening.distortion_f_hz > 0.0 ? screening.distortion_f_hz
+                                                            : mask.limits.front().f_hz;
+    std::vector<hertz> frequencies;
+    for (const auto& limit : mask.limits) {
+        frequencies.push_back(hertz{limit.f_hz});
     }
+    std::optional<program_stage> thd;
+    if (screening.measure_distortion) {
+        thd = program_stage{program_stage::kind::thd, hertz{thd_f_hz},
+                            screening.distortion_max_harmonic};
+    }
+    measurement_program program =
+        analyzer_program(frequencies, settings_.recalibrate_per_point, thd);
+    if (!screening.continue_after_self_test_failure) {
+        // Broken BIST circuitry: don't trust the die's DUT data.
+        program.keep_lane = [mask](double volts) { return stimulus_self_test(mask, volts); };
+    }
+
+    auto job = std::make_shared<const screening_job>(
+        screening_job{mask, first_seed, thd_f_hz, std::move(program)});
     return queue_->submit<screening_report>(
-        dice, 1,
+        dice, std::max<std::size_t>(1, options_.batch_lanes),
         [this, job](std::size_t first, std::size_t count, screening_report* out,
                     const job_progress& progress) {
+            // Same per-die construction as the sequential core::screen_lot:
+            // the die's identity comes solely from its factory seed.
+            std::vector<program_lane> lanes;
+            lanes.reserve(count);
             for (std::size_t l = 0; l < count; ++l) {
-                // Same per-die construction as the sequential
-                // core::screen_lot: the die's identity comes solely from its
-                // factory seed, so the batch is bit-identical to the serial
-                // loop (the shared stimulus cache keys on the generator
-                // design fingerprint, so a record is reused across dice only
-                // when their stimulus is genuinely identical).
-                demonstrator_board board = make_board(job->first_seed + first + l);
-                network_analyzer analyzer(board, settings_);
-                out[l] = screen(analyzer, job->mask, job->screening);
-                progress.items_done();
+                lanes.push_back({factory_(job->first_seed + first + l), settings_.evaluator});
+            }
+            std::vector<acquisition_result> results(count);
+            execute(job->program, lanes, results.data(), worker_arena(), progress);
+            for (std::size_t l = 0; l < count; ++l) {
+                out[l] = to_screening_report(results[l], job->mask, job->thd_f_hz);
             }
         },
         std::move(on_report), std::move(on_published));
@@ -359,312 +370,6 @@ std::vector<screening_report> sweep_engine::screen_batch(const spec_mask& mask,
     return submit_screening(mask, dice, first_seed, screening).results();
 }
 
-void sweep_engine::screen_group(const spec_mask& mask, const screening_options& screening,
-                                std::uint64_t first_seed, std::size_t count,
-                                screening_report* reports,
-                                const job_progress& progress) {
-    BISTNA_EXPECTS(count > 0, "lane group must contain at least one die");
-    if (options_.pipeline == sweep_pipeline::lane_major) {
-        screen_group_lane_major(mask, screening, first_seed, count, reports, progress);
-        return;
-    }
-
-    std::vector<demonstrator_board> boards;
-    boards.reserve(count);
-    for (std::size_t l = 0; l < count; ++l) {
-        boards.push_back(make_board(first_seed + l));
-    }
-    eval::batch_evaluator evaluators(
-        std::vector<eval::evaluator_config>(count, settings_.evaluator));
-
-    // Stage 1 -- per-lane stimulus self-test through the calibration path
-    // (the scalar analyzer's calibrate(): one render at a convenient master
-    // clock, one lockstep fundamental acquisition across all lanes).
-    const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-    std::vector<stimulus_calibration> inputs(count);
-    std::vector<std::size_t> active;
-    active.reserve(count);
-    {
-        telemetry::trace_span calibrate_span("engine.calibrate");
-        calibrate_span.arg("lanes", static_cast<double>(count));
-        std::vector<std::vector<double>> records(count);
-        std::vector<std::span<const double>> spans(count);
-        for (std::size_t l = 0; l < count; ++l) {
-            records[l] = boards[l].render(cal_tb, settings_.periods,
-                                          signal_path::calibration,
-                                          settings_.settle_periods);
-            spans[l] = records[l];
-        }
-        const auto measured = evaluators.measure_harmonic(spans, 1, settings_.periods);
-        for (std::size_t l = 0; l < count; ++l) {
-            inputs[l] = make_stimulus_calibration(measured[l]);
-            screening_report& report = reports[l];
-            report.stimulus_volts = inputs[l].amplitude.volts;
-            report.stimulus_phase_deg = rad_to_deg(inputs[l].phase.radians);
-            report.offset_rate = evaluators.extractor(l).offset_rate_ch1();
-            report.self_test_passed = stimulus_self_test(mask, report.stimulus_volts);
-            // Broken BIST circuitry gates out the die's DUT data; the lane
-            // is dropped from every later acquisition (it consumes no more
-            // of its RNG stream, matching the scalar early return) -- unless
-            // the diagnostic option keeps it measuring, matching the scalar
-            // diagnostic path.
-            report.passed = report.self_test_passed;
-            if (report.self_test_passed || screening.continue_after_self_test_failure) {
-                active.push_back(l);
-            }
-        }
-    }
-    // Gated-out lanes are finished dice; the active ones tick when their
-    // last stage completes.
-    progress.items_done(count - active.size());
-    if (active.empty()) {
-        return;
-    }
-
-    // Stage 2 -- every mask limit over the lanes still measuring: scalar
-    // renders (cache-shared staircase, per-lane DUT filtering), one
-    // lockstep acquisition per limit.
-    for (std::size_t limit_index = 0; limit_index < mask.limits.size(); ++limit_index) {
-        const auto& limit = mask.limits[limit_index];
-        const auto tb = sim::timebase::for_wave_frequency(hertz{limit.f_hz});
-        std::vector<std::vector<double>> records(active.size());
-        std::vector<std::span<const double>> spans(active.size());
-        {
-            telemetry::trace_span render_span("engine.render");
-            render_span.arg("lanes", static_cast<double>(active.size()));
-            for (std::size_t i = 0; i < active.size(); ++i) {
-                records[i] = boards[active[i]].render(tb, settings_.periods,
-                                                      signal_path::through_dut,
-                                                      settings_.settle_periods);
-                spans[i] = records[i];
-            }
-        }
-        telemetry::trace_span evaluate_span("engine.evaluate");
-        evaluate_span.arg("lanes", static_cast<double>(active.size()));
-        const auto outputs =
-            evaluators.measure_harmonic_lanes(active, spans, 1, settings_.periods);
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            const std::size_t l = active[i];
-            const auto point =
-                assemble_frequency_point(hertz{limit.f_hz}, inputs[l], outputs[i],
-                                         settings_.hold_compensation, boards[l].dut());
-            const auto result = evaluate_limit(limit, point, limit_index);
-            reports[l].passed = reports[l].passed && result.passed;
-            reports[l].limits.push_back(result);
-        }
-    }
-
-    // Stage 3 -- optional distortion measurement (the scalar path's
-    // measure_distortion: distortion_periods renders, harmonics 1..max in
-    // one lockstep pass per harmonic).
-    if (screening.measure_distortion) {
-        telemetry::trace_span thd_span("engine.thd");
-        thd_span.arg("lanes", static_cast<double>(active.size()));
-        const double f_hz = screening.distortion_f_hz > 0.0 ? screening.distortion_f_hz
-                                                            : mask.limits.front().f_hz;
-        const auto tb = sim::timebase::for_wave_frequency(hertz{f_hz});
-        std::vector<std::vector<double>> records(active.size());
-        std::vector<std::span<const double>> spans(active.size());
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            records[i] = boards[active[i]].render(tb, settings_.distortion_periods,
-                                                  signal_path::through_dut,
-                                                  settings_.settle_periods);
-            spans[i] = records[i];
-        }
-        const auto thd = evaluators.measure_thd_lanes(
-            active, spans, screening.distortion_max_harmonic, settings_.distortion_periods);
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            reports[active[i]].distortion_measured = true;
-            reports[active[i]].thd_db = thd[i].db;
-            reports[active[i]].thd_f_hz = f_hz;
-        }
-    }
-    progress.items_done(active.size());
-}
-
-double* sweep_engine::render_dut_lane_major(std::vector<demonstrator_board>& boards,
-                                            const std::vector<std::size_t>& active,
-                                            const sim::timebase& tb, std::size_t periods,
-                                            bistna::arena& scratch) {
-    const std::size_t lanes = active.size();
-    const std::size_t total = tb.samples_for_periods(settings_.settle_periods + periods);
-    const std::size_t keep_from = tb.samples_for_periods(settings_.settle_periods);
-    const std::size_t tail = total - keep_from;
-    double* out = scratch.allocate<double>(tail * lanes).data();
-
-    // Stage 1 per lane, straight from the shared cache (no tail copies).
-    std::vector<stimulus_cache::record_ptr> stairs(lanes);
-    bool same_staircase = true;
-    for (std::size_t i = 0; i < lanes; ++i) {
-        stairs[i] = boards[active[i]].stimulus_record(periods, settings_.settle_periods);
-        same_staircase = same_staircase && stairs[i].get() == stairs[0].get();
-    }
-
-    // Stage 2: the lockstep state-space pass when every lane is a prepared
-    // linear realization of bankable order -- the same reset / prepare /
-    // settle-block / tail-block sequence as render_from_stimulus, run
-    // lane-major across the group.
-    std::vector<dut::state_space*> realizations(lanes);
-    bool bankable = true;
-    for (std::size_t i = 0; i < lanes; ++i) {
-        auto& device = boards[active[i]].dut();
-        device.reset();
-        device.prepare(tb.master().value);
-        realizations[i] = device.linear_realization();
-        bankable = bankable && realizations[i] != nullptr;
-    }
-    if (bankable &&
-        dut::state_space_bank::compatible({realizations.data(), lanes})) {
-        dut::state_space_bank bank({realizations.data(), lanes}, scratch);
-        double* discard = scratch.allocate<double>(keep_from * lanes).data();
-        if (same_staircase) {
-            const double* input = stairs[0]->data();
-            bank.step_block_shared(input, keep_from, discard);
-            bank.step_block_shared(input + keep_from, tail, out);
-        } else {
-            const double** settle_inputs = scratch.allocate<const double*>(lanes).data();
-            const double** tail_inputs = scratch.allocate<const double*>(lanes).data();
-            for (std::size_t i = 0; i < lanes; ++i) {
-                settle_inputs[i] = stairs[i]->data();
-                tail_inputs[i] = stairs[i]->data() + keep_from;
-            }
-            bank.step_block_lanes(settle_inputs, keep_from, discard);
-            bank.step_block_lanes(tail_inputs, tail, out);
-        }
-        return out;
-    }
-
-    // Fallback (non-linear or high-order DUTs): scalar per-lane renders
-    // transposed into the lane-major layout -- bit-identical by definition.
-    for (std::size_t i = 0; i < lanes; ++i) {
-        const auto record = boards[active[i]].render_from_stimulus(
-            *stairs[i], tb, periods, signal_path::through_dut, settings_.settle_periods);
-        for (std::size_t n = 0; n < tail; ++n) {
-            out[n * lanes + i] = record[n];
-        }
-    }
-    return out;
-}
-
-void sweep_engine::screen_group_lane_major(const spec_mask& mask,
-                                           const screening_options& screening,
-                                           std::uint64_t first_seed, std::size_t count,
-                                           screening_report* reports,
-                                           const job_progress& progress) {
-    arena& scratch = worker_arena();
-    scratch.reset();
-
-    std::vector<demonstrator_board> boards;
-    boards.reserve(count);
-    for (std::size_t l = 0; l < count; ++l) {
-        boards.push_back(make_board(first_seed + l));
-    }
-    eval::batch_evaluator evaluators(
-        std::vector<eval::evaluator_config>(count, settings_.evaluator));
-    evaluators.set_shared_resources(demod_tables_.get(), &scratch,
-                                    calibration_share_.get());
-
-    // Stage 1 -- stimulus self-test through the calibration path.  The
-    // calibration record *is* the staircase tail, so the lanes read the
-    // shared cached record in place (one lockstep broadcast acquisition
-    // when every lane's staircase is the same cached record).
-    const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-    std::vector<stimulus_calibration> inputs(count);
-    std::vector<std::size_t> active;
-    active.reserve(count);
-    {
-        telemetry::trace_span calibrate_span("engine.calibrate");
-        calibrate_span.arg("lanes", static_cast<double>(count));
-        const std::size_t keep_from = cal_tb.samples_for_periods(settings_.settle_periods);
-        std::vector<stimulus_cache::record_ptr> stairs(count);
-        bool same_staircase = true;
-        for (std::size_t l = 0; l < count; ++l) {
-            stairs[l] =
-                boards[l].stimulus_record(settings_.periods, settings_.settle_periods);
-            same_staircase = same_staircase && stairs[l].get() == stairs[0].get();
-        }
-        std::vector<std::size_t> all(count);
-        std::iota(all.begin(), all.end(), std::size_t{0});
-        std::vector<eval::harmonic_measurement> measured;
-        if (same_staircase) {
-            const std::span<const double> tail(stairs[0]->data() + keep_from,
-                                               stairs[0]->size() - keep_from);
-            measured = evaluators.measure_harmonic_lanes_shared(all, tail, 1,
-                                                                settings_.periods);
-        } else {
-            std::vector<std::span<const double>> tails(count);
-            for (std::size_t l = 0; l < count; ++l) {
-                tails[l] = std::span<const double>(stairs[l]->data() + keep_from,
-                                                   stairs[l]->size() - keep_from);
-            }
-            measured = evaluators.measure_harmonic_lanes(all, tails, 1, settings_.periods);
-        }
-        for (std::size_t l = 0; l < count; ++l) {
-            inputs[l] = make_stimulus_calibration(measured[l]);
-            screening_report& report = reports[l];
-            report.stimulus_volts = inputs[l].amplitude.volts;
-            report.stimulus_phase_deg = rad_to_deg(inputs[l].phase.radians);
-            report.offset_rate = evaluators.extractor(l).offset_rate_ch1();
-            report.self_test_passed = stimulus_self_test(mask, report.stimulus_volts);
-            report.passed = report.self_test_passed;
-            if (report.self_test_passed || screening.continue_after_self_test_failure) {
-                active.push_back(l);
-            }
-        }
-    }
-    progress.items_done(count - active.size());
-    if (active.empty()) {
-        return;
-    }
-
-    // Stage 2 -- every mask limit: one banked state-space pass renders the
-    // active lanes' records lane-major, one lane-major lockstep acquisition
-    // consumes them with no transpose in between.
-    for (std::size_t limit_index = 0; limit_index < mask.limits.size(); ++limit_index) {
-        const auto& limit = mask.limits[limit_index];
-        const auto tb = sim::timebase::for_wave_frequency(hertz{limit.f_hz});
-        const double* lane_major = [&] {
-            telemetry::trace_span render_span("engine.render");
-            render_span.arg("lanes", static_cast<double>(active.size()));
-            return render_dut_lane_major(boards, active, tb, settings_.periods, scratch);
-        }();
-        telemetry::trace_span evaluate_span("engine.evaluate");
-        evaluate_span.arg("lanes", static_cast<double>(active.size()));
-        const auto outputs = evaluators.measure_harmonic_lanes_lane_major(
-            active, lane_major, 1, settings_.periods);
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            const std::size_t l = active[i];
-            const auto point =
-                assemble_frequency_point(hertz{limit.f_hz}, inputs[l], outputs[i],
-                                         settings_.hold_compensation, boards[l].dut());
-            const auto result = evaluate_limit(limit, point, limit_index);
-            reports[l].passed = reports[l].passed && result.passed;
-            reports[l].limits.push_back(result);
-        }
-    }
-
-    // Stage 3 -- optional distortion, same banked render / lane-major
-    // acquisition shape at the distortion record length.
-    if (screening.measure_distortion) {
-        telemetry::trace_span thd_span("engine.thd");
-        thd_span.arg("lanes", static_cast<double>(active.size()));
-        const double f_hz = screening.distortion_f_hz > 0.0 ? screening.distortion_f_hz
-                                                            : mask.limits.front().f_hz;
-        const auto tb = sim::timebase::for_wave_frequency(hertz{f_hz});
-        const double* lane_major = render_dut_lane_major(
-            boards, active, tb, settings_.distortion_periods, scratch);
-        const auto thd = evaluators.measure_thd_lanes_lane_major(
-            active, lane_major, screening.distortion_max_harmonic,
-            settings_.distortion_periods);
-        for (std::size_t i = 0; i < active.size(); ++i) {
-            reports[active[i]].distortion_measured = true;
-            reports[active[i]].thd_db = thd[i].db;
-            reports[active[i]].thd_f_hz = f_hz;
-        }
-    }
-    progress.items_done(active.size());
-}
-
 lot_result sweep_engine::screen_lot(const spec_mask& mask, std::size_t dice,
                                     std::uint64_t first_seed,
                                     const screening_options& screening) {
@@ -675,47 +380,11 @@ lot_result sweep_engine::screen_lot(const spec_mask& mask, std::size_t dice,
 
 namespace {
 
-/// Render one acquisition stage for one item, deduplicated through the
-/// batch's render share when the item carries a render key: identical
-/// boards produce bit-identical records (a render is a pure function of
-/// the board design), so the first item renders and the rest reuse.  The
-/// share is keyed on (render key, stage tag); the stage tag encodes the
-/// program stage, which pins (timebase, path, periods) within one batch.
-stimulus_cache::record_ptr render_stage(demonstrator_board& board,
-                                        stimulus_cache& shared_records,
-                                        std::uint64_t render_key, std::uint64_t stage_tag,
-                                        const sim::timebase& tb, std::size_t periods,
-                                        signal_path path, std::size_t settle_periods) {
-    auto render = [&] { return board.render(tb, periods, path, settle_periods); };
-    if (render_key == 0) {
-        return std::make_shared<const stimulus_cache::record>(render());
-    }
-    return shared_records.get_or_render(
-        stimulus_key{render_key, stage_tag, periods, settle_periods}, render);
-}
-
-/// Stage tags for render_stage: 0 is the calibration stage, 1 + i the i-th
-/// program frequency, 1 + frequencies.size() the distortion stage.
-constexpr std::uint64_t calibration_stage_tag = 0;
-
-eval::sample_source as_shared_source(stimulus_cache::record_ptr record) {
-    return [record = std::move(record)](std::size_t n) { return (*record)[n]; };
-}
-
-/// Job-lifetime state of a submitted acquisition batch: the items and
-/// program (owned, so the caller's copies can die) plus the render share
-/// for keyed items -- one entry per (render key, stage), alive exactly as
-/// long as some task closure still references the job.
+/// Job-lifetime state of a submitted acquisition batch: the items (owned,
+/// so the caller's copies can die) and their program.
 struct acquisition_job {
-    acquisition_job(std::vector<core::sweep_engine::acquisition_item> items_,
-                    core::sweep_engine::acquisition_program program_)
-        : items(std::move(items_)), program(std::move(program_)),
-          shared_records(
-              std::max<std::size_t>(64, 2 * (program.frequencies.size() + 2))) {}
-
-    std::vector<core::sweep_engine::acquisition_item> items;
-    core::sweep_engine::acquisition_program program;
-    stimulus_cache shared_records; ///< thread-safe render-once share
+    std::vector<sweep_engine::acquisition_item> items;
+    measurement_program program;
 };
 
 } // namespace
@@ -729,29 +398,26 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
     BISTNA_EXPECTS(!program.frequencies.empty(),
                    "acquisition program must measure at least one frequency");
 
-    auto job = std::make_shared<acquisition_job>(std::move(items), std::move(program));
-    const std::size_t count = job->items.size();
-    const std::size_t lanes = std::max<std::size_t>(1, options_.batch_lanes);
-    if (lanes > 1) {
-        return queue_->submit<acquisition_result>(
-            count, lanes,
-            [this, job](std::size_t first, std::size_t n, acquisition_result* out,
-                        const job_progress& progress) {
-                acquire_group(job->items, job->program, first, n, out,
-                              job->shared_records);
-                progress.items_done(n);
-            },
-            std::move(on_result), std::move(on_published));
+    std::optional<program_stage> thd;
+    if (program.distortion_max_harmonic >= 2) {
+        const hertz f = program.distortion_f.value > 0.0 ? program.distortion_f
+                                                         : program.frequencies.front();
+        thd = program_stage{program_stage::kind::thd, f, program.distortion_max_harmonic};
     }
+    auto job = std::make_shared<const acquisition_job>(acquisition_job{
+        std::move(items),
+        analyzer_program(program.frequencies, settings_.recalibrate_per_point, thd)});
     return queue_->submit<acquisition_result>(
-        count, 1,
-        [this, job](std::size_t first, std::size_t n, acquisition_result* out,
+        job->items.size(), std::max<std::size_t>(1, options_.batch_lanes),
+        [this, job](std::size_t first, std::size_t count, acquisition_result* out,
                     const job_progress& progress) {
-            for (std::size_t l = 0; l < n; ++l) {
-                out[l] = acquire_scalar(job->items[first + l], job->program,
-                                        job->shared_records);
-                progress.items_done();
+            std::vector<program_lane> lanes;
+            lanes.reserve(count);
+            for (std::size_t l = 0; l < count; ++l) {
+                const acquisition_item& item = job->items[first + l];
+                lanes.push_back({item.make_board(), item.evaluator});
             }
+            execute(job->program, lanes, out, worker_arena(), progress);
         },
         std::move(on_result), std::move(on_published));
 }
@@ -761,142 +427,223 @@ std::vector<sweep_engine::acquisition_result> sweep_engine::acquire(
     return submit_acquisition(items, program).results();
 }
 
-sweep_engine::acquisition_result sweep_engine::acquire_scalar(
-    const acquisition_item& item, const acquisition_program& program,
-    stimulus_cache& shared_records) {
-    demonstrator_board board = item.make_board();
-    if (stimulus_cache_) {
-        board.set_stimulus_cache(stimulus_cache_);
-    }
-    // The plain per-item evaluator, driven through exactly the call
-    // sequence the batched path runs in lockstep: offset calibration on
-    // first use, one fundamental acquisition for the calibration stage and
-    // per frequency, then one acquisition per distortion harmonic.
-    eval::sinewave_evaluator evaluator(item.evaluator);
+// --- The executor ----------------------------------------------------------
 
-    acquisition_result result;
-    const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-    const auto cal_record =
-        render_stage(board, shared_records, item.render_key, calibration_stage_tag, cal_tb,
-                     settings_.periods, signal_path::calibration, settings_.settle_periods);
-    result.calibration = make_stimulus_calibration(
-        evaluator.measure_harmonic(as_shared_source(cal_record), 1, settings_.periods));
-    result.offset_rate = evaluator.extractor().offset_rate_ch1();
+void sweep_engine::execute(const measurement_program& program,
+                           std::vector<program_lane>& lanes, acquisition_result* results,
+                           arena& scratch, const job_progress& progress) {
+    const std::size_t count = lanes.size();
+    BISTNA_EXPECTS(count > 0, "lane group must contain at least one lane");
 
-    result.points.reserve(program.frequencies.size());
-    for (std::size_t i = 0; i < program.frequencies.size(); ++i) {
-        const hertz f = program.frequencies[i];
-        const auto tb = sim::timebase::for_wave_frequency(f);
-        const auto record =
-            render_stage(board, shared_records, item.render_key, 1 + i, tb,
-                         settings_.periods, signal_path::through_dut,
-                         settings_.settle_periods);
-        const auto output =
-            evaluator.measure_harmonic(as_shared_source(record), 1, settings_.periods);
-        result.points.push_back(assemble_frequency_point(
-            f, result.calibration, output, settings_.hold_compensation, board.dut()));
-    }
-
-    if (program.distortion_max_harmonic >= 2) {
-        const hertz f = program.distortion_f.value > 0.0 ? program.distortion_f
-                                                         : program.frequencies.front();
-        const auto tb = sim::timebase::for_wave_frequency(f);
-        const auto record = render_stage(
-            board, shared_records, item.render_key, 1 + program.frequencies.size(), tb,
-            settings_.distortion_periods, signal_path::through_dut, settings_.settle_periods);
-        result.has_thd = true;
-        result.thd_db = evaluator
-                            .measure_thd(as_shared_source(record),
-                                         program.distortion_max_harmonic,
-                                         settings_.distortion_periods)
-                            .db;
-    }
-    return result;
-}
-
-void sweep_engine::acquire_group(const std::vector<acquisition_item>& items,
-                                 const acquisition_program& program, std::size_t first,
-                                 std::size_t count, acquisition_result* results,
-                                 stimulus_cache& shared_records) {
-    BISTNA_EXPECTS(count > 0, "lane group must contain at least one item");
-
-    std::vector<demonstrator_board> boards;
-    boards.reserve(count);
     std::vector<eval::evaluator_config> configs;
     configs.reserve(count);
-    for (std::size_t l = 0; l < count; ++l) {
-        boards.push_back(items[first + l].make_board());
+    for (program_lane& lane : lanes) {
         if (stimulus_cache_) {
-            boards.back().set_stimulus_cache(stimulus_cache_);
+            lane.board.set_stimulus_cache(stimulus_cache_);
         }
-        configs.push_back(items[first + l].evaluator);
+        configs.push_back(lane.evaluator);
     }
-    eval::batch_evaluator evaluators(std::move(configs));
-    if (options_.pipeline == sweep_pipeline::lane_major) {
-        arena& scratch = worker_arena();
+    eval::batch_evaluator evaluators(std::move(configs), *demod_tables_,
+                                     *calibration_share_);
+
+    // The stimulus calibration each lane's next harmonic stage divides by.
+    std::vector<stimulus_calibration> inputs(count);
+    if (program.calibration) {
+        for (std::size_t l = 0; l < count; ++l) {
+            inputs[l] = results[l].calibration = *program.calibration;
+        }
+    }
+    std::vector<std::size_t> active(count);
+    std::iota(active.begin(), active.end(), std::size_t{0});
+    bool first_calibration = !program.calibration.has_value();
+
+    // Each stage's lane-major block is dead once the stage has measured it,
+    // so one arena block sized for the largest stage serves them all: the
+    // scratch footprint is one stage, not the sum of the growth steps.
+    std::size_t largest_periods = settings_.periods;
+    for (const program_stage& stage : program.stages) {
+        if (stage.type == program_stage::kind::thd) {
+            largest_periods = std::max(largest_periods, settings_.distortion_periods);
+        }
+    }
+    scratch.reset();
+    scratch.reserve(sim::timebase::samples_per_period() * largest_periods * count *
+                    sizeof(double));
+
+    for (const program_stage& stage : program.stages) {
+        if (active.empty()) {
+            break;
+        }
         scratch.reset();
-        evaluators.set_shared_resources(demod_tables_.get(), &scratch,
-                                        calibration_share_.get());
-    }
-
-    std::vector<stimulus_cache::record_ptr> records(count);
-    std::vector<std::span<const double>> spans(count);
-    const auto render_all = [&](std::uint64_t stage_tag, const sim::timebase& tb,
-                                std::size_t periods, signal_path path) {
-        telemetry::trace_span render_span("engine.render");
-        render_span.arg("lanes", static_cast<double>(count));
-        for (std::size_t l = 0; l < count; ++l) {
-            records[l] = render_stage(boards[l], shared_records, items[first + l].render_key,
-                                      stage_tag, tb, periods, path, settings_.settle_periods);
-            spans[l] = *records[l];
+        const double lanes_arg = static_cast<double>(active.size());
+        switch (stage.type) {
+        case program_stage::kind::calibrate: {
+            telemetry::trace_span calibrate_span("engine.calibrate");
+            calibrate_span.arg("lanes", lanes_arg);
+            const auto measured = calibrate_lanes(lanes, active, evaluators, scratch);
+            for (std::size_t i = 0; i < active.size(); ++i) {
+                inputs[active[i]] = make_stimulus_calibration(measured[i]);
+            }
+            if (!first_calibration) {
+                break;
+            }
+            first_calibration = false;
+            for (std::size_t l : active) {
+                results[l].calibration = inputs[l];
+                results[l].offset_rate = evaluators.extractor(l).offset_rate_ch1();
+            }
+            if (program.keep_lane) {
+                // A dropped lane consumes no more of its RNG streams, so its
+                // neighbours are unperturbed; it is a finished item now.
+                std::erase_if(active, [&](std::size_t l) {
+                    return !program.keep_lane(inputs[l].amplitude.volts);
+                });
+                progress.items_done(count - active.size());
+            }
+            break;
         }
-    };
-
-    // Stage 1 -- calibration-path characterization (the scalar calibrate()).
-    const auto cal_tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-    render_all(calibration_stage_tag, cal_tb, settings_.periods, signal_path::calibration);
-    {
-        telemetry::trace_span calibrate_span("engine.calibrate");
-        calibrate_span.arg("lanes", static_cast<double>(count));
-        const auto measured = evaluators.measure_harmonic(spans, 1, settings_.periods);
-        for (std::size_t l = 0; l < count; ++l) {
-            results[l].calibration = make_stimulus_calibration(measured[l]);
-            results[l].offset_rate = evaluators.extractor(l).offset_rate_ch1();
-            results[l].points.reserve(program.frequencies.size());
+        case program_stage::kind::harmonic: {
+            const double* lane_major = [&] {
+                telemetry::trace_span render_span("engine.render");
+                render_span.arg("lanes", lanes_arg);
+                return render_dut_lane_major(lanes, active, stage, settings_.periods, scratch);
+            }();
+            telemetry::trace_span evaluate_span("engine.evaluate");
+            evaluate_span.arg("lanes", lanes_arg);
+            const auto outputs = evaluators.measure_harmonic_lanes_lane_major(
+                active, lane_major, 1, settings_.periods);
+            for (std::size_t i = 0; i < active.size(); ++i) {
+                program_lane& lane = lanes[active[i]];
+                results[active[i]].points.push_back(assemble_frequency_point(
+                    stage_frequency(stage, lane.f), inputs[active[i]], outputs[i],
+                    settings_.hold_compensation, lane.board.dut()));
+            }
+            break;
         }
-    }
-
-    // Stage 2 -- fundamental gain/phase at every program frequency.
-    for (std::size_t i = 0; i < program.frequencies.size(); ++i) {
-        const hertz f = program.frequencies[i];
-        const auto tb = sim::timebase::for_wave_frequency(f);
-        render_all(1 + i, tb, settings_.periods, signal_path::through_dut);
-        telemetry::trace_span evaluate_span("engine.evaluate");
-        evaluate_span.arg("lanes", static_cast<double>(count));
-        const auto outputs = evaluators.measure_harmonic(spans, 1, settings_.periods);
-        for (std::size_t l = 0; l < count; ++l) {
-            results[l].points.push_back(
-                assemble_frequency_point(f, results[l].calibration, outputs[l],
-                                         settings_.hold_compensation, boards[l].dut()));
+        case program_stage::kind::thd: {
+            telemetry::trace_span thd_span("engine.thd");
+            thd_span.arg("lanes", lanes_arg);
+            const double* lane_major = render_dut_lane_major(
+                lanes, active, stage, settings_.distortion_periods, scratch);
+            const auto thd = evaluators.measure_thd_lanes_lane_major(
+                active, lane_major, stage.max_harmonic, settings_.distortion_periods);
+            for (std::size_t i = 0; i < active.size(); ++i) {
+                results[active[i]].has_thd = true;
+                results[active[i]].thd_db = thd[i].db;
+            }
+            break;
         }
-    }
-
-    // Stage 3 -- optional distortion (the scalar measure_distortion).
-    if (program.distortion_max_harmonic >= 2) {
-        const hertz f = program.distortion_f.value > 0.0 ? program.distortion_f
-                                                         : program.frequencies.front();
-        const auto tb = sim::timebase::for_wave_frequency(f);
-        render_all(1 + program.frequencies.size(), tb, settings_.distortion_periods,
-                   signal_path::through_dut);
-        telemetry::trace_span thd_span("engine.thd");
-        thd_span.arg("lanes", static_cast<double>(count));
-        const auto thd = evaluators.measure_thd(spans, program.distortion_max_harmonic,
-                                                settings_.distortion_periods);
-        for (std::size_t l = 0; l < count; ++l) {
-            results[l].has_thd = true;
-            results[l].thd_db = thd[l].db;
         }
     }
+    progress.items_done(active.size());
+}
+
+std::vector<eval::harmonic_measurement>
+sweep_engine::calibrate_lanes(std::vector<program_lane>& lanes,
+                              const std::vector<std::size_t>& active,
+                              eval::batch_evaluator& evaluators, arena& scratch) {
+    // The calibration record *is* the staircase tail, so the lanes read the
+    // cached records in place.
+    const std::size_t n_lanes = active.size();
+    const std::size_t keep_from =
+        sim::timebase::samples_per_period() * settings_.settle_periods;
+    std::vector<stimulus_cache::record_ptr> stairs(n_lanes);
+    bool same_staircase = true;
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+        stairs[i] = lanes[active[i]].board.stimulus_record(settings_.periods,
+                                                           settings_.settle_periods);
+        same_staircase = same_staircase && stairs[i].get() == stairs[0].get();
+    }
+    const std::size_t tail = stairs[0]->size() - keep_from;
+    if (same_staircase) {
+        return evaluators.measure_harmonic_lanes_shared(
+            active, {stairs[0]->data() + keep_from, tail}, 1, settings_.periods);
+    }
+    double* lane_major = scratch.allocate<double>(tail * n_lanes).data();
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+        const double* record = stairs[i]->data() + keep_from;
+        for (std::size_t n = 0; n < tail; ++n) {
+            lane_major[n * n_lanes + i] = record[n];
+        }
+    }
+    return evaluators.measure_harmonic_lanes_lane_major(active, lane_major, 1,
+                                                        settings_.periods);
+}
+
+double* sweep_engine::render_dut_lane_major(std::vector<program_lane>& lanes,
+                                            const std::vector<std::size_t>& active,
+                                            const program_stage& stage, std::size_t periods,
+                                            arena& scratch) {
+    const std::size_t n_lanes = active.size();
+    // Record lengths are frequency-independent (N = 96 by construction), so
+    // lanes at different frequencies still share one block layout.
+    const std::size_t keep_from =
+        sim::timebase::samples_per_period() * settings_.settle_periods;
+    const std::size_t tail = sim::timebase::samples_per_period() * periods;
+    double* out = scratch.allocate<double>(tail * n_lanes).data();
+
+    // Stage 1 per lane, straight from the shared cache (no tail copies).
+    std::vector<stimulus_cache::record_ptr> stairs(n_lanes);
+    bool same_staircase = true;
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+        stairs[i] = lanes[active[i]].board.stimulus_record(periods, settings_.settle_periods);
+        same_staircase = same_staircase && stairs[i].get() == stairs[0].get();
+    }
+
+    // Stage 2: the lockstep state-space pass when every lane is a prepared
+    // linear realization of bankable order -- the same reset / prepare /
+    // settle-block / tail-block sequence as render_from_stimulus, run
+    // lane-major across the group, each lane discretized at its own master
+    // clock.
+    std::vector<sim::timebase> timebases;
+    timebases.reserve(n_lanes);
+    std::vector<dut::state_space*> realizations(n_lanes);
+    bool bankable = true;
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+        program_lane& lane = lanes[active[i]];
+        timebases.push_back(sim::timebase::for_wave_frequency(stage_frequency(stage, lane.f)));
+        auto& device = lane.board.dut();
+        device.reset();
+        device.prepare(timebases.back().master().value);
+        realizations[i] = device.linear_realization();
+        bankable = bankable && realizations[i] != nullptr;
+    }
+    if (bankable &&
+        dut::state_space_bank::compatible({realizations.data(), n_lanes})) {
+        dut::state_space_bank bank({realizations.data(), n_lanes}, scratch);
+        // The settle prefix is discarded, so it can pass through `out`
+        // before the tail overwrites it.
+        double* discard = keep_from <= tail
+                              ? out
+                              : scratch.allocate<double>(keep_from * n_lanes).data();
+        if (same_staircase) {
+            const double* input = stairs[0]->data();
+            bank.step_block_shared(input, keep_from, discard);
+            bank.step_block_shared(input + keep_from, tail, out);
+        } else {
+            const double** settle_inputs = scratch.allocate<const double*>(n_lanes).data();
+            const double** tail_inputs = scratch.allocate<const double*>(n_lanes).data();
+            for (std::size_t i = 0; i < n_lanes; ++i) {
+                settle_inputs[i] = stairs[i]->data();
+                tail_inputs[i] = stairs[i]->data() + keep_from;
+            }
+            bank.step_block_lanes(settle_inputs, keep_from, discard);
+            bank.step_block_lanes(tail_inputs, tail, out);
+        }
+        return out;
+    }
+
+    // Fallback (non-linear or high-order DUTs): scalar per-lane renders
+    // transposed into the lane-major layout -- bit-identical by definition.
+    for (std::size_t i = 0; i < n_lanes; ++i) {
+        const auto record = lanes[active[i]].board.render_from_stimulus(
+            *stairs[i], timebases[i], periods, signal_path::through_dut,
+            settings_.settle_periods);
+        for (std::size_t n = 0; n < tail; ++n) {
+            out[n * n_lanes + i] = record[n];
+        }
+    }
+    return out;
 }
 
 } // namespace bistna::core

@@ -6,8 +6,8 @@
 // engine exploits that with a thread pool while keeping the property the
 // rest of the codebase is built on -- exact reproducibility:
 //
-//   * every work item constructs its *own* board (via the factory) and its
-//     own analyzer, so no simulation state crosses item boundaries;
+//   * every item constructs its *own* board (via the factory) and its own
+//     evaluator lane, so no simulation state crosses item boundaries;
 //   * the per-item evaluator seed is derived from (base_seed, item index)
 //     with splitmix64, never from scheduling order;
 //   * results land in a pre-sized slot per item.
@@ -15,6 +15,13 @@
 // Consequently the output is bit-identical at any thread count.
 // `screen_lot` here matches the sequential core::screen_lot exactly, so
 // the two can be cross-checked in tests.
+//
+// Every batch shape -- a screening die, a dictionary item, a Bode point --
+// is one measurement_program (an ordered list of calibrate / harmonic@f /
+// thd@f stages), and one arena-backed executor runs each lane group of
+// every job through the banked DUT pass and the lane-major evaluator
+// kernels.  batch_lanes = 1 is a group of width 1 on that same executor;
+// the scalar network_analyzer / core::screen is the only oracle.
 //
 // Since the job-queue redesign the engine is session-shaped: work enters
 // through submit_bode / submit_screening / submit_acquisition, which
@@ -31,6 +38,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <optional>
@@ -41,31 +49,17 @@
 #include "core/job_queue.hpp"
 #include "core/screening.hpp"
 #include "core/stimulus_cache.hpp"
-#include "sim/timebase.hpp"
 
 namespace bistna {
 class arena;
 namespace eval {
+class batch_evaluator;
 class demod_table_cache;
 class calibration_share;
 } // namespace eval
 } // namespace bistna
 
 namespace bistna::core {
-
-/// Execution pipeline of the lockstep lane groups.
-enum class sweep_pipeline {
-    /// Span-based scalar-render reference path: per-lane board renders, AoS
-    /// acquisition.  The bit-identity oracle and the roofline bench's
-    /// baseline.
-    reference,
-    /// Roofline path: banked DUT state-space pass emitting lane-major
-    /// records straight into lane-major evaluator kernels, arena-backed
-    /// scratch per worker, cached demodulation tables and calibration-state
-    /// transplant across identically-seeded lanes.  Bit-identical to
-    /// `reference` at any {threads, batch_lanes}.
-    lane_major,
-};
 
 struct sweep_engine_options {
     /// Worker threads of the engine's own pool; 0 picks
@@ -92,16 +86,12 @@ struct sweep_engine_options {
     /// concurrently in flight -- threads x batch_lanes of them -- so the
     /// engine grows this floor to that product when it is larger.
     std::size_t stimulus_cache_entries = 64;
-    /// Dice (or Bode points) evaluated in lockstep per work item through
-    /// the SoA modulator bank (threads x lanes in flight overall).  1 runs
-    /// the scalar reference path; any lane count is bit-identical to it,
-    /// because lanes own independent seeded streams and never interact.
-    /// For Bode batches the lanes apply only with a shared calibration
-    /// (recalibrate_per_point falls back to the scalar path).
+    /// Dice, dictionary items or Bode points evaluated in lockstep per work
+    /// item through the SoA banks (threads x lanes in flight overall).  1
+    /// is a group of width 1 on the same executor; any lane count is
+    /// bit-identical to the scalar network_analyzer, because lanes own
+    /// independent seeded streams and never interact.
     std::size_t batch_lanes = 1;
-    /// How lane groups execute (see sweep_pipeline).  Every pipeline is
-    /// bit-identical; `reference` exists as the oracle and bench baseline.
-    sweep_pipeline pipeline = sweep_pipeline::lane_major;
     /// Self-tune {threads, batch_lanes} at construction: a short
     /// calibration probe screens a few synthetic dice at each candidate
     /// configuration and adopts the fastest (reported in stats()).  When a
@@ -124,7 +114,6 @@ struct autotune_candidate {
 struct sweep_stats {
     std::size_t threads = 0;
     std::size_t batch_lanes = 1;
-    sweep_pipeline pipeline = sweep_pipeline::lane_major;
     bool autotuned = false;
     double autotune_seconds = 0.0;
     std::vector<autotune_candidate> autotune_candidates;
@@ -147,6 +136,35 @@ struct sweep_report {
     /// 0 if the eq. (4) bounds hold).
     std::size_t gain_bound_violations = 0;
     summary gain_error_db_summary; ///< |measured - ideal| distribution
+};
+
+/// One stage of a measurement program, the scalar network_analyzer call it
+/// reproduces in parentheses.
+struct program_stage {
+    enum class kind {
+        calibrate, ///< stimulus through the calibration path (calibrate())
+        harmonic,  ///< fundamental gain/phase through the DUT (measure_point)
+        thd,       ///< THD of the DUT output (measure_distortion)
+    };
+    kind type = kind::harmonic;
+    /// Stimulus frequency of a harmonic/thd stage; 0 measures every lane at
+    /// its own frequency (the points of a Bode batch).
+    hertz f{0.0};
+    std::size_t max_harmonic = 0; ///< thd: harmonics 1..max_harmonic
+};
+
+/// The ordered stages every lane of a job runs: screening, dictionary items
+/// and Bode points are each one of these, executed by the same lane-major
+/// executor.  Each harmonic stage divides by the lane's latest calibration.
+struct measurement_program {
+    std::vector<program_stage> stages;
+    /// Injected before the first stage (a Bode batch's shared one-time
+    /// calibration); absent, the first calibrate stage provides it.
+    std::optional<stimulus_calibration> calibration;
+    /// Screening's self-test gate: after the first calibrate stage a lane
+    /// whose stimulus amplitude fails it measures nothing further (the
+    /// scalar screen()'s early return).  Null keeps every lane.
+    std::function<bool(double stimulus_volts)> keep_lane;
 };
 
 /// Thread-pool batch engine over network-analyzer measurements.
@@ -180,10 +198,9 @@ public:
     // varies a fault severity.  `acquire` abstracts over both: the caller
     // describes each item (its board and its evaluator config) and one
     // shared measurement program, and the engine fans the items out over
-    // the thread pool, grouping batch_lanes of them per work item through
-    // one SoA modulator bank.  batch_lanes = 1 runs the scalar
-    // network-analyzer-style reference path; any lane count is
-    // bit-identical to it, because every item owns its own seeded streams.
+    // the thread pool, grouping batch_lanes of them per work item.  Every
+    // item is bit-identical to network_analyzer::calibrate / measure_point
+    // / measure_distortion on its board, because it owns its seeded streams.
 
     /// One item of a generic acquisition batch.  `make_board` must be a
     /// pure function (it is invoked once, possibly on a worker thread); the
@@ -191,13 +208,6 @@ public:
     struct acquisition_item {
         std::function<demonstrator_board()> make_board;
         eval::evaluator_config evaluator;
-        /// Items carrying the same nonzero key declare their boards
-        /// render-identical (same generator design, amplitude and DUT
-        /// draw; only the evaluator differs): the engine then renders each
-        /// program stage once per key and shares the immutable record --
-        /// bit-identical to rendering per item, because a render is a pure
-        /// function of the board design.  0 always renders.
-        std::uint64_t render_key = 0;
     };
 
     /// The measurement program every item runs: the scalar screening
@@ -274,85 +284,57 @@ public:
     /// is off).
     stimulus_cache_stats stimulus_stats() const;
 
-    /// Resolved configuration (post-autotune), pipeline and shared-resource
-    /// counters.
+    /// Resolved configuration (post-autotune) and shared-resource counters.
     sweep_stats stats() const;
 
 private:
-    /// Build the work item's board and attach the shared cache to it.
-    demonstrator_board make_board(std::uint64_t seed) const;
+    /// One lane of an executed program: its board, its evaluator, and the
+    /// frequency its f = 0 stages measure at.
+    struct program_lane {
+        demonstrator_board board;
+        eval::evaluator_config evaluator;
+        hertz f{0.0};
+    };
 
-    /// One Bode point on the scalar analyzer path (the per-item unit of a
-    /// submitted Bode job without lockstep lanes).
-    frequency_point bode_point(hertz f, std::uint64_t board_seed,
-                               const std::optional<stimulus_calibration>& calibration,
-                               std::size_t index);
+    /// The executor: run `program` over one lane group in lockstep, lane l's
+    /// outcome into results[l] (calibration = the first one measured or
+    /// injected, points = one per harmonic stage).  All scratch comes from
+    /// `scratch`, sized for the largest stage and reset before every stage.
+    /// Dropped lanes tick `progress` after the self-test gate, the rest when
+    /// the last stage completes.
+    void execute(const measurement_program& program, std::vector<program_lane>& lanes,
+                 acquisition_result* results, bistna::arena& scratch,
+                 const job_progress& progress = {});
 
-    /// A lane group of Bode points through one SoA modulator bank (the
-    /// shared-calibration lockstep path), points written to out[0..count).
-    void bode_group(const std::vector<hertz>& frequencies, std::uint64_t board_seed,
-                    const stimulus_calibration& calibration, std::size_t first,
-                    std::size_t count, frequency_point* out);
+    /// Stimulus characterization of the active lanes straight from the
+    /// cached staircases: one broadcast acquisition when every lane holds
+    /// the same record, one lane-major block otherwise.
+    std::vector<eval::harmonic_measurement>
+    calibrate_lanes(std::vector<program_lane>& lanes, const std::vector<std::size_t>& active,
+                    eval::batch_evaluator& evaluators, bistna::arena& scratch);
 
-    /// Batched-lane screening of dice [first_seed, first_seed + count):
-    /// one board per lane, one lockstep batch evaluator, reports written to
-    /// reports[0..count).  Bit-identical per die to core::screen on a
-    /// scalar analyzer (lanes failing the self-test are dropped from later
-    /// acquisitions, exactly like the scalar early return -- unless the
-    /// diagnostic continue option keeps them in, exactly like the scalar
-    /// diagnostic path).
-    void screen_group(const spec_mask& mask, const screening_options& screening,
-                      std::uint64_t first_seed, std::size_t count,
-                      screening_report* reports,
-                      const job_progress& progress = {});
-
-    /// The roofline form of screen_group (options.pipeline == lane_major):
-    /// cached staircases feed a banked state-space pass whose lane-major
-    /// output feeds the lane-major evaluator kernels, with all scratch on
-    /// the worker's arena.  Bit-identical per die to screen_group.
-    void screen_group_lane_major(const spec_mask& mask, const screening_options& screening,
-                                 std::uint64_t first_seed, std::size_t count,
-                                 screening_report* reports,
-                                 const job_progress& progress = {});
-
-    /// Render the through-DUT stage of every active lane as one lane-major
-    /// block (sample n of active lane i at out[n * active.size() + i]),
-    /// arena-allocated.  Uses the state_space_bank lockstep pass when every
-    /// lane exposes a compatible linear realization, otherwise per-lane
-    /// scalar renders transposed into the same layout -- bit-identical
-    /// either way.  Returns the block of tb.samples_for_periods(periods)
-    /// rows.
-    double* render_dut_lane_major(std::vector<demonstrator_board>& boards,
+    /// Render the through-DUT stage of every active lane, each at its own
+    /// frequency, as one lane-major block (sample n of active lane i at
+    /// out[n * active.size() + i]), arena-allocated.  Uses the
+    /// state_space_bank lockstep pass when every lane exposes a compatible
+    /// linear realization, otherwise per-lane scalar renders transposed
+    /// into the same layout -- bit-identical either way.
+    double* render_dut_lane_major(std::vector<program_lane>& lanes,
                                   const std::vector<std::size_t>& active,
-                                  const sim::timebase& tb, std::size_t periods,
+                                  const program_stage& stage, std::size_t periods,
                                   bistna::arena& scratch);
 
     /// Autotune probe (constructor helper): time candidate
     /// {threads, batch_lanes} points and adopt the fastest into options_.
     void run_autotune();
 
-    /// Lockstep acquisition of items [first, first + count) of an acquire()
-    /// batch, results written to results[0..count).  `shared_records` is
-    /// the batch-lifetime render share for keyed items.
-    void acquire_group(const std::vector<acquisition_item>& items,
-                       const acquisition_program& program, std::size_t first,
-                       std::size_t count, acquisition_result* results,
-                       stimulus_cache& shared_records);
-
-    /// The scalar reference path of acquire(): one item through a plain
-    /// sinewave evaluator, the exact call sequence screen()/measure_point
-    /// would issue.
-    acquisition_result acquire_scalar(const acquisition_item& item,
-                                      const acquisition_program& program,
-                                      stimulus_cache& shared_records);
-
     board_factory factory_;
     analyzer_settings settings_;
     sweep_engine_options options_;
     std::shared_ptr<stimulus_cache> stimulus_cache_;
-    /// Shared lane-major-pipeline resources: demodulation sign tables
-    /// (pure functions of the acquisition settings) and the calibration
-    /// transplant share.  Both thread-safe; both inert in reference mode.
+    /// Shared executor resources: demodulation sign tables (pure functions
+    /// of the acquisition settings) and the calibration transplant share.
+    /// Both thread-safe.
     std::shared_ptr<eval::demod_table_cache> demod_tables_;
     std::shared_ptr<eval::calibration_share> calibration_share_;
     bool autotuned_ = false;

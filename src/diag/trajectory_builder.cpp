@@ -2,30 +2,15 @@
 
 #include <atomic>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
-#include "common/hash.hpp"
 #include "common/math_util.hpp"
 #include "core/sweep_engine.hpp"
 
 namespace bistna::diag {
 
 namespace {
-
-/// Identity of an item's *board* (generator design, DUT draw, amplitude)
-/// -- everything that shapes its rendered records.  Evaluator-side faults
-/// leave it unchanged, so every grid point of e.g. the integrator-leak
-/// trajectory renders the exact same records as the healthy item.
-std::uint64_t board_design_hash(const die_design& design, std::uint64_t nominal_seed) {
-    std::uint64_t hash = fnv1a_offset_basis;
-    fnv1a_mix(hash, design.generator.fingerprint());
-    fnv1a_mix(hash, design.dut_tolerance_sigma);
-    fnv1a_mix(hash, design.amplitude_volts);
-    fnv1a_mix(hash, nominal_seed);
-    return hash;
-}
 
 /// The severity grid of one fault: grid_points values spanning
 /// [severity_min, severity_max] (a single point degenerates to the min).
@@ -57,8 +42,6 @@ dictionary_plan make_dictionary_plan(const die_design& design,
     // the batch is bit-identical at any thread/lane count.
     std::vector<core::sweep_engine::acquisition_item> items;
     items.reserve(1 + faults.size() * options.grid_points);
-    std::vector<std::uint64_t> design_hashes;
-    design_hashes.reserve(items.capacity());
     const auto add_item = [&](const die_design& item_design,
                               const core::analyzer_settings& item_settings) {
         core::sweep_engine::acquisition_item item;
@@ -68,7 +51,6 @@ dictionary_plan make_dictionary_plan(const die_design& design,
         };
         item.evaluator = item_settings.evaluator;
         item.evaluator.seed = core::sweep_item_seed(options.eval_seed_base, items.size());
-        design_hashes.push_back(board_design_hash(item_design, board_seed));
         items.push_back(std::move(item));
     };
 
@@ -79,19 +61,6 @@ dictionary_plan make_dictionary_plan(const die_design& design,
             core::analyzer_settings faulty_settings = settings;
             apply_fault(spec.kind, severity, faulty, faulty_settings);
             add_item(faulty, faulty_settings);
-        }
-    }
-
-    // Evaluator-side fault grid points (and the healthy item) share one
-    // physical board: tag those duplicates so the engine renders their
-    // records once and shares them (bit-identical, renders are pure).
-    std::unordered_map<std::uint64_t, std::size_t> design_counts;
-    for (std::uint64_t hash : design_hashes) {
-        ++design_counts[hash];
-    }
-    for (std::size_t i = 0; i < items.size(); ++i) {
-        if (design_counts[design_hashes[i]] > 1) {
-            items[i].render_key = design_hashes[i];
         }
     }
 

@@ -1,8 +1,8 @@
 // Dictionary construction: sweep every catalog fault's severity over a
 // grid and acquire the full signature at each grid point, fanned out
-// through core::sweep_engine -- with batch_lanes > 1 one SoA modulator-bank
-// pass renders many severities in lockstep, bit-identical to the scalar
-// build (gated by bench_fault_diagnosis).
+// through core::sweep_engine -- with batch_lanes > 1 one lane group
+// measures many severities in lockstep, every item bit-identical to the
+// scalar network_analyzer on its board.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +22,8 @@ struct trajectory_build_options {
     /// severity_min -- a single-point trajectory).
     std::size_t grid_points = 9;
     /// Thread count / lockstep lane count of the underlying sweep engine
-    /// (same semantics as sweep_engine_options; lanes > 1 is the batched
-    /// build, bit-identical to lanes = 1).
+    /// (same semantics as sweep_engine_options; the build is bit-identical
+    /// at any lane count).
     std::size_t threads = 0;
     std::size_t batch_lanes = 1;
     /// DUT process-draw seed of the die the dictionary is built on (the
@@ -46,10 +46,10 @@ struct trajectory_build_options {
 /// The deterministic item list + measurement program of a dictionary
 /// build: item 0 is the healthy reference, then grid_points items per
 /// catalog fault in catalog order.  Every item owns its evaluator seed
-/// (derived from its global index) and its render-sharing key, so any
-/// contiguous subrange of `items` can be acquired by a separate engine --
-/// or a separate *process* (the shard worker) -- and the combined results
-/// are bit-identical to one acquisition of the whole list.
+/// (derived from its global index), so any contiguous subrange of `items`
+/// can be acquired by a separate engine -- or a separate *process* (the
+/// shard worker) -- and the combined results are bit-identical to one
+/// acquisition of the whole list.
 struct dictionary_plan {
     std::vector<core::sweep_engine::acquisition_item> items;
     core::sweep_engine::acquisition_program program;

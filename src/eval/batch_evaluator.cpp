@@ -1,6 +1,6 @@
 #include "eval/batch_evaluator.hpp"
 
-#include <numeric>
+#include <algorithm>
 
 #include "common/error.hpp"
 #include "eval/acquire_plan.hpp"
@@ -8,8 +8,9 @@
 
 namespace bistna::eval {
 
-batch_evaluator::batch_evaluator(std::vector<evaluator_config> configs)
-    : configs_(std::move(configs)) {
+batch_evaluator::batch_evaluator(std::vector<evaluator_config> configs,
+                                 demod_table_cache& tables, calibration_share& calibration)
+    : configs_(std::move(configs)), tables_(tables), calibration_share_(calibration) {
     BISTNA_EXPECTS(!configs_.empty(), "batch evaluator needs at least one lane");
     const evaluator_config& front = configs_.front();
     for (const evaluator_config& config : configs_) {
@@ -23,18 +24,11 @@ batch_evaluator::batch_evaluator(std::vector<evaluator_config> configs)
     for (const evaluator_config& config : configs_) {
         extractors_.emplace_back(config.modulator, config.seed);
     }
-    all_lanes_.resize(configs_.size());
-    std::iota(all_lanes_.begin(), all_lanes_.end(), std::size_t{0});
 }
 
 signature_extractor& batch_evaluator::extractor(std::size_t lane) {
     BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
     return extractors_[lane];
-}
-
-const evaluator_config& batch_evaluator::config(std::size_t lane) const {
-    BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
-    return configs_[lane];
 }
 
 acquisition_settings batch_evaluator::settings_for(std::size_t k,
@@ -47,48 +41,24 @@ acquisition_settings batch_evaluator::settings_for(std::size_t k,
     return settings;
 }
 
-void batch_evaluator::calibrate() { ensure_calibrated(all_lanes_); }
-
-void batch_evaluator::set_shared_resources(demod_table_cache* tables, arena* scratch,
-                                           calibration_share* calibration) noexcept {
-    shared_tables_ = tables;
-    scratch_ = scratch;
-    calibration_share_ = calibration;
-}
-
-std::shared_ptr<const demod_tables>
-batch_evaluator::tables_for(const acquisition_settings& settings) {
-    if (shared_tables_ != nullptr) {
-        return shared_tables_->get(settings);
-    }
-    return std::make_shared<const demod_tables>(demod_tables::build(settings));
-}
-
 void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
     if (configs_.front().offset != offset_mode::calibrated) {
         return;
     }
     const std::size_t cal_periods = configs_.front().calibration_periods;
     const std::size_t n = configs_.front().n_per_period;
-    std::vector<std::size_t> pending;
-    for (std::size_t lane : lane_ids) {
-        BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
-        if (!extractors_[lane].offset_calibrated()) {
-            pending.push_back(lane);
-        }
-    }
-    if (pending.empty()) {
-        return;
-    }
 
-    // Adopt published snapshots where possible, then run the grounded loop
-    // for whatever remains and publish the outcome.  Restores verify params
-    // and stream position, so a transplanted lane is bit-identical to one
-    // that calibrated itself.
-    const auto restore_pass = [&](const std::vector<std::size_t>& lanes_in) {
+    // Adopt published snapshots where possible.  Restores verify params and
+    // stream position, so a transplanted lane is bit-identical to one that
+    // calibrated itself.  Returns the uncalibrated lanes no snapshot fit.
+    const auto restore = [&](std::span<const std::size_t> lanes_in) {
         std::vector<std::size_t> missed;
         for (std::size_t lane : lanes_in) {
-            const auto snapshot = calibration_share_->find(
+            BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
+            if (extractors_[lane].offset_calibrated()) {
+                continue;
+            }
+            const auto snapshot = calibration_share_.find(
                 configs_[lane].modulator, configs_[lane].seed, cal_periods, n);
             if (snapshot == nullptr ||
                 !extractors_[lane].try_restore_calibration(*snapshot)) {
@@ -97,23 +67,15 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
         }
         return missed;
     };
-    const auto calibrate_lanes = [&](const std::vector<std::size_t>& lanes_in) {
+    // Run the grounded loop over `lanes_in` in one bank pass and publish
+    // every outcome.
+    const auto calibrate_and_publish = [&](const std::vector<std::size_t>& lanes_in) {
         std::vector<bistna::rng> before;
-        if (calibration_share_ != nullptr) {
-            before.reserve(lanes_in.size());
-            for (std::size_t lane : lanes_in) {
-                before.push_back(extractors_[lane].rng_state());
-            }
-        }
-        std::vector<signature_extractor*> pointers;
-        pointers.reserve(lanes_in.size());
+        before.reserve(lanes_in.size());
         for (std::size_t lane : lanes_in) {
-            pointers.push_back(&extractors_[lane]);
+            before.push_back(extractors_[lane].rng_state());
         }
-        signature_extractor::calibrate_offset_batch(pointers, cal_periods, n);
-        if (calibration_share_ == nullptr) {
-            return;
-        }
+        signature_extractor::calibrate_offset_batch(lane_pointers(lanes_in), cal_periods, n);
         for (std::size_t i = 0; i < lanes_in.size(); ++i) {
             const std::size_t lane = lanes_in[i];
             calibration_snapshot snapshot;
@@ -123,24 +85,34 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
             snapshot.offset_rate_1 = extractors_[lane].offset_rate_ch1();
             snapshot.offset_rate_2 = extractors_[lane].offset_rate_ch2();
             snapshot.calibration_samples = extractors_[lane].calibration_samples();
-            calibration_share_->store(configs_[lane].seed, cal_periods, n,
-                                      std::move(snapshot));
+            calibration_share_.store(configs_[lane].seed, cal_periods, n,
+                                     std::move(snapshot));
         }
     };
 
-    if (calibration_share_ != nullptr) {
-        pending = restore_pass(pending);
-        if (!pending.empty()) {
-            // A screening lot seeds every lane identically, so calibrating
-            // one exemplar and transplanting it covers the whole group even
-            // on the very first work item.
-            calibrate_lanes({pending.front()});
-            const std::vector<std::size_t> rest(pending.begin() + 1, pending.end());
-            pending = restore_pass(rest);
-        }
+    const std::vector<std::size_t> missed = restore(lane_ids);
+    if (missed.empty()) {
+        return;
     }
-    if (!pending.empty()) {
-        calibrate_lanes(pending);
+    // Calibrate the first lane of each distinct (params, seed) key, all in
+    // one pass; its duplicates then restore what it published.  A screening
+    // group (one key) calibrates one lane, a dictionary group (a seed per
+    // item) calibrates every lane at once.
+    std::vector<std::size_t> leaders;
+    std::vector<std::size_t> duplicates;
+    for (std::size_t lane : missed) {
+        const bool seen = std::any_of(leaders.begin(), leaders.end(), [&](std::size_t other) {
+            return configs_[other].seed == configs_[lane].seed &&
+                   configs_[other].modulator == configs_[lane].modulator;
+        });
+        (seen ? duplicates : leaders).push_back(lane);
+    }
+    calibrate_and_publish(leaders);
+    // A full share refuses new snapshots; duplicates it left out calibrate
+    // themselves.
+    duplicates = restore(duplicates);
+    if (!duplicates.empty()) {
+        calibrate_and_publish(duplicates);
     }
 }
 
@@ -165,79 +137,13 @@ std::vector<harmonic_measurement> batch_evaluator::assemble_harmonics(
     return out;
 }
 
-std::vector<dc_measurement> batch_evaluator::measure_dc(
-    std::span<const std::span<const double>> records, std::size_t periods) {
-    BISTNA_EXPECTS(records.size() == lanes(), "need exactly one record per lane");
-    ensure_calibrated(all_lanes_);
-    const auto lane_ptrs = lane_pointers(all_lanes_);
-    const acquisition_settings settings = settings_for(0, periods);
-    std::vector<signature_result> sigs;
-    if (scratch_ != nullptr) {
-        const auto tables = tables_for(settings);
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings, *tables,
-                                                  *scratch_);
-    } else {
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings);
-    }
-    std::vector<dc_measurement> out;
-    out.reserve(sigs.size());
-    for (const signature_result& sig : sigs) {
-        out.push_back(estimate_dc(sig));
-    }
-    return out;
-}
-
-std::vector<dc_measurement> batch_evaluator::measure_dc_lane_major(
-    const double* lane_major, std::size_t periods) {
-    ensure_calibrated(all_lanes_);
-    const auto lane_ptrs = lane_pointers(all_lanes_);
-    const acquisition_settings settings = settings_for(0, periods);
-    const auto tables = tables_for(settings);
-    const auto sigs = signature_extractor::acquire_batch_lane_major(lane_ptrs, lane_major,
-                                                                    settings, *tables);
-    std::vector<dc_measurement> out;
-    out.reserve(sigs.size());
-    for (const signature_result& sig : sigs) {
-        out.push_back(estimate_dc(sig));
-    }
-    return out;
-}
-
-std::vector<harmonic_measurement> batch_evaluator::measure_harmonic(
-    std::span<const std::span<const double>> records, std::size_t k, std::size_t periods) {
-    return measure_harmonic_lanes(all_lanes_, records, k, periods);
-}
-
-std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes(
-    std::span<const std::size_t> lane_ids, std::span<const std::span<const double>> records,
-    std::size_t k, std::size_t periods) {
-    BISTNA_EXPECTS(lane_ids.size() == records.size(),
-                   "need exactly one record per requested lane");
-    ensure_calibrated(lane_ids);
-
-    const auto lane_ptrs = lane_pointers(lane_ids);
-    const acquisition_settings settings = settings_for(k, periods);
-    telemetry::trace_span span("eval.modulate");
-    span.arg("lanes", static_cast<double>(lane_ids.size()));
-    span.arg("k", static_cast<double>(k));
-    std::vector<signature_result> sigs;
-    if (scratch_ != nullptr) {
-        const auto tables = tables_for(settings);
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings, *tables,
-                                                  *scratch_);
-    } else {
-        sigs = signature_extractor::acquire_batch(lane_ptrs, records, settings);
-    }
-    return assemble_harmonics(lane_ids, sigs);
-}
-
 std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_lane_major(
     std::span<const std::size_t> lane_ids, const double* lane_major, std::size_t k,
     std::size_t periods) {
     ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
     const acquisition_settings settings = settings_for(k, periods);
-    const auto tables = tables_for(settings);
+    const auto tables = tables_.get(settings);
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
@@ -252,45 +158,13 @@ std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_shared
     ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
     const acquisition_settings settings = settings_for(k, periods);
-    const auto tables = tables_for(settings);
+    const auto tables = tables_.get(settings);
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
     const auto sigs = signature_extractor::acquire_batch_shared(lane_ptrs, record,
                                                                 settings, *tables);
     return assemble_harmonics(lane_ids, sigs);
-}
-
-std::vector<thd_measurement> batch_evaluator::measure_thd(
-    std::span<const std::span<const double>> records, std::size_t max_harmonic,
-    std::size_t periods) {
-    return measure_thd_lanes(all_lanes_, records, max_harmonic, periods);
-}
-
-std::vector<thd_measurement> batch_evaluator::measure_thd_lanes(
-    std::span<const std::size_t> lane_ids, std::span<const std::span<const double>> records,
-    std::size_t max_harmonic, std::size_t periods) {
-    BISTNA_EXPECTS(max_harmonic >= 2, "THD needs at least harmonics 1..2");
-    BISTNA_EXPECTS(lane_ids.size() == records.size(),
-                   "need exactly one record per requested lane");
-
-    std::vector<std::vector<amplitude_measurement>> per_lane(lane_ids.size());
-    for (std::size_t k = 1; k <= max_harmonic; ++k) {
-        if (!demod_reference::alignment_ok(k, configs_.front().n_per_period)) {
-            continue; // documented: harmonics violating N mod 4k == 0 are skipped
-        }
-        const auto harmonics = measure_harmonic_lanes(lane_ids, records, k, periods);
-        for (std::size_t i = 0; i < lane_ids.size(); ++i) {
-            per_lane[i].push_back(harmonics[i].amplitude);
-        }
-    }
-
-    std::vector<thd_measurement> out;
-    out.reserve(lane_ids.size());
-    for (std::size_t i = 0; i < lane_ids.size(); ++i) {
-        out.push_back(compute_thd_lenient(per_lane[i]));
-    }
-    return out;
 }
 
 std::vector<thd_measurement> batch_evaluator::measure_thd_lanes_lane_major(

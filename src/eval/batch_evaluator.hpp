@@ -15,17 +15,12 @@
 #pragma once
 
 #include <cstddef>
-#include <memory>
 #include <span>
 #include <vector>
 
 #include "eval/estimator.hpp"
 #include "eval/evaluator.hpp"
 #include "eval/signature.hpp"
-
-namespace bistna {
-class arena;
-} // namespace bistna
 
 namespace bistna::eval {
 
@@ -37,72 +32,35 @@ public:
     /// One config per lane.  Seeds and modulator params may differ per
     /// lane; n_per_period, offset mode and calibration_periods must be
     /// uniform (the lockstep stages share one demodulation program).
-    explicit batch_evaluator(std::vector<evaluator_config> configs);
+    /// `tables` caches the per-stage demodulation sign tables across work
+    /// items; `calibration` transplants post-calibration state between
+    /// lanes with identical (params, seed) instead of re-running the
+    /// grounded calibration -- the dominant per-die cost of a screening
+    /// flow.  Both are bit-identical to building and calibrating per lane,
+    /// and both must outlive the evaluator.
+    batch_evaluator(std::vector<evaluator_config> configs, demod_table_cache& tables,
+                    calibration_share& calibration);
 
     std::size_t lanes() const noexcept { return configs_.size(); }
 
-    /// Attach the engine's shared fast-path resources, all optional and all
-    /// bit-identical to the plain path: `tables` caches the per-stage
-    /// demodulation sign tables across work items, `scratch` bump-allocates
-    /// the transpose scratch of span-based acquisitions, and `calibration`
-    /// transplants post-calibration state between lanes with identical
-    /// (params, seed) instead of re-running the grounded calibration --
-    /// the dominant per-die cost of a screening flow.
-    void set_shared_resources(demod_table_cache* tables, arena* scratch,
-                              calibration_share* calibration) noexcept;
-
-    /// One-time batched offset calibration of every not-yet-calibrated
-    /// lane (automatic on first use when the offset mode requires it).
-    void calibrate();
-
-    /// DC level (k = 0) of every lane's record, eq. (3).
-    std::vector<dc_measurement> measure_dc(std::span<const std::span<const double>> records,
-                                           std::size_t periods);
-
-    /// Amplitude + phase of harmonic k for every lane, eqs. (4)-(5).
-    std::vector<harmonic_measurement> measure_harmonic(
-        std::span<const std::span<const double>> records, std::size_t k,
-        std::size_t periods);
-
-    /// Same, over a subset of lanes: records[i] belongs to lane
-    /// lane_ids[i].  Lanes outside the subset consume nothing (exactly like
-    /// dice a scalar flow stopped measuring), so screening can drop a lane
-    /// that failed its self-test without perturbing its neighbours.
-    std::vector<harmonic_measurement> measure_harmonic_lanes(
-        std::span<const std::size_t> lane_ids,
-        std::span<const std::span<const double>> records, std::size_t k,
-        std::size_t periods);
-
-    /// THD from harmonics 1..max_harmonic of every lane (skipping ks that
-    /// violate the alignment condition, like the scalar evaluator).
-    std::vector<thd_measurement> measure_thd(std::span<const std::span<const double>> records,
-                                             std::size_t max_harmonic, std::size_t periods);
-
-    /// Same, over a subset of lanes (records[i] belongs to lane
-    /// lane_ids[i]); lanes outside the subset consume nothing, exactly like
-    /// measure_harmonic_lanes.  Used by the diagnostic screening path so
-    /// self-test dropouts don't perturb their neighbours' distortion
-    /// measurements.
-    std::vector<thd_measurement> measure_thd_lanes(
-        std::span<const std::size_t> lane_ids,
-        std::span<const std::span<const double>> records, std::size_t max_harmonic,
-        std::size_t periods);
-
-    // --- Lane-major fast paths (the roofline render->measure pipeline) ----
-    //
     // Records arrive as one lane-major block -- row i of sample n at
     // lane_major[n * lane_ids.size() + i], exactly what
     // dut::state_space_bank emits -- or as a single record shared by every
-    // requested lane (the cache-shared calibration staircase).  Per-lane
-    // results are bit-identical to the span-based methods above at any lane
-    // count.
+    // requested lane (the cache-shared calibration staircase).  Only the
+    // requested lanes acquire: lanes outside lane_ids consume nothing
+    // (exactly like dice a scalar flow stopped measuring), so screening can
+    // drop a lane that failed its self-test without perturbing its
+    // neighbours.
 
-    /// Harmonic k of the requested lanes over a lane-major record block.
+    /// Amplitude + phase of harmonic k, eqs. (4)-(5), of the requested
+    /// lanes over a lane-major record block.
     std::vector<harmonic_measurement> measure_harmonic_lanes_lane_major(
         std::span<const std::size_t> lane_ids, const double* lane_major, std::size_t k,
         std::size_t periods);
 
-    /// THD of the requested lanes over a lane-major record block.
+    /// THD from harmonics 1..max_harmonic of the requested lanes over a
+    /// lane-major record block (skipping ks that violate the alignment
+    /// condition, like the scalar evaluator).
     std::vector<thd_measurement> measure_thd_lanes_lane_major(
         std::span<const std::size_t> lane_ids, const double* lane_major,
         std::size_t max_harmonic, std::size_t periods);
@@ -112,28 +70,21 @@ public:
         std::span<const std::size_t> lane_ids, std::span<const double> record,
         std::size_t k, std::size_t periods);
 
-    /// DC level of every lane over a lane-major record block.
-    std::vector<dc_measurement> measure_dc_lane_major(const double* lane_major,
-                                                      std::size_t periods);
-
     signature_extractor& extractor(std::size_t lane);
-    const evaluator_config& config(std::size_t lane) const;
 
 private:
     acquisition_settings settings_for(std::size_t k, std::size_t periods) const;
+    /// Offset calibration of the requested lanes that still need it, on
+    /// their first acquisition when the offset mode calibrates.
     void ensure_calibrated(std::span<const std::size_t> lane_ids);
     std::vector<signature_extractor*> lane_pointers(std::span<const std::size_t> lane_ids);
-    /// Tables for `settings` from the shared cache, or built locally.
-    std::shared_ptr<const demod_tables> tables_for(const acquisition_settings& settings);
     std::vector<harmonic_measurement> assemble_harmonics(
         std::span<const std::size_t> lane_ids, const std::vector<signature_result>& sigs);
 
     std::vector<evaluator_config> configs_;
     std::vector<signature_extractor> extractors_;
-    std::vector<std::size_t> all_lanes_;
-    demod_table_cache* shared_tables_ = nullptr;
-    arena* scratch_ = nullptr;
-    calibration_share* calibration_share_ = nullptr;
+    demod_table_cache& tables_;
+    calibration_share& calibration_share_;
 };
 
 } // namespace bistna::eval

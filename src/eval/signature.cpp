@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "common/arena.hpp"
 #include "common/error.hpp"
 #include "sd/modulator_bank.hpp"
 
@@ -19,8 +18,6 @@ demod_tables demod_tables::build(const acquisition_settings& settings) {
     tables.n_per_period = settings.n_per_period;
     tables.periods = settings.periods;
     tables.chopped = chop;
-    tables.q1.resize(total);
-    tables.q2.resize(total);
     tables.q1_sign.resize(total);
     tables.q2_sign.resize(total);
     tables.acc_sign.resize(total);
@@ -28,8 +25,6 @@ demod_tables demod_tables::build(const acquisition_settings& settings) {
         const bool invert = chop && n >= half;
         const bool q1 = (demod.in_phase_sign(n) > 0) != invert;
         const bool q2 = (demod.quadrature_sign(n) > 0) != invert;
-        tables.q1[n] = q1 ? 1 : 0;
-        tables.q2[n] = q2 ? 1 : 0;
         tables.q1_sign[n] = q1 ? 1.0 : -1.0;
         tables.q2_sign[n] = q2 ? 1.0 : -1.0;
         tables.acc_sign[n] = invert ? -1.0 : 1.0;
@@ -223,59 +218,6 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
         }
     }
     return results;
-}
-
-namespace {
-
-/// Per-lane record pointers with the length precondition checked.
-std::vector<const double*> lane_record_pointers(
-    std::span<const std::span<const double>> records, std::size_t total) {
-    std::vector<const double*> pointers(records.size());
-    for (std::size_t l = 0; l < records.size(); ++l) {
-        BISTNA_EXPECTS(records[l].size() >= total, "lane record shorter than M*N samples");
-        pointers[l] = records[l].data();
-    }
-    return pointers;
-}
-
-} // namespace
-
-std::vector<signature_result> signature_extractor::acquire_batch(
-    std::span<signature_extractor* const> extractors,
-    std::span<const std::span<const double>> records, const acquisition_settings& settings) {
-    BISTNA_EXPECTS(extractors.size() == records.size(),
-                   "batch acquisition needs one record per lane");
-    const demod_tables tables = demod_tables::build(settings);
-    const std::size_t total = settings.periods * settings.n_per_period;
-    const auto lane_records = lane_record_pointers(records, total);
-    return acquire_batch_impl(
-        extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate(lane_records.data(), tables.q1.data(), tables.acc_sign.data(),
-                             total, acc1);
-            bank2.accumulate(lane_records.data(), tables.q2.data(), tables.acc_sign.data(),
-                             total, acc2);
-        });
-}
-
-std::vector<signature_result> signature_extractor::acquire_batch(
-    std::span<signature_extractor* const> extractors,
-    std::span<const std::span<const double>> records, const acquisition_settings& settings,
-    const demod_tables& tables, arena& scratch) {
-    BISTNA_EXPECTS(extractors.size() == records.size(),
-                   "batch acquisition needs one record per lane");
-    const std::size_t total = settings.periods * settings.n_per_period;
-    const auto lane_records = lane_record_pointers(records, total);
-    return acquire_batch_impl(
-        extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate(lane_records.data(), tables.q1.data(), tables.acc_sign.data(),
-                             total, acc1, scratch);
-            bank2.accumulate(lane_records.data(), tables.q2.data(), tables.acc_sign.data(),
-                             total, acc2, scratch);
-        });
 }
 
 std::vector<signature_result> signature_extractor::acquire_batch_lane_major(

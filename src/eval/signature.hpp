@@ -21,10 +21,6 @@
 #include "eval/square_wave.hpp"
 #include "sd/modulator.hpp"
 
-namespace bistna {
-class arena;
-} // namespace bistna
-
 namespace bistna::eval {
 
 enum class offset_mode { none, calibrated, chopped };
@@ -57,14 +53,13 @@ struct signature_result {
 };
 
 /// Per-sample demodulation program of one acquisition: the q_k square-wave
-/// controls of both channels -- as the modulator bank's unsigned chars and
-/// as the exact +/-1 doubles the lane-major kernels consume -- plus the
-/// counter accumulation sign (negated in the chopped second half).  A pure
-/// function of the settings, so the sweep engine builds each table once
-/// (eval::demod_table_cache) and shares it across every work item.
+/// controls of both channels as the exact +/-1 doubles the lane-major
+/// kernels consume, plus the counter accumulation sign (negated in the
+/// chopped second half).  A pure function of the settings, so the sweep
+/// engine builds each table once (eval::demod_table_cache) and shares it
+/// across every work item.
 struct demod_tables {
-    std::vector<unsigned char> q1, q2;    ///< nonzero = positive modulation
-    std::vector<double> q1_sign, q2_sign; ///< the same controls as exact +/-1
+    std::vector<double> q1_sign, q2_sign; ///< q_k controls as exact +/-1
     std::vector<double> acc_sign;         ///< counter accumulation sign
     std::size_t harmonic_k = 0;
     std::size_t n_per_period = 0;
@@ -131,37 +126,14 @@ public:
     // scalar member functions would, so each lane's result is bit-identical
     // to the scalar call on that extractor alone -- at any lane count and
     // under any lane permutation (lanes never interact).  The scalar
-    // members above remain the reference implementation.
-
-    /// Batched acquire: lane i accumulates its signatures from records[i]
-    /// (the rendered record on the master-clock grid, length >= M*N), all
-    /// lanes stepped in lockstep through one modulator bank per channel.
-    /// Bit-identical to extractors[i]->acquire(as_source(records[i]), s).
-    static std::vector<signature_result> acquire_batch(
-        std::span<signature_extractor* const> extractors,
-        std::span<const std::span<const double>> records,
-        const acquisition_settings& settings);
+    // members above remain the reference implementation.  Demodulation
+    // signs come from a prebuilt demod_tables (eval::demod_table_cache).
 
     /// Batched grounded-input offset calibration; bit-identical per lane to
     /// extractors[i]->calibrate_offset(periods, n_per_period).
     static void calibrate_offset_batch(std::span<signature_extractor* const> extractors,
                                        std::size_t periods = 4096,
                                        std::size_t n_per_period = 96);
-
-    // --- Lane-major fast paths (the sweep workers' roofline pipeline) -----
-    //
-    // Same contract as acquire_batch -- per-lane bit-identity to the scalar
-    // acquire at any lane count -- with the per-call table build and heap
-    // churn removed: demodulation signs come from a prebuilt demod_tables
-    // (eval::demod_table_cache) and transpose scratch from the worker's
-    // arena.
-
-    /// acquire_batch with prebuilt tables and arena transpose scratch.
-    static std::vector<signature_result> acquire_batch(
-        std::span<signature_extractor* const> extractors,
-        std::span<const std::span<const double>> records,
-        const acquisition_settings& settings, const demod_tables& tables,
-        arena& scratch);
 
     /// Batched acquire over one lane-major record block: lane i's sample n
     /// lives at lane_major[n * extractors.size() + i] -- exactly the layout

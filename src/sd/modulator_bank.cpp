@@ -78,7 +78,7 @@ inline double advance_lane(const lane_view& v, bistna::rng* rngs, std::size_t l,
 #define BISTNA_BANK_KERNEL BISTNA_KERNEL_CLONES
 
 /// A block of lockstep samples over all lanes: xs is lane-major (sample
-/// j's inputs at xs[j * n_lanes], transposed by the caller), qsigns[j] /
+/// j's inputs at xs[j * n_lanes]), qsigns[j] /
 /// signs[j] the shared modulation and accumulation signs as exact +/-1.
 /// The sample loop lives inside the kernel so a dispatched clone is
 /// entered once per block, not once per sample.
@@ -276,82 +276,6 @@ void modulator_bank::accumulate_shared(const double* record, const double* qsign
                            last_.data(), leak_.data(), b_.data(), vref_.data(),
                            input_offset_.data(), settle_gain_.data(), swing_.data(),
                            cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
-}
-
-void modulator_bank::accumulate(const double* const* records, const unsigned char* qs,
-                                const double* acc_signs, std::size_t count, double* acc,
-                                arena& scratch) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        accumulate(records, qs, acc_signs, count, acc);
-        return;
-    }
-    // Same blocked transpose as the allocating overload, with the scratch
-    // rows bump-allocated from the worker's arena instead of the heap.
-    constexpr std::size_t block = 128;
-    const auto transposed = scratch.allocate<double>(block * n_lanes);
-    const auto qsigns = scratch.allocate<double>(block);
-    for (std::size_t n0 = 0; n0 < count; n0 += block) {
-        const std::size_t samples = std::min(block, count - n0);
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double* __restrict record = records[l] + n0;
-            double* __restrict column = transposed.data() + l;
-            for (std::size_t j = 0; j < samples; ++j) {
-                column[j * n_lanes] = record[j];
-            }
-        }
-        for (std::size_t j = 0; j < samples; ++j) {
-            qsigns[j] = qs[n0 + j] != 0 ? 1.0 : -1.0;
-        }
-        noiseless_block(samples, n_lanes, transposed.data(), qsigns.data(), acc_signs + n0,
-                        acc, state_.data(), last_.data(), leak_.data(), b_.data(),
-                        vref_.data(), input_offset_.data(), settle_gain_.data(),
-                        swing_.data(), cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
-    }
-}
-
-void modulator_bank::accumulate(const double* const* records, const unsigned char* qs,
-                                const double* acc_signs, std::size_t count,
-                                double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
-        for (std::size_t n = 0; n < count; ++n) {
-            const bool q = qs[n] != 0;
-            const double sign = acc_signs[n];
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += sign * advance_lane<true>(v, rng_.data(), l, records[l][n], q);
-            }
-        }
-        return;
-    }
-
-    // Noiseless fast path: transpose the per-lane records into lane-major
-    // blocks so the lockstep kernel reads one contiguous row per sample
-    // (the compiler cannot vectorize the records[l][n] pointer-chase).
-    constexpr std::size_t block = 128;
-    std::vector<double> transposed(block * n_lanes);
-    std::vector<double> qsigns(block);
-    for (std::size_t n0 = 0; n0 < count; n0 += block) {
-        const std::size_t samples = std::min(block, count - n0);
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double* __restrict record = records[l] + n0;
-            double* __restrict column = transposed.data() + l;
-            for (std::size_t j = 0; j < samples; ++j) {
-                column[j * n_lanes] = record[j];
-            }
-        }
-        for (std::size_t j = 0; j < samples; ++j) {
-            qsigns[j] = qs[n0 + j] != 0 ? 1.0 : -1.0;
-        }
-        noiseless_block(samples, n_lanes, transposed.data(), qsigns.data(), acc_signs + n0,
-                        acc, state_.data(), last_.data(), leak_.data(), b_.data(),
-                        vref_.data(), input_offset_.data(), settle_gain_.data(),
-                        swing_.data(), cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
-    }
 }
 
 void modulator_bank::accumulate_grounded(std::size_t count, double* acc) noexcept {

@@ -21,7 +21,6 @@
 #include <cstddef>
 #include <vector>
 
-#include "common/arena.hpp"
 #include "common/rng.hpp"
 #include "sd/modulator.hpp"
 
@@ -43,37 +42,25 @@ public:
     /// receives the lane's output bit as +1.0 / -1.0.
     void step(const double* inputs, bool modulation_positive, double* bits_out) noexcept;
 
-    /// Lockstep acquisition over `count` samples: lane l consumes
-    /// records[l][n] with modulation control qs[n] (nonzero = positive,
-    /// shared across lanes) and accumulates acc[l] += acc_signs[n] * bit --
-    /// the eqs. (3)-(5) signature counters of every lane in one pass.  The
-    /// +/-1 sums are exact in double up to 2^53 counts.
-    void accumulate(const double* const* records, const unsigned char* qs,
-                    const double* acc_signs, std::size_t count, double* acc) noexcept;
-
-    /// accumulate() over records that are already *lane-major*: sample n's
+    /// Lockstep acquisition over `count` lane-major samples: sample n's
     /// inputs live at xs[n * lanes() .. n * lanes() + lanes()), exactly the
-    /// layout dut::state_space_bank emits, so the whole render->measure
-    /// pipeline runs without a transpose.  qsigns[n] / acc_signs[n] are the
-    /// shared modulation and accumulation signs as exact +/-1 doubles
-    /// (eval's cached demod tables).  Bit-identical per lane to the scalar
-    /// modulator fed the same per-lane sample sequence.
+    /// layout dut::state_space_bank emits, so render feeds measure without
+    /// a transpose.  Lane l accumulates acc[l] += acc_signs[n] * bit with
+    /// modulation sign qsigns[n] -- the eqs. (3)-(5) signature counters of
+    /// every lane in one pass.  qsigns / acc_signs are shared across lanes
+    /// as exact +/-1 doubles (eval's cached demod tables), and the +/-1 sums
+    /// are exact in double up to 2^53 counts.  Bit-identical per lane to
+    /// the scalar modulator fed the same per-lane sample sequence.
     void accumulate_lane_major(const double* xs, const double* qsigns,
                                const double* acc_signs, std::size_t count,
                                double* acc) noexcept;
 
-    /// accumulate() over one record shared by every lane (the cache-shared
-    /// calibration staircase): lane l consumes record[n] for all l, with no
-    /// transpose and no lane-major copy of the broadcast input.
+    /// accumulate_lane_major() over one record shared by every lane (the
+    /// cache-shared calibration staircase): lane l consumes record[n] for
+    /// all l, with no lane-major copy of the broadcast input.
     void accumulate_shared(const double* record, const double* qsigns,
                            const double* acc_signs, std::size_t count,
                            double* acc) noexcept;
-
-    /// accumulate() with the transpose scratch bump-allocated from `scratch`
-    /// instead of the heap (the sweep workers' per-item arena).
-    void accumulate(const double* const* records, const unsigned char* qs,
-                    const double* acc_signs, std::size_t count, double* acc,
-                    arena& scratch) noexcept;
 
     /// Grounded-input lockstep run (input 0, positive modulation, unit
     /// accumulation sign): the offset-calibration hot loop.

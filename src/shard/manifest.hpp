@@ -74,7 +74,6 @@ struct lot_manifest {
     // --- per-worker engine ------------------------------------------------
     std::size_t threads = 1;
     std::size_t batch_lanes = 8;
-    core::sweep_pipeline pipeline = core::sweep_pipeline::lane_major;
 
     /// Units the whole lot fans out: dice (screening) or acquisition items
     /// (dictionary -- 1 healthy reference + faults x grid_points).

@@ -63,8 +63,8 @@ unit_stream::unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
     } else {
         // Construct the FULL deterministic plan and submit only the
         // subrange: every item owns its global-index-derived evaluator
-        // seed and render key at construction, so a subrange acquisition
-        // is bit-identical per item to acquiring the whole list.
+        // seed at construction, so a subrange acquisition is bit-identical
+        // per item to acquiring the whole list.
         diag::trajectory_build_options build;
         build.grid_points = manifest.grid_points;
         build.nominal_seed = manifest.nominal_seed;

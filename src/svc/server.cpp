@@ -75,6 +75,8 @@ struct service_server::impl {
     std::atomic<std::uint64_t> c_accepted{0}, c_closed{0}, c_shed{0};
     std::atomic<std::uint64_t> c_admitted{0}, c_completed{0}, c_cancelled{0};
     std::atomic<std::uint64_t> c_rejected{0}, c_failed{0};
+    /// Admitted-not-dispatched requests across all sessions.
+    std::atomic<std::size_t> total_pending{0};
 
     // ----- loop-thread state (never touched from outside the loop) --------
 
@@ -89,6 +91,7 @@ struct service_server::impl {
         std::uint64_t total = 0;
         std::uint64_t sent = 0; ///< result frames queued so far
         std::uint64_t submitted_ns = 0;
+        bool cancelled = false; ///< cancel frame seen: stream nothing more
         std::unique_ptr<shard::unit_stream> stream;
     };
 
@@ -113,7 +116,6 @@ struct service_server::impl {
 
     std::vector<std::unique_ptr<session>> sessions;
     std::size_t rr_cursor = 0;      ///< fair dispatch position
-    std::size_t total_pending = 0;  ///< admitted-not-dispatched, all sessions
     std::size_t active_jobs = 0;
     std::uint64_t next_session_id = 1;
     /// Cancelled streams ride here until finished() so their destructors
@@ -523,10 +525,12 @@ struct service_server::impl {
         }
         for (auto& a : s.active) {
             if (a.id == f.request) {
-                // Cooperative: in-flight groups finish and are discarded;
-                // the pump reports the request `cancelled` once the stream
-                // goes terminal.
+                // Cooperative: in-flight groups finish and are discarded,
+                // and so are computed units still waiting behind
+                // backpressure; the pump reports the request `cancelled`
+                // once the stream goes terminal.
                 a.stream->cancel();
+                a.cancelled = true;
                 return;
             }
         }
@@ -608,6 +612,13 @@ struct service_server::impl {
     /// frame queued).
     bool pump_request(session& s, active_request& a) {
         for (;;) {
+            if (a.cancelled) {
+                if (!a.stream->finished()) {
+                    return false;
+                }
+                finalize(s, a);
+                return true;
+            }
             if (s.queued_bytes >= opts.send_queue_limit) {
                 return false; // backpressure: the job keeps computing
             }
@@ -838,6 +849,7 @@ server_counters service_server::counters() const noexcept {
     c.jobs_cancelled = i.c_cancelled.load(std::memory_order_relaxed);
     c.jobs_rejected = i.c_rejected.load(std::memory_order_relaxed);
     c.jobs_failed = i.c_failed.load(std::memory_order_relaxed);
+    c.jobs_pending = i.total_pending.load(std::memory_order_relaxed);
     return c;
 }
 

@@ -91,6 +91,10 @@ struct server_counters {
     std::uint64_t jobs_cancelled = 0;
     std::uint64_t jobs_rejected = 0; ///< overloaded/bad_request sheds
     std::uint64_t jobs_failed = 0;   ///< worker exceptions
+    /// Admitted-but-undispatched requests right now (a gauge, not a
+    /// running total): what the admission queue holds against
+    /// admission_capacity.
+    std::uint64_t jobs_pending = 0;
 };
 
 class service_server {

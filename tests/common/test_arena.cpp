@@ -2,6 +2,7 @@
 // exhaustion, reset() reusing the exact same capacity (same addresses for
 // the same allocation sequence), and stable addresses across growth.
 #include "common/arena.hpp"
+#include "common/error.hpp"
 
 #include <gtest/gtest.h>
 
@@ -92,6 +93,25 @@ TEST(Arena, ShrinkReleasesEverything) {
     // Still usable after a shrink.
     auto span = scratch.allocate<double>(32);
     EXPECT_EQ(span.size(), 32u);
+}
+
+TEST(Arena, ReserveReplacesAGrowthChainWithOneBlock) {
+    arena scratch(256);
+    (void)scratch.allocate<double>(64);
+    (void)scratch.allocate<double>(256); // grows a second block
+    ASSERT_GT(scratch.blocks(), 1u);
+    scratch.reset();
+    scratch.reserve(4096);
+    EXPECT_EQ(scratch.blocks(), 1u);
+    EXPECT_GE(scratch.capacity_bytes(), 4096u);
+    const double* first = scratch.allocate<double>(512).data();
+    EXPECT_EQ(scratch.blocks(), 1u) << "4096 bytes fit the reserved block";
+
+    // A first block that already fits is kept as is.
+    scratch.reset();
+    scratch.reserve(1024);
+    EXPECT_EQ(scratch.allocate<double>(512).data(), first);
+    EXPECT_THROW(scratch.reserve(1), bistna::precondition_error) << "arena not empty";
 }
 
 TEST(Arena, ZeroedAllocationIsZero) {

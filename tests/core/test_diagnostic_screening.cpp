@@ -1,7 +1,8 @@
 // Diagnostic screening options and report enrichment: limit details
 // (index, phase, signed margin), the continue-after-self-test and
-// distortion acquisitions, scalar-vs-batched bit-identity of the new
-// paths, the per-die report hook, and the CSV shard round trip.
+// distortion acquisitions, bit-identity of the engine's lane groups with
+// the scalar core::screen, the per-die report hook, and the CSV shard
+// round trip.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -139,13 +140,14 @@ TEST(DiagnosticScreening, BatchedDiagnosticPathIsBitIdenticalToScalar) {
     // would fail every die; instead mix: healthy factory with diagnostics
     // exercises the distortion stage, detuned one the continue path.
     for (const auto& factory : {paper_factory(), detuned_factory()}) {
-        sweep_engine_options scalar_options;
-        scalar_options.threads = 2;
-        scalar_options.batch_lanes = 1;
-        sweep_engine scalar(factory, settings, scalar_options);
-        const auto reference = scalar.screen_batch(mask, dice, 1, options);
+        std::vector<screening_report> reference;
+        for (std::uint64_t seed = 1; seed <= dice; ++seed) {
+            auto board = factory(seed);
+            network_analyzer analyzer(board, settings);
+            reference.push_back(screen(analyzer, mask, options));
+        }
 
-        for (std::size_t lanes : {std::size_t{3}, std::size_t{4}}) {
+        for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{4}}) {
             sweep_engine_options banked_options;
             banked_options.threads = 2;
             banked_options.batch_lanes = lanes;

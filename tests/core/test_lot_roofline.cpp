@@ -1,8 +1,8 @@
-// The roofline render->measure pipeline end to end: lane-major execution
-// must be bit-identical to the reference pipeline, autotune must pick a
-// real configuration without perturbing results, and a steady-state lot
-// loop must stop touching the heap for anything sizeable after its first
-// pass (arena reuse + stimulus/table caches + calibration transplant).
+// The lane-major executor end to end: every lane group must be
+// bit-identical to the scalar core::screen, autotune must pick a real
+// configuration without perturbing results, and a steady-state lot loop
+// must stop touching the heap for anything sizeable after its first pass
+// (arena reuse + stimulus/table caches + calibration transplant).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -44,7 +44,6 @@ using core::screening_report;
 using core::spec_mask;
 using core::sweep_engine;
 using core::sweep_engine_options;
-using core::sweep_pipeline;
 
 analyzer_settings lot_settings() {
     analyzer_settings settings;
@@ -93,31 +92,36 @@ void expect_reports_identical(const std::vector<screening_report>& a,
     }
 }
 
-std::vector<screening_report> screen(sweep_pipeline pipeline, std::size_t lanes,
-                                     std::size_t dice,
-                                     const screening_options& screening) {
+std::vector<screening_report> screen_lanes(std::size_t lanes, std::size_t dice,
+                                           const screening_options& screening) {
     sweep_engine_options options;
     options.threads = 2;
     options.batch_lanes = lanes;
-    options.pipeline = pipeline;
     sweep_engine engine(make_factory(0.02), lot_settings(), options);
     return engine.screen_batch(spec_mask::paper_lowpass(), dice, 1, screening);
+}
+
+/// The oracle: core::screen on a fresh scalar analyzer per die.
+std::vector<screening_report> scalar_screen(std::size_t dice,
+                                            const screening_options& screening) {
+    std::vector<screening_report> reports;
+    for (std::uint64_t seed = 1; seed <= dice; ++seed) {
+        auto board = make_factory(0.02)(seed);
+        core::network_analyzer analyzer(board, lot_settings());
+        reports.push_back(core::screen(analyzer, spec_mask::paper_lowpass(), screening));
+    }
+    return reports;
 }
 
 TEST(LotRoofline, LaneMajorPipelineBitIdenticalToReference) {
     screening_options screening;
     screening.measure_distortion = true;
     screening.continue_after_self_test_failure = true;
-    // Reference pipeline, scalar lanes = the PR-6 ground truth; the
-    // lane-major pipeline must match it die for die at several lane counts
-    // (including one that doesn't divide the dice evenly).
-    const auto reference = screen(sweep_pipeline::reference, 1, 13, screening);
-    for (std::size_t lanes : {4u, 8u}) {
-        const auto reference_lanes =
-            screen(sweep_pipeline::reference, lanes, 13, screening);
-        const auto roofline = screen(sweep_pipeline::lane_major, lanes, 13, screening);
-        expect_reports_identical(reference, reference_lanes);
-        expect_reports_identical(reference, roofline);
+    // The executor must match the scalar oracle die for die at several lane
+    // counts (including ones that don't divide the dice evenly).
+    const auto reference = scalar_screen(13, screening);
+    for (std::size_t lanes : {1u, 4u, 8u}) {
+        expect_reports_identical(reference, screen_lanes(lanes, 13, screening));
     }
 }
 
@@ -125,7 +129,6 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
     sweep_engine_options options;
     options.threads = 1; // one worker -> one arena, deterministic reuse
     options.batch_lanes = 8;
-    options.pipeline = sweep_pipeline::lane_major;
     sweep_engine engine(make_factory(0.02), lot_settings(), options);
 
     screening_options screening;
@@ -170,7 +173,7 @@ TEST(Autotune, ConstructionPicksAConfigurationAndReportsIt) {
 
 TEST(Autotune, TunedEngineStaysBitIdenticalToReference) {
     screening_options screening;
-    const auto reference = screen(sweep_pipeline::reference, 1, 9, screening);
+    const auto reference = scalar_screen(9, screening);
 
     sweep_engine_options options;
     options.autotune = true;

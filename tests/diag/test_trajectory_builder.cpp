@@ -1,7 +1,7 @@
 // Dictionary construction through the sweep engine's generic acquisition:
-// structure of the built dictionary, bit-identity of the batched build
-// against the scalar reference at any thread/lane count, and consistency
-// between builder-side and report-side signature extraction.
+// structure of the built dictionary, bit-identity of the engine's build
+// against the scalar network_analyzer at any thread/lane count, and
+// consistency between builder-side and report-side signature extraction.
 #include <gtest/gtest.h>
 
 #include "core/screening.hpp"
@@ -12,9 +12,10 @@
 namespace {
 
 using namespace bistna;
+using acquisition_result = core::sweep_engine::acquisition_result;
 
 /// Reduced acquisition lengths: the suites below compare builds against
-/// each other, so absolute accuracy doesn't matter -- wall clock does.
+/// the scalar oracle, so absolute accuracy doesn't matter -- wall clock does.
 core::analyzer_settings fast_settings() {
     core::analyzer_settings settings;
     settings.periods = 48;
@@ -30,6 +31,46 @@ diag::trajectory_build_options fast_build(std::size_t threads, std::size_t lanes
     options.threads = threads;
     options.batch_lanes = lanes;
     return options;
+}
+
+/// The oracle: one item's program on a fresh scalar network_analyzer --
+/// calibrate(), measure_point() per frequency, measure_distortion().
+acquisition_result scalar_acquisition(const core::sweep_engine::acquisition_item& item,
+                                      core::analyzer_settings settings,
+                                      const core::sweep_engine::acquisition_program& program) {
+    auto board = item.make_board();
+    settings.evaluator = item.evaluator;
+    core::network_analyzer analyzer(board, settings);
+    acquisition_result result;
+    result.calibration = analyzer.calibrate();
+    result.offset_rate = analyzer.evaluator().extractor().offset_rate_ch1();
+    for (hertz f : program.frequencies) {
+        result.points.push_back(analyzer.measure_point(f));
+    }
+    if (program.distortion_max_harmonic >= 2) {
+        result.has_thd = true;
+        const hertz f = program.distortion_f.value > 0.0 ? program.distortion_f
+                                                         : program.frequencies.front();
+        result.thd_db = analyzer.measure_distortion(f, program.distortion_max_harmonic).thd_db;
+    }
+    return result;
+}
+
+void expect_identical(const acquisition_result& got, const acquisition_result& expected) {
+    EXPECT_EQ(got.calibration.amplitude.volts, expected.calibration.amplitude.volts);
+    EXPECT_EQ(got.calibration.amplitude.bounds_volts,
+              expected.calibration.amplitude.bounds_volts);
+    EXPECT_EQ(got.calibration.phase.radians, expected.calibration.phase.radians);
+    EXPECT_EQ(got.offset_rate, expected.offset_rate);
+    EXPECT_EQ(got.has_thd, expected.has_thd);
+    EXPECT_EQ(got.thd_db, expected.thd_db);
+    ASSERT_EQ(got.points.size(), expected.points.size());
+    for (std::size_t p = 0; p < got.points.size(); ++p) {
+        EXPECT_EQ(got.points[p].gain_db, expected.points[p].gain_db) << "point " << p;
+        EXPECT_EQ(got.points[p].gain_db_bounds, expected.points[p].gain_db_bounds);
+        EXPECT_EQ(got.points[p].phase_deg, expected.points[p].phase_deg) << "point " << p;
+        EXPECT_EQ(got.points[p].phase_deg_bounds, expected.points[p].phase_deg_bounds);
+    }
 }
 
 const std::vector<diag::fault_spec> kTwoFaults = {
@@ -59,9 +100,16 @@ TEST(TrajectoryBuilder, BuildsOneTrajectoryPerFaultOnTheSeverityGrid) {
 
 TEST(TrajectoryBuilder, BatchedBuildIsBitIdenticalToScalar) {
     const auto space = diag::signature_space::from_mask(core::spec_mask::paper_lowpass(), 3);
-    const auto scalar = diag::build_dictionary(diag::die_design{}, fast_settings(), space,
-                                               kTwoFaults, fast_build(1, 1));
-    for (std::size_t lanes : {std::size_t{3}, std::size_t{8}}) {
+    const auto build = fast_build(1, 1);
+    const auto plan = diag::make_dictionary_plan(diag::die_design{}, fast_settings(), space,
+                                                 kTwoFaults, build);
+    std::vector<acquisition_result> results;
+    for (const auto& item : plan.items) {
+        results.push_back(scalar_acquisition(item, fast_settings(), plan.program));
+    }
+    const auto scalar =
+        diag::assemble_dictionary(space, kTwoFaults, build.grid_points, results);
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
         const auto batched = diag::build_dictionary(diag::die_design{}, fast_settings(),
                                                     space, kTwoFaults, fast_build(2, lanes));
         EXPECT_EQ(batched, scalar) << "lanes = " << lanes;
@@ -118,57 +166,33 @@ TEST(TrajectoryBuilder, ReportSignatureIsCommensurateWithDictionary) {
     EXPECT_LT(result.healthy_distance, clf.options().healthy_threshold);
 }
 
-// The generic acquisition path itself: lanes = 1 (scalar evaluator) and
-// lanes > 1 (modulator bank) agree bit-for-bit, with and without shared
-// render keys.
-TEST(SweepEngineAcquire, LanesAndRenderSharingAreBitIdentical) {
+// The generic acquisition path itself, on every item of a full-catalog
+// plan: generator faults render their own staircases, evaluator-side
+// faults share the healthy one, so lane groups mix both calibration
+// shapes.  Every lane count -- 21 items divide by none of them -- matches
+// the scalar analyzer item for item.
+TEST(SweepEngineAcquire, LanesBitIdenticalToScalarAnalyzer) {
     const auto settings = fast_settings();
     const diag::die_design design;
+    const auto space = diag::signature_space::from_mask(core::spec_mask::paper_lowpass(), 3);
+    const auto plan = diag::make_dictionary_plan(design, settings, space,
+                                                 diag::default_catalog(), fast_build(1, 1));
+    ASSERT_EQ(plan.items.size(), 21u);
 
-    core::sweep_engine::acquisition_program program;
-    program.frequencies = {hertz{200.0}, hertz{1000.0}};
-    program.distortion_max_harmonic = 3;
-    program.distortion_f = hertz{200.0};
-
-    const auto make_items = [&](std::uint64_t render_key) {
-        std::vector<core::sweep_engine::acquisition_item> items(5);
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            items[i].make_board = [factory = design.factory()] { return factory(1); };
-            items[i].evaluator = settings.evaluator;
-            items[i].evaluator.seed = core::sweep_item_seed(7, i);
-            items[i].render_key = render_key;
-        }
-        return items;
-    };
-
-    const auto run = [&](std::size_t lanes, std::uint64_t render_key) {
+    std::vector<acquisition_result> expected;
+    for (const auto& item : plan.items) {
+        expected.push_back(scalar_acquisition(item, settings, plan.program));
+    }
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
         core::sweep_engine_options options;
         options.threads = 2;
         options.batch_lanes = lanes;
         core::sweep_engine engine(design.factory(), settings, options);
-        return engine.acquire(make_items(render_key), program);
-    };
-
-    const auto reference = run(1, 0);
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        for (std::uint64_t key : {std::uint64_t{0}, std::uint64_t{0xABCD}}) {
-            const auto results = run(lanes, key);
-            ASSERT_EQ(results.size(), reference.size());
-            for (std::size_t i = 0; i < results.size(); ++i) {
-                EXPECT_EQ(results[i].calibration.amplitude.volts,
-                          reference[i].calibration.amplitude.volts);
-                EXPECT_EQ(results[i].calibration.phase.radians,
-                          reference[i].calibration.phase.radians);
-                EXPECT_EQ(results[i].offset_rate, reference[i].offset_rate);
-                EXPECT_EQ(results[i].has_thd, reference[i].has_thd);
-                EXPECT_EQ(results[i].thd_db, reference[i].thd_db);
-                ASSERT_EQ(results[i].points.size(), reference[i].points.size());
-                for (std::size_t p = 0; p < results[i].points.size(); ++p) {
-                    EXPECT_EQ(results[i].points[p].gain_db, reference[i].points[p].gain_db);
-                    EXPECT_EQ(results[i].points[p].phase_deg,
-                              reference[i].points[p].phase_deg);
-                }
-            }
+        const auto results = engine.acquire(plan.items, plan.program);
+        ASSERT_EQ(results.size(), expected.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            SCOPED_TRACE("lanes " + std::to_string(lanes) + " item " + std::to_string(i));
+            expect_identical(results[i], expected[i]);
         }
     }
 }

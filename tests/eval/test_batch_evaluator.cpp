@@ -1,6 +1,7 @@
-// Tests for the batched acquisition path: signature_extractor::acquire_batch
-// / calibrate_offset_batch and the batch_evaluator layer must be
-// bit-identical per lane to the scalar reference implementations.
+// Tests for the batched acquisition path: the lane-major and broadcast
+// signature_extractor acquisitions, calibrate_offset_batch and the
+// batch_evaluator layer must be bit-identical per lane to the scalar
+// acquire / calibrate_offset / sinewave_evaluator.
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
@@ -9,6 +10,7 @@
 #include <vector>
 
 #include "common/math_util.hpp"
+#include "eval/acquire_plan.hpp"
 #include "eval/batch_evaluator.hpp"
 #include "eval/evaluator.hpp"
 #include "eval/signature.hpp"
@@ -35,6 +37,18 @@ std::vector<double> lane_record(std::size_t lane, std::size_t periods) {
                     0.02 * std::sin(3.0 * angle) + 0.01;
     }
     return record;
+}
+
+/// Records as one lane-major block: lane l's sample n at [n * lanes + l].
+std::vector<double> lane_major_block(const std::vector<std::vector<double>>& records) {
+    const std::size_t lanes = records.size();
+    std::vector<double> block(records.front().size() * lanes);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        for (std::size_t n = 0; n < records[l].size(); ++n) {
+            block[n * lanes + l] = records[l][n];
+        }
+    }
+    return block;
 }
 
 void expect_identical(const signature_result& a, const signature_result& b) {
@@ -76,17 +90,17 @@ TEST_P(AcquireBatchModes, BitIdenticalToScalarAcquirePerLane) {
     }
 
     std::vector<signature_extractor*> lane_ptrs;
-    std::vector<std::span<const double>> spans;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         if (mode == offset_mode::calibrated) {
             batch_lanes[l].calibrate_offset(64);
             scalar_lanes[l].calibrate_offset(64);
         }
         lane_ptrs.push_back(&batch_lanes[l]);
-        spans.emplace_back(records[l]);
     }
 
-    const auto batched = signature_extractor::acquire_batch(lane_ptrs, spans, settings);
+    const auto block = lane_major_block(records);
+    const auto batched = signature_extractor::acquire_batch_lane_major(
+        lane_ptrs, block.data(), settings, eval::demod_tables::build(settings));
     ASSERT_EQ(batched.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         const auto scalar = scalar_lanes[l].acquire(
@@ -130,15 +144,23 @@ TEST(AcquireBatch, RejectsMismatchedAndShortInputs) {
     acquisition_settings settings;
     settings.periods = 10;
     settings.offset = offset_mode::none;
+    const auto tables = eval::demod_tables::build(settings);
 
     const auto record = lane_record(0, 10);
-    std::vector<std::span<const double>> no_records;
-    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, no_records, settings),
+    std::vector<signature_extractor*> no_lanes;
+    EXPECT_THROW((void)signature_extractor::acquire_batch_lane_major(no_lanes, record.data(),
+                                                                     settings, tables),
                  precondition_error);
     const std::vector<double> short_record(5);
-    std::vector<std::span<const double>> short_spans = {short_record};
-    EXPECT_THROW((void)signature_extractor::acquire_batch(lanes, short_spans, settings),
-                 precondition_error);
+    EXPECT_THROW(
+        (void)signature_extractor::acquire_batch_shared(lanes, short_record, settings, tables),
+        precondition_error);
+    acquisition_settings longer = settings;
+    longer.periods = 12;
+    EXPECT_THROW((void)signature_extractor::acquire_batch_lane_major(lanes, record.data(),
+                                                                     longer, tables),
+                 precondition_error)
+        << "tables built for another program";
 }
 
 evaluator_config lane_config(std::uint64_t seed, offset_mode offset) {
@@ -150,6 +172,24 @@ evaluator_config lane_config(std::uint64_t seed, offset_mode offset) {
     return config;
 }
 
+/// A batch evaluator on its own shared-resource caches.
+struct batch_fixture {
+    eval::demod_table_cache tables;
+    eval::calibration_share calibration;
+    batch_evaluator batch;
+
+    explicit batch_fixture(std::vector<evaluator_config> configs)
+        : batch(std::move(configs), tables, calibration) {}
+};
+
+std::vector<std::size_t> all_lanes(std::size_t n) {
+    std::vector<std::size_t> lanes(n);
+    for (std::size_t l = 0; l < n; ++l) {
+        lanes[l] = l;
+    }
+    return lanes;
+}
+
 TEST(BatchEvaluator, HarmonicMeasurementsBitIdenticalToScalarEvaluator) {
     constexpr std::size_t n_lanes = 4;
     constexpr std::size_t periods = 32;
@@ -158,18 +198,15 @@ TEST(BatchEvaluator, HarmonicMeasurementsBitIdenticalToScalarEvaluator) {
     for (std::size_t l = 0; l < n_lanes; ++l) {
         configs.push_back(lane_config(300 + l, offset_mode::calibrated));
     }
-    batch_evaluator batch(configs);
+    batch_fixture fixture(configs);
 
     std::vector<std::vector<double>> records;
-    std::vector<std::span<const double>> spans;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         records.push_back(lane_record(l, periods));
     }
-    for (const auto& record : records) {
-        spans.emplace_back(record);
-    }
-
-    const auto batched = batch.measure_harmonic(spans, 1, periods);
+    const auto block = lane_major_block(records);
+    const auto batched = fixture.batch.measure_harmonic_lanes_lane_major(
+        all_lanes(n_lanes), block.data(), 1, periods);
     ASSERT_EQ(batched.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
         eval::sinewave_evaluator scalar(configs[l]);
@@ -195,26 +232,38 @@ TEST(BatchEvaluator, DcAndThdBitIdenticalToScalarEvaluator) {
         configs.push_back(lane_config(700 + l, offset_mode::none));
     }
     std::vector<std::vector<double>> records;
-    std::vector<std::span<const double>> spans;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         records.push_back(lane_record(l, periods));
     }
-    for (const auto& record : records) {
-        spans.emplace_back(record);
-    }
+    const auto block = lane_major_block(records);
 
-    batch_evaluator dc_batch(configs);
-    const auto dc = dc_batch.measure_dc(spans, periods);
-    batch_evaluator thd_batch(configs);
-    const auto thd = thd_batch.measure_thd(spans, 3, periods);
-    ASSERT_EQ(dc.size(), n_lanes);
+    // DC (k = 0) through the lane-major extractor kernel.
+    std::vector<signature_extractor> dc_lanes;
+    std::vector<signature_extractor*> dc_ptrs;
+    for (const auto& config : configs) {
+        dc_lanes.emplace_back(config.modulator, config.seed);
+    }
+    for (auto& lane : dc_lanes) {
+        dc_ptrs.push_back(&lane);
+    }
+    acquisition_settings dc_settings;
+    dc_settings.harmonic_k = 0;
+    dc_settings.periods = periods;
+    dc_settings.offset = offset_mode::none;
+    const auto dc_sigs = signature_extractor::acquire_batch_lane_major(
+        dc_ptrs, block.data(), dc_settings, eval::demod_tables::build(dc_settings));
+    batch_fixture thd_fixture(configs);
+    const auto thd = thd_fixture.batch.measure_thd_lanes_lane_major(all_lanes(n_lanes),
+                                                                    block.data(), 3, periods);
+    ASSERT_EQ(dc_sigs.size(), n_lanes);
     ASSERT_EQ(thd.size(), n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
+        const auto dc = eval::estimate_dc(dc_sigs[l]);
         auto source = [&records, l](std::size_t n) { return records[l][n]; };
         eval::sinewave_evaluator scalar_dc(configs[l]);
         const auto expected_dc = scalar_dc.measure_dc(source, periods);
-        EXPECT_EQ(expected_dc.volts, dc[l].volts) << "lane " << l;
-        EXPECT_EQ(expected_dc.bounds_volts, dc[l].bounds_volts) << "lane " << l;
+        EXPECT_EQ(expected_dc.volts, dc.volts) << "lane " << l;
+        EXPECT_EQ(expected_dc.bounds_volts, dc.bounds_volts) << "lane " << l;
 
         eval::sinewave_evaluator scalar_thd(configs[l]);
         const auto expected_thd = scalar_thd.measure_thd(source, 3, periods);
@@ -230,22 +279,21 @@ TEST(BatchEvaluator, LaneSubsetAcquisitionLeavesOtherLanesUntouched) {
     std::vector<evaluator_config> configs = {lane_config(1, offset_mode::calibrated),
                                              lane_config(2, offset_mode::calibrated),
                                              lane_config(3, offset_mode::calibrated)};
-    batch_evaluator batch(configs);
+    batch_fixture fixture(configs);
 
     std::vector<std::vector<double>> records;
     for (std::size_t l = 0; l < configs.size(); ++l) {
         records.push_back(lane_record(l, periods));
     }
-    std::vector<std::span<const double>> all_spans;
-    for (const auto& record : records) {
-        all_spans.emplace_back(record);
-    }
 
     // First acquisition over all lanes, second over lanes {0, 2} only.
-    const auto first = batch.measure_harmonic(all_spans, 1, periods);
+    const auto all_block = lane_major_block(records);
+    const auto first = fixture.batch.measure_harmonic_lanes_lane_major(
+        all_lanes(configs.size()), all_block.data(), 1, periods);
     const std::vector<std::size_t> subset = {0, 2};
-    std::vector<std::span<const double>> subset_spans = {records[0], records[2]};
-    const auto second = batch.measure_harmonic_lanes(subset, subset_spans, 1, periods);
+    const auto subset_block = lane_major_block({records[0], records[2]});
+    const auto second = fixture.batch.measure_harmonic_lanes_lane_major(
+        subset, subset_block.data(), 1, periods);
     ASSERT_EQ(second.size(), 2u);
 
     // Scalar counterpart: lane 0 and 2 run two measurements, lane 1 one.
@@ -264,8 +312,37 @@ TEST(BatchEvaluator, LaneSubsetAcquisitionLeavesOtherLanesUntouched) {
 TEST(BatchEvaluator, RejectsHeterogeneousSharedSettings) {
     std::vector<evaluator_config> configs = {lane_config(1, offset_mode::calibrated),
                                              lane_config(2, offset_mode::none)};
-    EXPECT_THROW(batch_evaluator b(configs), precondition_error);
-    EXPECT_THROW(batch_evaluator b(std::vector<evaluator_config>{}), precondition_error);
+    EXPECT_THROW(batch_fixture b(configs), precondition_error);
+    EXPECT_THROW(batch_fixture b(std::vector<evaluator_config>{}), precondition_error);
+}
+
+// One calibration per distinct (params, seed) key, in one pass: duplicates
+// restore the leader's snapshot, and every lane -- leader, duplicate or
+// lone -- still matches a scalar evaluator that calibrated itself.
+TEST(BatchEvaluator, CalibratesEachDistinctKeyOnceAndStaysBitIdentical) {
+    constexpr std::size_t periods = 16;
+    auto leaky = lane_config(5, offset_mode::calibrated);
+    leaky.modulator.dc_gain_db = 50.0;
+    const std::vector<evaluator_config> configs = {
+        lane_config(5, offset_mode::calibrated), lane_config(6, offset_mode::calibrated),
+        lane_config(5, offset_mode::calibrated), leaky,
+        lane_config(6, offset_mode::calibrated)};
+    batch_fixture fixture(configs);
+    const std::vector<std::vector<double>> records(configs.size(), lane_record(1, periods));
+    const auto block = lane_major_block(records);
+    const auto batched = fixture.batch.measure_harmonic_lanes_lane_major(
+        all_lanes(configs.size()), block.data(), 1, periods);
+    EXPECT_EQ(fixture.calibration.entries(), 3u) << "seed 5, seed 6, leaky seed 5";
+
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+        eval::sinewave_evaluator scalar(configs[l]);
+        const auto expected = scalar.measure_harmonic(
+            [&records, l](std::size_t n) { return records[l][n]; }, 1, periods);
+        EXPECT_EQ(scalar.extractor().offset_rate_ch1(),
+                  fixture.batch.extractor(l).offset_rate_ch1())
+            << "lane " << l;
+        expect_identical(expected.signature, batched[l].signature);
+    }
 }
 
 } // namespace

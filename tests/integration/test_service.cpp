@@ -55,6 +55,18 @@ std::string read_bytes(const std::string& path) {
                        std::istreambuf_iterator<char>());
 }
 
+/// Poll `predicate` until it holds or `deadline` elapses.
+template <typename Fn> bool eventually(Fn predicate, std::chrono::milliseconds deadline) {
+    const auto until = std::chrono::steady_clock::now() + deadline;
+    while (std::chrono::steady_clock::now() < until) {
+        if (predicate()) {
+            return true;
+        }
+        std::this_thread::sleep_for(2ms);
+    }
+    return predicate();
+}
+
 shard::lot_manifest fast_screening(std::uint64_t dice, std::uint64_t first_seed) {
     shard::lot_manifest manifest;
     manifest.periods = 20;
@@ -146,33 +158,42 @@ TEST(ServiceEndToEnd, ConcurrentMixedSessionsMatchTheOfflineStoreByteForByte) {
 TEST(ServiceEndToEnd, DisconnectAndOverloadLeaveSurvivorsBitIdentical) {
     temp_dir dir("bistna_svc_chaos");
     const std::string socket = dir.file("serverd.sock");
+    // Declared before the server: on an early ASSERT exit the server stops
+    // first, so the survivor's session ends instead of waiting forever.
+    std::future<std::string> survivor;
 
     server_options options;
     options.listen_path = socket;
     options.worker_threads = 2;
     options.max_active_jobs = 1;    // one job runs at a time
     options.admission_capacity = 2; // two may wait
+    // A request keeps its slot until its last result is queued: with a
+    // tiny send queue and socket buffer, and no stall shedding, a client
+    // that stops reading holds the slot however fast the pool runs.
+    options.send_queue_limit = 1024;
+    options.socket_send_buffer = 4096;
+    options.stall_timeout_ms = 0;
     service_server server(std::move(options));
     server.start();
 
-    // A job far too large to finish within the test hogs the active
+    // A hog reads nothing past its admission, so its job keeps the active
     // slot (its client vanishes below, so this stays fast)...
     auto hog = std::make_unique<client>(socket);
     hog->submit(1, fast_screening(5000, 7000));
     ASSERT_TRUE(hog->next_event().has_value()); // admitted
 
     // ...a well-behaved session queues behind it...
-    std::future<std::string> survivor = std::async(std::launch::async, [&] {
+    survivor = std::async(std::launch::async, [&] {
         return service_store_bytes(socket, dir, fast_screening(6, 123),
                                    "survivor.store");
     });
-    std::this_thread::sleep_for(200ms);
+    ASSERT_TRUE(eventually([&] { return server.counters().jobs_pending == 1; }, 8000ms));
 
     // ...a third queues too, then the admission queue is full: the next
     // submit is shed with the typed overloaded error.
     client queued(socket);
     queued.submit(1, fast_dictionary());
-    std::this_thread::sleep_for(200ms);
+    ASSERT_TRUE(eventually([&] { return server.counters().jobs_pending == 2; }, 8000ms));
 
     client shed(socket);
     shed.submit(1, fast_screening(2, 1));

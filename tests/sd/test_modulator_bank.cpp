@@ -229,53 +229,58 @@ TEST(ModulatorBank, ClipCountersArePerLane) {
     EXPECT_EQ(bank.clip_events(1), 0u);
 }
 
+// The fused lane-major and broadcast kernels against the scalar modulator
+// stepped sample by sample -- once with a noisy lane in the bank (the
+// per-lane branch) and once noiseless only (the branch-free kernel).
 TEST(ModulatorBank, AccumulateMatchesPerSampleStepping) {
-    const auto configs = lane_configs();
-    modulator_bank stepped;
-    modulator_bank fused;
-    for (std::size_t l = 0; l < configs.size(); ++l) {
-        stepped.add_lane(configs[l], bistna::rng(42 + l));
-        fused.add_lane(configs[l], bistna::rng(42 + l));
-    }
-
-    const std::size_t total = 4800;
-    bistna::rng stimulus(17);
-    std::vector<std::vector<double>> records(configs.size(), std::vector<double>(total));
-    for (auto& record : records) {
-        for (auto& x : record) {
+    auto noiseless = lane_configs();
+    std::erase_if(noiseless, [](const modulator_params& p) { return p.noise_rms > 0.0; });
+    for (const auto& configs : {lane_configs(), noiseless}) {
+        const std::size_t lanes = configs.size();
+        const std::size_t total = 4800;
+        bistna::rng stimulus(17);
+        std::vector<double> lane_major(total * lanes);
+        for (auto& x : lane_major) {
             x = stimulus.uniform(-0.7, 0.7);
         }
-    }
-    std::vector<unsigned char> qs(total);
-    std::vector<double> signs(total);
-    for (std::size_t n = 0; n < total; ++n) {
-        qs[n] = (n % 96) < 48 ? 1 : 0;
-        signs[n] = n >= total / 2 ? -1.0 : 1.0;
-    }
-
-    std::vector<double> expected(configs.size(), 0.0);
-    std::vector<double> inputs(configs.size());
-    std::vector<double> bits(configs.size());
-    for (std::size_t n = 0; n < total; ++n) {
-        for (std::size_t l = 0; l < configs.size(); ++l) {
-            inputs[l] = records[l][n];
+        std::vector<double> qsigns(total);
+        std::vector<double> signs(total);
+        for (std::size_t n = 0; n < total; ++n) {
+            qsigns[n] = (n % 96) < 48 ? 1.0 : -1.0;
+            signs[n] = n >= total / 2 ? -1.0 : 1.0;
         }
-        stepped.step(inputs.data(), qs[n] != 0, bits.data());
-        for (std::size_t l = 0; l < configs.size(); ++l) {
-            expected[l] += signs[n] * bits[l];
-        }
-    }
 
-    std::vector<const double*> lane_records;
-    for (const auto& record : records) {
-        lane_records.push_back(record.data());
-    }
-    std::vector<double> acc(configs.size(), 0.0);
-    fused.accumulate(lane_records.data(), qs.data(), signs.data(), total, acc.data());
-    for (std::size_t l = 0; l < configs.size(); ++l) {
-        EXPECT_EQ(expected[l], acc[l]) << "lane " << l;
-        EXPECT_EQ(stepped.state(l), fused.state(l)) << "lane " << l;
-        EXPECT_EQ(stepped.clip_events(l), fused.clip_events(l)) << "lane " << l;
+        // Lane l consumes column l of the block (lane-major), or column 0
+        // for every lane (broadcast).
+        for (const bool broadcast : {false, true}) {
+            modulator_bank fused;
+            for (std::size_t l = 0; l < lanes; ++l) {
+                fused.add_lane(configs[l], bistna::rng(42 + l));
+            }
+            std::vector<double> acc(lanes, 0.0);
+            if (broadcast) {
+                std::vector<double> record(total);
+                for (std::size_t n = 0; n < total; ++n) {
+                    record[n] = lane_major[n * lanes];
+                }
+                fused.accumulate_shared(record.data(), qsigns.data(), signs.data(), total,
+                                        acc.data());
+            } else {
+                fused.accumulate_lane_major(lane_major.data(), qsigns.data(), signs.data(),
+                                            total, acc.data());
+            }
+            for (std::size_t l = 0; l < lanes; ++l) {
+                sd_modulator scalar(configs[l], bistna::rng(42 + l));
+                double expected = 0.0;
+                for (std::size_t n = 0; n < total; ++n) {
+                    const double x = lane_major[n * lanes + (broadcast ? 0 : l)];
+                    expected += signs[n] * scalar.step(x, qsigns[n] > 0.0);
+                }
+                EXPECT_EQ(expected, acc[l]) << "lane " << l << " broadcast " << broadcast;
+                EXPECT_EQ(scalar.state(), fused.state(l)) << "lane " << l;
+                EXPECT_EQ(scalar.clip_events(), fused.clip_events(l)) << "lane " << l;
+            }
+        }
     }
 }
 

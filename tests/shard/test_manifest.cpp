@@ -64,7 +64,6 @@ TEST(ShardManifest, NonDefaultFieldsRoundTrip) {
     manifest.eval_seed_base = 0xABCDEF;
     manifest.threads = 2;
     manifest.batch_lanes = 16;
-    manifest.pipeline = core::sweep_pipeline::reference;
 
     const shard::lot_manifest parsed =
         shard::lot_manifest::from_json(manifest.to_json());
@@ -75,7 +74,7 @@ TEST(ShardManifest, NonDefaultFieldsRoundTrip) {
     EXPECT_EQ(parsed.custom_limits[0].gain_db_min, -2.25);
     ASSERT_TRUE(parsed.stimulus_tolerance.has_value());
     EXPECT_EQ(*parsed.stimulus_tolerance, 0.07);
-    EXPECT_EQ(parsed.pipeline, core::sweep_pipeline::reference);
+    EXPECT_EQ(parsed.batch_lanes, 16u);
 }
 
 TEST(ShardManifest, SaveLoadRoundTrip) {
@@ -109,6 +108,10 @@ TEST(ShardManifest, RejectsUnknownAndDuplicateKeys) {
     EXPECT_THROW(
         (void)shard::lot_manifest::from_json("{\"engine\": {\"cores\": 4}}"),
         configuration_error);
+    // One executor runs every lot: the old pipeline selector is unknown.
+    EXPECT_THROW((void)shard::lot_manifest::from_json(
+                     "{\"engine\": {\"pipeline\": \"lane_major\"}}"),
+                 configuration_error);
     EXPECT_THROW((void)shard::lot_manifest::from_json("{\"dice\": 8, \"dice\": 9}"),
                  configuration_error);
     EXPECT_THROW((void)shard::lot_manifest::from_json("{\"workload\": \"sharding\"}"),

@@ -156,23 +156,28 @@ TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
     options.worker_threads = 1;
     options.max_active_jobs = 1;
     options.admission_capacity = 1;
+    // A request keeps its slot until its last result is queued: with a
+    // tiny send queue and socket buffer, and no stall shedding, a client
+    // that stops reading holds the slot however fast the pool runs.
+    options.send_queue_limit = 1024;
+    options.socket_send_buffer = 4096;
+    options.stall_timeout_ms = 0;
     service_server server(std::move(options));
     server.start();
 
-    // A occupies the single active slot with a job far too large to
-    // finish within the test (it is cancelled below, so this stays fast).
+    // A occupies the single active slot and reads nothing past admission.
     client a(path);
     a.submit(1, fast_manifest(5000));
-    auto first = a.next_event(); // progress 0/150: the job was admitted
+    auto first = a.next_event(); // progress 0/5000: the job was admitted
     ASSERT_TRUE(first.has_value());
     ASSERT_EQ(first->type, client::event::kind::progress);
 
     // B fills the one admission slot.  A queued submit gets no ack (its
-    // first frame is the progress on dispatch), so give the event loop a
-    // beat to process it before C races in.
+    // first frame is the progress on dispatch), so wait until the server
+    // counts it before C races in.
     client b(path);
     b.submit(1, fast_manifest(2, 900));
-    std::this_thread::sleep_for(200ms);
+    ASSERT_TRUE(eventually([&] { return server.counters().jobs_pending == 1; }, 8000ms));
 
     // C must be shed immediately with a typed overloaded error -- never
     // queued invisibly, never hung.
@@ -186,7 +191,9 @@ TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
         EXPECT_EQ(e.frame().request, 1u);
     }
 
-    // A cancels; B's queued job then dispatches and completes intact.
+    // A cancels -- units it has not been sent are dropped even when the
+    // pool already computed them; B's queued job then dispatches and
+    // completes intact.
     a.cancel(1);
     try {
         (void)a.collect(1);
@@ -198,6 +205,7 @@ TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
     EXPECT_EQ(records.size(), 2u);
     server.stop();
     EXPECT_GE(server.counters().jobs_rejected, 1u);
+    EXPECT_EQ(server.counters().jobs_pending, 0u);
 }
 
 TEST(SvcServer, SessionQuotaShedsTheExtraRequest) {
