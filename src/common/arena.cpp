@@ -3,12 +3,17 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <new>
 
 #include "common/error.hpp"
 
 namespace bistna {
+
+namespace {
+std::atomic<std::uint64_t> g_blocks_mapped{0};
+} // namespace
 
 arena::arena(std::size_t initial_bytes)
     : initial_bytes_(std::max<std::size_t>(initial_bytes, alignment)) {}
@@ -25,15 +30,6 @@ void arena::reset() noexcept {
     }
     active_ = 0;
     used_ = 0;
-}
-
-void arena::reserve(std::size_t bytes) {
-    BISTNA_EXPECTS(used_ == 0, "arena::reserve needs an empty arena");
-    if (!blocks_.empty() && blocks_.front().size >= bytes) {
-        return;
-    }
-    shrink();
-    grow(bytes);
 }
 
 void arena::shrink() noexcept {
@@ -71,7 +67,11 @@ void* arena::allocate_bytes(std::size_t bytes) {
     return p;
 }
 
-void detail::unmap::operator()(unsigned char* p) const noexcept {
+std::uint64_t arena::total_blocks_mapped() noexcept {
+    return g_blocks_mapped.load(std::memory_order_relaxed);
+}
+
+void arena::unmap::operator()(unsigned char* p) const noexcept {
     ::munmap(p, bytes);
 }
 
@@ -88,9 +88,10 @@ arena::block& arena::grow(std::size_t min_bytes) {
     if (mapped == MAP_FAILED) {
         throw std::bad_alloc();
     }
+    g_blocks_mapped.fetch_add(1, std::memory_order_relaxed);
     block b;
-    b.storage = std::unique_ptr<unsigned char, detail::unmap>(
-        static_cast<unsigned char*>(mapped), detail::unmap{size});
+    b.storage = std::unique_ptr<unsigned char, unmap>(static_cast<unsigned char*>(mapped),
+                                                      unmap{size});
     b.base = b.storage.get(); // page-aligned, so cache-line aligned
     b.size = size;
     b.offset = 0;

@@ -6,8 +6,8 @@
 // and the page faults behind it showed up right next to the arithmetic in
 // the lot profile.  The arena replaces that churn with bump allocation
 // over blocks that are *kept* across reset(): a sweep worker allocates
-// whatever its work item needs, resets between items, and after the first
-// item never touches the heap again.
+// whatever a stage of its work item needs, resets between stages, and after
+// the first item never allocates again.
 //
 // Semantics:
 //   * allocate<T>(count) bump-allocates count T's (64-byte aligned, so
@@ -19,26 +19,20 @@
 //   * Exhaustion grows the arena by appending a block at least as large
 //     as the request and >= twice the previous block (geometric, so a
 //     worker converges to one block after warm-up); existing allocations
-//     are never moved or invalidated by growth.
+//     are never moved or invalidated by growth.  Blocks are mapped from the
+//     kernel, not operator new; total_blocks_mapped() counts them.
 //   * Not thread-safe by design: one arena per worker.  shrink() releases
 //     everything (for tests and idle trimming).
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
 namespace bistna {
-
-namespace detail {
-/// Releases an arena block's kernel mapping.
-struct unmap {
-    std::size_t bytes = 0;
-    void operator()(unsigned char* p) const noexcept;
-};
-} // namespace detail
 
 class arena {
 public:
@@ -68,12 +62,6 @@ public:
     /// allocation sequence reuses the existing blocks front to back.
     void reset() noexcept;
 
-    /// Make the first block hold at least `bytes`, replacing every block
-    /// when it does not, so a workload whose largest allocation is known
-    /// up front reuses one block instead of a chain of growth steps.
-    /// Requires an empty arena (right after construction or reset()).
-    void reserve(std::size_t bytes);
-
     /// Release all blocks back to the kernel (capacity drops to zero).
     void shrink() noexcept;
 
@@ -86,12 +74,24 @@ public:
     /// Blocks owned; converges to 1 once the first block fits a whole item.
     std::size_t blocks() const noexcept { return blocks_.size(); }
 
+    /// Blocks every arena in the process has mapped so far.  Flat once each
+    /// worker's arena has warmed up, which is how a steady-state loop shows
+    /// it never grows (blocks bypass operator new, so an allocation hook
+    /// cannot see them).
+    static std::uint64_t total_blocks_mapped() noexcept;
+
     static constexpr std::size_t alignment = 64;
     static constexpr std::size_t default_initial_bytes = std::size_t{1} << 20;
 
 private:
+    /// Releases a block's kernel mapping.
+    struct unmap {
+        std::size_t bytes;
+        void operator()(unsigned char* p) const noexcept;
+    };
+
     struct block {
-        std::unique_ptr<unsigned char, detail::unmap> storage;
+        std::unique_ptr<unsigned char, unmap> storage;
         std::size_t size = 0;    ///< usable bytes (aligned base)
         std::size_t offset = 0;  ///< bump pointer within the block
         unsigned char* base = nullptr;

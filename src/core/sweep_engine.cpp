@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <numeric>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -20,9 +21,9 @@ namespace bistna::core {
 
 namespace {
 
-/// The worker's render/measure scratch: one arena per thread, reset at the
-/// start of every work item, so a steady-state lot loop allocates nothing
-/// after the first item per worker reaches peak size.
+/// The worker's render/measure scratch: one arena per thread, reset before
+/// every stage of every work item, so a steady-state lot loop allocates
+/// nothing after the first item per worker reaches peak size.
 arena& worker_arena() {
     thread_local arena scratch;
     return scratch;
@@ -149,51 +150,59 @@ std::size_t sweep_engine::resolved_threads() const noexcept {
 
 // --- Measurement programs --------------------------------------------------
 
-namespace {
+/// One stage of a measurement program, the scalar network_analyzer call it
+/// reproduces in parentheses.
+struct sweep_engine::program_stage {
+    enum class kind {
+        calibrate, ///< stimulus through the calibration path (calibrate())
+        harmonic,  ///< fundamental gain/phase through the DUT (measure_point)
+        thd,       ///< THD of the DUT output (measure_distortion)
+    };
+    kind type = kind::harmonic;
+    /// Stimulus frequency of a harmonic/thd stage; 0 measures every lane at
+    /// its own frequency (the points of a Bode batch).
+    hertz f{0.0};
+    std::size_t max_harmonic = 0; ///< thd: harmonics 1..max_harmonic
 
-/// The scalar analyzer's call sequence as a program: calibrate() once, then
-/// measure_point(f) per frequency -- re-measuring the stimulus first under
-/// recalibrate_per_point, as measure_point does -- then optionally
-/// measure_distortion.
-measurement_program analyzer_program(const std::vector<hertz>& frequencies,
-                                     bool recalibrate_per_point,
-                                     std::optional<program_stage> thd) {
-    using kind = program_stage::kind;
-    measurement_program program;
-    program.stages.push_back({kind::calibrate});
-    for (hertz f : frequencies) {
-        if (recalibrate_per_point) {
-            program.stages.push_back({kind::calibrate});
-        }
-        program.stages.push_back({kind::harmonic, f});
-    }
-    if (thd) {
-        program.stages.push_back(*thd);
-    }
-    return program;
-}
-
-/// The frequency a stage measures at: its own, or else the lane's (the
-/// points of a Bode batch).
-hertz stage_frequency(const program_stage& stage, hertz lane_f) {
-    return stage.f.value > 0.0 ? stage.f : lane_f;
-}
-
-} // namespace
-
-// --- Bode sessions ---------------------------------------------------------
-
-namespace {
-
-/// Job-lifetime state of a submitted Bode batch, shared by every task
-/// closure (the handle may outlive the submitting frame).
-struct bode_job {
-    std::vector<hertz> frequencies;
-    std::uint64_t board_seed = 0;
-    measurement_program program;
+    /// The frequency the stage measures a lane at.
+    hertz frequency(hertz lane_f) const { return f.value > 0.0 ? f : lane_f; }
 };
 
-} // namespace
+/// Each harmonic stage divides by the lane's latest calibration.
+struct sweep_engine::measurement_program {
+    std::vector<program_stage> stages;
+    /// Injected before the first stage (a Bode batch's shared one-time
+    /// calibration); absent, the first calibrate stage provides it.
+    std::optional<stimulus_calibration> calibration;
+    /// Screening's self-test: after the first calibrate stage a lane whose
+    /// stimulus fails this mask's check measures nothing further (the scalar
+    /// screen()'s early return).  Absent keeps every lane.
+    std::optional<spec_mask> self_test;
+
+    /// The scalar analyzer's call sequence: calibrate() once, then
+    /// measure_point(f) per frequency -- re-measuring the stimulus first
+    /// under recalibrate_per_point, as measure_point does -- then
+    /// optionally measure_distortion.
+    static measurement_program analyzer(const std::vector<hertz>& frequencies,
+                                        bool recalibrate_per_point,
+                                        std::optional<program_stage> thd) {
+        using kind = program_stage::kind;
+        measurement_program program;
+        program.stages.push_back({kind::calibrate});
+        for (hertz f : frequencies) {
+            if (recalibrate_per_point) {
+                program.stages.push_back({kind::calibrate});
+            }
+            program.stages.push_back({kind::harmonic, f});
+        }
+        if (thd) {
+            program.stages.push_back(*thd);
+        }
+        return program;
+    }
+};
+
+// --- Bode sessions ---------------------------------------------------------
 
 job_handle<frequency_point>
 sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed,
@@ -226,6 +235,13 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
     }
     program.stages.push_back({program_stage::kind::harmonic});
 
+    // Job-lifetime state, shared by every task closure (the handle may
+    // outlive the submitting frame).
+    struct bode_job {
+        std::vector<hertz> frequencies;
+        std::uint64_t board_seed = 0;
+        measurement_program program;
+    };
     auto job = std::make_shared<const bode_job>(
         bode_job{std::move(frequencies), board_seed, std::move(program)});
     return queue_->submit<frequency_point>(
@@ -282,14 +298,6 @@ sweep_report sweep_engine::run(const std::vector<hertz>& frequencies,
 
 namespace {
 
-/// Job-lifetime state of a submitted screening lot.
-struct screening_job {
-    spec_mask mask;
-    std::uint64_t first_seed = 0;
-    double thd_f_hz = 0.0;
-    measurement_program program;
-};
-
 /// A die's report from its program outcome: the same fields, verdicts and
 /// order core::screen assembles from the scalar analyzer.
 screening_report to_screening_report(const sweep_engine::acquisition_result& result,
@@ -335,12 +343,18 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
                             screening.distortion_max_harmonic};
     }
     measurement_program program =
-        analyzer_program(frequencies, settings_.recalibrate_per_point, thd);
+        measurement_program::analyzer(frequencies, settings_.recalibrate_per_point, thd);
     if (!screening.continue_after_self_test_failure) {
         // Broken BIST circuitry: don't trust the die's DUT data.
-        program.keep_lane = [mask](double volts) { return stimulus_self_test(mask, volts); };
+        program.self_test = mask;
     }
 
+    struct screening_job {
+        spec_mask mask;
+        std::uint64_t first_seed = 0;
+        double thd_f_hz = 0.0;
+        measurement_program program;
+    };
     auto job = std::make_shared<const screening_job>(
         screening_job{mask, first_seed, thd_f_hz, std::move(program)});
     return queue_->submit<screening_report>(
@@ -378,17 +392,6 @@ lot_result sweep_engine::screen_lot(const spec_mask& mask, std::size_t dice,
 
 // --- Generic acquisition sessions ------------------------------------------
 
-namespace {
-
-/// Job-lifetime state of a submitted acquisition batch: the items (owned,
-/// so the caller's copies can die) and their program.
-struct acquisition_job {
-    std::vector<sweep_engine::acquisition_item> items;
-    measurement_program program;
-};
-
-} // namespace
-
 job_handle<sweep_engine::acquisition_result>
 sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
                                  acquisition_program program,
@@ -404,9 +407,14 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
                                                          : program.frequencies.front();
         thd = program_stage{program_stage::kind::thd, f, program.distortion_max_harmonic};
     }
+    // The items are owned by the job, so the caller's copies can die.
+    struct acquisition_job {
+        std::vector<acquisition_item> items;
+        measurement_program program;
+    };
     auto job = std::make_shared<const acquisition_job>(acquisition_job{
-        std::move(items),
-        analyzer_program(program.frequencies, settings_.recalibrate_per_point, thd)});
+        std::move(items), measurement_program::analyzer(program.frequencies,
+                                                        settings_.recalibrate_per_point, thd)});
     return queue_->submit<acquisition_result>(
         job->items.size(), std::max<std::size_t>(1, options_.batch_lanes),
         [this, job](std::size_t first, std::size_t count, acquisition_result* out,
@@ -457,23 +465,13 @@ void sweep_engine::execute(const measurement_program& program,
     std::iota(active.begin(), active.end(), std::size_t{0});
     bool first_calibration = !program.calibration.has_value();
 
-    // Each stage's lane-major block is dead once the stage has measured it,
-    // so one arena block sized for the largest stage serves them all: the
-    // scratch footprint is one stage, not the sum of the growth steps.
-    std::size_t largest_periods = settings_.periods;
-    for (const program_stage& stage : program.stages) {
-        if (stage.type == program_stage::kind::thd) {
-            largest_periods = std::max(largest_periods, settings_.distortion_periods);
-        }
-    }
-    scratch.reset();
-    scratch.reserve(sim::timebase::samples_per_period() * largest_periods * count *
-                    sizeof(double));
-
     for (const program_stage& stage : program.stages) {
         if (active.empty()) {
             break;
         }
+        // A stage's lane-major block is dead once the stage has measured it,
+        // so every stage reuses the same scratch: the footprint is the
+        // largest stage, not the sum of them.
         scratch.reset();
         const double lanes_arg = static_cast<double>(active.size());
         switch (stage.type) {
@@ -492,11 +490,11 @@ void sweep_engine::execute(const measurement_program& program,
                 results[l].calibration = inputs[l];
                 results[l].offset_rate = evaluators.extractor(l).offset_rate_ch1();
             }
-            if (program.keep_lane) {
+            if (program.self_test) {
                 // A dropped lane consumes no more of its RNG streams, so its
                 // neighbours are unperturbed; it is a finished item now.
                 std::erase_if(active, [&](std::size_t l) {
-                    return !program.keep_lane(inputs[l].amplitude.volts);
+                    return !stimulus_self_test(*program.self_test, inputs[l].amplitude.volts);
                 });
                 progress.items_done(count - active.size());
             }
@@ -515,7 +513,7 @@ void sweep_engine::execute(const measurement_program& program,
             for (std::size_t i = 0; i < active.size(); ++i) {
                 program_lane& lane = lanes[active[i]];
                 results[active[i]].points.push_back(assemble_frequency_point(
-                    stage_frequency(stage, lane.f), inputs[active[i]], outputs[i],
+                    stage.frequency(lane.f), inputs[active[i]], outputs[i],
                     settings_.hold_compensation, lane.board.dut()));
             }
             break;
@@ -601,7 +599,7 @@ double* sweep_engine::render_dut_lane_major(std::vector<program_lane>& lanes,
     bool bankable = true;
     for (std::size_t i = 0; i < n_lanes; ++i) {
         program_lane& lane = lanes[active[i]];
-        timebases.push_back(sim::timebase::for_wave_frequency(stage_frequency(stage, lane.f)));
+        timebases.push_back(sim::timebase::for_wave_frequency(stage.frequency(lane.f)));
         auto& device = lane.board.dut();
         device.reset();
         device.prepare(timebases.back().master().value);

@@ -41,7 +41,6 @@
 #include <functional>
 #include <limits>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "common/statistics.hpp"
@@ -136,35 +135,6 @@ struct sweep_report {
     /// 0 if the eq. (4) bounds hold).
     std::size_t gain_bound_violations = 0;
     summary gain_error_db_summary; ///< |measured - ideal| distribution
-};
-
-/// One stage of a measurement program, the scalar network_analyzer call it
-/// reproduces in parentheses.
-struct program_stage {
-    enum class kind {
-        calibrate, ///< stimulus through the calibration path (calibrate())
-        harmonic,  ///< fundamental gain/phase through the DUT (measure_point)
-        thd,       ///< THD of the DUT output (measure_distortion)
-    };
-    kind type = kind::harmonic;
-    /// Stimulus frequency of a harmonic/thd stage; 0 measures every lane at
-    /// its own frequency (the points of a Bode batch).
-    hertz f{0.0};
-    std::size_t max_harmonic = 0; ///< thd: harmonics 1..max_harmonic
-};
-
-/// The ordered stages every lane of a job runs: screening, dictionary items
-/// and Bode points are each one of these, executed by the same lane-major
-/// executor.  Each harmonic stage divides by the lane's latest calibration.
-struct measurement_program {
-    std::vector<program_stage> stages;
-    /// Injected before the first stage (a Bode batch's shared one-time
-    /// calibration); absent, the first calibrate stage provides it.
-    std::optional<stimulus_calibration> calibration;
-    /// Screening's self-test gate: after the first calibrate stage a lane
-    /// whose stimulus amplitude fails it measures nothing further (the
-    /// scalar screen()'s early return).  Null keeps every lane.
-    std::function<bool(double stimulus_volts)> keep_lane;
 };
 
 /// Thread-pool batch engine over network-analyzer measurements.
@@ -288,6 +258,12 @@ public:
     sweep_stats stats() const;
 
 private:
+    /// The ordered calibrate / harmonic@f / thd@f stages every lane of a job
+    /// runs -- a screening die, a dictionary item and a Bode point are each
+    /// one -- and one of those stages.  Defined in sweep_engine.cpp.
+    struct measurement_program;
+    struct program_stage;
+
     /// One lane of an executed program: its board, its evaluator, and the
     /// frequency its f = 0 stages measure at.
     struct program_lane {
@@ -299,7 +275,7 @@ private:
     /// The executor: run `program` over one lane group in lockstep, lane l's
     /// outcome into results[l] (calibration = the first one measured or
     /// injected, points = one per harmonic stage).  All scratch comes from
-    /// `scratch`, sized for the largest stage and reset before every stage.
+    /// `scratch`, reset before every stage, so it grows to the largest one.
     /// Dropped lanes tick `progress` after the self-test gate, the rest when
     /// the last stage completes.
     void execute(const measurement_program& program, std::vector<program_lane>& lanes,

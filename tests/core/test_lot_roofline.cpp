@@ -2,7 +2,8 @@
 // bit-identical to the scalar core::screen, autotune must pick a real
 // configuration without perturbing results, and a steady-state lot loop
 // must stop touching the heap for anything sizeable after its first pass
-// (arena reuse + stimulus/table caches + calibration transplant).
+// (stimulus/table caches + calibration transplant) and never grow its
+// worker arena again (arena reuse).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +12,7 @@
 #include <new>
 #include <vector>
 
+#include "common/arena.hpp"
 #include "core/screening.hpp"
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
@@ -138,14 +140,21 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
     // demodulation tables, calibration snapshot.
     (void)engine.screen_batch(spec_mask::paper_lowpass(), 24, 1, screening);
 
+    // Arena blocks are mapped from the kernel, not operator new, so the
+    // hook sees only the caches; the block count covers the arena.
     const std::uint64_t before = g_large_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t blocks_before = arena::total_blocks_mapped();
     const auto second = engine.screen_batch(spec_mask::paper_lowpass(), 24, 1, screening);
     const std::uint64_t after = g_large_allocations.load(std::memory_order_relaxed);
+    const std::uint64_t blocks_after = arena::total_blocks_mapped();
 
     EXPECT_EQ(second.size(), 24u);
     EXPECT_EQ(after - before, 0u)
         << "steady-state lot pass performed " << (after - before)
-        << " allocations >= 64 KiB; the arena/cache reuse paths regressed";
+        << " allocations >= 64 KiB; the cache reuse paths regressed";
+    EXPECT_EQ(blocks_after - blocks_before, 0u)
+        << "steady-state lot pass mapped " << (blocks_after - blocks_before)
+        << " arena blocks; the worker arena reuse regressed";
 
     const auto stats = engine.stats();
     EXPECT_GT(stats.stimulus.hits, 0u);
