@@ -9,8 +9,8 @@
 // group, so the two orders must cost the same wall clock.  Gates:
 //
 //   * concurrent pair <= 1.1x the back-to-back pair (best of 3);
-//   * every report of every job bit-identical to the synchronous
-//     screen_batch reference, regardless of submission order.
+//   * every report of every job bit-identical to a single-threaded
+//     reference lot, regardless of submission order.
 //
 // Writes the measurement to BENCH_job_queue.json (or argv[1]) so the perf
 // trajectory is recorded run over run.
@@ -119,8 +119,10 @@ int main(int argc, char** argv) {
     reference_options.threads = 1;
     core::sweep_engine reference_engine(paper_factory(), bench_settings(),
                                         reference_options);
-    const auto reference_a = reference_engine.screen_batch(mask, kDice, /*first_seed=*/1);
-    const auto reference_b = reference_engine.screen_batch(mask, kDice, /*first_seed=*/501);
+    const auto reference_a =
+        reference_engine.submit_screening(mask, kDice, /*first_seed=*/1).results();
+    const auto reference_b =
+        reference_engine.submit_screening(mask, kDice, /*first_seed=*/501).results();
 
     double best_sequential = 0.0;
     double best_concurrent = 0.0;
@@ -166,9 +168,9 @@ int main(int argc, char** argv) {
     write_json(argc > 1 ? argv[1] : "BENCH_job_queue.json", best_sequential,
                best_concurrent, ratio, identical);
 
-    bench::footnote("Jobs drain in submission order off one pool; per-die seeds are "
-                    "index-derived, so interleaving two lots changes scheduling and "
-                    "nothing else.");
+    bench::footnote("Workers claim one task per job in rotation off one pool; per-die "
+                    "seeds are index-derived, so interleaving two lots changes "
+                    "scheduling and nothing else.");
 
     bool failed = false;
     if (!identical) {

@@ -96,8 +96,9 @@ int main() {
     const double lot_serial_s = seconds_since(lot_start);
 
     const auto lot_parallel_start = std::chrono::steady_clock::now();
-    const auto lot_parallel =
-        core::screen_lot_parallel(paper_factory(), settings, mask, dice, /*first_seed=*/1);
+    core::sweep_engine lot_engine(paper_factory(), settings, parallel_options);
+    const auto lot_parallel = core::aggregate_lot(
+        lot_engine.submit_screening(mask, dice, /*first_seed=*/1).results());
     const double lot_parallel_s = seconds_since(lot_parallel_start);
 
     const bool lot_match = lot_serial.dice == lot_parallel.dice &&

@@ -124,8 +124,10 @@ int main(int argc, char** argv) {
     reference_options.threads = 1;
     core::sweep_engine reference_engine(paper_factory(), bench_settings(),
                                         reference_options);
-    const auto reference_bytes = record_bytes(reference_engine.screen_batch(
-        core::spec_mask::paper_lowpass(), kDice, /*first_seed=*/1));
+    const auto reference_bytes = record_bytes(
+        reference_engine
+            .submit_screening(core::spec_mask::paper_lowpass(), kDice, /*first_seed=*/1)
+            .results());
 
     // Warm-up lot: stimulus tables, allocator arenas, page faults -- paid
     // once, outside both timed modes.

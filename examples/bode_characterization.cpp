@@ -48,7 +48,7 @@ void characterize(const char* title, const bistna::core::board_factory& factory,
     }
     std::cout << "\n=== " << title << " ===\n";
     table.print(std::cout);
-    const auto cache = engine.stimulus_stats();
+    const auto cache = engine.stats().stimulus;
     std::cout << "(" << report.points.size() << " points on " << report.threads_used
               << " thread(s) in " << format_fixed(report.elapsed_seconds, 2)
               << " s; worst |gain error| " << format_fixed(report.worst_gain_error_db, 3)

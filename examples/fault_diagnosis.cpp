@@ -1,6 +1,6 @@
 // Fault-trajectory diagnosis demo: build a fault dictionary on the nominal
 // die (batched lockstep build, streamed with live progress), ship it
-// through its CSV form, inject known single faults into Monte Carlo lots,
+// through its binary form, inject known single faults into Monte Carlo lots,
 // and report how often the classifier localizes the true fault on the dice
 // that fail screening.  Every session -- the dictionary build and each
 // diagnosed lot -- runs on one shared worker pool.
@@ -11,10 +11,11 @@
 // When --threads/--lanes are omitted the sweep engine's autotune probe
 // picks them for this machine; pass either flag to override.
 //
-// The dictionary also ships through its checksummed binary form (written
-// next to the CSV, loaded back both copying and mmapped); --store
-// additionally appends every injected-lot report to a persistent binary
-// record store as the dice stream off their jobs.
+// The dictionary ships through its checksummed binary form (loaded back
+// both copying and mmapped); --store additionally appends every
+// injected-lot report to a persistent binary record store as the dice
+// stream off their jobs, in die order, so the store's bytes do not depend
+// on --threads/--lanes.
 //
 // --trace writes a Chrome trace of the dictionary build and every lot's
 // engine-stage spans; --metrics prints the accumulated counters and
@@ -124,24 +125,18 @@ int main(int argc, char** argv) {
         diag::build_dictionary(design, settings, space, catalog, build);
     std::cout << "\n";
 
-    const std::string dictionary_path = "fault_dictionary.csv";
-    dictionary.write_csv(dictionary_path);
-    const auto shipped = diag::fault_dictionary::read_csv(dictionary_path);
+    // Ship it: checksummed frames with the trajectory matrix stored
+    // contiguously, loaded back both ways (full copy and the zero-copy mmap
+    // view a test floor would share between processes).
+    const std::string dictionary_path = "fault_dictionary.bin";
+    dictionary.write_binary(dictionary_path);
+    const auto shipped = diag::fault_dictionary::read_binary(dictionary_path);
+    const store::mapped_dictionary mapped(dictionary_path);
     std::cout << catalog.size() << " faults x " << build.grid_points
-              << " severities -> " << dictionary_path << " (round trip "
-              << (shipped == dictionary ? "bit-exact" : "DIVERGED") << ")\n";
-
-    // The binary sibling: checksummed frames with the trajectory matrix
-    // stored contiguously, loaded back both ways (full copy and the
-    // zero-copy mmap view a test floor would share between processes).
-    const std::string binary_path = "fault_dictionary.bin";
-    dictionary.write_binary(binary_path);
-    const auto binary_shipped = diag::fault_dictionary::read_binary(binary_path);
-    const store::mapped_dictionary mapped(binary_path);
-    std::cout << "binary form -> " << binary_path << " (read_binary "
-              << (binary_shipped == dictionary ? "bit-exact" : "DIVERGED")
-              << ", mmap view " << mapped.rows() << " rows x "
-              << (1 + mapped.dimensions()) << " cols, materialized "
+              << " severities -> " << dictionary_path << " (read_binary "
+              << (shipped == dictionary ? "bit-exact" : "DIVERGED") << ", mmap view "
+              << mapped.rows() << " rows x " << (1 + mapped.dimensions())
+              << " cols, materialized "
               << (mapped.materialize() == dictionary ? "bit-exact" : "DIVERGED")
               << ")\n\n";
 
@@ -170,8 +165,8 @@ int main(int argc, char** argv) {
     const std::vector<double> fractions = {1.0 / 12.0, 0.25, 0.75, 11.0 / 12.0};
 
     // Optional persistent record store: every lot's reports are appended
-    // as they stream in, with die ids globalized across cells so a
-    // collector can tell the lots apart.
+    // in die order as they stream in, with die ids globalized across cells
+    // so a collector can tell the lots apart.
     std::unique_ptr<store::lot_store> result_store;
     if (!store_path.empty()) {
         result_store = std::make_unique<store::lot_store>(

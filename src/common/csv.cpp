@@ -12,7 +12,7 @@ namespace {
 /// Locale-independent double formatting via to_chars (shortest form that
 /// round-trips bit-exactly).  An ostream would consult the global locale:
 /// under a comma-decimal locale (de_DE etc.) it writes "3,14", which both
-/// corrupts the cell separation and can never be parsed back -- shards
+/// corrupts the cell separation and can never be parsed back -- a figure
 /// written on one machine must load on any other, whatever locale the
 /// host program set.  NaN/inf format as "nan"/"-nan"/"inf"/"-inf",
 /// exactly what from_chars accepts.
@@ -79,109 +79,6 @@ std::string csv_escape(const std::string& cell) {
     }
     quoted += '"';
     return quoted;
-}
-
-std::size_t csv_document::column(const std::string& name) const {
-    for (std::size_t i = 0; i < header.size(); ++i) {
-        if (header[i] == name) {
-            return i;
-        }
-    }
-    throw configuration_error("csv_document: no column named '" + name + "'");
-}
-
-std::vector<std::string> csv_split(const std::string& line) {
-    std::vector<std::string> cells;
-    std::string cell;
-    bool quoted = false;
-    for (std::size_t i = 0; i < line.size(); ++i) {
-        const char c = line[i];
-        if (quoted) {
-            if (c == '"') {
-                if (i + 1 < line.size() && line[i + 1] == '"') {
-                    cell += '"'; // escaped quote
-                    ++i;
-                } else {
-                    quoted = false;
-                }
-            } else {
-                cell += c;
-            }
-        } else if (c == '"') {
-            quoted = true;
-        } else if (c == ',') {
-            cells.push_back(std::move(cell));
-            cell.clear();
-        } else {
-            cell += c;
-        }
-    }
-    if (quoted) {
-        throw configuration_error("csv_split: unterminated quote in '" + line + "'");
-    }
-    cells.push_back(std::move(cell));
-    return cells;
-}
-
-csv_document csv_read(const std::string& path, bool has_header) {
-    std::ifstream in(path);
-    if (!in) {
-        throw configuration_error("csv_read: cannot open '" + path + "' for reading");
-    }
-
-    csv_document doc;
-    std::string line;
-    bool first = true;
-    while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r') {
-            line.pop_back();
-        }
-        if (line.empty()) {
-            continue;
-        }
-        auto cells = csv_split(line);
-        // Tolerate a Windows-style trailing comma: "1,2," means two
-        // values, not two values and an unparseable empty cell.  Only one
-        // trailing empty cell is dropped, and only when the row has other
-        // cells -- interior empties still fail loudly below.
-        if (cells.size() > 1 && cells.back().empty()) {
-            cells.pop_back();
-        }
-        if (first && has_header) {
-            doc.header = std::move(cells);
-            first = false;
-            continue;
-        }
-        first = false;
-        std::vector<double> values;
-        values.reserve(cells.size());
-        for (const auto& cell : cells) {
-            // from_chars, not strtod: locale-independent, so the round trip
-            // survives a host program that set LC_NUMERIC.  "nan"/"inf"
-            // cells (e.g. an unmeasured thd_db) parse to the canonical
-            // quiet NaN / infinity with their sign preserved.
-            double value = 0.0;
-            const char* end = cell.data() + cell.size();
-            const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
-            if (ec != std::errc{} || ptr != end) {
-                throw configuration_error("csv_read: non-numeric cell '" + cell + "' in '" +
-                                          path + "'");
-            }
-            values.push_back(value);
-        }
-        doc.rows.push_back(std::move(values));
-    }
-    return doc;
-}
-
-void csv_write(const csv_document& doc, const std::string& path) {
-    csv_writer writer(path);
-    if (!doc.header.empty()) {
-        writer.header(doc.header);
-    }
-    for (const auto& row : doc.rows) {
-        writer.row(row);
-    }
 }
 
 } // namespace bistna

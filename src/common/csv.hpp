@@ -1,7 +1,8 @@
-// Minimal CSV writer for experiment artifacts.
+// Minimal CSV writer for human-facing experiment artifacts.
 //
 // Benches dump every reproduced figure/table as CSV next to the console
-// report so results can be re-plotted outside the harness.
+// report so results can be re-plotted outside the harness.  CSV is write
+// only: machine-readable results travel in the record store.
 #pragma once
 
 #include <fstream>
@@ -41,38 +42,5 @@ private:
 
 /// Quote a cell if it contains separators/quotes per RFC 4180.
 std::string csv_escape(const std::string& cell);
-
-/// A parsed CSV file: header row (may be empty) + data rows as doubles.
-struct csv_document {
-    std::vector<std::string> header;
-    std::vector<std::vector<double>> rows;
-
-    std::size_t columns() const noexcept { return header.size(); }
-
-    /// Index of a named column; throws configuration_error when absent.
-    std::size_t column(const std::string& name) const;
-};
-
-/// Parse one CSV line into cells, honouring RFC 4180 quoting (the inverse
-/// of csv_escape; embedded newlines are not supported).
-std::vector<std::string> csv_split(const std::string& line);
-
-/// Read a CSV written by csv_writer back in.  The first row is treated as
-/// the header when `has_header`; every remaining cell must parse as a
-/// double via from_chars (throws configuration_error otherwise), with
-/// "nan"/"inf" cells restored to the canonical quiet NaN / infinity of
-/// the written sign.  Round-trips csv_writer's to_chars formatting
-/// bit-exactly, independent of the global locale.  Files written on
-/// Windows are tolerated: CRLF line endings are stripped and one trailing
-/// empty cell per row (a trailing comma) is dropped.
-csv_document csv_read(const std::string& path, bool has_header = true);
-
-/// Write a whole document (the exact inverse of csv_read): header row when
-/// non-empty, then every data row in to_chars shortest round-trip form, so
-/// csv_read(csv_write(doc)) == doc bit-exactly (NaN sign preserved, NaN
-/// payloads canonicalized -- the binary record store keeps payload bits
-/// too).  Serialization entry point for artifacts that ship across
-/// machines (diag fault dictionaries, screening-report shards).
-void csv_write(const csv_document& doc, const std::string& path);
 
 } // namespace bistna

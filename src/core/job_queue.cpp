@@ -69,8 +69,7 @@ std::size_t resolve_threads(std::size_t threads) {
 
 } // namespace
 
-job_queue::job_queue(std::size_t threads, job_schedule schedule)
-    : threads_(resolve_threads(threads)), schedule_(schedule) {}
+job_queue::job_queue(std::size_t threads) : threads_(resolve_threads(threads)) {}
 
 job_queue::~job_queue() {
     {
@@ -90,11 +89,6 @@ job_queue::~job_queue() {
     }
 }
 
-std::size_t job_queue::jobs_submitted() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return submitted_;
-}
-
 std::size_t job_queue::jobs_pending() const {
     std::lock_guard<std::mutex> lock(mutex_);
     return jobs_.size();
@@ -107,7 +101,6 @@ void job_queue::enqueue(std::shared_ptr<detail::job_record> record) {
         }
         std::lock_guard<std::mutex> lock(mutex_);
         BISTNA_EXPECTS(!stopping_, "submit on a destroyed job_queue");
-        ++submitted_;
         jobs_.push_back(std::move(record));
         telemetry::histogram_record(depth_histogram(), jobs_.size());
         // Lazy spawn: a queue that never receives work never starts a
@@ -133,25 +126,18 @@ void job_queue::worker_loop(std::size_t worker_index) {
             if (jobs_.empty()) {
                 return; // stopping and drained
             }
-            // fifo drains jobs in submission order (concurrent jobs
-            // interleave only when the front job has no unclaimed tasks
-            // left); round_robin claims one task per job in rotation, so
-            // every live job keeps making progress.
-            std::size_t pick = 0;
-            if (schedule_ == job_schedule::round_robin) {
-                if (rr_cursor_ >= jobs_.size()) {
-                    rr_cursor_ = 0;
-                }
-                pick = rr_cursor_;
+            // One task per job in rotation, so every live job keeps making
+            // progress.
+            if (rr_cursor_ >= jobs_.size()) {
+                rr_cursor_ = 0;
             }
-            job = jobs_[pick];
+            job = jobs_[rr_cursor_];
             task = job->next_task++;
             if (job->next_task == job->task_count) {
                 // A drained job leaves the rotation; the cursor stays put,
                 // so the job that slides into this slot is served next.
-                jobs_.erase(jobs_.begin() +
-                            static_cast<std::ptrdiff_t>(pick));
-            } else if (schedule_ == job_schedule::round_robin) {
+                jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(rr_cursor_));
+            } else {
                 ++rr_cursor_;
             }
         }

@@ -10,11 +10,12 @@
 // primitive those callers share:
 //
 //   * `job_queue` owns the worker threads.  Any number of jobs can be
-//     submitted concurrently (from any thread); workers drain jobs in
-//     submission order, so one pool serves many engines without
-//     oversubscribing the machine.
-//   * `job_handle<R>` is the caller's view of one submitted job: a
-//     pull-based stream of completed items (`next_completed`), an optional
+//     submitted concurrently (from any thread); workers claim one task per
+//     job in rotation, so one pool serves many engines without
+//     oversubscribing the machine and no job starves behind another.
+//   * `job_handle<R>` is the caller's view of one submitted job: the whole
+//     result vector (`results`), an in-order cursor over items as they
+//     complete (`next_in_order` / `try_next_in_order`), an optional
 //     per-item completion callback, progress counters, cooperative
 //     cancellation and worker-exception capture.
 //
@@ -37,7 +38,6 @@
 #include <mutex>
 #include <optional>
 #include <thread>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -45,13 +45,13 @@
 
 namespace bistna::core {
 
-/// Mid-group progress reporter.  A group function that accepts a trailing
-/// `const job_progress&` parameter can tick items as it computes them, so
-/// `job_handle::completed_items()` moves *within* a group instead of
+/// Mid-group progress reporter, the trailing parameter of every group
+/// function.  Ticking items as they are computed makes
+/// `job_handle::completed_items()` move *within* a group instead of
 /// jumping by group_size when the group publishes -- a monitor polling a
 /// 10k-die lot screened in one group no longer reads 0 until the very end.
-/// Ticks are advisory (they never gate publication); group functions that
-/// ignore the parameter keep the old group-granularity progress.
+/// Ticks are advisory (they never gate publication); a group function that
+/// never ticks reports progress a whole group at a time.
 class job_progress {
 public:
     job_progress() = default;
@@ -80,7 +80,7 @@ const char* job_state_name(job_state state) noexcept;
 namespace detail {
 
 /// Typed state shared between a job's handle(s) and the worker closures:
-/// the result slots, the completion stream and the terminal bookkeeping.
+/// the result slots, their completion flags and the terminal bookkeeping.
 /// The queue itself never sees this type -- workers reach it only through
 /// the type-erased task closure.
 template <typename R>
@@ -93,45 +93,43 @@ struct job_channel {
 
     std::vector<R> results;             ///< slot per item, written once
     std::vector<char> item_completed;   ///< slot flags (avoids vector<bool> races)
-    std::deque<std::size_t> stream;     ///< completed indices not yet pulled
     std::size_t completed_count = 0;    ///< items finished with a value
     std::size_t accounted = 0;          ///< completed + skipped + failed items
     job_state state = job_state::running;
     std::exception_ptr error;
 
     /// Checked by tasks before running (claimed-but-unstarted work is
-    /// skipped); in-flight groups finish normally and still stream.
+    /// skipped); in-flight groups finish normally and still publish.
     std::atomic<bool> cancel_requested{false};
 
     /// Items ticked via job_progress, ahead of group publication.  Only
     /// ever incremented, so completed_items() -- the max of this and
     /// completed_count -- is monotonic whether or not the group function
     /// ticks.  On a failed/cancelled job the ticks of an unpublished group
-    /// may overcount relative to completed(); exact per-item truth stays
-    /// with the slots.
+    /// may overcount the published items; exact per-item truth stays with
+    /// the slots.
     std::atomic<std::uint64_t> computed{0};
 
     /// Optional per-item completion callback (runs on the completing
     /// worker thread, without locks, *before* the item becomes visible to
-    /// the pull stream -- so on the success path a consumer never observes
-    /// an item whose callback has not run).  Must be thread-safe across
-    /// items.  A throwing callback fails the job (first exception
+    /// the in-order cursor -- so on the success path a consumer never
+    /// observes an item whose callback has not run).  Must be thread-safe
+    /// across items.  A throwing callback fails the job (first exception
     /// captured, rest of the work drained, later callbacks of the group
     /// skipped) but never discards measured results: the group's items are
-    /// still published to the stream and completed().
+    /// still published to their slots.
     std::function<void(std::size_t, const R&)> on_item;
 
-    /// Optional post-publish notifier (see
-    /// job_handle::set_published_callback).  Runs on the accounting worker
-    /// thread AFTER the channel lock is released, so everything the event
-    /// that triggered it made visible (new stream items, a terminal state
-    /// flip) is observable from the callback or from any thread it wakes.
-    /// Guarded by `mutex` for registration; copied out before invocation.
+    /// Optional post-publish notifier, fixed at submission.  Runs on the
+    /// accounting worker thread AFTER the channel lock is released, so
+    /// everything the event that triggered it made visible (new items, a
+    /// terminal state flip) is observable from the callback or from any
+    /// thread it wakes.
     std::function<void()> on_published;
 
     /// Publish items [first, first + group.size()): callback first, then
-    /// slots + stream under the lock, finalizing the job if this accounts
-    /// for the last item.
+    /// slots under the lock, finalizing the job if this accounts for the
+    /// last item.
     void complete_items(std::size_t first, std::vector<R>&& group) {
         std::exception_ptr callback_error;
         if (on_item) {
@@ -145,36 +143,31 @@ struct job_channel {
                 }
             }
         }
-        std::function<void()> published;
         {
             std::lock_guard<std::mutex> lock(mutex);
             for (std::size_t l = 0; l < group.size(); ++l) {
                 results[first + l] = std::move(group[l]);
                 item_completed[first + l] = 1;
-                stream.push_back(first + l);
             }
             completed_count += group.size();
             if (callback_error && !error) {
                 error = std::move(callback_error);
             }
             account(group.size());
-            published = on_published;
         }
-        if (published) {
-            published();
+        if (on_published) {
+            on_published();
         }
     }
 
     /// Account `count` items that will never complete (cancel skip).
     void skip_items(std::size_t count) {
-        std::function<void()> published;
         {
             std::lock_guard<std::mutex> lock(mutex);
             account(count);
-            published = on_published;
         }
-        if (published) {
-            published();
+        if (on_published) {
+            on_published();
         }
     }
 
@@ -183,24 +176,22 @@ struct job_channel {
     /// flag (matching the synchronous engine's first-error semantics).
     void fail_items(std::size_t count, std::exception_ptr exception) {
         cancel_requested.store(true, std::memory_order_relaxed);
-        std::function<void()> published;
         {
             std::lock_guard<std::mutex> lock(mutex);
             if (!error) {
                 error = std::move(exception);
             }
             account(count);
-            published = on_published;
         }
-        if (published) {
-            published();
+        if (on_published) {
+            on_published();
         }
     }
 
 private:
     /// Callers hold `mutex`.  Finalizes the terminal state once every item
-    /// is accounted for and wakes every waiter (pullers see the stream
-    /// drain; wait() sees the state flip).
+    /// is accounted for and wakes every waiter (in-order cursors see their
+    /// item land; wait() sees the state flip).
     void account(std::size_t count) {
         accounted += count;
         if (accounted == results.size() && state == job_state::running) {
@@ -212,9 +203,9 @@ private:
     }
 };
 
-/// Type-erased job record the queue's workers schedule from.  Tasks are
-/// claimed in index order under the queue lock; the typed closure owns all
-/// result bookkeeping.
+/// Type-erased job record the queue's workers schedule from.  A job's
+/// tasks are claimed in index order under the queue lock; the typed closure
+/// owns all result bookkeeping.
 struct job_record {
     std::size_t task_count = 0;
     std::size_t next_task = 0;                  ///< guarded by the queue mutex
@@ -232,7 +223,7 @@ struct job_record {
 template <typename R>
 class job_handle {
 public:
-    /// One item of the completion stream.
+    /// One item delivered by the in-order cursor.
     struct streamed_item {
         std::size_t index = 0; ///< the item's slot in submission order
         R value{};
@@ -247,11 +238,6 @@ public:
         : channel_(std::move(channel)) {}
 
     bool valid() const noexcept { return channel_ != nullptr; }
-
-    /// Items in the job (fixed at submission).
-    std::size_t total_items() const {
-        return channel().results.size();
-    }
 
     /// Items finished so far: the max of published slots and mid-group
     /// job_progress ticks, so the value is monotonic and -- when the group
@@ -280,30 +266,9 @@ public:
         return ch.error;
     }
 
-    /// Register a notifier that fires AFTER a publication becomes
-    /// visible: new items reached the stream, or the job flipped to a
-    /// terminal state (including cancel-skip and worker-failure
-    /// accounting).  This is the signal an event-driven consumer sleeps
-    /// on -- unlike the per-item on_item callback, which by contract runs
-    /// BEFORE its item is pullable, a wake delivered from here never
-    /// races ahead of the state it advertises.  Fires at least once per
-    /// publication event; spurious extra calls are allowed.  Runs on
-    /// worker threads without the channel lock, so it may probe this
-    /// handle freely but must be cheap and must not throw.
-    ///
-    /// Fire-and-probe contract: only publications AFTER registration are
-    /// covered -- register, then probe once for anything that landed
-    /// earlier.
-    void set_published_callback(std::function<void()> callback) {
-        auto& ch = channel();
-        std::lock_guard<std::mutex> lock(ch.mutex);
-        ch.on_published = std::move(callback);
-    }
-
     /// Request cooperative cancellation: tasks not yet started are
-    /// skipped; items already in flight finish normally and still reach
-    /// the stream.  Idempotent, safe from any thread (including an
-    /// on_item callback).
+    /// skipped; items already in flight finish normally and still publish.
+    /// Idempotent, safe from any thread (including an on_item callback).
     void cancel() noexcept {
         if (channel_) {
             channel_->cancel_requested.store(true, std::memory_order_relaxed);
@@ -311,42 +276,22 @@ public:
     }
 
     /// Block until the job reaches a terminal state (all items accounted
-    /// for).  Does not consume the stream.
+    /// for).  Does not move the in-order cursor.
     void wait() const {
         auto& ch = channel();
         std::unique_lock<std::mutex> lock(ch.mutex);
         ch.cv.wait(lock, [&] { return ch.state != job_state::running; });
     }
 
-    /// Pull the next completed item, blocking while the job is running and
-    /// the stream is empty.  Returns nullopt once the job is terminal and
-    /// every completed item has been pulled -- the stream of a cancelled
-    /// or failed job simply ends early, after delivering exactly the items
-    /// that did complete.  Items arrive in completion order; each is
-    /// delivered to exactly one puller.
-    std::optional<streamed_item> next_completed() const {
-        auto& ch = channel();
-        std::unique_lock<std::mutex> lock(ch.mutex);
-        ch.cv.wait(lock, [&] { return !ch.stream.empty() || ch.state != job_state::running; });
-        if (ch.stream.empty()) {
-            return std::nullopt;
-        }
-        const std::size_t index = ch.stream.front();
-        ch.stream.pop_front();
-        return streamed_item{index, ch.results[index]};
-    }
-
     /// Pull the next item in SUBMISSION-INDEX order, blocking until that
     /// item completes: call k delivers item k, however the scheduler
-    /// interleaved the work.  This is what a consumer that must emit a
-    /// deterministic sequence (a shard worker streaming frames to disk, a
-    /// store-appending example) uses instead of next_completed -- the
-    /// stream's byte order then no longer depends on completion order.
-    /// Returns nullopt once every item was delivered, or -- on a cancelled
-    /// or failed job -- at the first item that will never complete (an
-    /// in-order consumer cannot skip a hole).  The cursor is local to this
-    /// handle copy and independent of the next_completed stream; do not
-    /// mix with the consuming results() && overload.
+    /// interleaved the work, so whatever a consumer emits from the items (a
+    /// shard worker's frames, a diagnosed lot's store appends) has the same
+    /// byte order at every thread/lane count.  Returns nullopt once every
+    /// item was delivered, or -- on a cancelled or failed job -- at the
+    /// first item that will never complete (an in-order consumer cannot
+    /// skip a hole).  The cursor is local to this handle copy; do not mix
+    /// with the consuming results() && overload.
     std::optional<streamed_item> next_in_order() {
         auto& ch = channel();
         std::unique_lock<std::mutex> lock(ch.mutex);
@@ -380,14 +325,11 @@ public:
         return streamed_item{index, ch.results[index]};
     }
 
-    /// Items this handle's in-order cursor has already delivered.
-    std::size_t in_order_delivered() const noexcept { return ordered_next_; }
-
     /// Wait, then return the full result vector in item order.  Rethrows
     /// the first worker exception of a failed job; throws
-    /// configuration_error on a cancelled job (its slots have holes -- use
-    /// completed() for the partial outcome).  This is what the synchronous
-    /// engine wrappers are built on.
+    /// configuration_error on a cancelled job (its slots have holes -- the
+    /// in-order cursor or the per-item callback sees the partial outcome).
+    /// This is the synchronous way to run a job: submit, then results().
     std::vector<R> results() const& {
         wait();
         auto& ch = channel();
@@ -397,36 +339,15 @@ public:
     }
 
     /// Consuming overload for a handle that dies with the call (the
-    /// blocking wrappers' `submit(...).results()` shape): the result store
-    /// is moved out instead of copied.  Any surviving copy of the handle
-    /// sees a drained job afterwards (empty stream, empty completed()).
+    /// `submit(...).results()` shape): the result store is moved out
+    /// instead of copied.  Surviving copies of the handle must not read
+    /// results afterwards.
     std::vector<R> results() && {
         wait();
         auto& ch = channel();
         std::lock_guard<std::mutex> lock(ch.mutex);
         throw_unless_succeeded(ch);
-        // The stream must drain with the store: a leftover index into the
-        // moved-from vector would read out of bounds on a surviving copy.
-        ch.stream.clear();
         return std::move(ch.results);
-    }
-
-    /// Wait, then return every item that completed, sorted by index --
-    /// the whole job when it succeeded, the completed subset when it was
-    /// cancelled or failed.  Never throws on cancellation; each returned
-    /// item is bit-identical to the synchronous path's slot.
-    std::vector<streamed_item> completed() const {
-        wait();
-        auto& ch = channel();
-        std::lock_guard<std::mutex> lock(ch.mutex);
-        std::vector<streamed_item> items;
-        items.reserve(ch.completed_count);
-        for (std::size_t i = 0; i < ch.results.size(); ++i) {
-            if (ch.item_completed[i]) {
-                items.push_back(streamed_item{i, ch.results[i]});
-            }
-        }
-        return items;
     }
 
 private:
@@ -441,8 +362,7 @@ private:
             std::rethrow_exception(ch.error);
         }
         if (ch.state == job_state::cancelled) {
-            throw configuration_error(
-                "job_queue: results() on a cancelled job (use completed())");
+            throw configuration_error("job_queue: results() on a cancelled job");
         }
     }
 
@@ -475,35 +395,22 @@ private:
     job_handle<R> handle_;
 };
 
-/// How a pool's workers pick the next task when several jobs have
-/// unclaimed work.  Scheduling only reorders *when* an item is computed,
-/// never what it computes (seeds derive from item indices), so every
-/// schedule yields bit-identical results.
-enum class job_schedule {
-    /// Drain jobs in submission order: all of job 0's tasks are claimed
-    /// before job 1's first.  Lowest single-job latency -- the right shape
-    /// for a batch tool that submits one lot and waits.
-    fifo,
-    /// Rotate one task at a time across every job with unclaimed work:
-    /// N concurrent jobs each make continuous progress instead of queueing
-    /// behind the earliest submission.  This is the fairness the screening
-    /// service needs -- a million-die lot must not starve the two-die
-    /// probe job submitted after it.
-    round_robin,
-};
-
-/// One thread pool, many concurrent jobs.  Workers are spawned lazily on
-/// the first submission and joined by the destructor; destroying the queue
-/// cancels jobs still pending (their handles finish in state `cancelled`),
-/// so no threads or work items ever leak.
+/// One thread pool, many concurrent jobs.  Workers claim one task at a
+/// time from each job with unclaimed work in rotation, so N concurrent jobs
+/// each make continuous progress instead of queueing behind the earliest
+/// submission -- a million-die lot cannot starve the two-die probe job
+/// submitted after it -- and a lone job's tasks are claimed in index order.
+/// Scheduling only reorders *when* an item is computed, never what it
+/// computes (seeds derive from item indices).  Workers are spawned lazily
+/// on the first submission and joined by the destructor; destroying the
+/// queue cancels jobs still pending (their handles finish in state
+/// `cancelled`), so no threads or work items ever leak.
 class job_queue {
 public:
-    /// `threads` = 0 picks std::thread::hardware_concurrency().  Note that
-    /// unlike the old inline batch loop, threads = 1 still runs work on
-    /// one pool worker (the caller's thread must stay free to consume the
-    /// stream) -- results are bit-identical either way.
-    explicit job_queue(std::size_t threads = 0,
-                       job_schedule schedule = job_schedule::fifo);
+    /// `threads` = 0 picks std::thread::hardware_concurrency().  threads =
+    /// 1 still runs work on one pool worker (the caller's thread stays free
+    /// to consume the results) -- results are bit-identical either way.
+    explicit job_queue(std::size_t threads = 0);
     ~job_queue();
 
     job_queue(const job_queue&) = delete;
@@ -512,29 +419,32 @@ public:
     /// Worker count (the resolved value, never 0).
     std::size_t threads() const noexcept { return threads_; }
 
-    /// The task-claim policy this pool was built with.
-    job_schedule schedule() const noexcept { return schedule_; }
-
-    /// Jobs submitted over the queue's lifetime.
-    std::size_t jobs_submitted() const;
     /// Jobs with tasks not yet claimed by a worker (a job whose last task
     /// was claimed no longer counts, even while that task is running --
     /// track terminal state through its handle).
     std::size_t jobs_pending() const;
 
     /// Submit a job of `item_count` items evaluated `group_size` at a time:
-    /// each task calls group_fn(first, count, out) to compute items
-    /// [first, first + count) into out[0..count) (count <= group_size;
-    /// only the final group is short).  group_fn runs concurrently on the
+    /// each task calls group_fn(first, count, out, progress) to compute
+    /// items [first, first + count) into out[0..count) (count <=
+    /// group_size; only the final group is short), optionally ticking
+    /// `progress` as items finish.  group_fn runs concurrently on the
     /// pool's workers, so it must be safe to invoke for disjoint groups in
     /// parallel and must depend only on the item indices (that is what
     /// makes the job's results completion-order independent).  Everything
     /// the job needs must be owned by (or outlive) the closure.
     ///
-    /// `on_published` -- if set -- is the post-publish notifier (see
-    /// job_handle::set_published_callback); registering it here closes the
-    /// fire-and-probe gap entirely, since it is installed before any task
-    /// can run.
+    /// `on_published` -- if set -- fires AFTER each publication becomes
+    /// visible: new items landed in their slots, or the job flipped to a
+    /// terminal state (including cancel-skip and worker-failure
+    /// accounting).  This is the signal an event-driven consumer sleeps on
+    /// -- unlike the per-item on_item callback, which by contract runs
+    /// BEFORE its item is visible, a wake delivered from here never races
+    /// ahead of the state it advertises.  It is installed before any task
+    /// can run, so it covers every publication; it fires at least once per
+    /// publication event and runs on worker threads without the channel
+    /// lock, so it may probe the handle freely but must be cheap and must
+    /// not throw.
     template <typename R, typename GroupFn>
     job_handle<R> submit(std::size_t item_count, std::size_t group_size, GroupFn group_fn,
                          typename job_handle<R>::item_callback on_item = nullptr,
@@ -561,14 +471,7 @@ public:
             }
             try {
                 std::vector<R> out(count);
-                if constexpr (std::is_invocable_v<GroupFn&, std::size_t,
-                                                  std::size_t, R*,
-                                                  const job_progress&>) {
-                    group_fn(first, count, out.data(),
-                             job_progress(&channel->computed));
-                } else {
-                    group_fn(first, count, out.data());
-                }
+                group_fn(first, count, out.data(), job_progress(&channel->computed));
                 channel->complete_items(first, std::move(out));
             } catch (...) {
                 channel->fail_items(count, std::current_exception());
@@ -584,13 +487,11 @@ private:
     void worker_loop(std::size_t worker_index);
 
     const std::size_t threads_;
-    const job_schedule schedule_;
     mutable std::mutex mutex_;
     std::condition_variable work_cv_;
     std::deque<std::shared_ptr<detail::job_record>> jobs_; ///< with unclaimed tasks
     std::vector<std::thread> workers_;                     ///< spawned lazily
-    std::size_t submitted_ = 0;
-    std::size_t rr_cursor_ = 0; ///< round_robin: next job index to claim from
+    std::size_t rr_cursor_ = 0; ///< next job index to claim from
     bool stopping_ = false;
 };
 

@@ -13,7 +13,6 @@
 #include <string>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "common/statistics.hpp"
 #include "common/units.hpp"
 #include "core/network_analyzer.hpp"
@@ -82,8 +81,7 @@ struct screening_report {
     std::vector<limit_result> limits;
     /// True when the distortion stage ran; thd_db is NaN (never a fake
     /// 0 dB reading) until then -- the same sentinel the acquisition path
-    /// uses, so text and binary serializations agree about unmeasured
-    /// dice.
+    /// uses.
     bool distortion_measured = false;
     double thd_db = std::numeric_limits<double>::quiet_NaN();
     double thd_f_hz = 0.0; ///< frequency the THD was measured at
@@ -127,39 +125,8 @@ lot_result screen_lot(const board_factory& factory, const analyzer_settings& set
                       std::uint64_t first_seed = 1, const screening_options& options = {});
 
 /// Per-die observer invoked (in die order, on the calling thread) with each
-/// finished report -- how the diag subsystem attaches a fault diagnosis to
-/// every failing die, and how a sharding exporter streams reports out.
+/// finished report -- how the diag subsystem streams a diagnosed lot's
+/// reports out (e.g. into a result store) while the lot is still measuring.
 using die_report_hook = std::function<void(std::size_t die, const screening_report&)>;
-
-/// Parallel screen_lot via the sweep engine's thread pool: bit-identical to
-/// the sequential version at any thread count (each die is an independent
-/// seeded draw).  threads = 0 uses hardware concurrency, 1 runs serially.
-/// batch_lanes > 1 additionally groups that many dice per work item and
-/// evaluates them in lockstep through the SoA modulator bank -- still
-/// bit-identical to the scalar path at any lane count.
-lot_result screen_lot_parallel(const board_factory& factory,
-                               const analyzer_settings& settings, const spec_mask& mask,
-                               std::size_t dice, std::uint64_t first_seed = 1,
-                               std::size_t threads = 0, std::size_t batch_lanes = 1,
-                               const screening_options& options = {},
-                               const die_report_hook& on_report = nullptr);
-
-/// Serialize per-die reports as a CSV document (one row per die, fixed
-/// columns derived from the widest report), the first step of sharding a
-/// lot across processes/machines: shards write with csv_write, a collector
-/// reads them back with screening_reports_from_csv and aggregates.  The
-/// die column carries first_die + index, so a shard that screened dice
-/// [first_seed, first_seed + n) keeps its global identity (pass its
-/// first_seed here).
-csv_document screening_reports_to_csv(const std::vector<screening_report>& reports,
-                                      std::uint64_t first_die = 0);
-
-/// Inverse of screening_reports_to_csv.  Limit names are not serialized
-/// (CSV rows are numeric); pass the spec mask to restore them, or nullptr
-/// to leave them empty.  When die_ids is non-null it receives the die
-/// column (the shard's global die identities), in row order.
-std::vector<screening_report>
-screening_reports_from_csv(const csv_document& doc, const spec_mask* mask = nullptr,
-                           std::vector<std::uint64_t>* die_ids = nullptr);
 
 } // namespace bistna::core

@@ -29,6 +29,10 @@ arena& worker_arena() {
     return scratch;
 }
 
+/// Smallest stimulus-cache capacity (records, oldest evicted first).  A
+/// Bode batch needs 1; a screening batch needs one per die in flight.
+constexpr std::size_t stimulus_cache_floor = 64;
+
 } // namespace
 
 std::uint64_t sweep_item_seed(std::uint64_t base_seed, std::size_t index) noexcept {
@@ -47,29 +51,23 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
     calibration_share_ = std::make_shared<eval::calibration_share>();
     queue_ = options_.queue ? options_.queue
                             : std::make_shared<job_queue>(options_.threads);
-    if (options_.share_stimulus) {
-        // A screening batch holds threads x batch_lanes dice in flight at
-        // once; keep the FIFO large enough that no group's records are
-        // evicted mid-screen.
-        const std::size_t in_flight =
-            resolved_threads() * std::max<std::size_t>(1, options_.batch_lanes);
-        stimulus_cache_ = std::make_shared<stimulus_cache>(
-            std::max(options_.stimulus_cache_entries, in_flight));
-    }
-}
-
-stimulus_cache_stats sweep_engine::stimulus_stats() const {
-    return stimulus_cache_ ? stimulus_cache_->stats() : stimulus_cache_stats{};
+    // A screening batch holds threads x batch_lanes dice in flight at once;
+    // keep the FIFO large enough that no group's records are evicted
+    // mid-screen.
+    const std::size_t in_flight =
+        queue_->threads() * std::max<std::size_t>(1, options_.batch_lanes);
+    stimulus_cache_ =
+        std::make_shared<stimulus_cache>(std::max(stimulus_cache_floor, in_flight));
 }
 
 sweep_stats sweep_engine::stats() const {
     sweep_stats stats;
-    stats.threads = resolved_threads();
+    stats.threads = queue_->threads();
     stats.batch_lanes = std::max<std::size_t>(1, options_.batch_lanes);
     stats.autotuned = autotuned_;
     stats.autotune_seconds = autotune_seconds_;
     stats.autotune_candidates = autotune_candidates_;
-    stats.stimulus = stimulus_stats();
+    stats.stimulus = stimulus_cache_->stats();
     stats.calibration_snapshots = calibration_share_->entries();
     return stats;
 }
@@ -113,12 +111,12 @@ void sweep_engine::run_autotune() {
             probe_options.threads = threads;
             probe_options.batch_lanes = lanes;
             sweep_engine probe(factory_, probe_settings, probe_options);
-            const std::size_t dice = 2 * probe.resolved_threads() * lanes;
-            (void)probe.screen_batch(probe_mask, lanes, 1); // warm-up: pools + caches
+            const std::size_t dice = 2 * probe.queue_->threads() * lanes;
+            (void)probe.submit_screening(probe_mask, lanes, 1).results(); // warm-up
             const auto t0 = std::chrono::steady_clock::now();
-            (void)probe.screen_batch(probe_mask, dice, 1);
+            (void)probe.submit_screening(probe_mask, dice, 1).results();
             autotune_candidate candidate;
-            candidate.threads = probe.resolved_threads();
+            candidate.threads = probe.queue_->threads();
             candidate.batch_lanes = lanes;
             candidate.seconds =
                 std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
@@ -142,10 +140,6 @@ void sweep_engine::run_autotune() {
     }
     autotune_seconds_ =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-}
-
-std::size_t sweep_engine::resolved_threads() const noexcept {
-    return queue_->threads();
 }
 
 // --- Measurement programs --------------------------------------------------
@@ -213,15 +207,15 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
     // shared calibration it characterizes the stimulus first, exactly as
     // measure_point does on a fresh analyzer.
     measurement_program program;
-    if (options_.share_calibration && !settings_.recalibrate_per_point) {
+    if (!settings_.recalibrate_per_point) {
         // One-time calibration, shared by every point.  The system is
         // clock-normalized, so this is exactly the paper's single
-        // calibration; performing it with the batch's base seed keeps it
+        // calibration; performing it with seed stream 0 keeps it
         // independent of the per-point seeds and of scheduling.  It runs
         // here, on the submitting thread, so every streamed point is a pure
         // per-index function.
         eval::evaluator_config config = settings_.evaluator;
-        config.seed = sweep_item_seed(options_.base_seed, 0);
+        config.seed = sweep_item_seed(bode_seed_root, 0);
         std::vector<program_lane> lane;
         lane.push_back({factory_(board_seed), config});
         measurement_program calibrate_only;
@@ -252,7 +246,7 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
             lanes.reserve(count);
             for (std::size_t l = 0; l < count; ++l) {
                 eval::evaluator_config config = settings_.evaluator;
-                config.seed = sweep_item_seed(options_.base_seed, first + l + 1);
+                config.seed = sweep_item_seed(bode_seed_root, first + l + 1);
                 lanes.push_back(
                     {factory_(job->board_seed), config, job->frequencies[first + l]});
             }
@@ -272,7 +266,7 @@ sweep_report sweep_engine::run(const std::vector<hertz>& frequencies,
 
     sweep_report report;
     report.points = std::move(handle).results();
-    report.threads_used = resolved_threads();
+    report.threads_used = queue_->threads();
     report.elapsed_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 
@@ -377,19 +371,6 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
         std::move(on_report), std::move(on_published));
 }
 
-std::vector<screening_report> sweep_engine::screen_batch(const spec_mask& mask,
-                                                         std::size_t dice,
-                                                         std::uint64_t first_seed,
-                                                         const screening_options& screening) {
-    return submit_screening(mask, dice, first_seed, screening).results();
-}
-
-lot_result sweep_engine::screen_lot(const spec_mask& mask, std::size_t dice,
-                                    std::uint64_t first_seed,
-                                    const screening_options& screening) {
-    return aggregate_lot(screen_batch(mask, dice, first_seed, screening));
-}
-
 // --- Generic acquisition sessions ------------------------------------------
 
 job_handle<sweep_engine::acquisition_result>
@@ -430,11 +411,6 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
         std::move(on_result), std::move(on_published));
 }
 
-std::vector<sweep_engine::acquisition_result> sweep_engine::acquire(
-    const std::vector<acquisition_item>& items, const acquisition_program& program) {
-    return submit_acquisition(items, program).results();
-}
-
 // --- The executor ----------------------------------------------------------
 
 void sweep_engine::execute(const measurement_program& program,
@@ -446,9 +422,7 @@ void sweep_engine::execute(const measurement_program& program,
     std::vector<eval::evaluator_config> configs;
     configs.reserve(count);
     for (program_lane& lane : lanes) {
-        if (stimulus_cache_) {
-            lane.board.set_stimulus_cache(stimulus_cache_);
-        }
+        lane.board.set_stimulus_cache(stimulus_cache_);
         configs.push_back(lane.evaluator);
     }
     eval::batch_evaluator evaluators(std::move(configs), *demod_tables_,

@@ -8,12 +8,13 @@
 //
 //   * every item constructs its *own* board (via the factory) and its own
 //     evaluator lane, so no simulation state crosses item boundaries;
-//   * the per-item evaluator seed is derived from (base_seed, item index)
-//     with splitmix64, never from scheduling order;
+//   * a die's identity is its factory seed, and a Bode point's evaluator
+//     seed is derived from (bode_seed_root, item index) with splitmix64 --
+//     never from scheduling order;
 //   * results land in a pre-sized slot per item.
 //
-// Consequently the output is bit-identical at any thread count.
-// `screen_lot` here matches the sequential core::screen_lot exactly, so
+// Consequently the output is bit-identical at any thread count: a
+// screening job's reports are the sequential core::screen_lot's dice, so
 // the two can be cross-checked in tests.
 //
 // Every batch shape -- a screening die, a dictionary item, a Bode point --
@@ -23,17 +24,17 @@
 // kernels.  batch_lanes = 1 is a group of width 1 on that same executor;
 // the scalar network_analyzer / core::screen is the only oracle.
 //
-// Since the job-queue redesign the engine is session-shaped: work enters
-// through submit_bode / submit_screening / submit_acquisition, which
-// return immediately with a streaming job_handle (pull completed items
-// with next_completed(), or attach a per-item callback; progress counters,
-// cooperative cancellation and worker-exception capture come with it).
-// The historical blocking entrypoints (run, screen_batch, screen_lot,
-// acquire) are thin synchronous wrappers -- submit one job, wait for its
-// results -- and stay bit-identical to what they always returned.  Many
-// engines can share one core::job_queue (options.queue), so concurrent
-// sessions never oversubscribe the machine; the engine must outlive the
-// jobs it has submitted.
+// Work enters through submit_bode / submit_screening / submit_acquisition,
+// which return immediately with a job_handle: results() waits for the
+// whole batch in item order (aggregate_lot folds screening reports into a
+// lot_result), next_in_order() / try_next_in_order() walk the items in
+// order as they complete, and an optional per-item callback sees each one
+// on its worker thread; progress counters, cooperative cancellation and
+// worker-exception capture come with it.  run() is the blocking Bode
+// sweep: one submit_bode job plus the eq. (4) bound and error summary of
+// sweep_report.  Many engines can share one core::job_queue
+// (options.queue), so concurrent sessions never oversubscribe the
+// machine; the engine must outlive the jobs it has submitted.
 #pragma once
 
 #include <cstddef>
@@ -69,22 +70,6 @@ struct sweep_engine_options {
     /// builds) then draw from one set of workers.  Null gives the engine a
     /// private queue sized by `threads`.
     std::shared_ptr<job_queue> queue = nullptr;
-    /// Root of the per-point evaluator seed stream for Bode batches.
-    std::uint64_t base_seed = 0x5EEDBA7C4E57ULL;
-    /// Calibrate the stimulus once up front and inject the result into every
-    /// point's analyzer (the paper's one-time-calibration claim); when false
-    /// each point re-runs the calibration path itself.
-    bool share_calibration = true;
-    /// Share one stimulus-record cache across every board the engine
-    /// constructs: the clock-normalized staircase is rendered once per
-    /// (design, amplitude, periods, settle) and reused by every frequency
-    /// point / die that needs it.  Bit-identical to rendering per point.
-    bool share_stimulus = true;
-    /// Capacity of the shared stimulus cache (records, oldest evicted
-    /// first).  A Bode batch needs 1; a screening batch needs one per die
-    /// concurrently in flight -- threads x batch_lanes of them -- so the
-    /// engine grows this floor to that product when it is larger.
-    std::size_t stimulus_cache_entries = 64;
     /// Dice, dictionary items or Bode points evaluated in lockstep per work
     /// item through the SoA banks (threads x lanes in flight overall).  1
     /// is a group of width 1 on the same executor; any lane count is
@@ -111,11 +96,14 @@ struct autotune_candidate {
 /// Resolved execution configuration and shared-resource counters of an
 /// engine (autotune outcome included).
 struct sweep_stats {
+    /// Worker count a job actually uses (the shared or private pool's).
     std::size_t threads = 0;
     std::size_t batch_lanes = 1;
     bool autotuned = false;
     double autotune_seconds = 0.0;
     std::vector<autotune_candidate> autotune_candidates;
+    /// Hit/miss/eviction counters of the engine's stimulus cache, over
+    /// every job it has run.
     stimulus_cache_stats stimulus;
     /// Calibration snapshots resident in the engine's transplant share.
     std::size_t calibration_snapshots = 0;
@@ -137,7 +125,11 @@ struct sweep_report {
     summary gain_error_db_summary; ///< |measured - ideal| distribution
 };
 
-/// Thread-pool batch engine over network-analyzer measurements.
+/// Thread-pool batch engine over network-analyzer measurements.  Every
+/// board it runs shares the engine's stimulus-record cache: the
+/// clock-normalized staircase is rendered once per (design, amplitude,
+/// periods, settle) and reused by every frequency point / die that needs
+/// it, bit-identical to rendering per item.
 class sweep_engine {
 public:
     /// The factory must be a pure function of its seed (it is invoked once
@@ -145,32 +137,9 @@ public:
     sweep_engine(board_factory factory, analyzer_settings settings,
                  sweep_engine_options options = {});
 
-    /// Bode batch: measure every frequency on a fresh board drawn with
-    /// `board_seed` (the same die at every point, like a real bench run).
+    /// Blocking Bode sweep: submit_bode's points, waited for, with the
+    /// accuracy aggregates of sweep_report.
     sweep_report run(const std::vector<hertz>& frequencies, std::uint64_t board_seed = 1);
-
-    /// Screen `dice` process draws concurrently; element i is the report of
-    /// die seed first_seed + i.  Bit-identical to calling core::screen on
-    /// factory(first_seed + i) sequentially (including the diagnostic
-    /// continue-after-self-test and distortion options).
-    std::vector<screening_report> screen_batch(const spec_mask& mask, std::size_t dice,
-                                               std::uint64_t first_seed = 1,
-                                               const screening_options& screening = {});
-
-    /// Parallel drop-in for core::screen_lot (same aggregation, same seeds).
-    lot_result screen_lot(const spec_mask& mask, std::size_t dice,
-                          std::uint64_t first_seed = 1,
-                          const screening_options& screening = {});
-
-    // --- Generic lockstep acquisition ------------------------------------
-    //
-    // A screening lot varies the die seed; the diag trajectory builder
-    // varies a fault severity.  `acquire` abstracts over both: the caller
-    // describes each item (its board and its evaluator config) and one
-    // shared measurement program, and the engine fans the items out over
-    // the thread pool, grouping batch_lanes of them per work item.  Every
-    // item is bit-identical to network_analyzer::calibrate / measure_point
-    // / measure_distortion on its board, because it owns its seeded streams.
 
     /// One item of a generic acquisition batch.  `make_board` must be a
     /// pure function (it is invoked once, possibly on a worker thread); the
@@ -200,59 +169,44 @@ public:
         double thd_db = std::numeric_limits<double>::quiet_NaN();
     };
 
-    std::vector<acquisition_result> acquire(const std::vector<acquisition_item>& items,
-                                            const acquisition_program& program);
-
-    // --- Streaming sessions ----------------------------------------------
+    // --- Jobs ------------------------------------------------------------
     //
-    // The asynchronous forms of the three batch shapes above: submit
-    // returns as soon as the job is on the queue, and the handle streams
-    // items as workers complete them.  Every item is bit-identical to the
-    // synchronous path's slot at any {threads, batch_lanes} combination
-    // and any completion order (seeds derive from the item index via
-    // sweep_item_seed, never from scheduling).  The engine must outlive
-    // the handles' jobs; the optional callback runs on worker threads.
+    // submit returns as soon as the job is on the queue.  Every item is
+    // bit-identical at any {threads, batch_lanes} combination and any
+    // completion order (seeds derive from the item index, never from
+    // scheduling).  The engine must outlive the handles' jobs; the
+    // optional callbacks run on worker threads, `on_published` as
+    // described at job_queue::submit.
 
     /// Bode batch: item i is frequencies[i] measured on the board drawn
-    /// with `board_seed`.  When the engine shares calibration (the
-    /// default), the one-time calibration runs synchronously here -- on
-    /// the caller's thread, exactly as the blocking run() did -- and every
-    /// streamed point reuses it.
+    /// with `board_seed`.  Unless settings.recalibrate_per_point, the
+    /// paper's one-time calibration runs synchronously here -- on the
+    /// caller's thread -- and every streamed point reuses it; otherwise
+    /// each point characterizes the stimulus itself.
     job_handle<frequency_point>
     submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed = 1,
                 job_handle<frequency_point>::item_callback on_point = nullptr);
 
-    /// Screening lot: item i is the report of die seed first_seed + i.
-    /// `on_published` is the post-publish notifier, installed before any
-    /// work runs (see job_handle::set_published_callback).
+    /// Screening lot: item i is the report of die seed first_seed + i,
+    /// bit-identical to calling core::screen on factory(first_seed + i)
+    /// (including the diagnostic continue-after-self-test and distortion
+    /// options).
     job_handle<screening_report>
     submit_screening(const spec_mask& mask, std::size_t dice, std::uint64_t first_seed = 1,
                      const screening_options& screening = {},
                      job_handle<screening_report>::item_callback on_report = nullptr,
                      std::function<void()> on_published = nullptr);
 
-    /// Generic lockstep acquisition: item i is items[i] run through the
-    /// program.  The items (and their board factories) are owned by the
-    /// job, so the caller may drop its copies immediately.  `on_published`
-    /// as in submit_screening.
+    /// Generic lockstep acquisition -- a screening lot varies the die seed,
+    /// the diag trajectory builder a fault severity: item i is items[i]
+    /// run through the program, bit-identical to network_analyzer::
+    /// calibrate / measure_point / measure_distortion on its board, because
+    /// it owns its seeded streams.  The items (and their board factories)
+    /// are owned by the job, so the caller may drop its copies immediately.
     job_handle<acquisition_result>
     submit_acquisition(std::vector<acquisition_item> items, acquisition_program program,
                        job_handle<acquisition_result>::item_callback on_result = nullptr,
                        std::function<void()> on_published = nullptr);
-
-    /// Worker count a batch will actually use (the shared or private
-    /// pool's thread count).
-    std::size_t resolved_threads() const noexcept;
-
-    /// The pool this engine's jobs run on.
-    const std::shared_ptr<job_queue>& queue() const noexcept { return queue_; }
-
-    const sweep_engine_options& options() const noexcept { return options_; }
-
-    /// Hit/miss/eviction counters of the shared stimulus cache, accumulated
-    /// over every batch this engine has run (all zeros when share_stimulus
-    /// is off).
-    stimulus_cache_stats stimulus_stats() const;
 
     /// Resolved configuration (post-autotune) and shared-resource counters.
     sweep_stats stats() const;
@@ -325,5 +279,10 @@ private:
 /// Seed for work item `index` of a batch rooted at `base_seed` (splitmix64
 /// finalizer; scheduling-independent by construction).
 std::uint64_t sweep_item_seed(std::uint64_t base_seed, std::size_t index) noexcept;
+
+/// Root of a Bode batch's evaluator seeds: the shared calibration runs
+/// with sweep_item_seed(bode_seed_root, 0), point i with
+/// sweep_item_seed(bode_seed_root, i + 1).
+inline constexpr std::uint64_t bode_seed_root = 0x5EEDBA7C4E57ULL;
 
 } // namespace bistna::core

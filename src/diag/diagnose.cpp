@@ -1,6 +1,5 @@
 #include "diag/diagnose.hpp"
 
-#include <algorithm>
 #include <exception>
 #include <utility>
 
@@ -28,16 +27,16 @@ diagnosed_lot screen_and_diagnose_lot(const core::board_factory& factory,
     // unwind while workers on a shared queue still run its job.
     core::job_scope<core::screening_report> guard(handle);
 
-    // Consume the report stream: each failing die is classified here, on
-    // the calling thread, as soon as its report completes -- diagnosis of
-    // early dice overlaps measurement of late ones, and a progress
-    // observer sees the lot fill in mid-flight.  The aggregation below
-    // uses index-addressed slots, so the outcome is independent of
-    // completion order.
+    // Consume the reports in die order: each failing die is classified
+    // here, on the calling thread, as soon as it and every die before it
+    // have completed -- diagnosis of early dice overlaps measurement of
+    // late ones, a progress observer sees the lot fill in mid-flight, and
+    // everything emitted (observer calls, `failing`) is in die order
+    // whatever the completion order.
     diagnosed_lot result;
-    std::vector<core::screening_report> reports(dice);
-    std::size_t completed = 0;
-    while (auto item = handle.next_completed()) {
+    std::vector<core::screening_report> reports;
+    reports.reserve(dice);
+    while (auto item = handle.next_in_order()) {
         if (on_report) {
             on_report(item->index, item->value);
         }
@@ -45,10 +44,9 @@ diagnosed_lot screen_and_diagnose_lot(const core::board_factory& factory,
             result.failing.push_back(
                 diagnosed_die{item->index, item->value, clf.classify_report(item->value)});
         }
-        reports[item->index] = std::move(item->value);
-        ++completed;
+        reports.push_back(std::move(item->value));
         if (on_progress) {
-            on_progress(completed, dice, result.failing.size());
+            on_progress(reports.size(), dice, result.failing.size());
         }
     }
     if (auto error = handle.error()) {
@@ -58,11 +56,6 @@ diagnosed_lot screen_and_diagnose_lot(const core::board_factory& factory,
     // aggregate never-measured dice as real failures.
     BISTNA_EXPECTS(handle.state() == core::job_state::succeeded,
                    "diagnosed lot was cancelled before every die completed");
-
-    // Failing dice were collected in completion order; the contract (and
-    // every downstream table) wants die order.
-    std::sort(result.failing.begin(), result.failing.end(),
-              [](const diagnosed_die& a, const diagnosed_die& b) { return a.die < b.die; });
     result.lot = core::aggregate_lot(reports);
     return result;
 }

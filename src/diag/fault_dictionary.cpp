@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <limits>
 #include <system_error>
 
 #include "common/error.hpp"
@@ -290,108 +289,6 @@ std::vector<double> signature_space::from_acquisition(
         signature.push_back(sanitize_db(result.thd_db, thd_clamp_db));
     }
     return signature;
-}
-
-csv_document fault_dictionary::to_csv() const {
-    csv_document doc;
-    doc.header = {"fault_kind", "trajectory", "severity"};
-    for (auto& name : space.component_names()) {
-        doc.header.push_back(std::move(name));
-    }
-
-    const auto push_row = [&](double kind, double trajectory_id, double severity,
-                              const std::vector<double>& signature) {
-        BISTNA_EXPECTS(signature.size() == space.dimensions(),
-                       "dictionary signature does not match its space");
-        std::vector<double> row;
-        row.reserve(3 + signature.size());
-        row.push_back(kind);
-        row.push_back(trajectory_id);
-        row.push_back(severity);
-        row.insert(row.end(), signature.begin(), signature.end());
-        doc.rows.push_back(std::move(row));
-    };
-
-    if (!healthy.empty()) {
-        push_row(-1.0, 0.0, 0.0, healthy);
-    }
-    for (std::size_t j = 0; j < trajectories.size(); ++j) {
-        for (const auto& point : trajectories[j].points) {
-            push_row(static_cast<double>(static_cast<int>(trajectories[j].kind)),
-                     static_cast<double>(j), point.severity, point.signature);
-        }
-    }
-    return doc;
-}
-
-fault_dictionary fault_dictionary::from_csv(const csv_document& doc) {
-    if (doc.header.size() < 3 || doc.header[0] != "fault_kind" ||
-        doc.header[1] != "trajectory" || doc.header[2] != "severity") {
-        throw configuration_error(
-            "fault_dictionary: header must start with fault_kind,trajectory,severity");
-    }
-    fault_dictionary dictionary;
-    const auto component_header = std::span<const std::string>(doc.header).subspan(3);
-    dictionary.space = signature_space::parse(component_header);
-    const std::size_t dims = dictionary.space.dimensions();
-    if (doc.header.size() != 3 + dims) {
-        throw configuration_error("fault_dictionary: header/space dimension mismatch");
-    }
-    // Signatures are stored positionally, so the header must list the
-    // components in the space's canonical order -- a reordered (but
-    // otherwise valid) header would silently scramble every signature.
-    const auto canonical = dictionary.space.component_names();
-    for (std::size_t c = 0; c < dims; ++c) {
-        if (component_header[c] != canonical[c]) {
-            throw configuration_error(
-                "fault_dictionary: component columns out of canonical order ('" +
-                component_header[c] + "' where '" + canonical[c] + "' belongs)");
-        }
-    }
-
-    bool have_open_trajectory = false;
-    int open_kind = 0;
-    double open_id = 0.0;
-    for (const auto& row : doc.rows) {
-        if (row.size() != 3 + dims) {
-            throw configuration_error("fault_dictionary: row width mismatch");
-        }
-        // Validate before the int cast (dictionaries ship across machines,
-        // so a corrupt cell must fail cleanly, not hit cast UB).
-        if (!(row[0] >= -1.0) || row[0] != std::floor(row[0]) ||
-            row[0] >= static_cast<double>(fault_kind_count)) {
-            throw configuration_error("fault_dictionary: fault kind cell out of range");
-        }
-        const int kind = static_cast<int>(row[0]);
-        std::vector<double> signature(row.begin() + 3, row.end());
-        if (kind < 0) {
-            if (!dictionary.healthy.empty()) {
-                throw configuration_error("fault_dictionary: duplicate healthy row");
-            }
-            dictionary.healthy = std::move(signature);
-            have_open_trajectory = false;
-            continue;
-        }
-        // A new trajectory starts whenever the (kind, trajectory) pair
-        // changes, so two adjacent trajectories of the same kind are never
-        // merged.
-        if (!have_open_trajectory || kind != open_kind || row[1] != open_id) {
-            dictionary.trajectories.push_back(
-                fault_trajectory{static_cast<fault_kind>(kind), {}});
-            have_open_trajectory = true;
-            open_kind = kind;
-            open_id = row[1];
-        }
-        dictionary.trajectories.back().points.push_back(
-            trajectory_point{row[2], std::move(signature)});
-    }
-    return dictionary;
-}
-
-void fault_dictionary::write_csv(const std::string& path) const { csv_write(to_csv(), path); }
-
-fault_dictionary fault_dictionary::read_csv(const std::string& path) {
-    return from_csv(csv_read(path));
 }
 
 } // namespace bistna::diag

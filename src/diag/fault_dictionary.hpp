@@ -1,7 +1,7 @@
 // Fault dictionary: the trajectory set a classifier matches failing dice
-// against, serializable to/from CSV so a dictionary is built once per
-// process corner and shipped across machines (the first step of sharding
-// diagnosis across a test floor).
+// against, stored as a checksummed binary file so a dictionary is built
+// once per process corner and shipped across machines (the first step of
+// sharding diagnosis across a test floor).
 //
 // A *signature* is the vector of measurements screening already produces
 // for every die: the calibrated stimulus amplitude and phase, the
@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "core/screening.hpp"
 #include "core/sweep_engine.hpp"
 #include "diag/fault_model.hpp"
@@ -25,7 +24,7 @@ namespace bistna::diag {
 /// Which measurements form the signature vector, in component order:
 /// stimulus_volts, stimulus_phase_deg, offset_rate, gain_db@f...,
 /// phase_deg@f..., thd_db.  The space is part of the dictionary and
-/// round-trips through the CSV header (component names encode it), so a
+/// round-trips through the file header (component names encode it), so a
 /// shipped dictionary can never be matched against mismatched signatures.
 struct signature_space {
     bool include_stimulus = true;
@@ -117,28 +116,14 @@ struct fault_dictionary {
 
     bool operator==(const fault_dictionary&) const = default;
 
-    /// CSV schema: header "fault_kind,trajectory,severity,<component
-    /// names>"; one row per trajectory point with the points of each
-    /// trajectory consecutive, grouped on read by the (fault_kind,
-    /// trajectory) pair -- so two trajectories of the same kind (e.g. the
-    /// two branches of a signed severity axis) survive the round trip
-    /// unmerged.  The healthy signature is the row with fault_kind = -1.
-    /// Doubles are written with to_chars (locale-independent shortest
-    /// form), so to_csv/from_csv round-trip bit-exactly.
-    csv_document to_csv() const;
-    static fault_dictionary from_csv(const csv_document& doc);
-
-    void write_csv(const std::string& path) const;
-    static fault_dictionary read_csv(const std::string& path);
-
-    /// Binary siblings of write_csv/read_csv: the framed checksummed
-    /// store format (store/dictionary_io.hpp), with the trajectory matrix
-    /// stored as one contiguous 8-aligned f64 block so
-    /// store::mapped_dictionary can serve it zero-copy via mmap.  Doubles
-    /// travel as bit patterns -- unlike the CSV form, NaN payloads and
-    /// signed zeros survive exactly, and any torn/corrupt file is
-    /// rejected with a bistna::serialization_error naming the byte
-    /// offset.
+    /// The framed checksummed store format (store/dictionary_io.hpp), with
+    /// the trajectory matrix stored as one contiguous 8-aligned f64 block
+    /// so store::mapped_dictionary can serve it zero-copy via mmap.
+    /// Trajectories keep their order and boundaries, so two of the same
+    /// kind (e.g. the two branches of a signed severity axis) stay apart.
+    /// Doubles travel as bit patterns -- NaN payloads and signed zeros
+    /// survive exactly -- and any torn/corrupt file is rejected with a
+    /// bistna::serialization_error naming the byte offset.
     void write_binary(const std::string& path) const;
     static fault_dictionary read_binary(const std::string& path);
 };

@@ -37,6 +37,12 @@ dictionary_meta parse_meta(std::span<const std::uint8_t> payload,
         names.push_back(reader.str());
     }
     meta.space = diag::signature_space::parse(names);
+    // Signatures are stored by position, so a header listing (individually
+    // valid) components out of canonical order would scramble every one.
+    if (meta.space.component_names() != names) {
+        throw serialization_error("dictionary components out of canonical order",
+                                  payload_offset);
+    }
     meta.healthy = reader.f64_vector();
     const std::size_t dims = meta.space.dimensions();
     if (!meta.healthy.empty() && meta.healthy.size() != dims) {
@@ -359,7 +365,7 @@ diag::fault_dictionary mapped_dictionary::materialize() const {
 
 } // namespace bistna::store
 
-// The binary siblings of write_csv/read_csv, declared on the struct in
+// fault_dictionary's file form, declared on the struct in
 // diag/fault_dictionary.hpp.
 void bistna::diag::fault_dictionary::write_binary(const std::string& path) const {
     bistna::store::write_dictionary(*this, path);

@@ -9,12 +9,13 @@
 //                             point, row = severity, signature[dims];
 //                             trajectories concatenated in order
 //
-// write_dictionary/read_dictionary are the copying round trip (the
-// binary siblings of fault_dictionary::write_csv/read_csv, exposed on the
-// struct as write_binary/read_binary).  mapped_dictionary validates the
-// same file once, then serves classifier-sized matrices as spans straight
-// out of the page cache -- no parse, no copy, safe to share read-only
-// across processes.
+// write_dictionary/read_dictionary are the copying round trip (exposed on
+// fault_dictionary as write_binary/read_binary).  mapped_dictionary
+// validates the same file once, then serves classifier-sized matrices as
+// spans straight out of the page cache -- no parse, no copy, safe to share
+// read-only across processes.  Both loaders reject a header whose
+// component names are not the signature space's canonical order, since
+// signatures are stored by position.
 #pragma once
 
 #include <cstdint>

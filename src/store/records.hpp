@@ -1,7 +1,7 @@
 // Typed record payloads: bit-exact converters between the in-memory
 // result structs and the framed binary format.
 //
-// Unlike the CSV seam, these round trips are lossless: doubles travel as
+// These round trips are lossless: doubles travel as
 // IEEE-754 bit patterns (an unmeasured thd_db stays the exact NaN it was,
 // +/-inf and signed zeros survive), limit names ship with the report, and
 // every count is validated against the payload bounds before it is
@@ -22,8 +22,7 @@ namespace bistna::store {
 
 // --- screening reports ----------------------------------------------------
 
-/// A screening report plus the global die identity it was measured as
-/// (the binary analogue of the CSV "die" column).
+/// A screening report plus the global die identity it was measured as.
 struct stored_report {
     std::uint64_t die = 0;
     core::screening_report report;
@@ -32,8 +31,7 @@ struct stored_report {
 record to_record(const core::screening_report& report, std::uint64_t die);
 stored_report report_from_record(const record& r, std::uint64_t payload_offset = 0);
 
-/// Whole-shard converters, mirroring screening_reports_to_csv/from_csv:
-/// report i carries die id first_die + i.
+/// Whole-shard converters: report i carries die id first_die + i.
 std::vector<record> reports_to_records(std::span<const core::screening_report> reports,
                                        std::uint64_t first_die = 0);
 std::vector<core::screening_report>

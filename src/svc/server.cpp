@@ -132,8 +132,7 @@ struct service_server::impl {
             throw configuration_error(
                 "service server: no listener (set listen_path or tcp_port)");
         }
-        queue = std::make_shared<core::job_queue>(opts.worker_threads,
-                                                  core::job_schedule::round_robin);
+        queue = std::make_shared<core::job_queue>(opts.worker_threads);
         if (!opts.listen_path.empty()) {
             unix_listener = listen_unix(opts.listen_path);
         }

@@ -17,8 +17,8 @@
 //     memory;
 //   * a global admission queue with per-session in-flight quotas and fair
 //     round-robin dispatch across sessions -- one greedy client cannot
-//     starve the fleet, and the pool itself runs `job_schedule::round_robin`
-//     so active jobs share workers fairly too;
+//     starve the fleet, and the pool itself claims one task per active job
+//     in rotation, so active jobs share workers fairly too;
 //   * graceful shedding: when the admission queue is full (or a session
 //     exceeds its quota) the submit is answered with a typed `overloaded`
 //     error frame immediately -- the daemon never hangs a client;

@@ -1,10 +1,11 @@
-// CSV write -> read round trip: csv_read must recover exactly what
-// csv_writer emitted (to_chars shortest-round-trip formatting makes
-// doubles round-trip bit-exactly through the text form), independent of
-// the host program's global locale, line endings, or trailing commas.
+// CSV writer text: every double csv_writer emits is the to_chars shortest
+// round-trip form, so parsing the written cell back gives the same bits,
+// independent of the host program's global locale; header cells are
+// quoted per RFC 4180.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -13,10 +14,10 @@
 #include <locale>
 #include <sstream>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "common/csv.hpp"
-#include "common/error.hpp"
 #include "common/rng.hpp"
 
 namespace {
@@ -33,9 +34,34 @@ private:
     std::string path_;
 };
 
+/// The written file, one string per line.
+std::vector<std::string> written_lines(const std::string& path) {
+    std::ifstream in(path);
+    std::vector<std::string> lines;
+    for (std::string line; std::getline(in, line);) {
+        lines.push_back(line);
+    }
+    return lines;
+}
+
+/// A numeric data line's cells parsed with from_chars (locale-independent,
+/// and the exact inverse of to_chars' shortest form); a cell that does not
+/// parse in full fails the test.
+std::vector<double> parse_cells(const std::string& line) {
+    std::vector<double> values;
+    std::istringstream cells(line);
+    for (std::string cell; std::getline(cells, cell, ',');) {
+        double value = 0.0;
+        const char* end = cell.data() + cell.size();
+        const auto [ptr, ec] = std::from_chars(cell.data(), end, value);
+        EXPECT_TRUE(ec == std::errc{} && ptr == end) << "unparseable cell '" << cell << "'";
+        values.push_back(value);
+    }
+    return values;
+}
+
 TEST(CsvRoundTrip, HeaderAndValuesSurviveExactly) {
     temp_csv file("bistna_roundtrip_basic.csv");
-    const std::vector<std::string> header = {"f_hz", "gain_db", "phase_deg"};
     const std::vector<std::vector<double>> rows = {
         {100.0, -0.123456789012345, 179.5},
         {1e6, 1.0 / 3.0, -2.718281828459045},
@@ -43,20 +69,25 @@ TEST(CsvRoundTrip, HeaderAndValuesSurviveExactly) {
     };
     {
         csv_writer writer(file.path());
-        writer.header(header);
+        writer.header({"f_hz", "gain_db", "phase_deg"});
         for (const auto& row : rows) {
             writer.row(row);
         }
     }
 
-    const auto doc = csv_read(file.path());
-    EXPECT_EQ(doc.header, header);
-    ASSERT_EQ(doc.rows.size(), rows.size());
+    const auto lines = written_lines(file.path());
+    ASSERT_EQ(lines.size(), 1 + rows.size());
+    EXPECT_EQ(lines[0], "f_hz,gain_db,phase_deg");
+    EXPECT_EQ(lines[1], "100,-0.123456789012345,179.5");
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        ASSERT_EQ(doc.rows[r].size(), rows[r].size());
+        const auto values = parse_cells(lines[1 + r]);
+        ASSERT_EQ(values.size(), rows[r].size());
         for (std::size_t c = 0; c < rows[r].size(); ++c) {
-            // Bit-exact: shortest-round-trip text preserves every double.
-            EXPECT_EQ(doc.rows[r][c], rows[r][c]) << "row " << r << " col " << c;
+            // Bit-exact: shortest-round-trip text preserves every double,
+            // the sign of zero included.
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(values[c]),
+                      std::bit_cast<std::uint64_t>(rows[r][c]))
+                << "row " << r << " col " << c;
         }
     }
 }
@@ -81,88 +112,25 @@ TEST(CsvRoundTrip, RandomDoublesAreBitExact) {
         }
     }
 
-    const auto doc = csv_read(file.path());
-    ASSERT_EQ(doc.rows.size(), rows.size());
+    const auto lines = written_lines(file.path());
+    ASSERT_EQ(lines.size(), 1 + rows.size());
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        for (std::size_t c = 0; c < rows[r].size(); ++c) {
-            EXPECT_EQ(doc.rows[r][c], rows[r][c]);
-        }
+        EXPECT_EQ(parse_cells(lines[1 + r]), rows[r]) << "row " << r;
     }
-}
-
-TEST(CsvRoundTrip, ColumnLookupByName) {
-    temp_csv file("bistna_roundtrip_columns.csv");
-    {
-        csv_writer writer(file.path());
-        writer.header({"f_hz", "gain_db"});
-        writer.row({1000.0, -3.0});
-    }
-    const auto doc = csv_read(file.path());
-    EXPECT_EQ(doc.column("f_hz"), 0u);
-    EXPECT_EQ(doc.column("gain_db"), 1u);
-    EXPECT_EQ(doc.rows[0][doc.column("gain_db")], -3.0);
-    EXPECT_THROW(doc.column("missing"), configuration_error);
 }
 
 TEST(CsvRoundTrip, QuotedHeaderCellsRoundTrip) {
     temp_csv file("bistna_roundtrip_quoted.csv");
-    const std::vector<std::string> header = {"plain", "with,comma", "say \"hi\""};
     {
         csv_writer writer(file.path());
-        writer.header(header);
+        writer.header({"plain", "with,comma", "say \"hi\""});
         writer.row({1.0, 2.0, 3.0});
     }
-    const auto doc = csv_read(file.path());
-    EXPECT_EQ(doc.header, header);
-    ASSERT_EQ(doc.rows.size(), 1u);
-    EXPECT_EQ(doc.rows[0], (std::vector<double>{1.0, 2.0, 3.0}));
-}
-
-TEST(CsvRoundTrip, SplitInvertsEscape) {
-    const std::vector<std::string> cells = {"a", "b,c", "d\"e\"", ""};
-    std::string line;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-        if (i != 0) {
-            line += ',';
-        }
-        line += csv_escape(cells[i]);
-    }
-    EXPECT_EQ(csv_split(line), cells);
-}
-
-TEST(CsvRoundTrip, DocumentWriterInvertsReader) {
-    temp_csv file("bistna_roundtrip_document.csv");
-    csv_document doc;
-    doc.header = {"f_hz", "with,comma", "say \"hi\""};
-    rng gen(7);
-    for (int r = 0; r < 16; ++r) {
-        doc.rows.push_back({gen.gaussian() * 1e6, gen.uniform(), -gen.uniform(0.0, 1e-9)});
-    }
-    csv_write(doc, file.path());
-    const auto reloaded = csv_read(file.path());
-    EXPECT_EQ(reloaded.header, doc.header);
-    ASSERT_EQ(reloaded.rows.size(), doc.rows.size());
-    for (std::size_t r = 0; r < doc.rows.size(); ++r) {
-        EXPECT_EQ(reloaded.rows[r], doc.rows[r]); // bit-exact through the text form
-    }
-
-    // A second write of the reloaded document produces the same file
-    // contents (write -> read is idempotent).
-    temp_csv second("bistna_roundtrip_document2.csv");
-    csv_write(reloaded, second.path());
-    const auto again = csv_read(second.path());
-    EXPECT_EQ(again.header, reloaded.header);
-    EXPECT_EQ(again.rows, reloaded.rows);
-}
-
-TEST(CsvRoundTrip, DocumentWriterHandlesHeaderlessDocuments) {
-    temp_csv file("bistna_roundtrip_headerless.csv");
-    csv_document doc;
-    doc.rows = {{1.5, -2.5}, {3.25, 4.75}};
-    csv_write(doc, file.path());
-    const auto reloaded = csv_read(file.path(), /*has_header=*/false);
-    EXPECT_TRUE(reloaded.header.empty());
-    EXPECT_EQ(reloaded.rows, doc.rows);
+    const auto lines = written_lines(file.path());
+    ASSERT_EQ(lines.size(), 2u);
+    // Separators and quotes inside a cell are quoted, inner quotes doubled.
+    EXPECT_EQ(lines[0], "plain,\"with,comma\",\"say \"\"hi\"\"\"");
+    EXPECT_EQ(lines[1], "1,2,3");
 }
 
 /// A numpunct facet using comma as the decimal point (the de_DE shape)
@@ -211,13 +179,11 @@ TEST(CsvRoundTrip, SurvivesACommaDecimalGlobalLocale) {
             writer.row(row);
         }
     }
-    const auto doc = csv_read(file.path());
-    ASSERT_EQ(doc.rows.size(), rows.size());
+    const auto lines = written_lines(file.path());
+    ASSERT_EQ(lines.size(), 1 + rows.size());
+    EXPECT_EQ(lines[1], "3.14,-1234567.875,0.3333333333333333");
     for (std::size_t r = 0; r < rows.size(); ++r) {
-        ASSERT_EQ(doc.rows[r].size(), rows[r].size()) << "row " << r;
-        for (std::size_t c = 0; c < rows[r].size(); ++c) {
-            EXPECT_EQ(doc.rows[r][c], rows[r][c]) << "row " << r << " col " << c;
-        }
+        EXPECT_EQ(parse_cells(lines[1 + r]), rows[r]) << "row " << r;
     }
 }
 
@@ -230,9 +196,10 @@ TEST(CsvRoundTrip, NanAndInfCellsSurvive) {
         writer.header({"thd_db", "lo", "hi", "neg"});
         writer.row({qnan, inf, -inf, -qnan});
     }
-    const auto doc = csv_read(file.path());
-    ASSERT_EQ(doc.rows.size(), 1u);
-    const auto& row = doc.rows[0];
+    const auto lines = written_lines(file.path());
+    ASSERT_EQ(lines.size(), 2u);
+    EXPECT_EQ(lines[1], "nan,inf,-inf,-nan");
+    const auto row = parse_cells(lines[1]);
     ASSERT_EQ(row.size(), 4u);
     // Canonical quiet NaN round-trips bit-exactly, sign included; the
     // infinities are themselves.
@@ -241,48 +208,6 @@ TEST(CsvRoundTrip, NanAndInfCellsSurvive) {
     EXPECT_EQ(row[2], -inf);
     EXPECT_TRUE(std::isnan(row[3]));
     EXPECT_TRUE(std::signbit(row[3]));
-}
-
-TEST(CsvRoundTrip, CrlfLineEndingsAndTrailingCommasParse) {
-    temp_csv file("bistna_roundtrip_crlf.csv");
-    {
-        // Hand-written bytes, the shape a Windows tool (or Excel export)
-        // produces: CRLF line endings and a trailing comma on data rows.
-        std::ofstream out(file.path(), std::ios::binary);
-        out << "f_hz,gain_db\r\n"
-            << "100,-0.5,\r\n"
-            << "1000,-3,\r\n"
-            << "10000,-20.25\r\n";
-    }
-    const auto doc = csv_read(file.path());
-    EXPECT_EQ(doc.header, (std::vector<std::string>{"f_hz", "gain_db"}));
-    ASSERT_EQ(doc.rows.size(), 3u);
-    EXPECT_EQ(doc.rows[0], (std::vector<double>{100.0, -0.5}));
-    EXPECT_EQ(doc.rows[1], (std::vector<double>{1000.0, -3.0}));
-    EXPECT_EQ(doc.rows[2], (std::vector<double>{10000.0, -20.25}));
-}
-
-TEST(CsvRoundTrip, InteriorEmptyCellsStillFailLoudly) {
-    temp_csv file("bistna_roundtrip_interior.csv");
-    {
-        std::ofstream out(file.path(), std::ios::binary);
-        out << "a,b,c\r\n"
-            << "1,,3\r\n"; // an interior empty is missing data, not a CRLF artifact
-    }
-    EXPECT_THROW(csv_read(file.path()), configuration_error);
-}
-
-TEST(CsvRoundTrip, ReaderRejectsGarbage) {
-    EXPECT_THROW(csv_read("/nonexistent_dir_xyz/file.csv"), configuration_error);
-
-    temp_csv file("bistna_roundtrip_bad.csv");
-    {
-        csv_writer writer(file.path());
-        writer.header({"x"});
-        writer.text_row({"not-a-number"});
-    }
-    EXPECT_THROW(csv_read(file.path()), configuration_error);
-    EXPECT_THROW(csv_split("\"unterminated"), configuration_error);
 }
 
 } // namespace

@@ -95,7 +95,7 @@ std::vector<screening_report> screen_with_lanes(const core::board_factory& facto
     options.threads = threads;
     options.batch_lanes = lanes;
     sweep_engine engine(factory, settings, options);
-    return engine.screen_batch(spec_mask::paper_lowpass(), dice, 1, screening);
+    return engine.submit_screening(spec_mask::paper_lowpass(), dice, 1, screening).results();
 }
 
 /// The oracle: core::screen on a fresh scalar analyzer per die.
@@ -119,12 +119,11 @@ std::vector<core::frequency_point> scalar_bode(const core::board_factory& factor
                                                const analyzer_settings& settings,
                                                const std::vector<hertz>& frequencies,
                                                bool shared_calibration) {
-    const std::uint64_t base_seed = sweep_engine_options{}.base_seed;
     std::optional<core::stimulus_calibration> calibration;
     if (shared_calibration) {
         auto board = factory(1);
         auto calibration_settings = settings;
-        calibration_settings.evaluator.seed = core::sweep_item_seed(base_seed, 0);
+        calibration_settings.evaluator.seed = core::sweep_item_seed(core::bode_seed_root, 0);
         core::network_analyzer analyzer(board, calibration_settings);
         calibration = analyzer.calibrate();
     }
@@ -132,7 +131,7 @@ std::vector<core::frequency_point> scalar_bode(const core::board_factory& factor
     for (std::size_t i = 0; i < frequencies.size(); ++i) {
         auto board = factory(1);
         auto point_settings = settings;
-        point_settings.evaluator.seed = core::sweep_item_seed(base_seed, i + 1);
+        point_settings.evaluator.seed = core::sweep_item_seed(core::bode_seed_root, i + 1);
         core::network_analyzer analyzer(board, point_settings);
         if (calibration) {
             analyzer.set_calibration(*calibration);
@@ -192,8 +191,11 @@ TEST(BatchScreening, ScreenLotParallelMatchesSequentialScreenLot) {
     const auto settings = fast_settings();
     const auto mask = spec_mask::paper_lowpass();
     const auto sequential = core::screen_lot(factory, settings, mask, 9, 1);
-    const auto batched = core::screen_lot_parallel(factory, settings, mask, 9, 1,
-                                                   /*threads=*/2, /*batch_lanes=*/4);
+    sweep_engine_options options;
+    options.threads = 2;
+    options.batch_lanes = 4;
+    sweep_engine engine(factory, settings, options);
+    const auto batched = core::aggregate_lot(engine.submit_screening(mask, 9, 1).results());
     EXPECT_EQ(sequential.dice, batched.dice);
     EXPECT_EQ(sequential.passed, batched.passed);
     ASSERT_EQ(sequential.gain_distributions.size(), batched.gain_distributions.size());
@@ -208,12 +210,10 @@ TEST(BatchScreening, ScreenLotParallelMatchesSequentialScreenLot) {
 std::vector<core::frequency_point> bode_with_lanes(const core::board_factory& factory,
                                                    const analyzer_settings& settings,
                                                    const std::vector<hertz>& frequencies,
-                                                   std::size_t lanes,
-                                                   bool share_calibration = true) {
+                                                   std::size_t lanes) {
     sweep_engine_options options;
     options.threads = 2;
     options.batch_lanes = lanes;
-    options.share_calibration = share_calibration;
     sweep_engine engine(factory, settings, options);
     return engine.run(frequencies).points;
 }
@@ -240,21 +240,18 @@ TEST(BatchScreening, BodeSweepCalibratedOffsetModeBitIdentical) {
     }
 }
 
-// Without a shared calibration every point characterizes the stimulus
-// itself -- recalibrate_per_point re-measures it at the point's own
-// clock, an unshared engine calibrates each point's analyzer -- and the
-// lane groups still match the scalar analyzer.
+// Under recalibrate_per_point every point characterizes the stimulus
+// itself, at the point's own clock, and the lane groups still match the
+// scalar analyzer.
 TEST(BatchScreening, BodeSweepPerPointCalibrationLanesMatchScalarAnalyzer) {
     const auto factory = make_factory(0.01);
     const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(5.0), 5);
-    for (const bool recalibrate : {true, false}) {
-        auto settings = calibrated_settings();
-        settings.recalibrate_per_point = recalibrate;
-        const auto scalar = scalar_bode(factory, settings, frequencies, false);
-        for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
-            expect_points_identical(
-                scalar, bode_with_lanes(factory, settings, frequencies, lanes, false), lanes);
-        }
+    auto settings = calibrated_settings();
+    settings.recalibrate_per_point = true;
+    const auto scalar = scalar_bode(factory, settings, frequencies, false);
+    for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
+        expect_points_identical(scalar, bode_with_lanes(factory, settings, frequencies, lanes),
+                                lanes);
     }
 }
 

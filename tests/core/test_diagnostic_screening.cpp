@@ -1,20 +1,21 @@
 // Diagnostic screening options and report enrichment: limit details
 // (index, phase, signed margin), the continue-after-self-test and
 // distortion acquisitions, bit-identity of the engine's lane groups with
-// the scalar core::screen, the per-die report hook, and the CSV shard
-// round trip.
+// the scalar core::screen, and the diagnosed lot's die-ordered report hook.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <vector>
 
-#include "common/csv.hpp"
 #include "core/screening.hpp"
 #include "core/sweep_engine.hpp"
+#include "diag/diagnose.hpp"
 #include "dut/filters.hpp"
 #include "gen/generator.hpp"
+#include "store/records.hpp"
 
 namespace {
 
@@ -152,103 +153,61 @@ TEST(DiagnosticScreening, BatchedDiagnosticPathIsBitIdenticalToScalar) {
             banked_options.threads = 2;
             banked_options.batch_lanes = lanes;
             sweep_engine banked(factory, settings, banked_options);
-            expect_reports_identical(banked.screen_batch(mask, dice, 1, options),
-                                     reference);
+            expect_reports_identical(
+                banked.submit_screening(mask, dice, 1, options).results(), reference);
         }
     }
 }
 
+// A diagnosed lot hands its observers every die in die order whatever the
+// completion order, so the records a result store appends from on_report
+// are the same bytes at any thread/lane shape.
 TEST(DiagnosticScreening, ReportHookSeesEveryDieInOrder) {
     const auto mask = spec_mask::paper_lowpass();
-    std::vector<std::size_t> seen;
-    std::size_t failing = 0;
-    const auto lot = screen_lot_parallel(
-        paper_factory(0.08), fast_settings(), mask, 8, /*first_seed=*/1,
-        /*threads=*/2, /*batch_lanes=*/2, {},
-        [&](std::size_t die, const screening_report& report) {
-            seen.push_back(die);
-            failing += report.passed ? 0 : 1;
-        });
-    ASSERT_EQ(seen.size(), 8u);
-    for (std::size_t die = 0; die < seen.size(); ++die) {
-        EXPECT_EQ(seen[die], die);
+    diag::fault_dictionary dictionary;
+    dictionary.space = diag::signature_space::from_mask(mask, /*thd_max_harmonic=*/3);
+    const diag::classifier clf(dictionary);
+    constexpr std::size_t dice = 10;
+
+    struct observed {
+        std::vector<std::size_t> dice;
+        std::vector<std::size_t> progress;
+        std::vector<store::record> records;
+        std::vector<std::size_t> failing;
+    };
+    const auto diagnose = [&](std::size_t threads, std::size_t lanes) {
+        observed seen;
+        const auto lot = diag::screen_and_diagnose_lot(
+            paper_factory(0.08), fast_settings(), mask, clf, dice, /*first_seed=*/1, threads,
+            lanes,
+            [&](std::size_t completed, std::size_t, std::size_t) {
+                seen.progress.push_back(completed);
+            },
+            nullptr,
+            [&](std::size_t die, const screening_report& report) {
+                seen.dice.push_back(die);
+                seen.records.push_back(store::to_record(report, die));
+            });
+        for (const auto& die : lot.failing) {
+            seen.failing.push_back(die.die);
+        }
+        EXPECT_EQ(lot.failing.size(), lot.lot.dice - lot.lot.passed);
+        return seen;
+    };
+
+    const observed serial = diagnose(1, 1);
+    const observed parallel = diagnose(4, 3);
+    for (const observed* run : {&serial, &parallel}) {
+        ASSERT_EQ(run->dice.size(), dice);
+        ASSERT_EQ(run->progress.size(), dice);
+        for (std::size_t die = 0; die < dice; ++die) {
+            EXPECT_EQ(run->dice[die], die);
+            EXPECT_EQ(run->progress[die], die + 1);
+        }
     }
-    EXPECT_EQ(failing, lot.dice - lot.passed);
-}
-
-TEST(DiagnosticScreening, ReportsRoundTripThroughCsv) {
-    const auto mask = spec_mask::paper_lowpass();
-    sweep_engine engine(paper_factory(0.08), fast_settings(), {.threads = 2});
-    const auto reports = engine.screen_batch(mask, 5, 1, diagnostic_options());
-
-    // A shard that screened dice [41, 46): the die column carries the
-    // global identities, so a collector can merge shards.
-    const std::string path = "/tmp/bistna_screening_reports_roundtrip.csv";
-    csv_write(screening_reports_to_csv(reports, /*first_die=*/41), path);
-    std::vector<std::uint64_t> die_ids;
-    const auto reloaded = screening_reports_from_csv(csv_read(path), &mask, &die_ids);
-    std::remove(path.c_str());
-    ASSERT_EQ(die_ids.size(), reports.size());
-    for (std::size_t i = 0; i < die_ids.size(); ++i) {
-        EXPECT_EQ(die_ids[i], 41u + i);
-    }
-
-    expect_reports_identical(reloaded, reports);
-    // Interval bounds and limit windows survive too (spot check), and the
-    // mask restored the limit names the CSV cannot carry.
-    ASSERT_FALSE(reloaded.empty());
-    ASSERT_FALSE(reloaded.front().limits.empty());
-    EXPECT_EQ(reloaded.front().limits[0].measured_bounds_db,
-              reports.front().limits[0].measured_bounds_db);
-    EXPECT_EQ(reloaded.front().limits[0].limit.gain_db_min, mask.limits[0].gain_db_min);
-    EXPECT_EQ(reloaded.front().limits[0].limit.name, mask.limits[0].name);
-
-    // Aggregation over reloaded reports matches the original lot.
-    const auto lot_a = aggregate_lot(reports);
-    const auto lot_b = aggregate_lot(reloaded);
-    EXPECT_EQ(lot_a.passed, lot_b.passed);
-    EXPECT_EQ(lot_a.dice, lot_b.dice);
-}
-
-TEST(DiagnosticScreening, UnmeasuredThdSurvivesTheCsvRoundTrip) {
-    const auto mask = spec_mask::paper_lowpass();
-    sweep_engine engine(paper_factory(), fast_settings(), {.threads = 1});
-    // Plain production options: the distortion stage never runs, so every
-    // report carries the NaN sentinel, not a fake 0 dB reading.
-    const auto reports = engine.screen_batch(mask, 2, 1);
-    ASSERT_FALSE(reports.empty());
-    for (const auto& report : reports) {
-        EXPECT_FALSE(report.distortion_measured);
-        EXPECT_TRUE(std::isnan(report.thd_db));
-    }
-
-    const std::string path = "/tmp/bistna_screening_unmeasured_thd.csv";
-    csv_write(screening_reports_to_csv(reports), path);
-    const auto reloaded = screening_reports_from_csv(csv_read(path), &mask);
-    std::remove(path.c_str());
-    ASSERT_EQ(reloaded.size(), reports.size());
-    for (std::size_t i = 0; i < reloaded.size(); ++i) {
-        EXPECT_FALSE(reloaded[i].distortion_measured);
-        // The "nan" cell comes back as the canonical quiet NaN,
-        // bit-identical to the sentinel it left as.
-        EXPECT_EQ(std::bit_cast<std::uint64_t>(reloaded[i].thd_db),
-                  std::bit_cast<std::uint64_t>(reports[i].thd_db));
-    }
-}
-
-TEST(DiagnosticScreening, ReportCsvRejectsCorruptLimitCounts) {
-    const auto mask = spec_mask::paper_lowpass();
-    sweep_engine engine(paper_factory(), fast_settings(), {.threads = 1});
-    const auto doc = screening_reports_to_csv(engine.screen_batch(mask, 1, 1));
-
-    // Shards arrive from other machines: a negative, fractional, or
-    // too-large limit count must fail cleanly instead of reading out of
-    // bounds.
-    for (double corrupt : {-1.0, 2.5, 1.0e18}) {
-        auto bad = doc;
-        bad.rows[0][9] = corrupt;
-        EXPECT_THROW(screening_reports_from_csv(bad), precondition_error) << corrupt;
-    }
+    EXPECT_EQ(parallel.records, serial.records);
+    EXPECT_EQ(parallel.failing, serial.failing);
+    EXPECT_TRUE(std::is_sorted(parallel.failing.begin(), parallel.failing.end()));
 }
 
 // A lot where every die fails the self-test: the non-diagnostic batch
@@ -260,7 +219,7 @@ TEST(DiagnosticScreening, NonDiagnosticBatchStillDropsFailedLanes) {
     options.threads = 1;
     options.batch_lanes = 4;
     sweep_engine engine(detuned_factory(), fast_settings(), options);
-    const auto reports = engine.screen_batch(mask, 4, 1);
+    const auto reports = engine.submit_screening(mask, 4, 1).results();
     for (const auto& report : reports) {
         EXPECT_FALSE(report.self_test_passed);
         EXPECT_TRUE(report.limits.empty());

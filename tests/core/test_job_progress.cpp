@@ -98,21 +98,6 @@ TEST(JobQueueProgress, ExactCountForTickingGroups) {
     }
 }
 
-TEST(JobQueueProgress, ThreeArgGroupFunctionsStillReportWholeGroups) {
-    // The legacy shape (no job_progress parameter) keeps working: progress
-    // falls back to published groups and still lands exactly.
-    core::job_queue queue(2);
-    constexpr std::size_t kItems = 24;
-    auto handle = queue.submit<int>(
-        kItems, 4, [](std::size_t first, std::size_t count, int* out) {
-            for (std::size_t i = 0; i < count; ++i) {
-                out[i] = static_cast<int>(first + i);
-            }
-        });
-    (void)handle.results();
-    EXPECT_EQ(handle.completed_items(), kItems);
-}
-
 TEST(JobQueueProgress, EngineScreeningTicksPerDieNotPerGroup) {
     // End-to-end through the sweep engine is covered by the engine suite;
     // here we only pin the plumbing contract the examples rely on: a

@@ -1,8 +1,8 @@
-// The asynchronous job queue: streaming consumption, progress counters,
+// The asynchronous job queue: in-order streaming, progress counters,
 // completion callbacks, worker-exception capture, cooperative cancellation
 // and pool sharing across concurrent jobs -- plus the contract everything
-// rests on, that streamed items are bit-identical to the synchronous
-// paths' slots at every {threads, batch_lanes} combination.
+// rests on, that streamed items are bit-identical to results() slots at
+// every {threads, batch_lanes} combination.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,7 @@
 #include <future>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -27,6 +28,7 @@ using namespace bistna;
 using core::analyzer_settings;
 using core::board_factory;
 using core::job_handle;
+using core::job_progress;
 using core::job_queue;
 using core::job_state;
 using core::spec_mask;
@@ -43,7 +45,7 @@ job_handle<int> submit_squares(job_queue& queue, std::size_t items, std::size_t 
                                job_handle<int>::item_callback on_item = nullptr) {
     return queue.submit<int>(
         items, group,
-        [](std::size_t first, std::size_t count, int* out) {
+        [](std::size_t first, std::size_t count, int* out, const job_progress&) {
             for (std::size_t l = 0; l < count; ++l) {
                 out[l] = item_value(first + l);
             }
@@ -51,18 +53,31 @@ job_handle<int> submit_squares(job_queue& queue, std::size_t items, std::size_t 
         std::move(on_item));
 }
 
+/// A closed gate the test opens once: task bodies block on `open` until
+/// `release()` runs.
+struct gate {
+    std::promise<void> promise;
+    std::shared_future<void> open{promise.get_future()};
+    void release() { promise.set_value(); }
+};
+
 TEST(JobQueue, StreamsEveryItemExactlyOnce) {
     job_queue queue(3);
     auto handle = submit_squares(queue, 17, 4);
-    EXPECT_EQ(handle.total_items(), 17u);
 
-    std::set<std::size_t> seen;
-    while (auto item = handle.next_completed()) {
-        EXPECT_TRUE(seen.insert(item->index).second) << "index delivered twice";
+    // The in-order cursor delivers item k on call k, each exactly once,
+    // then ends.
+    std::size_t delivered = 0;
+    while (auto item = handle.next_in_order()) {
+        EXPECT_EQ(item->index, delivered);
         EXPECT_EQ(item->value, item_value(item->index));
+        ++delivered;
     }
-    EXPECT_EQ(seen.size(), 17u);
+    EXPECT_EQ(delivered, 17u);
+    EXPECT_FALSE(handle.next_in_order().has_value());
     EXPECT_EQ(handle.state(), job_state::succeeded);
+    // A group function that never ticks its job_progress still lands the
+    // exact count, a whole group at a time.
     EXPECT_EQ(handle.completed_items(), 17u);
     EXPECT_EQ(handle.error(), nullptr);
 }
@@ -85,9 +100,9 @@ TEST(JobQueue, CallbackSeesEveryItemBeforeItIsPulled) {
         std::lock_guard<std::mutex> lock(mutex);
         called.insert(index);
     });
-    while (auto item = handle.next_completed()) {
+    while (auto item = handle.next_in_order()) {
         // The callback contract: it has run before the item reaches the
-        // pull stream.
+        // in-order cursor.
         std::lock_guard<std::mutex> lock(mutex);
         EXPECT_TRUE(called.count(item->index)) << "item streamed before its callback";
     }
@@ -95,49 +110,46 @@ TEST(JobQueue, CallbackSeesEveryItemBeforeItIsPulled) {
 }
 
 TEST(JobQueue, PublishedCallbackNeverRacesAheadOfVisibility) {
+    // The notifier probes the handle, so every group waits until the handle
+    // is assigned; the notifier itself is installed by submit(), before any
+    // task runs, so no publication can slip past it.  The queue is declared
+    // last: its destructor joins the workers before the notifier's state
+    // dies.
+    gate start;
+    job_handle<int> handle;
+    std::atomic<std::size_t> wakes{0};
+    std::atomic<bool> terminal_seen{false};
+    std::promise<std::size_t> visible_at_terminal;
     job_queue queue(2);
-    std::atomic<bool> gate{false};
-    // Gate every group so nothing publishes before the callback is
-    // registered (set_published_callback only covers later publications).
-    auto handle = queue.submit<int>(
+    handle = queue.submit<int>(
         10, 3,
-        [&](std::size_t first, std::size_t count, int* out) {
-            while (!gate.load(std::memory_order_acquire)) {
-                std::this_thread::sleep_for(std::chrono::milliseconds(1));
-            }
+        [open = start.open](std::size_t first, std::size_t count, int* out,
+                            const job_progress&) {
+            open.wait();
             for (std::size_t l = 0; l < count; ++l) {
                 out[l] = item_value(first + l);
             }
+        },
+        nullptr,
+        [&] {
+            // Post-publish contract: whatever this wake advertises is
+            // already observable -- including the terminal flip of the last
+            // group, after which every item must be visible.
+            wakes.fetch_add(1, std::memory_order_relaxed);
+            if (handle.finished() && !terminal_seen.exchange(true)) {
+                visible_at_terminal.set_value(handle.completed_items());
+            }
         });
+    start.release();
 
-    std::atomic<std::size_t> wakes{0};
-    std::atomic<std::size_t> max_visible{0};
-    std::atomic<bool> terminal_seen{false};
-    handle.set_published_callback([&] {
-        // Post-publish contract: whatever this wake advertises is already
-        // observable -- including the terminal flip of the last group.
-        const std::size_t visible = handle.completed_items();
-        std::size_t prev = max_visible.load();
-        while (prev < visible && !max_visible.compare_exchange_weak(prev, visible)) {
-        }
-        if (handle.finished()) {
-            terminal_seen.store(true, std::memory_order_release);
-        }
-        wakes.fetch_add(1, std::memory_order_relaxed);
-    });
-
-    gate.store(true, std::memory_order_release);
-    handle.wait();
-    // The wake for the final publication fires after wait() can already
-    // return; give it a beat, then it MUST have observed the terminal
-    // state -- this is exactly the lost-wakeup an event loop dies on.
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while ((!terminal_seen.load(std::memory_order_acquire) || max_visible.load() < 10) &&
-           std::chrono::steady_clock::now() < deadline) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    EXPECT_TRUE(terminal_seen.load());
-    EXPECT_EQ(max_visible.load(), 10u);
+    // Some wake must observe the terminal state -- a lost final wake is
+    // exactly what an event loop dies on -- and by then all ten items are
+    // visible.  The wake for the final publication may fire after wait()
+    // returns, so wait on the wake itself.
+    auto terminal = visible_at_terminal.get_future();
+    ASSERT_EQ(terminal.wait_for(std::chrono::seconds(30)), std::future_status::ready)
+        << "no wake observed the terminal state";
+    EXPECT_EQ(terminal.get(), 10u);
     EXPECT_GE(wakes.load(), 1u);
 
     // An event-driven consumer woken by the last callback drains the
@@ -153,7 +165,6 @@ TEST(JobQueue, ConcurrentJobsShareOnePool) {
     job_queue queue(4);
     auto a = submit_squares(queue, 20, 2);
     auto b = submit_squares(queue, 20, 2);
-    EXPECT_EQ(queue.jobs_submitted(), 2u);
     const auto results_a = a.results();
     const auto results_b = b.results();
     EXPECT_EQ(results_a, results_b);
@@ -167,31 +178,31 @@ TEST(JobQueue, EmptyJobIsRejected) {
 
 TEST(JobQueue, WorkerExceptionFailsTheJobAndIsRethrown) {
     job_queue queue(2);
-    auto handle = queue.submit<int>(8, 1, [](std::size_t first, std::size_t, int* out) {
-        if (first == 3) {
-            throw configuration_error("item 3 exploded");
-        }
-        out[0] = item_value(first);
-    });
-    // The stream ends early (remaining work is drained), delivering only
-    // items that genuinely completed.
-    while (auto item = handle.next_completed()) {
+    auto handle = queue.submit<int>(
+        8, 1, [](std::size_t first, std::size_t, int* out, const job_progress&) {
+            if (first == 3) {
+                throw configuration_error("item 3 exploded");
+            }
+            out[0] = item_value(first);
+        });
+    // The in-order stream ends early, at the first item that never
+    // completes (item 3 at the latest; the rest of the work is drained),
+    // and what it delivered stays readable without throwing.
+    while (auto item = handle.next_in_order()) {
         EXPECT_EQ(item->value, item_value(item->index));
-        EXPECT_NE(item->index, 3u);
+        EXPECT_LT(item->index, 3u);
     }
     EXPECT_EQ(handle.state(), job_state::failed);
     EXPECT_NE(handle.error(), nullptr);
     EXPECT_THROW(handle.results(), configuration_error);
-    // The completed subset stays readable without throwing.
-    for (const auto& item : handle.completed()) {
-        EXPECT_EQ(item.value, item_value(item.index));
-    }
     // The pool survives a failed job: the next submission runs normally.
     EXPECT_EQ(submit_squares(queue, 5, 1).results().size(), 5u);
 }
 
 TEST(JobQueue, ThrowingCallbackFailsTheJobButKeepsMeasuredResults) {
-    job_queue queue(2);
+    // One worker computes items strictly in order: 0 and 1 publish, 2's
+    // callback throws, and the cancel it triggers skips 3..9.
+    job_queue queue(1);
     auto handle = submit_squares(queue, 10, 1, [](std::size_t index, const int&) {
         if (index == 2) {
             throw configuration_error("observer exploded");
@@ -202,12 +213,12 @@ TEST(JobQueue, ThrowingCallbackFailsTheJobButKeepsMeasuredResults) {
     EXPECT_THROW(handle.results(), configuration_error);
     // The item whose callback threw was still measured and published --
     // a throwing observer never discards results.
-    bool item2_published = false;
-    for (const auto& item : handle.completed()) {
-        EXPECT_EQ(item.value, item_value(item.index));
-        item2_published = item2_published || item.index == 2;
+    std::size_t delivered = 0;
+    while (auto item = handle.next_in_order()) {
+        EXPECT_EQ(item->value, item_value(item->index));
+        ++delivered;
     }
-    EXPECT_TRUE(item2_published);
+    EXPECT_EQ(delivered, 3u);
 }
 
 TEST(JobQueue, CancelSkipsUnstartedWorkAndKeepsCompletedItems) {
@@ -215,38 +226,36 @@ TEST(JobQueue, CancelSkipsUnstartedWorkAndKeepsCompletedItems) {
     // Two gate-blocked items occupy both workers; everything behind them
     // is unclaimed until the gate opens, so cancelling now deterministically
     // skips items 2..15 and completes exactly items 0 and 1.
-    std::promise<void> gate;
-    std::shared_future<void> open(gate.get_future());
+    gate release;
     std::atomic<int> started{0};
-    auto handle = queue.submit<int>(16, 1, [&, open](std::size_t first, std::size_t, int* out) {
-        if (first < 2) {
-            started.fetch_add(1);
-            open.wait();
-        }
-        out[0] = item_value(first);
-    });
+    auto handle = queue.submit<int>(
+        16, 1,
+        [&started, open = release.open](std::size_t first, std::size_t, int* out,
+                                        const job_progress&) {
+            if (first < 2) {
+                started.fetch_add(1);
+                open.wait();
+            }
+            out[0] = item_value(first);
+        });
     while (started.load() < 2) {
         std::this_thread::yield();
     }
     handle.cancel();
-    gate.set_value();
+    release.release();
     handle.wait();
 
     EXPECT_EQ(handle.state(), job_state::cancelled);
-    const auto completed = handle.completed();
-    ASSERT_EQ(completed.size(), 2u);
-    EXPECT_EQ(completed[0].index, 0u);
-    EXPECT_EQ(completed[1].index, 1u);
-    for (const auto& item : completed) {
-        EXPECT_EQ(item.value, item_value(item.index));
-    }
     EXPECT_THROW(handle.results(), configuration_error);
-    // The stream delivers the two completed items, then ends.
-    std::size_t streamed = 0;
-    while (handle.next_completed()) {
-        ++streamed;
+    // The in-order stream delivers the two completed items, then ends at
+    // the first skipped one.
+    for (std::size_t i = 0; i < 2; ++i) {
+        const auto item = handle.next_in_order();
+        ASSERT_TRUE(item.has_value());
+        EXPECT_EQ(item->index, i);
+        EXPECT_EQ(item->value, item_value(i));
     }
-    EXPECT_EQ(streamed, 2u);
+    EXPECT_FALSE(handle.next_in_order().has_value());
 }
 
 TEST(JobQueue, DestructionFinishesOutstandingHandles) {
@@ -254,36 +263,45 @@ TEST(JobQueue, DestructionFinishesOutstandingHandles) {
     // worker and leave the handle in a terminal state -- never a leaked
     // thread or a handle that blocks forever.
     job_handle<int> handle;
-    std::promise<void> gate;
-    std::shared_future<void> open(gate.get_future());
+    gate release;
     std::atomic<int> started{0};
+    std::mutex mutex;
+    std::vector<std::size_t> completed;
+    std::thread opener;
     {
         job_queue queue(1);
-        handle = queue.submit<int>(32, 1,
-                                   [&, open](std::size_t first, std::size_t, int* out) {
-                                       if (first == 0) {
-                                           started.fetch_add(1);
-                                           open.wait();
-                                       }
-                                       out[0] = item_value(first);
-                                   });
+        handle = queue.submit<int>(
+            32, 1,
+            [&started, open = release.open](std::size_t first, std::size_t, int* out,
+                                            const job_progress&) {
+                if (first == 0) {
+                    started.fetch_add(1);
+                    open.wait();
+                }
+                out[0] = item_value(first);
+            },
+            [&](std::size_t index, const int& value) {
+                EXPECT_EQ(value, item_value(index));
+                std::lock_guard<std::mutex> lock(mutex);
+                completed.push_back(index);
+            });
         while (started.load() < 1) {
             std::this_thread::yield();
         }
         // Let the destructor run against a blocked worker; it requests
         // cancellation, the gate opens, the in-flight item completes and
-        // the rest are skipped.
-        std::thread opener([&] {
+        // the rest are skipped.  No public signal marks the destructor's
+        // cancel point, so the opener waits a moment before releasing.
+        opener = std::thread([&release] {
             std::this_thread::sleep_for(std::chrono::milliseconds(20));
-            gate.set_value();
+            release.release();
         });
-        opener.detach();
     }
+    opener.join();
     ASSERT_TRUE(handle.finished());
     EXPECT_EQ(handle.state(), job_state::cancelled);
-    for (const auto& item : handle.completed()) {
-        EXPECT_EQ(item.value, item_value(item.index));
-    }
+    ASSERT_FALSE(completed.empty());
+    EXPECT_EQ(completed.front(), 0u);
 }
 
 // --- Engine sessions over the queue ----------------------------------------
@@ -331,23 +349,21 @@ void expect_reports_identical(const core::screening_report& a,
 TEST(JobQueue, StreamedScreeningIsBitIdenticalAtEveryThreadLaneCombo) {
     const auto mask = spec_mask::paper_lowpass();
     const std::size_t dice = 9;
-    const auto reference = make_engine(1, 1).screen_batch(mask, dice, /*first_seed=*/3);
+    const auto reference =
+        make_engine(1, 1).submit_screening(mask, dice, /*first_seed=*/3).results();
 
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
             auto engine = make_engine(threads, lanes);
             auto handle = engine.submit_screening(mask, dice, /*first_seed=*/3);
-            std::vector<core::screening_report> streamed(dice);
             std::size_t pulled = 0;
-            while (auto item = handle.next_completed()) {
-                streamed[item->index] = std::move(item->value);
+            while (auto item = handle.next_in_order()) {
+                ASSERT_EQ(item->index, pulled);
+                expect_reports_identical(item->value, reference[pulled]);
                 ++pulled;
             }
             ASSERT_EQ(pulled, dice) << threads << " threads, " << lanes << " lanes";
             EXPECT_EQ(handle.state(), job_state::succeeded);
-            for (std::size_t die = 0; die < dice; ++die) {
-                expect_reports_identical(streamed[die], reference[die]);
-            }
         }
     }
 }
@@ -360,10 +376,11 @@ TEST(JobQueue, StreamedBodePointsMatchBlockingRun) {
     for (std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
         auto engine = make_engine(2, lanes);
         auto handle = engine.submit_bode(frequencies);
-        std::vector<core::frequency_point> streamed(frequencies.size());
-        while (auto item = handle.next_completed()) {
-            streamed[item->index] = std::move(item->value);
+        std::vector<core::frequency_point> streamed;
+        while (auto item = handle.next_in_order()) {
+            streamed.push_back(std::move(item->value));
         }
+        ASSERT_EQ(streamed.size(), frequencies.size());
         ASSERT_EQ(handle.completed_items(), frequencies.size());
         for (std::size_t i = 0; i < frequencies.size(); ++i) {
             EXPECT_EQ(streamed[i].gain_db, blocking.points[i].gain_db) << "point " << i;
@@ -388,7 +405,7 @@ TEST(JobQueue, StreamedAcquisitionMatchesBlockingAcquireAndFlagsThd) {
     program.frequencies = {hertz{200.0}, hertz{1000.0}};
 
     auto engine = make_engine(2, 2);
-    const auto blocking = engine.acquire(make_items(), program);
+    const auto blocking = engine.submit_acquisition(make_items(), program).results();
 
     // No distortion stage: the explicit flag says so, and thd_db carries
     // no pretend reading (NaN, not 0 dB).
@@ -398,11 +415,12 @@ TEST(JobQueue, StreamedAcquisitionMatchesBlockingAcquireAndFlagsThd) {
     }
 
     auto handle = engine.submit_acquisition(make_items(), program);
-    std::vector<sweep_engine::acquisition_result> streamed(5);
-    while (auto item = handle.next_completed()) {
-        streamed[item->index] = std::move(item->value);
+    std::vector<sweep_engine::acquisition_result> streamed;
+    while (auto item = handle.next_in_order()) {
+        streamed.push_back(std::move(item->value));
     }
     ASSERT_EQ(handle.state(), job_state::succeeded);
+    ASSERT_EQ(streamed.size(), blocking.size());
     for (std::size_t i = 0; i < streamed.size(); ++i) {
         EXPECT_EQ(streamed[i].calibration.amplitude.volts,
                   blocking[i].calibration.amplitude.volts);
@@ -416,7 +434,7 @@ TEST(JobQueue, StreamedAcquisitionMatchesBlockingAcquireAndFlagsThd) {
 
     // With a distortion stage the flag flips and the reading is real.
     program.distortion_max_harmonic = 3;
-    const auto with_thd = engine.acquire(make_items(), program);
+    const auto with_thd = engine.submit_acquisition(make_items(), program).results();
     for (const auto& result : with_thd) {
         EXPECT_TRUE(result.has_thd);
         EXPECT_FALSE(std::isnan(result.thd_db));
@@ -426,13 +444,14 @@ TEST(JobQueue, StreamedAcquisitionMatchesBlockingAcquireAndFlagsThd) {
 TEST(JobQueue, EnginesSharingOnePoolStayBitIdentical) {
     const auto mask = spec_mask::paper_lowpass();
     const std::size_t dice = 6;
-    const auto reference = make_engine(1, 1).screen_batch(mask, dice, /*first_seed=*/3);
+    const auto reference =
+        make_engine(1, 1).submit_screening(mask, dice, /*first_seed=*/3).results();
     const auto bode_reference = make_engine(1, 1).run(core::log_spaced(hertz{200.0}, kilohertz(2.0), 5));
 
     auto queue = std::make_shared<job_queue>(4);
     auto screening_engine = make_engine(0, 2, queue);
     auto bode_engine = make_engine(0, 1, queue);
-    EXPECT_EQ(screening_engine.resolved_threads(), 4u);
+    EXPECT_EQ(screening_engine.stats().threads, 4u);
 
     // Two sessions in flight on one pool at once.
     auto screening = screening_engine.submit_screening(mask, dice, /*first_seed=*/3);
@@ -453,28 +472,35 @@ TEST(JobQueue, EnginesSharingOnePoolStayBitIdentical) {
 TEST(JobQueue, MidLotCancellationKeepsTheCompletedSubsetBitIdentical) {
     const auto mask = spec_mask::paper_lowpass();
     const std::size_t dice = 24;
-    const auto reference = make_engine(1, 1).screen_batch(mask, dice, /*first_seed=*/5);
+    const auto reference =
+        make_engine(1, 1).submit_screening(mask, dice, /*first_seed=*/5).results();
 
+    // Declared before the engine, whose destructor joins the workers that
+    // run the callback.
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, core::screening_report>> completed;
     auto engine = make_engine(2, 1);
-    auto handle = engine.submit_screening(mask, dice, /*first_seed=*/5);
+    auto handle = engine.submit_screening(
+        mask, dice, /*first_seed=*/5, {},
+        [&](std::size_t index, const core::screening_report& report) {
+            std::lock_guard<std::mutex> lock(mutex);
+            completed.emplace_back(index, report);
+        });
     // Pull a couple of reports, then cancel the rest of the lot.
-    std::size_t pulled = 0;
-    while (pulled < 2) {
-        auto item = handle.next_completed();
+    for (std::size_t die = 0; die < 2; ++die) {
+        auto item = handle.next_in_order();
         ASSERT_TRUE(item.has_value());
         expect_reports_identical(item->value, reference[item->index]);
-        ++pulled;
     }
     handle.cancel();
     handle.wait();
-    ASSERT_TRUE(handle.finished());
 
-    // Whatever completed -- streamed or not -- matches the synchronous
+    // Whatever completed -- pulled or not -- matches the synchronous
     // reference die for die; nothing half-measured ever surfaces.
-    const auto completed = handle.completed();
+    std::lock_guard<std::mutex> lock(mutex);
     EXPECT_GE(completed.size(), 2u);
-    for (const auto& item : completed) {
-        expect_reports_identical(item.value, reference[item.index]);
+    for (const auto& [index, report] : completed) {
+        expect_reports_identical(report, reference[index]);
     }
     if (completed.size() < dice) {
         EXPECT_EQ(handle.state(), job_state::cancelled);
@@ -484,24 +510,34 @@ TEST(JobQueue, MidLotCancellationKeepsTheCompletedSubsetBitIdentical) {
 TEST(JobQueue, EngineWithPrivatePoolCanBeDroppedMidJob) {
     // Destroying an engine (and with it its private queue) while a
     // submitted job is still running must join the workers before any
-    // other engine member dies: the handle ends terminal, every delivered
+    // other engine member dies: the handle ends terminal, every completed
     // item bit-identical to the reference, nothing dangles (the sanitizer
     // jobs run this suite).
     const auto mask = spec_mask::paper_lowpass();
     const std::size_t dice = 16;
-    const auto reference = make_engine(1, 1).screen_batch(mask, dice, /*first_seed=*/7);
+    const auto reference =
+        make_engine(1, 1).submit_screening(mask, dice, /*first_seed=*/7).results();
 
+    std::mutex mutex;
+    std::vector<std::pair<std::size_t, core::screening_report>> completed;
     core::job_handle<core::screening_report> handle;
     {
         auto engine = make_engine(2, 1);
-        handle = engine.submit_screening(mask, dice, /*first_seed=*/7);
-        auto first = handle.next_completed();
+        handle = engine.submit_screening(
+            mask, dice, /*first_seed=*/7, {},
+            [&](std::size_t index, const core::screening_report& report) {
+                std::lock_guard<std::mutex> lock(mutex);
+                completed.emplace_back(index, report);
+            });
+        auto first = handle.next_in_order();
         ASSERT_TRUE(first.has_value());
-        expect_reports_identical(first->value, reference[first->index]);
+        expect_reports_identical(first->value, reference[0]);
     } // engine destroyed: private queue cancels pending dice and joins
     ASSERT_TRUE(handle.finished());
-    for (const auto& item : handle.completed()) {
-        expect_reports_identical(item.value, reference[item.index]);
+    std::lock_guard<std::mutex> lock(mutex);
+    EXPECT_GE(completed.size(), 1u);
+    for (const auto& [index, report] : completed) {
+        expect_reports_identical(report, reference[index]);
     }
 }
 
@@ -519,7 +555,7 @@ TEST(JobQueue, ScreeningWorkerExceptionSurfacesThroughTheStream) {
     options.threads = 2;
     sweep_engine engine(throwing, fast_settings(), options);
     auto handle = engine.submit_screening(spec_mask::paper_lowpass(), 8, /*first_seed=*/1);
-    while (handle.next_completed()) {
+    while (handle.next_in_order()) {
     }
     EXPECT_EQ(handle.state(), job_state::failed);
     EXPECT_THROW(handle.results(), configuration_error);
@@ -528,18 +564,16 @@ TEST(JobQueue, ScreeningWorkerExceptionSurfacesThroughTheStream) {
 // --- scheduling fairness ---------------------------------------------------
 
 /// Submit a job whose tasks append `label` to a shared order log; task 0
-/// optionally parks the worker until `gate` opens, so concurrent jobs can
+/// optionally parks the worker until `open` is ready, so concurrent jobs can
 /// be staged before any claims happen.
 job_handle<int> submit_labelled(job_queue& queue, std::size_t items, char label,
                                 std::mutex& mutex, std::vector<char>& order,
-                                std::atomic<bool>* gate = nullptr) {
+                                std::shared_future<void> open = {}) {
     return queue.submit<int>(items, 1,
-                             [&, label, gate](std::size_t first, std::size_t, int* out) {
-                                 if (gate != nullptr && first == 0) {
-                                     while (!gate->load(std::memory_order_acquire)) {
-                                         std::this_thread::sleep_for(
-                                             std::chrono::milliseconds(1));
-                                     }
+                             [&mutex, &order, label, open](std::size_t first, std::size_t,
+                                                           int* out, const job_progress&) {
+                                 if (open.valid() && first == 0) {
+                                     open.wait();
                                  }
                                  {
                                      std::lock_guard<std::mutex> lock(mutex);
@@ -549,32 +583,17 @@ job_handle<int> submit_labelled(job_queue& queue, std::size_t items, char label,
                              });
 }
 
-TEST(JobQueue, FifoScheduleRunsJobsBackToBack) {
-    job_queue queue(1, core::job_schedule::fifo);
-    EXPECT_EQ(queue.schedule(), core::job_schedule::fifo);
-    std::mutex mutex;
-    std::vector<char> order;
-    std::atomic<bool> gate{false};
-    auto a = submit_labelled(queue, 4, 'A', mutex, order, &gate);
-    auto b = submit_labelled(queue, 4, 'B', mutex, order);
-    gate.store(true, std::memory_order_release);
-    (void)a.results();
-    (void)b.results();
-    EXPECT_EQ(std::string(order.begin(), order.end()), "AAAABBBB");
-}
-
 TEST(JobQueue, RoundRobinScheduleInterleavesConcurrentJobs) {
     // One worker makes the claim order fully observable: task 0 of A
-    // parks it until both jobs are queued, then round-robin must
+    // parks it until both jobs are queued, then the rotation must
     // alternate A/B claims instead of draining A first.
-    job_queue queue(1, core::job_schedule::round_robin);
-    EXPECT_EQ(queue.schedule(), core::job_schedule::round_robin);
+    job_queue queue(1);
     std::mutex mutex;
     std::vector<char> order;
-    std::atomic<bool> gate{false};
-    auto a = submit_labelled(queue, 6, 'A', mutex, order, &gate);
+    gate staged;
+    auto a = submit_labelled(queue, 6, 'A', mutex, order, staged.open);
     auto b = submit_labelled(queue, 6, 'B', mutex, order);
-    gate.store(true, std::memory_order_release);
+    staged.release();
     (void)a.results();
     (void)b.results();
     EXPECT_EQ(std::string(order.begin(), order.end()), "ABABABABABAB");
@@ -583,14 +602,14 @@ TEST(JobQueue, RoundRobinScheduleInterleavesConcurrentJobs) {
 TEST(JobQueue, RoundRobinStaysFairAsJobsComeAndGo) {
     // A short job among long ones: once it drains, the rotation continues
     // over the survivors without skipping or double-serving anyone.
-    job_queue queue(1, core::job_schedule::round_robin);
+    job_queue queue(1);
     std::mutex mutex;
     std::vector<char> order;
-    std::atomic<bool> gate{false};
-    auto a = submit_labelled(queue, 5, 'A', mutex, order, &gate);
+    gate staged;
+    auto a = submit_labelled(queue, 5, 'A', mutex, order, staged.open);
     auto b = submit_labelled(queue, 2, 'B', mutex, order);
     auto c = submit_labelled(queue, 5, 'C', mutex, order);
-    gate.store(true, std::memory_order_release);
+    staged.release();
     (void)a.results();
     (void)b.results();
     (void)c.results();
@@ -599,31 +618,26 @@ TEST(JobQueue, RoundRobinStaysFairAsJobsComeAndGo) {
 
 TEST(JobQueue, TryNextInOrderNeverBlocks) {
     job_queue queue(2);
-    std::atomic<bool> gate{false};
-    auto handle = queue.submit<int>(4, 1, [&](std::size_t first, std::size_t, int* out) {
-        while (!gate.load(std::memory_order_acquire)) {
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        out[0] = item_value(first);
-    });
+    gate computed;
+    auto handle = queue.submit<int>(
+        4, 1,
+        [open = computed.open](std::size_t first, std::size_t, int* out,
+                               const job_progress&) {
+            open.wait();
+            out[0] = item_value(first);
+        });
     // Nothing has completed: the non-blocking probe reports "not yet"
     // instead of parking the caller.
     EXPECT_FALSE(handle.try_next_in_order().has_value());
     EXPECT_FALSE(handle.finished());
-    gate.store(true, std::memory_order_release);
-    std::size_t delivered = 0;
-    while (delivered < 4) {
-        if (auto item = handle.try_next_in_order()) {
-            EXPECT_EQ(item->index, delivered);
-            EXPECT_EQ(item->value, item_value(item->index));
-            ++delivered;
-        } else {
-            // Not ready yet (or the publish/terminal-flip race): probing
-            // again is always safe -- the call never blocks.
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
+    computed.release();
+    handle.wait();
+    for (std::size_t i = 0; i < 4; ++i) {
+        const auto item = handle.try_next_in_order();
+        ASSERT_TRUE(item.has_value()) << "item " << i;
+        EXPECT_EQ(item->index, i);
+        EXPECT_EQ(item->value, item_value(i));
     }
-    EXPECT_EQ(handle.in_order_delivered(), 4u);
     EXPECT_FALSE(handle.try_next_in_order().has_value());
 }
 

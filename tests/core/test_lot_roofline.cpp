@@ -100,7 +100,7 @@ std::vector<screening_report> screen_lanes(std::size_t lanes, std::size_t dice,
     options.threads = 2;
     options.batch_lanes = lanes;
     sweep_engine engine(make_factory(0.02), lot_settings(), options);
-    return engine.screen_batch(spec_mask::paper_lowpass(), dice, 1, screening);
+    return engine.submit_screening(spec_mask::paper_lowpass(), dice, 1, screening).results();
 }
 
 /// The oracle: core::screen on a fresh scalar analyzer per die.
@@ -138,13 +138,14 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
 
     // First pass warms every reuse path: arena growth, staircase cache,
     // demodulation tables, calibration snapshot.
-    (void)engine.screen_batch(spec_mask::paper_lowpass(), 24, 1, screening);
+    (void)engine.submit_screening(spec_mask::paper_lowpass(), 24, 1, screening).results();
 
     // Arena blocks are mapped from the kernel, not operator new, so the
     // hook sees only the caches; the block count covers the arena.
     const std::uint64_t before = g_large_allocations.load(std::memory_order_relaxed);
     const std::uint64_t blocks_before = arena::total_blocks_mapped();
-    const auto second = engine.screen_batch(spec_mask::paper_lowpass(), 24, 1, screening);
+    const auto second =
+        engine.submit_screening(spec_mask::paper_lowpass(), 24, 1, screening).results();
     const std::uint64_t after = g_large_allocations.load(std::memory_order_relaxed);
     const std::uint64_t blocks_after = arena::total_blocks_mapped();
 
@@ -187,7 +188,8 @@ TEST(Autotune, TunedEngineStaysBitIdenticalToReference) {
     sweep_engine_options options;
     options.autotune = true;
     sweep_engine engine(make_factory(0.02), lot_settings(), options);
-    const auto tuned = engine.screen_batch(spec_mask::paper_lowpass(), 9, 1, screening);
+    const auto tuned =
+        engine.submit_screening(spec_mask::paper_lowpass(), 9, 1, screening).results();
     expect_reports_identical(reference, tuned);
 }
 

@@ -1,6 +1,7 @@
 // Stimulus-record cache: render-once semantics, key correctness
 // (amplitude / settle / design changes invalidate), bit-identity of cached
-// vs. uncached renders and sweeps, and thread safety of concurrent lookups.
+// renders and of the engine's cached sweeps and lots with the scalar
+// analyzer on cache-less boards, and thread safety of concurrent lookups.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -9,6 +10,7 @@
 
 #include "common/error.hpp"
 #include "core/board.hpp"
+#include "core/screening.hpp"
 #include "core/stimulus_cache.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_engine.hpp"
@@ -224,24 +226,33 @@ void expect_bit_identical(const std::vector<core::frequency_point>& a,
 TEST(StimulusCache, SweepBitIdenticalWithAndWithoutCache) {
     const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(4.0), 6);
 
-    core::sweep_engine_options cached_options;
-    cached_options.threads = 2;
-    core::sweep_engine cached(paper_factory(), fast_settings(), cached_options);
-
-    core::sweep_engine_options uncached_options;
-    uncached_options.threads = 2;
-    uncached_options.share_stimulus = false;
-    core::sweep_engine uncached(paper_factory(), fast_settings(), uncached_options);
-
+    core::sweep_engine_options options;
+    options.threads = 2;
+    core::sweep_engine cached(paper_factory(), fast_settings(), options);
     const auto with_cache = cached.run(frequencies);
-    const auto without_cache = uncached.run(frequencies);
-    expect_bit_identical(with_cache.points, without_cache.points);
+
+    // The scalar analyzer on fresh boards, which render every staircase
+    // themselves, seeded like the engine's calibration and points.
+    auto calibration_board = paper_factory()(1);
+    auto calibration_settings = fast_settings();
+    calibration_settings.evaluator.seed = core::sweep_item_seed(core::bode_seed_root, 0);
+    const auto calibration =
+        core::network_analyzer(calibration_board, calibration_settings).calibrate();
+    std::vector<core::frequency_point> without_cache;
+    for (std::size_t i = 0; i < frequencies.size(); ++i) {
+        auto board = paper_factory()(1);
+        auto settings = fast_settings();
+        settings.evaluator.seed = core::sweep_item_seed(core::bode_seed_root, i + 1);
+        core::network_analyzer analyzer(board, settings);
+        analyzer.set_calibration(calibration);
+        without_cache.push_back(analyzer.measure_point(frequencies[i]));
+    }
+    expect_bit_identical(with_cache.points, without_cache);
 
     // One staircase serves the shared calibration and every point.
-    const auto stats = cached.stimulus_stats();
+    const auto stats = cached.stats().stimulus;
     EXPECT_EQ(stats.misses, 1u);
     EXPECT_EQ(stats.hits, frequencies.size());
-    EXPECT_EQ(uncached.stimulus_stats().misses, 0u);
 }
 
 TEST(StimulusCache, CachedSweepBitIdenticalAcrossThreadCounts) {
@@ -260,31 +271,30 @@ TEST(StimulusCache, ScreenLotUnchangedByCache) {
     const auto mask = core::spec_mask::paper_lowpass();
     const std::size_t dice = 4;
 
-    core::sweep_engine_options cached_options;
-    cached_options.threads = 2;
-    core::sweep_engine cached(paper_factory(), fast_settings(), cached_options);
+    core::sweep_engine_options options;
+    options.threads = 2;
+    core::sweep_engine cached(paper_factory(), fast_settings(), options);
+    const auto with_cache = cached.submit_screening(mask, dice, /*first_seed=*/3).results();
 
-    core::sweep_engine_options uncached_options;
-    uncached_options.threads = 2;
-    uncached_options.share_stimulus = false;
-    core::sweep_engine uncached(paper_factory(), fast_settings(), uncached_options);
-
-    const auto with_cache = cached.screen_batch(mask, dice, /*first_seed=*/3);
-    const auto without_cache = uncached.screen_batch(mask, dice, /*first_seed=*/3);
-    ASSERT_EQ(with_cache.size(), without_cache.size());
+    ASSERT_EQ(with_cache.size(), dice);
     for (std::size_t die = 0; die < dice; ++die) {
-        EXPECT_EQ(with_cache[die].passed, without_cache[die].passed);
-        EXPECT_EQ(with_cache[die].stimulus_volts, without_cache[die].stimulus_volts);
-        ASSERT_EQ(with_cache[die].limits.size(), without_cache[die].limits.size());
-        for (std::size_t i = 0; i < with_cache[die].limits.size(); ++i) {
+        // core::screen on a fresh, cache-less board per die.
+        auto board = paper_factory()(3 + die);
+        core::network_analyzer analyzer(board, fast_settings());
+        const auto without_cache = core::screen(analyzer, mask);
+        EXPECT_EQ(with_cache[die].passed, without_cache.passed);
+        EXPECT_EQ(with_cache[die].stimulus_volts, without_cache.stimulus_volts);
+        ASSERT_EQ(with_cache[die].limits.size(), without_cache.limits.size());
+        for (std::size_t i = 0; i < without_cache.limits.size(); ++i) {
             EXPECT_EQ(with_cache[die].limits[i].measured_db,
-                      without_cache[die].limits[i].measured_db);
+                      without_cache.limits[i].measured_db);
         }
     }
     // All dice share the same generator design here, so the whole lot needs
     // exactly one staircase render.
-    EXPECT_EQ(cached.stimulus_stats().misses, 1u);
-    EXPECT_GT(cached.stimulus_stats().hits, 0u);
+    const auto stats = cached.stats().stimulus;
+    EXPECT_EQ(stats.misses, 1u);
+    EXPECT_GT(stats.hits, 0u);
 }
 
 } // namespace

@@ -103,8 +103,8 @@ TEST(SweepEngine, ScreenLotMatchesSequentialReference) {
 
     const auto sequential =
         core::screen_lot(paper_factory(), fast_settings(), mask, dice, /*first_seed=*/3);
-    const auto parallel = core::screen_lot_parallel(paper_factory(), fast_settings(), mask,
-                                                    dice, /*first_seed=*/3, /*threads=*/4);
+    const auto parallel = core::aggregate_lot(
+        engine_with_threads(4).submit_screening(mask, dice, /*first_seed=*/3).results());
 
     EXPECT_EQ(parallel.dice, sequential.dice);
     EXPECT_EQ(parallel.passed, sequential.passed);
@@ -121,7 +121,7 @@ TEST(SweepEngine, ScreenLotMatchesSequentialReference) {
 TEST(SweepEngine, ScreenBatchReportsEveryDieInSeedOrder) {
     const auto mask = spec_mask::paper_lowpass();
     sweep_engine engine = engine_with_threads(3);
-    const auto batch = engine.screen_batch(mask, 4, /*first_seed=*/1);
+    const auto batch = engine.submit_screening(mask, 4, /*first_seed=*/1).results();
     ASSERT_EQ(batch.size(), 4u);
     for (const auto& report : batch) {
         EXPECT_TRUE(report.self_test_passed);
@@ -154,13 +154,16 @@ TEST(SweepEngine, EmptyFrequencyListThrows) {
 }
 
 TEST(SweepEngine, WorkerExceptionPropagatesToCaller) {
+    // Per-point calibration: every factory call, and so the throw, happens
+    // on a worker rather than in the submitting thread's calibration.
     sweep_engine_options options;
     options.threads = 4;
-    options.share_calibration = false;
+    auto settings = fast_settings();
+    settings.recalibrate_per_point = true;
     board_factory throwing = [](std::uint64_t) -> core::demonstrator_board {
         throw configuration_error("factory exploded");
     };
-    sweep_engine engine(throwing, fast_settings(), options);
+    sweep_engine engine(throwing, settings, options);
     const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(1.0), 6);
     EXPECT_THROW(engine.run(frequencies), configuration_error);
 }

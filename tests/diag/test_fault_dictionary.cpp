@@ -1,11 +1,10 @@
-// Signature space and dictionary serialization: component-name encoding
-// round-trips the space, csv_write/csv_read round-trips every double
-// bit-exactly, malformed inputs are rejected, and signature extraction
-// sanitizes the unbounded readings hard faults produce.
+// Signature space: component-name encoding round-trips the space,
+// malformed names are rejected, and signature extraction sanitizes the
+// unbounded readings hard faults produce.  Dictionary files are covered by
+// the DictionaryBinary suite.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -17,40 +16,9 @@ namespace {
 
 using namespace bistna;
 
-class temp_csv {
-public:
-    explicit temp_csv(const char* name) : path_(std::string("/tmp/") + name) {}
-    ~temp_csv() { std::remove(path_.c_str()); }
-    const std::string& path() const { return path_; }
-
-private:
-    std::string path_;
-};
-
 diag::signature_space paper_space(std::size_t thd_max_harmonic = 3) {
     return diag::signature_space::from_mask(core::spec_mask::paper_lowpass(),
                                             thd_max_harmonic);
-}
-
-/// A small synthetic dictionary with non-trivial doubles in every slot.
-diag::fault_dictionary synthetic_dictionary() {
-    diag::fault_dictionary dictionary;
-    dictionary.space = paper_space();
-    const std::size_t dims = dictionary.space.dimensions();
-    auto signature = [&](double base) {
-        std::vector<double> s(dims);
-        for (std::size_t c = 0; c < dims; ++c) {
-            s[c] = base + static_cast<double>(c) / 3.0;
-        }
-        return s;
-    };
-    dictionary.healthy = signature(0.30301449882080411);
-    dictionary.trajectories = {
-        {diag::fault_kind::cap_unit_mismatch,
-         {{-0.5, signature(-1.0 / 3.0)}, {0.0, signature(0.1)}, {0.5, signature(0.7)}}},
-        {diag::fault_kind::integrator_leak, {{0.02, signature(42.125)}}},
-    };
-    return dictionary;
 }
 
 TEST(SignatureSpace, DimensionsAndNamesAgree) {
@@ -91,78 +59,6 @@ TEST(SignatureSpace, ParseRejectsMalformedNames) {
     EXPECT_THROW(diag::signature_space::parse(
                      std::vector<std::string>{"gain_db@200", "phase_deg@300"}),
                  configuration_error);
-}
-
-TEST(FaultDictionary, CsvRoundTripsBitExactly) {
-    const auto dictionary = synthetic_dictionary();
-    temp_csv file("bistna_fault_dictionary_roundtrip.csv");
-    dictionary.write_csv(file.path());
-    const auto reloaded = diag::fault_dictionary::read_csv(file.path());
-    EXPECT_EQ(reloaded, dictionary); // operator== is element-wise on doubles
-}
-
-TEST(FaultDictionary, CsvGroupsConsecutiveRowsIntoTrajectories) {
-    const auto doc = synthetic_dictionary().to_csv();
-    ASSERT_GE(doc.rows.size(), 5u);
-    EXPECT_EQ(doc.header[0], "fault_kind");
-    EXPECT_EQ(doc.header[1], "trajectory");
-    EXPECT_EQ(doc.header[2], "severity");
-    EXPECT_EQ(doc.rows.front()[0], -1.0); // healthy row
-
-    const auto parsed = diag::fault_dictionary::from_csv(doc);
-    ASSERT_EQ(parsed.trajectories.size(), 2u);
-    EXPECT_EQ(parsed.trajectories[0].points.size(), 3u);
-    EXPECT_EQ(parsed.trajectories[1].points.size(), 1u);
-    EXPECT_EQ(parsed.trajectories[1].kind, diag::fault_kind::integrator_leak);
-}
-
-TEST(FaultDictionary, TwoTrajectoriesOfTheSameKindSurviveTheRoundTrip) {
-    // E.g. the two branches of a signed severity axis, stored as separate
-    // polylines: the trajectory id column must keep them apart even though
-    // their rows are adjacent with the same fault kind.
-    auto dictionary = synthetic_dictionary();
-    dictionary.trajectories = {
-        {diag::fault_kind::cap_unit_mismatch,
-         {{-0.5, dictionary.healthy}, {-0.25, dictionary.trajectories[0].points[0].signature}}},
-        {diag::fault_kind::cap_unit_mismatch,
-         {{0.25, dictionary.trajectories[0].points[1].signature},
-          {0.5, dictionary.trajectories[0].points[2].signature}}},
-    };
-    const auto reloaded = diag::fault_dictionary::from_csv(dictionary.to_csv());
-    EXPECT_EQ(reloaded, dictionary);
-    ASSERT_EQ(reloaded.trajectories.size(), 2u);
-}
-
-TEST(FaultDictionary, FromCsvRejectsMalformedDocuments) {
-    auto doc = synthetic_dictionary().to_csv();
-    auto bad_header = doc;
-    bad_header.header[0] = "kind";
-    EXPECT_THROW(diag::fault_dictionary::from_csv(bad_header), configuration_error);
-
-    // Out-of-range, fractional, or non-finite fault-kind cells (shipped
-    // CSVs are untrusted input) are rejected before any cast.
-    for (double cell : {99.0, -2.0, 1.5, 1.0e18,
-                        std::numeric_limits<double>::quiet_NaN()}) {
-        auto bad_kind = doc;
-        bad_kind.rows[1][0] = cell;
-        EXPECT_THROW(diag::fault_dictionary::from_csv(bad_kind), configuration_error)
-            << cell;
-    }
-
-    auto bad_width = doc;
-    bad_width.rows[1].pop_back();
-    EXPECT_THROW(diag::fault_dictionary::from_csv(bad_width), configuration_error);
-
-    auto two_healthy = doc;
-    two_healthy.rows.push_back(two_healthy.rows.front());
-    EXPECT_THROW(diag::fault_dictionary::from_csv(two_healthy), configuration_error);
-
-    // Signatures are positional: a header whose (individually valid)
-    // component columns are out of canonical order would scramble every
-    // signature and must be rejected, not silently accepted.
-    auto reordered = doc;
-    std::swap(reordered.header[3], reordered.header[4]);
-    EXPECT_THROW(diag::fault_dictionary::from_csv(reordered), configuration_error);
 }
 
 TEST(SignatureSpace, FromReportRequiresDiagnosticData) {

@@ -188,7 +188,7 @@ TEST(SweepEngineAcquire, LanesBitIdenticalToScalarAnalyzer) {
         options.threads = 2;
         options.batch_lanes = lanes;
         core::sweep_engine engine(design.factory(), settings, options);
-        const auto results = engine.acquire(plan.items, plan.program);
+        const auto results = engine.submit_acquisition(plan.items, plan.program).results();
         ASSERT_EQ(results.size(), expected.size());
         for (std::size_t i = 0; i < results.size(); ++i) {
             SCOPED_TRACE("lanes " + std::to_string(lanes) + " item " + std::to_string(i));

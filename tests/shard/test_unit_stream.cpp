@@ -68,7 +68,7 @@ TEST(UnitStream, SliceOfSharedPoolMatchesPrivatePoolByteForByte) {
 
     // Same ranges multiplexed onto one shared pool (the daemon's shape),
     // with wakeup callbacks firing from worker threads.
-    auto queue = std::make_shared<core::job_queue>(3, core::job_schedule::round_robin);
+    auto queue = std::make_shared<core::job_queue>(3);
     std::atomic<int> wakes{0};
     unit_stream svc_a(manifest, 0, 4, queue, [&] { wakes.fetch_add(1); });
     unit_stream svc_b(manifest, 4, 4, queue, [&] { wakes.fetch_add(1); });

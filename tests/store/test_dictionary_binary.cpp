@@ -1,19 +1,25 @@
 // Binary fault-dictionary files: copying round trip, the zero-copy
-// mmap view, equivalence with the CSV schema, and corruption rejection.
+// mmap view, trajectory boundaries, and rejection of corrupt or malformed
+// files by both loaders.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "diag/fault_dictionary.hpp"
+#include "store/crc32.hpp"
 #include "store/dictionary_io.hpp"
+#include "store/format.hpp"
 
 namespace {
 
@@ -155,16 +161,86 @@ TEST(DictionaryBinary, MappedViewIsMovable) {
     EXPECT_EQ(second.materialize(), dictionary);
 }
 
-TEST(DictionaryBinary, BinaryAndCsvFormsAgree) {
-    temp_file binary_file("bistna_dict_agree.bin");
-    temp_file csv_file("bistna_dict_agree.csv");
-    const auto dictionary = finite_dictionary();
-    dictionary.write_binary(binary_file.path());
-    dictionary.write_csv(csv_file.path());
-    const auto from_binary = diag::fault_dictionary::read_binary(binary_file.path());
-    const auto from_csv = diag::fault_dictionary::read_csv(csv_file.path());
-    EXPECT_EQ(from_binary, from_csv);
-    EXPECT_EQ(from_binary, dictionary);
+TEST(DictionaryBinary, TwoTrajectoriesOfTheSameKindSurviveTheRoundTrip) {
+    // E.g. the two branches of a signed severity axis, stored as separate
+    // polylines: adjacent trajectories of one kind must stay apart.
+    temp_file file("bistna_dict_same_kind.bin");
+    auto dictionary = finite_dictionary();
+    dictionary.trajectories[1].kind = dictionary.trajectories[0].kind;
+    dictionary.write_binary(file.path());
+
+    const auto restored = diag::fault_dictionary::read_binary(file.path());
+    EXPECT_EQ(restored, dictionary);
+    ASSERT_EQ(restored.trajectories.size(), 2u);
+
+    store::mapped_dictionary mapped(file.path());
+    ASSERT_EQ(mapped.trajectory_count(), 2u);
+    EXPECT_EQ(mapped.points(0), 3u);
+    EXPECT_EQ(mapped.points(1), 2u);
+    EXPECT_EQ(mapped.materialize(), dictionary);
+}
+
+/// Swap two equal-length component names in the header frame of the
+/// dictionary file at `path`, and re-seal the frame's CRC, so only the
+/// component order is wrong.
+void swap_component_names(const std::string& path, const std::string& a,
+                          const std::string& b) {
+    ASSERT_EQ(a.size(), b.size());
+    std::vector<char> bytes;
+    {
+        std::ifstream in(path, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+    }
+    const auto at_a = std::search(bytes.begin(), bytes.end(), a.begin(), a.end());
+    const auto at_b = std::search(bytes.begin(), bytes.end(), b.begin(), b.end());
+    ASSERT_NE(at_a, bytes.end());
+    ASSERT_NE(at_b, bytes.end());
+    std::swap_ranges(at_a, at_a + static_cast<std::ptrdiff_t>(a.size()), at_b);
+
+    char* frame = bytes.data() + store::file_header_size;
+    std::uint32_t length = 0;
+    std::memcpy(&length, frame + 4, sizeof length);
+    const std::uint32_t crc = store::crc32(frame, store::frame_header_size + length);
+    std::memcpy(frame + store::frame_header_size + length, &crc, sizeof crc);
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+TEST(DictionaryBinary, MalformedHeaderIsRejectedByBothLoaders) {
+    // Signatures are stored by position: a header listing valid components
+    // out of canonical order would scramble every signature (here the
+    // offset rate would read back as gain@500), so it is rejected at the
+    // header payload.
+    temp_file reordered("bistna_dict_reordered.bin");
+    finite_dictionary().write_binary(reordered.path());
+    swap_component_names(reordered.path(), "offset_rate", "gain_db@500");
+    const std::uint64_t header_payload = store::file_header_size + store::frame_header_size;
+    try {
+        (void)diag::fault_dictionary::read_binary(reordered.path());
+        ADD_FAILURE() << "read_binary accepted out-of-order components";
+    } catch (const serialization_error& e) {
+        EXPECT_EQ(e.byte_offset(), header_payload);
+    }
+    try {
+        (void)store::mapped_dictionary(reordered.path());
+        ADD_FAILURE() << "mapped_dictionary accepted out-of-order components";
+    } catch (const serialization_error& e) {
+        EXPECT_EQ(e.byte_offset(), header_payload);
+    }
+
+    // A fault kind outside the catalog (shipped files are untrusted input)
+    // is rejected before any cast.
+    for (const int kind : {-1, static_cast<int>(diag::fault_kind_count), 99}) {
+        temp_file bad_kind("bistna_dict_bad_kind.bin");
+        auto dictionary = finite_dictionary();
+        dictionary.trajectories[1].kind = static_cast<diag::fault_kind>(kind);
+        dictionary.write_binary(bad_kind.path());
+        EXPECT_THROW((void)diag::fault_dictionary::read_binary(bad_kind.path()),
+                     serialization_error)
+            << kind;
+        EXPECT_THROW((void)store::mapped_dictionary(bad_kind.path()), serialization_error)
+            << kind;
+    }
 }
 
 TEST(DictionaryBinary, CorruptMatrixIsRejectedByBothLoaders) {
