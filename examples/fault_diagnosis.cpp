@@ -11,8 +11,8 @@
 // When --threads/--lanes are omitted the sweep engine's autotune probe
 // picks them for this machine; pass either flag to override.
 //
-// The dictionary ships through its checksummed binary form (loaded back
-// both copying and mmapped); --store additionally appends every
+// The dictionary ships through its checksummed binary form
+// (write_binary / read_binary); --store additionally appends every
 // injected-lot report to a persistent binary record store as the dice
 // stream off their jobs, in die order, so the store's bytes do not depend
 // on --threads/--lanes.
@@ -36,7 +36,6 @@
 #include "diag/diagnose.hpp"
 #include "diag/fault_model.hpp"
 #include "diag/trajectory_builder.hpp"
-#include "store/dictionary_io.hpp"
 #include "store/lot_store.hpp"
 #include "store/records.hpp"
 #include "telemetry/metrics.hpp"
@@ -126,19 +125,13 @@ int main(int argc, char** argv) {
     std::cout << "\n";
 
     // Ship it: checksummed frames with the trajectory matrix stored
-    // contiguously, loaded back both ways (full copy and the zero-copy mmap
-    // view a test floor would share between processes).
+    // contiguously, loaded back the way a test floor would.
     const std::string dictionary_path = "fault_dictionary.bin";
     dictionary.write_binary(dictionary_path);
     const auto shipped = diag::fault_dictionary::read_binary(dictionary_path);
-    const store::mapped_dictionary mapped(dictionary_path);
     std::cout << catalog.size() << " faults x " << build.grid_points
               << " severities -> " << dictionary_path << " (read_binary "
-              << (shipped == dictionary ? "bit-exact" : "DIVERGED") << ", mmap view "
-              << mapped.rows() << " rows x " << (1 + mapped.dimensions())
-              << " cols, materialized "
-              << (mapped.materialize() == dictionary ? "bit-exact" : "DIVERGED")
-              << ")\n\n";
+              << (shipped == dictionary ? "bit-exact" : "DIVERGED") << ")\n\n";
 
     std::cout << "trajectory extent per fault (normalized distance of the severity\n"
               << "endpoints from the healthy signature):\n";

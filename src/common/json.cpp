@@ -5,12 +5,17 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <system_error>
 
 #include "common/error.hpp"
 
 namespace bistna {
 
 namespace {
+
+/// 2^53: from here on doubles skip integers, so a larger integer literal
+/// may already have been rounded to a neighbour.
+constexpr double exact_integer_limit = 9007199254740992.0;
 
 class json_parser {
 public:
@@ -174,28 +179,52 @@ private:
         }
     }
 
-    json_value parse_number() {
-        const std::size_t start = pos_;
-        while (pos_ < text_.size() &&
-               (std::isdigit(static_cast<unsigned char>(text_[pos_])) ||
-                text_[pos_] == '-' || text_[pos_] == '+' || text_[pos_] == '.' ||
-                text_[pos_] == 'e' || text_[pos_] == 'E')) {
+    /// Consumes a run of ASCII digits; returns how many there were.
+    std::size_t digits() {
+        const std::size_t first = pos_;
+        while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
             ++pos_;
         }
-        const std::string token(text_.substr(start, pos_ - start));
-        try {
-            std::size_t consumed = 0;
-            json_value v;
-            v.type = json_value::kind::number;
-            v.num = std::stod(token, &consumed);
-            if (consumed != token.size() || token.empty()) {
-                throw std::invalid_argument(token);
+        return pos_ - first;
+    }
+
+    bool consume(char c) {
+        if (pos_ < text_.size() && text_[pos_] == c) {
+            ++pos_;
+            return true;
+        }
+        return false;
+    }
+
+    /// RFC 8259: -? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?
+    /// then std::from_chars, the exact inverse of the writer's to_chars.
+    json_value parse_number() {
+        const std::size_t start = pos_;
+        consume('-');
+        const std::size_t int_start = pos_;
+        const std::size_t int_digits = digits();
+        bool ok = int_digits == 1 || (int_digits > 1 && text_[int_start] != '0');
+        if (ok && consume('.')) {
+            ok = digits() > 0;
+        }
+        if (ok && (consume('e') || consume('E'))) {
+            if (!consume('+')) {
+                consume('-');
             }
-            return v;
-        } catch (const std::exception&) {
+            ok = digits() > 0;
+        }
+        json_value v;
+        v.type = json_value::kind::number;
+        if (ok) {
+            const char* end = text_.data() + pos_;
+            const auto r = std::from_chars(text_.data() + start, end, v.num);
+            ok = r.ec == std::errc{} && r.ptr == end; // out of range: 1e999
+        }
+        if (!ok) {
             pos_ = start;
             fail("malformed number");
         }
+        return v;
     }
 
     std::string_view text_;
@@ -209,6 +238,14 @@ json_value parse_json(std::string_view text, const std::string& context) {
     return json_parser(text, context).parse();
 }
 
+std::optional<std::uint64_t> json_exact_u64(const json_value& value) {
+    if (value.type != json_value::kind::number || !(value.num >= 0.0) ||
+        value.num != std::floor(value.num) || value.num >= exact_integer_limit) {
+        return std::nullopt;
+    }
+    return static_cast<std::uint64_t>(value.num);
+}
+
 std::string json_number(double value) {
     if (!std::isfinite(value)) {
         throw configuration_error("json_number: JSON cannot represent NaN or infinity");
@@ -217,7 +254,7 @@ std::string json_number(double value) {
     // "4.2e1" or "42.0" -- seeds and counts must survive a round trip
     // through get_u64-style strict readers.  Negative zero is excluded:
     // the integer cast would drop its sign bit.
-    if (value == std::floor(value) && std::abs(value) < 9.007199254740992e15 &&
+    if (value == std::floor(value) && std::abs(value) < exact_integer_limit &&
         !(value == 0.0 && std::signbit(value))) {
         std::array<char, 32> buf{};
         const auto r = std::to_chars(buf.data(), buf.data() + buf.size(),

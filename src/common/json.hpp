@@ -9,6 +9,8 @@
 // than one deliberately small one.
 #pragma once
 
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -39,6 +41,13 @@ struct json_value {
 /// message ("manifest JSON", "trace JSON", ...), so a failure names both
 /// the document kind and the byte offset of the first offending byte.
 json_value parse_json(std::string_view text, const std::string& context = "JSON");
+
+/// The non-negative integer a JSON number spells exactly, or nullopt for
+/// anything else: not a number, negative, fractional, or 2^53 and above
+/// (where doubles skip integers, so 9007199254740993 has already parsed
+/// as 2^53).  Every u64 field reader -- lot manifests, service control
+/// frames -- goes through this one rule.
+std::optional<std::uint64_t> json_exact_u64(const json_value& value);
 
 /// Escape a string for embedding between JSON double quotes (the inverse
 /// of the parser's basic-escape handling).

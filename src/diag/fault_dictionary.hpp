@@ -116,14 +116,14 @@ struct fault_dictionary {
 
     bool operator==(const fault_dictionary&) const = default;
 
-    /// The framed checksummed store format (store/dictionary_io.hpp), with
-    /// the trajectory matrix stored as one contiguous 8-aligned f64 block
-    /// so store::mapped_dictionary can serve it zero-copy via mmap.
+    /// The framed checksummed store format (store/dictionary_io.cpp), with
+    /// the trajectory matrix stored as one contiguous 8-aligned f64 block.
     /// Trajectories keep their order and boundaries, so two of the same
     /// kind (e.g. the two branches of a signed severity axis) stay apart.
     /// Doubles travel as bit patterns -- NaN payloads and signed zeros
-    /// survive exactly -- and any torn/corrupt file is rejected with a
-    /// bistna::serialization_error naming the byte offset.
+    /// survive exactly -- and any torn/corrupt file, or one with anything
+    /// after the matrix, is rejected with a bistna::serialization_error
+    /// naming the byte offset.
     void write_binary(const std::string& path) const;
     static fault_dictionary read_binary(const std::string& path);
 };

@@ -1,6 +1,5 @@
 #include "shard/manifest.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
@@ -33,11 +32,11 @@ double get_number(const json_value& v, const std::string& key) {
 }
 
 std::uint64_t get_u64(const json_value& v, const std::string& key) {
-    const double num = get_number(v, key);
-    if (!(num >= 0.0) || num != std::floor(num) || num > 9.007199254740992e15) {
+    const auto value = json_exact_u64(v);
+    if (!value) {
         field_error(key, "expected a non-negative integer below 2^53");
     }
-    return static_cast<std::uint64_t>(num);
+    return *value;
 }
 
 bool get_bool(const json_value& v, const std::string& key) {

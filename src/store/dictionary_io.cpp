@@ -1,15 +1,27 @@
-#include "store/dictionary_io.hpp"
-
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cstring>
+// fault_dictionary's file form (write_binary / read_binary, declared in
+// diag/fault_dictionary.hpp): a two-frame store whose second frame is one
+// contiguous f64 matrix.
+//
+//   file_header
+//   frame[dictionary_header]  space component names, healthy signature,
+//                             per-trajectory (kind, point count), then a
+//                             zero pad
+//   frame[dictionary_matrix]  row count u32, pad u32, then row-major
+//                             doubles: one row per trajectory point,
+//                             row = severity, signature[dims];
+//                             trajectories concatenated in order
+//
+// The header's pad puts the matrix doubles at an 8-aligned file offset;
+// it is part of format version 1, so it stays.  Nothing may follow the
+// matrix frame.  The loader rejects a header whose component names are
+// not the signature space's canonical order, since signatures are stored
+// by position.
+#include <string>
 #include <utility>
+#include <vector>
 
+#include "diag/fault_dictionary.hpp"
 #include "diag/fault_model.hpp"
-#include "store/crc32.hpp"
 #include "store/record_io.hpp"
 #include "store/records.hpp"
 
@@ -80,10 +92,10 @@ std::vector<std::uint8_t> encode_meta(const diag::fault_dictionary& dictionary) 
         w.i32(static_cast<std::int32_t>(trajectory.kind));
         w.u32(static_cast<std::uint32_t>(trajectory.points.size()));
     }
-    // Pad so the NEXT frame's doubles land 8-aligned for the mmap path:
-    // matrix doubles start at 16 (file header) + 8 (this frame's header)
-    // + L (this payload) + 4 (crc) + 8 (matrix frame header) + 8 (row
-    // count + pad), which is 8-aligned iff L % 8 == 4.
+    // Format version 1 pads so the matrix doubles land 8-aligned in the
+    // file: they start at 16 (file header) + 8 (this frame's header) + L
+    // (this payload) + 4 (crc) + 8 (matrix frame header) + 8 (row count +
+    // pad), which is 8-aligned iff L % 8 == 4.
     while (w.size() % 8 != 4) {
         w.pad(1);
     }
@@ -111,38 +123,41 @@ std::vector<std::uint8_t> encode_matrix(const diag::fault_dictionary& dictionary
     return w.take();
 }
 
-constexpr std::size_t matrix_prefix = 8; ///< row count u32 + pad u32
-
 } // namespace
 
-void write_dictionary(const diag::fault_dictionary& dictionary, const std::string& path) {
-    record_writer writer(path);
-    writer.append(record_type::dictionary_header, encode_meta(dictionary));
-    writer.append(record_type::dictionary_matrix,
-                  encode_matrix(dictionary, dictionary.space.dimensions()));
+} // namespace bistna::store
+
+namespace bistna::diag {
+
+void fault_dictionary::write_binary(const std::string& path) const {
+    store::record_writer writer(path);
+    writer.append(store::record_type::dictionary_header, store::encode_meta(*this));
+    writer.append(store::record_type::dictionary_matrix,
+                  store::encode_matrix(*this, space.dimensions()));
     writer.flush();
 }
 
-diag::fault_dictionary read_dictionary(const std::string& path) {
-    record_reader reader(path);
-    const std::uint64_t meta_offset = reader.offset() + frame_header_size;
+fault_dictionary fault_dictionary::read_binary(const std::string& path) {
+    store::record_reader reader(path);
     auto meta_record = reader.next();
     if (!meta_record) {
-        throw serialization_error("dictionary file has no records", meta_offset);
+        throw serialization_error("dictionary file has no records", reader.offset());
     }
-    expect_type(*meta_record, record_type::dictionary_header, meta_offset);
-    const auto meta = parse_meta(meta_record->payload, meta_offset);
+    store::expect_type(*meta_record, store::record_type::dictionary_header,
+                       reader.payload_offset());
+    const auto meta = store::parse_meta(meta_record->payload, reader.payload_offset());
 
-    const std::uint64_t matrix_offset = reader.offset() + frame_header_size;
     auto matrix_record = reader.next();
     if (!matrix_record) {
-        throw serialization_error("dictionary file has no matrix record", matrix_offset);
+        throw serialization_error("dictionary file has no matrix record", reader.offset());
     }
-    expect_type(*matrix_record, record_type::dictionary_matrix, matrix_offset);
+    const std::uint64_t matrix_offset = reader.payload_offset();
+    store::expect_type(*matrix_record, store::record_type::dictionary_matrix,
+                       matrix_offset);
 
     const std::size_t dims = meta.space.dimensions();
     const std::size_t stride = 1 + dims;
-    byte_reader matrix(matrix_record->payload, matrix_offset);
+    store::byte_reader matrix(matrix_record->payload, matrix_offset);
     const std::uint32_t rows = matrix.u32();
     matrix.u32(); // alignment pad
     if (rows != meta.total_points) {
@@ -152,16 +167,23 @@ diag::fault_dictionary read_dictionary(const std::string& path) {
     matrix.require(static_cast<std::size_t>(rows) * stride * sizeof(double),
                    "dictionary matrix rows");
 
-    diag::fault_dictionary dictionary;
+    // Nothing may follow the matrix: a torn or spliced tail throws inside
+    // next() at the same offset.
+    const std::uint64_t end = reader.offset();
+    if (reader.next()) {
+        throw serialization_error("trailing record after dictionary matrix", end);
+    }
+
+    fault_dictionary dictionary;
     dictionary.space = meta.space;
     dictionary.healthy = meta.healthy;
     dictionary.trajectories.reserve(meta.kinds.size());
     for (std::size_t t = 0; t < meta.kinds.size(); ++t) {
-        diag::fault_trajectory trajectory;
+        fault_trajectory trajectory;
         trajectory.kind = meta.kinds[t];
         trajectory.points.reserve(meta.point_counts[t]);
         for (std::size_t p = 0; p < meta.point_counts[t]; ++p) {
-            diag::trajectory_point point;
+            trajectory_point point;
             point.severity = matrix.f64();
             point.signature.resize(dims);
             for (std::size_t d = 0; d < dims; ++d) {
@@ -174,204 +196,4 @@ diag::fault_dictionary read_dictionary(const std::string& path) {
     return dictionary;
 }
 
-mapped_dictionary::mapped_dictionary(const std::string& path) {
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0) {
-        throw configuration_error("mapped_dictionary: cannot open '" + path + "'");
-    }
-    struct ::stat st {};
-    if (::fstat(fd, &st) != 0) {
-        ::close(fd);
-        throw configuration_error("mapped_dictionary: cannot stat '" + path + "'");
-    }
-    map_size_ = static_cast<std::size_t>(st.st_size);
-    if (map_size_ == 0) {
-        ::close(fd);
-        throw serialization_error("zero-length store file (missing header)", 0);
-    }
-    map_ = ::mmap(nullptr, map_size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    ::close(fd);
-    if (map_ == MAP_FAILED) {
-        map_ = nullptr;
-        throw configuration_error("mapped_dictionary: mmap of '" + path + "' failed");
-    }
-
-    try {
-        const auto* base = static_cast<const std::uint8_t*>(map_);
-        const std::span<const std::uint8_t> file(base, map_size_);
-        validate_file_header(file.subspan(0, std::min(map_size_, file_header_size)),
-                             map_size_);
-
-        // Walk the two frames in place, verifying each CRC exactly like
-        // the streaming reader would.
-        std::size_t offset = file_header_size;
-        const auto next_frame = [&](record_type expected)
-            -> std::pair<std::span<const std::uint8_t>, std::uint64_t> {
-            const std::uint64_t frame_offset = offset;
-            if (map_size_ - offset < frame_header_size + frame_trailer_size) {
-                throw serialization_error("truncated frame header (torn final frame)",
-                                          frame_offset);
-            }
-            std::uint16_t type_raw = 0;
-            std::uint32_t length = 0;
-            std::memcpy(&type_raw, base + offset, 2);
-            std::memcpy(&length, base + offset + 4, 4);
-            if (length > max_frame_payload ||
-                frame_offset + frame_header_size + length + frame_trailer_size >
-                    map_size_) {
-                throw serialization_error("implausible frame length " +
-                                              std::to_string(length),
-                                          frame_offset + 4);
-            }
-            std::uint32_t stored_crc = 0;
-            std::memcpy(&stored_crc, base + offset + frame_header_size + length, 4);
-            if (crc32(base + offset, frame_header_size + length) != stored_crc) {
-                throw serialization_error("frame CRC mismatch (corrupt record)",
-                                          frame_offset);
-            }
-            if (static_cast<record_type>(type_raw) != expected) {
-                throw serialization_error(
-                    "unexpected record type " + std::to_string(type_raw), frame_offset);
-            }
-            offset += frame_header_size + length + frame_trailer_size;
-            return {file.subspan(frame_offset + frame_header_size, length),
-                    frame_offset + frame_header_size};
-        };
-
-        const auto [meta_payload, meta_offset] =
-            next_frame(record_type::dictionary_header);
-        auto meta = parse_meta(meta_payload, meta_offset);
-        space_ = std::move(meta.space);
-        dims_ = space_.dimensions();
-        healthy_ = std::move(meta.healthy);
-        kinds_ = std::move(meta.kinds);
-        point_counts_ = std::move(meta.point_counts);
-        total_points_ = meta.total_points;
-        row_offsets_.reserve(kinds_.size());
-        std::size_t first_row = 0;
-        for (const std::size_t count : point_counts_) {
-            row_offsets_.push_back(first_row);
-            first_row += count;
-        }
-
-        const auto [matrix_payload, matrix_offset] =
-            next_frame(record_type::dictionary_matrix);
-        byte_reader prefix(matrix_payload, matrix_offset);
-        const std::uint32_t rows = prefix.u32();
-        if (rows != total_points_) {
-            throw serialization_error("dictionary matrix row count disagrees with header",
-                                      matrix_offset);
-        }
-        const std::size_t stride = 1 + dims_;
-        if (matrix_payload.size() < matrix_prefix + total_points_ * stride * 8) {
-            throw serialization_error("dictionary matrix shorter than its row count",
-                                      matrix_offset);
-        }
-        const auto* doubles = matrix_payload.data() + matrix_prefix;
-        if (reinterpret_cast<std::uintptr_t>(doubles) % alignof(double) != 0) {
-            throw serialization_error("dictionary matrix payload misaligned",
-                                      matrix_offset + matrix_prefix);
-        }
-        matrix_ = reinterpret_cast<const double*>(doubles);
-
-        if (offset != map_size_) {
-            throw serialization_error("trailing bytes after dictionary matrix", offset);
-        }
-    } catch (...) {
-        unmap();
-        throw;
-    }
-}
-
-mapped_dictionary::~mapped_dictionary() { unmap(); }
-
-mapped_dictionary::mapped_dictionary(mapped_dictionary&& other) noexcept
-    : map_(std::exchange(other.map_, nullptr)),
-      map_size_(std::exchange(other.map_size_, 0)),
-      space_(std::move(other.space_)), dims_(other.dims_),
-      healthy_(std::move(other.healthy_)), kinds_(std::move(other.kinds_)),
-      point_counts_(std::move(other.point_counts_)),
-      row_offsets_(std::move(other.row_offsets_)),
-      matrix_(std::exchange(other.matrix_, nullptr)),
-      total_points_(std::exchange(other.total_points_, 0)) {}
-
-mapped_dictionary& mapped_dictionary::operator=(mapped_dictionary&& other) noexcept {
-    if (this != &other) {
-        unmap();
-        map_ = std::exchange(other.map_, nullptr);
-        map_size_ = std::exchange(other.map_size_, 0);
-        space_ = std::move(other.space_);
-        dims_ = other.dims_;
-        healthy_ = std::move(other.healthy_);
-        kinds_ = std::move(other.kinds_);
-        point_counts_ = std::move(other.point_counts_);
-        row_offsets_ = std::move(other.row_offsets_);
-        matrix_ = std::exchange(other.matrix_, nullptr);
-        total_points_ = std::exchange(other.total_points_, 0);
-    }
-    return *this;
-}
-
-void mapped_dictionary::unmap() noexcept {
-    if (map_ != nullptr) {
-        ::munmap(map_, map_size_);
-        map_ = nullptr;
-        map_size_ = 0;
-    }
-}
-
-diag::fault_kind mapped_dictionary::kind(std::size_t trajectory) const {
-    BISTNA_EXPECTS(trajectory < kinds_.size(), "trajectory index out of range");
-    return kinds_[trajectory];
-}
-
-std::size_t mapped_dictionary::points(std::size_t trajectory) const {
-    BISTNA_EXPECTS(trajectory < point_counts_.size(), "trajectory index out of range");
-    return point_counts_[trajectory];
-}
-
-std::span<const double> mapped_dictionary::matrix() const noexcept {
-    return {matrix_, total_points_ * (1 + dims_)};
-}
-
-std::span<const double> mapped_dictionary::row(std::size_t trajectory,
-                                               std::size_t point) const {
-    BISTNA_EXPECTS(trajectory < kinds_.size(), "trajectory index out of range");
-    BISTNA_EXPECTS(point < point_counts_[trajectory], "point index out of range");
-    const std::size_t stride = 1 + dims_;
-    return {matrix_ + (row_offsets_[trajectory] + point) * stride, stride};
-}
-
-diag::fault_dictionary mapped_dictionary::materialize() const {
-    diag::fault_dictionary dictionary;
-    dictionary.space = space_;
-    dictionary.healthy.assign(healthy_.begin(), healthy_.end());
-    dictionary.trajectories.reserve(kinds_.size());
-    for (std::size_t t = 0; t < kinds_.size(); ++t) {
-        diag::fault_trajectory trajectory;
-        trajectory.kind = kinds_[t];
-        trajectory.points.reserve(point_counts_[t]);
-        for (std::size_t p = 0; p < point_counts_[t]; ++p) {
-            const auto r = row(t, p);
-            diag::trajectory_point point;
-            point.severity = r[0];
-            point.signature.assign(r.begin() + 1, r.end());
-            trajectory.points.push_back(std::move(point));
-        }
-        dictionary.trajectories.push_back(std::move(trajectory));
-    }
-    return dictionary;
-}
-
-} // namespace bistna::store
-
-// fault_dictionary's file form, declared on the struct in
-// diag/fault_dictionary.hpp.
-void bistna::diag::fault_dictionary::write_binary(const std::string& path) const {
-    bistna::store::write_dictionary(*this, path);
-}
-
-bistna::diag::fault_dictionary
-bistna::diag::fault_dictionary::read_binary(const std::string& path) {
-    return bistna::store::read_dictionary(path);
-}
+} // namespace bistna::diag

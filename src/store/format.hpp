@@ -22,7 +22,8 @@
 // All integers are little-endian; doubles travel as their IEEE-754 bit
 // patterns (NaN payloads and signed zeros survive exactly, unlike text).
 // Malformed input throws bistna::serialization_error carrying the byte
-// offset of the first offending byte.
+// offset of the first offending byte.  One parser reads the frames of
+// files and sockets alike: store::frame_decoder (record_io.hpp).
 #pragma once
 
 #include <array>
@@ -51,17 +52,17 @@ inline constexpr std::uint32_t max_frame_payload = 1u << 30;
 enum class record_type : std::uint16_t {
     screening_report = 1,  ///< one die's core::screening_report (+ die id)
     acquisition_result = 2, ///< one core::sweep_engine::acquisition_result
-    trajectory_point = 3,  ///< one diag dictionary severity-grid point
+    trajectory_point = 3,  ///< reserved: never written, never reused
     dictionary_header = 4, ///< fault-dictionary metadata (space, shape)
     dictionary_matrix = 5, ///< contiguous f64 block of all dictionary rows
     telemetry_snapshot = 6, ///< one process's telemetry snapshot (sidecar)
 
     // Service control records (src/svc): the screening service speaks the
     // same CRC-checked frame layout over its sockets that the store writes
-    // to disk, so one decoder serves both.  Control payloads are strict
-    // JSON (svc/protocol.hpp); svc_result wraps a data record above
-    // byte-for-byte, which is what makes a client-written store file
-    // bit-identical to the offline path's.
+    // to disk, so one decoder (store::frame_decoder) serves both.  Control
+    // payloads are strict JSON (svc/protocol.hpp); svc_result wraps a data
+    // record above byte-for-byte, which is what makes a client-written
+    // store file bit-identical to the offline path's.
     svc_hello = 7,    ///< server greeting: {"protocol", "server"}
     svc_submit = 8,   ///< client job submission: {"request", "manifest"}
     svc_progress = 9, ///< per-request progress: {"request", "completed", "total"}

@@ -1,5 +1,6 @@
 #include "store/record_io.hpp"
 
+#include <array>
 #include <cstring>
 #include <filesystem>
 
@@ -10,6 +11,9 @@
 namespace bistna::store {
 
 namespace {
+
+/// Bytes record_reader reads per refill of its decoder.
+constexpr std::size_t read_chunk = 64 * 1024;
 
 telemetry::metric_id frames_counter() {
     static const telemetry::metric_id id =
@@ -99,6 +103,66 @@ void record_writer::flush() {
     }
 }
 
+void frame_decoder::feed(std::span<const std::uint8_t> bytes) {
+    // Compact lazily: once the decoded prefix dominates the buffer, slide
+    // the undecoded tail down so memory stays bounded by one frame.
+    if (head_ > 4096 && head_ > buffer_.size() / 2) {
+        buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
+        head_ = 0;
+    }
+    buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
+}
+
+std::optional<record> frame_decoder::next() {
+    const std::size_t available = buffered();
+    if (available < frame_header_size) {
+        return std::nullopt;
+    }
+    const std::uint8_t* frame = buffer_.data() + head_;
+    std::uint16_t type_raw = 0;
+    std::uint32_t length = 0;
+    std::memcpy(&type_raw, frame + 0, 2);
+    std::memcpy(&length, frame + 4, 4);
+    if (length > max_payload_) {
+        // A flipped length byte (or a hostile peer) must not make the
+        // decoder buffer up to 4 GiB waiting for the rest of the frame.
+        throw serialization_error("implausible frame length " + std::to_string(length) +
+                                      " (cap " + std::to_string(max_payload_) + ")",
+                                  consumed_ + 4);
+    }
+    const std::size_t total = frame_header_size + length + frame_trailer_size;
+    if (available < total) {
+        return std::nullopt;
+    }
+    std::uint32_t stored_crc = 0;
+    std::memcpy(&stored_crc, frame + frame_header_size + length, 4);
+    if (crc32(frame, frame_header_size + length) != stored_crc) {
+        throw serialization_error("frame CRC mismatch (corrupt record)", consumed_);
+    }
+    record r;
+    r.type = static_cast<record_type>(type_raw);
+    r.payload.assign(frame + frame_header_size, frame + frame_header_size + length);
+    head_ += total;
+    consumed_ += total;
+    return r;
+}
+
+void frame_decoder::finish() const {
+    const std::size_t available = buffered();
+    if (available == 0) {
+        return;
+    }
+    if (available < frame_header_size) {
+        throw serialization_error("truncated frame header (input ended mid-frame)",
+                                  consumed_);
+    }
+    std::uint32_t length = 0;
+    std::memcpy(&length, buffer_.data() + head_ + 4, 4);
+    throw serialization_error("truncated frame: length " + std::to_string(length) +
+                                  " runs past the end of input",
+                              consumed_ + 4);
+}
+
 record_reader::record_reader(const std::string& path)
     : path_(path), in_(path, std::ios::binary) {
     if (!in_) {
@@ -106,61 +170,32 @@ record_reader::record_reader(const std::string& path)
     }
     std::error_code ec;
     const auto size = std::filesystem::file_size(path, ec);
-    file_size_ = ec ? 0 : size;
 
     std::array<std::uint8_t, file_header_size> header{};
     in_.read(reinterpret_cast<char*>(header.data()),
              static_cast<std::streamsize>(header.size()));
     const auto got = static_cast<std::size_t>(in_.gcount());
-    validate_file_header(std::span<const std::uint8_t>(header.data(), got), file_size_);
-    offset_ = file_header_size;
+    validate_file_header(std::span<const std::uint8_t>(header.data(), got), ec ? 0 : size);
 }
 
 std::optional<record> record_reader::next() {
-    const std::uint64_t frame_offset = offset_;
-    std::array<std::uint8_t, frame_header_size> header{};
-    in_.read(reinterpret_cast<char*>(header.data()),
-             static_cast<std::streamsize>(header.size()));
-    const auto got = static_cast<std::size_t>(in_.gcount());
-    if (got == 0) {
-        return std::nullopt; // clean end of file
+    const std::uint64_t frame_offset = decoder_.offset();
+    for (;;) {
+        if (auto r = decoder_.next()) {
+            payload_offset_ = frame_offset + frame_header_size;
+            ++records_;
+            return r;
+        }
+        std::array<char, read_chunk> chunk;
+        in_.read(chunk.data(), static_cast<std::streamsize>(chunk.size()));
+        const auto got = static_cast<std::size_t>(in_.gcount());
+        if (got == 0) {
+            decoder_.finish();
+            return std::nullopt; // clean end of file
+        }
+        decoder_.feed(std::span<const std::uint8_t>(
+            reinterpret_cast<const std::uint8_t*>(chunk.data()), got));
     }
-    if (got < frame_header_size) {
-        throw serialization_error("truncated frame header (torn final frame)",
-                                  frame_offset);
-    }
-    std::uint16_t type_raw = 0;
-    std::uint32_t length = 0;
-    std::memcpy(&type_raw, header.data() + 0, 2);
-    std::memcpy(&length, header.data() + 4, 4);
-    if (length > max_frame_payload ||
-        frame_offset + frame_header_size + length + frame_trailer_size > file_size_) {
-        // Either a flipped length byte or a frame that runs past the end
-        // of the file; both are reported before any giant allocation.
-        throw serialization_error("implausible frame length " + std::to_string(length),
-                                  frame_offset + 4);
-    }
-
-    record r;
-    r.type = static_cast<record_type>(type_raw);
-    r.payload.resize(length);
-    in_.read(reinterpret_cast<char*>(r.payload.data()),
-             static_cast<std::streamsize>(length));
-    std::uint32_t stored_crc = 0;
-    in_.read(reinterpret_cast<char*>(&stored_crc), sizeof stored_crc);
-    if (static_cast<std::size_t>(in_.gcount()) < sizeof stored_crc) {
-        throw serialization_error("truncated frame payload (torn final frame)",
-                                  frame_offset);
-    }
-
-    std::uint32_t crc = crc32(header.data(), header.size());
-    crc = crc32(r.payload.data(), r.payload.size(), crc);
-    if (crc != stored_crc) {
-        throw serialization_error("frame CRC mismatch (corrupt record)", frame_offset);
-    }
-    offset_ = frame_offset + frame_header_size + length + frame_trailer_size;
-    ++records_;
-    return r;
 }
 
 std::vector<record> record_reader::read_all(const std::string& path) {

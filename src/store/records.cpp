@@ -1,7 +1,5 @@
 #include "store/records.hpp"
 
-#include "diag/fault_model.hpp"
-
 namespace bistna::store {
 
 namespace {
@@ -105,35 +103,6 @@ stored_report report_from_record(const record& r, std::uint64_t payload_offset) 
     return out;
 }
 
-std::vector<record> reports_to_records(std::span<const core::screening_report> reports,
-                                       std::uint64_t first_die) {
-    std::vector<record> records;
-    records.reserve(reports.size());
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        records.push_back(to_record(reports[i], first_die + i));
-    }
-    return records;
-}
-
-std::vector<core::screening_report>
-reports_from_records(std::span<const record> records,
-                     std::vector<std::uint64_t>* die_ids) {
-    std::vector<core::screening_report> reports;
-    reports.reserve(records.size());
-    if (die_ids != nullptr) {
-        die_ids->clear();
-        die_ids->reserve(records.size());
-    }
-    for (const auto& r : records) {
-        auto stored = report_from_record(r);
-        if (die_ids != nullptr) {
-            die_ids->push_back(stored.die);
-        }
-        reports.push_back(std::move(stored.report));
-    }
-    return reports;
-}
-
 // --- acquisition results --------------------------------------------------
 
 record to_record(const core::sweep_engine::acquisition_result& result,
@@ -195,34 +164,6 @@ stored_acquisition acquisition_from_record(const record& r, std::uint64_t payloa
         point.ideal_phase_deg = reader.f64();
         result.points.push_back(point);
     }
-    return out;
-}
-
-// --- fault-dictionary trajectory points ------------------------------------
-
-record to_record(const stored_trajectory_point& point) {
-    byte_writer w;
-    w.i32(static_cast<std::int32_t>(point.kind));
-    w.u32(point.trajectory);
-    w.f64(point.point.severity);
-    w.f64_span(point.point.signature);
-    return record{record_type::trajectory_point, w.take()};
-}
-
-stored_trajectory_point trajectory_point_from_record(const record& r,
-                                                     std::uint64_t payload_offset) {
-    expect_type(r, record_type::trajectory_point, payload_offset);
-    byte_reader reader(r.payload, payload_offset);
-    stored_trajectory_point out;
-    const std::int32_t kind = reader.i32();
-    if (kind < 0 || kind >= static_cast<std::int32_t>(diag::fault_kind_count)) {
-        throw serialization_error("trajectory record fault kind out of range",
-                                  payload_offset);
-    }
-    out.kind = static_cast<diag::fault_kind>(kind);
-    out.trajectory = reader.u32();
-    out.point.severity = reader.f64();
-    out.point.signature = reader.f64_vector();
     return out;
 }
 

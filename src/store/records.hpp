@@ -10,12 +10,9 @@
 #pragma once
 
 #include <cstdint>
-#include <span>
-#include <vector>
 
 #include "core/screening.hpp"
 #include "core/sweep_engine.hpp"
-#include "diag/fault_dictionary.hpp"
 #include "store/format.hpp"
 
 namespace bistna::store {
@@ -31,13 +28,6 @@ struct stored_report {
 record to_record(const core::screening_report& report, std::uint64_t die);
 stored_report report_from_record(const record& r, std::uint64_t payload_offset = 0);
 
-/// Whole-shard converters: report i carries die id first_die + i.
-std::vector<record> reports_to_records(std::span<const core::screening_report> reports,
-                                       std::uint64_t first_die = 0);
-std::vector<core::screening_report>
-reports_from_records(std::span<const record> records,
-                     std::vector<std::uint64_t>* die_ids = nullptr);
-
 // --- acquisition results --------------------------------------------------
 
 /// An acquisition result plus its item index in the submitted batch.
@@ -50,21 +40,6 @@ record to_record(const core::sweep_engine::acquisition_result& result,
                  std::uint64_t item);
 stored_acquisition acquisition_from_record(const record& r,
                                            std::uint64_t payload_offset = 0);
-
-// --- fault-dictionary trajectory points ------------------------------------
-
-/// One severity-grid point as a standalone streamable record (a
-/// dictionary build streams these off its job; the packed dictionary
-/// file in dictionary_io.hpp is the load-optimized form).
-struct stored_trajectory_point {
-    diag::fault_kind kind{};
-    std::uint32_t trajectory = 0; ///< trajectory index within the dictionary
-    diag::trajectory_point point;
-};
-
-record to_record(const stored_trajectory_point& point);
-stored_trajectory_point trajectory_point_from_record(const record& r,
-                                                     std::uint64_t payload_offset = 0);
 
 /// Throws serialization_error unless `r` has the expected type.
 void expect_type(const record& r, record_type expected, std::uint64_t offset = 0);

@@ -49,10 +49,7 @@ std::optional<store::record> client::read_frame() {
         std::uint8_t buf[65536];
         const long n = recv_some(fd_.get(), buf, sizeof buf);
         if (n < 0) {
-            if (decoder_.buffered() != 0) {
-                throw serialization_error(
-                    "service client: connection closed mid-frame", decoder_.offset());
-            }
+            decoder_.finish(); // a frame cut off by the close throws
             return std::nullopt; // clean EOF on a frame boundary
         }
         decoder_.feed(std::span<const std::uint8_t>(buf, static_cast<std::size_t>(n)));

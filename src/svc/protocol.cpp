@@ -1,14 +1,9 @@
 #include "svc/protocol.hpp"
 
-#include <cmath>
-#include <cstring>
 #include <utility>
 
 #include "common/error.hpp"
 #include "common/json.hpp"
-#include "store/crc32.hpp"
-#include "store/record_io.hpp"
-#include "store/records.hpp"
 
 namespace bistna::svc {
 
@@ -52,16 +47,16 @@ json_value text(std::string s) {
 }
 
 /// u64s travel as JSON numbers; the doubles are exact below 2^53, which
-/// covers every id/count the protocol carries (the strict reader rejects
+/// covers every id/count the protocol carries (json_exact_u64 rejects
 /// anything larger rather than rounding it).
 std::uint64_t get_u64(const json_value& object, const char* key, const char* context) {
     const json_value* v = object.find(key);
-    if (v == nullptr || v->type != json_value::kind::number || !(v->num >= 0.0) ||
-        v->num != std::floor(v->num) || v->num >= 9.007199254740992e15) {
+    const auto value = v == nullptr ? std::nullopt : json_exact_u64(*v);
+    if (!value) {
         throw configuration_error(std::string(context) + ": field \"" + key +
                                   "\" must be a non-negative integer below 2^53");
     }
-    return static_cast<std::uint64_t>(v->num);
+    return *value;
 }
 
 std::string get_string(const json_value& object, const char* key, const char* context) {
@@ -248,55 +243,6 @@ result_frame decode_result(const store::record& r) {
     reader.u16(); // reserved
     f.record.payload.assign(r.payload.begin() + 20, r.payload.end());
     return f;
-}
-
-// --- incremental frame decoder ---------------------------------------------
-
-void frame_decoder::feed(std::span<const std::uint8_t> bytes) {
-    // Compact lazily: once the parsed prefix dominates the buffer, slide
-    // the unparsed tail down so memory stays bounded by one frame.
-    if (head_ > 4096 && head_ > buffer_.size() / 2) {
-        buffer_.erase(buffer_.begin(), buffer_.begin() + static_cast<std::ptrdiff_t>(head_));
-        head_ = 0;
-    }
-    buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-}
-
-std::optional<store::record> frame_decoder::next() {
-    const std::size_t available = buffer_.size() - head_;
-    if (available < store::frame_header_size) {
-        return std::nullopt;
-    }
-    const std::uint8_t* frame = buffer_.data() + head_;
-    std::uint16_t type_raw = 0;
-    std::uint32_t length = 0;
-    std::memcpy(&type_raw, frame + 0, 2);
-    std::memcpy(&length, frame + 4, 4);
-    if (length > max_payload_) {
-        throw serialization_error("service frame: implausible payload length " +
-                                      std::to_string(length) + " (cap " +
-                                      std::to_string(max_payload_) + ")",
-                                  consumed_ + 4);
-    }
-    const std::size_t total =
-        store::frame_header_size + length + store::frame_trailer_size;
-    if (available < total) {
-        return std::nullopt;
-    }
-    std::uint32_t stated_crc = 0;
-    std::memcpy(&stated_crc, frame + store::frame_header_size + length, 4);
-    const std::uint32_t actual_crc =
-        store::crc32(frame, store::frame_header_size + length);
-    if (stated_crc != actual_crc) {
-        throw serialization_error("service frame: CRC mismatch", consumed_);
-    }
-    store::record r;
-    r.type = static_cast<store::record_type>(type_raw);
-    r.payload.assign(frame + store::frame_header_size,
-                     frame + store::frame_header_size + length);
-    head_ += total;
-    consumed_ += total;
-    return r;
 }
 
 } // namespace bistna::svc

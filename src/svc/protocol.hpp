@@ -8,7 +8,7 @@
 // server's svc_hello frame instead (protocol version negotiation).  Frame
 // types are the svc_* values of store::record_type, so the service's
 // control records and the store's data records share one numbering space
-// and one decoder.  Control payloads (hello/submit/progress/error/cancel/
+// and one decoder (store::frame_decoder, which also reads store files).  Control payloads (hello/submit/progress/error/cancel/
 // done) are strict JSON written by the common/json writer and parsed by
 // the same strict parser the lot manifest uses; result payloads are
 // binary -- they wrap the exact data record the offline store path would
@@ -31,6 +31,7 @@
 
 #include "shard/manifest.hpp"
 #include "store/format.hpp"
+#include "store/record_io.hpp"
 
 namespace bistna::svc {
 
@@ -131,32 +132,14 @@ cancel_frame decode_cancel(const store::record& r);
 done_frame decode_done(const store::record& r);
 result_frame decode_result(const store::record& r);
 
-/// Incremental frame decoder over a byte stream.  feed() raw socket
-/// bytes, then pull complete frames with next(); framing damage throws
-/// serialization_error carrying the ABSOLUTE stream offset (bytes since
-/// the connection opened) of the first offending byte, mirroring the
-/// store reader's corrupt-file errors.
-class frame_decoder {
+/// The store's frame decoder (store/record_io.hpp) with the wire cap as
+/// its default, so a client cannot make the daemon buffer up to the
+/// store's 1 GiB frames.  Offsets are absolute within the session's byte
+/// stream (bytes since the connection opened).
+class frame_decoder : public store::frame_decoder {
 public:
     explicit frame_decoder(std::uint32_t max_payload = max_frame_payload)
-        : max_payload_(max_payload) {}
-
-    void feed(std::span<const std::uint8_t> bytes);
-
-    /// The next complete frame, or nullopt until more bytes arrive.
-    /// Throws serialization_error on an oversized length (offset of the
-    /// length field) or a CRC mismatch (offset of the frame start).
-    std::optional<store::record> next();
-
-    /// Absolute stream offset of the next undecoded byte.
-    std::uint64_t offset() const noexcept { return consumed_; }
-    std::size_t buffered() const noexcept { return buffer_.size() - head_; }
-
-private:
-    std::uint32_t max_payload_;
-    std::vector<std::uint8_t> buffer_;
-    std::size_t head_ = 0;        ///< first unparsed byte within buffer_
-    std::uint64_t consumed_ = 0;  ///< absolute offset of buffer_[head_]
+        : store::frame_decoder(max_payload) {}
 };
 
 } // namespace bistna::svc

@@ -128,13 +128,10 @@ void write_snapshot_store(const std::string& path,
 std::vector<telemetry_snapshot> read_snapshot_store(const std::string& path) {
     std::vector<telemetry_snapshot> snapshots;
     store::record_reader reader(path);
-    std::uint64_t payload_offset = store::file_header_size +
-                                   store::frame_header_size;
     while (auto r = reader.next()) {
         if (r->type == store::record_type::telemetry_snapshot) {
-            snapshots.push_back(snapshot_from_record(*r, payload_offset));
+            snapshots.push_back(snapshot_from_record(*r, reader.payload_offset()));
         }
-        payload_offset = reader.offset() + store::frame_header_size;
     }
     return snapshots;
 }

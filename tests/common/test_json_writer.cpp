@@ -147,6 +147,16 @@ json_value random_tree(std::mt19937_64& rng, int depth) {
 }
 
 TEST(JsonWriter, RandomTreesRoundTripExactly) {
+    // The extremes first: subnormals (down to 5e-324) and the largest
+    // finite magnitudes parse back to the same bit pattern.
+    for (const double v :
+         {std::numeric_limits<double>::denorm_min(), -std::numeric_limits<double>::denorm_min(),
+          2.5e-320, std::numeric_limits<double>::min(), std::numeric_limits<double>::max(),
+          std::numeric_limits<double>::lowest()}) {
+        const std::string once = to_json(number(v));
+        EXPECT_TRUE(json_equal(parse_json(once, "extreme"), number(v))) << once;
+    }
+
     std::mt19937_64 rng(0xB157AA5Eu);
     for (int i = 0; i < 500; ++i) {
         const json_value tree = random_tree(rng, 4);

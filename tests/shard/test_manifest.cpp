@@ -100,6 +100,27 @@ TEST(ShardManifest, RejectsMalformedJson) {
                  configuration_error);
     EXPECT_THROW((void)shard::lot_manifest::from_json("{\"dice\": 1.5}"),
                  configuration_error);
+    // Integers must be exact: 2^53 and above are refused, not rounded (a
+    // daemon would otherwise screen a die the client did not ask for).
+    EXPECT_THROW(
+        (void)shard::lot_manifest::from_json("{\"first_seed\": 9007199254740992}"),
+        configuration_error);
+    EXPECT_THROW(
+        (void)shard::lot_manifest::from_json("{\"first_seed\": 9007199254740993}"),
+        configuration_error);
+    // Spellings outside the RFC 8259 number grammar.
+    for (const char* number : {"+1", "01", ".5", "5.", "1.e5"}) {
+        EXPECT_THROW((void)shard::lot_manifest::from_json(
+                         std::string("{\"sigma\": ") + number + "}"),
+                     configuration_error)
+            << number;
+    }
+    // The largest exact integer still round-trips.
+    const auto largest =
+        shard::lot_manifest::from_json("{\"first_seed\": 9007199254740991}");
+    EXPECT_EQ(largest.first_seed, 9007199254740991u);
+    EXPECT_EQ(shard::lot_manifest::from_json(largest.to_json()).first_seed,
+              9007199254740991u);
 }
 
 TEST(ShardManifest, RejectsUnknownAndDuplicateKeys) {

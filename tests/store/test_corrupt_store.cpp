@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -78,16 +79,36 @@ valid_store build_valid_store(const std::string& path) {
 }
 
 /// Asserts that reading `path` throws serialization_error at exactly
-/// `offset`, and that the what() string names that offset.
+/// `offset`, and that the what() string names that offset.  When the
+/// damage is past the file header, the stream decoder must agree: fed the
+/// frames one byte at a time under the store's cap, then told the input
+/// ended, it names the same offset.
 void expect_rejected_at(const std::string& path, std::uint64_t offset) {
     try {
         (void)store::record_reader::read_all(path);
-        FAIL() << "corrupt store was accepted";
+        ADD_FAILURE() << "corrupt store was accepted";
     } catch (const serialization_error& error) {
         EXPECT_EQ(error.byte_offset(), offset) << error.what();
         EXPECT_NE(std::string(error.what()).find("byte offset " + std::to_string(offset)),
                   std::string::npos)
             << error.what();
+    }
+    if (offset < store::file_header_size) {
+        return; // a damaged file header: there are no frames to decode
+    }
+
+    const auto bytes = slurp(path);
+    store::frame_decoder decoder(store::max_frame_payload, store::file_header_size);
+    try {
+        for (std::size_t i = store::file_header_size; i < bytes.size(); ++i) {
+            decoder.feed(std::span<const std::uint8_t>(&bytes[i], 1));
+            while (decoder.next()) {
+            }
+        }
+        decoder.finish();
+        ADD_FAILURE() << "frame decoder accepted the corrupt frames";
+    } catch (const serialization_error& error) {
+        EXPECT_EQ(error.byte_offset(), offset) << "decoder: " << error.what();
     }
 }
 

@@ -1,6 +1,6 @@
-// Binary fault-dictionary files: copying round trip, the zero-copy
-// mmap view, trajectory boundaries, and rejection of corrupt or malformed
-// files by both loaders.
+// Binary fault-dictionary files: bit-exact round trip, trajectory
+// boundaries, and rejection of corrupt, malformed or over-long files by
+// read_binary, the one loader.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <limits>
@@ -18,8 +19,8 @@
 #include "common/error.hpp"
 #include "diag/fault_dictionary.hpp"
 #include "store/crc32.hpp"
-#include "store/dictionary_io.hpp"
 #include "store/format.hpp"
+#include "store/record_io.hpp"
 
 namespace {
 
@@ -79,6 +80,19 @@ TEST(DictionaryBinary, WriteReadRoundTrip) {
     dictionary.write_binary(file.path());
     const auto restored = diag::fault_dictionary::read_binary(file.path());
     EXPECT_EQ(restored, dictionary);
+
+    // Format version 1 pads the header frame so the matrix doubles sit at
+    // an 8-aligned file offset: file header, header frame, matrix frame
+    // header, then the row count and its pad.
+    std::ifstream in(file.path(), std::ios::binary);
+    in.seekg(static_cast<std::streamoff>(store::file_header_size + 4));
+    std::uint32_t header_length = 0;
+    in.read(reinterpret_cast<char*>(&header_length), sizeof header_length);
+    const std::uint64_t matrix_doubles = store::file_header_size +
+                                         store::frame_header_size + header_length +
+                                         store::frame_trailer_size +
+                                         store::frame_header_size + 8;
+    EXPECT_EQ(matrix_doubles % alignof(double), 0u);
 }
 
 TEST(DictionaryBinary, EmptyHealthySignatureSurvives) {
@@ -88,9 +102,7 @@ TEST(DictionaryBinary, EmptyHealthySignatureSurvives) {
     dictionary.write_binary(file.path());
     const auto restored = diag::fault_dictionary::read_binary(file.path());
     EXPECT_EQ(restored, dictionary);
-
-    store::mapped_dictionary mapped(file.path());
-    EXPECT_TRUE(mapped.healthy().empty());
+    EXPECT_TRUE(restored.healthy.empty());
 }
 
 TEST(DictionaryBinary, NanPayloadsSurviveBitExactly) {
@@ -107,58 +119,6 @@ TEST(DictionaryBinary, NanPayloadsSurviveBitExactly) {
                   restored.trajectories[0].points[1].signature[2]),
               0x7FF8C0FFEE000001ull);
     EXPECT_TRUE(std::isinf(restored.trajectories[1].points[0].severity));
-
-    store::mapped_dictionary mapped(file.path());
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(mapped.row(0, 1)[3]),
-              0x7FF8C0FFEE000001ull);
-}
-
-TEST(DictionaryBinary, MappedViewMatchesTheStruct) {
-    temp_file file("bistna_dict_mapped.bin");
-    const auto dictionary = finite_dictionary();
-    dictionary.write_binary(file.path());
-
-    store::mapped_dictionary mapped(file.path());
-    EXPECT_EQ(mapped.space(), dictionary.space);
-    EXPECT_EQ(mapped.dimensions(), dictionary.space.dimensions());
-    ASSERT_EQ(mapped.healthy().size(), dictionary.healthy.size());
-    EXPECT_EQ(mapped.healthy()[0], 0.25);
-    ASSERT_EQ(mapped.trajectory_count(), dictionary.trajectories.size());
-
-    std::size_t total_rows = 0;
-    for (std::size_t t = 0; t < mapped.trajectory_count(); ++t) {
-        const auto& trajectory = dictionary.trajectories[t];
-        EXPECT_EQ(mapped.kind(t), trajectory.kind);
-        ASSERT_EQ(mapped.points(t), trajectory.points.size());
-        for (std::size_t p = 0; p < trajectory.points.size(); ++p) {
-            const auto row = mapped.row(t, p);
-            ASSERT_EQ(row.size(), 1 + mapped.dimensions());
-            EXPECT_EQ(row[0], trajectory.points[p].severity);
-            for (std::size_t d = 0; d < mapped.dimensions(); ++d) {
-                EXPECT_EQ(row[1 + d], trajectory.points[p].signature[d]);
-            }
-            ++total_rows;
-        }
-    }
-    EXPECT_EQ(mapped.rows(), total_rows);
-    EXPECT_EQ(mapped.matrix().size(), total_rows * (1 + mapped.dimensions()));
-    // The matrix really is served straight from the mapping, 8-aligned.
-    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(mapped.matrix().data()) % alignof(double),
-              0u);
-
-    EXPECT_EQ(mapped.materialize(), dictionary);
-}
-
-TEST(DictionaryBinary, MappedViewIsMovable) {
-    temp_file file("bistna_dict_move.bin");
-    const auto dictionary = finite_dictionary();
-    dictionary.write_binary(file.path());
-
-    store::mapped_dictionary first(file.path());
-    store::mapped_dictionary second(std::move(first));
-    EXPECT_EQ(second.materialize(), dictionary);
-    second = store::mapped_dictionary(file.path());
-    EXPECT_EQ(second.materialize(), dictionary);
 }
 
 TEST(DictionaryBinary, TwoTrajectoriesOfTheSameKindSurviveTheRoundTrip) {
@@ -172,12 +132,8 @@ TEST(DictionaryBinary, TwoTrajectoriesOfTheSameKindSurviveTheRoundTrip) {
     const auto restored = diag::fault_dictionary::read_binary(file.path());
     EXPECT_EQ(restored, dictionary);
     ASSERT_EQ(restored.trajectories.size(), 2u);
-
-    store::mapped_dictionary mapped(file.path());
-    ASSERT_EQ(mapped.trajectory_count(), 2u);
-    EXPECT_EQ(mapped.points(0), 3u);
-    EXPECT_EQ(mapped.points(1), 2u);
-    EXPECT_EQ(mapped.materialize(), dictionary);
+    EXPECT_EQ(restored.trajectories[0].points.size(), 3u);
+    EXPECT_EQ(restored.trajectories[1].points.size(), 2u);
 }
 
 /// Swap two equal-length component names in the header frame of the
@@ -221,12 +177,6 @@ TEST(DictionaryBinary, MalformedHeaderIsRejectedByBothLoaders) {
     } catch (const serialization_error& e) {
         EXPECT_EQ(e.byte_offset(), header_payload);
     }
-    try {
-        (void)store::mapped_dictionary(reordered.path());
-        ADD_FAILURE() << "mapped_dictionary accepted out-of-order components";
-    } catch (const serialization_error& e) {
-        EXPECT_EQ(e.byte_offset(), header_payload);
-    }
 
     // A fault kind outside the catalog (shipped files are untrusted input)
     // is rejected before any cast.
@@ -237,8 +187,6 @@ TEST(DictionaryBinary, MalformedHeaderIsRejectedByBothLoaders) {
         dictionary.write_binary(bad_kind.path());
         EXPECT_THROW((void)diag::fault_dictionary::read_binary(bad_kind.path()),
                      serialization_error)
-            << kind;
-        EXPECT_THROW((void)store::mapped_dictionary(bad_kind.path()), serialization_error)
             << kind;
     }
 }
@@ -262,17 +210,41 @@ TEST(DictionaryBinary, CorruptMatrixIsRejectedByBothLoaders) {
 
     EXPECT_THROW((void)diag::fault_dictionary::read_binary(file.path()),
                  serialization_error);
-    EXPECT_THROW((void)store::mapped_dictionary(file.path()), serialization_error);
+}
+
+/// read_binary must reject `path` at exactly `offset`.
+void expect_read_binary_rejects_at(const std::string& path, std::uint64_t offset) {
+    try {
+        (void)diag::fault_dictionary::read_binary(path);
+        ADD_FAILURE() << "read_binary accepted bytes after the matrix";
+    } catch (const serialization_error& e) {
+        EXPECT_EQ(e.byte_offset(), offset) << e.what();
+    }
 }
 
 TEST(DictionaryBinary, TrailingGarbageIsRejected) {
-    temp_file file("bistna_dict_trailing.bin");
-    finite_dictionary().write_binary(file.path());
+    // Nothing may follow the matrix frame: neither stray bytes nor a
+    // well-formed, CRC-valid extra frame.  Both are reported at the first
+    // byte after the matrix.
+    temp_file garbage("bistna_dict_trailing.bin");
+    finite_dictionary().write_binary(garbage.path());
+    const auto matrix_end = std::filesystem::file_size(garbage.path());
     {
-        std::ofstream out(file.path(), std::ios::binary | std::ios::app);
+        std::ofstream out(garbage.path(), std::ios::binary | std::ios::app);
         out << "extra";
     }
-    EXPECT_THROW((void)store::mapped_dictionary(file.path()), serialization_error);
+    expect_read_binary_rejects_at(garbage.path(), matrix_end);
+
+    temp_file extra_frame("bistna_dict_extra_frame.bin");
+    finite_dictionary().write_binary(extra_frame.path());
+    {
+        const std::vector<std::uint8_t> payload = {1, 2, 3};
+        const auto frame = store::encode_frame(store::record_type::dictionary_matrix, payload);
+        std::ofstream out(extra_frame.path(), std::ios::binary | std::ios::app);
+        out.write(reinterpret_cast<const char*>(frame.data()),
+                  static_cast<std::streamsize>(frame.size()));
+    }
+    expect_read_binary_rejects_at(extra_frame.path(), matrix_end);
 }
 
 } // namespace

@@ -115,21 +115,6 @@ TEST(RecordStore, ScreeningReportRoundTripsBitExactly) {
     EXPECT_EQ(bits(restored.report.offset_rate), 0x7FF8DEADBEEF1234ull);
 }
 
-TEST(RecordStore, BatchConvertersCarryDieIds) {
-    std::vector<screening_report> reports(3, awkward_report());
-    reports[1].passed = true;
-    const auto records = store::reports_to_records(reports, /*first_die=*/41);
-    ASSERT_EQ(records.size(), 3u);
-
-    std::vector<std::uint64_t> die_ids;
-    const auto restored = store::reports_from_records(records, &die_ids);
-    ASSERT_EQ(restored.size(), 3u);
-    EXPECT_EQ(die_ids, (std::vector<std::uint64_t>{41, 42, 43}));
-    for (std::size_t i = 0; i < restored.size(); ++i) {
-        expect_report_bit_equal(restored[i], reports[i]);
-    }
-}
-
 TEST(RecordStore, AcquisitionResultRoundTripsBitExactly) {
     core::sweep_engine::acquisition_result result;
     result.calibration.amplitude.volts = 0.2999999999999997;
@@ -173,29 +158,11 @@ TEST(RecordStore, AcquisitionResultRoundTripsBitExactly) {
                      "ideal_phase_deg");
 }
 
-TEST(RecordStore, TrajectoryPointRoundTrips) {
-    store::stored_trajectory_point stored;
-    stored.kind = diag::fault_kind::integrator_leak;
-    stored.trajectory = 9;
-    stored.point.severity = 0.015625;
-    stored.point.signature = {0.3, -0.0, std::numeric_limits<double>::quiet_NaN(), -70.0};
-
-    const auto record = store::to_record(stored);
-    const auto restored = store::trajectory_point_from_record(record);
-    EXPECT_EQ(restored.kind, stored.kind);
-    EXPECT_EQ(restored.trajectory, 9u);
-    expect_bit_equal(restored.point.severity, stored.point.severity, "severity");
-    ASSERT_EQ(restored.point.signature.size(), stored.point.signature.size());
-    for (std::size_t i = 0; i < stored.point.signature.size(); ++i) {
-        expect_bit_equal(restored.point.signature[i], stored.point.signature[i],
-                         "signature");
-    }
-}
-
 TEST(RecordStore, WrongRecordTypeIsRejected) {
     const auto record = store::to_record(awkward_report(), 1);
     EXPECT_THROW((void)store::acquisition_from_record(record), serialization_error);
-    EXPECT_THROW((void)store::trajectory_point_from_record(record), serialization_error);
+    const auto acquisition = store::to_record(core::sweep_engine::acquisition_result{}, 1);
+    EXPECT_THROW((void)store::report_from_record(acquisition), serialization_error);
 }
 
 TEST(RecordStore, WriterReaderStreamRoundTrip) {

@@ -1,9 +1,9 @@
 // The service wire protocol: typed encode/decode round trips, the shared
 // manifest schema riding inside submit frames, and the incremental frame
 // decoder's robustness contract -- byte-dribbled feeds reassemble exactly,
-// while truncation, CRC damage and implausible lengths throw
-// serialization_error carrying the absolute stream offset of the first
-// offending byte.
+// while truncation, CRC damage, implausible lengths and input that ends
+// mid-frame throw serialization_error carrying the absolute stream offset
+// of the first offending byte.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -198,8 +198,17 @@ TEST(SvcFrameDecoder, TruncatedFrameWaitsForMoreBytes) {
     decoder.feed(std::span<const std::uint8_t>(bytes.data(), bytes.size() - 1));
     EXPECT_FALSE(decoder.next().has_value());
     EXPECT_EQ(decoder.buffered(), bytes.size() - 1);
+    // Were the connection to close here, the payload runs past the end of
+    // input: the verdict names the length field.
+    try {
+        decoder.finish();
+        ADD_FAILURE() << "input ending mid-frame was accepted";
+    } catch (const serialization_error& e) {
+        EXPECT_EQ(e.byte_offset(), 4u) << e.what();
+    }
     decoder.feed(std::span<const std::uint8_t>(bytes.data() + bytes.size() - 1, 1));
     EXPECT_TRUE(decoder.next().has_value());
+    decoder.finish(); // a frame boundary ends quietly
 }
 
 TEST(SvcFrameDecoder, CrcDamageNamesTheFrameOffset) {

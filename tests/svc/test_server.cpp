@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include "common/error.hpp"
@@ -396,6 +397,28 @@ TEST(SvcServer, FramingDamageAnswersWithByteOffsetThenCloses) {
     EXPECT_EQ(*e->error.offset, valid.size());
     // A byte stream cannot resync after CRC damage: the session closes.
     EXPECT_FALSE(c.next_event().has_value());
+
+    // The daemon decodes under the 8 MiB wire cap, not the store's 1 GiB
+    // one: a header declaring one byte more is refused at its length
+    // field before any of the payload is buffered.
+    client oversized(path);
+    std::vector<std::uint8_t> header(store::frame_header_size, 0);
+    const auto type = static_cast<std::uint16_t>(store::record_type::svc_submit);
+    const std::uint32_t length = svc::max_frame_payload + 1;
+    std::memcpy(header.data(), &type, sizeof type);
+    std::memcpy(header.data() + 4, &length, sizeof length);
+    send_raw(oversized.fd(), header);
+    // Half-close: a daemon that waited for the payload would see the end
+    // of input and hang up, failing the test instead of hanging it.
+    ASSERT_EQ(::shutdown(oversized.fd(), SHUT_WR), 0);
+
+    e = oversized.next_event();
+    ASSERT_TRUE(e.has_value());
+    ASSERT_EQ(e->type, client::event::kind::error);
+    EXPECT_EQ(e->error.code, error_code::bad_frame);
+    ASSERT_TRUE(e->error.offset.has_value());
+    EXPECT_EQ(*e->error.offset, 4u);
+    EXPECT_FALSE(oversized.next_event().has_value());
     server.stop();
 }
 
