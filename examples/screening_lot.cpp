@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/cli.hpp"
+#include "common/kernel.hpp"
 #include "common/table.hpp"
 #include "core/job_queue.hpp"
 #include "core/screening.hpp"
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
 
     std::cout << "=== Monte Carlo lot screening: " << dice << " dice, " << sigma * 100.0
               << " % components, " << queue->threads() << " threads x " << lanes
-              << " lanes ===\n\n";
+              << " lanes, " << kernel_isa() << " kernels ===\n\n";
 
     // Open (or resume) the persistent result store before measuring: a
     // torn tail from a killed run is reported and truncated here, never

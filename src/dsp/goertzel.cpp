@@ -1,44 +1,11 @@
 #include "dsp/goertzel.hpp"
 
 #include <cmath>
-#include <vector>
 
 #include "common/error.hpp"
-#include "common/kernel.hpp"
 #include "common/math_util.hpp"
 
 namespace bistna::dsp {
-
-namespace {
-
-/// Finalize one lane's recurrence state into the scaled correlation: the
-/// generalized Goertzel closing formula, shared verbatim by the scalar and
-/// lane-major paths so both produce the same bits.
-std::complex<double> finalize(double s_prev, double s_prev2, double omega, std::size_t n) {
-    const std::complex<double> w(std::cos(omega), std::sin(omega));
-    std::complex<double> y = s_prev - s_prev2 * std::conj(w);
-    // Phase reference at sample 0.
-    const double back_angle = -omega * static_cast<double>(n - 1);
-    y *= std::complex<double>(std::cos(back_angle), std::sin(back_angle));
-    return y * (2.0 / static_cast<double>(n));
-}
-
-/// Lane-major recurrence rows: s = x + coeff * s1 - s2 per lane, the same
-/// left-to-right expression as the scalar loop.
-BISTNA_KERNEL_CLONES void goertzel_rows(const double* __restrict xs, std::size_t count,
-                                        std::size_t n_lanes, double coeff,
-                                        double* __restrict s1, double* __restrict s2) {
-    for (std::size_t n = 0; n < count; ++n) {
-        const double* row = xs + n * n_lanes;
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double s = row[l] + coeff * s1[l] - s2[l];
-            s2[l] = s1[l];
-            s1[l] = s;
-        }
-    }
-}
-
-} // namespace
 
 std::complex<double> goertzel(std::span<const double> samples, double frequency_hz,
                               double sample_rate_hz) {
@@ -56,24 +23,12 @@ std::complex<double> goertzel(std::span<const double> samples, double frequency_
         s_prev = s;
     }
     // Generalized finalization handles non-integer bin frequencies.
-    return finalize(s_prev, s_prev2, omega, samples.size());
-}
-
-void goertzel_lanes(const double* lane_major_xs, std::size_t count, std::size_t lanes,
-                    double frequency_hz, double sample_rate_hz,
-                    std::complex<double>* results) {
-    BISTNA_EXPECTS(count > 0, "goertzel of empty record");
-    BISTNA_EXPECTS(lanes > 0, "goertzel_lanes of zero lanes");
-    BISTNA_EXPECTS(sample_rate_hz > 0.0, "sample rate must be positive");
-
-    const double omega = two_pi * frequency_hz / sample_rate_hz;
-    const double coeff = 2.0 * std::cos(omega);
-    std::vector<double> s1(lanes, 0.0);
-    std::vector<double> s2(lanes, 0.0);
-    goertzel_rows(lane_major_xs, count, lanes, coeff, s1.data(), s2.data());
-    for (std::size_t l = 0; l < lanes; ++l) {
-        results[l] = finalize(s1[l], s2[l], omega, count);
-    }
+    const std::complex<double> w(std::cos(omega), std::sin(omega));
+    std::complex<double> y = s_prev - s_prev2 * std::conj(w);
+    // Phase reference at sample 0.
+    const double back_angle = -omega * static_cast<double>(samples.size() - 1);
+    y *= std::complex<double>(std::cos(back_angle), std::sin(back_angle));
+    return y * (2.0 / static_cast<double>(samples.size()));
 }
 
 tone_estimate estimate_tone(std::span<const double> samples, double frequency_hz,

@@ -2,14 +2,10 @@
 //
 // Serves as the "ideal DSP" baseline analyzer (refs [4][5] in the paper):
 // a coherent correlation against sin/cos at one frequency, giving amplitude
-// and phase without a full FFT.  The block API (goertzel_lanes) runs the
-// recurrence over many lanes at once in lane-major layout -- the shape the
-// banked render pipeline emits -- with the same per-lane arithmetic as the
-// scalar path.
+// and phase without a full FFT.
 #pragma once
 
 #include <complex>
-#include <cstddef>
 #include <span>
 
 namespace bistna::dsp {
@@ -19,17 +15,6 @@ namespace bistna::dsp {
 /// and arg(result) its phase (cosine reference).
 std::complex<double> goertzel(std::span<const double> samples, double frequency_hz,
                               double sample_rate_hz);
-
-/// goertzel() over `lanes` records at one frequency, lane-major: lane l's
-/// sample n lives at xs[n * lanes + l] (exactly the layout
-/// dut::state_space_bank emits) and its correlation lands in results[l].
-/// Per-lane recurrence and finalization match goertzel() operation for
-/// operation, so each lane is bit-identical to the scalar call on that
-/// lane's record; the lane-inner loop merely lets the compiler vectorize
-/// across lanes.
-void goertzel_lanes(const double* lane_major_xs, std::size_t count, std::size_t lanes,
-                    double frequency_hz, double sample_rate_hz,
-                    std::complex<double>* results);
 
 /// Amplitude and phase of a tone extracted by coherent correlation.
 struct tone_estimate {

@@ -27,6 +27,13 @@ double modulator_params::dc_gain_db_for_leak(double leak, double ci_over_cf) noe
     return 20.0 * std::log10(ci_over_cf / leak);
 }
 
+void modulator_params::validate() const {
+    BISTNA_EXPECTS(ci_over_cf > 0.0, "CI/CF must be positive");
+    BISTNA_EXPECTS(vref > 0.0, "Vref must be positive");
+    BISTNA_EXPECTS(integrator_swing > 0.0, "integrator swing must be positive");
+    BISTNA_EXPECTS(noise_rms >= 0.0, "noise rms must be non-negative");
+}
+
 modulator_params modulator_params::cmos035() {
     modulator_params p;
     p.dc_gain_db = 72.0;
@@ -43,8 +50,7 @@ sd_modulator::sd_modulator(modulator_params params, bistna::rng noise_rng)
     : params_(params),
       comparator_(params.comparator_offset, params.comparator_hysteresis),
       rng_(noise_rng) {
-    BISTNA_EXPECTS(params.ci_over_cf > 0.0, "CI/CF must be positive");
-    BISTNA_EXPECTS(params.vref > 0.0, "Vref must be positive");
+    params.validate();
     // Finite DC gain makes the integrator lossy.
     leak_ = params.integrator_leak();
     has_noise_ = params.noise_rms > 0.0;

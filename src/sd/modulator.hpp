@@ -50,6 +50,12 @@ struct modulator_params {
     /// express an integrator-leak fault directly on its severity axis.
     static double dc_gain_db_for_leak(double leak, double ci_over_cf = 0.4) noexcept;
 
+    /// Throws precondition_error unless CI/CF, Vref and the integrator
+    /// swing are positive and the noise rms is non-negative (NaN fails
+    /// every check).  sd_modulator and modulator_bank::add_lane both call
+    /// it, so the two accept exactly the same configurations.
+    void validate() const;
+
     /// Exact (bitwise-value) equality: two equal params drive bit-identical
     /// modulators from equal RNG streams, the precondition of the
     /// calibration-transplant fast path.

@@ -1,7 +1,6 @@
 #include "sd/modulator_bank.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "common/kernel.hpp"
@@ -10,185 +9,124 @@ namespace bistna::sd {
 
 namespace {
 
-// Restrict-qualified views of the lane arrays: the hot loops below are the
-// whole point of the bank, and without the no-alias promise the compiler
-// must assume acc/records overlap the state lanes and give up on
-// vectorizing.
-struct lane_view {
-    double* __restrict state;
-    double* __restrict last;
-    const double* __restrict leak;
-    const double* __restrict b;
-    const double* __restrict vref;
-    const double* __restrict input_offset;
-    const double* __restrict settle_gain;
-    const double* __restrict swing;
-    const double* __restrict cmp_offset;
-    const double* __restrict cmp_hyst;
-    const double* __restrict noise_rms;
-    double* __restrict clip;
+/// Noise tile budget in doubles: 32 KiB, small enough to stay in L1/L2
+/// beside the input rows it is consumed with.
+constexpr std::size_t noise_tile_doubles = 4096;
+
+// Input layouts (modulator_bank::run's Shape).
+constexpr int lane_major = 0; ///< sample j of lane l at xs[j * n_lanes + l]
+constexpr int shared = 1;     ///< every lane consumes xs[j]
+constexpr int grounded = 2;   ///< x = 0, positive modulation, unit accumulation sign
+
+/// The bank's lane arrays, as the stamped kernels take them.
+struct lane_arrays {
+    std::size_t n_lanes;
+    double* state;
+    double* last;
+    const double* leak;
+    const double* b;
+    const double* vref;
+    const double* input_offset;
+    const double* settle_gain;
+    const double* swing;
+    const double* cmp_offset;
+    const double* cmp_hyst;
+    double* clip;
 };
 
-/// One lane's master-clock sample: the exact arithmetic of
-/// sd_modulator::step (comparator decide, input modulation, leaky
-/// integrator update, swing clip), straight-line per lane.  WithNoise lanes
-/// keep the per-sample draw conditional on their own noise_rms so a
-/// noiseless lane in a mixed bank still matches its scalar counterpart bit
-/// for bit.
-template <bool WithNoise>
-inline double advance_lane(const lane_view& v, bistna::rng* rngs, std::size_t l, double x,
-                           bool modulation_positive) noexcept {
-    const double s = v.state[l];
-    const double threshold =
-        v.cmp_offset[l] + (v.last[l] > 0.0 ? -v.cmp_hyst[l] : +v.cmp_hyst[l]) * 0.5;
-    const double bit = s >= threshold ? 1.0 : -1.0;
-    v.last[l] = bit;
-
-    const double modulated = (modulation_positive ? x : -x) + v.input_offset[l];
-    double increment;
-    if constexpr (WithNoise) {
-        increment = v.noise_rms[l] > 0.0
-                        ? v.b[l] * (modulated + rngs[l].gaussian(0.0, v.noise_rms[l]) -
-                                    bit * v.vref[l])
-                        : v.b[l] * (modulated - bit * v.vref[l]);
-    } else {
-        increment = v.b[l] * (modulated - bit * v.vref[l]);
+/// `samples` lockstep samples over every lane: the sd_modulator::step
+/// sequence (comparator decide, input modulation, noise, leaky integrator
+/// update, swing clip) with the two per-lane ternaries replaced by exact
+/// sign flips -- (last > 0 ? -h : +h) == (-last) * h and (q ? x : -x) ==
+/// qsign * x when last/qsign are exactly +/-1 (multiplication by +/-1.0 is
+/// exact in IEEE 754) -- so the lane loop is straight-line selects the
+/// compiler vectorizes, and every lane stays bit-identical to its scalar
+/// counterpart.  Noisy kernels add the tile entry where sd_modulator::step
+/// adds its draw.  A noiseless lane's entry is 0.0: m + 0.0 differs from m
+/// only for m = -0.0, and subtracting the nonzero bit * vref next gives
+/// the same result either way.  The __restrict parameters are the point:
+/// without the no-alias promise the compiler must assume acc and the
+/// records overlap the lane arrays and gives up on vectorizing.
+template <int Shape, bool Noisy>
+inline void bank_rows(std::size_t samples, std::size_t n_lanes, const double* __restrict xs,
+                      const double* __restrict qsigns, const double* __restrict signs,
+                      const double* __restrict noise, double* __restrict acc,
+                      double* __restrict state, double* __restrict last,
+                      const double* __restrict leak, const double* __restrict b,
+                      const double* __restrict vref, const double* __restrict input_offset,
+                      const double* __restrict settle_gain, const double* __restrict swing,
+                      const double* __restrict cmp_offset, const double* __restrict cmp_hyst,
+                      double* __restrict clip) noexcept {
+    for (std::size_t j = 0; j < samples; ++j) {
+        double qsign = 1.0;
+        double sign = 1.0;
+        if constexpr (Shape != grounded) {
+            qsign = qsigns[j];
+            sign = signs[j];
+        }
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+            const double s = state[l];
+            const double threshold = cmp_offset[l] + (-last[l]) * cmp_hyst[l] * 0.5;
+            const double bit = s >= threshold ? 1.0 : -1.0;
+            last[l] = bit;
+            double modulated = input_offset[l]; // grounded: (q ? 0.0 : -0.0) + offset
+            if constexpr (Shape == lane_major) {
+                modulated = qsign * xs[j * n_lanes + l] + input_offset[l];
+            } else if constexpr (Shape == shared) {
+                modulated = qsign * xs[j] + input_offset[l];
+            }
+            if constexpr (Noisy) {
+                modulated = modulated + noise[j * n_lanes + l];
+            }
+            const double increment = b[l] * (modulated - bit * vref[l]);
+            const double next = leak[l] * s + increment * settle_gain[l];
+            const double lo = -swing[l];
+            const double hi = swing[l];
+            const double clipped = next < lo ? lo : (next > hi ? hi : next);
+            clip[l] += clipped != next ? 1.0 : 0.0;
+            state[l] = clipped;
+            acc[l] += sign * bit;
+        }
     }
-
-    const double next = v.leak[l] * s + increment * v.settle_gain[l];
-    const double clipped = std::clamp(next, -v.swing[l], v.swing[l]);
-    v.clip[l] += clipped != next ? 1.0 : 0.0;
-    v.state[l] = clipped;
-    return bit;
 }
 
-// ---------------------------------------------------------------------------
-// Branchless all-noiseless kernels: the arithmetic is the sd_modulator::step
-// sequence with the two per-lane ternaries replaced by exact sign flips --
-// (last > 0 ? -h : +h) == (-last) * h and (q ? x : -x) == qsign * x when
-// last/qsign are exactly +/-1 (multiplication by +/-1.0 is exact in IEEE
-// 754) -- so every lane stays bit-identical to its scalar counterpart while
-// the loop body becomes pure straight-line selects the compiler vectorizes
-// across lanes.
-// ---------------------------------------------------------------------------
-
-// Runtime-dispatched AVX2 clones where the toolchain supports them (see
-// common/kernel.hpp for why sanitizer builds fall back to the plain
-// kernel and why the clones stay bit-identical).
-#define BISTNA_BANK_KERNEL BISTNA_KERNEL_CLONES
-
-/// A block of lockstep samples over all lanes: xs is lane-major (sample
-/// j's inputs at xs[j * n_lanes]), qsigns[j] /
-/// signs[j] the shared modulation and accumulation signs as exact +/-1.
-/// The sample loop lives inside the kernel so a dispatched clone is
+/// target_clones needs plain functions, so bank_rows is stamped once per
+/// (input layout, noise) pair, the way state_space.cpp stamps its bank
+/// kernels; each clone (common/kernel.hpp) inlines the body at its ISA.
+/// The sample loop lives inside the kernel, so a dispatched clone is
 /// entered once per block, not once per sample.
-BISTNA_BANK_KERNEL
-void noiseless_block(std::size_t samples, std::size_t n_lanes, const double* __restrict xs,
-                     const double* __restrict qsigns, const double* __restrict signs,
-                     double* __restrict acc, double* __restrict state,
-                     double* __restrict last, const double* __restrict leak,
-                     const double* __restrict b, const double* __restrict vref,
-                     const double* __restrict input_offset,
-                     const double* __restrict settle_gain, const double* __restrict swing,
-                     const double* __restrict cmp_offset, const double* __restrict cmp_hyst,
-                     double* __restrict clip) noexcept {
-    for (std::size_t j = 0; j < samples; ++j) {
-        const double qsign = qsigns[j];
-        const double sign = signs[j];
-        const double* __restrict x_row = xs + j * n_lanes;
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double s = state[l];
-            const double threshold = cmp_offset[l] + (-last[l]) * cmp_hyst[l] * 0.5;
-            const double bit = s >= threshold ? 1.0 : -1.0;
-            last[l] = bit;
-            const double modulated = qsign * x_row[l] + input_offset[l];
-            const double increment = b[l] * (modulated - bit * vref[l]);
-            const double next = leak[l] * s + increment * settle_gain[l];
-            const double lo = -swing[l];
-            const double hi = swing[l];
-            const double clipped = next < lo ? lo : (next > hi ? hi : next);
-            clip[l] += clipped != next ? 1.0 : 0.0;
-            state[l] = clipped;
-            acc[l] += sign * bit;
-        }
-    }
-}
+template <int Shape, bool Noisy>
+void bank_kernel(const lane_arrays& a, std::size_t samples, const double* xs,
+                 const double* qsigns, const double* signs, const double* noise,
+                 double* acc) noexcept;
 
-/// Broadcast variant: every lane consumes the *same* record (the
-/// cache-shared calibration staircase), so the per-sample input is one
-/// scalar load splat across the lane vectors instead of a lane-major row
-/// -- no transpose, no broadcast copy.
-BISTNA_BANK_KERNEL
-void noiseless_block_shared(std::size_t samples, std::size_t n_lanes,
-                            const double* __restrict xs, const double* __restrict qsigns,
-                            const double* __restrict signs, double* __restrict acc,
-                            double* __restrict state, double* __restrict last,
-                            const double* __restrict leak, const double* __restrict b,
-                            const double* __restrict vref,
-                            const double* __restrict input_offset,
-                            const double* __restrict settle_gain,
-                            const double* __restrict swing,
-                            const double* __restrict cmp_offset,
-                            const double* __restrict cmp_hyst,
-                            double* __restrict clip) noexcept {
-    for (std::size_t j = 0; j < samples; ++j) {
-        const double modulated_x = qsigns[j] * xs[j];
-        const double sign = signs[j];
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double s = state[l];
-            const double threshold = cmp_offset[l] + (-last[l]) * cmp_hyst[l] * 0.5;
-            const double bit = s >= threshold ? 1.0 : -1.0;
-            last[l] = bit;
-            const double modulated = modulated_x + input_offset[l];
-            const double increment = b[l] * (modulated - bit * vref[l]);
-            const double next = leak[l] * s + increment * settle_gain[l];
-            const double lo = -swing[l];
-            const double hi = swing[l];
-            const double clipped = next < lo ? lo : (next > hi ? hi : next);
-            clip[l] += clipped != next ? 1.0 : 0.0;
-            state[l] = clipped;
-            acc[l] += sign * bit;
-        }
+#define BISTNA_SD_BANK_KERNEL(shape, noisy)                                                \
+    template <>                                                                            \
+    BISTNA_KERNEL_CLONES void bank_kernel<shape, noisy>(                                   \
+        const lane_arrays& a, std::size_t samples, const double* xs, const double* qsigns, \
+        const double* signs, const double* noise, double* acc) noexcept {                  \
+        bank_rows<shape, noisy>(samples, a.n_lanes, xs, qsigns, signs, noise, acc,         \
+                                a.state, a.last, a.leak, a.b, a.vref, a.input_offset,      \
+                                a.settle_gain, a.swing, a.cmp_offset, a.cmp_hyst, a.clip); \
     }
-}
 
-/// Grounded-input variant (x = 0, positive modulation, unit accumulation):
-/// the offset-calibration hot loop, with the input load folded away.
-BISTNA_BANK_KERNEL
-void noiseless_grounded_run(std::size_t count, std::size_t n_lanes, double* __restrict acc,
-                            double* __restrict state, double* __restrict last,
-                            const double* __restrict leak, const double* __restrict b,
-                            const double* __restrict vref,
-                            const double* __restrict input_offset,
-                            const double* __restrict settle_gain,
-                            const double* __restrict swing,
-                            const double* __restrict cmp_offset,
-                            const double* __restrict cmp_hyst,
-                            double* __restrict clip) noexcept {
-    for (std::size_t n = 0; n < count; ++n) {
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            const double s = state[l];
-            const double threshold = cmp_offset[l] + (-last[l]) * cmp_hyst[l] * 0.5;
-            const double bit = s >= threshold ? 1.0 : -1.0;
-            last[l] = bit;
-            const double modulated = input_offset[l]; // (q ? 0.0 : -0.0) + offset
-            const double increment = b[l] * (modulated - bit * vref[l]);
-            const double next = leak[l] * s + increment * settle_gain[l];
-            const double lo = -swing[l];
-            const double hi = swing[l];
-            const double clipped = next < lo ? lo : (next > hi ? hi : next);
-            clip[l] += clipped != next ? 1.0 : 0.0;
-            state[l] = clipped;
-            acc[l] += bit;
-        }
-    }
-}
+BISTNA_SD_BANK_KERNEL(lane_major, false)
+BISTNA_SD_BANK_KERNEL(lane_major, true)
+BISTNA_SD_BANK_KERNEL(shared, false)
+BISTNA_SD_BANK_KERNEL(shared, true)
+BISTNA_SD_BANK_KERNEL(grounded, false)
+BISTNA_SD_BANK_KERNEL(grounded, true)
+
+#undef BISTNA_SD_BANK_KERNEL
 
 } // namespace
 
 std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng noise_rng) {
-    BISTNA_EXPECTS(params.ci_over_cf > 0.0, "CI/CF must be positive");
-    BISTNA_EXPECTS(params.vref > 0.0, "Vref must be positive");
+    params.validate();
+    // The tile comes first: a noisy lane must never run without one.
+    if (params.noise_rms > 0.0 || !noise_tile_.empty()) {
+        noise_tile_.resize(std::max(noise_tile_doubles, lanes() + 1));
+    }
 
     state_.push_back(0.0);
     last_.push_back(1.0);
@@ -200,102 +138,84 @@ std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng
     swing_.push_back(params.integrator_swing);
     cmp_offset_.push_back(params.comparator_offset);
     cmp_hyst_.push_back(params.comparator_hysteresis);
-    noise_rms_.push_back(params.noise_rms);
     clip_.push_back(0.0);
     rng_.push_back(noise_rng);
     params_.push_back(params);
-    any_noise_ = any_noise_ || params.noise_rms > 0.0;
     return state_.size() - 1;
+}
+
+std::size_t modulator_bank::noise_tile_samples() const noexcept {
+    return std::max<std::size_t>(1, noise_tile_doubles / std::max<std::size_t>(1, lanes()));
+}
+
+void modulator_bank::draw_noise(std::size_t samples) noexcept {
+    const std::size_t n_lanes = lanes();
+    for (std::size_t l = 0; l < n_lanes; ++l) {
+        double* column = noise_tile_.data() + l;
+        const double rms = params_[l].noise_rms;
+        if (rms > 0.0) {
+            for (std::size_t j = 0; j < samples; ++j) {
+                column[j * n_lanes] = rng_[l].gaussian(0.0, rms);
+            }
+        } else {
+            for (std::size_t j = 0; j < samples; ++j) {
+                column[j * n_lanes] = 0.0;
+            }
+        }
+    }
+}
+
+template <int Shape>
+void modulator_bank::run(const double* xs, const double* qsigns, const double* acc_signs,
+                         std::size_t count, double* acc) noexcept {
+    const lane_arrays a{lanes(),           state_.data(),        last_.data(),
+                        leak_.data(),      b_.data(),            vref_.data(),
+                        input_offset_.data(), settle_gain_.data(), swing_.data(),
+                        cmp_offset_.data(), cmp_hyst_.data(),     clip_.data()};
+    if (noise_tile_.empty()) {
+        bank_kernel<Shape, false>(a, count, xs, qsigns, acc_signs, nullptr, acc);
+        return;
+    }
+    // Each block draws exactly its own samples' noise, so after the call
+    // every lane's RNG sits where `count` scalar steps would leave it.
+    const std::size_t block = noise_tile_samples();
+    for (std::size_t done = 0; done < count; done += block) {
+        const std::size_t len = std::min(block, count - done);
+        draw_noise(len);
+        if constexpr (Shape == grounded) {
+            bank_kernel<Shape, true>(a, len, nullptr, nullptr, nullptr, noise_tile_.data(), acc);
+        } else {
+            const std::size_t x_offset = Shape == lane_major ? done * a.n_lanes : done;
+            bank_kernel<Shape, true>(a, len, xs + x_offset, qsigns + done, acc_signs + done,
+                                     noise_tile_.data(), acc);
+        }
+    }
 }
 
 void modulator_bank::step(const double* inputs, bool modulation_positive,
                           double* bits_out) noexcept {
-    const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                      b_.data(),           vref_.data(),      input_offset_.data(),
-                      settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                      cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            bits_out[l] = advance_lane<true>(v, rng_.data(), l, inputs[l], modulation_positive);
-        }
-    } else {
-        for (std::size_t l = 0; l < n_lanes; ++l) {
-            bits_out[l] =
-                advance_lane<false>(v, rng_.data(), l, inputs[l], modulation_positive);
-        }
-    }
+    // One sample through the production kernel: 0.0 + 1.0 * bit is exactly
+    // the bit.
+    const double qsign = modulation_positive ? 1.0 : -1.0;
+    const double unit = 1.0;
+    std::fill_n(bits_out, lanes(), 0.0);
+    run<lane_major>(inputs, &qsign, &unit, 1, bits_out);
 }
 
 void modulator_bank::accumulate_lane_major(const double* xs, const double* qsigns,
                                            const double* acc_signs, std::size_t count,
                                            double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
-        for (std::size_t n = 0; n < count; ++n) {
-            const bool q = qsigns[n] > 0.0;
-            const double sign = acc_signs[n];
-            const double* row = xs + n * n_lanes;
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += sign * advance_lane<true>(v, rng_.data(), l, row[l], q);
-            }
-        }
-        return;
-    }
-    // The record is already lane-major: the lockstep kernel consumes it
-    // directly, with no per-call transpose at all.
-    noiseless_block(count, n_lanes, xs, qsigns, acc_signs, acc, state_.data(),
-                    last_.data(), leak_.data(), b_.data(), vref_.data(),
-                    input_offset_.data(), settle_gain_.data(), swing_.data(),
-                    cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
+    run<lane_major>(xs, qsigns, acc_signs, count, acc);
 }
 
 void modulator_bank::accumulate_shared(const double* record, const double* qsigns,
                                        const double* acc_signs, std::size_t count,
                                        double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
-        for (std::size_t n = 0; n < count; ++n) {
-            const bool q = qsigns[n] > 0.0;
-            const double sign = acc_signs[n];
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += sign * advance_lane<true>(v, rng_.data(), l, record[n], q);
-            }
-        }
-        return;
-    }
-    noiseless_block_shared(count, n_lanes, record, qsigns, acc_signs, acc, state_.data(),
-                           last_.data(), leak_.data(), b_.data(), vref_.data(),
-                           input_offset_.data(), settle_gain_.data(), swing_.data(),
-                           cmp_offset_.data(), cmp_hyst_.data(), clip_.data());
+    run<shared>(record, qsigns, acc_signs, count, acc);
 }
 
 void modulator_bank::accumulate_grounded(std::size_t count, double* acc) noexcept {
-    const std::size_t n_lanes = lanes();
-    if (any_noise_) {
-        const lane_view v{state_.data(),       last_.data(),      leak_.data(),
-                          b_.data(),           vref_.data(),      input_offset_.data(),
-                          settle_gain_.data(), swing_.data(),     cmp_offset_.data(),
-                          cmp_hyst_.data(),    noise_rms_.data(), clip_.data()};
-        for (std::size_t n = 0; n < count; ++n) {
-            for (std::size_t l = 0; l < n_lanes; ++l) {
-                acc[l] += advance_lane<true>(v, rng_.data(), l, 0.0, true);
-            }
-        }
-        return;
-    }
-    noiseless_grounded_run(count, n_lanes, acc, state_.data(), last_.data(), leak_.data(),
-                           b_.data(), vref_.data(), input_offset_.data(),
-                           settle_gain_.data(), swing_.data(), cmp_offset_.data(),
-                           cmp_hyst_.data(), clip_.data());
+    run<grounded>(nullptr, nullptr, nullptr, count, acc);
 }
 
 void modulator_bank::reset_lane(std::size_t lane, double initial_state) {

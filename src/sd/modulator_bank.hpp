@@ -4,7 +4,7 @@
 // modulators execute the *same* instruction sequence on different data --
 // the ideal SIMD shape.  The bank keeps N modulators' state, leak, offset
 // and comparator lanes in contiguous arrays and advances all of them in one
-// straight-line inner loop the compiler can vectorize across lanes.
+// straight-line inner loop the compiler vectorizes across lanes.
 //
 // Contract with the scalar reference (sd_modulator):
 //   * lane l constructed via add_lane(params, rng) produces the exact
@@ -12,10 +12,16 @@
 //     inputs -- per-lane arithmetic is straight-line, never reassociated,
 //     and lanes never interact (so any lane count and any lane permutation
 //     yields the same per-lane results);
-//   * each lane owns its own clip counter and noise RNG stream;
+//   * each lane owns its own clip counter and noise RNG stream, and after
+//     any call a noisy lane's RNG (stream position and Box-Muller cache)
+//     is exactly where the scalar modulator's would be;
 //   * lanes with noise_rms == 0 never draw from their RNG, and a bank whose
-//     lanes are all noiseless runs a branch-free inner loop with the check
-//     hoisted out entirely.
+//     lanes are all noiseless holds no noise tile and loads no noise.
+//
+// Noisy lanes run in the same vectorized kernel: before each block of
+// samples every noisy lane draws its own noise, in its own stream order,
+// into its column of a lane-major tile, and the kernel adds the tile entry
+// where sd_modulator::step adds its draw.
 #pragma once
 
 #include <cstddef>
@@ -31,7 +37,8 @@ public:
     modulator_bank() = default;
 
     /// Append a lane that behaves exactly like sd_modulator(params,
-    /// noise_rng); returns the lane index.
+    /// noise_rng); returns the lane index.  Rejects the params
+    /// modulator_params::validate() rejects.
     std::size_t add_lane(const modulator_params& params,
                          bistna::rng noise_rng = bistna::rng(0));
 
@@ -39,7 +46,8 @@ public:
 
     /// One lockstep master-clock sample: lane l consumes inputs[l], the
     /// shared modulation sign applies to every lane, and bits_out[l]
-    /// receives the lane's output bit as +1.0 / -1.0.
+    /// receives the lane's output bit as +1.0 / -1.0.  bits_out must not
+    /// overlap inputs.
     void step(const double* inputs, bool modulation_positive, double* bits_out) noexcept;
 
     /// Lockstep acquisition over `count` lane-major samples: sample n's
@@ -66,6 +74,11 @@ public:
     /// accumulation sign): the offset-calibration hot loop.
     void accumulate_grounded(std::size_t count, double* acc) noexcept;
 
+    /// Samples per noise block at the current lane count: the noise tile
+    /// holds 4096 doubles (32 KiB), so 4096 / lanes() samples -- 256 at 16
+    /// lanes -- and at least one.
+    std::size_t noise_tile_samples() const noexcept;
+
     /// Restart lane `lane` like sd_modulator::reset.
     void reset_lane(std::size_t lane, double initial_state = 0.0);
 
@@ -75,6 +88,17 @@ public:
     const modulator_params& params(std::size_t lane) const;
 
 private:
+    /// Runs `count` samples of one input layout (a constant defined in
+    /// modulator_bank.cpp) through the kernel, a noise block at a time when
+    /// the bank has noisy lanes.
+    template <int Shape>
+    void run(const double* xs, const double* qsigns, const double* acc_signs,
+             std::size_t count, double* acc) noexcept;
+
+    /// Fill the first `samples` rows of the noise tile: each noisy lane's
+    /// column from its own RNG, each noiseless lane's column with 0.0.
+    void draw_noise(std::size_t samples) noexcept;
+
     // SoA lanes.  Comparator decisions and clip counters are kept as
     // doubles (+1/-1 and exact small integers) so the inner loop stays in
     // one vector domain.
@@ -88,11 +112,13 @@ private:
     std::vector<double> swing_;
     std::vector<double> cmp_offset_;
     std::vector<double> cmp_hyst_;
-    std::vector<double> noise_rms_;
     std::vector<double> clip_;        ///< per-lane clip event count
     std::vector<bistna::rng> rng_;
     std::vector<modulator_params> params_;
-    bool any_noise_ = false;
+    /// Lane-major noise block, sample j of lane l at [j * lanes() + l];
+    /// allocated by add_lane (the accumulate calls are noexcept), and empty
+    /// while every lane is noiseless.
+    std::vector<double> noise_tile_;
 };
 
 } // namespace bistna::sd

@@ -108,7 +108,7 @@ TEST(StateSpaceBank, LaneMajorPassBitIdenticalToScalarLanes) {
     const double fs = 96.0 * 2500.0;
     const std::size_t samples = 2000;
     for (std::size_t order = 1; order <= 4; ++order) {
-        for (std::size_t lanes : {1u, 3u, 8u}) {
+        for (std::size_t lanes : {1u, 3u, 8u, 9u, 17u}) {
             // Scalar reference lanes and bank lanes from the same designs.
             std::vector<std::vector<double>> inputs;
             std::vector<std::vector<double>> expected(lanes);
@@ -177,31 +177,31 @@ TEST(StateSpaceBank, LaneMajorPassBitIdenticalToScalarLanes) {
 TEST(StateSpaceBank, SharedInputPassMatchesLaneMajorPass) {
     const double fs = 96.0 * 1000.0;
     const std::size_t samples = 1500;
-    const std::size_t lanes = 5;
     const auto input = random_record(samples, 42);
+    for (std::size_t lanes : {5u, 9u, 17u}) {
+        std::vector<state_space> a_lanes, b_lanes;
+        std::vector<state_space*> a_ptrs, b_ptrs;
+        std::vector<const double*> input_ptrs(lanes, input.data());
+        for (std::size_t l = 0; l < lanes; ++l) {
+            a_lanes.push_back(stable_lowpass(3, 300 + l));
+            b_lanes.push_back(stable_lowpass(3, 300 + l));
+        }
+        for (std::size_t l = 0; l < lanes; ++l) {
+            a_lanes[l].prepare(fs);
+            b_lanes[l].prepare(fs);
+            a_ptrs.push_back(&a_lanes[l]);
+            b_ptrs.push_back(&b_lanes[l]);
+        }
 
-    std::vector<state_space> a_lanes, b_lanes;
-    std::vector<state_space*> a_ptrs, b_ptrs;
-    std::vector<const double*> input_ptrs(lanes, input.data());
-    for (std::size_t l = 0; l < lanes; ++l) {
-        a_lanes.push_back(stable_lowpass(3, 300 + l));
-        b_lanes.push_back(stable_lowpass(3, 300 + l));
-    }
-    for (std::size_t l = 0; l < lanes; ++l) {
-        a_lanes[l].prepare(fs);
-        b_lanes[l].prepare(fs);
-        a_ptrs.push_back(&a_lanes[l]);
-        b_ptrs.push_back(&b_lanes[l]);
-    }
-
-    arena scratch;
-    state_space_bank broadcast({a_ptrs.data(), lanes}, scratch);
-    state_space_bank pointers({b_ptrs.data(), lanes}, scratch);
-    std::vector<double> out_broadcast(samples * lanes), out_pointers(samples * lanes);
-    broadcast.step_block_shared(input.data(), samples, out_broadcast.data());
-    pointers.step_block_lanes(input_ptrs.data(), samples, out_pointers.data());
-    for (std::size_t i = 0; i < out_broadcast.size(); ++i) {
-        ASSERT_EQ(out_broadcast[i], out_pointers[i]) << "element " << i;
+        arena scratch;
+        state_space_bank broadcast({a_ptrs.data(), lanes}, scratch);
+        state_space_bank pointers({b_ptrs.data(), lanes}, scratch);
+        std::vector<double> out_broadcast(samples * lanes), out_pointers(samples * lanes);
+        broadcast.step_block_shared(input.data(), samples, out_broadcast.data());
+        pointers.step_block_lanes(input_ptrs.data(), samples, out_pointers.data());
+        for (std::size_t i = 0; i < out_broadcast.size(); ++i) {
+            ASSERT_EQ(out_broadcast[i], out_pointers[i]) << "lanes " << lanes << " element " << i;
+        }
     }
 }
 

@@ -1,15 +1,13 @@
 // Lane-major evaluation kernels: every batched acquisition variant
-// (lane-major block, shared broadcast record) and the lane-major Goertzel
-// must be bit-identical to the scalar references, and the shared-resource
-// caches (demod tables, calibration transplant) must be transparent.
+// (lane-major block, shared broadcast record) must be bit-identical to the
+// scalar references, and the shared-resource caches (demod tables,
+// calibration transplant) must be transparent.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <complex>
 #include <vector>
 
 #include "common/math_util.hpp"
-#include "dsp/goertzel.hpp"
 #include "eval/acquire_plan.hpp"
 #include "eval/signature.hpp"
 
@@ -54,26 +52,6 @@ struct lane_set {
         }
     }
 };
-
-TEST(LaneKernels, GoertzelLanesBitIdenticalToScalarGoertzel) {
-    const std::size_t lanes = 7;
-    const std::size_t count = 960;
-    std::vector<std::vector<double>> records;
-    std::vector<double> lane_major(count * lanes);
-    for (std::size_t l = 0; l < lanes; ++l) {
-        records.push_back(lane_record(l, count / kN));
-        for (std::size_t n = 0; n < count; ++n) {
-            lane_major[n * lanes + l] = records[l][n];
-        }
-    }
-    std::vector<std::complex<double>> results(lanes);
-    dsp::goertzel_lanes(lane_major.data(), count, lanes, 1000.0, 96000.0, results.data());
-    for (std::size_t l = 0; l < lanes; ++l) {
-        const auto scalar = dsp::goertzel(records[l], 1000.0, 96000.0);
-        EXPECT_EQ(results[l].real(), scalar.real()) << "lane " << l;
-        EXPECT_EQ(results[l].imag(), scalar.imag()) << "lane " << l;
-    }
-}
 
 // The legacy reference is the scalar per-extractor acquire, in chopped mode
 // so the accumulation-sign table is exercised too.

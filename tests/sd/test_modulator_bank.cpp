@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -18,6 +19,30 @@ namespace {
 using bistna::sd::modulator_bank;
 using bistna::sd::modulator_params;
 using bistna::sd::sd_modulator;
+
+/// Configurations modulator_params::validate() rejects: non-positive or
+/// NaN CI/CF, Vref or integrator swing, and negative or NaN noise.
+std::vector<modulator_params> invalid_configs() {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    std::vector<modulator_params> configs;
+    for (const double v : {0.0, -1.0, nan}) {
+        modulator_params params = modulator_params::ideal();
+        params.ci_over_cf = v;
+        configs.push_back(params);
+        params = modulator_params::ideal();
+        params.vref = v;
+        configs.push_back(params);
+        params = modulator_params::ideal();
+        params.integrator_swing = v;
+        configs.push_back(params);
+    }
+    for (const double v : {-1.0e-6, nan}) {
+        modulator_params params = modulator_params::cmos035();
+        params.noise_rms = v;
+        configs.push_back(params);
+    }
+    return configs;
+}
 
 /// A spread of lane configurations covering the documented non-idealities.
 std::vector<modulator_params> lane_configs() {
@@ -306,15 +331,166 @@ TEST(ModulatorBank, GroundedAccumulateMatchesScalarCalibrationLoop) {
     }
 }
 
+// The bank and the scalar modulator share one params check, so both
+// reject exactly the same configurations.
 TEST(ModulatorBank, RejectsNonPositiveConfig) {
     modulator_bank bank;
-    modulator_params params = modulator_params::ideal();
-    params.ci_over_cf = 0.0;
-    EXPECT_THROW((void)bank.add_lane(params), bistna::precondition_error);
-    params = modulator_params::ideal();
-    params.vref = -1.0;
-    EXPECT_THROW((void)bank.add_lane(params), bistna::precondition_error);
+    for (const auto& params : invalid_configs()) {
+        EXPECT_THROW((void)bank.add_lane(params), bistna::precondition_error);
+        EXPECT_THROW(sd_modulator m(params), bistna::precondition_error);
+    }
+    EXPECT_EQ(bank.lanes(), 0u);
     EXPECT_THROW((void)bank.state(5), bistna::precondition_error);
+}
+
+/// Lane l of a width-sweep bank: noiseless or noisy, cycling through the
+/// documented non-idealities, with a clipping lane among every three.
+modulator_params sweep_config(std::size_t l, bool noisy) {
+    modulator_params params = noisy ? modulator_params::cmos035() : modulator_params::ideal();
+    params.input_offset += 1.0e-4 * static_cast<double>(l);
+    params.noise_rms *= 1.0 + 0.1 * static_cast<double>(l);
+    if (l % 3 == 1) {
+        params.integrator_swing = 0.2;
+    }
+    if (l % 3 == 2) {
+        params.dc_gain_db = 60.0;
+        params.comparator_hysteresis = 1.0e-3;
+    }
+    return params;
+}
+
+// Every entry point against the scalar modulator stepped sample by sample,
+// at lane counts that fill whole AVX2 (4-wide) and AVX-512 (8-wide) vectors
+// and leave every tail, for noiseless, all-noisy and mixed banks.  Records
+// of 1, T-1, T and T+1 samples (T = the noise tile length) cover a partial,
+// a whole and a spilled tile block; each is followed by a 3-sample call, so
+// after an odd record a Box-Muller value carried across calls must be
+// consumed first, and the next call must continue every lane identically.
+TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
+    enum class entry { lane_major, shared, grounded, step };
+    enum class noise { none, all, mixed };
+    constexpr std::size_t follow_up = 3;
+    for (const std::size_t lanes : {1u, 3u, 4u, 7u, 8u, 9u, 16u, 17u}) {
+        for (const noise kind : {noise::none, noise::all, noise::mixed}) {
+            std::vector<modulator_params> configs;
+            for (std::size_t l = 0; l < lanes; ++l) {
+                const bool noisy = kind == noise::all || (kind == noise::mixed && l % 2 == 0);
+                configs.push_back(sweep_config(l, noisy));
+            }
+            modulator_bank probe;
+            for (const auto& params : configs) {
+                probe.add_lane(params);
+            }
+            const std::size_t tile = probe.noise_tile_samples();
+            ASSERT_GT(tile, 1u);
+            for (const entry how :
+                 {entry::lane_major, entry::shared, entry::grounded, entry::step}) {
+                for (const std::size_t length : {std::size_t{1}, tile - 1, tile, tile + 1}) {
+                    const std::size_t total = length + follow_up;
+                    bistna::rng stimulus(1000 * lanes + length);
+                    std::vector<double> xs(total * lanes);
+                    std::vector<double> record(total);
+                    std::vector<double> qsigns(total);
+                    std::vector<double> signs(total);
+                    for (auto& x : xs) {
+                        x = stimulus.uniform(-0.7, 0.7);
+                    }
+                    for (std::size_t n = 0; n < total; ++n) {
+                        record[n] = stimulus.uniform(-0.7, 0.7);
+                        qsigns[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                        signs[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                    }
+
+                    modulator_bank bank;
+                    std::vector<sd_modulator> scalars;
+                    for (std::size_t l = 0; l < lanes; ++l) {
+                        bank.add_lane(configs[l], bistna::rng(300 + l));
+                        scalars.emplace_back(configs[l], bistna::rng(300 + l));
+                    }
+                    std::vector<double> acc(lanes, 0.0);
+                    std::vector<double> expected(lanes, 0.0);
+                    std::vector<double> bits(lanes);
+                    std::size_t first = 0;
+                    for (const std::size_t count : {length, follow_up}) {
+                        switch (how) {
+                        case entry::lane_major:
+                            bank.accumulate_lane_major(xs.data() + first * lanes,
+                                                       qsigns.data() + first,
+                                                       signs.data() + first, count, acc.data());
+                            break;
+                        case entry::shared:
+                            bank.accumulate_shared(record.data() + first, qsigns.data() + first,
+                                                   signs.data() + first, count, acc.data());
+                            break;
+                        case entry::grounded:
+                            bank.accumulate_grounded(count, acc.data());
+                            break;
+                        case entry::step:
+                            for (std::size_t n = first; n < first + count; ++n) {
+                                bank.step(xs.data() + n * lanes, qsigns[n] > 0.0, bits.data());
+                                for (std::size_t l = 0; l < lanes; ++l) {
+                                    acc[l] += signs[n] * bits[l];
+                                }
+                            }
+                            break;
+                        }
+                        for (std::size_t l = 0; l < lanes; ++l) {
+                            for (std::size_t n = first; n < first + count; ++n) {
+                                if (how == entry::grounded) {
+                                    expected[l] += scalars[l].step(0.0, true);
+                                    continue;
+                                }
+                                const double x =
+                                    how == entry::shared ? record[n] : xs[n * lanes + l];
+                                expected[l] += signs[n] * scalars[l].step(x, qsigns[n] > 0.0);
+                            }
+                            ASSERT_EQ(expected[l], acc[l])
+                                << "lanes " << lanes << " noise " << static_cast<int>(kind)
+                                << " entry " << static_cast<int>(how) << " length " << length
+                                << " call at " << first << " lane " << l;
+                            ASSERT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
+                            ASSERT_EQ(scalars[l].clip_events(), bank.clip_events(l))
+                                << "lane " << l;
+                        }
+                        first += count;
+                    }
+                }
+            }
+        }
+    }
+}
+
+// Lanes may join a bank that has already run.  The noise tile's layout
+// follows the lane count, so the tile cells a new noiseless lane reads held
+// another lane's noise a call earlier; every lane must still match.
+TEST(ModulatorBank, LaneAddedAfterARunStaysExact) {
+    modulator_bank bank;
+    std::vector<sd_modulator> scalars;
+    const auto add = [&](const modulator_params& params, std::uint64_t seed) {
+        bank.add_lane(params, bistna::rng(seed));
+        scalars.emplace_back(params, bistna::rng(seed));
+    };
+    constexpr std::size_t count = 700;
+    add(sweep_config(0, true), 1);
+    add(sweep_config(1, true), 2);
+    std::vector<double> acc(2, 0.0);
+    bank.accumulate_grounded(count, acc.data());
+    for (std::size_t n = 0; n < count; ++n) {
+        scalars[0].step(0.0, true);
+        scalars[1].step(0.0, true);
+    }
+
+    add(sweep_config(2, false), 3);
+    acc.assign(3, 0.0);
+    bank.accumulate_grounded(count, acc.data());
+    for (std::size_t l = 0; l < 3; ++l) {
+        double expected = 0.0;
+        for (std::size_t n = 0; n < count; ++n) {
+            expected += scalars[l].step(0.0, true);
+        }
+        EXPECT_EQ(expected, acc[l]) << "lane " << l;
+        EXPECT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
+    }
 }
 
 } // namespace
