@@ -107,5 +107,5 @@ int main() {
         "hysteresis stay negligible -- the paper's stated trade-off.  Ratios\n"
         ">= 1 start clipping (eps grows past the bound); very small ratios\n"
         "degrade accuracy without any bound benefit.  CSV: ablation_cicf.csv");
-    return 0;
+    return bench::exit_status();
 }

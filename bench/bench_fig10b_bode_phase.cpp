@@ -57,5 +57,5 @@ int main() {
     std::cout << "  phase descends 0 -> -180 deg across the sweep; the error band\n"
                  "  (eq. (5)) widens in the deep stopband exactly as Fig. 10b shows.\n";
     bench::footnote("Sweep written to fig10b_bode_phase.csv.");
-    return 0;
+    return bench::exit_status();
 }

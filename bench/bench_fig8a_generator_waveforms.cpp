@@ -61,5 +61,5 @@ int main() {
     bench::footnote("Waveforms written to fig8a_waveforms.csv.  The amplitude law\n"
                     "A = 4 x |V_A+/-| = 2 x (V_A+ - V_A-) holds across the range, as\n"
                     "measured in the paper.");
-    return 0;
+    return bench::exit_status();
 }

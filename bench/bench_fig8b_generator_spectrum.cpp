@@ -78,5 +78,5 @@ int main() {
         "The harmonic floor comes from the calibrated op-amp nonlinearity and\n"
         "capacitor mismatch; the discrete-time view beats the continuous-time\n"
         "one exactly as the paper's caveat predicts.");
-    return 0;
+    return bench::exit_status();
 }
