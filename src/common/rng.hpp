@@ -4,6 +4,9 @@
 // mismatch, comparator offset, initial integrator states) draws from an
 // explicitly seeded generator so experiments are exactly reproducible.
 // The engine is xoshiro256** (Blackman & Vigna), seeded via splitmix64.
+// The sigma-delta modulator's per-sample noise draws with
+// bistna::standard_normal (common/normal.hpp), a ziggurat whose bits do not
+// depend on the host libm; everything else normal uses gaussian() below.
 #pragma once
 
 #include <array>
@@ -29,7 +32,9 @@ public:
     /// Uniform integer in [0, n); n must be > 0.
     std::uint64_t uniform_int(std::uint64_t n) noexcept;
 
-    /// Standard normal deviate (Box-Muller with caching).
+    /// Standard normal deviate (Box-Muller with caching).  Its bits follow
+    /// the host libm's log, sin and cos; process draws, op-amp noise and the
+    /// baseline instruments use it.
     double gaussian() noexcept;
 
     /// Normal deviate with the given mean and standard deviation.

@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "common/normal.hpp"
 
 namespace bistna::sd {
 
@@ -42,7 +43,7 @@ modulator_params modulator_params::cmos035() {
     p.input_offset = 1.2e-3; // representative op-amp offset
     p.comparator_offset = 2.0e-3;
     p.comparator_hysteresis = 0.5e-3;
-    p.noise_rms = 60.0e-6;
+    p.noise_rms = 60.0e-6; // sqrt(kT/C) of a ~1.15 pF sampling capacitor at 300 K
     return p;
 }
 
@@ -64,8 +65,9 @@ int sd_modulator::step(double input, bool modulation_positive) {
     // The noiseless path never touches the RNG (the ideal proof-object
     // modulator pays nothing for randomness it discards).
     const double increment =
-        has_noise_ ? params_.ci_over_cf * (modulated + rng_.gaussian(0.0, params_.noise_rms) -
-                                           static_cast<double>(bit) * params_.vref)
+        has_noise_ ? params_.ci_over_cf *
+                         (modulated + params_.noise_rms * standard_normal(rng_) -
+                          static_cast<double>(bit) * params_.vref)
                    : params_.ci_over_cf *
                          (modulated - static_cast<double>(bit) * params_.vref);
 

@@ -4,6 +4,7 @@
 
 #include "common/error.hpp"
 #include "common/kernel.hpp"
+#include "common/normal.hpp"
 
 namespace bistna::sd {
 
@@ -155,7 +156,7 @@ void modulator_bank::draw_noise(std::size_t samples) noexcept {
         const double rms = params_[l].noise_rms;
         if (rms > 0.0) {
             for (std::size_t j = 0; j < samples; ++j) {
-                column[j * n_lanes] = rng_[l].gaussian(0.0, rms);
+                column[j * n_lanes] = rms * standard_normal(rng_[l]);
             }
         } else {
             for (std::size_t j = 0; j < samples; ++j) {

@@ -13,15 +13,18 @@
 //     and lanes never interact (so any lane count and any lane permutation
 //     yields the same per-lane results);
 //   * each lane owns its own clip counter and noise RNG stream, and after
-//     any call a noisy lane's RNG (stream position and Box-Muller cache)
-//     is exactly where the scalar modulator's would be;
+//     any call a noisy lane's RNG stream position is exactly where the
+//     scalar modulator's would be: both draw rms * standard_normal(rng)
+//     (common/normal.hpp) once per sample, and although a ziggurat draw
+//     consumes a variable number of words, the draws and their order are
+//     the same;
 //   * lanes with noise_rms == 0 never draw from their RNG, and a bank whose
 //     lanes are all noiseless holds no noise tile and loads no noise.
 //
 // Noisy lanes run in the same vectorized kernel: before each block of
-// samples every noisy lane draws its own noise, in its own stream order,
-// into its column of a lane-major tile, and the kernel adds the tile entry
-// where sd_modulator::step adds its draw.
+// samples every noisy lane draws exactly that block's noise, in its own
+// stream order, into its column of a lane-major tile, and the kernel adds
+// the tile entry where sd_modulator::step adds its draw.
 #pragma once
 
 #include <cstddef>

@@ -4,11 +4,14 @@
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <tuple>
 
 #include "common/math_util.hpp"
+#include "common/normal.hpp"
 #include "common/rng.hpp"
+#include "sd/comparator.hpp"
 #include "sd/modulator.hpp"
 
 namespace {
@@ -132,6 +135,31 @@ TEST(SdModulator, ClipEventsCountedWhenInputExceedsStableRange) {
         mod.step(2.5, true); // far out of range
     }
     EXPECT_GT(mod.clip_events(), 0u);
+}
+
+// The per-sample noise is noise_rms * standard_normal() on the modulator's
+// own stream: replay sd_modulator::step by hand from a copy of that stream.
+TEST(SdModulator, NoiseIsRmsTimesZigguratDraw) {
+    const modulator_params params = modulator_params::cmos035();
+    sd_modulator mod(params, bistna::rng(31));
+    bistna::rng stream(31);
+    bistna::sd::comparator latch(params.comparator_offset, params.comparator_hysteresis);
+    const double swing = params.integrator_swing;
+    double state = 0.0;
+    for (std::size_t n = 0; n < 4096; ++n) {
+        const double x = 0.3 * std::sin(bistna::two_pi * static_cast<double>(n) / 96.0);
+        const bool q = (n / 48) % 2 == 0;
+        const int bit = latch.decide(state);
+        const double modulated = (q ? x : -x) + params.input_offset;
+        const double increment =
+            params.ci_over_cf * (modulated + params.noise_rms * bistna::standard_normal(stream) -
+                                 static_cast<double>(bit) * params.vref);
+        state = std::clamp(params.integrator_leak() * state +
+                               increment * (1.0 - params.settling_error),
+                           -swing, swing);
+        ASSERT_EQ(mod.step(x, q), bit) << "sample " << n;
+        ASSERT_EQ(mod.state(), state) << "sample " << n;
+    }
 }
 
 TEST(SdModulator, RejectsNonPositiveConfig) {

@@ -363,9 +363,10 @@ modulator_params sweep_config(std::size_t l, bool noisy) {
 // at lane counts that fill whole AVX2 (4-wide) and AVX-512 (8-wide) vectors
 // and leave every tail, for noiseless, all-noisy and mixed banks.  Records
 // of 1, T-1, T and T+1 samples (T = the noise tile length) cover a partial,
-// a whole and a spilled tile block; each is followed by a 3-sample call, so
-// after an odd record a Box-Muller value carried across calls must be
-// consumed first, and the next call must continue every lane identically.
+// a whole and a spilled tile block; each is followed by a 3-sample call.  A
+// ziggurat draw consumes a variable number of RNG words, so every block
+// must draw exactly its own samples' noise for the next call to continue
+// every lane identically.
 TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
     enum class entry { lane_major, shared, grounded, step };
     enum class noise { none, all, mixed };

@@ -1,40 +1,13 @@
-#include "common/error.hpp"
 #include <gtest/gtest.h>
 
 #include <cmath>
 
 #include "common/statistics.hpp"
-#include "sim/noise.hpp"
 #include "sim/process.hpp"
 
 namespace {
 
 using namespace bistna;
-
-TEST(Noise, KtcFormula) {
-    // kT/C at 300 K for 1 pF: ~64.3 uV rms.
-    EXPECT_NEAR(sim::ktc_noise_rms(1e-12), 64.3e-6, 0.5e-6);
-    // Quadruple the cap -> half the noise.
-    EXPECT_NEAR(sim::ktc_noise_rms(4e-12), sim::ktc_noise_rms(1e-12) / 2.0, 1e-9);
-    EXPECT_THROW((void)sim::ktc_noise_rms(0.0), precondition_error);
-}
-
-TEST(Noise, SourceStatisticsMatchRms) {
-    sim::noise_source source(1e-3, rng(4));
-    running_stats stats;
-    for (int i = 0; i < 100000; ++i) {
-        stats.add(source.sample());
-    }
-    EXPECT_NEAR(stats.mean(), 0.0, 2e-5);
-    EXPECT_NEAR(stats.stddev(), 1e-3, 2e-5);
-}
-
-TEST(Noise, SilentSourceIsExactlyZero) {
-    sim::noise_source source(0.0, rng(4));
-    for (int i = 0; i < 100; ++i) {
-        EXPECT_DOUBLE_EQ(source.sample(), 0.0);
-    }
-}
 
 TEST(Process, IdealParamsDrawNominals) {
     sim::process_sampler sampler(sim::process_params::ideal(), rng(8));
