@@ -1,11 +1,13 @@
 // The lane-major executor end to end: every lane group must be
-// bit-identical to the scalar core::screen, autotune must pick a real
+// bit-identical to the scalar core::screen, with or without a telemetry
+// registry attached, autotune must pick a real
 // configuration without perturbing results, and a steady-state lot loop
 // must stop touching the heap for anything sizeable after its first pass
 // (stimulus/table caches + calibration transplant) and never grow its
 // worker arena again (arena reuse).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <cstdlib>
@@ -16,6 +18,7 @@
 #include "core/screening.hpp"
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
+#include "telemetry/metrics.hpp"
 
 // --- Passive large-allocation counter (this TU only defines it once for
 // the whole test binary; it never changes allocation behaviour) -----------
@@ -125,6 +128,22 @@ TEST(LotRoofline, LaneMajorPipelineBitIdenticalToReference) {
     for (std::size_t lanes : {1u, 4u, 8u}) {
         expect_reports_identical(reference, screen_lanes(lanes, 13, screening));
     }
+
+    // Attaching a registry records spans and counters around the same
+    // kernels; it must not move a single measured bit.
+    telemetry::metric_registry registry;
+    {
+        telemetry::registry_scope scope(registry);
+        expect_reports_identical(reference, screen_lanes(8, 13, screening));
+    }
+    // ...and the instrumentation must be live, not compiled out.
+    const auto snapshot = registry.snapshot();
+    EXPECT_TRUE(std::any_of(snapshot.spans.begin(), snapshot.spans.end(),
+                            [](const telemetry::span_value& span) {
+                                return span.name == "engine.calibrate";
+                            }))
+        << "no engine.calibrate span recorded";
+    EXPECT_GT(snapshot.counter("engine.stimulus.hits"), 0u);
 }
 
 TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
