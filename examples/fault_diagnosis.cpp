@@ -8,8 +8,8 @@
 //   ./fault_diagnosis [--dice=N] [--sigma=S] [--threads=N] [--lanes=N]
 //                     [--store=PATH] [--trace=PATH] [--metrics]
 //
-// When --threads/--lanes are omitted the sweep engine's autotune probe
-// picks them for this machine; pass either flag to override.
+// --threads defaults to one worker per hardware thread and --lanes to 16,
+// the lot shape lotbench times.
 //
 // The dictionary ships through its checksummed binary form
 // (write_binary / read_binary); --store additionally appends every
@@ -31,7 +31,6 @@
 #include "common/table.hpp"
 #include "core/job_queue.hpp"
 #include "core/screening.hpp"
-#include "core/sweep_engine.hpp"
 #include "diag/classifier.hpp"
 #include "diag/diagnose.hpp"
 #include "diag/fault_model.hpp"
@@ -69,8 +68,8 @@ diag::diagnose_progress lot_progress(const std::string& label) {
 int main(int argc, char** argv) {
     const auto dice = static_cast<std::size_t>(flag_value(argc, argv, "dice", 8.0));
     const double sigma = flag_value(argc, argv, "sigma", 0.02);
-    auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
-    auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 8.0));
+    const auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
+    const auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 16.0));
     const std::string store_path = flag_text(argc, argv, "store");
 
     const std::string trace_path = flag_text(argc, argv, "trace");
@@ -87,24 +86,6 @@ int main(int argc, char** argv) {
     const auto mask = core::spec_mask::paper_lowpass();
     const auto catalog = diag::default_catalog();
     const auto space = diag::signature_space::from_mask(mask, /*thd_max_harmonic=*/3);
-
-    // Flags omitted -> autotune the configuration on the nominal die
-    // (either flag still overrides).
-    if (!flag_present(argc, argv, "threads") || !flag_present(argc, argv, "lanes")) {
-        core::sweep_engine_options probe;
-        probe.autotune = true;
-        core::sweep_engine tuner(design.factory(), settings, probe);
-        const auto tuned = tuner.stats();
-        if (!flag_present(argc, argv, "threads")) {
-            threads = tuned.threads;
-        }
-        if (!flag_present(argc, argv, "lanes")) {
-            lanes = tuned.batch_lanes;
-        }
-        std::cout << "autotune probe picked " << tuned.threads << " threads x "
-                  << tuned.batch_lanes << " lanes in "
-                  << format_fixed(tuned.autotune_seconds * 1e3, 1) << " ms\n\n";
-    }
 
     // One pool for every session this demo runs.
     const auto queue = std::make_shared<core::job_queue>(threads);

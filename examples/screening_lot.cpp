@@ -10,9 +10,8 @@
 //   ./screening_lot [--dice=N] [--sigma=S] [--threads=N] [--lanes=N]
 //                   [--store=PATH] [--trace=PATH] [--metrics]
 //
-// When --threads/--lanes are omitted the engine's autotune probe picks
-// them (a short calibration screen at each candidate configuration); pass
-// either flag to override.
+// --threads defaults to one worker per hardware thread and --lanes to 16,
+// the lot shape lotbench times.
 //
 // --store appends one checksummed binary record per die to PATH as the
 // reports stream off the job (store/lot_store.hpp) -- reopening an
@@ -117,8 +116,8 @@ bool lots_identical(const core::lot_result& a, const core::lot_result& b) {
 int main(int argc, char** argv) {
     const auto dice = static_cast<std::size_t>(flag_value(argc, argv, "dice", 64.0));
     const double sigma = flag_value(argc, argv, "sigma", 0.03);
-    auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
-    auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 8.0));
+    const auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
+    const auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 16.0));
     const std::string store_path = flag_text(argc, argv, "store");
 
     // Telemetry is opt-in: detached, every counter/span call is a no-op
@@ -138,24 +137,6 @@ int main(int argc, char** argv) {
     core::analyzer_settings settings;
     const auto mask = core::spec_mask::paper_lowpass();
     const auto factory = make_factory(sigma);
-
-    // Flags omitted -> let the engine's autotune probe pick the
-    // configuration for this machine (either flag still overrides).
-    if (!flag_present(argc, argv, "threads") || !flag_present(argc, argv, "lanes")) {
-        core::sweep_engine_options probe;
-        probe.autotune = true;
-        core::sweep_engine tuner(factory, settings, probe);
-        const auto tuned = tuner.stats();
-        if (!flag_present(argc, argv, "threads")) {
-            threads = tuned.threads;
-        }
-        if (!flag_present(argc, argv, "lanes")) {
-            lanes = tuned.batch_lanes;
-        }
-        std::cout << "autotune probe picked " << tuned.threads << " threads x "
-                  << tuned.batch_lanes << " lanes in "
-                  << format_fixed(tuned.autotune_seconds * 1e3, 1) << " ms\n\n";
-    }
 
     // One worker pool serves the lot below (and could serve any number of
     // concurrent lots).

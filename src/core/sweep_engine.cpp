@@ -5,7 +5,6 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
-#include <thread>
 #include <utility>
 
 #include "common/arena.hpp"
@@ -44,9 +43,6 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
                            sweep_engine_options options)
     : factory_(std::move(factory)), settings_(settings), options_(std::move(options)) {
     BISTNA_EXPECTS(factory_ != nullptr, "sweep engine requires a board factory");
-    if (options_.autotune) {
-        run_autotune(); // may rewrite options_.threads / options_.batch_lanes
-    }
     demod_tables_ = std::make_shared<eval::demod_table_cache>();
     calibration_share_ = std::make_shared<eval::calibration_share>();
     queue_ = options_.queue ? options_.queue
@@ -64,82 +60,9 @@ sweep_stats sweep_engine::stats() const {
     sweep_stats stats;
     stats.threads = queue_->threads();
     stats.batch_lanes = std::max<std::size_t>(1, options_.batch_lanes);
-    stats.autotuned = autotuned_;
-    stats.autotune_seconds = autotune_seconds_;
-    stats.autotune_candidates = autotune_candidates_;
     stats.stimulus = stimulus_cache_->stats();
     stats.calibration_snapshots = calibration_share_->entries();
     return stats;
-}
-
-void sweep_engine::run_autotune() {
-    const auto start = std::chrono::steady_clock::now();
-
-    // Candidate grid.  A shared queue's thread count is not ours to change,
-    // so only the lane count is tuned then.
-    std::vector<std::size_t> thread_candidates;
-    if (options_.queue) {
-        thread_candidates.push_back(options_.queue->threads());
-    } else {
-        const std::size_t hw =
-            std::max<std::size_t>(1, std::thread::hardware_concurrency());
-        thread_candidates.push_back(hw);
-        if (hw / 2 >= 1 && hw / 2 != hw) {
-            thread_candidates.push_back(hw / 2);
-        }
-    }
-    const std::size_t lane_candidates[] = {4, 8, 16};
-
-    // The probe workload: a miniature screening lot (short records, short
-    // calibration, a mask every die passes) -- enough render + measure work
-    // per die to expose the render/acquire throughput ratio the real lot
-    // will see, at a negligible fraction of its cost.
-    analyzer_settings probe_settings = settings_;
-    probe_settings.periods = 16;
-    probe_settings.settle_periods = 4;
-    probe_settings.distortion_periods = 32;
-    probe_settings.evaluator.calibration_periods = 64;
-    spec_mask probe_mask;
-    probe_mask.limits.push_back(gain_limit{1000.0, -1e9, 1e9, "autotune-probe"});
-    probe_mask.stimulus_tolerance = 1e9; // every die passes the self-test
-
-    autotune_candidate best{};
-    for (std::size_t threads : thread_candidates) {
-        for (std::size_t lanes : lane_candidates) {
-            sweep_engine_options probe_options = options_;
-            probe_options.autotune = false;
-            probe_options.threads = threads;
-            probe_options.batch_lanes = lanes;
-            sweep_engine probe(factory_, probe_settings, probe_options);
-            const std::size_t dice = 2 * probe.queue_->threads() * lanes;
-            (void)probe.submit_screening(probe_mask, lanes, 1).results(); // warm-up
-            const auto t0 = std::chrono::steady_clock::now();
-            (void)probe.submit_screening(probe_mask, dice, 1).results();
-            autotune_candidate candidate;
-            candidate.threads = probe.queue_->threads();
-            candidate.batch_lanes = lanes;
-            candidate.seconds =
-                std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-                    .count();
-            candidate.dice_per_second =
-                candidate.seconds > 0.0 ? static_cast<double>(dice) / candidate.seconds
-                                        : 0.0;
-            if (candidate.dice_per_second > best.dice_per_second) {
-                best = candidate;
-            }
-            autotune_candidates_.push_back(candidate);
-        }
-    }
-
-    if (best.batch_lanes != 0) {
-        if (!options_.queue) {
-            options_.threads = best.threads;
-        }
-        options_.batch_lanes = best.batch_lanes;
-        autotuned_ = true;
-    }
-    autotune_seconds_ =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
 // --- Measurement programs --------------------------------------------------

@@ -76,32 +76,14 @@ struct sweep_engine_options {
     /// bit-identical to the scalar network_analyzer, because lanes own
     /// independent seeded streams and never interact.
     std::size_t batch_lanes = 1;
-    /// Self-tune {threads, batch_lanes} at construction: a short
-    /// calibration probe screens a few synthetic dice at each candidate
-    /// configuration and adopts the fastest (reported in stats()).  When a
-    /// shared `queue` is set only batch_lanes is tuned.  The probe only
-    /// runs the factory (a pure function of its seed), so tuning never
-    /// perturbs results -- outputs stay bit-identical at any configuration.
-    bool autotune = false;
-};
-
-/// One configuration the autotune probe timed.
-struct autotune_candidate {
-    std::size_t threads = 0;
-    std::size_t batch_lanes = 0;
-    double seconds = 0.0;
-    double dice_per_second = 0.0;
 };
 
 /// Resolved execution configuration and shared-resource counters of an
-/// engine (autotune outcome included).
+/// engine.
 struct sweep_stats {
     /// Worker count a job actually uses (the shared or private pool's).
     std::size_t threads = 0;
     std::size_t batch_lanes = 1;
-    bool autotuned = false;
-    double autotune_seconds = 0.0;
-    std::vector<autotune_candidate> autotune_candidates;
     /// Hit/miss/eviction counters of the engine's stimulus cache, over
     /// every job it has run.
     stimulus_cache_stats stimulus;
@@ -208,7 +190,7 @@ public:
                        job_handle<acquisition_result>::item_callback on_result = nullptr,
                        std::function<void()> on_published = nullptr);
 
-    /// Resolved configuration (post-autotune) and shared-resource counters.
+    /// Resolved configuration and shared-resource counters.
     sweep_stats stats() const;
 
 private:
@@ -254,10 +236,6 @@ private:
                                   const program_stage& stage, std::size_t periods,
                                   bistna::arena& scratch);
 
-    /// Autotune probe (constructor helper): time candidate
-    /// {threads, batch_lanes} points and adopt the fastest into options_.
-    void run_autotune();
-
     board_factory factory_;
     analyzer_settings settings_;
     sweep_engine_options options_;
@@ -267,9 +245,6 @@ private:
     /// Both thread-safe.
     std::shared_ptr<eval::demod_table_cache> demod_tables_;
     std::shared_ptr<eval::calibration_share> calibration_share_;
-    bool autotuned_ = false;
-    double autotune_seconds_ = 0.0;
-    std::vector<autotune_candidate> autotune_candidates_;
     /// Declared last on purpose: a private queue's destructor cancels and
     /// joins in-flight jobs whose closures use the members above, so it
     /// must be destroyed (= workers joined) before any of them.

@@ -1,10 +1,9 @@
 // The lane-major executor end to end: every lane group must be
 // bit-identical to the scalar core::screen, with or without a telemetry
-// registry attached, autotune must pick a real
-// configuration without perturbing results, and a steady-state lot loop
-// must stop touching the heap for anything sizeable after its first pass
-// (stimulus/table caches + calibration transplant) and never grow its
-// worker arena again (arena reuse).
+// registry attached, and a steady-state lot loop must stop touching the
+// heap for anything sizeable after its first pass (stimulus/table caches +
+// calibration transplant) and never grow its worker arena again (arena
+// reuse).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -179,52 +178,6 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
     const auto stats = engine.stats();
     EXPECT_GT(stats.stimulus.hits, 0u);
     EXPECT_GT(stats.calibration_snapshots, 0u);
-}
-
-TEST(Autotune, ConstructionPicksAConfigurationAndReportsIt) {
-    sweep_engine_options options;
-    options.autotune = true;
-    sweep_engine engine(make_factory(0.02), lot_settings(), options);
-
-    const auto stats = engine.stats();
-    EXPECT_TRUE(stats.autotuned);
-    EXPECT_GT(stats.autotune_seconds, 0.0);
-    EXPECT_GE(stats.autotune_candidates.size(), 3u);
-    EXPECT_GE(stats.threads, 1u);
-    const bool lanes_from_grid = stats.batch_lanes == 4 || stats.batch_lanes == 8 ||
-                                 stats.batch_lanes == 16;
-    EXPECT_TRUE(lanes_from_grid) << "picked " << stats.batch_lanes;
-    for (const auto& candidate : stats.autotune_candidates) {
-        EXPECT_GT(candidate.dice_per_second, 0.0);
-        EXPECT_GT(candidate.seconds, 0.0);
-    }
-}
-
-TEST(Autotune, TunedEngineStaysBitIdenticalToReference) {
-    screening_options screening;
-    const auto reference = scalar_screen(9, screening);
-
-    sweep_engine_options options;
-    options.autotune = true;
-    sweep_engine engine(make_factory(0.02), lot_settings(), options);
-    const auto tuned =
-        engine.submit_screening(spec_mask::paper_lowpass(), 9, 1, screening).results();
-    expect_reports_identical(reference, tuned);
-}
-
-TEST(Autotune, SharedQueueTunesLanesOnly) {
-    auto queue = std::make_shared<core::job_queue>(2);
-    sweep_engine_options options;
-    options.autotune = true;
-    options.queue = queue;
-    sweep_engine engine(make_factory(0.02), lot_settings(), options);
-
-    const auto stats = engine.stats();
-    EXPECT_TRUE(stats.autotuned);
-    EXPECT_EQ(stats.threads, 2u) << "a shared queue's thread count is not tunable";
-    for (const auto& candidate : stats.autotune_candidates) {
-        EXPECT_EQ(candidate.threads, 2u);
-    }
 }
 
 } // namespace
