@@ -5,8 +5,25 @@
 
 #include "common/error.hpp"
 #include "common/hash.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace bistna::core {
+
+namespace {
+
+/// Interned once; counter_add is a no-op unless a registry is attached.
+struct cache_counters {
+    telemetry::metric_id hits = telemetry::counter_id("engine.stimulus.hits");
+    telemetry::metric_id misses = telemetry::counter_id("engine.stimulus.misses");
+    telemetry::metric_id evictions = telemetry::counter_id("engine.stimulus.evictions");
+};
+
+const cache_counters& counters() {
+    static const cache_counters ids;
+    return ids;
+}
+
+} // namespace
 
 std::size_t stimulus_key_hash::operator()(const stimulus_key& key) const noexcept {
     std::uint64_t hash = fnv1a_offset_basis;
@@ -29,7 +46,8 @@ void stimulus_cache::evict_for_insert_locked() {
         // evicted future keep their own reference; only the cache forgets.
         entries_.erase(insertion_order_.front());
         insertion_order_.pop_front();
-        evictions_.add();
+        ++evictions_;
+        telemetry::counter_add(counters().evictions);
     }
 }
 
@@ -45,10 +63,12 @@ stimulus_cache::record_ptr stimulus_cache::get_or_render(const stimulus_key& key
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries_.find(key);
         if (it != entries_.end()) {
-            hits_.add();
+            ++hits_;
+            telemetry::counter_add(counters().hits);
             pending = it->second.future;
         } else {
-            misses_.add();
+            ++misses_;
+            telemetry::counter_add(counters().misses);
             evict_for_insert_locked();
             own_id = next_entry_id_++;
             entries_.emplace(key, entry{promise.get_future().share(), own_id});
@@ -87,13 +107,9 @@ stimulus_cache::record_ptr stimulus_cache::get_or_render(const stimulus_key& key
 }
 
 stimulus_cache_stats stimulus_cache::stats() const {
-    stimulus_cache_stats snapshot;
-    snapshot.hits = hits_.value();
-    snapshot.misses = misses_.value();
-    snapshot.evictions = evictions_.value();
     std::lock_guard<std::mutex> lock(mutex_);
-    snapshot.entries = entries_.size();
-    return snapshot;
+    return stimulus_cache_stats{
+        .hits = hits_, .misses = misses_, .evictions = evictions_, .entries = entries_.size()};
 }
 
 void stimulus_cache::clear() {

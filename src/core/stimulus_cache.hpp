@@ -28,8 +28,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "telemetry/metrics.hpp"
-
 namespace bistna::core {
 
 /// Identity of one clock-normalized stimulus record.  The fingerprint
@@ -90,11 +88,11 @@ private:
     std::unordered_map<stimulus_key, entry, stimulus_key_hash> entries_;
     std::deque<stimulus_key> insertion_order_;
     std::uint64_t next_entry_id_ = 1;
-    // The registry is the taxonomy owner; stats() is a thin view over these
-    // cells (engine.stimulus.* in an attached registry's snapshot).
-    telemetry::counter_cell hits_{"engine.stimulus.hits"};
-    telemetry::counter_cell misses_{"engine.stimulus.misses"};
-    telemetry::counter_cell evictions_{"engine.stimulus.evictions"};
+    // Guarded by mutex_; every increment also feeds the engine.stimulus.*
+    // counters of an attached telemetry registry.
+    std::size_t hits_ = 0;
+    std::size_t misses_ = 0;
+    std::size_t evictions_ = 0;
 };
 
 } // namespace bistna::core

@@ -3,6 +3,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <mutex>
 #include <vector>

@@ -19,7 +19,6 @@
 // registry); only pointers are stored on the hot path.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -123,36 +122,6 @@ public:
 
 private:
     metric_registry& registry_;
-};
-
-/// A counter that also keeps a process-local running value readable
-/// without a registry -- the migration shim for the legacy ad-hoc stats
-/// structs (`stimulus_cache_stats` and friends): the old accessors read
-/// value(), while an attached registry sees every increment under the
-/// interned name.
-class counter_cell {
-public:
-    explicit counter_cell(const char* name) : id_(counter_id(name)) {}
-
-    counter_cell(const counter_cell&) = delete;
-    counter_cell& operator=(const counter_cell&) = delete;
-
-    void add(std::uint64_t n = 1) noexcept {
-        local_.fetch_add(n, std::memory_order_relaxed);
-        counter_add(id_, n);
-    }
-
-    std::uint64_t value() const noexcept {
-        return local_.load(std::memory_order_relaxed);
-    }
-
-    void reset() noexcept { local_.store(0, std::memory_order_relaxed); }
-
-    metric_id id() const noexcept { return id_; }
-
-private:
-    metric_id id_;
-    std::atomic<std::uint64_t> local_{0};
 };
 
 } // namespace bistna::telemetry

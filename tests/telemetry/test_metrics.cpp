@@ -188,24 +188,6 @@ TEST(TelemetryMetrics, DoubleAttachThrows) {
     EXPECT_THROW(first.attach(), precondition_error);
 }
 
-TEST(TelemetryMetrics, CounterCellReadsLocallyAndFeedsTheRegistry) {
-    telemetry::counter_cell cell("test.cell.counter");
-    cell.add(3);
-    EXPECT_EQ(cell.value(), 3u); // readable with no registry at all
-
-    telemetry::metric_registry registry;
-    {
-        telemetry::registry_scope scope(registry);
-        cell.add(4);
-    }
-    EXPECT_EQ(cell.value(), 7u);
-    // The registry saw only the increments made while attached.
-    EXPECT_EQ(registry.snapshot().counter("test.cell.counter"), 4u);
-
-    cell.reset();
-    EXPECT_EQ(cell.value(), 0u);
-}
-
 TEST(TelemetryMetrics, ThreadNamesAppearInSnapshots) {
     telemetry::metric_registry registry;
     telemetry::registry_scope scope(registry);
