@@ -43,20 +43,6 @@ void job_progress::items_done(std::size_t n) const noexcept {
     telemetry::counter_add(items_counter(), n);
 }
 
-const char* job_state_name(job_state state) noexcept {
-    switch (state) {
-    case job_state::running:
-        return "running";
-    case job_state::succeeded:
-        return "succeeded";
-    case job_state::cancelled:
-        return "cancelled";
-    case job_state::failed:
-        return "failed";
-    }
-    return "unknown";
-}
-
 namespace {
 
 std::size_t resolve_threads(std::size_t threads) {
@@ -87,11 +73,6 @@ job_queue::~job_queue() {
     for (auto& worker : workers_) {
         worker.join();
     }
-}
-
-std::size_t job_queue::jobs_pending() const {
-    std::lock_guard<std::mutex> lock(mutex_);
-    return jobs_.size();
 }
 
 void job_queue::enqueue(std::shared_ptr<detail::job_record> record) {

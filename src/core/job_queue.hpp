@@ -74,9 +74,6 @@ enum class job_state {
     failed,    ///< a worker threw; the first exception is captured
 };
 
-/// Stable name for reports and logs.
-const char* job_state_name(job_state state) noexcept;
-
 namespace detail {
 
 /// Typed state shared between a job's handle(s) and the worker closures:
@@ -418,11 +415,6 @@ public:
 
     /// Worker count (the resolved value, never 0).
     std::size_t threads() const noexcept { return threads_; }
-
-    /// Jobs with tasks not yet claimed by a worker (a job whose last task
-    /// was claimed no longer counts, even while that task is running --
-    /// track terminal state through its handle).
-    std::size_t jobs_pending() const;
 
     /// Submit a job of `item_count` items evaluated `group_size` at a time:
     /// each task calls group_fn(first, count, out, progress) to compute

@@ -3,7 +3,6 @@
 #include <cmath>
 #include <complex>
 
-#include "common/error.hpp"
 #include "common/hash.hpp"
 #include "common/math_util.hpp"
 
@@ -128,20 +127,6 @@ double sinewave_generator::expected_amplitude() const {
     // Linear response of the *drawn* biquad at f_gen/16.
     const double gain = std::abs(sc::biquad_response(drawn_caps_, 1.0 / n));
     return gain * input_fundamental * va_diff_;
-}
-
-ideal_sine_source::ideal_sine_source(double amplitude, double normalized_frequency,
-                                     double phase_rad, double offset)
-    : amplitude_(amplitude), normalized_frequency_(normalized_frequency), phase_(phase_rad),
-      offset_(offset) {
-    BISTNA_EXPECTS(normalized_frequency > 0.0 && normalized_frequency < 0.5,
-                   "normalized frequency must be in (0, 0.5)");
-}
-
-double ideal_sine_source::sample(std::size_t n) const {
-    return offset_ +
-           amplitude_ * std::sin(two_pi * normalized_frequency_ * static_cast<double>(n) +
-                                 phase_);
 }
 
 } // namespace bistna::gen

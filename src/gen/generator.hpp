@@ -107,23 +107,4 @@ private:
     std::size_t step_ = 0;
 };
 
-/// Ideal discrete-time sine source (reference/bypass experiments):
-/// x[n] = offset + amplitude * sin(2 pi f_norm n + phase).
-class ideal_sine_source {
-public:
-    ideal_sine_source(double amplitude, double normalized_frequency, double phase_rad = 0.0,
-                      double offset = 0.0);
-
-    double sample(std::size_t n) const;
-    double step() { return sample(index_++); }
-    void reset() noexcept { index_ = 0; }
-
-private:
-    double amplitude_;
-    double normalized_frequency_;
-    double phase_;
-    double offset_;
-    std::size_t index_ = 0;
-};
-
 } // namespace bistna::gen

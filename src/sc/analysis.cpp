@@ -36,15 +36,6 @@ std::complex<double> biquad_response(const biquad_caps& caps, double normalized_
     return -k.delta * k.beta / denominator(k, zinv);
 }
 
-std::complex<double> biquad_response_v1(const biquad_caps& caps, double normalized_frequency,
-                                        double input_cap) {
-    const auto k = coeffs_of(caps, input_cap);
-    const double theta = two_pi * normalized_frequency;
-    const std::complex<double> zinv(std::cos(theta), -std::sin(theta));
-    // v1 = (1 - z^-1) v2 / delta
-    return biquad_response(caps, normalized_frequency, input_cap) * (1.0 - zinv) / k.delta;
-}
-
 resonance_info analyze_biquad(const biquad_caps& caps) {
     const auto k = coeffs_of(caps, 1.0);
     // Characteristic polynomial z^2 - (1 + alpha - delta*gamma) z + alpha.

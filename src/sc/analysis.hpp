@@ -18,10 +18,6 @@ namespace bistna::sc {
 std::complex<double> biquad_response(const biquad_caps& caps, double normalized_frequency,
                                      double input_cap = 1.0);
 
-/// Ideal transfer to the band-pass node v1.
-std::complex<double> biquad_response_v1(const biquad_caps& caps, double normalized_frequency,
-                                        double input_cap = 1.0);
-
 /// Pole/peak characterization of the biquad.
 struct resonance_info {
     double pole_radius = 0.0;

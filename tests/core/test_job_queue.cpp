@@ -168,7 +168,6 @@ TEST(JobQueue, ConcurrentJobsShareOnePool) {
     const auto results_a = a.results();
     const auto results_b = b.results();
     EXPECT_EQ(results_a, results_b);
-    EXPECT_EQ(queue.jobs_pending(), 0u);
 }
 
 TEST(JobQueue, EmptyJobIsRejected) {
