@@ -132,7 +132,11 @@ TEST(ShardSupervisor, StragglerIsKilledAndRetried) {
     options.worker_command = self_worker_command();
     options.shards = 2;
     options.max_attempts = 2;
-    options.straggler_timeout_seconds = 0.5;
+    // The timeout must separate a hung attempt from a healthy one on any
+    // host.  A healthy 1-die attempt took 0.14 s in an ASan build on a
+    // 4-vCPU Xeon, and 0.24 s with the whole ASan suite running at
+    // ctest -j8 beside it; 3 s leaves it more than 10x headroom.
+    options.straggler_timeout_seconds = 3.0;
     options.shard_dir = dir.file("shards");
     // Attempt 1 of every shard hangs far past the timeout; the supervisor
     // must SIGKILL it and let attempt 2 (which does not stall) finish.
