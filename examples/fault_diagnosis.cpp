@@ -97,9 +97,9 @@ int main(int argc, char** argv) {
     build.batch_lanes = lanes;
     build.queue = queue;
     build.on_progress = [](std::size_t completed, std::size_t total) {
-        // Runs on worker threads; a single composed << keeps lines whole.
-        std::cout << ("\r  acquired " + std::to_string(completed) + "/" +
-                      std::to_string(total) + " severity grid points") << std::flush;
+        // Runs on this thread, once per grid point, in order.
+        std::cout << "\r  acquired " << completed << "/" << total
+                  << " severity grid points" << std::flush;
     };
     const auto dictionary =
         diag::build_dictionary(design, settings, space, catalog, build);

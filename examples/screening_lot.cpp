@@ -85,8 +85,7 @@ screen_streamed(const core::board_factory& factory, const core::analyzer_setting
         if (sink != nullptr) {
             sink->append(store::to_record(item->value, kFirstSeed + item->index));
         }
-        const std::size_t done = handle.completed_items();
-        std::cout << "\r  engine: " << done
+        std::cout << "\r  engine: " << item->index + 1
                   << "/" << dice << " dice screened, " << failing << " failing" << std::flush;
     }
     std::cout << "\n";

@@ -34,17 +34,6 @@ telemetry::metric_id items_counter() {
     return id;
 }
 
-} // namespace
-
-void job_progress::items_done(std::size_t n) const noexcept {
-    if (computed_ != nullptr) {
-        computed_->fetch_add(n, std::memory_order_relaxed);
-    }
-    telemetry::counter_add(items_counter(), n);
-}
-
-namespace {
-
 std::size_t resolve_threads(std::size_t threads) {
     if (threads != 0) {
         return threads;
@@ -54,6 +43,10 @@ std::size_t resolve_threads(std::size_t threads) {
 }
 
 } // namespace
+
+void detail::count_items_computed(std::size_t n) noexcept {
+    telemetry::counter_add(items_counter(), n);
+}
 
 job_queue::job_queue(std::size_t threads) : threads_(resolve_threads(threads)) {}
 

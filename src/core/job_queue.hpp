@@ -13,11 +13,12 @@
 //     submitted concurrently (from any thread); workers claim one task per
 //     job in rotation, so one pool serves many engines without
 //     oversubscribing the machine and no job starves behind another.
-//   * `job_handle<R>` is the caller's view of one submitted job: the whole
-//     result vector (`results`), an in-order cursor over items as they
-//     complete (`next_in_order` / `try_next_in_order`), an optional
-//     per-item completion callback, progress counters, cooperative
-//     cancellation and worker-exception capture.
+//   * `job_handle<R>` is the caller's view of one submitted job, and its
+//     in-order cursor is the one way to watch it: the whole result vector
+//     (`results`), items in index order as they complete (`next_in_order`
+//     / `try_next_in_order`, the latter paired with the submit-time
+//     `on_published` notifier), cooperative cancellation and
+//     worker-exception capture.
 //
 // The determinism contract of the synchronous paths is preserved exactly:
 // a job's items are index-addressed slots whose values depend only on the
@@ -44,26 +45,6 @@
 #include "common/error.hpp"
 
 namespace bistna::core {
-
-/// Mid-group progress reporter, the trailing parameter of every group
-/// function.  Ticking items as they are computed makes
-/// `job_handle::completed_items()` move *within* a group instead of
-/// jumping by group_size when the group publishes -- a monitor polling a
-/// 10k-die lot screened in one group no longer reads 0 until the very end.
-/// Ticks are advisory (they never gate publication); a group function that
-/// never ticks reports progress a whole group at a time.
-class job_progress {
-public:
-    job_progress() = default;
-    explicit job_progress(std::atomic<std::uint64_t>* computed)
-        : computed_(computed) {}
-
-    /// Record `n` more items' worth of finished computation.
-    void items_done(std::size_t n = 1) const noexcept;
-
-private:
-    std::atomic<std::uint64_t>* computed_ = nullptr;
-};
 
 /// Lifecycle of a job.  `running` covers the whole span from submission to
 /// the last item being accounted for; the other three are terminal.
@@ -99,24 +80,6 @@ struct job_channel {
     /// skipped); in-flight groups finish normally and still publish.
     std::atomic<bool> cancel_requested{false};
 
-    /// Items ticked via job_progress, ahead of group publication.  Only
-    /// ever incremented, so completed_items() -- the max of this and
-    /// completed_count -- is monotonic whether or not the group function
-    /// ticks.  On a failed/cancelled job the ticks of an unpublished group
-    /// may overcount the published items; exact per-item truth stays with
-    /// the slots.
-    std::atomic<std::uint64_t> computed{0};
-
-    /// Optional per-item completion callback (runs on the completing
-    /// worker thread, without locks, *before* the item becomes visible to
-    /// the in-order cursor -- so on the success path a consumer never
-    /// observes an item whose callback has not run).  Must be thread-safe
-    /// across items.  A throwing callback fails the job (first exception
-    /// captured, rest of the work drained, later callbacks of the group
-    /// skipped) but never discards measured results: the group's items are
-    /// still published to their slots.
-    std::function<void(std::size_t, const R&)> on_item;
-
     /// Optional post-publish notifier, fixed at submission.  Runs on the
     /// accounting worker thread AFTER the channel lock is released, so
     /// everything the event that triggered it made visible (new items, a
@@ -124,22 +87,9 @@ struct job_channel {
     /// thread it wakes.
     std::function<void()> on_published;
 
-    /// Publish items [first, first + group.size()): callback first, then
-    /// slots under the lock, finalizing the job if this accounts for the
-    /// last item.
+    /// Publish items [first, first + group.size()) to their slots under
+    /// the lock, finalizing the job if this accounts for the last item.
     void complete_items(std::size_t first, std::vector<R>&& group) {
-        std::exception_ptr callback_error;
-        if (on_item) {
-            for (std::size_t l = 0; l < group.size(); ++l) {
-                try {
-                    on_item(first + l, group[l]);
-                } catch (...) {
-                    callback_error = std::current_exception();
-                    cancel_requested.store(true, std::memory_order_relaxed);
-                    break;
-                }
-            }
-        }
         {
             std::lock_guard<std::mutex> lock(mutex);
             for (std::size_t l = 0; l < group.size(); ++l) {
@@ -147,9 +97,6 @@ struct job_channel {
                 item_completed[first + l] = 1;
             }
             completed_count += group.size();
-            if (callback_error && !error) {
-                error = std::move(callback_error);
-            }
             account(group.size());
         }
         if (on_published) {
@@ -200,6 +147,10 @@ private:
     }
 };
 
+/// Count `n` computed items on the `job_queue.items_computed` telemetry
+/// counter (a no-op unless a registry is attached).
+void count_items_computed(std::size_t n) noexcept;
+
 /// Type-erased job record the queue's workers schedule from.  A job's
 /// tasks are claimed in index order under the queue lock; the typed closure
 /// owns all result bookkeeping.
@@ -226,26 +177,12 @@ public:
         R value{};
     };
 
-    /// Per-item completion callback (see job_channel::on_item).
-    using item_callback = std::function<void(std::size_t index, const R& value)>;
-
     job_handle() = default;
 
     explicit job_handle(std::shared_ptr<detail::job_channel<R>> channel)
         : channel_(std::move(channel)) {}
 
     bool valid() const noexcept { return channel_ != nullptr; }
-
-    /// Items finished so far: the max of published slots and mid-group
-    /// job_progress ticks, so the value is monotonic and -- when the group
-    /// function ticks -- moves while a group is still computing.
-    std::size_t completed_items() const {
-        auto& ch = channel();
-        const std::uint64_t ticked =
-            ch.computed.load(std::memory_order_relaxed);
-        std::lock_guard<std::mutex> lock(ch.mutex);
-        return std::max(static_cast<std::size_t>(ticked), ch.completed_count);
-    }
 
     job_state state() const {
         auto& ch = channel();
@@ -265,7 +202,8 @@ public:
 
     /// Request cooperative cancellation: tasks not yet started are
     /// skipped; items already in flight finish normally and still publish.
-    /// Idempotent, safe from any thread (including an on_item callback).
+    /// Idempotent, safe from any thread (including the on_published
+    /// notifier).
     void cancel() noexcept {
         if (channel_) {
             channel_->cancel_requested.store(true, std::memory_order_relaxed);
@@ -325,7 +263,7 @@ public:
     /// Wait, then return the full result vector in item order.  Rethrows
     /// the first worker exception of a failed job; throws
     /// configuration_error on a cancelled job (its slots have holes -- the
-    /// in-order cursor or the per-item callback sees the partial outcome).
+    /// in-order cursor sees the partial outcome).
     /// This is the synchronous way to run a job: submit, then results().
     std::vector<R> results() const& {
         wait();
@@ -417,11 +355,10 @@ public:
     std::size_t threads() const noexcept { return threads_; }
 
     /// Submit a job of `item_count` items evaluated `group_size` at a time:
-    /// each task calls group_fn(first, count, out, progress) to compute
-    /// items [first, first + count) into out[0..count) (count <=
-    /// group_size; only the final group is short), optionally ticking
-    /// `progress` as items finish.  group_fn runs concurrently on the
-    /// pool's workers, so it must be safe to invoke for disjoint groups in
+    /// each task calls group_fn(first, count, out) to compute items
+    /// [first, first + count) into out[0..count) (count <= group_size; only
+    /// the final group is short).  group_fn runs concurrently on the pool's
+    /// workers, so it must be safe to invoke for disjoint groups in
     /// parallel and must depend only on the item indices (that is what
     /// makes the job's results completion-order independent).  Everything
     /// the job needs must be owned by (or outlive) the closure.
@@ -429,23 +366,19 @@ public:
     /// `on_published` -- if set -- fires AFTER each publication becomes
     /// visible: new items landed in their slots, or the job flipped to a
     /// terminal state (including cancel-skip and worker-failure
-    /// accounting).  This is the signal an event-driven consumer sleeps on
-    /// -- unlike the per-item on_item callback, which by contract runs
-    /// BEFORE its item is visible, a wake delivered from here never races
-    /// ahead of the state it advertises.  It is installed before any task
-    /// can run, so it covers every publication; it fires at least once per
-    /// publication event and runs on worker threads without the channel
-    /// lock, so it may probe the handle freely but must be cheap and must
-    /// not throw.
+    /// accounting).  This is the signal an event-driven consumer sleeps on:
+    /// a wake delivered from here never races ahead of the state it
+    /// advertises.  It is installed before any task can run, so it covers
+    /// every publication; it fires at least once per publication event and
+    /// runs on worker threads without the channel lock, so it may probe the
+    /// handle freely but must be cheap and must not throw.
     template <typename R, typename GroupFn>
     job_handle<R> submit(std::size_t item_count, std::size_t group_size, GroupFn group_fn,
-                         typename job_handle<R>::item_callback on_item = nullptr,
                          std::function<void()> on_published = nullptr) {
         BISTNA_EXPECTS(item_count > 0, "job must contain at least one item");
         const std::size_t group = std::max<std::size_t>(1, group_size);
 
         auto channel = std::make_shared<detail::job_channel<R>>(item_count);
-        channel->on_item = std::move(on_item);
         channel->on_published = std::move(on_published);
 
         auto record = std::make_shared<detail::job_record>();
@@ -463,7 +396,8 @@ public:
             }
             try {
                 std::vector<R> out(count);
-                group_fn(first, count, out.data(), job_progress(&channel->computed));
+                group_fn(first, count, out.data());
+                detail::count_items_computed(count);
                 channel->complete_items(first, std::move(out));
             } catch (...) {
                 channel->fail_items(count, std::current_exception());

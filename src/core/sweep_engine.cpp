@@ -122,8 +122,7 @@ struct sweep_engine::measurement_program {
 // --- Bode sessions ---------------------------------------------------------
 
 job_handle<frequency_point>
-sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed,
-                          job_handle<frequency_point>::item_callback on_point) {
+sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed) {
     BISTNA_EXPECTS(!frequencies.empty(), "sweep requires at least one frequency");
 
     // Each point is one lane measuring at its own frequency; without a
@@ -163,8 +162,7 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
         bode_job{std::move(frequencies), board_seed, std::move(program)});
     return queue_->submit<frequency_point>(
         job->frequencies.size(), std::max<std::size_t>(1, options_.batch_lanes),
-        [this, job](std::size_t first, std::size_t count, frequency_point* out,
-                    const job_progress& progress) {
+        [this, job](std::size_t first, std::size_t count, frequency_point* out) {
             std::vector<program_lane> lanes;
             lanes.reserve(count);
             for (std::size_t l = 0; l < count; ++l) {
@@ -174,12 +172,11 @@ sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_se
                     {factory_(job->board_seed), config, job->frequencies[first + l]});
             }
             std::vector<acquisition_result> results(count);
-            execute(job->program, lanes, results.data(), worker_arena(), progress);
+            execute(job->program, lanes, results.data(), worker_arena());
             for (std::size_t l = 0; l < count; ++l) {
                 out[l] = results[l].points.front();
             }
-        },
-        std::move(on_point));
+        });
 }
 
 sweep_report sweep_engine::run(const std::vector<hertz>& frequencies,
@@ -243,7 +240,6 @@ screening_report to_screening_report(const sweep_engine::acquisition_result& res
 job_handle<screening_report>
 sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
                                std::uint64_t first_seed, const screening_options& screening,
-                               job_handle<screening_report>::item_callback on_report,
                                std::function<void()> on_published) {
     BISTNA_EXPECTS(dice > 0, "batch must contain at least one die");
     BISTNA_EXPECTS(!mask.limits.empty(), "spec mask has no limits");
@@ -276,8 +272,7 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
         screening_job{mask, first_seed, thd_f_hz, std::move(program)});
     return queue_->submit<screening_report>(
         dice, std::max<std::size_t>(1, options_.batch_lanes),
-        [this, job](std::size_t first, std::size_t count, screening_report* out,
-                    const job_progress& progress) {
+        [this, job](std::size_t first, std::size_t count, screening_report* out) {
             // Same per-die construction as the sequential core::screen_lot:
             // the die's identity comes solely from its factory seed.
             std::vector<program_lane> lanes;
@@ -286,12 +281,12 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
                 lanes.push_back({factory_(job->first_seed + first + l), settings_.evaluator});
             }
             std::vector<acquisition_result> results(count);
-            execute(job->program, lanes, results.data(), worker_arena(), progress);
+            execute(job->program, lanes, results.data(), worker_arena());
             for (std::size_t l = 0; l < count; ++l) {
                 out[l] = to_screening_report(results[l], job->mask, job->thd_f_hz);
             }
         },
-        std::move(on_report), std::move(on_published));
+        std::move(on_published));
 }
 
 // --- Generic acquisition sessions ------------------------------------------
@@ -299,7 +294,6 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
 job_handle<sweep_engine::acquisition_result>
 sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
                                  acquisition_program program,
-                                 job_handle<acquisition_result>::item_callback on_result,
                                  std::function<void()> on_published) {
     BISTNA_EXPECTS(!items.empty(), "acquisition batch must contain at least one item");
     BISTNA_EXPECTS(!program.frequencies.empty(),
@@ -321,24 +315,23 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
                                                         settings_.recalibrate_per_point, thd)});
     return queue_->submit<acquisition_result>(
         job->items.size(), std::max<std::size_t>(1, options_.batch_lanes),
-        [this, job](std::size_t first, std::size_t count, acquisition_result* out,
-                    const job_progress& progress) {
+        [this, job](std::size_t first, std::size_t count, acquisition_result* out) {
             std::vector<program_lane> lanes;
             lanes.reserve(count);
             for (std::size_t l = 0; l < count; ++l) {
                 const acquisition_item& item = job->items[first + l];
                 lanes.push_back({item.make_board(), item.evaluator});
             }
-            execute(job->program, lanes, out, worker_arena(), progress);
+            execute(job->program, lanes, out, worker_arena());
         },
-        std::move(on_result), std::move(on_published));
+        std::move(on_published));
 }
 
 // --- The executor ----------------------------------------------------------
 
 void sweep_engine::execute(const measurement_program& program,
                            std::vector<program_lane>& lanes, acquisition_result* results,
-                           arena& scratch, const job_progress& progress) {
+                           arena& scratch) {
     const std::size_t count = lanes.size();
     BISTNA_EXPECTS(count > 0, "lane group must contain at least one lane");
 
@@ -393,7 +386,6 @@ void sweep_engine::execute(const measurement_program& program,
                 std::erase_if(active, [&](std::size_t l) {
                     return !stimulus_self_test(*program.self_test, inputs[l].amplitude.volts);
                 });
-                progress.items_done(count - active.size());
             }
             break;
         }
@@ -430,7 +422,6 @@ void sweep_engine::execute(const measurement_program& program,
         }
         }
     }
-    progress.items_done(active.size());
 }
 
 std::vector<eval::harmonic_measurement>

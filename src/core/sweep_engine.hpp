@@ -27,14 +27,14 @@
 // Work enters through submit_bode / submit_screening / submit_acquisition,
 // which return immediately with a job_handle: results() waits for the
 // whole batch in item order (aggregate_lot folds screening reports into a
-// lot_result), next_in_order() / try_next_in_order() walk the items in
-// order as they complete, and an optional per-item callback sees each one
-// on its worker thread; progress counters, cooperative cancellation and
-// worker-exception capture come with it.  run() is the blocking Bode
-// sweep: one submit_bode job plus the eq. (4) bound and error summary of
-// sweep_report.  Many engines can share one core::job_queue
-// (options.queue), so concurrent sessions never oversubscribe the
-// machine; the engine must outlive the jobs it has submitted.
+// lot_result), and next_in_order() / try_next_in_order() walk the items in
+// order as they complete, on the consumer's thread; cooperative
+// cancellation and worker-exception capture come with it.  run() is the
+// blocking Bode sweep: one submit_bode job plus the eq. (4) bound and
+// error summary of sweep_report.  Many engines can share one
+// core::job_queue (options.queue), so concurrent sessions never
+// oversubscribe the machine; the engine must outlive the jobs it has
+// submitted.
 #pragma once
 
 #include <cstddef>
@@ -157,7 +157,7 @@ public:
     // bit-identical at any {threads, batch_lanes} combination and any
     // completion order (seeds derive from the item index, never from
     // scheduling).  The engine must outlive the handles' jobs; the
-    // optional callbacks run on worker threads, `on_published` as
+    // optional `on_published` notifier runs on worker threads, as
     // described at job_queue::submit.
 
     /// Bode batch: item i is frequencies[i] measured on the board drawn
@@ -166,8 +166,7 @@ public:
     /// caller's thread -- and every streamed point reuses it; otherwise
     /// each point characterizes the stimulus itself.
     job_handle<frequency_point>
-    submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed = 1,
-                job_handle<frequency_point>::item_callback on_point = nullptr);
+    submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed = 1);
 
     /// Screening lot: item i is the report of die seed first_seed + i,
     /// bit-identical to calling core::screen on factory(first_seed + i)
@@ -176,7 +175,6 @@ public:
     job_handle<screening_report>
     submit_screening(const spec_mask& mask, std::size_t dice, std::uint64_t first_seed = 1,
                      const screening_options& screening = {},
-                     job_handle<screening_report>::item_callback on_report = nullptr,
                      std::function<void()> on_published = nullptr);
 
     /// Generic lockstep acquisition -- a screening lot varies the die seed,
@@ -187,7 +185,6 @@ public:
     /// are owned by the job, so the caller may drop its copies immediately.
     job_handle<acquisition_result>
     submit_acquisition(std::vector<acquisition_item> items, acquisition_program program,
-                       job_handle<acquisition_result>::item_callback on_result = nullptr,
                        std::function<void()> on_published = nullptr);
 
     /// Resolved configuration and shared-resource counters.
@@ -212,11 +209,8 @@ private:
     /// outcome into results[l] (calibration = the first one measured or
     /// injected, points = one per harmonic stage).  All scratch comes from
     /// `scratch`, reset before every stage, so it grows to the largest one.
-    /// Dropped lanes tick `progress` after the self-test gate, the rest when
-    /// the last stage completes.
     void execute(const measurement_program& program, std::vector<program_lane>& lanes,
-                 acquisition_result* results, bistna::arena& scratch,
-                 const job_progress& progress = {});
+                 acquisition_result* results, bistna::arena& scratch);
 
     /// Stimulus characterization of the active lanes straight from the
     /// cached staircases: one broadcast acquisition when every lane holds

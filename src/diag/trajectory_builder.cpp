@@ -1,7 +1,5 @@
 #include "diag/trajectory_builder.hpp"
 
-#include <atomic>
-#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -117,23 +115,19 @@ fault_dictionary build_dictionary(const die_design& design,
     engine_options.queue = options.queue;
     core::sweep_engine engine(design.factory(), settings, engine_options);
 
-    // Streamed build: grid points complete in scheduling order and report
-    // progress as they land; the dictionary below is assembled from the
-    // index-addressed slots, so it is bit-identical to the blocking build.
-    core::job_handle<core::sweep_engine::acquisition_result>::item_callback on_item;
+    const std::size_t total = plan.items.size();
+    auto handle = engine.submit_acquisition(std::move(plan.items), std::move(plan.program));
+    // If the observer below throws, the engine must not unwind while
+    // workers on a shared queue still run its job.
+    core::job_scope<core::sweep_engine::acquisition_result> guard(handle);
     if (options.on_progress) {
-        auto completed = std::make_shared<std::atomic<std::size_t>>(0);
-        on_item = [completed, total = plan.items.size(),
-                   progress = options.on_progress](
-                      std::size_t, const core::sweep_engine::acquisition_result&) {
-            progress(completed->fetch_add(1, std::memory_order_relaxed) + 1, total);
-        };
+        // Grid points arrive in item order on this thread, so the observer
+        // counts 1..total whatever the completion order.
+        while (auto item = handle.next_in_order()) {
+            options.on_progress(item->index + 1, total);
+        }
     }
-    const auto results = engine
-                             .submit_acquisition(std::move(plan.items),
-                                                 std::move(plan.program),
-                                                 std::move(on_item))
-                             .results();
+    const auto results = std::move(handle).results();
     return assemble_dictionary(space, faults, options.grid_points, results);
 }
 

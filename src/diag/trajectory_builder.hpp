@@ -32,10 +32,12 @@ struct trajectory_build_options {
     /// Root of the per-grid-point evaluator seed stream (item seeds are
     /// derived per index, so the build is scheduling-independent).
     std::uint64_t eval_seed_base = 0xD1A65EEDULL;
-    /// Optional progress observer of the streamed build: invoked as each
-    /// grid-point acquisition completes with (completed, total).  Runs on
-    /// the engine's worker threads, so it must be thread-safe; progress
-    /// never changes the built dictionary.
+    /// Optional progress observer of the streamed build: invoked with
+    /// (completed, total) as each grid-point acquisition arrives in item
+    /// order, so `completed` counts 1..total.  Runs on the calling thread,
+    /// never concurrently with itself; progress never changes the built
+    /// dictionary, and an observer that throws aborts the build (the
+    /// exception propagates once the job's in-flight work has drained).
     std::function<void(std::size_t completed, std::size_t total)> on_progress;
     /// Run the build on this shared pool instead of a private one (e.g.
     /// one pool serving a dictionary build and a screening lot at once);

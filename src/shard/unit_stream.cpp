@@ -22,20 +22,34 @@ struct unit_stream::impl {
     core::job_handle<core::screening_report> screening;
     core::job_handle<core::sweep_engine::acquisition_result> acquisition;
 
-    store::record to_unit_record(std::uint64_t unit,
-                                 const core::screening_report& report) const {
-        return store::to_record(report, manifest.record_id(unit));
+    /// Call `fn` on whichever handle the stream submitted.  An empty range
+    /// submitted neither; `fn` is not called and the result is
+    /// value-initialized.
+    template <typename Fn>
+    auto with_job(Fn&& fn) -> decltype(fn(screening)) {
+        if (screening.valid()) {
+            return fn(screening);
+        }
+        if (acquisition.valid()) {
+            return fn(acquisition);
+        }
+        return decltype(fn(screening))();
     }
-    store::record
-    to_unit_record(std::uint64_t unit,
-                   const core::sweep_engine::acquisition_result& result) const {
-        return store::to_record(result, manifest.record_id(unit));
+
+    /// The store record of a streamed item; nullopt passes through.
+    template <typename Item>
+    std::optional<unit_record> to_unit_record(const std::optional<Item>& item) const {
+        if (!item) {
+            return std::nullopt;
+        }
+        const std::uint64_t unit = first_unit + item->index;
+        return unit_record{unit, store::to_record(item->value, manifest.record_id(unit))};
     }
 };
 
 unit_stream::unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
                          std::uint64_t units, std::shared_ptr<core::job_queue> queue,
-                         std::function<void()> on_item)
+                         std::function<void()> on_published)
     : impl_(std::make_unique<impl>()), units_(units) {
     const std::uint64_t total = manifest.total_units();
     BISTNA_EXPECTS(first_unit <= total && units <= total - first_unit,
@@ -59,7 +73,7 @@ unit_stream::unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
         impl_->screening = impl_->engine->submit_screening(
             manifest.make_mask(), static_cast<std::size_t>(units),
             manifest.first_seed + first_unit, manifest.make_screening_options(),
-            nullptr, std::move(on_item));
+            std::move(on_published));
     } else {
         // Construct the FULL deterministic plan and submit only the
         // subrange: every item owns its global-index-derived evaluator
@@ -84,95 +98,46 @@ unit_stream::unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
         impl_->engine = std::make_unique<core::sweep_engine>(
             manifest.make_die_design().factory(), manifest.make_settings(), options);
         impl_->acquisition = impl_->engine->submit_acquisition(
-            std::move(slice), std::move(plan.program), nullptr, std::move(on_item));
+            std::move(slice), std::move(plan.program), std::move(on_published));
     }
 }
 
 unit_stream::~unit_stream() {
-    cancel();
-    if (impl_->screening.valid()) {
-        impl_->screening.wait();
-    }
-    if (impl_->acquisition.valid()) {
-        impl_->acquisition.wait();
-    }
+    impl_->with_job([](auto& job) {
+        job.cancel();
+        job.wait();
+    });
 }
 
 std::optional<unit_record> unit_stream::next() {
-    if (impl_->screening.valid()) {
-        if (auto item = impl_->screening.next_in_order()) {
-            const std::uint64_t unit = impl_->first_unit + item->index;
-            ++delivered_;
-            return unit_record{unit, impl_->to_unit_record(unit, item->value)};
-        }
-        return std::nullopt;
+    auto record = impl_->with_job(
+        [this](auto& job) { return impl_->to_unit_record(job.next_in_order()); });
+    if (record) {
+        ++delivered_;
     }
-    if (impl_->acquisition.valid()) {
-        if (auto item = impl_->acquisition.next_in_order()) {
-            const std::uint64_t unit = impl_->first_unit + item->index;
-            ++delivered_;
-            return unit_record{unit, impl_->to_unit_record(unit, item->value)};
-        }
-    }
-    return std::nullopt;
+    return record;
 }
 
 std::optional<unit_record> unit_stream::try_next() {
-    if (impl_->screening.valid()) {
-        if (auto item = impl_->screening.try_next_in_order()) {
-            const std::uint64_t unit = impl_->first_unit + item->index;
-            ++delivered_;
-            return unit_record{unit, impl_->to_unit_record(unit, item->value)};
-        }
-        return std::nullopt;
+    auto record = impl_->with_job(
+        [this](auto& job) { return impl_->to_unit_record(job.try_next_in_order()); });
+    if (record) {
+        ++delivered_;
     }
-    if (impl_->acquisition.valid()) {
-        if (auto item = impl_->acquisition.try_next_in_order()) {
-            const std::uint64_t unit = impl_->first_unit + item->index;
-            ++delivered_;
-            return unit_record{unit, impl_->to_unit_record(unit, item->value)};
-        }
-    }
-    return std::nullopt;
-}
-
-std::uint64_t unit_stream::completed_items() const {
-    if (impl_->screening.valid()) {
-        return impl_->screening.completed_items();
-    }
-    if (impl_->acquisition.valid()) {
-        return impl_->acquisition.completed_items();
-    }
-    return 0;
+    return record;
 }
 
 bool unit_stream::finished() const {
-    if (impl_->screening.valid()) {
-        return impl_->screening.finished();
-    }
-    if (impl_->acquisition.valid()) {
-        return impl_->acquisition.finished();
-    }
-    return true; // empty range: terminal from birth
+    // An empty range submitted no job: terminal from birth.
+    return units_ == 0 || impl_->with_job([](auto& job) { return job.finished(); });
 }
 
 void unit_stream::cancel() noexcept {
-    if (impl_->screening.valid()) {
-        impl_->screening.cancel();
-    }
-    if (impl_->acquisition.valid()) {
-        impl_->acquisition.cancel();
-    }
+    impl_->with_job([](auto& job) { job.cancel(); });
 }
 
 std::exception_ptr unit_stream::error() const {
-    if (impl_->screening.valid()) {
-        return impl_->screening.error();
-    }
-    if (impl_->acquisition.valid()) {
-        return impl_->acquisition.error();
-    }
-    return nullptr;
+    return impl_->with_job([](auto& job) { return job.error(); });
 }
 
 } // namespace bistna::shard

@@ -36,16 +36,16 @@ public:
     /// Submit units [first_unit, first_unit + units) of the manifest's
     /// workload.  `queue` shares a worker pool across streams (the service
     /// daemon's shape); null gives the engine a private pool sized by the
-    /// manifest.  `on_item` -- if set -- is a publication notifier invoked
-    /// from worker threads AFTER newly completed items (or the terminal
-    /// state) become visible to try_next()/finished(), at least once per
-    /// publication and possibly coalescing several items into one call (no
-    /// locks held; must be cheap and thread-safe): an event loop uses it
-    /// to wake its poll, and a wake never races ahead of the state it
-    /// advertises.
+    /// manifest.  `on_published` -- if set -- is a publication notifier
+    /// invoked from worker threads AFTER newly completed items (or the
+    /// terminal state, cancelled or failed jobs included) become visible to
+    /// try_next()/finished(), at least once per publication and possibly
+    /// coalescing several items into one call (no locks held; must be cheap
+    /// and thread-safe): an event loop uses it to wake its poll, and a wake
+    /// never races ahead of the state it advertises.
     unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
                 std::uint64_t units, std::shared_ptr<core::job_queue> queue = nullptr,
-                std::function<void()> on_item = nullptr);
+                std::function<void()> on_published = nullptr);
 
     /// Cancels and drains the underlying job, so worker closures never
     /// outlive the engine this stream owns.  Non-blocking when the job is
@@ -70,10 +70,6 @@ public:
 
     /// Units delivered through next()/try_next() so far.
     std::uint64_t delivered() const noexcept { return delivered_; }
-
-    /// Items the engine has finished computing (>= delivered; moves while
-    /// a consumer is slow -- the service's progress frames read this).
-    std::uint64_t completed_items() const;
 
     /// True once the underlying job is terminal (or the range was empty).
     bool finished() const;

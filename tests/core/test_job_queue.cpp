@@ -1,6 +1,6 @@
-// The asynchronous job queue: in-order streaming, progress counters,
-// completion callbacks, worker-exception capture, cooperative cancellation
-// and pool sharing across concurrent jobs -- plus the contract everything
+// The asynchronous job queue: in-order streaming, the post-publish
+// notifier, worker-exception capture, cooperative cancellation and pool
+// sharing across concurrent jobs -- plus the contract everything
 // rests on, that streamed items are bit-identical to results() slots at
 // every {threads, batch_lanes} combination.
 #include <gtest/gtest.h>
@@ -10,7 +10,6 @@
 #include <cmath>
 #include <future>
 #include <mutex>
-#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,7 +27,6 @@ using namespace bistna;
 using core::analyzer_settings;
 using core::board_factory;
 using core::job_handle;
-using core::job_progress;
 using core::job_queue;
 using core::job_state;
 using core::spec_mask;
@@ -41,16 +39,12 @@ int item_value(std::size_t index) { return static_cast<int>(index * index + 7); 
 
 /// A synthetic job: item i evaluates to item_value(i), `group` items per
 /// task.
-job_handle<int> submit_squares(job_queue& queue, std::size_t items, std::size_t group,
-                               job_handle<int>::item_callback on_item = nullptr) {
-    return queue.submit<int>(
-        items, group,
-        [](std::size_t first, std::size_t count, int* out, const job_progress&) {
-            for (std::size_t l = 0; l < count; ++l) {
-                out[l] = item_value(first + l);
-            }
-        },
-        std::move(on_item));
+job_handle<int> submit_squares(job_queue& queue, std::size_t items, std::size_t group) {
+    return queue.submit<int>(items, group, [](std::size_t first, std::size_t count, int* out) {
+        for (std::size_t l = 0; l < count; ++l) {
+            out[l] = item_value(first + l);
+        }
+    });
 }
 
 /// A closed gate the test opens once: task bodies block on `open` until
@@ -76,9 +70,6 @@ TEST(JobQueue, StreamsEveryItemExactlyOnce) {
     EXPECT_EQ(delivered, 17u);
     EXPECT_FALSE(handle.next_in_order().has_value());
     EXPECT_EQ(handle.state(), job_state::succeeded);
-    // A group function that never ticks its job_progress still lands the
-    // exact count, a whole group at a time.
-    EXPECT_EQ(handle.completed_items(), 17u);
     EXPECT_EQ(handle.error(), nullptr);
 }
 
@@ -91,24 +82,6 @@ TEST(JobQueue, ResultsComeBackInItemOrder) {
     }
 }
 
-TEST(JobQueue, CallbackSeesEveryItemBeforeItIsPulled) {
-    job_queue queue(2);
-    std::mutex mutex;
-    std::set<std::size_t> called;
-    auto handle = submit_squares(queue, 12, 3, [&](std::size_t index, const int& value) {
-        EXPECT_EQ(value, item_value(index));
-        std::lock_guard<std::mutex> lock(mutex);
-        called.insert(index);
-    });
-    while (auto item = handle.next_in_order()) {
-        // The callback contract: it has run before the item reaches the
-        // in-order cursor.
-        std::lock_guard<std::mutex> lock(mutex);
-        EXPECT_TRUE(called.count(item->index)) << "item streamed before its callback";
-    }
-    EXPECT_EQ(called.size(), 12u);
-}
-
 TEST(JobQueue, PublishedCallbackNeverRacesAheadOfVisibility) {
     // The notifier probes the handle, so every group waits until the handle
     // is assigned; the notifier itself is installed by submit(), before any
@@ -119,41 +92,38 @@ TEST(JobQueue, PublishedCallbackNeverRacesAheadOfVisibility) {
     job_handle<int> handle;
     std::atomic<std::size_t> wakes{0};
     std::atomic<bool> terminal_seen{false};
-    std::promise<std::size_t> visible_at_terminal;
+    std::promise<void> terminal_wake;
     job_queue queue(2);
     handle = queue.submit<int>(
         10, 3,
-        [open = start.open](std::size_t first, std::size_t count, int* out,
-                            const job_progress&) {
+        [open = start.open](std::size_t first, std::size_t count, int* out) {
             open.wait();
             for (std::size_t l = 0; l < count; ++l) {
                 out[l] = item_value(first + l);
             }
         },
-        nullptr,
         [&] {
             // Post-publish contract: whatever this wake advertises is
             // already observable -- including the terminal flip of the last
             // group, after which every item must be visible.
             wakes.fetch_add(1, std::memory_order_relaxed);
             if (handle.finished() && !terminal_seen.exchange(true)) {
-                visible_at_terminal.set_value(handle.completed_items());
+                terminal_wake.set_value();
             }
         });
     start.release();
 
     // Some wake must observe the terminal state -- a lost final wake is
-    // exactly what an event loop dies on -- and by then all ten items are
-    // visible.  The wake for the final publication may fire after wait()
-    // returns, so wait on the wake itself.
-    auto terminal = visible_at_terminal.get_future();
+    // exactly what an event loop dies on.  The wake for the final
+    // publication may fire after wait() returns, so wait on the wake
+    // itself.
+    auto terminal = terminal_wake.get_future();
     ASSERT_EQ(terminal.wait_for(std::chrono::seconds(30)), std::future_status::ready)
         << "no wake observed the terminal state";
-    EXPECT_EQ(terminal.get(), 10u);
     EXPECT_GE(wakes.load(), 1u);
 
-    // An event-driven consumer woken by the last callback drains the
-    // whole job without ever blocking.
+    // An event-driven consumer woken by the terminal wake drains the whole
+    // job without ever blocking: all ten items are visible.
     for (std::size_t i = 0; i < 10; ++i) {
         auto item = handle.try_next_in_order();
         ASSERT_TRUE(item.has_value()) << "item " << i << " not visible after the wake";
@@ -178,7 +148,7 @@ TEST(JobQueue, EmptyJobIsRejected) {
 TEST(JobQueue, WorkerExceptionFailsTheJobAndIsRethrown) {
     job_queue queue(2);
     auto handle = queue.submit<int>(
-        8, 1, [](std::size_t first, std::size_t, int* out, const job_progress&) {
+        8, 1, [](std::size_t first, std::size_t, int* out) {
             if (first == 3) {
                 throw configuration_error("item 3 exploded");
             }
@@ -198,28 +168,6 @@ TEST(JobQueue, WorkerExceptionFailsTheJobAndIsRethrown) {
     EXPECT_EQ(submit_squares(queue, 5, 1).results().size(), 5u);
 }
 
-TEST(JobQueue, ThrowingCallbackFailsTheJobButKeepsMeasuredResults) {
-    // One worker computes items strictly in order: 0 and 1 publish, 2's
-    // callback throws, and the cancel it triggers skips 3..9.
-    job_queue queue(1);
-    auto handle = submit_squares(queue, 10, 1, [](std::size_t index, const int&) {
-        if (index == 2) {
-            throw configuration_error("observer exploded");
-        }
-    });
-    handle.wait();
-    EXPECT_EQ(handle.state(), job_state::failed);
-    EXPECT_THROW(handle.results(), configuration_error);
-    // The item whose callback threw was still measured and published --
-    // a throwing observer never discards results.
-    std::size_t delivered = 0;
-    while (auto item = handle.next_in_order()) {
-        EXPECT_EQ(item->value, item_value(item->index));
-        ++delivered;
-    }
-    EXPECT_EQ(delivered, 3u);
-}
-
 TEST(JobQueue, CancelSkipsUnstartedWorkAndKeepsCompletedItems) {
     job_queue queue(2);
     // Two gate-blocked items occupy both workers; everything behind them
@@ -229,8 +177,7 @@ TEST(JobQueue, CancelSkipsUnstartedWorkAndKeepsCompletedItems) {
     std::atomic<int> started{0};
     auto handle = queue.submit<int>(
         16, 1,
-        [&started, open = release.open](std::size_t first, std::size_t, int* out,
-                                        const job_progress&) {
+        [&started, open = release.open](std::size_t first, std::size_t, int* out) {
             if (first < 2) {
                 started.fetch_add(1);
                 open.wait();
@@ -264,25 +211,17 @@ TEST(JobQueue, DestructionFinishesOutstandingHandles) {
     job_handle<int> handle;
     gate release;
     std::atomic<int> started{0};
-    std::mutex mutex;
-    std::vector<std::size_t> completed;
     std::thread opener;
     {
         job_queue queue(1);
         handle = queue.submit<int>(
             32, 1,
-            [&started, open = release.open](std::size_t first, std::size_t, int* out,
-                                            const job_progress&) {
+            [&started, open = release.open](std::size_t first, std::size_t, int* out) {
                 if (first == 0) {
                     started.fetch_add(1);
                     open.wait();
                 }
                 out[0] = item_value(first);
-            },
-            [&](std::size_t index, const int& value) {
-                EXPECT_EQ(value, item_value(index));
-                std::lock_guard<std::mutex> lock(mutex);
-                completed.push_back(index);
             });
         while (started.load() < 1) {
             std::this_thread::yield();
@@ -299,8 +238,13 @@ TEST(JobQueue, DestructionFinishesOutstandingHandles) {
     opener.join();
     ASSERT_TRUE(handle.finished());
     EXPECT_EQ(handle.state(), job_state::cancelled);
-    ASSERT_FALSE(completed.empty());
-    EXPECT_EQ(completed.front(), 0u);
+    // The in-flight item 0 completed and is delivered; the cursor then
+    // ends at the first skipped item.
+    const auto first = handle.next_in_order();
+    ASSERT_TRUE(first.has_value());
+    EXPECT_EQ(first->index, 0u);
+    EXPECT_EQ(first->value, item_value(0));
+    EXPECT_FALSE(handle.next_in_order().has_value());
 }
 
 // --- Engine sessions over the queue ----------------------------------------
@@ -380,7 +324,7 @@ TEST(JobQueue, StreamedBodePointsMatchBlockingRun) {
             streamed.push_back(std::move(item->value));
         }
         ASSERT_EQ(streamed.size(), frequencies.size());
-        ASSERT_EQ(handle.completed_items(), frequencies.size());
+        ASSERT_EQ(handle.state(), job_state::succeeded);
         for (std::size_t i = 0; i < frequencies.size(); ++i) {
             EXPECT_EQ(streamed[i].gain_db, blocking.points[i].gain_db) << "point " << i;
             EXPECT_EQ(streamed[i].phase_deg, blocking.points[i].phase_deg) << "point " << i;
@@ -474,17 +418,8 @@ TEST(JobQueue, MidLotCancellationKeepsTheCompletedSubsetBitIdentical) {
     const auto reference =
         make_engine(1, 1).submit_screening(mask, dice, /*first_seed=*/5).results();
 
-    // Declared before the engine, whose destructor joins the workers that
-    // run the callback.
-    std::mutex mutex;
-    std::vector<std::pair<std::size_t, core::screening_report>> completed;
     auto engine = make_engine(2, 1);
-    auto handle = engine.submit_screening(
-        mask, dice, /*first_seed=*/5, {},
-        [&](std::size_t index, const core::screening_report& report) {
-            std::lock_guard<std::mutex> lock(mutex);
-            completed.emplace_back(index, report);
-        });
+    auto handle = engine.submit_screening(mask, dice, /*first_seed=*/5);
     // Pull a couple of reports, then cancel the rest of the lot.
     for (std::size_t die = 0; die < 2; ++die) {
         auto item = handle.next_in_order();
@@ -494,14 +429,16 @@ TEST(JobQueue, MidLotCancellationKeepsTheCompletedSubsetBitIdentical) {
     handle.cancel();
     handle.wait();
 
-    // Whatever completed -- pulled or not -- matches the synchronous
-    // reference die for die; nothing half-measured ever surfaces.
-    std::lock_guard<std::mutex> lock(mutex);
-    EXPECT_GE(completed.size(), 2u);
-    for (const auto& [index, report] : completed) {
-        expect_reports_identical(report, reference[index]);
+    // Whatever the cursor still delivers after the cancel matches the
+    // synchronous reference die for die; nothing half-measured ever
+    // surfaces.
+    std::size_t delivered = 2;
+    while (auto item = handle.next_in_order()) {
+        ASSERT_EQ(item->index, delivered);
+        expect_reports_identical(item->value, reference[item->index]);
+        ++delivered;
     }
-    if (completed.size() < dice) {
+    if (delivered < dice) {
         EXPECT_EQ(handle.state(), job_state::cancelled);
     }
 }
@@ -517,26 +454,22 @@ TEST(JobQueue, EngineWithPrivatePoolCanBeDroppedMidJob) {
     const auto reference =
         make_engine(1, 1).submit_screening(mask, dice, /*first_seed=*/7).results();
 
-    std::mutex mutex;
-    std::vector<std::pair<std::size_t, core::screening_report>> completed;
     core::job_handle<core::screening_report> handle;
     {
         auto engine = make_engine(2, 1);
-        handle = engine.submit_screening(
-            mask, dice, /*first_seed=*/7, {},
-            [&](std::size_t index, const core::screening_report& report) {
-                std::lock_guard<std::mutex> lock(mutex);
-                completed.emplace_back(index, report);
-            });
+        handle = engine.submit_screening(mask, dice, /*first_seed=*/7);
         auto first = handle.next_in_order();
         ASSERT_TRUE(first.has_value());
         expect_reports_identical(first->value, reference[0]);
     } // engine destroyed: private queue cancels pending dice and joins
     ASSERT_TRUE(handle.finished());
-    std::lock_guard<std::mutex> lock(mutex);
-    EXPECT_GE(completed.size(), 1u);
-    for (const auto& [index, report] : completed) {
-        expect_reports_identical(report, reference[index]);
+    // Every item the cursor still delivers after the drop matches the
+    // reference.
+    std::size_t delivered = 1;
+    while (auto item = handle.next_in_order()) {
+        ASSERT_EQ(item->index, delivered);
+        expect_reports_identical(item->value, reference[item->index]);
+        ++delivered;
     }
 }
 
@@ -570,7 +503,7 @@ job_handle<int> submit_labelled(job_queue& queue, std::size_t items, char label,
                                 std::shared_future<void> open = {}) {
     return queue.submit<int>(items, 1,
                              [&mutex, &order, label, open](std::size_t first, std::size_t,
-                                                           int* out, const job_progress&) {
+                                                           int* out) {
                                  if (open.valid() && first == 0) {
                                      open.wait();
                                  }
@@ -620,8 +553,7 @@ TEST(JobQueue, TryNextInOrderNeverBlocks) {
     gate computed;
     auto handle = queue.submit<int>(
         4, 1,
-        [open = computed.open](std::size_t first, std::size_t, int* out,
-                               const job_progress&) {
+        [open = computed.open](std::size_t first, std::size_t, int* out) {
             open.wait();
             out[0] = item_value(first);
         });

@@ -4,6 +4,13 @@
 // consistency between builder-side and report-side signature extraction.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <numeric>
+#include <stdexcept>
+#include <thread>
+#include <vector>
+
+#include "core/job_queue.hpp"
 #include "core/screening.hpp"
 #include "core/sweep_engine.hpp"
 #include "diag/classifier.hpp"
@@ -136,6 +143,50 @@ TEST(TrajectoryBuilder, SinglePointGridUsesSeverityMin) {
         EXPECT_DOUBLE_EQ(dictionary.trajectories[j].points.front().severity,
                          kTwoFaults[j].severity_min);
     }
+}
+
+TEST(TrajectoryBuilder, ProgressCountsEveryItemInOrderOnTheCallingThread) {
+    const auto space = diag::signature_space::from_mask(core::spec_mask::paper_lowpass());
+    const auto reference = diag::build_dictionary(diag::die_design{}, fast_settings(), space,
+                                                  kTwoFaults, fast_build(2, 3));
+
+    // The healthy reference plus 2 faults x 4 grid points: 9 items, seen
+    // one by one in item order on this thread.
+    const auto caller = std::this_thread::get_id();
+    std::vector<std::size_t> completed;
+    auto observed = fast_build(2, 3);
+    observed.on_progress = [&](std::size_t done, std::size_t total) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_EQ(total, 9u);
+        completed.push_back(done);
+    };
+    EXPECT_EQ(diag::build_dictionary(diag::die_design{}, fast_settings(), space, kTwoFaults,
+                                     observed),
+              reference);
+    std::vector<std::size_t> expected(9);
+    std::iota(expected.begin(), expected.end(), std::size_t{1});
+    EXPECT_EQ(completed, expected);
+
+    // An observer that throws aborts the build, and the shared pool the
+    // build ran on serves the next build bit-identically.
+    const auto queue = std::make_shared<core::job_queue>(2);
+    auto throwing = fast_build(2, 3);
+    throwing.queue = queue;
+    std::size_t calls = 0;
+    throwing.on_progress = [&](std::size_t, std::size_t) {
+        if (++calls == 3) {
+            throw std::runtime_error("observer exploded");
+        }
+    };
+    EXPECT_THROW((void)diag::build_dictionary(diag::die_design{}, fast_settings(), space,
+                                              kTwoFaults, throwing),
+                 std::runtime_error);
+    EXPECT_EQ(calls, 3u);
+    auto shared = fast_build(2, 3);
+    shared.queue = queue;
+    EXPECT_EQ(diag::build_dictionary(diag::die_design{}, fast_settings(), space, kTwoFaults,
+                                     shared),
+              reference);
 }
 
 // The dictionary's healthy signature and a diagnostic screening report of
