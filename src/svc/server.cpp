@@ -119,7 +119,9 @@ struct service_server::impl {
     std::size_t active_jobs = 0;
     std::uint64_t next_session_id = 1;
     /// Cancelled streams ride here until finished() so their destructors
-    /// never block the event loop.
+    /// never block the event loop.  The accounting that makes a cancelled
+    /// job terminal fires its notifier, so that wake is when reap() drops
+    /// the stream.
     std::vector<std::unique_ptr<shard::unit_stream>> draining;
 
     // ----- lifecycle -------------------------------------------------------
@@ -180,9 +182,10 @@ struct service_server::impl {
         running.store(false, std::memory_order_release);
     }
 
-    /// Wake the poll loop.  Called from worker threads (unit_stream item
-    /// callbacks) and stop(); a full pipe means a wake is already pending,
-    /// so EAGAIN is success.
+    /// Wake the poll loop.  Called from worker threads (the unit_stream
+    /// post-publish notifier, which also fires when a cancelled stream's
+    /// job turns terminal) and stop(); a full pipe means a wake is already
+    /// pending, so EAGAIN is success.
     void wake() noexcept {
         const std::uint8_t byte = 1;
         (void)::write(wake_write, &byte, 1);
@@ -281,12 +284,6 @@ struct service_server::impl {
                 deadline = std::min(deadline,
                                     s->last_activity_ns + opts.idle_timeout_ms * 1000000);
             }
-        }
-        if (!draining.empty()) {
-            // Cancelled streams stop firing item callbacks; poll their
-            // finished() state instead of waiting on a wake that may never
-            // come.
-            deadline = std::min(deadline, now + 50u * 1000000);
         }
         if (deadline == UINT64_MAX) {
             return 500;
