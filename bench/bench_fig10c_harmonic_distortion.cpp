@@ -52,7 +52,7 @@ int main() {
     const double paper_bist[2] = {-56.0, -62.0};
     const double paper_scope[2] = {-56.0, -62.0}; // Fig. 10c annotations
     for (std::size_t i = 0; i < result.harmonic_dbc.size(); ++i) {
-        table.add_row({"H" + std::to_string(i + 2), format_fixed(paper_bist[i], 0),
+        table.add_row({'H' + std::to_string(i + 2), format_fixed(paper_bist[i], 0),
                        format_fixed(result.harmonic_dbc[i], 1),
                        format_fixed(result.harmonic_dbc_bounds[i].lo(), 1) + "/" +
                            format_fixed(result.harmonic_dbc_bounds[i].hi(), 1),

@@ -63,7 +63,7 @@ int main() {
                            format_fixed(paper_dbfs[k - 1], 0)});
         }
         const auto final_stats = summarize(readings.back());
-        bench::verdict("A" + std::to_string(k) + " at MN = 96000 (dBFS)",
+        bench::verdict('A' + std::to_string(k) + " at MN = 96000 (dBFS)",
                        amplitude_to_dbfs(truths[k - 1], eval::full_scale_reference),
                        final_stats.mean, 0.3);
     }

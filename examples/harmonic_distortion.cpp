@@ -44,7 +44,7 @@ int main() {
 
     ascii_table table({"harmonic", "BIST analyzer (dBc)", "bounds", "oscilloscope (dBc)"});
     for (std::size_t i = 0; i < result.harmonic_dbc.size(); ++i) {
-        table.add_row({"H" + std::to_string(i + 2), format_fixed(result.harmonic_dbc[i], 1),
+        table.add_row({'H' + std::to_string(i + 2), format_fixed(result.harmonic_dbc[i], 1),
                        format_fixed(result.harmonic_dbc_bounds[i].lo(), 1) + "/" +
                            format_fixed(result.harmonic_dbc_bounds[i].hi(), 1),
                        i < scope_reading.harmonic_dbc.size()

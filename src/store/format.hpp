@@ -26,6 +26,7 @@
 // files and sockets alike: store::frame_decoder (record_io.hpp).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstring>
@@ -113,6 +114,12 @@ private:
     void raw(const void* p, std::size_t n) {
         if (n == 0) {
             return; // p may be null (empty vector/span), and null + 0 is UB
+        }
+        // Grow geometrically before inserting: GCC 12 cannot see that the
+        // reallocating path of vector::insert at end() moves no tail bytes,
+        // and warns (-Wstringop-overflow) in every inlined encoder.
+        if (buf_.capacity() - buf_.size() < n) {
+            buf_.reserve(std::max(buf_.size() + n, 2 * buf_.capacity()));
         }
         const auto* bytes = static_cast<const std::uint8_t*>(p);
         buf_.insert(buf_.end(), bytes, bytes + n);
