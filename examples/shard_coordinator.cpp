@@ -58,15 +58,14 @@ int main(int argc, char** argv) {
         }
 
         shard::supervisor_options options;
-        options.shards =
-            static_cast<std::size_t>(flag_value(argc, argv, "shards", 4.0));
+        options.shards = static_cast<std::size_t>(flag_u64(argc, argv, "shards", 4));
         options.max_processes =
-            static_cast<std::size_t>(flag_value(argc, argv, "workers", 0.0));
+            static_cast<std::size_t>(flag_u64(argc, argv, "workers", 0));
         options.straggler_timeout_seconds = flag_value(argc, argv, "timeout-s", 0.0);
         options.max_attempts =
-            static_cast<std::size_t>(flag_value(argc, argv, "retries", 3.0));
+            static_cast<std::size_t>(flag_u64(argc, argv, "retries", 3));
         options.flush_interval =
-            static_cast<std::size_t>(flag_value(argc, argv, "flush-interval", 32.0));
+            static_cast<std::size_t>(flag_u64(argc, argv, "flush-interval", 32));
 
         options.shard_dir = flag_text(argc, argv, "shard-dir");
         if (options.shard_dir.empty()) {

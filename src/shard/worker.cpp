@@ -102,11 +102,13 @@ int worker_main(int argc, char** argv) {
                      "--kill-attempt=N] [--stall-ms=N --stall-attempt=N]\n");
         return 2;
     }
-    const auto shard_id =
-        static_cast<std::size_t>(flag_value(argc, argv, "shard", 0.0));
-    const auto attempt =
-        static_cast<std::uint64_t>(flag_value(argc, argv, "attempt", 1.0));
+    // Parsed inside the try, so a malformed value becomes an error event;
+    // until then the event line names the defaults.
+    std::uint64_t shard_id = 0;
+    std::uint64_t attempt = 1;
     try {
+        shard_id = flag_u64(argc, argv, "shard", 0);
+        attempt = flag_u64(argc, argv, "attempt", 1);
         const lot_manifest manifest = lot_manifest::load(manifest_path);
         const std::uint64_t total = manifest.total_units();
 
@@ -123,28 +125,22 @@ int worker_main(int argc, char** argv) {
         }
 
         worker_shard_options options;
-        options.first_unit =
-            static_cast<std::uint64_t>(flag_value(argc, argv, "first", 0.0));
+        options.first_unit = flag_u64(argc, argv, "first", 0);
         const std::uint64_t rest =
             options.first_unit <= total ? total - options.first_unit : 0;
-        options.units = static_cast<std::uint64_t>(
-            flag_value(argc, argv, "count", static_cast<double>(rest)));
-        options.flush_interval = static_cast<std::size_t>(
-            flag_value(argc, argv, "flush-interval", 32.0));
+        options.units = flag_u64(argc, argv, "count", rest);
+        options.flush_interval =
+            static_cast<std::size_t>(flag_u64(argc, argv, "flush-interval", 32));
 
         // Injected faults fire only on the attempt they target, so a
         // retried shard succeeds -- the shape every supervisor test needs.
         if (flag_present(argc, argv, "kill-after-records") &&
-            attempt == static_cast<std::uint64_t>(
-                           flag_value(argc, argv, "kill-attempt", 1.0))) {
-            options.kill_after_records = static_cast<std::uint64_t>(
-                flag_value(argc, argv, "kill-after-records", 0.0));
+            attempt == flag_u64(argc, argv, "kill-attempt", 1)) {
+            options.kill_after_records = flag_u64(argc, argv, "kill-after-records", 0);
         }
         if (flag_present(argc, argv, "stall-ms") &&
-            attempt == static_cast<std::uint64_t>(
-                           flag_value(argc, argv, "stall-attempt", 1.0))) {
-            options.stall_ms =
-                static_cast<std::uint64_t>(flag_value(argc, argv, "stall-ms", 0.0));
+            attempt == flag_u64(argc, argv, "stall-attempt", 1)) {
+            options.stall_ms = flag_u64(argc, argv, "stall-ms", 0);
         }
 
         std::printf("%s\n", event_line("start", shard_id, attempt)

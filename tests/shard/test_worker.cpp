@@ -155,4 +155,26 @@ TEST(ShardWorker, StoredRecordsCarryGlobalDieSeeds) {
     EXPECT_EQ(store::report_from_record(records[1]).die, 103u);
 }
 
+TEST(ShardWorker, MalformedIntegerFlagFailsTheWorker) {
+    // Each value is rejected whole: no prefix is read as a number, no
+    // negative wraps, and a bad --shard is an error event, not a crash.
+    temp_dir dir("bistna_worker_flags");
+    auto manifest = fast_manifest();
+    manifest.dice = 2;
+    manifest.batch_lanes = 2;
+    manifest.save(dir.file("lot.json"));
+    const std::string out = dir.file("shard.store");
+    for (const char* bad : {"--first=x", "--first=2x", "--count=-1", "--shard=one"}) {
+        std::vector<std::string> args = {"shard_worker", "--manifest=" + dir.file("lot.json"),
+                                         "--out=" + out, bad};
+        std::vector<char*> argv;
+        for (std::string& arg : args) {
+            argv.push_back(arg.data());
+        }
+        EXPECT_EQ(shard::worker_main(static_cast<int>(argv.size()), argv.data()), 1) << bad;
+        EXPECT_FALSE(std::filesystem::exists(out)) << bad << " wrote a store";
+        std::filesystem::remove(out);
+    }
+}
+
 } // namespace
