@@ -52,8 +52,6 @@ void csv_writer::row(const std::vector<double>& values) {
     write_cells(cells);
 }
 
-void csv_writer::text_row(const std::vector<std::string>& cells) { write_cells(cells); }
-
 void csv_writer::write_cells(const std::vector<std::string>& cells) {
     for (std::size_t i = 0; i < cells.size(); ++i) {
         if (i != 0) {

@@ -28,9 +28,6 @@ public:
     void row(std::initializer_list<double> values);
     void row(const std::vector<double>& values);
 
-    /// Write a row of preformatted cells.
-    void text_row(const std::vector<std::string>& cells);
-
     const std::string& path() const noexcept { return path_; }
 
 private:

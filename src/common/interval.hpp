@@ -42,8 +42,6 @@ public:
     constexpr bool intersects(const interval& other) const noexcept {
         return lo_ <= other.hi_ && other.lo_ <= hi_;
     }
-    /// True when the whole interval is strictly positive (lo > 0).
-    constexpr bool strictly_positive() const noexcept { return lo_ > 0.0; }
     /// True when 0 is in the interval.
     constexpr bool contains_zero() const noexcept { return contains(0.0); }
 

@@ -59,13 +59,9 @@ public:
     /// Program the amplitude: the differential DC level V_A+ - V_A-.
     /// Output amplitude is approximately 2 * va_diff (Fig. 8a).
     void set_amplitude(volt va_diff) { va_diff_ = va_diff.value; }
-    volt amplitude_setting() const { return volt{va_diff_}; }
 
     /// Advance one generator-clock cycle and return the output sample.
     double step();
-
-    /// Current position within the 16-step period.
-    std::size_t phase_step() const noexcept { return step_ % steps_per_period; }
 
     /// Run `periods` output periods to flush the startup transient.
     void settle(std::size_t periods = 32);

@@ -48,8 +48,4 @@ double process_sampler::comparator_offset() {
     return rng_.gaussian(0.0, params_.comparator_offset_sigma);
 }
 
-double process_sampler::opamp_offset() {
-    return rng_.gaussian(0.0, params_.opamp_offset_sigma);
-}
-
 } // namespace bistna::sim

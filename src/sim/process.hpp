@@ -50,9 +50,6 @@ public:
     /// Comparator input-referred offset (volts).
     double comparator_offset();
 
-    /// Op-amp input-referred offset (volts).
-    double opamp_offset();
-
     const process_params& params() const noexcept { return params_; }
 
 private:
