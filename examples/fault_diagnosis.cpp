@@ -9,7 +9,9 @@
 //                     [--store=PATH] [--trace=PATH] [--metrics]
 //
 // --threads defaults to one worker per hardware thread and --lanes to 16,
-// the lot shape lotbench times.
+// the lot shape lotbench times.  --dice, --threads and --lanes take
+// non-negative integers; a malformed value ("3x", "two", "-1") prints an
+// error and exits 1 before anything runs.
 //
 // The dictionary ships through its checksummed binary form
 // (write_binary / read_binary); --store additionally appends every
@@ -63,13 +65,11 @@ diag::diagnose_progress lot_progress(const std::string& label) {
     };
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
-    const auto dice = static_cast<std::size_t>(flag_value(argc, argv, "dice", 8.0));
+int run(int argc, char** argv) {
+    const auto dice = static_cast<std::size_t>(flag_u64(argc, argv, "dice", 8));
     const double sigma = flag_value(argc, argv, "sigma", 0.02);
-    const auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
-    const auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 16.0));
+    const auto threads = static_cast<std::size_t>(flag_u64(argc, argv, "threads", 0));
+    const auto lanes = static_cast<std::size_t>(flag_u64(argc, argv, "lanes", 16));
     const std::string store_path = flag_text(argc, argv, "store");
 
     const std::string trace_path = flag_text(argc, argv, "trace");
@@ -269,4 +269,15 @@ int main(int argc, char** argv) {
         }
     }
     return accuracy >= 0.9 ? 0 : 1;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    try {
+        return run(argc, argv);
+    } catch (const configuration_error& error) {
+        std::cerr << "fault_diagnosis: " << error.what() << "\n";
+        return 1;
+    }
 }

@@ -11,7 +11,9 @@
 //                   [--store=PATH] [--trace=PATH] [--metrics]
 //
 // --threads defaults to one worker per hardware thread and --lanes to 16,
-// the lot shape lotbench times.
+// the lot shape lotbench times.  --dice, --threads and --lanes take
+// non-negative integers; a malformed value ("3x", "two", "-1") prints an
+// error and exits 1 before anything runs.
 //
 // --store appends one checksummed binary record per die to PATH as the
 // reports stream off the job (store/lot_store.hpp) -- reopening an
@@ -110,13 +112,11 @@ bool lots_identical(const core::lot_result& a, const core::lot_result& b) {
     return true;
 }
 
-} // namespace
-
-int main(int argc, char** argv) {
-    const auto dice = static_cast<std::size_t>(flag_value(argc, argv, "dice", 64.0));
+int run(int argc, char** argv) {
+    const auto dice = static_cast<std::size_t>(flag_u64(argc, argv, "dice", 64));
     const double sigma = flag_value(argc, argv, "sigma", 0.03);
-    const auto threads = static_cast<std::size_t>(flag_value(argc, argv, "threads", 0.0));
-    const auto lanes = static_cast<std::size_t>(flag_value(argc, argv, "lanes", 16.0));
+    const auto threads = static_cast<std::size_t>(flag_u64(argc, argv, "threads", 0));
+    const auto lanes = static_cast<std::size_t>(flag_u64(argc, argv, "lanes", 16));
     const std::string store_path = flag_text(argc, argv, "store");
 
     // Telemetry is opt-in: detached, every counter/span call is a no-op
@@ -217,4 +217,15 @@ int main(int argc, char** argv) {
         }
     }
     return identical ? 0 : 1;
+}
+
+} // namespace
+
+int main(int argc, char** argv) {
+    try {
+        return run(argc, argv);
+    } catch (const configuration_error& error) {
+        std::cerr << "screening_lot: " << error.what() << "\n";
+        return 1;
+    }
 }

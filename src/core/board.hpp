@@ -54,7 +54,10 @@ public:
     /// settle_periods + periods periods from generator phase 0.  The system
     /// is clock-normalized, so this sequence is *identical at every master
     /// clock* -- it depends only on the generator design, the programmed
-    /// amplitude and the period counts.
+    /// amplitude and the period counts.  It is causal: a fresh generator is
+    /// stepped sample by sample, so a shorter render is exactly the prefix
+    /// of a longer one, and the sweep engine renders each staircase once,
+    /// at the longest stage of its program, for every stage to read.
     std::vector<double> render_stimulus(std::size_t periods,
                                         std::size_t settle_periods) const;
 

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <numeric>
 #include <optional>
+#include <span>
 #include <utility>
 
 #include "common/arena.hpp"
@@ -29,8 +30,16 @@ arena& worker_arena() {
 }
 
 /// Smallest stimulus-cache capacity (records, oldest evicted first).  A
-/// Bode batch needs 1; a screening batch needs one per die in flight.
+/// Bode batch or a lot of one generator design needs 1.
 constexpr std::size_t stimulus_cache_floor = 64;
+
+/// True when every active lane reads the same cached staircase, so a stage
+/// can broadcast one record instead of gathering one per lane.
+bool one_staircase(const std::vector<stimulus_cache::record_ptr>& stairs,
+                   const std::vector<std::size_t>& active) {
+    return std::all_of(active.begin(), active.end(),
+                       [&](std::size_t l) { return stairs[l] == stairs[active.front()]; });
+}
 
 } // namespace
 
@@ -47,9 +56,9 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
     calibration_share_ = std::make_shared<eval::calibration_share>();
     queue_ = options_.queue ? options_.queue
                             : std::make_shared<job_queue>(options_.threads);
-    // A screening batch holds threads x batch_lanes dice in flight at once;
-    // keep the FIFO large enough that no group's records are evicted
-    // mid-screen.
+    // A lane group holds its records for its whole program, so eviction
+    // never reaches a running group; sizing the FIFO to the threads x
+    // batch_lanes items in flight keeps the next groups' records resident.
     const std::size_t in_flight =
         queue_->threads() * std::max<std::size_t>(1, options_.batch_lanes);
     stimulus_cache_ =
@@ -355,6 +364,25 @@ void sweep_engine::execute(const measurement_program& program,
     std::iota(active.begin(), active.end(), std::size_t{0});
     bool first_calibration = !program.calibration.has_value();
 
+    // One staircase per lane, at the longest period count a stage needs;
+    // each stage reads settle + its own periods from the front.  Exact:
+    // render_stimulus steps a fresh generator sample by sample, so a
+    // shorter render is a prefix of a longer one.
+    std::size_t record_periods = 0;
+    for (const program_stage& stage : program.stages) {
+        record_periods = std::max(record_periods, stage.type == program_stage::kind::thd
+                                                      ? settings_.distortion_periods
+                                                      : settings_.periods);
+    }
+    std::vector<stimulus_cache::record_ptr> stairs(count);
+    {
+        telemetry::trace_span render_span("engine.render");
+        render_span.arg("lanes", static_cast<double>(count));
+        for (std::size_t l = 0; l < count; ++l) {
+            stairs[l] = lanes[l].board.stimulus_record(record_periods, settings_.settle_periods);
+        }
+    }
+
     for (const program_stage& stage : program.stages) {
         if (active.empty()) {
             break;
@@ -368,7 +396,7 @@ void sweep_engine::execute(const measurement_program& program,
         case program_stage::kind::calibrate: {
             telemetry::trace_span calibrate_span("engine.calibrate");
             calibrate_span.arg("lanes", lanes_arg);
-            const auto measured = calibrate_lanes(lanes, active, evaluators, scratch);
+            const auto measured = calibrate_lanes(stairs, active, evaluators, scratch);
             for (std::size_t i = 0; i < active.size(); ++i) {
                 inputs[active[i]] = make_stimulus_calibration(measured[i]);
             }
@@ -393,7 +421,8 @@ void sweep_engine::execute(const measurement_program& program,
             const double* lane_major = [&] {
                 telemetry::trace_span render_span("engine.render");
                 render_span.arg("lanes", lanes_arg);
-                return render_dut_lane_major(lanes, active, stage, settings_.periods, scratch);
+                return render_dut_lane_major(lanes, stairs, active, stage, settings_.periods,
+                                             scratch);
             }();
             telemetry::trace_span evaluate_span("engine.evaluate");
             evaluate_span.arg("lanes", lanes_arg);
@@ -411,7 +440,7 @@ void sweep_engine::execute(const measurement_program& program,
             telemetry::trace_span thd_span("engine.thd");
             thd_span.arg("lanes", lanes_arg);
             const double* lane_major = render_dut_lane_major(
-                lanes, active, stage, settings_.distortion_periods, scratch);
+                lanes, stairs, active, stage, settings_.distortion_periods, scratch);
             const auto thd = evaluators.measure_thd_lanes_lane_major(
                 active, lane_major, stage.max_harmonic, settings_.distortion_periods);
             for (std::size_t i = 0; i < active.size(); ++i) {
@@ -425,29 +454,22 @@ void sweep_engine::execute(const measurement_program& program,
 }
 
 std::vector<eval::harmonic_measurement>
-sweep_engine::calibrate_lanes(std::vector<program_lane>& lanes,
+sweep_engine::calibrate_lanes(const std::vector<stimulus_cache::record_ptr>& stairs,
                               const std::vector<std::size_t>& active,
                               eval::batch_evaluator& evaluators, arena& scratch) {
-    // The calibration record *is* the staircase tail, so the lanes read the
-    // cached records in place.
+    // The calibration record *is* the staircase after the settle prefix, so
+    // the lanes read the cached records in place.
     const std::size_t n_lanes = active.size();
     const std::size_t keep_from =
         sim::timebase::samples_per_period() * settings_.settle_periods;
-    std::vector<stimulus_cache::record_ptr> stairs(n_lanes);
-    bool same_staircase = true;
-    for (std::size_t i = 0; i < n_lanes; ++i) {
-        stairs[i] = lanes[active[i]].board.stimulus_record(settings_.periods,
-                                                           settings_.settle_periods);
-        same_staircase = same_staircase && stairs[i].get() == stairs[0].get();
-    }
-    const std::size_t tail = stairs[0]->size() - keep_from;
-    if (same_staircase) {
+    const std::size_t tail = sim::timebase::samples_per_period() * settings_.periods;
+    if (one_staircase(stairs, active)) {
         return evaluators.measure_harmonic_lanes_shared(
-            active, {stairs[0]->data() + keep_from, tail}, 1, settings_.periods);
+            active, {stairs[active.front()]->data() + keep_from, tail}, 1, settings_.periods);
     }
     double* lane_major = scratch.allocate<double>(tail * n_lanes).data();
     for (std::size_t i = 0; i < n_lanes; ++i) {
-        const double* record = stairs[i]->data() + keep_from;
+        const double* record = stairs[active[i]]->data() + keep_from;
         for (std::size_t n = 0; n < tail; ++n) {
             lane_major[n * n_lanes + i] = record[n];
         }
@@ -456,10 +478,10 @@ sweep_engine::calibrate_lanes(std::vector<program_lane>& lanes,
                                                         settings_.periods);
 }
 
-double* sweep_engine::render_dut_lane_major(std::vector<program_lane>& lanes,
-                                            const std::vector<std::size_t>& active,
-                                            const program_stage& stage, std::size_t periods,
-                                            arena& scratch) {
+double* sweep_engine::render_dut_lane_major(
+    std::vector<program_lane>& lanes, const std::vector<stimulus_cache::record_ptr>& stairs,
+    const std::vector<std::size_t>& active, const program_stage& stage, std::size_t periods,
+    arena& scratch) {
     const std::size_t n_lanes = active.size();
     // Record lengths are frequency-independent (N = 96 by construction), so
     // lanes at different frequencies still share one block layout.
@@ -468,13 +490,9 @@ double* sweep_engine::render_dut_lane_major(std::vector<program_lane>& lanes,
     const std::size_t tail = sim::timebase::samples_per_period() * periods;
     double* out = scratch.allocate<double>(tail * n_lanes).data();
 
-    // Stage 1 per lane, straight from the shared cache (no tail copies).
-    std::vector<stimulus_cache::record_ptr> stairs(n_lanes);
-    bool same_staircase = true;
-    for (std::size_t i = 0; i < n_lanes; ++i) {
-        stairs[i] = lanes[active[i]].board.stimulus_record(periods, settings_.settle_periods);
-        same_staircase = same_staircase && stairs[i].get() == stairs[0].get();
-    }
+    // Stage 1 per lane: the first keep_from + tail samples of its staircase,
+    // read straight from the shared record (no copies).
+    const bool same_staircase = one_staircase(stairs, active);
 
     // Stage 2: the lockstep state-space pass when every lane is a prepared
     // linear realization of bankable order -- the same reset / prepare /
@@ -503,15 +521,15 @@ double* sweep_engine::render_dut_lane_major(std::vector<program_lane>& lanes,
                               ? out
                               : scratch.allocate<double>(keep_from * n_lanes).data();
         if (same_staircase) {
-            const double* input = stairs[0]->data();
+            const double* input = stairs[active.front()]->data();
             bank.step_block_shared(input, keep_from, discard);
             bank.step_block_shared(input + keep_from, tail, out);
         } else {
             const double** settle_inputs = scratch.allocate<const double*>(n_lanes).data();
             const double** tail_inputs = scratch.allocate<const double*>(n_lanes).data();
             for (std::size_t i = 0; i < n_lanes; ++i) {
-                settle_inputs[i] = stairs[i]->data();
-                tail_inputs[i] = stairs[i]->data() + keep_from;
+                settle_inputs[i] = stairs[active[i]]->data();
+                tail_inputs[i] = stairs[active[i]]->data() + keep_from;
             }
             bank.step_block_lanes(settle_inputs, keep_from, discard);
             bank.step_block_lanes(tail_inputs, tail, out);
@@ -523,8 +541,8 @@ double* sweep_engine::render_dut_lane_major(std::vector<program_lane>& lanes,
     // transposed into the lane-major layout -- bit-identical by definition.
     for (std::size_t i = 0; i < n_lanes; ++i) {
         const auto record = lanes[active[i]].board.render_from_stimulus(
-            *stairs[i], timebases[i], periods, signal_path::through_dut,
-            settings_.settle_periods);
+            std::span<const double>(*stairs[active[i]]).first(keep_from + tail), timebases[i],
+            periods, signal_path::through_dut, settings_.settle_periods);
         for (std::size_t n = 0; n < tail; ++n) {
             out[n * n_lanes + i] = record[n];
         }

@@ -207,25 +207,31 @@ private:
 
     /// The executor: run `program` over one lane group in lockstep, lane l's
     /// outcome into results[l] (calibration = the first one measured or
-    /// injected, points = one per harmonic stage).  All scratch comes from
-    /// `scratch`, reset before every stage, so it grows to the largest one.
+    /// injected, points = one per harmonic stage).  Each lane's staircase
+    /// is fetched once, at the longest stage, and every stage reads its
+    /// prefix.  All scratch comes from `scratch`, reset before every stage,
+    /// so it grows to the largest one.
     void execute(const measurement_program& program, std::vector<program_lane>& lanes,
                  acquisition_result* results, bistna::arena& scratch);
 
-    /// Stimulus characterization of the active lanes straight from the
-    /// cached staircases: one broadcast acquisition when every lane holds
-    /// the same record, one lane-major block otherwise.
+    /// Stimulus characterization of the active lanes straight from their
+    /// cached staircases (stairs[l] is lane l's, as execute fetched it):
+    /// one broadcast acquisition when every lane holds the same record, one
+    /// lane-major block otherwise.
     std::vector<eval::harmonic_measurement>
-    calibrate_lanes(std::vector<program_lane>& lanes, const std::vector<std::size_t>& active,
-                    eval::batch_evaluator& evaluators, bistna::arena& scratch);
+    calibrate_lanes(const std::vector<stimulus_cache::record_ptr>& stairs,
+                    const std::vector<std::size_t>& active, eval::batch_evaluator& evaluators,
+                    bistna::arena& scratch);
 
     /// Render the through-DUT stage of every active lane, each at its own
-    /// frequency, as one lane-major block (sample n of active lane i at
+    /// frequency, from the first settle + `periods` periods of its
+    /// staircase, as one lane-major block (sample n of active lane i at
     /// out[n * active.size() + i]), arena-allocated.  Uses the
     /// state_space_bank lockstep pass when every lane exposes a compatible
     /// linear realization, otherwise per-lane scalar renders transposed
     /// into the same layout -- bit-identical either way.
     double* render_dut_lane_major(std::vector<program_lane>& lanes,
+                                  const std::vector<stimulus_cache::record_ptr>& stairs,
                                   const std::vector<std::size_t>& active,
                                   const program_stage& stage, std::size_t periods,
                                   bistna::arena& scratch);

@@ -39,7 +39,9 @@ std::uint64_t calibration_share::key_hash(const sd::modulator_params& params,
                                           std::uint64_t seed, std::size_t periods,
                                           std::size_t n_per_period) {
     std::uint64_t hash = fnv1a_offset_basis;
-    fnv1a_mix(hash, seed);
+    if (params.draws_noise()) {
+        fnv1a_mix(hash, seed);
+    }
     fnv1a_mix(hash, static_cast<std::uint64_t>(periods));
     fnv1a_mix(hash, static_cast<std::uint64_t>(n_per_period));
     fnv1a_mix(hash, params.ci_over_cf);
@@ -60,7 +62,8 @@ calibration_share::find(const sd::modulator_params& params, std::uint64_t seed,
     const std::uint64_t key = key_hash(params, seed, periods, n_per_period);
     std::lock_guard<std::mutex> lock(mutex_);
     auto it = entries_.find(key);
-    if (it == entries_.end() || !(it->second->params == params)) {
+    if (it == entries_.end() || !(it->second->params == params) ||
+        it->second->calibration_samples != static_cast<double>(periods * n_per_period)) {
         return nullptr;
     }
     return it->second;

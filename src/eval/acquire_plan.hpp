@@ -9,12 +9,14 @@
 //  - demod_table_cache maps acquisition settings to immutable sign tables,
 //    built once per program stage and reused by every work item;
 //  - calibration_share transplants the post-calibration extractor state
-//    between lanes constructed with the same modulator params and seed.
-//    Calibration consumes two RNG spawns and produces rates that are a pure
-//    function of (params, stream position, length), so restoring a snapshot
-//    into such a lane is bit-identical to the lane calibrating itself --
-//    the restore verifies the stream position and params match before
-//    adopting anything.
+//    between lanes with the same modulator params.  Calibration consumes
+//    two RNG spawns and produces rates that are a pure function of
+//    (params, length) for a noiseless modulator, which never reads its RNG,
+//    and of (params, stream position, length) for a noisy one.  So
+//    noiseless lanes share one snapshot whatever their seeds, noisy lanes
+//    share per seed, and restoring is bit-identical to the lane calibrating
+//    itself: the restore checks the params (and, for a noisy lane, the
+//    stream position) and then advances the lane's RNG by the two spawns.
 #pragma once
 
 #include <cstddef>
@@ -41,12 +43,14 @@ private:
 };
 
 /// Thread-safe map of calibration snapshots keyed on (modulator params,
-/// seed, calibration length).  find/store race benignly: the snapshot for a
-/// key is unique (a pure function of the key), so double stores are
-/// idempotent and a miss merely costs one redundant calibration.
+/// calibration length), plus the seed when the params draw noise.
+/// find/store race benignly: the snapshot for a key is unique (a pure
+/// function of the key), so double stores are idempotent and a miss merely
+/// costs one redundant calibration.
 class calibration_share {
 public:
-    /// Snapshot for lanes constructed with these params and seed, or null.
+    /// Snapshot of a periods x n_per_period calibration for lanes with these
+    /// params (and this seed, when they draw noise), or null.
     std::shared_ptr<const calibration_snapshot>
     find(const sd::modulator_params& params, std::uint64_t seed, std::size_t periods,
          std::size_t n_per_period);
@@ -63,7 +67,7 @@ private:
                                   std::size_t periods, std::size_t n_per_period);
 
     /// Growth cap: screening shares one evaluator config across a whole
-    /// lot, so a handful of entries covers real batches; mixed-seed
+    /// lot, so a handful of entries covers real batches; mixed-seed noisy
     /// acquisition batches stop publishing here instead of growing without
     /// bound.
     static constexpr std::size_t max_entries = 4096;

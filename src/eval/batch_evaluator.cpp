@@ -1,12 +1,31 @@
 #include "eval/batch_evaluator.hpp"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "eval/acquire_plan.hpp"
+#include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 
 namespace bistna::eval {
+
+namespace {
+
+/// Interned once; counter_add is a no-op unless a registry is attached.
+struct calibration_counters {
+    /// Lanes that ran the grounded calibration loop.
+    telemetry::metric_id runs = telemetry::counter_id("eval.calibration.runs");
+    /// Lanes that adopted a published snapshot instead.
+    telemetry::metric_id restores = telemetry::counter_id("eval.calibration.restores");
+};
+
+const calibration_counters& counters() {
+    static const calibration_counters ids;
+    return ids;
+}
+
+} // namespace
 
 batch_evaluator::batch_evaluator(std::vector<evaluator_config> configs,
                                  demod_table_cache& tables, calibration_share& calibration)
@@ -48,11 +67,13 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
     const std::size_t cal_periods = configs_.front().calibration_periods;
     const std::size_t n = configs_.front().n_per_period;
 
-    // Adopt published snapshots where possible.  Restores verify params and
-    // stream position, so a transplanted lane is bit-identical to one that
-    // calibrated itself.  Returns the uncalibrated lanes no snapshot fit.
+    // Adopt published snapshots where possible.  Restores verify params (and
+    // a noisy lane's stream position), so a transplanted lane is
+    // bit-identical to one that calibrated itself.  Returns the
+    // uncalibrated lanes no snapshot fit.
     const auto restore = [&](std::span<const std::size_t> lanes_in) {
         std::vector<std::size_t> missed;
+        std::uint64_t restored = 0;
         for (std::size_t lane : lanes_in) {
             BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
             if (extractors_[lane].offset_calibrated()) {
@@ -60,11 +81,13 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
             }
             const auto snapshot = calibration_share_.find(
                 configs_[lane].modulator, configs_[lane].seed, cal_periods, n);
-            if (snapshot == nullptr ||
-                !extractors_[lane].try_restore_calibration(*snapshot)) {
+            if (snapshot != nullptr && extractors_[lane].try_restore_calibration(*snapshot)) {
+                ++restored;
+            } else {
                 missed.push_back(lane);
             }
         }
+        telemetry::counter_add(counters().restores, restored);
         return missed;
     };
     // Run the grounded loop over `lanes_in` in one bank pass and publish
@@ -76,12 +99,12 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
             before.push_back(extractors_[lane].rng_state());
         }
         signature_extractor::calibrate_offset_batch(lane_pointers(lanes_in), cal_periods, n);
+        telemetry::counter_add(counters().runs, lanes_in.size());
         for (std::size_t i = 0; i < lanes_in.size(); ++i) {
             const std::size_t lane = lanes_in[i];
             calibration_snapshot snapshot;
             snapshot.params = configs_[lane].modulator;
             snapshot.rng_before = before[i];
-            snapshot.rng_after = extractors_[lane].rng_state();
             snapshot.offset_rate_1 = extractors_[lane].offset_rate_ch1();
             snapshot.offset_rate_2 = extractors_[lane].offset_rate_ch2();
             snapshot.calibration_samples = extractors_[lane].calibration_samples();
@@ -94,17 +117,21 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
     if (missed.empty()) {
         return;
     }
-    // Calibrate the first lane of each distinct (params, seed) key, all in
-    // one pass; its duplicates then restore what it published.  A screening
-    // group (one key) calibrates one lane, a dictionary group (a seed per
-    // item) calibrates every lane at once.
+    // Calibrate the first lane of each distinct key -- the params, plus the
+    // seed when they draw noise -- all in one pass; its duplicates then
+    // restore what it published.  A screening group or a group of noiseless
+    // dictionary items calibrates one lane per distinct modulator; a noisy
+    // dictionary group (a seed per item) calibrates every lane at once.
+    const auto same_key = [&](std::size_t a, std::size_t b) {
+        const sd::modulator_params& params = configs_[a].modulator;
+        return params == configs_[b].modulator &&
+               (!params.draws_noise() || configs_[a].seed == configs_[b].seed);
+    };
     std::vector<std::size_t> leaders;
     std::vector<std::size_t> duplicates;
     for (std::size_t lane : missed) {
-        const bool seen = std::any_of(leaders.begin(), leaders.end(), [&](std::size_t other) {
-            return configs_[other].seed == configs_[lane].seed &&
-                   configs_[other].modulator == configs_[lane].modulator;
-        });
+        const bool seen = std::any_of(leaders.begin(), leaders.end(),
+                                      [&](std::size_t other) { return same_key(other, lane); });
         (seen ? duplicates : leaders).push_back(lane);
     }
     calibrate_and_publish(leaders);

@@ -34,10 +34,11 @@ public:
     /// uniform (the lockstep stages share one demodulation program).
     /// `tables` caches the per-stage demodulation sign tables across work
     /// items; `calibration` transplants post-calibration state between
-    /// lanes with identical (params, seed) instead of re-running the
-    /// grounded calibration -- the dominant per-die cost of a screening
-    /// flow.  Both are bit-identical to building and calibrating per lane,
-    /// and both must outlive the evaluator.
+    /// lanes with identical modulator params (and seeds, when the params
+    /// draw noise) instead of re-running the grounded calibration -- the
+    /// dominant per-item cost of a screening flow or a dictionary build.
+    /// Both are bit-identical to building and calibrating per lane, and
+    /// both must outlive the evaluator.
     batch_evaluator(std::vector<evaluator_config> configs, demod_table_cache& tables,
                     calibration_share& calibration);
 
@@ -75,7 +76,10 @@ public:
 private:
     acquisition_settings settings_for(std::size_t k, std::size_t periods) const;
     /// Offset calibration of the requested lanes that still need it, on
-    /// their first acquisition when the offset mode calibrates.
+    /// their first acquisition when the offset mode calibrates.  Adds the
+    /// lanes that ran the grounded loop to the eval.calibration.runs
+    /// counter and those that adopted a snapshot to
+    /// eval.calibration.restores.
     void ensure_calibrated(std::span<const std::size_t> lane_ids);
     std::vector<signature_extractor*> lane_pointers(std::span<const std::size_t> lane_ids);
     std::vector<harmonic_measurement> assemble_harmonics(

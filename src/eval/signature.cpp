@@ -60,10 +60,14 @@ void signature_extractor::calibrate_offset(std::size_t periods, std::size_t n_pe
 
 bool signature_extractor::try_restore_calibration(
     const calibration_snapshot& snapshot) noexcept {
-    if (calibrated_ || !(params_ == snapshot.params) || !(rng_ == snapshot.rng_before)) {
+    // A noiseless calibration never reads the spawned streams, so only a
+    // noisy one depends on where this lane's stream sits.
+    if (calibrated_ || !(params_ == snapshot.params) ||
+        (params_.draws_noise() && !(rng_ == snapshot.rng_before))) {
         return false;
     }
-    rng_ = snapshot.rng_after;
+    (void)rng_.spawn(); // the two channels calibrate_offset would have spawned
+    (void)rng_.spawn();
     offset_rate_1_ = snapshot.offset_rate_1;
     offset_rate_2_ = snapshot.offset_rate_2;
     calibration_samples_ = snapshot.calibration_samples;

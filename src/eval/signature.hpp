@@ -70,15 +70,17 @@ struct demod_tables {
     bool matches(const acquisition_settings& settings) const noexcept;
 };
 
-/// One lane's post-calibration state, transplantable into any extractor
-/// constructed with the same modulator params whose RNG stream still sits
-/// at the snapshot's origin: calibration consumes two spawns and produces
-/// rates that are a pure function of (params, stream position, length), so
-/// restoring is bit-identical to the lane running calibrate_offset itself.
+/// One lane's post-calibration state, transplantable into any uncalibrated
+/// extractor constructed with the same modulator params -- and, when those
+/// draw noise, whose RNG stream still sits at the snapshot's origin.
+/// Calibration consumes two spawns and produces rates that are a pure
+/// function of (params, length) for a noiseless modulator, which never
+/// reads its RNG, and of (params, stream position, length) for a noisy one,
+/// so restoring is bit-identical to the lane running calibrate_offset
+/// itself.
 struct calibration_snapshot {
     sd::modulator_params params;
     bistna::rng rng_before{0}; ///< stream position the calibration consumed from
-    bistna::rng rng_after{0};  ///< stream position after its two spawns
     double offset_rate_1 = 0.0;
     double offset_rate_2 = 0.0;
     double calibration_samples = 0.0;
@@ -102,9 +104,10 @@ public:
     const bistna::rng& rng_state() const noexcept { return rng_; }
 
     /// Adopt a calibration snapshot captured on a lane with identical
-    /// params and stream position -- bit-identical to running
-    /// calibrate_offset here.  Returns false (and changes nothing) when
-    /// this lane is already calibrated or its params/stream position do not
+    /// params (and, when they draw noise, an identical stream position) and
+    /// advance this lane's RNG by the two spawns calibrate_offset makes --
+    /// bit-identical to running calibrate_offset here.  Returns false (and
+    /// changes nothing) when this lane is already calibrated or does not
     /// match the snapshot's origin.
     bool try_restore_calibration(const calibration_snapshot& snapshot) noexcept;
 

@@ -50,6 +50,11 @@ struct modulator_params {
     /// express an integrator-leak fault directly on its severity axis.
     static double dc_gain_db_for_leak(double leak, double ci_over_cf = 0.4) noexcept;
 
+    /// True when each sample draws from the modulator's RNG.  A noiseless
+    /// modulator never reads its RNG, so from a fixed initial state its bits
+    /// are a function of the params and the input alone.
+    bool draws_noise() const noexcept { return noise_rms > 0.0; }
+
     /// Throws precondition_error unless CI/CF, Vref and the integrator
     /// swing are positive and the noise rms is non-negative (NaN fails
     /// every check).  sd_modulator and modulator_bank::add_lane both call

@@ -125,7 +125,7 @@ BISTNA_SD_BANK_KERNEL(grounded, true)
 std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng noise_rng) {
     params.validate();
     // The tile comes first: a noisy lane must never run without one.
-    if (params.noise_rms > 0.0 || !noise_tile_.empty()) {
+    if (params.draws_noise() || !noise_tile_.empty()) {
         noise_tile_.resize(std::max(noise_tile_doubles, lanes() + 1));
     }
 
@@ -154,7 +154,7 @@ void modulator_bank::draw_noise(std::size_t samples) noexcept {
     for (std::size_t l = 0; l < n_lanes; ++l) {
         double* column = noise_tile_.data() + l;
         const double rms = params_[l].noise_rms;
-        if (rms > 0.0) {
+        if (params_[l].draws_noise()) {
             for (std::size_t j = 0; j < samples; ++j) {
                 column[j * n_lanes] = rms * standard_normal(rng_[l]);
             }

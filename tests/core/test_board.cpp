@@ -3,7 +3,9 @@
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "core/board.hpp"
 #include "dsp/goertzel.hpp"
@@ -62,6 +64,31 @@ TEST(Board, RendersArePhaseCoherent) {
     const auto r2 = board.render(tb, 8, signal_path::calibration);
     for (std::size_t i = 0; i < r1.size(); ++i) {
         ASSERT_DOUBLE_EQ(r1[i], r2[i]) << "render not reproducible at " << i;
+    }
+}
+
+// The sweep engine renders each staircase once, at its longest stage, and
+// every shorter stage reads a prefix.  That is exact only while a render is
+// causal: this fails if a render ever depends on its own length.
+TEST(Board, LongerStaircaseStartsWithTheShorterOne) {
+    auto cap_faulted = gen::generator_params{};
+    cap_faulted.cap_fault_delta = 0.2;
+    auto degraded = gen::generator_params{};
+    degraded.opamp1 = degraded.opamp1.degraded(0.5);
+    degraded.opamp2 = degraded.opamp2.degraded(0.5);
+    for (const auto& params :
+         {gen::generator_params::ideal(), gen::generator_params{}, cap_faulted, degraded}) {
+        auto board = make_board(params);
+        board.set_amplitude(millivolt(150.0));
+        const auto longer = board.render_stimulus(400, 32);
+        const auto shorter = board.render_stimulus(200, 32);
+        ASSERT_EQ(longer.size(), (400u + 32u) * 96u);
+        ASSERT_EQ(shorter.size(), (200u + 32u) * 96u);
+        for (std::size_t n = 0; n < shorter.size(); ++n) {
+            ASSERT_EQ(std::bit_cast<std::uint64_t>(longer[n]),
+                      std::bit_cast<std::uint64_t>(shorter[n]))
+                << "generator " << params.fingerprint() << ", sample " << n;
+        }
     }
 }
 

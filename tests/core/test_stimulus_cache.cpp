@@ -297,4 +297,39 @@ TEST(StimulusCache, ScreenLotUnchangedByCache) {
     EXPECT_GT(stats.hits, 0u);
 }
 
+// A distortion program's stages read one staircase per die: the THD
+// stage's longer render starts with the shorter one the calibration and
+// the mask points need, so a one-design lot still renders once.
+TEST(StimulusCache, DistortionLotRendersOneStaircase) {
+    const auto mask = core::spec_mask::paper_lowpass();
+    const std::size_t dice = 4;
+    auto settings = fast_settings();
+    settings.distortion_periods = 2 * settings.periods;
+    core::screening_options screening;
+    screening.measure_distortion = true;
+
+    core::sweep_engine_options options;
+    options.threads = 2;
+    options.batch_lanes = 2;
+    core::sweep_engine cached(paper_factory(), settings, options);
+    const auto with_cache =
+        cached.submit_screening(mask, dice, /*first_seed=*/3, screening).results();
+
+    ASSERT_EQ(with_cache.size(), dice);
+    for (std::size_t die = 0; die < dice; ++die) {
+        auto board = paper_factory()(3 + die);
+        core::network_analyzer analyzer(board, settings);
+        const auto without_cache = core::screen(analyzer, mask, screening);
+        ASSERT_TRUE(without_cache.distortion_measured) << "die " << die;
+        EXPECT_EQ(with_cache[die].stimulus_volts, without_cache.stimulus_volts);
+        EXPECT_EQ(with_cache[die].thd_db, without_cache.thd_db) << "die " << die;
+        ASSERT_EQ(with_cache[die].limits.size(), without_cache.limits.size());
+        for (std::size_t i = 0; i < without_cache.limits.size(); ++i) {
+            EXPECT_EQ(with_cache[die].limits[i].measured_db,
+                      without_cache.limits[i].measured_db);
+        }
+    }
+    EXPECT_EQ(cached.stats().stimulus.misses, 1u);
+}
+
 } // namespace

@@ -4,6 +4,7 @@
 // consistency between builder-side and report-side signature extraction.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
@@ -15,6 +16,7 @@
 #include "core/sweep_engine.hpp"
 #include "diag/classifier.hpp"
 #include "diag/trajectory_builder.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace {
 
@@ -121,6 +123,25 @@ TEST(TrajectoryBuilder, BatchedBuildIsBitIdenticalToScalar) {
                                                     space, kTwoFaults, fast_build(2, lanes));
         EXPECT_EQ(batched, scalar) << "lanes = " << lanes;
     }
+}
+
+// Every item owns its evaluator seed, but the default modulator is
+// noiseless, so items with equal modulator params share one calibration:
+// the healthy item, the four cap-drift items and the zero-leak item keep
+// the nominal params, and the three nonzero leaks each calibrate once.
+TEST(TrajectoryBuilder, CalibratesOncePerDistinctModulator) {
+    const auto space = diag::signature_space::from_mask(core::spec_mask::paper_lowpass(), 3);
+    telemetry::metric_registry registry;
+    {
+        telemetry::registry_scope scope(registry);
+        (void)diag::build_dictionary(diag::die_design{}, fast_settings(), space, kTwoFaults,
+                                     fast_build(1, 3));
+    }
+    const auto snapshot = registry.snapshot();
+    const std::uint64_t runs = snapshot.counter("eval.calibration.runs");
+    const std::uint64_t restores = snapshot.counter("eval.calibration.restores");
+    EXPECT_EQ(runs, 4u);
+    EXPECT_EQ(runs + restores, 9u) << "one calibration per item, run or restored";
 }
 
 TEST(TrajectoryBuilder, BuildIsThreadCountInvariant) {

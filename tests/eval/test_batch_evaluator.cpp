@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -343,6 +344,63 @@ TEST(BatchEvaluator, CalibratesEachDistinctKeyOnceAndStaysBitIdentical) {
             << "lane " << l;
         expect_identical(expected.signature, batched[l].signature);
     }
+}
+
+/// Measure harmonic 1 of every lane of `configs` (a distinct record each)
+/// in one batch and check each lane against a scalar evaluator with its own
+/// config and seed: offset rates, then the measurement, whose initial
+/// states also pin each lane's RNG position.  Returns the share's size.
+std::size_t expect_lanes_match_scalar(const std::vector<evaluator_config>& configs) {
+    constexpr std::size_t periods = 16;
+    batch_fixture fixture(configs);
+    std::vector<std::vector<double>> records;
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+        records.push_back(lane_record(l, periods));
+    }
+    const auto block = lane_major_block(records);
+    const auto batched = fixture.batch.measure_harmonic_lanes_lane_major(
+        all_lanes(configs.size()), block.data(), 1, periods);
+    for (std::size_t l = 0; l < configs.size(); ++l) {
+        eval::sinewave_evaluator scalar(configs[l]);
+        scalar.calibrate();
+        const auto& lane = fixture.batch.extractor(l);
+        EXPECT_EQ(scalar.extractor().offset_rate_ch1(), lane.offset_rate_ch1()) << "lane " << l;
+        EXPECT_EQ(scalar.extractor().offset_rate_ch2(), lane.offset_rate_ch2()) << "lane " << l;
+        const auto expected = scalar.measure_harmonic(
+            [&records, l](std::size_t n) { return records[l][n]; }, 1, periods);
+        expect_identical(expected.signature, batched[l].signature);
+        EXPECT_EQ(expected.amplitude.volts, batched[l].amplitude.volts) << "lane " << l;
+    }
+    return fixture.calibration.entries();
+}
+
+// Noiseless modulators never read their RNG, so lanes share a calibration
+// per distinct params whatever their seeds, and each stays bit-identical
+// to a scalar evaluator with its own seed.
+TEST(BatchEvaluator, NoiselessLanesCalibrateOncePerModulator) {
+    std::vector<evaluator_config> configs;
+    for (std::uint64_t seed = 11; seed <= 15; ++seed) {
+        auto config = lane_config(seed, offset_mode::calibrated);
+        config.modulator = sd::modulator_params::ideal();
+        configs.push_back(config);
+    }
+    for (std::size_t i = 1; i <= 3; ++i) {
+        auto config = lane_config(20 + i, offset_mode::calibrated);
+        config.modulator = sd::modulator_params::ideal();
+        config.modulator.dc_gain_db =
+            sd::modulator_params::dc_gain_db_for_leak(0.005 * static_cast<double>(i));
+        configs.push_back(config);
+    }
+    EXPECT_EQ(expect_lanes_match_scalar(configs), 4u) << "ideal + three leaks";
+}
+
+// Noisy modulators keep seed-keyed snapshots: one calibration per seed.
+TEST(BatchEvaluator, NoisyLanesCalibrateOncePerSeed) {
+    std::vector<evaluator_config> configs;
+    for (std::uint64_t seed : {5, 6, 5, 7, 6, 5}) {
+        configs.push_back(lane_config(seed, offset_mode::calibrated));
+    }
+    EXPECT_EQ(expect_lanes_match_scalar(configs), 3u) << "seeds 5, 6 and 7";
 }
 
 } // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -122,6 +123,35 @@ TEST(LaneKernels, DemodTableCacheReturnsOneTablePerProgram) {
     EXPECT_TRUE(other->matches(settings));
 }
 
+/// A snapshot of the calibration a donor lane ran from `seed`.
+calibration_snapshot calibrated_snapshot(const sd::modulator_params& params,
+                                         std::uint64_t seed, std::size_t cal_periods) {
+    signature_extractor donor(params, seed);
+    calibration_snapshot snapshot;
+    snapshot.params = params;
+    snapshot.rng_before = donor.rng_state();
+    donor.calibrate_offset(cal_periods, kN);
+    snapshot.offset_rate_1 = donor.offset_rate_ch1();
+    snapshot.offset_rate_2 = donor.offset_rate_ch2();
+    snapshot.calibration_samples = donor.calibration_samples();
+    return snapshot;
+}
+
+/// Two acquisitions are bit-identical.
+void expect_same_acquisition(signature_extractor& got, signature_extractor& expected) {
+    acquisition_settings settings;
+    settings.periods = 16;
+    settings.offset = eval::offset_mode::calibrated;
+    const auto record = lane_record(1, settings.periods);
+    const auto source = [&record](std::size_t n) { return record[n]; };
+    const auto want = expected.acquire(source, settings);
+    const auto have = got.acquire(source, settings);
+    EXPECT_EQ(have.i1, want.i1);
+    EXPECT_EQ(have.i2, want.i2);
+    EXPECT_EQ(have.raw_i1, want.raw_i1);
+    EXPECT_EQ(have.raw_i2, want.raw_i2);
+}
+
 TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     const auto params = sd::modulator_params::cmos035();
     const std::uint64_t seed = 42;
@@ -132,15 +162,7 @@ TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     reference.calibrate_offset(cal_periods, kN);
 
     // Donor lane calibrates and publishes a snapshot.
-    signature_extractor donor(params, seed);
-    calibration_snapshot snapshot;
-    snapshot.params = params;
-    snapshot.rng_before = donor.rng_state();
-    donor.calibrate_offset(cal_periods, kN);
-    snapshot.rng_after = donor.rng_state();
-    snapshot.offset_rate_1 = donor.offset_rate_ch1();
-    snapshot.offset_rate_2 = donor.offset_rate_ch2();
-    snapshot.calibration_samples = donor.calibration_samples();
+    const auto snapshot = calibrated_snapshot(params, seed, cal_periods);
 
     // Receiver adopts it instead of calibrating.
     signature_extractor receiver(params, seed);
@@ -150,17 +172,7 @@ TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     EXPECT_EQ(receiver.offset_rate_ch2(), reference.offset_rate_ch2());
 
     // And the next acquisition is bit-identical to the self-calibrated lane.
-    acquisition_settings settings;
-    settings.periods = 16;
-    settings.offset = eval::offset_mode::calibrated;
-    const auto record = lane_record(1, settings.periods);
-    const auto source = [&record](std::size_t n) { return record[n]; };
-    const auto expected = reference.acquire(source, settings);
-    const auto got = receiver.acquire(source, settings);
-    EXPECT_EQ(got.i1, expected.i1);
-    EXPECT_EQ(got.i2, expected.i2);
-    EXPECT_EQ(got.raw_i1, expected.raw_i1);
-    EXPECT_EQ(got.raw_i2, expected.raw_i2);
+    expect_same_acquisition(receiver, reference);
 
     // Restores are refused on any mismatch: already calibrated, wrong
     // stream position, or wrong params.
@@ -173,27 +185,52 @@ TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     EXPECT_FALSE(wrong_params.try_restore_calibration(snapshot));
 }
 
+// A noiseless lane adopts a snapshot whatever its seed: the grounded loop
+// never reads the RNG, and the restore advances the stream by the two spawns
+// calibrate_offset makes, so the lane's next acquisition is still its own.
+TEST(LaneKernels, NoiselessTransplantIgnoresTheSeed) {
+    auto params = sd::modulator_params::ideal();
+    params.input_offset = 5e-3;
+    const auto snapshot = calibrated_snapshot(params, 7, 128);
+
+    signature_extractor receiver(params, 8);
+    ASSERT_TRUE(receiver.try_restore_calibration(snapshot));
+    signature_extractor twin(params, 8);
+    twin.calibrate_offset(128, kN);
+    EXPECT_TRUE(receiver.rng_state() == twin.rng_state());
+    EXPECT_EQ(receiver.offset_rate_ch1(), twin.offset_rate_ch1());
+    EXPECT_EQ(receiver.offset_rate_ch2(), twin.offset_rate_ch2());
+    EXPECT_EQ(receiver.calibration_samples(), twin.calibration_samples());
+    expect_same_acquisition(receiver, twin);
+}
+
 TEST(LaneKernels, CalibrationShareVerifiesParamsOnLookup) {
     calibration_share share;
     const auto params = sd::modulator_params::cmos035();
-    signature_extractor donor(params, 7);
-    calibration_snapshot snapshot;
-    snapshot.params = params;
-    snapshot.rng_before = donor.rng_state();
-    donor.calibrate_offset(128, kN);
-    snapshot.rng_after = donor.rng_state();
-    snapshot.offset_rate_1 = donor.offset_rate_ch1();
-    snapshot.offset_rate_2 = donor.offset_rate_ch2();
-    snapshot.calibration_samples = donor.calibration_samples();
-    share.store(7, 128, kN, snapshot);
+    share.store(7, 128, kN, calibrated_snapshot(params, 7, 128));
     EXPECT_EQ(share.entries(), 1u);
 
     EXPECT_NE(share.find(params, 7, 128, kN), nullptr);
-    EXPECT_EQ(share.find(params, 8, 128, kN), nullptr) << "different seed";
+    EXPECT_EQ(share.find(params, 8, 128, kN), nullptr) << "different seed, noisy params";
     EXPECT_EQ(share.find(params, 7, 256, kN), nullptr) << "different length";
     auto other = params;
     other.noise_rms += 1e-6;
     EXPECT_EQ(share.find(other, 7, 128, kN), nullptr) << "different params";
+
+    // Noiseless params key on the params and the length alone.
+    const auto ideal = sd::modulator_params::ideal();
+    share.store(7, 128, kN, calibrated_snapshot(ideal, 7, 128));
+    EXPECT_EQ(share.entries(), 2u);
+    EXPECT_NE(share.find(ideal, 7, 128, kN), nullptr);
+    EXPECT_NE(share.find(ideal, 8, 128, kN), nullptr) << "different seed, noiseless params";
+    EXPECT_EQ(share.find(ideal, 8, 256, kN), nullptr) << "different length";
+
+    // The lookup checks the snapshot's own length too, so a snapshot filed
+    // under the wrong key (as a hash collision would) is never served.
+    auto offset = ideal;
+    offset.input_offset = 1e-3;
+    share.store(7, 256, kN, calibrated_snapshot(offset, 7, 128));
+    EXPECT_EQ(share.find(offset, 7, 256, kN), nullptr) << "128-period snapshot, 256 asked";
 }
 
 } // namespace

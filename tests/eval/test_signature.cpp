@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "common/math_util.hpp"
 #include "eval/estimator.hpp"
@@ -130,6 +131,49 @@ TEST(Signature, CheckpointsRejectChoppedMode) {
     EXPECT_THROW((void)extractor.acquire_with_checkpoints(sine_source(0.1, 1, 0.0), settings,
                                                           {10, 20}),
                  precondition_error);
+}
+
+// The calibration share keys a noiseless modulator's snapshot on its
+// params alone: a noiseless modulator never reads its RNG and the grounded
+// loop starts from a fixed state, so the seed can only move the stream by
+// the two spawns.  This fails if calibration ever starts reading the RNG.
+TEST(Signature, NoiselessCalibrationIgnoresTheSeed) {
+    const auto after_two_spawns = [](std::uint64_t seed) {
+        bistna::rng stream(seed);
+        (void)stream.spawn();
+        (void)stream.spawn();
+        return stream;
+    };
+    auto leaky = sd::modulator_params::ideal();
+    leaky.dc_gain_db = sd::modulator_params::dc_gain_db_for_leak(0.01);
+    auto offset = sd::modulator_params::ideal();
+    offset.input_offset = 10e-3;
+    offset.comparator_offset = 10e-3;
+    for (const auto& params : {sd::modulator_params::ideal(), leaky, offset}) {
+        ASSERT_FALSE(params.draws_noise());
+        signature_extractor one(params, 1);
+        signature_extractor two(params, 2);
+        one.calibrate_offset(256, kN);
+        two.calibrate_offset(256, kN);
+        EXPECT_EQ(one.offset_rate_ch1(), two.offset_rate_ch1());
+        EXPECT_EQ(one.offset_rate_ch2(), two.offset_rate_ch2());
+        EXPECT_EQ(one.calibration_samples(), two.calibration_samples());
+
+        EXPECT_TRUE(one.rng_state() == after_two_spawns(1));
+        EXPECT_TRUE(two.rng_state() == after_two_spawns(2));
+    }
+
+    // A noisy modulator's rates do move with the seed.  cmos035's 60 uV of
+    // noise moves a grounded count by less than one count here, so this
+    // control raises it to 5 mV, where seeds 1 and 2 differ.
+    auto noisy = sd::modulator_params::cmos035();
+    noisy.noise_rms = 5e-3;
+    signature_extractor one(noisy, 1);
+    signature_extractor two(noisy, 2);
+    one.calibrate_offset(256, kN);
+    two.calibrate_offset(256, kN);
+    EXPECT_TRUE(one.offset_rate_ch1() != two.offset_rate_ch1() ||
+                one.offset_rate_ch2() != two.offset_rate_ch2());
 }
 
 TEST(Signature, EveryCheckpointSatisfiesEq4) {

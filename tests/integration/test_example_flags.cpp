@@ -1,0 +1,46 @@
+// The example programs' integer flags are read strictly: a malformed
+// --dice, --threads or --lanes value fails the run before anything is
+// measured or stored, instead of being read as a prefix ("3x" -> 3), as 0
+// ("two") or through an undefined negative conversion ("-1").  Skipped when
+// the example binaries are not part of this build (sanitizer CI builds
+// examples OFF).
+#include <gtest/gtest.h>
+
+#include <cstdlib>
+#include <filesystem>
+#include <string>
+
+namespace {
+
+TEST(ExampleFlags, MalformedIntegerFlagsFail) {
+    const auto bin_dir = std::filesystem::read_symlink("/proc/self/exe").parent_path();
+    const std::string dir = "/tmp/bistna_example_flags";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+
+    bool ran = false;
+    for (const char* example : {"screening_lot", "fault_diagnosis"}) {
+        const auto binary = bin_dir / example;
+        if (!std::filesystem::exists(binary)) {
+            continue;
+        }
+        ran = true;
+        for (const char* bad : {"--dice=3x", "--threads=two", "--lanes=-1"}) {
+            // Valid small values first would be shadowed: flags are read
+            // from their first occurrence, so the malformed one goes first.
+            const std::string store = dir + "/" + example + ".store";
+            const std::string command = binary.string() + " " + bad +
+                                        " --dice=1 --threads=1 --lanes=1 --store=" + store +
+                                        " > " + dir + "/run.log 2>&1";
+            EXPECT_NE(std::system(command.c_str()), 0) << example << " " << bad;
+            EXPECT_FALSE(std::filesystem::exists(store)) << example << " " << bad;
+            std::filesystem::remove(store);
+        }
+    }
+    std::filesystem::remove_all(dir);
+    if (!ran) {
+        GTEST_SKIP() << "example binaries not built";
+    }
+}
+
+} // namespace
