@@ -67,7 +67,7 @@ diag::diagnose_progress lot_progress(const std::string& label) {
 
 int run(int argc, char** argv) {
     const auto dice = static_cast<std::size_t>(flag_u64(argc, argv, "dice", 8));
-    const double sigma = flag_value(argc, argv, "sigma", 0.02);
+    const double sigma = flag_double(argc, argv, "sigma", 0.02);
     const auto threads = static_cast<std::size_t>(flag_u64(argc, argv, "threads", 0));
     const auto lanes = static_cast<std::size_t>(flag_u64(argc, argv, "lanes", 16));
     const std::string store_path = flag_text(argc, argv, "store");

@@ -114,7 +114,7 @@ bool lots_identical(const core::lot_result& a, const core::lot_result& b) {
 
 int run(int argc, char** argv) {
     const auto dice = static_cast<std::size_t>(flag_u64(argc, argv, "dice", 64));
-    const double sigma = flag_value(argc, argv, "sigma", 0.03);
+    const double sigma = flag_double(argc, argv, "sigma", 0.03);
     const auto threads = static_cast<std::size_t>(flag_u64(argc, argv, "threads", 0));
     const auto lanes = static_cast<std::size_t>(flag_u64(argc, argv, "lanes", 16));
     const std::string store_path = flag_text(argc, argv, "store");

@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
         options.shards = static_cast<std::size_t>(flag_u64(argc, argv, "shards", 4));
         options.max_processes =
             static_cast<std::size_t>(flag_u64(argc, argv, "workers", 0));
-        options.straggler_timeout_seconds = flag_value(argc, argv, "timeout-s", 0.0);
+        options.straggler_timeout_seconds = flag_double(argc, argv, "timeout-s", 0.0);
         options.max_attempts =
             static_cast<std::size_t>(flag_u64(argc, argv, "retries", 3));
         options.flush_interval =

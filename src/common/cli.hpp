@@ -5,6 +5,9 @@
 // flags the same way.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -14,7 +17,10 @@
 
 namespace bistna {
 
-/// Parse "--name=value" from argv; returns fallback when absent.
+/// Parse "--name=value" from argv with strtod; returns fallback when absent.
+/// Lenient: a malformed value reads as its longest numeric prefix, or 0.
+/// Only lotbench's --seconds and --trace still read it, until the next
+/// change to lotbench moves them to the strict parsers below.
 inline double flag_value(int argc, char** argv, const char* name, double fallback) {
     const std::string prefix = std::string("--") + name + "=";
     for (int i = 1; i < argc; ++i) {
@@ -84,6 +90,32 @@ inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
                                           ": expected a non-negative integer");
             }
             value = value * 10 + d;
+        }
+        return value;
+    }
+    return fallback;
+}
+
+/// Strictly parse a non-negative real "--name=value" flag: the whole value
+/// must be one finite number >= 0 ("0.03", "1e-2", "0"); "abc", "0.03x",
+/// an empty value, "-0.1", "nan", "inf" and an out-of-range "1e999" throw
+/// configuration_error naming the flag instead of reading as 0 or as a
+/// prefix the way flag_value's strtod would.
+inline double flag_double(int argc, char** argv, const char* name, double fallback) {
+    const std::string prefix = std::string("--") + name + "=";
+    for (int i = 1; i < argc; ++i) {
+        if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) != 0) {
+            continue;
+        }
+        const char* text = argv[i] + prefix.size();
+        char* end = nullptr;
+        errno = 0;
+        const double value = std::strtod(text, &end);
+        const bool parsed = end != text && *end == '\0' && errno != ERANGE &&
+                            std::isspace(static_cast<unsigned char>(*text)) == 0;
+        if (!parsed || !std::isfinite(value) || !(value >= 0.0)) {
+            throw configuration_error(std::string("flag --") + name + "=" + text +
+                                      ": expected a finite non-negative number");
         }
         return value;
     }

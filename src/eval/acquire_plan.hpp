@@ -17,6 +17,9 @@
 //    share per seed, and restoring is bit-identical to the lane calibrating
 //    itself: the restore checks the params (and, for a noisy lane, the
 //    stream position) and then advances the lane's RNG by the two spawns.
+//    The lanes that do calibrate run in one bank
+//    (signature_extractor::calibrate_offset_batch): one grounded channel
+//    per noiseless lane, both channels per noisy lane.
 #pragma once
 
 #include <cstddef>

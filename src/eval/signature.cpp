@@ -1,11 +1,44 @@
 #include "eval/signature.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/error.hpp"
 #include "sd/modulator_bank.hpp"
+#include "telemetry/metrics.hpp"
 
 namespace bistna::eval {
+
+namespace {
+
+/// Interned once; counter_add is a no-op unless a registry is attached.
+struct bank_counters {
+    /// Noisy modulator lanes in the banks the batched paths run.
+    telemetry::metric_id noisy_lanes = telemetry::counter_id("eval.noise.lanes");
+    /// The distinct noise streams those lanes draw.
+    telemetry::metric_id streams = telemetry::counter_id("eval.noise.streams");
+    /// Integrator clip events in those banks.
+    telemetry::metric_id clips = telemetry::counter_id("eval.modulator.clips");
+};
+
+/// Report a bank that has run.
+void count_bank(const sd::modulator_bank& bank) {
+    static const bank_counters ids;
+    if (!telemetry::attached()) {
+        return;
+    }
+    std::uint64_t noisy = 0;
+    std::uint64_t clips = 0;
+    for (std::size_t l = 0; l < bank.lanes(); ++l) {
+        noisy += bank.params(l).draws_noise() ? 1 : 0;
+        clips += bank.clip_events(l);
+    }
+    telemetry::counter_add(ids.noisy_lanes, noisy);
+    telemetry::counter_add(ids.streams, bank.noise_streams());
+    telemetry::counter_add(ids.clips, clips);
+}
+
+} // namespace
 
 demod_tables demod_tables::build(const acquisition_settings& settings) {
     const demod_reference demod(settings.harmonic_k, settings.n_per_period);
@@ -190,6 +223,8 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
     std::vector<double> acc1(n_lanes, 0.0);
     std::vector<double> acc2(n_lanes, 0.0);
     accumulate(bank1, bank2, acc1.data(), acc2.data());
+    count_bank(bank1);
+    count_bank(bank2);
 
     std::vector<signature_result> results(n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
@@ -263,23 +298,31 @@ void signature_extractor::calibrate_offset_batch(
     const std::size_t total = periods * n_per_period;
     const std::size_t n_lanes = extractors.size();
 
-    sd::modulator_bank bank1;
-    sd::modulator_bank bank2;
+    // The grounded run (input 0, positive modulation, unit counter sign)
+    // gives both channels the same program, so they differ only in their
+    // noise streams.  A noiseless lane runs its I channel alone and both
+    // rates take its count; a noisy lane's two channels are two lanes of
+    // the one bank.  Either way the lane spawns twice, I first, as
+    // calibrate_offset does.
+    sd::modulator_bank bank;
+    std::vector<std::pair<std::size_t, std::size_t>> channels; // bank lanes of I and Q
+    channels.reserve(n_lanes);
     for (signature_extractor* extractor : extractors) {
         BISTNA_EXPECTS(extractor != nullptr, "null extractor lane");
-        bank1.add_lane(extractor->params_, extractor->rng_.spawn());
-        bank2.add_lane(extractor->params_, extractor->rng_.spawn());
+        const std::size_t i = bank.add_lane(extractor->params_, extractor->rng_.spawn());
+        const bistna::rng q_stream = extractor->rng_.spawn();
+        channels.emplace_back(
+            i, extractor->params_.draws_noise() ? bank.add_lane(extractor->params_, q_stream) : i);
     }
 
-    std::vector<double> acc1(n_lanes, 0.0);
-    std::vector<double> acc2(n_lanes, 0.0);
-    bank1.accumulate_grounded(total, acc1.data());
-    bank2.accumulate_grounded(total, acc2.data());
+    std::vector<double> acc(bank.lanes(), 0.0);
+    bank.accumulate_grounded(total, acc.data());
+    count_bank(bank);
 
     for (std::size_t l = 0; l < n_lanes; ++l) {
         signature_extractor& ex = *extractors[l];
-        ex.offset_rate_1_ = acc1[l] / static_cast<double>(total);
-        ex.offset_rate_2_ = acc2[l] / static_cast<double>(total);
+        ex.offset_rate_1_ = acc[channels[l].first] / static_cast<double>(total);
+        ex.offset_rate_2_ = acc[channels[l].second] / static_cast<double>(total);
         ex.calibration_samples_ = static_cast<double>(total);
         ex.calibrated_ = true;
     }

@@ -133,7 +133,11 @@ public:
     // signs come from a prebuilt demod_tables (eval::demod_table_cache).
 
     /// Batched grounded-input offset calibration; bit-identical per lane to
-    /// extractors[i]->calibrate_offset(periods, n_per_period).
+    /// extractors[i]->calibrate_offset(periods, n_per_period).  All lanes
+    /// run in one bank.  The grounded run gives a lane's two channels the
+    /// same program, so a noiseless lane runs one channel and both rates
+    /// take its count, and a noisy lane's two channels are two lanes of the
+    /// bank.  Each lane still spawns twice, I first.
     static void calibrate_offset_batch(std::span<signature_extractor* const> extractors,
                                        std::size_t periods = 4096,
                                        std::size_t n_per_period = 96);

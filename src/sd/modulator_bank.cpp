@@ -120,13 +120,43 @@ BISTNA_SD_BANK_KERNEL(grounded, true)
 
 #undef BISTNA_SD_BANK_KERNEL
 
+/// Tile rows 0..samples of a stream every lane sits on (a screening lot's
+/// acquisition banks): lane l's entry of row j is rms[l] * units[j], one
+/// IEEE multiply, so every clone writes the same bits.  Contiguous rows
+/// vectorize where a per-lane scatter would not.
+BISTNA_KERNEL_CLONES void fill_rows(double* __restrict tile, std::size_t n_lanes,
+                                    std::size_t samples, const double* __restrict rms,
+                                    const double* __restrict units) noexcept {
+    for (std::size_t j = 0; j < samples; ++j) {
+        double* row = tile + j * n_lanes;
+        const double z = units[j];
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+            row[l] = rms[l] * z;
+        }
+    }
+}
+
 } // namespace
 
 std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng noise_rng) {
     params.validate();
-    // The tile comes first: a noisy lane must never run without one.
+    const std::size_t lane = lanes();
+    // The tile and the unit block come first: a noisy lane must never run
+    // without them.
     if (params.draws_noise() || !noise_tile_.empty()) {
-        noise_tile_.resize(std::max(noise_tile_doubles, lanes() + 1));
+        noise_tile_.resize(std::max(noise_tile_doubles, lane + 1));
+    }
+    if (params.draws_noise()) {
+        const auto stream = std::find_if(streams_.begin(), streams_.end(), [&](const auto& s) {
+            return rng_[s.lanes.front()] == noise_rng;
+        });
+        if (stream == streams_.end()) {
+            streams_.push_back({{lane}, {params.noise_rms}});
+        } else {
+            units_.resize(std::max<std::size_t>(1, noise_tile_doubles / (lane + 1)));
+            stream->lanes.push_back(lane);
+            stream->rms.push_back(params.noise_rms);
+        }
     }
 
     state_.push_back(0.0);
@@ -142,7 +172,7 @@ std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng
     clip_.push_back(0.0);
     rng_.push_back(noise_rng);
     params_.push_back(params);
-    return state_.size() - 1;
+    return lane;
 }
 
 std::size_t modulator_bank::noise_tile_samples() const noexcept {
@@ -151,16 +181,42 @@ std::size_t modulator_bank::noise_tile_samples() const noexcept {
 
 void modulator_bank::draw_noise(std::size_t samples) noexcept {
     const std::size_t n_lanes = lanes();
+    double* tile = noise_tile_.data();
     for (std::size_t l = 0; l < n_lanes; ++l) {
-        double* column = noise_tile_.data() + l;
-        const double rms = params_[l].noise_rms;
-        if (params_[l].draws_noise()) {
+        if (!params_[l].draws_noise()) {
             for (std::size_t j = 0; j < samples; ++j) {
-                column[j * n_lanes] = rms * standard_normal(rng_[l]);
+                tile[j * n_lanes + l] = 0.0;
             }
-        } else {
+        }
+    }
+    for (const noise_stream& stream : streams_) {
+        bistna::rng& generator = rng_[stream.lanes.front()];
+        if (stream.lanes.size() == 1) {
+            double* column = tile + stream.lanes.front();
+            const double rms = stream.rms.front();
             for (std::size_t j = 0; j < samples; ++j) {
-                column[j * n_lanes] = 0.0;
+                column[j * n_lanes] = rms * standard_normal(generator);
+            }
+            continue;
+        }
+        // Every lane of a shared stream would draw these same values, so
+        // the block is drawn once and each lane gets its own rms times it.
+        double* units = units_.data();
+        for (std::size_t j = 0; j < samples; ++j) {
+            units[j] = standard_normal(generator);
+        }
+        if (stream.lanes.size() == n_lanes) { // lanes 0..n_lanes in order
+            fill_rows(tile, n_lanes, samples, stream.rms.data(), units);
+            continue;
+        }
+        const std::size_t* lanes_on = stream.lanes.data();
+        const double* rms = stream.rms.data();
+        const std::size_t n_on = stream.lanes.size();
+        for (std::size_t j = 0; j < samples; ++j) {
+            double* row = tile + j * n_lanes;
+            const double z = units[j];
+            for (std::size_t i = 0; i < n_on; ++i) {
+                row[lanes_on[i]] = rms[i] * z;
             }
         }
     }

@@ -12,19 +12,25 @@
 //     inputs -- per-lane arithmetic is straight-line, never reassociated,
 //     and lanes never interact (so any lane count and any lane permutation
 //     yields the same per-lane results);
-//   * each lane owns its own clip counter and noise RNG stream, and after
-//     any call a noisy lane's RNG stream position is exactly where the
-//     scalar modulator's would be: both draw rms * standard_normal(rng)
-//     (common/normal.hpp) once per sample, and although a ziggurat draw
-//     consumes a variable number of words, the draws and their order are
-//     the same;
+//   * each lane owns its own clip counter.  A noisy lane joins the noise
+//     stream of the first earlier noisy lane whose RNG equals its own
+//     (rng::operator==), whatever their noise_rms, and opens a new stream
+//     otherwise.  The stream's RNG position lives in the stream's first
+//     lane, and after any call it is exactly where each of its lanes'
+//     scalar modulators would be: the scalar draws rms * standard_normal(rng)
+//     (common/normal.hpp) once per sample, standard_normal is a pure
+//     function of the stream, and although a ziggurat draw consumes a
+//     variable number of words, the draws and their order are the same;
 //   * lanes with noise_rms == 0 never draw from their RNG, and a bank whose
 //     lanes are all noiseless holds no noise tile and loads no noise.
 //
 // Noisy lanes run in the same vectorized kernel: before each block of
-// samples every noisy lane draws exactly that block's noise, in its own
-// stream order, into its column of a lane-major tile, and the kernel adds
-// the tile entry where sd_modulator::step adds its draw.
+// samples every stream draws exactly that block's noise once, however many
+// lanes sit on it, into a lane-major tile, and the kernel adds lane l's
+// tile entry where sd_modulator::step adds its draw.  A one-lane stream
+// draws straight into its lane's column; a shared stream draws its block
+// of unit deviates z and gives lane l rms_l * z, the product
+// sd_modulator::step forms.
 #pragma once
 
 #include <cstddef>
@@ -82,6 +88,11 @@ public:
     /// lanes -- and at least one.
     std::size_t noise_tile_samples() const noexcept;
 
+    /// Distinct noise streams the bank draws, one per block each: at most
+    /// the noisy lane count, and 1 when every noisy lane joined at one
+    /// stream position.
+    std::size_t noise_streams() const noexcept { return streams_.size(); }
+
     /// Restart lane `lane` like sd_modulator::reset.
     void reset_lane(std::size_t lane, double initial_state = 0.0);
 
@@ -98,9 +109,17 @@ private:
     void run(const double* xs, const double* qsigns, const double* acc_signs,
              std::size_t count, double* acc) noexcept;
 
-    /// Fill the first `samples` rows of the noise tile: each noisy lane's
-    /// column from its own RNG, each noiseless lane's column with 0.0.
+    /// Fill the first `samples` rows of the noise tile: each stream's
+    /// lanes' columns from one draw of the stream, each noiseless lane's
+    /// column with 0.0.
     void draw_noise(std::size_t samples) noexcept;
+
+    /// The noisy lanes that add one stream's draws, in lane order, with
+    /// their noise_rms; the stream's RNG is rng_[lanes.front()].
+    struct noise_stream {
+        std::vector<std::size_t> lanes;
+        std::vector<double> rms;
+    };
 
     // SoA lanes.  Comparator decisions and clip counters are kept as
     // doubles (+1/-1 and exact small integers) so the inner loop stays in
@@ -116,12 +135,17 @@ private:
     std::vector<double> cmp_offset_;
     std::vector<double> cmp_hyst_;
     std::vector<double> clip_;        ///< per-lane clip event count
-    std::vector<bistna::rng> rng_;
+    std::vector<bistna::rng> rng_;    ///< read only for a stream's first lane
     std::vector<modulator_params> params_;
+    std::vector<noise_stream> streams_;
     /// Lane-major noise block, sample j of lane l at [j * lanes() + l];
     /// allocated by add_lane (the accumulate calls are noexcept), and empty
     /// while every lane is noiseless.
     std::vector<double> noise_tile_;
+    /// One block of a shared stream's unit deviates, reused stream by
+    /// stream; sized by add_lane when a stream gains its second lane (the
+    /// block only shrinks as lanes join), and empty until then.
+    std::vector<double> units_;
 };
 
 } // namespace bistna::sd

@@ -152,7 +152,7 @@ int client_main(int argc, char** argv) {
         } else {
             manifest.workload = shard::workload_kind::screening;
             manifest.dice = flag_u64(argc, argv, "dice", 16);
-            manifest.sigma = flag_value(argc, argv, "sigma", 0.03);
+            manifest.sigma = flag_double(argc, argv, "sigma", 0.03);
             manifest.batch_lanes =
                 static_cast<std::size_t>(flag_u64(argc, argv, "lanes", 8));
         }

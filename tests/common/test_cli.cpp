@@ -1,10 +1,11 @@
 // The "--name=value" flag helpers behind every example/daemon front end:
-// defaulted string flags (--listen/--connect) and strict unsigned parsing,
-// where a malformed value must throw naming the flag rather than silently
-// reading as 0 or falling back to the default.
+// defaulted string flags (--listen/--connect) and strict unsigned and real
+// parsing, where a malformed value must throw naming the flag rather than
+// silently reading as 0 or falling back to the default.
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/cli.hpp"
@@ -87,6 +88,36 @@ TEST(Cli, FlagU64ErrorNamesTheFlag) {
 TEST(Cli, FlagU64AcceptsUint64Max) {
     argv_fixture args({"--n=18446744073709551615"});
     EXPECT_EQ(flag_u64(args.argc(), args.argv(), "n", 0), UINT64_MAX);
+}
+
+TEST(Cli, FlagDoubleParsesAndDefaults) {
+    for (const auto& [text, value] : {std::pair{"--sigma=0.03", 0.03},
+                                      std::pair{"--sigma=1e-2", 1e-2},
+                                      std::pair{"--sigma=0", 0.0}}) {
+        argv_fixture args({text});
+        EXPECT_EQ(flag_double(args.argc(), args.argv(), "sigma", 0.5), value) << text;
+    }
+    argv_fixture absent({"--other=1"});
+    EXPECT_EQ(flag_double(absent.argc(), absent.argv(), "sigma", 0.5), 0.5);
+}
+
+TEST(Cli, FlagDoubleRejectsMalformedValues) {
+    for (const char* bad : {"--x=abc", "--x=0.03x", "--x=", "--x=-0.1", "--x=nan", "--x=inf",
+                            "--x=1e999", "--x= 0.5"}) {
+        argv_fixture args({bad});
+        EXPECT_THROW(flag_double(args.argc(), args.argv(), "x", 1.0), configuration_error)
+            << bad;
+    }
+}
+
+TEST(Cli, FlagDoubleErrorNamesTheFlag) {
+    argv_fixture args({"--timeout-s=abc"});
+    try {
+        flag_double(args.argc(), args.argv(), "timeout-s", 0.0);
+        FAIL() << "expected configuration_error";
+    } catch (const configuration_error& e) {
+        EXPECT_NE(std::string(e.what()).find("timeout-s"), std::string::npos);
+    }
 }
 
 } // namespace

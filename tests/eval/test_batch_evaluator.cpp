@@ -8,6 +8,7 @@
 #include <cmath>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/math_util.hpp"
@@ -114,28 +115,51 @@ INSTANTIATE_TEST_SUITE_P(OffsetModes, AcquireBatchModes,
                          ::testing::Values(offset_mode::none, offset_mode::calibrated,
                                            offset_mode::chopped));
 
+// A mixed calibration group: noiseless lanes (ideal, leak- and
+// offset-faulted) run one grounded channel for both rates, and noisy lanes
+// run both channels in the one bank -- two lanes under one seed share their
+// I stream and their Q stream there.  Every lane must end exactly where a
+// twin running the scalar calibrate_offset does, its RNG included.
 TEST(AcquireBatch, CalibrateOffsetBatchMatchesScalarCalibration) {
-    const auto params = sd::modulator_params::cmos035();
-    constexpr std::size_t n_lanes = 4;
+    auto leaky = sd::modulator_params::ideal();
+    leaky.dc_gain_db = 40.0;
+    leaky.input_offset = 1.0e-3; // a leak shows in the grounded rate only with an offset
+    auto offset = sd::modulator_params::ideal();
+    offset.input_offset = 3.0e-3;
+    const auto cmos = sd::modulator_params::cmos035();
+    const std::vector<std::pair<sd::modulator_params, std::uint64_t>> lanes = {
+        {cmos, 50},   {sd::modulator_params::ideal(), 1}, {offset, 2},
+        {cmos, 51},   {leaky, 3},   {cmos, 50},   {sd::modulator_params::ideal(), 4},
+        {leaky, 5},   {offset, 2}};
     std::vector<signature_extractor> batch_lanes;
     std::vector<signature_extractor> scalar_lanes;
     std::vector<signature_extractor*> lane_ptrs;
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-        batch_lanes.emplace_back(params, 50 + l);
-        scalar_lanes.emplace_back(params, 50 + l);
+    for (const auto& [params, seed] : lanes) {
+        batch_lanes.emplace_back(params, seed);
+        scalar_lanes.emplace_back(params, seed);
     }
     for (auto& lane : batch_lanes) {
         lane_ptrs.push_back(&lane);
     }
     signature_extractor::calibrate_offset_batch(lane_ptrs, 128);
-    for (std::size_t l = 0; l < n_lanes; ++l) {
+    for (std::size_t l = 0; l < lanes.size(); ++l) {
         scalar_lanes[l].calibrate_offset(128);
         EXPECT_TRUE(batch_lanes[l].offset_calibrated());
         EXPECT_EQ(scalar_lanes[l].offset_rate_ch1(), batch_lanes[l].offset_rate_ch1())
             << "lane " << l;
         EXPECT_EQ(scalar_lanes[l].offset_rate_ch2(), batch_lanes[l].offset_rate_ch2())
             << "lane " << l;
+        EXPECT_EQ(scalar_lanes[l].calibration_samples(), batch_lanes[l].calibration_samples())
+            << "lane " << l;
+        EXPECT_TRUE(scalar_lanes[l].rng_state() == batch_lanes[l].rng_state()) << "lane " << l;
+        if (!lanes[l].first.draws_noise()) {
+            EXPECT_EQ(batch_lanes[l].offset_rate_ch1(), batch_lanes[l].offset_rate_ch2())
+                << "lane " << l;
+        }
     }
+    // The faults move the rates, so a rate read from another lane shows.
+    EXPECT_NE(batch_lanes[1].offset_rate_ch1(), batch_lanes[2].offset_rate_ch1());
+    EXPECT_NE(batch_lanes[2].offset_rate_ch1(), batch_lanes[4].offset_rate_ch1());
 }
 
 TEST(AcquireBatch, RejectsMismatchedAndShortInputs) {

@@ -6,10 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <set>
 #include <vector>
 
 #include "common/math_util.hpp"
+#include "common/normal.hpp"
 #include "common/rng.hpp"
 #include "sd/modulator.hpp"
 #include "sd/modulator_bank.hpp"
@@ -366,94 +369,110 @@ modulator_params sweep_config(std::size_t l, bool noisy) {
 // a whole and a spilled tile block; each is followed by a 3-sample call.  A
 // ziggurat draw consumes a variable number of RNG words, so every block
 // must draw exactly its own samples' noise for the next call to continue
-// every lane identically.
+// every lane identically.  The lanes' seeds are all distinct, all one, or
+// cycle over three values; sweep_config gives every lane its own
+// noise_rms, so lanes on one stream differ in rms, and the mixed banks put
+// noiseless lanes between them.
 TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
     enum class entry { lane_major, shared, grounded, step };
     enum class noise { none, all, mixed };
+    enum class streams { distinct, one, three };
     constexpr std::size_t follow_up = 3;
     for (const std::size_t lanes : {1u, 3u, 4u, 7u, 8u, 9u, 16u, 17u}) {
         for (const noise kind : {noise::none, noise::all, noise::mixed}) {
-            std::vector<modulator_params> configs;
-            for (std::size_t l = 0; l < lanes; ++l) {
-                const bool noisy = kind == noise::all || (kind == noise::mixed && l % 2 == 0);
-                configs.push_back(sweep_config(l, noisy));
-            }
-            modulator_bank probe;
-            for (const auto& params : configs) {
-                probe.add_lane(params);
-            }
-            const std::size_t tile = probe.noise_tile_samples();
-            ASSERT_GT(tile, 1u);
-            for (const entry how :
-                 {entry::lane_major, entry::shared, entry::grounded, entry::step}) {
-                for (const std::size_t length : {std::size_t{1}, tile - 1, tile, tile + 1}) {
-                    const std::size_t total = length + follow_up;
-                    bistna::rng stimulus(1000 * lanes + length);
-                    std::vector<double> xs(total * lanes);
-                    std::vector<double> record(total);
-                    std::vector<double> qsigns(total);
-                    std::vector<double> signs(total);
-                    for (auto& x : xs) {
-                        x = stimulus.uniform(-0.7, 0.7);
+            for (const streams layout : {streams::distinct, streams::one, streams::three}) {
+                std::vector<modulator_params> configs;
+                std::vector<std::uint64_t> seeds;
+                std::set<std::uint64_t> noisy_seeds;
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    const bool noisy = kind == noise::all || (kind == noise::mixed && l % 2 == 0);
+                    configs.push_back(sweep_config(l, noisy));
+                    seeds.push_back(layout == streams::distinct ? 300 + l
+                                    : layout == streams::one    ? 300
+                                                                : 300 + l % 3);
+                    if (noisy) {
+                        noisy_seeds.insert(seeds.back());
                     }
-                    for (std::size_t n = 0; n < total; ++n) {
-                        record[n] = stimulus.uniform(-0.7, 0.7);
-                        qsigns[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
-                        signs[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
-                    }
+                }
+                modulator_bank probe;
+                for (const auto& params : configs) {
+                    probe.add_lane(params);
+                }
+                const std::size_t tile = probe.noise_tile_samples();
+                ASSERT_GT(tile, 1u);
+                for (const entry how :
+                     {entry::lane_major, entry::shared, entry::grounded, entry::step}) {
+                    for (const std::size_t length : {std::size_t{1}, tile - 1, tile, tile + 1}) {
+                        const std::size_t total = length + follow_up;
+                        bistna::rng stimulus(1000 * lanes + length);
+                        std::vector<double> xs(total * lanes);
+                        std::vector<double> record(total);
+                        std::vector<double> qsigns(total);
+                        std::vector<double> signs(total);
+                        for (auto& x : xs) {
+                            x = stimulus.uniform(-0.7, 0.7);
+                        }
+                        for (std::size_t n = 0; n < total; ++n) {
+                            record[n] = stimulus.uniform(-0.7, 0.7);
+                            qsigns[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                            signs[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                        }
 
-                    modulator_bank bank;
-                    std::vector<sd_modulator> scalars;
-                    for (std::size_t l = 0; l < lanes; ++l) {
-                        bank.add_lane(configs[l], bistna::rng(300 + l));
-                        scalars.emplace_back(configs[l], bistna::rng(300 + l));
-                    }
-                    std::vector<double> acc(lanes, 0.0);
-                    std::vector<double> expected(lanes, 0.0);
-                    std::vector<double> bits(lanes);
-                    std::size_t first = 0;
-                    for (const std::size_t count : {length, follow_up}) {
-                        switch (how) {
-                        case entry::lane_major:
-                            bank.accumulate_lane_major(xs.data() + first * lanes,
-                                                       qsigns.data() + first,
-                                                       signs.data() + first, count, acc.data());
-                            break;
-                        case entry::shared:
-                            bank.accumulate_shared(record.data() + first, qsigns.data() + first,
-                                                   signs.data() + first, count, acc.data());
-                            break;
-                        case entry::grounded:
-                            bank.accumulate_grounded(count, acc.data());
-                            break;
-                        case entry::step:
-                            for (std::size_t n = first; n < first + count; ++n) {
-                                bank.step(xs.data() + n * lanes, qsigns[n] > 0.0, bits.data());
-                                for (std::size_t l = 0; l < lanes; ++l) {
-                                    acc[l] += signs[n] * bits[l];
-                                }
-                            }
-                            break;
-                        }
+                        modulator_bank bank;
+                        std::vector<sd_modulator> scalars;
                         for (std::size_t l = 0; l < lanes; ++l) {
-                            for (std::size_t n = first; n < first + count; ++n) {
-                                if (how == entry::grounded) {
-                                    expected[l] += scalars[l].step(0.0, true);
-                                    continue;
-                                }
-                                const double x =
-                                    how == entry::shared ? record[n] : xs[n * lanes + l];
-                                expected[l] += signs[n] * scalars[l].step(x, qsigns[n] > 0.0);
-                            }
-                            ASSERT_EQ(expected[l], acc[l])
-                                << "lanes " << lanes << " noise " << static_cast<int>(kind)
-                                << " entry " << static_cast<int>(how) << " length " << length
-                                << " call at " << first << " lane " << l;
-                            ASSERT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
-                            ASSERT_EQ(scalars[l].clip_events(), bank.clip_events(l))
-                                << "lane " << l;
+                            bank.add_lane(configs[l], bistna::rng(seeds[l]));
+                            scalars.emplace_back(configs[l], bistna::rng(seeds[l]));
                         }
-                        first += count;
+                        ASSERT_EQ(bank.noise_streams(), noisy_seeds.size());
+                        std::vector<double> acc(lanes, 0.0);
+                        std::vector<double> expected(lanes, 0.0);
+                        std::vector<double> bits(lanes);
+                        std::size_t first = 0;
+                        for (const std::size_t count : {length, follow_up}) {
+                            switch (how) {
+                            case entry::lane_major:
+                                bank.accumulate_lane_major(xs.data() + first * lanes,
+                                                           qsigns.data() + first,
+                                                           signs.data() + first, count, acc.data());
+                                break;
+                            case entry::shared:
+                                bank.accumulate_shared(record.data() + first, qsigns.data() + first,
+                                                       signs.data() + first, count, acc.data());
+                                break;
+                            case entry::grounded:
+                                bank.accumulate_grounded(count, acc.data());
+                                break;
+                            case entry::step:
+                                for (std::size_t n = first; n < first + count; ++n) {
+                                    bank.step(xs.data() + n * lanes, qsigns[n] > 0.0, bits.data());
+                                    for (std::size_t l = 0; l < lanes; ++l) {
+                                        acc[l] += signs[n] * bits[l];
+                                    }
+                                }
+                                break;
+                            }
+                            for (std::size_t l = 0; l < lanes; ++l) {
+                                for (std::size_t n = first; n < first + count; ++n) {
+                                    if (how == entry::grounded) {
+                                        expected[l] += scalars[l].step(0.0, true);
+                                        continue;
+                                    }
+                                    const double x =
+                                        how == entry::shared ? record[n] : xs[n * lanes + l];
+                                    expected[l] += signs[n] * scalars[l].step(x, qsigns[n] > 0.0);
+                                }
+                                ASSERT_EQ(expected[l], acc[l])
+                                    << "lanes " << lanes << " noise " << static_cast<int>(kind)
+                                    << " streams " << static_cast<int>(layout) << " entry "
+                                    << static_cast<int>(how) << " length " << length
+                                    << " call at " << first << " lane " << l;
+                                ASSERT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
+                                ASSERT_EQ(scalars[l].clip_events(), bank.clip_events(l))
+                                    << "lane " << l;
+                            }
+                            first += count;
+                        }
                     }
                 }
             }
@@ -463,34 +482,47 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
 
 // Lanes may join a bank that has already run.  The noise tile's layout
 // follows the lane count, so the tile cells a new noiseless lane reads held
-// another lane's noise a call earlier; every lane must still match.
+// another lane's noise a call earlier; every lane must still match.  A
+// stream is keyed on its current position: a lane whose RNG sits where a
+// running lane's stream now is shares that stream from then on, and a lane
+// at that stream's initial seed does not.
 TEST(ModulatorBank, LaneAddedAfterARunStaysExact) {
     modulator_bank bank;
     std::vector<sd_modulator> scalars;
-    const auto add = [&](const modulator_params& params, std::uint64_t seed) {
-        bank.add_lane(params, bistna::rng(seed));
-        scalars.emplace_back(params, bistna::rng(seed));
+    const auto add = [&](const modulator_params& params, const bistna::rng& noise_rng) {
+        bank.add_lane(params, noise_rng);
+        scalars.emplace_back(params, noise_rng);
     };
     constexpr std::size_t count = 700;
-    add(sweep_config(0, true), 1);
-    add(sweep_config(1, true), 2);
+    add(sweep_config(0, true), bistna::rng(1));
+    add(sweep_config(1, true), bistna::rng(2));
     std::vector<double> acc(2, 0.0);
     bank.accumulate_grounded(count, acc.data());
+    bistna::rng lane0_now(1); // lane 0's stream after `count` draws
     for (std::size_t n = 0; n < count; ++n) {
         scalars[0].step(0.0, true);
         scalars[1].step(0.0, true);
+        (void)bistna::standard_normal(lane0_now);
     }
+    EXPECT_EQ(bank.noise_streams(), 2u);
 
-    add(sweep_config(2, false), 3);
-    acc.assign(3, 0.0);
-    bank.accumulate_grounded(count, acc.data());
-    for (std::size_t l = 0; l < 3; ++l) {
-        double expected = 0.0;
-        for (std::size_t n = 0; n < count; ++n) {
-            expected += scalars[l].step(0.0, true);
+    add(sweep_config(2, false), bistna::rng(3));
+    add(sweep_config(3, true), lane0_now); // lane 0's stream, at another noise_rms
+    EXPECT_EQ(bank.noise_streams(), 2u);
+    add(sweep_config(4, true), bistna::rng(1)); // lane 0's seed, not its position
+    EXPECT_EQ(bank.noise_streams(), 3u);
+    for (const std::size_t length : {count, std::size_t{5}}) {
+        acc.assign(scalars.size(), 0.0);
+        bank.accumulate_grounded(length, acc.data());
+        for (std::size_t l = 0; l < scalars.size(); ++l) {
+            double expected = 0.0;
+            for (std::size_t n = 0; n < length; ++n) {
+                expected += scalars[l].step(0.0, true);
+            }
+            EXPECT_EQ(expected, acc[l]) << "lane " << l << " length " << length;
+            EXPECT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
+            EXPECT_EQ(scalars[l].clip_events(), bank.clip_events(l)) << "lane " << l;
         }
-        EXPECT_EQ(expected, acc[l]) << "lane " << l;
-        EXPECT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
     }
 }
 
