@@ -153,7 +153,8 @@ std::size_t modulator_bank::add_lane(const modulator_params& params, bistna::rng
         if (stream == streams_.end()) {
             streams_.push_back({{lane}, {params.noise_rms}});
         } else {
-            units_.resize(std::max<std::size_t>(1, noise_tile_doubles / (lane + 1)));
+            // Two lanes on a stream make a block at most half the tile.
+            units_.resize(noise_tile_doubles / 2);
             stream->lanes.push_back(lane);
             stream->rms.push_back(params.noise_rms);
         }

@@ -143,8 +143,8 @@ private:
     /// while every lane is noiseless.
     std::vector<double> noise_tile_;
     /// One block of a shared stream's unit deviates, reused stream by
-    /// stream; sized by add_lane when a stream gains its second lane (the
-    /// block only shrinks as lanes join), and empty until then.
+    /// stream; allocated by add_lane when a stream gains its second lane,
+    /// and empty until then.
     std::vector<double> units_;
 };
 
