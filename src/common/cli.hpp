@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cctype>
-#include <cerrno>
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
@@ -98,9 +97,11 @@ inline std::uint64_t flag_u64(int argc, char** argv, const char* name,
 
 /// Strictly parse a non-negative real "--name=value" flag: the whole value
 /// must be one finite number >= 0 ("0.03", "1e-2", "0"); "abc", "0.03x",
-/// an empty value, "-0.1", "nan", "inf" and an out-of-range "1e999" throw
+/// an empty value, "-0.1", "nan", "inf" and an overflowing "1e999" throw
 /// configuration_error naming the flag instead of reading as 0 or as a
-/// prefix the way flag_value's strtod would.
+/// prefix the way flag_value's strtod would.  A value too small for a
+/// normal double reads as strtod rounds it ("1e-310" as a subnormal,
+/// "1e-400" as 0), and "-0" reads as +0.
 inline double flag_double(int argc, char** argv, const char* name, double fallback) {
     const std::string prefix = std::string("--") + name + "=";
     for (int i = 1; i < argc; ++i) {
@@ -109,15 +110,15 @@ inline double flag_double(int argc, char** argv, const char* name, double fallba
         }
         const char* text = argv[i] + prefix.size();
         char* end = nullptr;
-        errno = 0;
         const double value = std::strtod(text, &end);
-        const bool parsed = end != text && *end == '\0' && errno != ERANGE &&
+        const bool parsed = end != text && *end == '\0' &&
                             std::isspace(static_cast<unsigned char>(*text)) == 0;
+        // Overflow reads as +/-HUGE_VAL, which the finiteness test refuses.
         if (!parsed || !std::isfinite(value) || !(value >= 0.0)) {
             throw configuration_error(std::string("flag --") + name + "=" + text +
                                       ": expected a finite non-negative number");
         }
-        return value;
+        return value + 0.0; // -0.0 + 0.0 is +0.0
     }
     return fallback;
 }

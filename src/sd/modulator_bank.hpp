@@ -114,13 +114,6 @@ private:
     /// column with 0.0.
     void draw_noise(std::size_t samples) noexcept;
 
-    /// The noisy lanes that add one stream's draws, in lane order, with
-    /// their noise_rms; the stream's RNG is rng_[lanes.front()].
-    struct noise_stream {
-        std::vector<std::size_t> lanes;
-        std::vector<double> rms;
-    };
-
     // SoA lanes.  Comparator decisions and clip counters are kept as
     // doubles (+1/-1 and exact small integers) so the inner loop stays in
     // one vector domain.
@@ -134,10 +127,13 @@ private:
     std::vector<double> swing_;
     std::vector<double> cmp_offset_;
     std::vector<double> cmp_hyst_;
+    std::vector<double> noise_rms_;   ///< read by draw_noise, not the kernel
     std::vector<double> clip_;        ///< per-lane clip event count
     std::vector<bistna::rng> rng_;    ///< read only for a stream's first lane
     std::vector<modulator_params> params_;
-    std::vector<noise_stream> streams_;
+    /// Each noise stream's noisy lanes, in lane order; the stream's RNG is
+    /// rng_[stream.front()].
+    std::vector<std::vector<std::size_t>> streams_;
     /// Lane-major noise block, sample j of lane l at [j * lanes() + l];
     /// allocated by add_lane (the accumulate calls are noexcept), and empty
     /// while every lane is noiseless.

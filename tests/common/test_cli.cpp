@@ -4,6 +4,7 @@
 // silently reading as 0 or falling back to the default.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <utility>
 #include <vector>
@@ -91,11 +92,18 @@ TEST(Cli, FlagU64AcceptsUint64Max) {
 }
 
 TEST(Cli, FlagDoubleParsesAndDefaults) {
+    // Underflow is not an error: "1e-310" reads as a subnormal and
+    // "1e-400" as 0.  "-0" reads as +0.
     for (const auto& [text, value] : {std::pair{"--sigma=0.03", 0.03},
                                       std::pair{"--sigma=1e-2", 1e-2},
-                                      std::pair{"--sigma=0", 0.0}}) {
+                                      std::pair{"--sigma=0", 0.0},
+                                      std::pair{"--sigma=1e-310", 1e-310},
+                                      std::pair{"--sigma=1e-400", 0.0},
+                                      std::pair{"--sigma=-0", 0.0}}) {
         argv_fixture args({text});
-        EXPECT_EQ(flag_double(args.argc(), args.argv(), "sigma", 0.5), value) << text;
+        const double parsed = flag_double(args.argc(), args.argv(), "sigma", 0.5);
+        EXPECT_EQ(parsed, value) << text;
+        EXPECT_FALSE(std::signbit(parsed)) << text;
     }
     argv_fixture absent({"--other=1"});
     EXPECT_EQ(flag_double(absent.argc(), absent.argv(), "sigma", 0.5), 0.5);
