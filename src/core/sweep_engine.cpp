@@ -52,10 +52,12 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
                            sweep_engine_options options)
     : factory_(std::move(factory)), settings_(settings), options_(std::move(options)) {
     BISTNA_EXPECTS(factory_ != nullptr, "sweep engine requires a board factory");
-    demod_tables_ = std::make_shared<eval::demod_table_cache>();
-    calibration_share_ = std::make_shared<eval::calibration_share>();
-    queue_ = options_.queue ? options_.queue
-                            : std::make_shared<job_queue>(options_.threads);
+    const engine_pool& pool = options_.queue;
+    demod_tables_ = pool.demod_tables ? pool.demod_tables
+                                      : std::make_shared<eval::demod_table_cache>();
+    calibration_share_ = pool.calibrations ? pool.calibrations
+                                           : std::make_shared<eval::calibration_share>();
+    queue_ = pool.queue ? pool.queue : std::make_shared<job_queue>(options_.threads);
     // A lane group holds its records for its whole program, so eviction
     // never reaches a running group; sizing the FIFO to the threads x
     // batch_lanes items in flight keeps the next groups' records resident.

@@ -33,8 +33,10 @@
 // blocking Bode sweep: one submit_bode job plus the eq. (4) bound and
 // error summary of sweep_report.  Many engines can share one
 // core::job_queue (options.queue), so concurrent sessions never
-// oversubscribe the machine; the engine must outlive the jobs it has
-// submitted.
+// oversubscribe the machine, and with it the content-keyed calibration
+// share and demodulation-table cache (core::engine_pool), so a later
+// engine restores what an earlier one calibrated; the engine must outlive
+// the jobs it has submitted.
 #pragma once
 
 #include <cstddef>
@@ -42,6 +44,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/statistics.hpp"
@@ -61,15 +64,46 @@ class calibration_share;
 
 namespace bistna::core {
 
+/// What engines may share beyond their own lifetime: the worker pool and
+/// the two content-keyed executor caches.  A null member gives each engine
+/// a private one.  Both caches are keyed by everything that shapes their
+/// entries and check it on every hit, so an engine's bytes never depend on
+/// what other engines on the same handle ran before it; only the work is
+/// shared.  Both evict oldest-first past a fixed cap.
+struct engine_pool {
+    std::shared_ptr<job_queue> queue;
+    /// Grounded-calibration snapshots (eval::calibration_share).
+    std::shared_ptr<eval::calibration_share> calibrations;
+    /// Demodulation sign tables (eval::demod_table_cache).
+    std::shared_ptr<eval::demod_table_cache> demod_tables;
+
+    engine_pool() = default;
+    /// A pool-only handle (implicit, so a bare queue still fills the
+    /// option): engines on it share the workers and keep private caches,
+    /// so each one still pays its own calibrations.
+    engine_pool(std::shared_ptr<job_queue> shared_queue)
+        : queue(std::move(shared_queue)) {}
+    engine_pool(std::shared_ptr<job_queue> shared_queue,
+                std::shared_ptr<eval::calibration_share> shared_calibrations,
+                std::shared_ptr<eval::demod_table_cache> shared_tables)
+        : queue(std::move(shared_queue)), calibrations(std::move(shared_calibrations)),
+          demod_tables(std::move(shared_tables)) {}
+};
+
 struct sweep_engine_options {
     /// Worker threads of the engine's own pool; 0 picks
-    /// std::thread::hardware_concurrency().  Ignored when `queue` is set.
+    /// std::thread::hardware_concurrency().  Ignored when `queue.queue` is
+    /// set.
     std::size_t threads = 0;
     /// Run jobs on this shared pool instead of a private one: any number
     /// of engines (concurrent Bode sessions, screening lots, dictionary
-    /// builds) then draw from one set of workers.  Null gives the engine a
-    /// private queue sized by `threads`.
-    std::shared_ptr<job_queue> queue = nullptr;
+    /// builds) then draw from one set of workers.  A bare
+    /// std::shared_ptr<job_queue> converts to a pool-only handle; a handle
+    /// that also carries caches lets every engine on it reuse the grounded
+    /// calibrations and sign tables of the engines before it (the screening
+    /// daemon's shape).  Empty gives the engine a private queue sized by
+    /// `threads` and private caches.
+    engine_pool queue;
     /// Dice, dictionary items or Bode points evaluated in lockstep per work
     /// item through the SoA banks (threads x lanes in flight overall).  1
     /// is a group of width 1 on the same executor; any lane count is
@@ -87,7 +121,8 @@ struct sweep_stats {
     /// Hit/miss/eviction counters of the engine's stimulus cache, over
     /// every job it has run.
     stimulus_cache_stats stimulus;
-    /// Calibration snapshots resident in the engine's transplant share.
+    /// Calibration snapshots resident in the engine's transplant share
+    /// (the handle's, when it carries one).
     std::size_t calibration_snapshots = 0;
 };
 
@@ -242,7 +277,7 @@ private:
     std::shared_ptr<stimulus_cache> stimulus_cache_;
     /// Shared executor resources: demodulation sign tables (pure functions
     /// of the acquisition settings) and the calibration transplant share.
-    /// Both thread-safe.
+    /// Both thread-safe; the handle's when it carries them, else private.
     std::shared_ptr<eval::demod_table_cache> demod_tables_;
     std::shared_ptr<eval::calibration_share> calibration_share_;
     /// Declared last on purpose: a private queue's destructor cancels and

@@ -15,6 +15,11 @@ std::uint64_t tables_key(const acquisition_settings& settings) {
     return hash;
 }
 
+std::size_t table_bytes(const demod_tables& tables) {
+    return (tables.q1_sign.size() + tables.q2_sign.size() + tables.acc_sign.size()) *
+           sizeof(double);
+}
+
 } // namespace
 
 std::shared_ptr<const demod_tables>
@@ -27,11 +32,24 @@ demod_table_cache::get(const acquisition_settings& settings) {
             return it->second;
         }
     }
-    // Build outside the lock (tables for long acquisitions are sizeable);
-    // concurrent builders produce identical tables, last store wins.
+    // Build outside the lock (tables for long acquisitions are sizeable).
     auto built = std::make_shared<const demod_tables>(demod_tables::build(settings));
+    const std::size_t bytes = table_bytes(*built);
     std::lock_guard<std::mutex> lock(mutex_);
-    entries_[key] = built;
+    if (auto it = entries_.find(key); it != entries_.end()) {
+        // A concurrent builder published identical tables first; a shape
+        // whose key collides with a resident one is served uncached.
+        return it->second->matches(settings) ? it->second : built;
+    }
+    while (!insertion_order_.empty() && resident_bytes_ + bytes > max_bytes) {
+        const auto oldest = entries_.find(insertion_order_.front());
+        resident_bytes_ -= table_bytes(*oldest->second);
+        entries_.erase(oldest);
+        insertion_order_.pop_front();
+    }
+    entries_.emplace(key, built);
+    insertion_order_.push_back(key);
+    resident_bytes_ += bytes;
     return built;
 }
 
@@ -74,10 +92,14 @@ void calibration_share::store(std::uint64_t seed, std::size_t periods,
     const std::uint64_t key = key_hash(snapshot.params, seed, periods, n_per_period);
     auto shared = std::make_shared<const calibration_snapshot>(std::move(snapshot));
     std::lock_guard<std::mutex> lock(mutex_);
-    if (entries_.size() >= max_entries && entries_.find(key) == entries_.end()) {
-        return;
+    if (!entries_.insert_or_assign(key, std::move(shared)).second) {
+        return; // a republished key keeps its place
     }
-    entries_[key] = std::move(shared);
+    insertion_order_.push_back(key);
+    if (entries_.size() > max_entries) {
+        entries_.erase(insertion_order_.front());
+        insertion_order_.pop_front();
+    }
 }
 
 std::size_t calibration_share::entries() const {

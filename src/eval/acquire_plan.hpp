@@ -20,10 +20,18 @@
 //    The lanes that do calibrate run in one bank
 //    (signature_extractor::calibrate_offset_batch): one grounded channel
 //    per noiseless lane, both channels per noisy lane.
+//
+// An engine builds private caches unless its core::engine_pool hands it
+// shared ones; the screening daemon keeps one of each for its lifetime,
+// so a request restores the calibrations and tables of the requests
+// before it.  Both therefore have a fixed cap and evict oldest-first: an
+// eviction costs one rebuild at the next miss, and tables or snapshots
+// already handed out stay alive through their shared_ptr.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -37,12 +45,21 @@ namespace bistna::eval {
 /// (harmonic, period counts, chopping).  Entries are immutable and shared.
 class demod_table_cache {
 public:
+    /// Resident-byte cap, a few programs' worth: the canonical screening
+    /// program's tables take about 3.2 MiB (one 400-period THD harmonic
+    /// 0.92 MB).  Past it the oldest shapes go first; the newest always
+    /// stays, so a single larger table is still reused until the next
+    /// shape arrives.
+    static constexpr std::size_t max_bytes = std::size_t{16} << 20;
+
     /// The tables for `settings`, built on first use.
     std::shared_ptr<const demod_tables> get(const acquisition_settings& settings);
 
 private:
     std::mutex mutex_;
     std::unordered_map<std::uint64_t, std::shared_ptr<const demod_tables>> entries_;
+    std::deque<std::uint64_t> insertion_order_;
+    std::size_t resident_bytes_ = 0;
 };
 
 /// Thread-safe map of calibration snapshots keyed on (modulator params,
@@ -58,25 +75,27 @@ public:
     find(const sd::modulator_params& params, std::uint64_t seed, std::size_t periods,
          std::size_t n_per_period);
 
-    /// Publish a snapshot for the key.  Ignored (cache full) beyond a size
-    /// cap -- correctness never depends on a store landing.
+    /// Publish a snapshot for the key.  A new key past the size cap evicts
+    /// the oldest one -- correctness never depends on a snapshot staying.
     void store(std::uint64_t seed, std::size_t periods, std::size_t n_per_period,
                calibration_snapshot snapshot);
 
     std::size_t entries() const;
 
+    /// Growth cap: screening shares one evaluator config across a whole
+    /// lot, so a handful of entries covers real batches.  Mixed-seed noisy
+    /// acquisition batches (a dictionary seeds every item) and a daemon's
+    /// stream of requests cycle through it oldest-first, so a new key is
+    /// always published and its lane group's duplicates restore it.
+    static constexpr std::size_t max_entries = 4096;
+
 private:
     static std::uint64_t key_hash(const sd::modulator_params& params, std::uint64_t seed,
                                   std::size_t periods, std::size_t n_per_period);
 
-    /// Growth cap: screening shares one evaluator config across a whole
-    /// lot, so a handful of entries covers real batches; mixed-seed noisy
-    /// acquisition batches stop publishing here instead of growing without
-    /// bound.
-    static constexpr std::size_t max_entries = 4096;
-
     mutable std::mutex mutex_;
     std::unordered_map<std::uint64_t, std::shared_ptr<const calibration_snapshot>> entries_;
+    std::deque<std::uint64_t> insertion_order_;
 };
 
 } // namespace bistna::eval

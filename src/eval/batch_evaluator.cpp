@@ -135,7 +135,8 @@ void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
         (seen ? duplicates : leaders).push_back(lane);
     }
     calibrate_and_publish(leaders);
-    // A full share refuses new snapshots; duplicates it left out calibrate
+    // A leader's snapshot that concurrent stores already evicted again (a
+    // share churning past its cap) leaves its duplicates to calibrate
     // themselves.
     duplicates = restore(duplicates);
     if (!duplicates.empty()) {

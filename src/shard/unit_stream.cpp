@@ -48,7 +48,7 @@ struct unit_stream::impl {
 };
 
 unit_stream::unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
-                         std::uint64_t units, std::shared_ptr<core::job_queue> queue,
+                         std::uint64_t units, core::engine_pool pool,
                          std::function<void()> on_published)
     : impl_(std::make_unique<impl>()), units_(units) {
     const std::uint64_t total = manifest.total_units();
@@ -61,7 +61,7 @@ unit_stream::unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
     }
 
     core::sweep_engine_options options = manifest.make_engine_options();
-    options.queue = std::move(queue);
+    options.queue = std::move(pool);
 
     if (manifest.workload == workload_kind::screening) {
         impl_->engine = std::make_unique<core::sweep_engine>(

@@ -18,7 +18,7 @@
 #include <memory>
 #include <optional>
 
-#include "core/job_queue.hpp"
+#include "core/sweep_engine.hpp"
 #include "shard/manifest.hpp"
 #include "store/format.hpp"
 
@@ -34,17 +34,24 @@ struct unit_record {
 class unit_stream {
 public:
     /// Submit units [first_unit, first_unit + units) of the manifest's
-    /// workload.  `queue` shares a worker pool across streams (the service
-    /// daemon's shape); null gives the engine a private pool sized by the
-    /// manifest.  `on_published` -- if set -- is a publication notifier
-    /// invoked from worker threads AFTER newly completed items (or the
-    /// terminal state, cancelled or failed jobs included) become visible to
+    /// workload.  `pool` shares a worker pool across streams, and, when it
+    /// carries them, the calibration share and demodulation-table cache:
+    /// the service daemon passes one full handle to every request, so a
+    /// request restores the grounded calibrations of the requests before
+    /// it.  A bare queue converts to a pool-only handle whose engine keeps
+    /// private caches (a cold request); an empty handle gives the engine a
+    /// private pool sized by the manifest.  The records are the same
+    /// bytes on any handle.
+    ///
+    /// `on_published` -- if set -- is a publication notifier invoked from
+    /// worker threads AFTER newly completed items (or the terminal state,
+    /// cancelled or failed jobs included) become visible to
     /// try_next()/finished(), at least once per publication and possibly
     /// coalescing several items into one call (no locks held; must be cheap
     /// and thread-safe): an event loop uses it to wake its poll, and a wake
     /// never races ahead of the state it advertises.
     unit_stream(const lot_manifest& manifest, std::uint64_t first_unit,
-                std::uint64_t units, std::shared_ptr<core::job_queue> queue = nullptr,
+                std::uint64_t units, core::engine_pool pool = {},
                 std::function<void()> on_published = nullptr);
 
     /// Cancels and drains the underlying job, so worker closures never

@@ -6,6 +6,7 @@
 #include <csignal>
 #include <deque>
 #include <iostream>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,6 +17,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "core/job_queue.hpp"
+#include "eval/acquire_plan.hpp"
 #include "shard/unit_stream.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
@@ -60,7 +62,12 @@ struct service_server::impl {
 
     server_options opts;
 
-    std::shared_ptr<core::job_queue> queue;
+    /// The worker pool plus the daemon-lifetime calibration share and
+    /// demodulation-table cache every request's engine draws from: a
+    /// request restores the grounded calibrations and sign tables of the
+    /// requests before it, so only the first of a kind pays for them.
+    /// Staircases stay per request (each engine's own stimulus cache).
+    core::engine_pool pool;
     socket_fd unix_listener;
     socket_fd tcp_listener;
     std::uint16_t bound_tcp_port = 0;
@@ -134,13 +141,19 @@ struct service_server::impl {
             throw configuration_error(
                 "service server: no listener (set listen_path or tcp_port)");
         }
-        queue = std::make_shared<core::job_queue>(opts.worker_threads);
+        // The endpoint grammar's 0..65535 rule, checked before anything
+        // binds: a port past it fails instead of wrapping to another one.
+        const endpoint tcp = opts.tcp_port >= 0
+                                 ? parse_endpoint("tcp:" + std::to_string(opts.tcp_port))
+                                 : endpoint{};
+        pool = core::engine_pool(std::make_shared<core::job_queue>(opts.worker_threads),
+                                 std::make_shared<eval::calibration_share>(),
+                                 std::make_shared<eval::demod_table_cache>());
         if (!opts.listen_path.empty()) {
             unix_listener = listen_unix(opts.listen_path);
         }
-        if (opts.tcp_port >= 0) {
-            tcp_listener = listen_tcp_loopback(static_cast<std::uint16_t>(opts.tcp_port),
-                                               &bound_tcp_port);
+        if (tcp.tcp) {
+            tcp_listener = listen_tcp_loopback(tcp.port, &bound_tcp_port);
         }
         int pipe_fds[2] = {-1, -1};
         if (::pipe(pipe_fds) != 0) {
@@ -169,7 +182,7 @@ struct service_server::impl {
         // not cover it.  The streams are gone, so this is the pool's last
         // reference -- dropping it joins the workers, and only then is it
         // safe to tear the wake pipe out from under wake().
-        queue.reset();
+        pool = {};
         ::close(wake_read);
         ::close(wake_write);
         wake_read = wake_write = -1;
@@ -565,7 +578,7 @@ struct service_server::impl {
         a.submitted_ns = req.submitted_ns;
         try {
             a.stream = std::make_unique<shard::unit_stream>(
-                req.manifest, 0, a.total, queue, [this] { wake(); });
+                req.manifest, 0, a.total, pool, [this] { wake(); });
         } catch (const std::exception& e) {
             c_failed.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_failed);
@@ -873,7 +886,8 @@ int server_main(int argc, char** argv) {
             o.tcp_port = ep.port;
         }
         if (flag_present(argc, argv, "tcp")) {
-            o.tcp_port = static_cast<int>(flag_u64(argc, argv, "tcp", 0));
+            // Same 0..65535 rule as --listen=tcp:PORT.
+            o.tcp_port = parse_endpoint("tcp:" + flag_text(argc, argv, "tcp")).port;
         }
         o.worker_threads = flag_u64(argc, argv, "threads", 0);
         o.max_active_jobs = flag_u64(argc, argv, "active-jobs", 2);

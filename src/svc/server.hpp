@@ -6,7 +6,11 @@
 // concurrent client sessions onto ONE shared core::job_queue worker pool.
 // Per-die records stream back to each client in global unit order as they
 // complete -- bit-identical to the offline `screening_lot --store` path,
-// because both sides run the same shard::unit_stream pipeline.
+// because both sides run the same shard::unit_stream pipeline.  Beside the
+// pool the daemon keeps one calibration share and one demodulation-table
+// cache for its lifetime (core::engine_pool): the first request of a kind
+// pays the grounded calibration and the sign tables, later ones restore
+// them, and both caches are content-keyed, so the bytes do not change.
 //
 // Robustness is the design center, not an afterthought:
 //
@@ -47,8 +51,9 @@ struct server_options {
     /// be enabled).  The socket file is unlinked on shutdown.
     std::string listen_path;
     /// >= 0: also listen on 127.0.0.1:tcp_port (0 picks an ephemeral
-    /// port, readable from tcp_port() after start()).  Loopback only --
-    /// the daemon has no auth layer.
+    /// port, readable from tcp_port() after start(); past 65535 start()
+    /// throws configuration_error).  Loopback only -- the daemon has no
+    /// auth layer.
     int tcp_port = -1;
 
     /// Worker threads of the shared pool (0 = hardware concurrency).

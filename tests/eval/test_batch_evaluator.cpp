@@ -16,6 +16,8 @@
 #include "eval/batch_evaluator.hpp"
 #include "eval/evaluator.hpp"
 #include "eval/signature.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace {
 
@@ -425,6 +427,114 @@ TEST(BatchEvaluator, NoisyLanesCalibrateOncePerSeed) {
         configs.push_back(lane_config(seed, offset_mode::calibrated));
     }
     EXPECT_EQ(expect_lanes_match_scalar(configs), 3u) << "seeds 5, 6 and 7";
+}
+
+/// Publish a cmos035 snapshot of a 64-period calibration under `seed`.
+void store_noisy_snapshot(eval::calibration_share& share, std::uint64_t seed) {
+    eval::calibration_snapshot snapshot;
+    snapshot.params = sd::modulator_params::cmos035();
+    snapshot.rng_before = rng(seed);
+    snapshot.calibration_samples = 64.0 * 96.0;
+    share.store(seed, 64, 96, snapshot);
+}
+
+/// Fill `share` to its cap with distinct noisy keys, seeds 1000 upwards.
+void fill_share(eval::calibration_share& share) {
+    for (std::uint64_t i = 0; i < eval::calibration_share::max_entries; ++i) {
+        store_noisy_snapshot(share, 1000 + i);
+    }
+}
+
+// A full share evicts its oldest key instead of refusing the new one.
+TEST(BatchEvaluator, FullCalibrationShareEvictsItsOldestKey) {
+    const auto params = sd::modulator_params::cmos035();
+    eval::calibration_share share;
+    fill_share(share);
+    ASSERT_EQ(share.entries(), eval::calibration_share::max_entries);
+    ASSERT_NE(share.find(params, 1000, 64, 96), nullptr);
+
+    store_noisy_snapshot(share, 99);
+    EXPECT_NE(share.find(params, 99, 64, 96), nullptr) << "the new key is published";
+    EXPECT_EQ(share.find(params, 1000, 64, 96), nullptr) << "the oldest key is gone";
+    EXPECT_NE(share.find(params, 1001, 64, 96), nullptr);
+    EXPECT_EQ(share.entries(), eval::calibration_share::max_entries);
+
+    // Republishing a resident key does not move it to the back.
+    store_noisy_snapshot(share, 1001);
+    store_noisy_snapshot(share, 98);
+    EXPECT_EQ(share.find(params, 1001, 64, 96), nullptr);
+    EXPECT_NE(share.find(params, 1002, 64, 96), nullptr);
+}
+
+// A 16-lane group of one new key on a full share calibrates its leader and
+// restores the other 15 lanes from the snapshot it published, and every
+// lane still matches a scalar evaluator that calibrated itself.
+TEST(BatchEvaluator, FullShareStillCalibratesANewKeyOnce) {
+    constexpr std::size_t lanes = 16;
+    constexpr std::size_t periods = 16;
+    const std::vector<evaluator_config> configs(lanes,
+                                                lane_config(7, offset_mode::calibrated));
+    batch_fixture fixture(configs);
+    fill_share(fixture.calibration);
+    const std::vector<std::vector<double>> records(lanes, lane_record(2, periods));
+    const auto block = lane_major_block(records);
+
+    telemetry::metric_registry registry;
+    std::vector<eval::harmonic_measurement> batched;
+    {
+        telemetry::registry_scope scope(registry);
+        batched = fixture.batch.measure_harmonic_lanes_lane_major(all_lanes(lanes),
+                                                                  block.data(), 1, periods);
+    }
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("eval.calibration.runs"), 1u);
+    EXPECT_EQ(snapshot.counter("eval.calibration.restores"), lanes - 1);
+
+    eval::sinewave_evaluator scalar(configs.front());
+    const auto expected = scalar.measure_harmonic(
+        [&records](std::size_t n) { return records.front()[n]; }, 1, periods);
+    for (std::size_t l = 0; l < lanes; ++l) {
+        EXPECT_EQ(scalar.extractor().offset_rate_ch1(),
+                  fixture.batch.extractor(l).offset_rate_ch1())
+            << "lane " << l;
+        expect_identical(expected.signature, batched[l].signature);
+    }
+}
+
+// Past its byte cap the table cache evicts the oldest shape and keeps the
+// newer ones; tables it handed out before stay whole.
+TEST(BatchEvaluator, DemodTableCacheEvictsItsOldestShapePastTheByteCap) {
+    eval::demod_table_cache cache;
+    const auto shape = [](std::size_t k) {
+        acquisition_settings settings;
+        settings.harmonic_k = k;
+        settings.periods = 2048;
+        return settings;
+    };
+    // Three sign tables of 96 x 2048 doubles: 4.5 MiB a shape.
+    const std::size_t fit =
+        eval::demod_table_cache::max_bytes / (3 * 96 * 2048 * sizeof(double));
+    ASSERT_GE(fit, 2u);
+    const auto first = cache.get(shape(1));
+    for (std::size_t k = 2; k <= fit; ++k) {
+        (void)cache.get(shape(k));
+        EXPECT_EQ(cache.get(shape(1)), first) << "resident below the cap";
+    }
+    const auto newest_before = cache.get(shape(fit));
+    const auto past_cap = cache.get(shape(fit + 1));
+    EXPECT_EQ(cache.get(shape(fit)), newest_before) << "a newer shape stays";
+    EXPECT_EQ(cache.get(shape(fit + 1)), past_cap);
+
+    // The evicted shape's tables are still whole and still match; asking
+    // again rebuilds them.
+    ASSERT_TRUE(first->matches(shape(1)));
+    EXPECT_EQ(first->q1_sign.size(), 96u * 2048u);
+    EXPECT_EQ(first->acc_sign.size(), 96u * 2048u);
+    const auto rebuilt = cache.get(shape(1));
+    EXPECT_NE(rebuilt, first);
+    EXPECT_EQ(rebuilt->q1_sign, first->q1_sign);
+    EXPECT_EQ(rebuilt->q2_sign, first->q2_sign);
+    EXPECT_EQ(rebuilt->acc_sign, first->acc_sign);
 }
 
 } // namespace

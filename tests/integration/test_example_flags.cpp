@@ -1,7 +1,8 @@
 // The example programs' flags are read strictly: a malformed --dice,
 // --threads, --lanes or --sigma value fails the run before anything is
 // measured or stored, instead of being read as a prefix ("3x" -> 3), as 0
-// ("two") or through an undefined negative conversion ("-1").  Skipped when
+// ("two") or through an undefined negative conversion ("-1"), and an
+// out-of-range daemon --tcp port fails instead of wrapping.  Skipped when
 // the example binaries are not part of this build (sanitizer CI builds
 // examples OFF).
 #include <gtest/gtest.h>
@@ -77,6 +78,30 @@ TEST(ExampleFlags, MalformedSigmaFails) {
     if (!ran) {
         GTEST_SKIP() << "example binaries not built";
     }
+}
+
+// --tcp=PORT takes the same 0..65535 rule as --listen=tcp:PORT: a port past
+// it used to wrap (70000 served on 4464, 4294967297 on 1).  Now the daemon
+// exits with status 2 before it listens; one that serves instead is stopped
+// by timeout, whose status 124 fails the check.
+TEST(ExampleFlags, OutOfRangeTcpPortFails) {
+    const auto binary =
+        std::filesystem::read_symlink("/proc/self/exe").parent_path() / "bistna_serverd";
+    if (!std::filesystem::exists(binary)) {
+        GTEST_SKIP() << "example binaries not built";
+    }
+    const std::string dir = "/tmp/bistna_example_tcp";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    for (const char* bad : {"--tcp=70000", "--tcp=4294967297"}) {
+        const std::string command = "timeout 5 " + binary.string() + " --listen=" + dir +
+                                    "/serverd.sock " + bad + " > " + dir +
+                                    "/run.log 2>&1";
+        const int status = std::system(command.c_str());
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
+            << bad << ": wait status " << status;
+    }
+    std::filesystem::remove_all(dir);
 }
 
 } // namespace

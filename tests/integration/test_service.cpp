@@ -6,7 +6,8 @@
 // single-process offline worker writes for the same manifest BYTE FOR
 // BYTE.  Plus the two ways a session ends early: a client that vanishes
 // mid-job (disconnect-cancel frees the pool) and an induced overload
-// (typed shed, the surviving sessions' bytes still identical).
+// (typed shed, the surviving sessions' bytes still identical), and a
+// repeated request that restores the daemon's shared calibrations.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -26,6 +27,8 @@
 #include "store/lot_store.hpp"
 #include "svc/client.hpp"
 #include "svc/server.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace {
 
@@ -99,13 +102,9 @@ std::string offline_store_bytes(const temp_dir& dir, const shard::lot_manifest& 
     return read_bytes(path);
 }
 
-/// One service session: submit, stream, append every record to a fresh
-/// store file, return its raw bytes.
-std::string service_store_bytes(const std::string& endpoint, const temp_dir& dir,
-                                const shard::lot_manifest& manifest,
-                                const std::string& name) {
-    client c(endpoint);
-    const auto records = c.run(manifest);
+/// Append `records` to a fresh store file and return its raw bytes.
+std::string store_bytes(const temp_dir& dir, const std::vector<store::record>& records,
+                        const std::string& name) {
     const std::string path = dir.file(name);
     auto out = store::lot_store::open_append(path);
     for (const auto& r : records) {
@@ -113,6 +112,15 @@ std::string service_store_bytes(const std::string& endpoint, const temp_dir& dir
     }
     out.flush();
     return read_bytes(path);
+}
+
+/// One service session: submit, stream, append every record to a fresh
+/// store file, return its raw bytes.
+std::string service_store_bytes(const std::string& endpoint, const temp_dir& dir,
+                                const shard::lot_manifest& manifest,
+                                const std::string& name) {
+    client c(endpoint);
+    return store_bytes(dir, c.run(manifest), name);
 }
 
 TEST(ServiceEndToEnd, ConcurrentMixedSessionsMatchTheOfflineStoreByteForByte) {
@@ -153,6 +161,61 @@ TEST(ServiceEndToEnd, ConcurrentMixedSessionsMatchTheOfflineStoreByteForByte) {
     EXPECT_EQ(counters.jobs_completed, 3u);
     EXPECT_EQ(counters.jobs_failed, 0u);
     EXPECT_EQ(counters.sessions_shed, 0u);
+}
+
+// The daemon keeps one calibration share for its lifetime: a repeated
+// cmos035 request restores every lane's calibration from the first one, a
+// request with another evaluator seed (part of a noisy key) calibrates
+// again, and all three stream their offline bytes.
+TEST(ServiceEndToEnd, RepeatedRequestRestoresTheDaemonsCalibrations) {
+    temp_dir dir("bistna_svc_share");
+    const std::string socket = dir.file("serverd.sock");
+    auto lot = fast_screening(8, 300);
+    lot.ideal_modulator = false;
+    auto reseeded = lot;
+    reseeded.evaluator_seed = 43;
+    const std::string offline = offline_store_bytes(dir, lot, "off.store");
+    const std::string offline_reseeded = offline_store_bytes(dir, reseeded, "off_43.store");
+
+    server_options options;
+    options.listen_path = socket;
+    options.worker_threads = 2;
+    service_server server(std::move(options));
+    server.start();
+
+    struct calibrations {
+        std::uint64_t runs = 0;
+        std::uint64_t restores = 0;
+    };
+    telemetry::metric_registry registry;
+    const auto counted = [&registry] {
+        const auto snapshot = registry.snapshot();
+        return calibrations{snapshot.counter("eval.calibration.runs"),
+                            snapshot.counter("eval.calibration.restores")};
+    };
+    std::vector<std::vector<store::record>> streamed;
+    std::vector<calibrations> after;
+    {
+        telemetry::registry_scope scope(registry);
+        client c(socket);
+        for (const auto* manifest : {&lot, &lot, &reseeded}) {
+            streamed.push_back(c.run(*manifest));
+            after.push_back(counted());
+        }
+    }
+    server.stop();
+
+    EXPECT_GT(after[0].runs, 0u);
+    EXPECT_EQ(after[0].runs + after[0].restores, lot.dice) << "one calibration per die lane";
+    EXPECT_EQ(after[1].runs, after[0].runs) << "the repeated request calibrated";
+    EXPECT_EQ(after[1].restores - after[0].restores, lot.dice);
+    EXPECT_GT(after[2].runs, after[1].runs) << "no seed-43 snapshot existed";
+    EXPECT_EQ(after[2].runs - after[1].runs + after[2].restores - after[1].restores, lot.dice);
+
+    EXPECT_EQ(store_bytes(dir, streamed[0], "svc_0.store"), offline);
+    EXPECT_EQ(store_bytes(dir, streamed[1], "svc_1.store"), offline);
+    EXPECT_EQ(store_bytes(dir, streamed[2], "svc_2.store"), offline_reseeded);
+    EXPECT_NE(offline, offline_reseeded);
 }
 
 TEST(ServiceEndToEnd, DisconnectAndOverloadLeaveSurvivorsBitIdentical) {

@@ -1,8 +1,8 @@
 // The unit_stream seam: one manifest range in, store records in global
 // unit order out -- the pipeline both the offline shard worker and the
 // screening service stand on.  Checks in-order delivery, the non-blocking
-// consumption loop, shared-pool bit-identity, cooperative cancel and
-// empty ranges.
+// consumption loop, shared-pool and shared-cache bit-identity, cooperative
+// cancel and empty ranges.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -11,6 +11,8 @@
 #include <vector>
 
 #include "core/job_queue.hpp"
+#include "core/sweep_engine.hpp"
+#include "eval/acquire_plan.hpp"
 #include "shard/manifest.hpp"
 #include "shard/unit_stream.hpp"
 #include "store/format.hpp"
@@ -93,6 +95,64 @@ TEST(UnitStream, SliceOfSharedPoolMatchesPrivatePoolByteForByte) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     EXPECT_GE(wakes.load(), 2);
+}
+
+// A handle that carries the calibration share and table cache (the
+// daemon's shape) lets a range restore what earlier ranges calibrated, so
+// a range's records must not depend on which ranges ran before it: the
+// same three ranges in two orders on two handles, each record against the
+// range alone on a pool-only handle.
+TEST(UnitStream, SharedCachesKeepEveryRangeIndependentOfHistory) {
+    auto cmos = fast_manifest(6);
+    cmos.ideal_modulator = false;
+    const auto ideal = fast_manifest(6);
+    auto dictionary = fast_manifest();
+    dictionary.workload = shard::workload_kind::dictionary;
+    dictionary.grid_points = 3;
+    struct range {
+        shard::lot_manifest manifest;
+        std::uint64_t first = 0;
+        std::uint64_t units = 0;
+    };
+    const std::vector<range> ranges = {{cmos, 1, 5}, {ideal, 0, 6}, {dictionary, 2, 9}};
+    ASSERT_GE(dictionary.total_units(), 11u);
+
+    auto queue = std::make_shared<core::job_queue>(2);
+    const auto drain_on = [](const range& r, core::engine_pool pool) {
+        unit_stream stream(r.manifest, r.first, r.units, std::move(pool));
+        return drain_blocking(stream);
+    };
+    std::vector<std::vector<shard::unit_record>> reference;
+    for (const range& r : ranges) {
+        reference.push_back(drain_on(r, queue));
+        ASSERT_EQ(reference.back().size(), r.units);
+    }
+    const auto shared_handle = [&queue] {
+        return core::engine_pool(queue, std::make_shared<eval::calibration_share>(),
+                                 std::make_shared<eval::demod_table_cache>());
+    };
+    const core::engine_pool forward = shared_handle();
+    const core::engine_pool backward = shared_handle();
+    std::vector<std::vector<shard::unit_record>> got_forward(ranges.size());
+    std::vector<std::vector<shard::unit_record>> got_backward(ranges.size());
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+        got_forward[i] = drain_on(ranges[i], forward);
+    }
+    for (std::size_t i = ranges.size(); i-- > 0;) {
+        got_backward[i] = drain_on(ranges[i], backward);
+    }
+    EXPECT_GT(forward.calibrations->entries(), 0u);
+    for (std::size_t i = 0; i < ranges.size(); ++i) {
+        ASSERT_EQ(got_forward[i].size(), reference[i].size()) << "range " << i;
+        ASSERT_EQ(got_backward[i].size(), reference[i].size()) << "range " << i;
+        for (std::size_t u = 0; u < reference[i].size(); ++u) {
+            EXPECT_EQ(got_forward[i][u].unit, reference[i][u].unit);
+            EXPECT_EQ(got_forward[i][u].record, reference[i][u].record)
+                << "range " << i << " unit " << reference[i][u].unit << ", forward";
+            EXPECT_EQ(got_backward[i][u].record, reference[i][u].record)
+                << "range " << i << " unit " << reference[i][u].unit << ", backward";
+        }
+    }
 }
 
 TEST(UnitStream, TryNextDrainsWithoutBlocking) {
