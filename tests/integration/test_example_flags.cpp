@@ -81,9 +81,9 @@ TEST(ExampleFlags, MalformedSigmaFails) {
 }
 
 // --tcp=PORT takes the same 0..65535 rule as --listen=tcp:PORT: a port past
-// it used to wrap (70000 served on 4464, 4294967297 on 1).  Now the daemon
-// exits with status 2 before it listens; one that serves instead is stopped
-// by timeout, whose status 124 fails the check.
+// it exits with status 2 before the daemon listens, instead of wrapping to
+// another port (70000 to 4464, 4294967297 to 1).  A daemon that serves is
+// stopped by timeout, whose status 124 fails the check.
 TEST(ExampleFlags, OutOfRangeTcpPortFails) {
     const auto binary =
         std::filesystem::read_symlink("/proc/self/exe").parent_path() / "bistna_serverd";
