@@ -66,6 +66,8 @@ diag::diagnose_progress lot_progress(const std::string& label) {
 }
 
 int run(int argc, char** argv) {
+    reject_unknown_flags(argc, argv,
+                         {"dice", "sigma", "threads", "lanes", "store", "trace", "metrics"});
     const auto dice = static_cast<std::size_t>(flag_u64(argc, argv, "dice", 8));
     const double sigma = flag_double(argc, argv, "sigma", 0.02);
     const auto threads = static_cast<std::size_t>(flag_u64(argc, argv, "threads", 0));

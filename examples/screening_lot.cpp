@@ -113,6 +113,8 @@ bool lots_identical(const core::lot_result& a, const core::lot_result& b) {
 }
 
 int run(int argc, char** argv) {
+    reject_unknown_flags(argc, argv,
+                         {"dice", "sigma", "threads", "lanes", "store", "trace", "metrics"});
     const auto dice = static_cast<std::size_t>(flag_u64(argc, argv, "dice", 64));
     const double sigma = flag_double(argc, argv, "sigma", 0.03);
     const auto threads = static_cast<std::size_t>(flag_u64(argc, argv, "threads", 0));

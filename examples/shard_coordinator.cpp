@@ -34,16 +34,19 @@ int main(int argc, char** argv) {
 
     const std::string manifest_path = flag_text(argc, argv, "manifest");
     const std::string out_path = flag_text(argc, argv, "out");
-    if (manifest_path.empty() || out_path.empty()) {
-        std::fprintf(stderr,
-                     "usage: shard_coordinator --manifest=lot.json --out=lot.store\n"
-                     "  [--shards=N] [--workers=N] [--shard-dir=DIR] [--worker=PATH]\n"
-                     "  [--timeout-s=T] [--retries=N] [--flush-interval=N]\n"
-                     "  [--trace=trace.json] [--metrics]\n");
-        return 2;
-    }
-
     try {
+        reject_unknown_flags(argc, argv,
+                             {"manifest", "out", "shards", "workers", "shard-dir", "worker",
+                              "timeout-s", "retries", "flush-interval", "trace", "metrics"});
+        if (manifest_path.empty() || out_path.empty()) {
+            std::fprintf(stderr,
+                         "usage: shard_coordinator --manifest=lot.json --out=lot.store\n"
+                         "  [--shards=N] [--workers=N] [--shard-dir=DIR] [--worker=PATH]\n"
+                         "  [--timeout-s=T] [--retries=N] [--flush-interval=N]\n"
+                         "  [--trace=trace.json] [--metrics]\n");
+            return 2;
+        }
+
         const shard::lot_manifest manifest = shard::lot_manifest::load(manifest_path);
 
         const std::string trace_path = flag_text(argc, argv, "trace");

@@ -10,7 +10,9 @@
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
+#include <initializer_list>
 #include <string>
+#include <string_view>
 
 #include "common/error.hpp"
 
@@ -143,6 +145,32 @@ inline bool flag_switch(int argc, char** argv, const char* name) {
         }
     }
     return flag_present(argc, argv, name);
+}
+
+/// Throws configuration_error naming the first argv entry that is not
+/// "--name" or "--name=value" for one of `names`, the flags the program
+/// reads.  The readers above skip what they do not know, so a mistyped flag
+/// ("--dise=2"), an unsupported one ("--help") or a stray word would
+/// otherwise run the default job without a word.
+inline void reject_unknown_flags(int argc, char** argv,
+                                 std::initializer_list<std::string_view> names) {
+    for (int i = 1; i < argc; ++i) {
+        const std::string_view arg(argv[i]);
+        bool known = false;
+        if (arg.starts_with("--")) {
+            const std::string_view name = arg.substr(2, arg.find('=') - 2);
+            for (const std::string_view candidate : names) {
+                known = known || name == candidate;
+            }
+        }
+        if (!known) {
+            std::string message = "unknown argument '" + std::string(arg) + "'; flags:";
+            for (const std::string_view candidate : names) {
+                message += " --" + std::string(candidate);
+            }
+            throw configuration_error(message);
+        }
+    }
 }
 
 } // namespace bistna

@@ -186,10 +186,9 @@ signature_result signature_extractor::acquire(const sample_source& source,
     return result;
 }
 
-template <typename Accumulate>
 std::vector<signature_result> signature_extractor::acquire_batch_impl(
     std::span<signature_extractor* const> extractors, const acquisition_settings& settings,
-    const demod_tables& tables, Accumulate&& accumulate) {
+    const demod_tables& tables, const double* record, bool shared_record) {
     BISTNA_EXPECTS(!extractors.empty(), "batch acquisition needs at least one lane");
     BISTNA_EXPECTS(tables.matches(settings),
                    "demod tables do not match the acquisition settings");
@@ -216,13 +215,22 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
         }
     }
 
-    // The two channels are independent modulators, so running bank1 over
-    // the whole record and then bank2 produces the same per-lane sequences
-    // as the scalar per-sample interleaving.  The +/-1 counter sums are
-    // exact in double (total << 2^53).
+    // The two channels are independent modulators, so stepping both banks
+    // in one pass over the record produces the same per-lane sequences as
+    // the scalar per-sample interleaving; the pair pass loads each sample
+    // once for both.  The +/-1 counter sums are exact in double
+    // (total << 2^53).
     std::vector<double> acc1(n_lanes, 0.0);
     std::vector<double> acc2(n_lanes, 0.0);
-    accumulate(bank1, bank2, acc1.data(), acc2.data());
+    if (shared_record) {
+        sd::modulator_bank::accumulate_pair_shared(bank1, bank2, record, tables.q1_sign.data(),
+                                                   tables.q2_sign.data(), tables.acc_sign.data(),
+                                                   total, acc1.data(), acc2.data());
+    } else {
+        sd::modulator_bank::accumulate_pair_lane_major(
+            bank1, bank2, record, tables.q1_sign.data(), tables.q2_sign.data(),
+            tables.acc_sign.data(), total, acc1.data(), acc2.data());
+    }
     count_bank(bank1);
     count_bank(bank2);
 
@@ -262,16 +270,7 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
 std::vector<signature_result> signature_extractor::acquire_batch_lane_major(
     std::span<signature_extractor* const> extractors, const double* lane_major,
     const acquisition_settings& settings, const demod_tables& tables) {
-    const std::size_t total = settings.periods * settings.n_per_period;
-    return acquire_batch_impl(
-        extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate_lane_major(lane_major, tables.q1_sign.data(),
-                                        tables.acc_sign.data(), total, acc1);
-            bank2.accumulate_lane_major(lane_major, tables.q2_sign.data(),
-                                        tables.acc_sign.data(), total, acc2);
-        });
+    return acquire_batch_impl(extractors, settings, tables, lane_major, false);
 }
 
 std::vector<signature_result> signature_extractor::acquire_batch_shared(
@@ -279,15 +278,7 @@ std::vector<signature_result> signature_extractor::acquire_batch_shared(
     const acquisition_settings& settings, const demod_tables& tables) {
     const std::size_t total = settings.periods * settings.n_per_period;
     BISTNA_EXPECTS(record.size() >= total, "shared record shorter than M*N samples");
-    return acquire_batch_impl(
-        extractors, settings, tables,
-        [&](sd::modulator_bank& bank1, sd::modulator_bank& bank2, double* acc1,
-            double* acc2) {
-            bank1.accumulate_shared(record.data(), tables.q1_sign.data(),
-                                    tables.acc_sign.data(), total, acc1);
-            bank2.accumulate_shared(record.data(), tables.q2_sign.data(),
-                                    tables.acc_sign.data(), total, acc2);
-        });
+    return acquire_batch_impl(extractors, settings, tables, record.data(), true);
 }
 
 void signature_extractor::calibrate_offset_batch(

@@ -162,13 +162,13 @@ private:
     double initial_state();
 
     /// Shared skeleton of the batched acquires: validate, build the two
-    /// lockstep banks with the scalar RNG consumption order, run
-    /// `accumulate(bank1, bank2, acc1, acc2)`, assemble per-lane results.
-    template <typename Accumulate>
+    /// lockstep banks with the scalar RNG consumption order, step both over
+    /// `record` in one pair pass (lane-major, or one record every lane
+    /// shares when `shared_record`), assemble per-lane results.
     static std::vector<signature_result> acquire_batch_impl(
         std::span<signature_extractor* const> extractors,
         const acquisition_settings& settings, const demod_tables& tables,
-        Accumulate&& accumulate);
+        const double* record, bool shared_record);
 
     sd::modulator_params params_;
     bistna::rng rng_;

@@ -3,15 +3,26 @@
 // Screening a production lot evaluates many independent dice whose
 // modulators execute the *same* instruction sequence on different data --
 // the ideal SIMD shape.  The bank keeps N modulators' state, leak, offset
-// and comparator lanes in contiguous arrays and advances all of them in one
-// straight-line inner loop the compiler vectorizes across lanes.
+// and comparator lanes in contiguous arrays.  Its kernel steps them in
+// register blocks: a block of lanes loads its running values (state, last
+// decision, clip count, accumulator) once, keeps them in vector registers
+// for the whole sample loop and stores them once.  A block is 4 vectors of
+// lanes -- 32 lanes under AVX-512, 16 under AVX2, 8 at the baseline ISA --
+// except that a pair's block under AVX-512 is 2 vectors (16 lanes) of each
+// bank.  A lane count that is not a whole number of blocks ends in one
+// smaller block whose last vector is padded with inert lanes.
+// Each kernel clone instantiates that one body at its own vector width
+// (common/kernel.hpp).  The pair entries step an acquisition's I and Q
+// banks in the same loop: each sample's input is loaded once and the
+// lanes' constants are shared, because the two channels of a die are
+// matched modulators with equal params.
 //
 // Contract with the scalar reference (sd_modulator):
 //   * lane l constructed via add_lane(params, rng) produces the exact
 //     bit/state/clip sequence of sd_modulator(params, rng) fed the same
 //     inputs -- per-lane arithmetic is straight-line, never reassociated,
-//     and lanes never interact (so any lane count and any lane permutation
-//     yields the same per-lane results);
+//     and lanes never interact (so any lane count, any lane permutation,
+//     and running a bank alone or paired yields the same per-lane results);
 //   * each lane owns its own clip counter.  A noisy lane joins the noise
 //     stream of the first earlier noisy lane whose RNG equals its own
 //     (rng::operator==), whatever their noise_rms, and opens a new stream
@@ -30,7 +41,9 @@
 // tile entry where sd_modulator::step adds its draw.  A one-lane stream
 // draws straight into its lane's column; a shared stream draws its block
 // of unit deviates z and gives lane l rms_l * z, the product
-// sd_modulator::step forms.
+// sd_modulator::step forms.  A pair's two banks each draw into their own
+// tile before the pair block runs; their streams are their own, so the
+// order they draw in changes no draw.
 #pragma once
 
 #include <cstddef>
@@ -83,6 +96,25 @@ public:
     /// accumulation sign): the offset-calibration hot loop.
     void accumulate_grounded(std::size_t count, double* acc) noexcept;
 
+    /// accumulate_lane_major() on an acquisition's two channel banks in one
+    /// pass over the record: in_phase runs with qsigns_i into acc_i and
+    /// quadrature with qsigns_q into acc_q, both consuming xs and acc_signs.
+    /// Bit-identical to the two single-bank calls, in either order.  The
+    /// banks must be distinct, hold the same lane count and equal
+    /// modulator_params lane by lane (eval's batched acquisitions build them
+    /// from the same extractors); otherwise throws precondition_error.
+    static void accumulate_pair_lane_major(modulator_bank& in_phase, modulator_bank& quadrature,
+                                           const double* xs, const double* qsigns_i,
+                                           const double* qsigns_q, const double* acc_signs,
+                                           std::size_t count, double* acc_i, double* acc_q);
+
+    /// accumulate_pair_lane_major() over one record shared by every lane,
+    /// as accumulate_shared() reads it.
+    static void accumulate_pair_shared(modulator_bank& in_phase, modulator_bank& quadrature,
+                                       const double* record, const double* qsigns_i,
+                                       const double* qsigns_q, const double* acc_signs,
+                                       std::size_t count, double* acc_i, double* acc_q);
+
     /// Samples per noise block at the current lane count: the noise tile
     /// holds 4096 doubles (32 KiB), so 4096 / lanes() samples -- 256 at 16
     /// lanes -- and at least one.
@@ -104,10 +136,15 @@ public:
 private:
     /// Runs `count` samples of one input layout (a constant defined in
     /// modulator_bank.cpp) through the kernel, a noise block at a time when
-    /// the bank has noisy lanes.
+    /// the bank has noisy lanes -- and through `pair` in the same pass, with
+    /// its own signs, counters and noise, when `pair` is not null.
     template <int Shape>
-    void run(const double* xs, const double* qsigns, const double* acc_signs,
-             std::size_t count, double* acc) noexcept;
+    void run(modulator_bank* pair, const double* xs, const double* qsigns,
+             const double* pair_qsigns, const double* acc_signs, std::size_t count,
+             double* acc, double* pair_acc) noexcept;
+
+    /// The pair entries' precondition.
+    static void check_pair(const modulator_bank& in_phase, const modulator_bank& quadrature);
 
     /// Fill the first `samples` rows of the noise tile: each stream's
     /// lanes' columns from one draw of the stream, each noiseless lane's
@@ -134,9 +171,10 @@ private:
     /// Each noise stream's noisy lanes, in lane order; the stream's RNG is
     /// rng_[stream.front()].
     std::vector<std::vector<std::size_t>> streams_;
-    /// Lane-major noise block, sample j of lane l at [j * lanes() + l];
-    /// allocated by add_lane (the accumulate calls are noexcept), and empty
-    /// while every lane is noiseless.
+    /// Lane-major noise block, sample j of lane l at [j * lanes() + l],
+    /// with a vector's worth of slack past the last row for a partial
+    /// vector's loads; allocated by add_lane (the accumulate calls are
+    /// noexcept), and empty while every lane is noiseless.
     std::vector<double> noise_tile_;
     /// One block of a shared stream's unit deviates, reused stream by
     /// stream; allocated by add_lane when a stream gains its second lane,

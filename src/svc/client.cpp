@@ -140,6 +140,8 @@ std::vector<store::record> client::run(const shard::lot_manifest& manifest) {
 
 int client_main(int argc, char** argv) {
     try {
+        reject_unknown_flags(argc, argv, {"connect", "manifest", "store", "cancel-after", "dice",
+                                          "sigma", "lanes"});
         const std::string endpoint =
             flag_string(argc, argv, "connect", "/tmp/bistna_serverd.sock");
         const std::string manifest_path = flag_text(argc, argv, "manifest");

@@ -876,6 +876,10 @@ void on_stop_signal(int) {
 
 int server_main(int argc, char** argv) {
     try {
+        reject_unknown_flags(argc, argv,
+                             {"listen", "tcp", "threads", "active-jobs", "admission", "quota",
+                              "send-queue-bytes", "stall-timeout-ms", "idle-timeout-ms",
+                              "progress-every", "trace", "metrics"});
         server_options o;
         o.listen_path = flag_string(argc, argv, "listen", "/tmp/bistna_serverd.sock");
         // --listen also takes the client endpoint grammar: "tcp:PORT"

@@ -128,4 +128,26 @@ TEST(Cli, FlagDoubleErrorNamesTheFlag) {
     }
 }
 
+// A front end lists the flags it reads; anything else on the command line
+// fails the run, named in the error, instead of being skipped while the
+// default job runs.
+TEST(Cli, RejectUnknownFlagsNamesTheFirstUnknownArgument) {
+    argv_fixture known({"--dice=2", "--metrics", "--store=a=b.store", "--dice"});
+    EXPECT_NO_THROW(reject_unknown_flags(known.argc(), known.argv(), {"dice", "store", "metrics"}));
+    argv_fixture none({});
+    EXPECT_NO_THROW(reject_unknown_flags(none.argc(), none.argv(), {"dice"}));
+    for (const char* bad : {"--dise=2", "--help", "--dicey", "--di", "dice=2", "-d", "--",
+                            "--=2", "extra", ""}) {
+        argv_fixture args({"--dice=2", bad, "--other"});
+        try {
+            reject_unknown_flags(args.argc(), args.argv(), {"dice", "store", "metrics"});
+            FAIL() << "expected configuration_error for '" << bad << "'";
+        } catch (const configuration_error& e) {
+            const std::string what = e.what();
+            EXPECT_NE(what.find(std::string("'") + bad + "'"), std::string::npos) << what;
+            EXPECT_EQ(what.find("--other"), std::string::npos) << what;
+        }
+    }
+}
+
 } // namespace

@@ -1,16 +1,18 @@
 // The example programs' flags are read strictly: a malformed --dice,
 // --threads, --lanes or --sigma value fails the run before anything is
 // measured or stored, instead of being read as a prefix ("3x" -> 3), as 0
-// ("two") or through an undefined negative conversion ("-1"), and an
-// out-of-range daemon --tcp port fails instead of wrapping.  Skipped when
-// the example binaries are not part of this build (sanitizer CI builds
-// examples OFF).
+// ("two") or through an undefined negative conversion ("-1"), an
+// out-of-range daemon --tcp port fails instead of wrapping, and a flag the
+// program does not read fails instead of being skipped.  Skipped when the
+// example binaries are not part of this build (sanitizer CI builds examples
+// OFF).
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -100,6 +102,37 @@ TEST(ExampleFlags, OutOfRangeTcpPortFails) {
         const int status = std::system(command.c_str());
         EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 2)
             << bad << ": wait status " << status;
+    }
+    std::filesystem::remove_all(dir);
+}
+
+// A mistyped flag used to be skipped: screening_lot --dise=2 screened the
+// default 64 dice and shard_coordinator --shard=3 ran the default shard
+// count, both exiting 0.  Now each exits with status 1 before anything is
+// stored.
+TEST(ExampleFlags, UnknownFlagFails) {
+    const auto bin_dir = std::filesystem::read_symlink("/proc/self/exe").parent_path();
+    if (!std::filesystem::exists(bin_dir / "screening_lot") ||
+        !std::filesystem::exists(bin_dir / "shard_coordinator")) {
+        GTEST_SKIP() << "example binaries not built";
+    }
+    const std::string dir = "/tmp/bistna_example_unknown";
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    std::ofstream(dir + "/lot.json")
+        << R"({"workload": "screening", "dice": 4, "engine": {"threads": 1, "lanes": 4}})";
+    const std::string runs[][2] = {
+        {"screening_lot", " --dise=2 --threads=1 --lanes=4 --store=" + dir + "/lot.store"},
+        {"shard_coordinator", " --manifest=" + dir + "/lot.json --shard=3 --out=" + dir +
+                                  "/lot.store"}};
+    for (const auto& [example, flags] : runs) {
+        const std::string command =
+            (bin_dir / example).string() + flags + " > " + dir + "/run.log 2>&1";
+        const int status = std::system(command.c_str());
+        EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 1)
+            << example << ": wait status " << status;
+        EXPECT_FALSE(std::filesystem::exists(dir + "/lot.store")) << example;
+        std::filesystem::remove(dir + "/lot.store");
     }
     std::filesystem::remove_all(dir);
 }

@@ -363,22 +363,28 @@ modulator_params sweep_config(std::size_t l, bool noisy) {
 }
 
 // Every entry point against the scalar modulator stepped sample by sample,
-// at lane counts that fill whole AVX2 (4-wide) and AVX-512 (8-wide) vectors
-// and leave every tail, for noiseless, all-noisy and mixed banks.  Records
-// of 1, T-1, T and T+1 samples (T = the noise tile length) cover a partial,
-// a whole and a spilled tile block; each is followed by a 3-sample call.  A
+// at lane counts that fill whole vectors (2-, 4- and 8-wide) and register
+// blocks (8 and 16 lanes), that add a partial block to whole ones (17, 24,
+// 33) and that leave every tail, including each calibration bank width the
+// workloads run (1, 2, 6, 9, 15, 16), for noiseless, all-noisy and mixed
+// banks.  The pair entries step an I and a Q bank in one pass; both
+// channels are checked against their own scalar modulators.  Records of 1,
+// T-1, T and T+1 samples (T = the noise tile length) cover a partial, a
+// whole and a spilled tile block; each is followed by a 3-sample call.  A
 // ziggurat draw consumes a variable number of RNG words, so every block
 // must draw exactly its own samples' noise for the next call to continue
 // every lane identically.  The lanes' seeds are all distinct, all one, or
-// cycle over three values; sweep_config gives every lane its own
-// noise_rms, so lanes on one stream differ in rms, and the mixed banks put
-// noiseless lanes between them.
+// cycle over three values (the Q bank's offset from the I bank's);
+// sweep_config gives every lane its own noise_rms, so lanes on one stream
+// differ in rms, and the mixed banks put noiseless lanes between them.
 TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
-    enum class entry { lane_major, shared, grounded, step };
+    enum class entry { lane_major, shared, grounded, step, pair_lane_major, pair_shared };
     enum class noise { none, all, mixed };
     enum class streams { distinct, one, three };
     constexpr std::size_t follow_up = 3;
-    for (const std::size_t lanes : {1u, 3u, 4u, 7u, 8u, 9u, 16u, 17u}) {
+    constexpr std::uint64_t q_seed_offset = 400;
+    for (const std::size_t lanes :
+         {1u, 2u, 3u, 4u, 6u, 7u, 8u, 9u, 15u, 16u, 17u, 24u, 33u}) {
         for (const noise kind : {noise::none, noise::all, noise::mixed}) {
             for (const streams layout : {streams::distinct, streams::one, streams::three}) {
                 std::vector<modulator_params> configs;
@@ -400,44 +406,61 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
                 }
                 const std::size_t tile = probe.noise_tile_samples();
                 ASSERT_GT(tile, 1u);
-                for (const entry how :
-                     {entry::lane_major, entry::shared, entry::grounded, entry::step}) {
+                for (const entry how : {entry::lane_major, entry::shared, entry::grounded,
+                                        entry::step, entry::pair_lane_major, entry::pair_shared}) {
+                    const bool pair = how == entry::pair_lane_major || how == entry::pair_shared;
+                    const bool shared_input = how == entry::shared || how == entry::pair_shared;
                     for (const std::size_t length : {std::size_t{1}, tile - 1, tile, tile + 1}) {
                         const std::size_t total = length + follow_up;
                         bistna::rng stimulus(1000 * lanes + length);
                         std::vector<double> xs(total * lanes);
                         std::vector<double> record(total);
-                        std::vector<double> qsigns(total);
+                        std::vector<double> qsigns[2] = {std::vector<double>(total),
+                                                         std::vector<double>(total)};
                         std::vector<double> signs(total);
                         for (auto& x : xs) {
                             x = stimulus.uniform(-0.7, 0.7);
                         }
                         for (std::size_t n = 0; n < total; ++n) {
                             record[n] = stimulus.uniform(-0.7, 0.7);
-                            qsigns[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                            qsigns[0][n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                            qsigns[1][n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
                             signs[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
                         }
 
-                        modulator_bank bank;
-                        std::vector<sd_modulator> scalars;
-                        for (std::size_t l = 0; l < lanes; ++l) {
-                            bank.add_lane(configs[l], bistna::rng(seeds[l]));
-                            scalars.emplace_back(configs[l], bistna::rng(seeds[l]));
+                        // Channel 0 is the bank every entry runs; channel 1
+                        // is the pair entries' Q bank.
+                        struct channel {
+                            modulator_bank bank;
+                            std::vector<sd_modulator> scalars;
+                            std::vector<double> acc;
+                            std::vector<double> expected;
+                        };
+                        std::vector<channel> channels(pair ? 2 : 1);
+                        for (std::size_t c = 0; c < channels.size(); ++c) {
+                            for (std::size_t l = 0; l < lanes; ++l) {
+                                const bistna::rng noise_rng(seeds[l] + c * q_seed_offset);
+                                channels[c].bank.add_lane(configs[l], noise_rng);
+                                channels[c].scalars.emplace_back(configs[l], noise_rng);
+                            }
+                            channels[c].acc.assign(lanes, 0.0);
+                            channels[c].expected.assign(lanes, 0.0);
+                            ASSERT_EQ(channels[c].bank.noise_streams(), noisy_seeds.size());
                         }
-                        ASSERT_EQ(bank.noise_streams(), noisy_seeds.size());
-                        std::vector<double> acc(lanes, 0.0);
-                        std::vector<double> expected(lanes, 0.0);
+                        modulator_bank& bank = channels[0].bank;
+                        std::vector<double>& acc = channels[0].acc;
                         std::vector<double> bits(lanes);
                         std::size_t first = 0;
                         for (const std::size_t count : {length, follow_up}) {
                             switch (how) {
                             case entry::lane_major:
                                 bank.accumulate_lane_major(xs.data() + first * lanes,
-                                                           qsigns.data() + first,
+                                                           qsigns[0].data() + first,
                                                            signs.data() + first, count, acc.data());
                                 break;
                             case entry::shared:
-                                bank.accumulate_shared(record.data() + first, qsigns.data() + first,
+                                bank.accumulate_shared(record.data() + first,
+                                                       qsigns[0].data() + first,
                                                        signs.data() + first, count, acc.data());
                                 break;
                             case entry::grounded:
@@ -445,31 +468,51 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
                                 break;
                             case entry::step:
                                 for (std::size_t n = first; n < first + count; ++n) {
-                                    bank.step(xs.data() + n * lanes, qsigns[n] > 0.0, bits.data());
+                                    bank.step(xs.data() + n * lanes, qsigns[0][n] > 0.0,
+                                              bits.data());
                                     for (std::size_t l = 0; l < lanes; ++l) {
                                         acc[l] += signs[n] * bits[l];
                                     }
                                 }
                                 break;
+                            case entry::pair_lane_major:
+                                modulator_bank::accumulate_pair_lane_major(
+                                    bank, channels[1].bank, xs.data() + first * lanes,
+                                    qsigns[0].data() + first, qsigns[1].data() + first,
+                                    signs.data() + first, count, acc.data(),
+                                    channels[1].acc.data());
+                                break;
+                            case entry::pair_shared:
+                                modulator_bank::accumulate_pair_shared(
+                                    bank, channels[1].bank, record.data() + first,
+                                    qsigns[0].data() + first, qsigns[1].data() + first,
+                                    signs.data() + first, count, acc.data(),
+                                    channels[1].acc.data());
+                                break;
                             }
-                            for (std::size_t l = 0; l < lanes; ++l) {
-                                for (std::size_t n = first; n < first + count; ++n) {
-                                    if (how == entry::grounded) {
-                                        expected[l] += scalars[l].step(0.0, true);
-                                        continue;
+                            for (std::size_t c = 0; c < channels.size(); ++c) {
+                                channel& ch = channels[c];
+                                for (std::size_t l = 0; l < lanes; ++l) {
+                                    for (std::size_t n = first; n < first + count; ++n) {
+                                        if (how == entry::grounded) {
+                                            ch.expected[l] += ch.scalars[l].step(0.0, true);
+                                            continue;
+                                        }
+                                        const double x = shared_input ? record[n] : xs[n * lanes + l];
+                                        ch.expected[l] +=
+                                            signs[n] * ch.scalars[l].step(x, qsigns[c][n] > 0.0);
                                     }
-                                    const double x =
-                                        how == entry::shared ? record[n] : xs[n * lanes + l];
-                                    expected[l] += signs[n] * scalars[l].step(x, qsigns[n] > 0.0);
+                                    ASSERT_EQ(ch.expected[l], ch.acc[l])
+                                        << "lanes " << lanes << " noise " << static_cast<int>(kind)
+                                        << " streams " << static_cast<int>(layout) << " entry "
+                                        << static_cast<int>(how) << " length " << length
+                                        << " call at " << first << " channel " << c << " lane "
+                                        << l;
+                                    ASSERT_EQ(ch.scalars[l].state(), ch.bank.state(l))
+                                        << "channel " << c << " lane " << l;
+                                    ASSERT_EQ(ch.scalars[l].clip_events(), ch.bank.clip_events(l))
+                                        << "channel " << c << " lane " << l;
                                 }
-                                ASSERT_EQ(expected[l], acc[l])
-                                    << "lanes " << lanes << " noise " << static_cast<int>(kind)
-                                    << " streams " << static_cast<int>(layout) << " entry "
-                                    << static_cast<int>(how) << " length " << length
-                                    << " call at " << first << " lane " << l;
-                                ASSERT_EQ(scalars[l].state(), bank.state(l)) << "lane " << l;
-                                ASSERT_EQ(scalars[l].clip_events(), bank.clip_events(l))
-                                    << "lane " << l;
                             }
                             first += count;
                         }
@@ -478,6 +521,54 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
             }
         }
     }
+}
+
+// The pair entries step both banks with the first bank's lane constants, so
+// they refuse banks whose lane counts differ, whose params differ in one
+// lane, or that are one bank twice -- before either bank moves.
+TEST(ModulatorBank, PairRejectsMismatchedBanks) {
+    const auto configs = lane_configs();
+    const std::size_t lanes = configs.size();
+    modulator_bank in_phase;
+    modulator_bank quadrature;
+    modulator_bank shorter;
+    modulator_bank other_params;
+    for (std::size_t l = 0; l < lanes; ++l) {
+        in_phase.add_lane(configs[l], bistna::rng(10 + l));
+        quadrature.add_lane(configs[l], bistna::rng(20 + l));
+        if (l + 1 < lanes) {
+            shorter.add_lane(configs[l], bistna::rng(30 + l));
+        }
+        modulator_params params = configs[l];
+        if (l == 3) {
+            params.comparator_offset += 1.0e-4;
+        }
+        other_params.add_lane(params, bistna::rng(40 + l));
+    }
+    constexpr std::size_t count = 4;
+    const std::vector<double> xs(count * lanes, 0.1);
+    const std::vector<double> ones(count, 1.0);
+    std::vector<double> acc_i(lanes, 0.0);
+    std::vector<double> acc_q(lanes, 0.0);
+    for (modulator_bank* bad : {&shorter, &other_params, &in_phase}) {
+        EXPECT_THROW(modulator_bank::accumulate_pair_lane_major(
+                         in_phase, *bad, xs.data(), ones.data(), ones.data(), ones.data(),
+                         count, acc_i.data(), acc_q.data()),
+                     bistna::precondition_error);
+        EXPECT_THROW(modulator_bank::accumulate_pair_shared(in_phase, *bad, xs.data(),
+                                                            ones.data(), ones.data(),
+                                                            ones.data(), count, acc_i.data(),
+                                                            acc_q.data()),
+                     bistna::precondition_error);
+    }
+    for (std::size_t l = 0; l < lanes; ++l) {
+        EXPECT_EQ(acc_i[l], 0.0);
+        EXPECT_EQ(in_phase.state(l), 0.0);
+    }
+    modulator_bank::accumulate_pair_lane_major(in_phase, quadrature, xs.data(), ones.data(),
+                                               ones.data(), ones.data(), count, acc_i.data(),
+                                               acc_q.data());
+    EXPECT_NE(in_phase.state(0), 0.0);
 }
 
 // Lanes may join a bank that has already run.  The noise tile's layout
