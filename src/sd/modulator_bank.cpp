@@ -122,13 +122,8 @@ template <typename V, std::size_t... N>
 ///     products are exact sign flips of h, and halving rounds a value and
 ///     its negation to negated results;
 ///   * (q ? x : -x) is qsign * x, qsign being exactly +/-1;
-///   * bit * vref, the DAC feedback, may be selected as vref or -vref
-///     (multiplication by +/-1.0 is exact in IEEE 754).  The select is
-///     shorter on the sample-to-sample dependency chain, which bounds
-///     one-vector blocks (narrow banks, calibration leaders), and under
-///     AVX-512 it is one instruction off a mask register.  Without mask
-///     registers it costs more instructions than the multiply, and blocks
-///     of several vectors ran faster with the multiply;
+///   * bit * vref, the DAC feedback, is selected as vref or -vref
+///     (multiplication by +/-1.0 is exact in IEEE 754);
 ///   * clip + (clipped != next ? 1.0 : 0.0) adds 0.0 to a count that is
 ///     never -0.0, so it is the count or the count plus one.
 /// Noisy blocks add the tile entry where sd_modulator::step adds its draw.
@@ -146,8 +141,7 @@ template <int W, int V, int Shape, bool Noisy, int C>
                                              std::size_t tail) noexcept {
     using vec = typename simd<W>::type;
     const std::size_t n_lanes = k.n_lanes;
-    constexpr bool select_feedback = W == 8 || V == 1;
-    vec leak[V], b[V], vref[V], neg_vref[V], input_offset[V], settle_gain[V], lo[V], hi[V];
+    vec leak[V], b[V], vref[V], input_offset[V], settle_gain[V], lo[V], hi[V];
     vec cmp_offset[V], half_hyst_down[V]; ///< (-hyst) * 0.5
     vec state[C][V], last[C][V], clip[C][V], acc[C][V];
 #pragma GCC unroll 8
@@ -157,9 +151,6 @@ template <int W, int V, int Shape, bool Noisy, int C>
         load_lanes<W>(leak[v], k.leak + lane, width);
         load_lanes<W>(b[v], k.b + lane, width);
         load_lanes<W>(vref[v], k.vref + lane, width);
-        if constexpr (select_feedback) {
-            neg_vref[v] = -vref[v];
-        }
         load_lanes<W>(input_offset[v], k.input_offset + lane, width);
         load_lanes<W>(settle_gain[v], k.settle_gain + lane, width);
         load_lanes<W>(hi[v], k.swing + lane, width);
@@ -224,10 +215,7 @@ template <int W, int V, int Shape, bool Noisy, int C>
                                 sizeof noise);
                     modulated = modulated + noise;
                 }
-                vec feedback = bit * vref[v];
-                if constexpr (select_feedback) {
-                    feedback = decide_up ? vref[v] : neg_vref[v];
-                }
+                const vec feedback = decide_up ? vref[v] : -vref[v];
                 const vec increment = b[v] * (modulated - feedback);
                 const vec next = leak[v] * s + increment * settle_gain[v];
                 const vec clipped = next < lo[v] ? lo[v] : (next > hi[v] ? hi[v] : next);
@@ -267,10 +255,10 @@ template <int W, int Shape, bool Noisy, int C, std::size_t... U>
 /// floating-point ports busy: 4 vectors of one bank (32 lanes under
 /// AVX-512, 16 under AVX2, 8 at the baseline) and of each bank of a pair,
 /// except a pair under AVX-512, whose block is 2 vectors (16 lanes) of each
-/// bank.  Under AVX2 a 16-lane pair block measured faster than an 8-lane
-/// one; at the baseline a prototype's 8-vector (16-lane) blocks ran the
-/// grounded and one-bank calls slower than 4: with 16 xmm registers the
-/// larger block spills.
+/// bank.  Under AVX2 a 16-lane pair block ran a noisy pair faster than an
+/// 8-lane one and a noiseless pair as fast; at the baseline a prototype's
+/// 8-vector (16-lane) blocks ran the grounded and one-bank calls slower
+/// than 4: with 16 xmm registers the larger block spills.
 template <int W, int C>
 inline constexpr int block_vectors = W == 8 && C == 2 ? 2 : 4;
 
@@ -310,12 +298,8 @@ template <int W>
             run_channels<W, lane_major, 1>(k);
         }
         break;
-    case shared:
-        if (k.channels == 2) {
-            run_channels<W, shared, 2>(k);
-        } else {
-            run_channels<W, shared, 1>(k);
-        }
+    case shared: // only the pair entries read a broadcast record
+        run_channels<W, shared, 2>(k);
         break;
     default: // a calibration bank runs alone
         run_channels<W, grounded, 1>(k);
@@ -512,12 +496,6 @@ void modulator_bank::accumulate_lane_major(const double* xs, const double* qsign
                                            const double* acc_signs, std::size_t count,
                                            double* acc) noexcept {
     run<lane_major>(nullptr, xs, qsigns, nullptr, acc_signs, count, acc, nullptr);
-}
-
-void modulator_bank::accumulate_shared(const double* record, const double* qsigns,
-                                       const double* acc_signs, std::size_t count,
-                                       double* acc) noexcept {
-    run<shared>(nullptr, record, qsigns, nullptr, acc_signs, count, acc, nullptr);
 }
 
 void modulator_bank::accumulate_grounded(std::size_t count, double* acc) noexcept {

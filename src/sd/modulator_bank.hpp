@@ -85,13 +85,6 @@ public:
                                const double* acc_signs, std::size_t count,
                                double* acc) noexcept;
 
-    /// accumulate_lane_major() over one record shared by every lane (the
-    /// cache-shared calibration staircase): lane l consumes record[n] for
-    /// all l, with no lane-major copy of the broadcast input.
-    void accumulate_shared(const double* record, const double* qsigns,
-                           const double* acc_signs, std::size_t count,
-                           double* acc) noexcept;
-
     /// Grounded-input lockstep run (input 0, positive modulation, unit
     /// accumulation sign): the offset-calibration hot loop.
     void accumulate_grounded(std::size_t count, double* acc) noexcept;
@@ -108,8 +101,9 @@ public:
                                            const double* qsigns_q, const double* acc_signs,
                                            std::size_t count, double* acc_i, double* acc_q);
 
-    /// accumulate_pair_lane_major() over one record shared by every lane,
-    /// as accumulate_shared() reads it.
+    /// accumulate_pair_lane_major() over one record shared by every lane
+    /// (the cache-shared calibration staircase): lane l consumes record[n]
+    /// for all l, with no lane-major copy of the broadcast input.
     static void accumulate_pair_shared(modulator_bank& in_phase, modulator_bank& quadrature,
                                        const double* record, const double* qsigns_i,
                                        const double* qsigns_q, const double* acc_signs,

@@ -259,7 +259,8 @@ TEST(ModulatorBank, ClipCountersArePerLane) {
 
 // The fused lane-major and broadcast kernels against the scalar modulator
 // stepped sample by sample -- once with a noisy lane in the bank (the
-// per-lane branch) and once noiseless only (the branch-free kernel).
+// per-lane branch) and once noiseless only (the branch-free kernel).  The
+// broadcast record runs through the pair entry, which steps a Q bank too.
 TEST(ModulatorBank, AccumulateMatchesPerSampleStepping) {
     auto noiseless = lane_configs();
     std::erase_if(noiseless, [](const modulator_params& p) { return p.noise_rms > 0.0; });
@@ -271,42 +272,51 @@ TEST(ModulatorBank, AccumulateMatchesPerSampleStepping) {
         for (auto& x : lane_major) {
             x = stimulus.uniform(-0.7, 0.7);
         }
-        std::vector<double> qsigns(total);
+        std::vector<double> qsigns[2] = {std::vector<double>(total), std::vector<double>(total)};
         std::vector<double> signs(total);
         for (std::size_t n = 0; n < total; ++n) {
-            qsigns[n] = (n % 96) < 48 ? 1.0 : -1.0;
+            qsigns[0][n] = (n % 96) < 48 ? 1.0 : -1.0;
+            qsigns[1][n] = ((n + 24) % 96) < 48 ? 1.0 : -1.0;
             signs[n] = n >= total / 2 ? -1.0 : 1.0;
         }
 
         // Lane l consumes column l of the block (lane-major), or column 0
         // for every lane (broadcast).
         for (const bool broadcast : {false, true}) {
-            modulator_bank fused;
-            for (std::size_t l = 0; l < lanes; ++l) {
-                fused.add_lane(configs[l], bistna::rng(42 + l));
+            modulator_bank fused[2]; // I, and the broadcast pair's Q
+            for (std::size_t c = 0; c < 2; ++c) {
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    fused[c].add_lane(configs[l], bistna::rng(42 + 100 * c + l));
+                }
             }
-            std::vector<double> acc(lanes, 0.0);
+            std::vector<double> acc[2] = {std::vector<double>(lanes, 0.0),
+                                          std::vector<double>(lanes, 0.0)};
             if (broadcast) {
                 std::vector<double> record(total);
                 for (std::size_t n = 0; n < total; ++n) {
                     record[n] = lane_major[n * lanes];
                 }
-                fused.accumulate_shared(record.data(), qsigns.data(), signs.data(), total,
-                                        acc.data());
+                modulator_bank::accumulate_pair_shared(fused[0], fused[1], record.data(),
+                                                       qsigns[0].data(), qsigns[1].data(),
+                                                       signs.data(), total, acc[0].data(),
+                                                       acc[1].data());
             } else {
-                fused.accumulate_lane_major(lane_major.data(), qsigns.data(), signs.data(),
-                                            total, acc.data());
+                fused[0].accumulate_lane_major(lane_major.data(), qsigns[0].data(), signs.data(),
+                                               total, acc[0].data());
             }
-            for (std::size_t l = 0; l < lanes; ++l) {
-                sd_modulator scalar(configs[l], bistna::rng(42 + l));
-                double expected = 0.0;
-                for (std::size_t n = 0; n < total; ++n) {
-                    const double x = lane_major[n * lanes + (broadcast ? 0 : l)];
-                    expected += signs[n] * scalar.step(x, qsigns[n] > 0.0);
+            for (std::size_t c = 0; c < (broadcast ? 2u : 1u); ++c) {
+                for (std::size_t l = 0; l < lanes; ++l) {
+                    sd_modulator scalar(configs[l], bistna::rng(42 + 100 * c + l));
+                    double expected = 0.0;
+                    for (std::size_t n = 0; n < total; ++n) {
+                        const double x = lane_major[n * lanes + (broadcast ? 0 : l)];
+                        expected += signs[n] * scalar.step(x, qsigns[c][n] > 0.0);
+                    }
+                    EXPECT_EQ(expected, acc[c][l])
+                        << "lane " << l << " broadcast " << broadcast << " channel " << c;
+                    EXPECT_EQ(scalar.state(), fused[c].state(l)) << "lane " << l;
+                    EXPECT_EQ(scalar.clip_events(), fused[c].clip_events(l)) << "lane " << l;
                 }
-                EXPECT_EQ(expected, acc[l]) << "lane " << l << " broadcast " << broadcast;
-                EXPECT_EQ(scalar.state(), fused.state(l)) << "lane " << l;
-                EXPECT_EQ(scalar.clip_events(), fused.clip_events(l)) << "lane " << l;
             }
         }
     }
@@ -378,7 +388,7 @@ modulator_params sweep_config(std::size_t l, bool noisy) {
 // sweep_config gives every lane its own noise_rms, so lanes on one stream
 // differ in rms, and the mixed banks put noiseless lanes between them.
 TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
-    enum class entry { lane_major, shared, grounded, step, pair_lane_major, pair_shared };
+    enum class entry { lane_major, grounded, step, pair_lane_major, pair_shared };
     enum class noise { none, all, mixed };
     enum class streams { distinct, one, three };
     constexpr std::size_t follow_up = 3;
@@ -406,10 +416,9 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
                 }
                 const std::size_t tile = probe.noise_tile_samples();
                 ASSERT_GT(tile, 1u);
-                for (const entry how : {entry::lane_major, entry::shared, entry::grounded,
-                                        entry::step, entry::pair_lane_major, entry::pair_shared}) {
+                for (const entry how : {entry::lane_major, entry::grounded, entry::step,
+                                        entry::pair_lane_major, entry::pair_shared}) {
                     const bool pair = how == entry::pair_lane_major || how == entry::pair_shared;
-                    const bool shared_input = how == entry::shared || how == entry::pair_shared;
                     for (const std::size_t length : {std::size_t{1}, tile - 1, tile, tile + 1}) {
                         const std::size_t total = length + follow_up;
                         bistna::rng stimulus(1000 * lanes + length);
@@ -458,11 +467,6 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
                                                            qsigns[0].data() + first,
                                                            signs.data() + first, count, acc.data());
                                 break;
-                            case entry::shared:
-                                bank.accumulate_shared(record.data() + first,
-                                                       qsigns[0].data() + first,
-                                                       signs.data() + first, count, acc.data());
-                                break;
                             case entry::grounded:
                                 bank.accumulate_grounded(count, acc.data());
                                 break;
@@ -498,7 +502,7 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
                                             ch.expected[l] += ch.scalars[l].step(0.0, true);
                                             continue;
                                         }
-                                        const double x = shared_input ? record[n] : xs[n * lanes + l];
+                                        const double x = how == entry::pair_shared ? record[n] : xs[n * lanes + l];
                                         ch.expected[l] +=
                                             signs[n] * ch.scalars[l].step(x, qsigns[c][n] > 0.0);
                                     }
