@@ -55,9 +55,11 @@ inline constexpr int kernel_fallback_doubles = 2;
 #endif
 
 /// The kernel clone this process dispatches to: "x86-64-v4", "avx2" or
-/// "baseline", tested in the resolver's priority order.  Always "baseline"
-/// where the clones are compiled out (sanitizers, clang, non-x86), so a
-/// log can name the clone its bit-identity checks ran on.
+/// "baseline", tested in the resolver's priority order, so a log can name
+/// the clone its bit-identity checks ran on.  Where the clones are compiled
+/// out (sanitizers, clang, non-x86) it names the level the one kernel body
+/// is compiled for, as kernel_fallback_doubles does: "x86-64-v4" with
+/// AVX-512F, "avx2" with AVX2, "baseline" otherwise.
 inline const char* kernel_isa() noexcept {
 #if BISTNA_HAVE_KERNEL_CLONES
     if (__builtin_cpu_supports("x86-64-v4")) {
@@ -66,8 +68,12 @@ inline const char* kernel_isa() noexcept {
     if (__builtin_cpu_supports("avx2")) {
         return "avx2";
     }
-#endif
     return "baseline";
+#else
+    return kernel_fallback_doubles == 8 ? "x86-64-v4"
+           : kernel_fallback_doubles == 4 ? "avx2"
+                                          : "baseline";
+#endif
 }
 
 } // namespace bistna

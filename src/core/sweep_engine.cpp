@@ -53,8 +53,6 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
     : factory_(std::move(factory)), settings_(settings), options_(std::move(options)) {
     BISTNA_EXPECTS(factory_ != nullptr, "sweep engine requires a board factory");
     const engine_pool& pool = options_.queue;
-    demod_tables_ = pool.demod_tables ? pool.demod_tables
-                                      : std::make_shared<eval::demod_table_cache>();
     calibration_share_ = pool.calibrations ? pool.calibrations
                                            : std::make_shared<eval::calibration_share>();
     queue_ = pool.queue ? pool.queue : std::make_shared<job_queue>(options_.threads);
@@ -352,8 +350,7 @@ void sweep_engine::execute(const measurement_program& program,
         lane.board.set_stimulus_cache(stimulus_cache_);
         configs.push_back(lane.evaluator);
     }
-    eval::batch_evaluator evaluators(std::move(configs), *demod_tables_,
-                                     *calibration_share_);
+    eval::batch_evaluator evaluators(std::move(configs), *calibration_share_);
 
     // The stimulus calibration each lane's next harmonic stage divides by.
     std::vector<stimulus_calibration> inputs(count);

@@ -34,9 +34,8 @@
 // error summary of sweep_report.  Many engines can share one
 // core::job_queue (options.queue), so concurrent sessions never
 // oversubscribe the machine, and with it the content-keyed calibration
-// share and demodulation-table cache (core::engine_pool), so a later
-// engine restores what an earlier one calibrated; the engine must outlive
-// the jobs it has submitted.
+// share (core::engine_pool), so a later engine restores what an earlier
+// one calibrated; the engine must outlive the jobs it has submitted.
 #pragma once
 
 #include <cstddef>
@@ -57,7 +56,6 @@ namespace bistna {
 class arena;
 namespace eval {
 class batch_evaluator;
-class demod_table_cache;
 class calibration_share;
 } // namespace eval
 } // namespace bistna
@@ -65,29 +63,25 @@ class calibration_share;
 namespace bistna::core {
 
 /// What engines may share beyond their own lifetime: the worker pool and
-/// the two content-keyed executor caches.  A null member gives each engine
-/// a private one.  Both caches are keyed by everything that shapes their
-/// entries and check it on every hit, so an engine's bytes never depend on
-/// what other engines on the same handle ran before it; only the work is
-/// shared.  Both evict oldest-first past a fixed cap.
+/// the content-keyed calibration share.  A null member gives each engine a
+/// private one.  The share is keyed by everything that shapes a snapshot
+/// and checks it on every hit, so an engine's bytes never depend on what
+/// other engines on the same handle ran before it; only the work is
+/// shared.  It evicts oldest-first past a fixed cap.
 struct engine_pool {
     std::shared_ptr<job_queue> queue;
     /// Grounded-calibration snapshots (eval::calibration_share).
     std::shared_ptr<eval::calibration_share> calibrations;
-    /// Demodulation sign tables (eval::demod_table_cache).
-    std::shared_ptr<eval::demod_table_cache> demod_tables;
 
     engine_pool() = default;
     /// A pool-only handle (implicit, so a bare queue still fills the
-    /// option): engines on it share the workers and keep private caches,
+    /// option): engines on it share the workers and keep private shares,
     /// so each one still pays its own calibrations.
     engine_pool(std::shared_ptr<job_queue> shared_queue)
         : queue(std::move(shared_queue)) {}
     engine_pool(std::shared_ptr<job_queue> shared_queue,
-                std::shared_ptr<eval::calibration_share> shared_calibrations,
-                std::shared_ptr<eval::demod_table_cache> shared_tables)
-        : queue(std::move(shared_queue)), calibrations(std::move(shared_calibrations)),
-          demod_tables(std::move(shared_tables)) {}
+                std::shared_ptr<eval::calibration_share> shared_calibrations)
+        : queue(std::move(shared_queue)), calibrations(std::move(shared_calibrations)) {}
 };
 
 struct sweep_engine_options {
@@ -99,10 +93,10 @@ struct sweep_engine_options {
     /// of engines (concurrent Bode sessions, screening lots, dictionary
     /// builds) then draw from one set of workers.  A bare
     /// std::shared_ptr<job_queue> converts to a pool-only handle; a handle
-    /// that also carries caches lets every engine on it reuse the grounded
-    /// calibrations and sign tables of the engines before it (the screening
+    /// that also carries a calibration share lets every engine on it reuse
+    /// the grounded calibrations of the engines before it (the screening
     /// daemon's shape).  Empty gives the engine a private queue sized by
-    /// `threads` and private caches.
+    /// `threads` and a private share.
     engine_pool queue;
     /// Dice, dictionary items or Bode points evaluated in lockstep per work
     /// item through the SoA banks (threads x lanes in flight overall).  1
@@ -275,10 +269,8 @@ private:
     analyzer_settings settings_;
     sweep_engine_options options_;
     std::shared_ptr<stimulus_cache> stimulus_cache_;
-    /// Shared executor resources: demodulation sign tables (pure functions
-    /// of the acquisition settings) and the calibration transplant share.
-    /// Both thread-safe; the handle's when it carries them, else private.
-    std::shared_ptr<eval::demod_table_cache> demod_tables_;
+    /// The calibration transplant share: thread-safe, the handle's when it
+    /// carries one, else private.
     std::shared_ptr<eval::calibration_share> calibration_share_;
     /// Declared last on purpose: a private queue's destructor cancels and
     /// joins in-flight jobs whose closures use the members above, so it

@@ -4,55 +4,6 @@
 
 namespace bistna::eval {
 
-namespace {
-
-std::uint64_t tables_key(const acquisition_settings& settings) {
-    std::uint64_t hash = fnv1a_offset_basis;
-    fnv1a_mix(hash, static_cast<std::uint64_t>(settings.harmonic_k));
-    fnv1a_mix(hash, static_cast<std::uint64_t>(settings.n_per_period));
-    fnv1a_mix(hash, static_cast<std::uint64_t>(settings.periods));
-    fnv1a_mix(hash, std::uint64_t{settings.offset == offset_mode::chopped ? 1U : 0U});
-    return hash;
-}
-
-std::size_t table_bytes(const demod_tables& tables) {
-    return (tables.q1_sign.size() + tables.q2_sign.size() + tables.acc_sign.size()) *
-           sizeof(double);
-}
-
-} // namespace
-
-std::shared_ptr<const demod_tables>
-demod_table_cache::get(const acquisition_settings& settings) {
-    const std::uint64_t key = tables_key(settings);
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        auto it = entries_.find(key);
-        if (it != entries_.end() && it->second->matches(settings)) {
-            return it->second;
-        }
-    }
-    // Build outside the lock (tables for long acquisitions are sizeable).
-    auto built = std::make_shared<const demod_tables>(demod_tables::build(settings));
-    const std::size_t bytes = table_bytes(*built);
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (auto it = entries_.find(key); it != entries_.end()) {
-        // A concurrent builder published identical tables first; a shape
-        // whose key collides with a resident one is served uncached.
-        return it->second->matches(settings) ? it->second : built;
-    }
-    while (!insertion_order_.empty() && resident_bytes_ + bytes > max_bytes) {
-        const auto oldest = entries_.find(insertion_order_.front());
-        resident_bytes_ -= table_bytes(*oldest->second);
-        entries_.erase(oldest);
-        insertion_order_.pop_front();
-    }
-    entries_.emplace(key, built);
-    insertion_order_.push_back(key);
-    resident_bytes_ += bytes;
-    return built;
-}
-
 std::uint64_t calibration_share::key_hash(const sd::modulator_params& params,
                                           std::uint64_t seed, std::size_t periods,
                                           std::size_t n_per_period) {

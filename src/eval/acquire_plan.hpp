@@ -1,32 +1,26 @@
-// Shared acquisition resources for the lane-major fast paths (extension).
+// Shared acquisition resource for the lane-major fast paths (extension).
 //
-// Every acquire call used to rebuild the per-sample demodulation control
-// tables (the q_k square-wave signs and the counter accumulation sign) and
-// every lane used to run its own grounded-input offset calibration.  Both
-// are pure functions of a handful of parameters, so the sweep engine keeps
-// them in thread-safe shared caches:
+// Every lane used to run its own grounded-input offset calibration, which
+// is a pure function of a handful of parameters, so the sweep engine keeps
+// the outcomes in a thread-safe share: calibration_share transplants the
+// post-calibration extractor state between lanes with the same modulator
+// params.  Calibration consumes two RNG spawns and produces rates that are
+// a pure function of (params, length) for a noiseless modulator, which
+// never reads its RNG, and of (params, stream position, length) for a
+// noisy one.  So noiseless lanes share one snapshot whatever their seeds,
+// noisy lanes share per seed, and restoring is bit-identical to the lane
+// calibrating itself: the restore checks the params (and, for a noisy
+// lane, the stream position) and then advances the lane's RNG by the two
+// spawns.  The lanes that do calibrate run in one bank
+// (signature_extractor::calibrate_offset_batch): one grounded channel per
+// noiseless lane, both channels per noisy lane.
 //
-//  - demod_table_cache maps acquisition settings to immutable sign tables,
-//    built once per program stage and reused by every work item;
-//  - calibration_share transplants the post-calibration extractor state
-//    between lanes with the same modulator params.  Calibration consumes
-//    two RNG spawns and produces rates that are a pure function of
-//    (params, length) for a noiseless modulator, which never reads its RNG,
-//    and of (params, stream position, length) for a noisy one.  So
-//    noiseless lanes share one snapshot whatever their seeds, noisy lanes
-//    share per seed, and restoring is bit-identical to the lane calibrating
-//    itself: the restore checks the params (and, for a noisy lane, the
-//    stream position) and then advances the lane's RNG by the two spawns.
-//    The lanes that do calibrate run in one bank
-//    (signature_extractor::calibrate_offset_batch): one grounded channel
-//    per noiseless lane, both channels per noisy lane.
-//
-// An engine builds private caches unless its core::engine_pool hands it
-// shared ones; the screening daemon keeps one of each for its lifetime,
-// so a request restores the calibrations and tables of the requests
-// before it.  Both therefore have a fixed cap and evict oldest-first: an
-// eviction costs one rebuild at the next miss, and tables or snapshots
-// already handed out stay alive through their shared_ptr.
+// An engine builds a private share unless its core::engine_pool hands it
+// a shared one; the screening daemon keeps one for its lifetime, so a
+// request restores the calibrations of the requests before it.  The share
+// therefore has a fixed cap and evicts oldest-first: an eviction costs one
+// calibration at the next miss, and snapshots already handed out stay
+// alive through their shared_ptr.
 #pragma once
 
 #include <cstddef>
@@ -40,27 +34,6 @@
 #include "sd/modulator.hpp"
 
 namespace bistna::eval {
-
-/// Thread-safe cache of demod_tables keyed on the settings that shape them
-/// (harmonic, period counts, chopping).  Entries are immutable and shared.
-class demod_table_cache {
-public:
-    /// Resident-byte cap, a few programs' worth: the canonical screening
-    /// program's tables take about 3.2 MiB (one 400-period THD harmonic
-    /// 0.92 MB).  Past it the oldest shapes go first; the newest always
-    /// stays, so a single larger table is still reused until the next
-    /// shape arrives.
-    static constexpr std::size_t max_bytes = std::size_t{16} << 20;
-
-    /// The tables for `settings`, built on first use.
-    std::shared_ptr<const demod_tables> get(const acquisition_settings& settings);
-
-private:
-    std::mutex mutex_;
-    std::unordered_map<std::uint64_t, std::shared_ptr<const demod_tables>> entries_;
-    std::deque<std::uint64_t> insertion_order_;
-    std::size_t resident_bytes_ = 0;
-};
 
 /// Thread-safe map of calibration snapshots keyed on (modulator params,
 /// calibration length), plus the seed when the params draw noise.

@@ -28,8 +28,8 @@ const calibration_counters& counters() {
 } // namespace
 
 batch_evaluator::batch_evaluator(std::vector<evaluator_config> configs,
-                                 demod_table_cache& tables, calibration_share& calibration)
-    : configs_(std::move(configs)), tables_(tables), calibration_share_(calibration) {
+                                 calibration_share& calibration)
+    : configs_(std::move(configs)), calibration_share_(calibration) {
     BISTNA_EXPECTS(!configs_.empty(), "batch evaluator needs at least one lane");
     const evaluator_config& front = configs_.front();
     for (const evaluator_config& config : configs_) {
@@ -171,12 +171,11 @@ std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_lane_m
     ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
     const acquisition_settings settings = settings_for(k, periods);
-    const auto tables = tables_.get(settings);
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
-    const auto sigs = signature_extractor::acquire_batch_lane_major(lane_ptrs, lane_major,
-                                                                    settings, *tables);
+    const auto sigs =
+        signature_extractor::acquire_batch_lane_major(lane_ptrs, lane_major, settings);
     return assemble_harmonics(lane_ids, sigs);
 }
 
@@ -186,12 +185,10 @@ std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_shared
     ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
     const acquisition_settings settings = settings_for(k, periods);
-    const auto tables = tables_.get(settings);
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
-    const auto sigs = signature_extractor::acquire_batch_shared(lane_ptrs, record,
-                                                                settings, *tables);
+    const auto sigs = signature_extractor::acquire_batch_shared(lane_ptrs, record, settings);
     return assemble_harmonics(lane_ids, sigs);
 }
 

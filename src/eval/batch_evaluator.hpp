@@ -24,7 +24,6 @@
 
 namespace bistna::eval {
 
-class demod_table_cache;
 class calibration_share;
 
 class batch_evaluator {
@@ -32,15 +31,13 @@ public:
     /// One config per lane.  Seeds and modulator params may differ per
     /// lane; n_per_period, offset mode and calibration_periods must be
     /// uniform (the lockstep stages share one demodulation program).
-    /// `tables` caches the per-stage demodulation sign tables across work
-    /// items; `calibration` transplants post-calibration state between
-    /// lanes with identical modulator params (and seeds, when the params
-    /// draw noise) instead of re-running the grounded calibration -- the
-    /// dominant per-item cost of a screening flow or a dictionary build.
-    /// Both are bit-identical to building and calibrating per lane, and
-    /// both must outlive the evaluator.
-    batch_evaluator(std::vector<evaluator_config> configs, demod_table_cache& tables,
-                    calibration_share& calibration);
+    /// `calibration` transplants post-calibration state between lanes with
+    /// identical modulator params (and seeds, when the params draw noise)
+    /// instead of re-running the grounded calibration -- the dominant
+    /// per-item cost of a screening flow or a dictionary build.  It is
+    /// bit-identical to calibrating per lane, and must outlive the
+    /// evaluator.
+    batch_evaluator(std::vector<evaluator_config> configs, calibration_share& calibration);
 
     std::size_t lanes() const noexcept { return configs_.size(); }
 
@@ -87,7 +84,6 @@ private:
 
     std::vector<evaluator_config> configs_;
     std::vector<signature_extractor> extractors_;
-    demod_table_cache& tables_;
     calibration_share& calibration_share_;
 };
 

@@ -40,37 +40,6 @@ void count_bank(const sd::modulator_bank& bank) {
 
 } // namespace
 
-demod_tables demod_tables::build(const acquisition_settings& settings) {
-    const demod_reference demod(settings.harmonic_k, settings.n_per_period);
-    const std::size_t total = settings.periods * settings.n_per_period;
-    const std::size_t half = total / 2;
-    const bool chop = settings.offset == offset_mode::chopped;
-
-    demod_tables tables;
-    tables.harmonic_k = settings.harmonic_k;
-    tables.n_per_period = settings.n_per_period;
-    tables.periods = settings.periods;
-    tables.chopped = chop;
-    tables.q1_sign.resize(total);
-    tables.q2_sign.resize(total);
-    tables.acc_sign.resize(total);
-    for (std::size_t n = 0; n < total; ++n) {
-        const bool invert = chop && n >= half;
-        const bool q1 = (demod.in_phase_sign(n) > 0) != invert;
-        const bool q2 = (demod.quadrature_sign(n) > 0) != invert;
-        tables.q1_sign[n] = q1 ? 1.0 : -1.0;
-        tables.q2_sign[n] = q2 ? 1.0 : -1.0;
-        tables.acc_sign[n] = invert ? -1.0 : 1.0;
-    }
-    return tables;
-}
-
-bool demod_tables::matches(const acquisition_settings& settings) const noexcept {
-    return harmonic_k == settings.harmonic_k && n_per_period == settings.n_per_period &&
-           periods == settings.periods &&
-           chopped == (settings.offset == offset_mode::chopped);
-}
-
 signature_extractor::signature_extractor(sd::modulator_params params, std::uint64_t seed)
     : params_(params), rng_(seed) {}
 
@@ -155,14 +124,20 @@ signature_result signature_extractor::acquire(const sample_source& source,
         acc1 += invert ? -bit1 : bit1;
         acc2 += invert ? -bit2 : bit2;
     }
+    return assemble(settings, settings.periods, acc1, acc2);
+}
 
+signature_result signature_extractor::assemble(const acquisition_settings& settings,
+                                               std::size_t periods, long long acc1,
+                                               long long acc2) const {
+    const std::size_t total = periods * settings.n_per_period;
     signature_result result;
     result.raw_i1 = acc1;
     result.raw_i2 = acc2;
     result.total_samples = total;
     result.harmonic_k = settings.harmonic_k;
     result.n_per_period = settings.n_per_period;
-    result.periods = settings.periods;
+    result.periods = periods;
     result.vref = params_.vref;
     result.i1 = static_cast<double>(acc1);
     result.i2 = static_cast<double>(acc2);
@@ -188,10 +163,8 @@ signature_result signature_extractor::acquire(const sample_source& source,
 
 std::vector<signature_result> signature_extractor::acquire_batch_impl(
     std::span<signature_extractor* const> extractors, const acquisition_settings& settings,
-    const demod_tables& tables, const double* record, bool shared_record) {
+    const double* record, bool shared_record) {
     BISTNA_EXPECTS(!extractors.empty(), "batch acquisition needs at least one lane");
-    BISTNA_EXPECTS(tables.matches(settings),
-                   "demod tables do not match the acquisition settings");
     for (signature_extractor* extractor : extractors) {
         BISTNA_EXPECTS(extractor != nullptr, "null extractor lane");
         extractor->validate(settings);
@@ -220,65 +193,67 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
     // the scalar per-sample interleaving; the pair pass loads each sample
     // once for both.  The +/-1 counter sums are exact in double
     // (total << 2^53).
+    //
+    // The pass reads one square-wave period of each channel's modulation
+    // sign and of the counter sign, P = N/k entries (1 for DC, whose signs
+    // are all +1), repeated over the record.  A chopped acquisition runs
+    // the pass twice, inverting all three signs over the second half: half
+    // = (M/2) N is a whole number of periods, and every noise stream draws
+    // the same values in the same order over two calls as over one.
+    const demod_reference demod(settings.harmonic_k, settings.n_per_period);
+    const std::size_t period = std::max<std::size_t>(demod.period(), 1);
+    std::vector<double> q1(period);
+    std::vector<double> q2(period);
+    std::vector<double> acc_sign(period);
     std::vector<double> acc1(n_lanes, 0.0);
     std::vector<double> acc2(n_lanes, 0.0);
-    if (shared_record) {
-        sd::modulator_bank::accumulate_pair_shared(bank1, bank2, record, tables.q1_sign.data(),
-                                                   tables.q2_sign.data(), tables.acc_sign.data(),
-                                                   total, acc1.data(), acc2.data());
+    const auto pass = [&](std::size_t first, std::size_t count, double sense) {
+        for (std::size_t n = 0; n < period; ++n) {
+            q1[n] = sense * demod.in_phase_sign(n);
+            q2[n] = sense * demod.quadrature_sign(n);
+            acc_sign[n] = sense;
+        }
+        if (shared_record) {
+            sd::modulator_bank::accumulate_pair_shared(bank1, bank2, record + first, q1.data(),
+                                                       q2.data(), acc_sign.data(), period,
+                                                       count, acc1.data(), acc2.data());
+        } else {
+            sd::modulator_bank::accumulate_pair_lane_major(
+                bank1, bank2, record + first * n_lanes, q1.data(), q2.data(), acc_sign.data(),
+                period, count, acc1.data(), acc2.data());
+        }
+    };
+    if (settings.offset == offset_mode::chopped) {
+        pass(0, total / 2, 1.0);
+        pass(total / 2, total / 2, -1.0);
     } else {
-        sd::modulator_bank::accumulate_pair_lane_major(
-            bank1, bank2, record, tables.q1_sign.data(), tables.q2_sign.data(),
-            tables.acc_sign.data(), total, acc1.data(), acc2.data());
+        pass(0, total, 1.0);
     }
     count_bank(bank1);
     count_bank(bank2);
 
-    std::vector<signature_result> results(n_lanes);
+    std::vector<signature_result> results;
+    results.reserve(n_lanes);
     for (std::size_t l = 0; l < n_lanes; ++l) {
-        const signature_extractor& ex = *extractors[l];
-        signature_result& result = results[l];
-        result.raw_i1 = static_cast<long long>(acc1[l]);
-        result.raw_i2 = static_cast<long long>(acc2[l]);
-        result.total_samples = total;
-        result.harmonic_k = settings.harmonic_k;
-        result.n_per_period = settings.n_per_period;
-        result.periods = settings.periods;
-        result.vref = ex.params_.vref;
-        result.i1 = static_cast<double>(result.raw_i1);
-        result.i2 = static_cast<double>(result.raw_i2);
-
-        switch (settings.offset) {
-        case offset_mode::none:
-            result.eps_bound = 4.0;
-            break;
-        case offset_mode::chopped:
-            result.eps_bound = 8.0;
-            break;
-        case offset_mode::calibrated: {
-            result.i1 -= ex.offset_rate_1_ * static_cast<double>(total);
-            result.i2 -= ex.offset_rate_2_ * static_cast<double>(total);
-            result.eps_bound =
-                4.0 + 4.0 * static_cast<double>(total) / ex.calibration_samples_;
-            break;
-        }
-        }
+        results.push_back(extractors[l]->assemble(settings, settings.periods,
+                                                  static_cast<long long>(acc1[l]),
+                                                  static_cast<long long>(acc2[l])));
     }
     return results;
 }
 
 std::vector<signature_result> signature_extractor::acquire_batch_lane_major(
     std::span<signature_extractor* const> extractors, const double* lane_major,
-    const acquisition_settings& settings, const demod_tables& tables) {
-    return acquire_batch_impl(extractors, settings, tables, lane_major, false);
+    const acquisition_settings& settings) {
+    return acquire_batch_impl(extractors, settings, lane_major, false);
 }
 
 std::vector<signature_result> signature_extractor::acquire_batch_shared(
     std::span<signature_extractor* const> extractors, std::span<const double> record,
-    const acquisition_settings& settings, const demod_tables& tables) {
+    const acquisition_settings& settings) {
     const std::size_t total = settings.periods * settings.n_per_period;
     BISTNA_EXPECTS(record.size() >= total, "shared record shorter than M*N samples");
-    return acquire_batch_impl(extractors, settings, tables, record.data(), true);
+    return acquire_batch_impl(extractors, settings, record.data(), true);
 }
 
 void signature_extractor::calibrate_offset_batch(
@@ -355,25 +330,8 @@ std::vector<signature_result> signature_extractor::acquire_with_checkpoints(
         const std::size_t samples_done = n + 1;
         while (next_checkpoint < checkpoint_periods.size() &&
                samples_done == checkpoint_periods[next_checkpoint] * settings.n_per_period) {
-            signature_result r;
-            r.raw_i1 = acc1;
-            r.raw_i2 = acc2;
-            r.total_samples = samples_done;
-            r.harmonic_k = settings.harmonic_k;
-            r.n_per_period = settings.n_per_period;
-            r.periods = checkpoint_periods[next_checkpoint];
-            r.vref = params_.vref;
-            r.i1 = static_cast<double>(acc1);
-            r.i2 = static_cast<double>(acc2);
-            if (settings.offset == offset_mode::calibrated) {
-                r.i1 -= offset_rate_1_ * static_cast<double>(samples_done);
-                r.i2 -= offset_rate_2_ * static_cast<double>(samples_done);
-                r.eps_bound =
-                    4.0 + 4.0 * static_cast<double>(samples_done) / calibration_samples_;
-            } else {
-                r.eps_bound = 4.0;
-            }
-            results.push_back(r);
+            results.push_back(
+                assemble(settings, checkpoint_periods[next_checkpoint], acc1, acc2));
             ++next_checkpoint;
         }
     }

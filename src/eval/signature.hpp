@@ -52,24 +52,6 @@ struct signature_result {
     double vref = 0.7;            ///< modulator full scale used
 };
 
-/// Per-sample demodulation program of one acquisition: the q_k square-wave
-/// controls of both channels as the exact +/-1 doubles the lane-major
-/// kernels consume, plus the counter accumulation sign (negated in the
-/// chopped second half).  A pure function of the settings, so the sweep
-/// engine builds each table once (eval::demod_table_cache) and shares it
-/// across every work item.
-struct demod_tables {
-    std::vector<double> q1_sign, q2_sign; ///< q_k controls as exact +/-1
-    std::vector<double> acc_sign;         ///< counter accumulation sign
-    std::size_t harmonic_k = 0;
-    std::size_t n_per_period = 0;
-    std::size_t periods = 0;
-    bool chopped = false;
-
-    static demod_tables build(const acquisition_settings& settings);
-    bool matches(const acquisition_settings& settings) const noexcept;
-};
-
 /// One lane's post-calibration state, transplantable into any uncalibrated
 /// extractor constructed with the same modulator params -- and, when those
 /// draw noise, whose RNG stream still sits at the snapshot's origin.
@@ -129,8 +111,9 @@ public:
     // scalar member functions would, so each lane's result is bit-identical
     // to the scalar call on that extractor alone -- at any lane count and
     // under any lane permutation (lanes never interact).  The scalar
-    // members above remain the reference implementation.  Demodulation
-    // signs come from a prebuilt demod_tables (eval::demod_table_cache).
+    // members above remain the reference implementation.  Each call builds
+    // one square-wave period of demodulation signs from demod_reference,
+    // at most N entries, which the banks repeat over the record.
 
     /// Batched grounded-input offset calibration; bit-identical per lane to
     /// extractors[i]->calibrate_offset(periods, n_per_period).  All lanes
@@ -148,27 +131,33 @@ public:
     /// transpose at all.
     static std::vector<signature_result> acquire_batch_lane_major(
         std::span<signature_extractor* const> extractors, const double* lane_major,
-        const acquisition_settings& settings, const demod_tables& tables);
+        const acquisition_settings& settings);
 
     /// Batched acquire over one record shared by every lane (the
     /// calibration path's cache-shared staircase tail): no per-lane copy of
     /// the broadcast input.
     static std::vector<signature_result> acquire_batch_shared(
         std::span<signature_extractor* const> extractors, std::span<const double> record,
-        const acquisition_settings& settings, const demod_tables& tables);
+        const acquisition_settings& settings);
 
 private:
     void validate(const acquisition_settings& settings) const;
     double initial_state();
 
+    /// The result of counters acc1 / acc2 after `periods` periods of
+    /// `settings`: the raw counts and metadata, corrected and bounded as
+    /// the offset mode prescribes.
+    signature_result assemble(const acquisition_settings& settings, std::size_t periods,
+                              long long acc1, long long acc2) const;
+
     /// Shared skeleton of the batched acquires: validate, build the two
     /// lockstep banks with the scalar RNG consumption order, step both over
-    /// `record` in one pair pass (lane-major, or one record every lane
-    /// shares when `shared_record`), assemble per-lane results.
+    /// `record` in one pair pass, or one per half when chopped (lane-major,
+    /// or one record every lane shares when `shared_record`), assemble
+    /// per-lane results.
     static std::vector<signature_result> acquire_batch_impl(
         std::span<signature_extractor* const> extractors,
-        const acquisition_settings& settings, const demod_tables& tables,
-        const double* record, bool shared_record);
+        const acquisition_settings& settings, const double* record, bool shared_record);
 
     sd::modulator_params params_;
     bistna::rng rng_;

@@ -33,21 +33,25 @@ struct channel {
     double* last;
     double* clip;
     double* acc;
-    const double* qsigns; ///< null when grounded
+    const double* qsigns; ///< `period` entries; null when grounded
     const double* noise;  ///< null when the banks are noiseless
 };
 
 /// One kernel call: `samples` samples of one input layout through one bank,
 /// or through two banks whose lanes hold equal params and so share the
-/// lane constants (the first bank's arrays).
+/// lane constants (the first bank's arrays).  The modulation and counter
+/// signs repeat every `period` samples: sample j of the call reads entry
+/// (phase + j) mod period of each sign table.
 struct kernel_call {
     int shape;
     int channels; ///< 1 or 2
     bool noisy;
     std::size_t n_lanes;
     std::size_t samples;
+    std::size_t period;
+    std::size_t phase;   ///< < period
     const double* xs;    ///< null when grounded
-    const double* signs; ///< counter signs; null when grounded
+    const double* signs; ///< counter signs, `period` entries; null when grounded
     const double* leak;
     const double* b;
     const double* vref;
@@ -169,6 +173,7 @@ template <int W, int V, int Shape, bool Noisy, int C>
     const vec one = vec{} + 1.0;
     const vec minus_one = vec{} - 1.0;
 
+    std::size_t at = k.phase; // sign-table entry of sample j
     for (std::size_t j = 0; j < k.samples; ++j) {
         vec x[V] = {}; // zeroed: GCC cannot see that the partial read's fold always assigns
         double sign = 1.0;
@@ -184,14 +189,14 @@ template <int W, int V, int Shape, bool Noisy, int C>
             }
         }
         if constexpr (Shape != grounded) {
-            sign = k.signs[j];
+            sign = k.signs[at];
         }
 #pragma GCC unroll 2
         for (int c = 0; c < C; ++c) {
             double qsign = 1.0;
             double qx = 0.0; // shared: qsign * xs[j], one product for every lane
             if constexpr (Shape != grounded) {
-                qsign = k.ch[c].qsigns[j];
+                qsign = k.ch[c].qsigns[at];
             }
             if constexpr (Shape == shared) {
                 qx = qsign * k.xs[j];
@@ -223,6 +228,9 @@ template <int W, int V, int Shape, bool Noisy, int C>
                 state[c][v] = clipped;
                 acc[c][v] += sign * bit;
             }
+        }
+        if (++at == k.period) {
+            at = 0;
         }
     }
 
@@ -423,13 +431,15 @@ void modulator_bank::draw_noise(std::size_t samples) noexcept {
 
 template <int Shape>
 void modulator_bank::run(modulator_bank* pair, const double* xs, const double* qsigns,
-                         const double* pair_qsigns, const double* acc_signs, std::size_t count,
-                         double* acc, double* pair_acc) noexcept {
+                         const double* pair_qsigns, const double* acc_signs, std::size_t period,
+                         std::size_t count, double* acc, double* pair_acc) noexcept {
     kernel_call k{Shape,
                   pair == nullptr ? 1 : 2,
                   !noise_tile_.empty(),
                   lanes(),
                   count,
+                  period,
+                  0,
                   xs,
                   acc_signs,
                   leak_.data(),
@@ -463,18 +473,15 @@ void modulator_bank::run(modulator_bank* pair, const double* xs, const double* q
         }
         if constexpr (Shape != grounded) {
             k.xs = xs + (Shape == lane_major ? done * k.n_lanes : done);
-            k.signs = acc_signs + done;
-            k.ch[0].qsigns = qsigns + done;
-            if (pair != nullptr) {
-                k.ch[1].qsigns = pair_qsigns + done;
-            }
+            k.phase = done % period;
         }
         bank_kernel(k);
     }
 }
 
-void modulator_bank::check_pair(const modulator_bank& in_phase,
-                                const modulator_bank& quadrature) {
+void modulator_bank::check_pair(const modulator_bank& in_phase, const modulator_bank& quadrature,
+                                std::size_t period) {
+    BISTNA_EXPECTS(period > 0, "a bank pair needs sign tables of at least one entry");
     BISTNA_EXPECTS(&in_phase != &quadrature, "a bank pair needs two distinct banks");
     BISTNA_EXPECTS(in_phase.lanes() == quadrature.lanes(),
                    "a bank pair needs equal lane counts");
@@ -489,36 +496,37 @@ void modulator_bank::step(const double* inputs, bool modulation_positive,
     const double qsign = modulation_positive ? 1.0 : -1.0;
     const double unit = 1.0;
     std::fill_n(bits_out, lanes(), 0.0);
-    run<lane_major>(nullptr, inputs, &qsign, nullptr, &unit, 1, bits_out, nullptr);
+    run<lane_major>(nullptr, inputs, &qsign, nullptr, &unit, 1, 1, bits_out, nullptr);
 }
 
 void modulator_bank::accumulate_lane_major(const double* xs, const double* qsigns,
                                            const double* acc_signs, std::size_t count,
                                            double* acc) noexcept {
-    run<lane_major>(nullptr, xs, qsigns, nullptr, acc_signs, count, acc, nullptr);
+    run<lane_major>(nullptr, xs, qsigns, nullptr, acc_signs, count, count, acc, nullptr);
 }
 
 void modulator_bank::accumulate_grounded(std::size_t count, double* acc) noexcept {
-    run<grounded>(nullptr, nullptr, nullptr, nullptr, nullptr, count, acc, nullptr);
+    run<grounded>(nullptr, nullptr, nullptr, nullptr, nullptr, 1, count, acc, nullptr);
 }
 
 void modulator_bank::accumulate_pair_lane_major(modulator_bank& in_phase,
                                                 modulator_bank& quadrature, const double* xs,
                                                 const double* qsigns_i, const double* qsigns_q,
-                                                const double* acc_signs, std::size_t count,
-                                                double* acc_i, double* acc_q) {
-    check_pair(in_phase, quadrature);
-    in_phase.run<lane_major>(&quadrature, xs, qsigns_i, qsigns_q, acc_signs, count, acc_i,
-                             acc_q);
+                                                const double* acc_signs, std::size_t period,
+                                                std::size_t count, double* acc_i, double* acc_q) {
+    check_pair(in_phase, quadrature, period);
+    in_phase.run<lane_major>(&quadrature, xs, qsigns_i, qsigns_q, acc_signs, period, count,
+                             acc_i, acc_q);
 }
 
 void modulator_bank::accumulate_pair_shared(modulator_bank& in_phase, modulator_bank& quadrature,
                                             const double* record, const double* qsigns_i,
                                             const double* qsigns_q, const double* acc_signs,
-                                            std::size_t count, double* acc_i, double* acc_q) {
-    check_pair(in_phase, quadrature);
-    in_phase.run<shared>(&quadrature, record, qsigns_i, qsigns_q, acc_signs, count, acc_i,
-                         acc_q);
+                                            std::size_t period, std::size_t count, double* acc_i,
+                                            double* acc_q) {
+    check_pair(in_phase, quadrature, period);
+    in_phase.run<shared>(&quadrature, record, qsigns_i, qsigns_q, acc_signs, period, count,
+                         acc_i, acc_q);
 }
 
 void modulator_bank::reset_lane(std::size_t lane, double initial_state) {

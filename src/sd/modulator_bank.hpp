@@ -15,7 +15,10 @@
 // (common/kernel.hpp).  The pair entries step an acquisition's I and Q
 // banks in the same loop: each sample's input is loaded once and the
 // lanes' constants are shared, because the two channels of a die are
-// matched modulators with equal params.
+// matched modulators with equal params.  The kernel reads its modulation
+// and counter signs from tables of P entries that repeat every P samples:
+// one square-wave period (P = N/k) for the pair entries, one entry per
+// sample (P = count) for accumulate_lane_major, and P = 1 for step().
 //
 // Contract with the scalar reference (sd_modulator):
 //   * lane l constructed via add_lane(params, rng) produces the exact
@@ -77,10 +80,10 @@ public:
     /// layout dut::state_space_bank emits, so render feeds measure without
     /// a transpose.  Lane l accumulates acc[l] += acc_signs[n] * bit with
     /// modulation sign qsigns[n] -- the eqs. (3)-(5) signature counters of
-    /// every lane in one pass.  qsigns / acc_signs are shared across lanes
-    /// as exact +/-1 doubles (eval's cached demod tables), and the +/-1 sums
-    /// are exact in double up to 2^53 counts.  Bit-identical per lane to
-    /// the scalar modulator fed the same per-lane sample sequence.
+    /// every lane in one pass.  qsigns / acc_signs hold `count` entries
+    /// shared across lanes as exact +/-1 doubles, and the +/-1 sums are
+    /// exact in double up to 2^53 counts.  Bit-identical per lane to the
+    /// scalar modulator fed the same per-lane sample sequence.
     void accumulate_lane_major(const double* xs, const double* qsigns,
                                const double* acc_signs, std::size_t count,
                                double* acc) noexcept;
@@ -90,16 +93,20 @@ public:
     void accumulate_grounded(std::size_t count, double* acc) noexcept;
 
     /// accumulate_lane_major() on an acquisition's two channel banks in one
-    /// pass over the record: in_phase runs with qsigns_i into acc_i and
-    /// quadrature with qsigns_q into acc_q, both consuming xs and acc_signs.
-    /// Bit-identical to the two single-bank calls, in either order.  The
-    /// banks must be distinct, hold the same lane count and equal
-    /// modulator_params lane by lane (eval's batched acquisitions build them
-    /// from the same extractors); otherwise throws precondition_error.
+    /// pass over `count` samples, with sign tables of `period` entries that
+    /// repeat: sample n reads entry n mod period.  in_phase runs with
+    /// qsigns_i into acc_i and quadrature with qsigns_q into acc_q, both
+    /// consuming xs and acc_signs.  Bit-identical to the two single-bank
+    /// calls on the tables repeated out to `count` entries, in either
+    /// order.  The banks must be distinct, hold the same lane count and
+    /// equal modulator_params lane by lane (eval's batched acquisitions
+    /// build them from the same extractors), and `period` must be positive;
+    /// otherwise throws precondition_error.
     static void accumulate_pair_lane_major(modulator_bank& in_phase, modulator_bank& quadrature,
                                            const double* xs, const double* qsigns_i,
                                            const double* qsigns_q, const double* acc_signs,
-                                           std::size_t count, double* acc_i, double* acc_q);
+                                           std::size_t period, std::size_t count, double* acc_i,
+                                           double* acc_q);
 
     /// accumulate_pair_lane_major() over one record shared by every lane
     /// (the cache-shared calibration staircase): lane l consumes record[n]
@@ -107,7 +114,8 @@ public:
     static void accumulate_pair_shared(modulator_bank& in_phase, modulator_bank& quadrature,
                                        const double* record, const double* qsigns_i,
                                        const double* qsigns_q, const double* acc_signs,
-                                       std::size_t count, double* acc_i, double* acc_q);
+                                       std::size_t period, std::size_t count, double* acc_i,
+                                       double* acc_q);
 
     /// Samples per noise block at the current lane count: the noise tile
     /// holds 4096 doubles (32 KiB), so 4096 / lanes() samples -- 256 at 16
@@ -131,14 +139,16 @@ private:
     /// Runs `count` samples of one input layout (a constant defined in
     /// modulator_bank.cpp) through the kernel, a noise block at a time when
     /// the bank has noisy lanes -- and through `pair` in the same pass, with
-    /// its own signs, counters and noise, when `pair` is not null.
+    /// its own signs, counters and noise, when `pair` is not null.  The
+    /// sign tables hold `period` entries; sample n reads entry n mod period.
     template <int Shape>
     void run(modulator_bank* pair, const double* xs, const double* qsigns,
-             const double* pair_qsigns, const double* acc_signs, std::size_t count,
-             double* acc, double* pair_acc) noexcept;
+             const double* pair_qsigns, const double* acc_signs, std::size_t period,
+             std::size_t count, double* acc, double* pair_acc) noexcept;
 
     /// The pair entries' precondition.
-    static void check_pair(const modulator_bank& in_phase, const modulator_bank& quadrature);
+    static void check_pair(const modulator_bank& in_phase, const modulator_bank& quadrature,
+                           std::size_t period);
 
     /// Fill the first `samples` rows of the noise tile: each stream's
     /// lanes' columns from one draw of the stream, each noiseless lane's

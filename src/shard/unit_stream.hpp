@@ -35,13 +35,12 @@ class unit_stream {
 public:
     /// Submit units [first_unit, first_unit + units) of the manifest's
     /// workload.  `pool` shares a worker pool across streams, and, when it
-    /// carries them, the calibration share and demodulation-table cache:
-    /// the service daemon passes one full handle to every request, so a
-    /// request restores the grounded calibrations of the requests before
-    /// it.  A bare queue converts to a pool-only handle whose engine keeps
-    /// private caches (a cold request); an empty handle gives the engine a
-    /// private pool sized by the manifest.  The records are the same
-    /// bytes on any handle.
+    /// carries one, the calibration share: the service daemon passes one
+    /// full handle to every request, so a request restores the grounded
+    /// calibrations of the requests before it.  A bare queue converts to a
+    /// pool-only handle whose engine keeps a private share (a cold
+    /// request); an empty handle gives the engine a private pool sized by
+    /// the manifest.  The records are the same bytes on any handle.
     ///
     /// `on_published` -- if set -- is a publication notifier invoked from
     /// worker threads AFTER newly completed items (or the terminal state,

@@ -62,11 +62,11 @@ struct service_server::impl {
 
     server_options opts;
 
-    /// The worker pool plus the daemon-lifetime calibration share and
-    /// demodulation-table cache every request's engine draws from: a
-    /// request restores the grounded calibrations and sign tables of the
-    /// requests before it, so only the first of a kind pays for them.
-    /// Staircases stay per request (each engine's own stimulus cache).
+    /// The worker pool plus the daemon-lifetime calibration share every
+    /// request's engine draws from: a request restores the grounded
+    /// calibrations of the requests before it, so only the first of a kind
+    /// pays for them.  Staircases stay per request (each engine's own
+    /// stimulus cache).
     core::engine_pool pool;
     socket_fd unix_listener;
     socket_fd tcp_listener;
@@ -147,8 +147,7 @@ struct service_server::impl {
                                  ? parse_endpoint("tcp:" + std::to_string(opts.tcp_port))
                                  : endpoint{};
         pool = core::engine_pool(std::make_shared<core::job_queue>(opts.worker_threads),
-                                 std::make_shared<eval::calibration_share>(),
-                                 std::make_shared<eval::demod_table_cache>());
+                                 std::make_shared<eval::calibration_share>());
         if (!opts.listen_path.empty()) {
             unix_listener = listen_unix(opts.listen_path);
         }

@@ -7,10 +7,10 @@
 // Per-die records stream back to each client in global unit order as they
 // complete -- bit-identical to the offline `screening_lot --store` path,
 // because both sides run the same shard::unit_stream pipeline.  Beside the
-// pool the daemon keeps one calibration share and one demodulation-table
-// cache for its lifetime (core::engine_pool): the first request of a kind
-// pays the grounded calibration and the sign tables, later ones restore
-// them, and both caches are content-keyed, so the bytes do not change.
+// pool the daemon keeps one calibration share for its lifetime
+// (core::engine_pool): the first request of a kind pays the grounded
+// calibration, later ones restore it, and the share is content-keyed, so
+// the bytes do not change.
 //
 // Robustness is the design center, not an afterthought:
 //

@@ -1,7 +1,7 @@
 // The lane-major executor end to end: every lane group must be
 // bit-identical to the scalar core::screen, with or without a telemetry
 // registry attached, and a steady-state lot loop must stop touching the
-// heap for anything sizeable after its first pass (stimulus/table caches +
+// heap for anything sizeable after its first pass (stimulus cache +
 // calibration transplant) and never grow its worker arena again (arena
 // reuse).
 #include <gtest/gtest.h>
@@ -155,7 +155,7 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
     screening.measure_distortion = true;
 
     // First pass warms every reuse path: arena growth, staircase cache,
-    // demodulation tables, calibration snapshot.
+    // calibration snapshot.
     (void)engine.submit_screening(spec_mask::paper_lowpass(), 24, 1, screening).results();
 
     // Arena blocks are mapped from the kernel, not operator new, so the

@@ -16,6 +16,7 @@
 #include "eval/batch_evaluator.hpp"
 #include "eval/evaluator.hpp"
 #include "eval/signature.hpp"
+#include "sd/modulator_bank.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
 
@@ -69,47 +70,78 @@ void expect_identical(const signature_result& a, const signature_result& b) {
 
 class AcquireBatchModes : public ::testing::TestWithParam<offset_mode> {};
 
+// Every harmonic the N = 96 grid aligns, DC included, through the
+// lane-major and the broadcast entry: each lane against a scalar twin that
+// runs the same acquisitions in the same order, so the RNG positions carry
+// from one k to the next.  Five noisy cmos035 lanes draw their noise in
+// blocks that hold no whole number of square-wave periods (the batched
+// pass repeats one period of signs, so a block starts mid-period), and the
+// chop point of the 40-period record falls inside a block, where a
+// chopped acquisition's second pass begins.
 TEST_P(AcquireBatchModes, BitIdenticalToScalarAcquirePerLane) {
     const offset_mode mode = GetParam();
     constexpr std::size_t n_lanes = 5;
     constexpr std::size_t periods = 40;
-
-    acquisition_settings settings;
-    settings.harmonic_k = 1;
-    settings.periods = periods;
-    settings.offset = mode;
+    constexpr std::size_t n_per_period = 96;
+    const std::vector<std::size_t> harmonics = {0, 1, 2, 3, 4, 6, 8, 12, 24};
 
     // Realistic modulators so offsets and noise streams actually matter.
     const auto params = sd::modulator_params::cmos035();
-    std::vector<signature_extractor> batch_lanes;
-    std::vector<signature_extractor> scalar_lanes;
+    sd::modulator_bank probe;
     for (std::size_t l = 0; l < n_lanes; ++l) {
-        batch_lanes.emplace_back(params, 900 + l);
-        scalar_lanes.emplace_back(params, 900 + l);
+        probe.add_lane(params);
+    }
+    const std::size_t block_samples = probe.noise_tile_samples();
+    ASSERT_NE(periods * n_per_period / 2 % block_samples, 0u) << "a block straddles the chop";
+    for (const std::size_t k : harmonics) {
+        if (k != 0) {
+            ASSERT_NE(block_samples % (n_per_period / k), 0u)
+                << "a block starts mid-period, k " << k;
+        }
     }
 
     std::vector<std::vector<double>> records;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         records.push_back(lane_record(l, periods));
     }
-
-    std::vector<signature_extractor*> lane_ptrs;
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-        if (mode == offset_mode::calibrated) {
-            batch_lanes[l].calibrate_offset(64);
-            scalar_lanes[l].calibrate_offset(64);
-        }
-        lane_ptrs.push_back(&batch_lanes[l]);
-    }
-
     const auto block = lane_major_block(records);
-    const auto batched = signature_extractor::acquire_batch_lane_major(
-        lane_ptrs, block.data(), settings, eval::demod_tables::build(settings));
-    ASSERT_EQ(batched.size(), n_lanes);
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-        const auto scalar = scalar_lanes[l].acquire(
-            [&records, l](std::size_t n) { return records[l][n]; }, settings);
-        expect_identical(scalar, batched[l]);
+
+    for (const bool broadcast : {false, true}) {
+        std::vector<signature_extractor> batch_lanes;
+        std::vector<signature_extractor> scalar_lanes;
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+            batch_lanes.emplace_back(params, 900 + l);
+            scalar_lanes.emplace_back(params, 900 + l);
+        }
+        std::vector<signature_extractor*> lane_ptrs;
+        for (std::size_t l = 0; l < n_lanes; ++l) {
+            if (mode == offset_mode::calibrated) {
+                batch_lanes[l].calibrate_offset(64);
+                scalar_lanes[l].calibrate_offset(64);
+            }
+            lane_ptrs.push_back(&batch_lanes[l]);
+        }
+
+        for (const std::size_t k : harmonics) {
+            acquisition_settings settings;
+            settings.harmonic_k = k;
+            settings.periods = periods;
+            settings.offset = mode;
+            const auto batched =
+                broadcast
+                    ? signature_extractor::acquire_batch_shared(lane_ptrs, records[0], settings)
+                    : signature_extractor::acquire_batch_lane_major(lane_ptrs, block.data(),
+                                                                    settings);
+            ASSERT_EQ(batched.size(), n_lanes);
+            for (std::size_t l = 0; l < n_lanes; ++l) {
+                SCOPED_TRACE(testing::Message() << "broadcast " << broadcast << " k " << k
+                                                << " lane " << l);
+                const auto& record = records[broadcast ? 0 : l];
+                const auto scalar = scalar_lanes[l].acquire(
+                    [&record](std::size_t n) { return record[n]; }, settings);
+                expect_identical(scalar, batched[l]);
+            }
+        }
     }
 }
 
@@ -171,23 +203,15 @@ TEST(AcquireBatch, RejectsMismatchedAndShortInputs) {
     acquisition_settings settings;
     settings.periods = 10;
     settings.offset = offset_mode::none;
-    const auto tables = eval::demod_tables::build(settings);
 
     const auto record = lane_record(0, 10);
     std::vector<signature_extractor*> no_lanes;
-    EXPECT_THROW((void)signature_extractor::acquire_batch_lane_major(no_lanes, record.data(),
-                                                                     settings, tables),
-                 precondition_error);
-    const std::vector<double> short_record(5);
     EXPECT_THROW(
-        (void)signature_extractor::acquire_batch_shared(lanes, short_record, settings, tables),
+        (void)signature_extractor::acquire_batch_lane_major(no_lanes, record.data(), settings),
         precondition_error);
-    acquisition_settings longer = settings;
-    longer.periods = 12;
-    EXPECT_THROW((void)signature_extractor::acquire_batch_lane_major(lanes, record.data(),
-                                                                     longer, tables),
-                 precondition_error)
-        << "tables built for another program";
+    const std::vector<double> short_record(5);
+    EXPECT_THROW((void)signature_extractor::acquire_batch_shared(lanes, short_record, settings),
+                 precondition_error);
 }
 
 evaluator_config lane_config(std::uint64_t seed, offset_mode offset) {
@@ -199,14 +223,13 @@ evaluator_config lane_config(std::uint64_t seed, offset_mode offset) {
     return config;
 }
 
-/// A batch evaluator on its own shared-resource caches.
+/// A batch evaluator on its own calibration share.
 struct batch_fixture {
-    eval::demod_table_cache tables;
     eval::calibration_share calibration;
     batch_evaluator batch;
 
     explicit batch_fixture(std::vector<evaluator_config> configs)
-        : batch(std::move(configs), tables, calibration) {}
+        : batch(std::move(configs), calibration) {}
 };
 
 std::vector<std::size_t> all_lanes(std::size_t n) {
@@ -277,8 +300,8 @@ TEST(BatchEvaluator, DcAndThdBitIdenticalToScalarEvaluator) {
     dc_settings.harmonic_k = 0;
     dc_settings.periods = periods;
     dc_settings.offset = offset_mode::none;
-    const auto dc_sigs = signature_extractor::acquire_batch_lane_major(
-        dc_ptrs, block.data(), dc_settings, eval::demod_tables::build(dc_settings));
+    const auto dc_sigs =
+        signature_extractor::acquire_batch_lane_major(dc_ptrs, block.data(), dc_settings);
     batch_fixture thd_fixture(configs);
     const auto thd = thd_fixture.batch.measure_thd_lanes_lane_major(all_lanes(n_lanes),
                                                                     block.data(), 3, periods);
@@ -499,42 +522,6 @@ TEST(BatchEvaluator, FullShareStillCalibratesANewKeyOnce) {
             << "lane " << l;
         expect_identical(expected.signature, batched[l].signature);
     }
-}
-
-// Past its byte cap the table cache evicts the oldest shape and keeps the
-// newer ones; tables it handed out before stay whole.
-TEST(BatchEvaluator, DemodTableCacheEvictsItsOldestShapePastTheByteCap) {
-    eval::demod_table_cache cache;
-    const auto shape = [](std::size_t k) {
-        acquisition_settings settings;
-        settings.harmonic_k = k;
-        settings.periods = 2048;
-        return settings;
-    };
-    // Three sign tables of 96 x 2048 doubles: 4.5 MiB a shape.
-    const std::size_t fit =
-        eval::demod_table_cache::max_bytes / (3 * 96 * 2048 * sizeof(double));
-    ASSERT_GE(fit, 2u);
-    const auto first = cache.get(shape(1));
-    for (std::size_t k = 2; k <= fit; ++k) {
-        (void)cache.get(shape(k));
-        EXPECT_EQ(cache.get(shape(1)), first) << "resident below the cap";
-    }
-    const auto newest_before = cache.get(shape(fit));
-    const auto past_cap = cache.get(shape(fit + 1));
-    EXPECT_EQ(cache.get(shape(fit)), newest_before) << "a newer shape stays";
-    EXPECT_EQ(cache.get(shape(fit + 1)), past_cap);
-
-    // The evicted shape's tables are still whole and still match; asking
-    // again rebuilds them.
-    ASSERT_TRUE(first->matches(shape(1)));
-    EXPECT_EQ(first->q1_sign.size(), 96u * 2048u);
-    EXPECT_EQ(first->acc_sign.size(), 96u * 2048u);
-    const auto rebuilt = cache.get(shape(1));
-    EXPECT_NE(rebuilt, first);
-    EXPECT_EQ(rebuilt->q1_sign, first->q1_sign);
-    EXPECT_EQ(rebuilt->q2_sign, first->q2_sign);
-    EXPECT_EQ(rebuilt->acc_sign, first->acc_sign);
 }
 
 } // namespace

@@ -1,7 +1,6 @@
 // Lane-major evaluation kernels: every batched acquisition variant
 // (lane-major block, shared broadcast record) must be bit-identical to the
-// scalar references, and the shared-resource caches (demod tables,
-// calibration transplant) must be transparent.
+// scalar references, and the calibration transplant must be transparent.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,8 +17,6 @@ using namespace bistna;
 using eval::acquisition_settings;
 using eval::calibration_share;
 using eval::calibration_snapshot;
-using eval::demod_table_cache;
-using eval::demod_tables;
 using eval::signature_extractor;
 
 constexpr std::size_t kN = 96;
@@ -55,7 +52,7 @@ struct lane_set {
 };
 
 // The legacy reference is the scalar per-extractor acquire, in chopped mode
-// so the accumulation-sign table is exercised too.
+// so the inverted second-half pass is exercised too.
 TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
     const std::size_t lanes = 5;
     const std::size_t periods = 16;
@@ -63,7 +60,6 @@ TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
     settings.periods = periods;
     settings.harmonic_k = 1;
     settings.offset = eval::offset_mode::chopped;
-    const auto tables = demod_tables::build(settings);
 
     // Lane-major block of distinct records.
     std::vector<std::vector<double>> records;
@@ -90,37 +86,16 @@ TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
     };
     {
         lane_set fast(lanes);
-        expect_scalar(signature_extractor::acquire_batch_lane_major(
-                          fast.pointers, lane_major.data(), settings, tables),
+        expect_scalar(signature_extractor::acquire_batch_lane_major(fast.pointers,
+                                                                    lane_major.data(), settings),
                       false);
     }
     // One broadcast record shared by every lane.
     {
         lane_set fast(lanes);
-        expect_scalar(signature_extractor::acquire_batch_shared(fast.pointers, records[0],
-                                                                settings, tables),
-                      true);
+        expect_scalar(
+            signature_extractor::acquire_batch_shared(fast.pointers, records[0], settings), true);
     }
-}
-
-TEST(LaneKernels, DemodTableCacheReturnsOneTablePerProgram) {
-    demod_table_cache cache;
-    acquisition_settings settings;
-    settings.periods = 12;
-    const auto first = cache.get(settings);
-    const auto second = cache.get(settings);
-    EXPECT_EQ(first.get(), second.get()) << "same program must share one table";
-    ASSERT_TRUE(first->matches(settings));
-
-    // The cached table is exactly the locally built one.
-    const auto local = demod_tables::build(settings);
-    EXPECT_EQ(first->q1_sign, local.q1_sign);
-    EXPECT_EQ(first->acc_sign, local.acc_sign);
-
-    settings.harmonic_k = 2;
-    const auto other = cache.get(settings);
-    EXPECT_NE(other.get(), first.get());
-    EXPECT_TRUE(other->matches(settings));
 }
 
 /// A snapshot of the calibration a donor lane ran from `seed`.

@@ -5,6 +5,7 @@
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -298,7 +299,7 @@ TEST(ModulatorBank, AccumulateMatchesPerSampleStepping) {
                 }
                 modulator_bank::accumulate_pair_shared(fused[0], fused[1], record.data(),
                                                        qsigns[0].data(), qsigns[1].data(),
-                                                       signs.data(), total, acc[0].data(),
+                                                       signs.data(), total, total, acc[0].data(),
                                                        acc[1].data());
             } else {
                 fused[0].accumulate_lane_major(lane_major.data(), qsigns[0].data(), signs.data(),
@@ -378,9 +379,12 @@ modulator_params sweep_config(std::size_t l, bool noisy) {
 // 33) and that leave every tail, including each calibration bank width the
 // workloads run (1, 2, 6, 9, 15, 16), for noiseless, all-noisy and mixed
 // banks.  The pair entries step an I and a Q bank in one pass; both
-// channels are checked against their own scalar modulators.  Records of 1,
-// T-1, T and T+1 samples (T = the noise tile length) cover a partial, a
-// whole and a spilled tile block; each is followed by a 3-sample call.  A
+// channels are checked against their own scalar modulators, and their sign
+// tables hold P = 96, 48 or 1 entries, repeated over each call from its
+// first sample (the one-bank entries read one entry per sample).  Records
+// of 1, T-1, T and T+1 samples (T = the noise tile length) cover a
+// partial, a whole and a spilled tile block, so a block starts mid-period;
+// each is followed by a 3-sample call.  A
 // ziggurat draw consumes a variable number of RNG words, so every block
 // must draw exactly its own samples' noise for the next call to continue
 // every lane identically.  The lanes' seeds are all distinct, all one, or
@@ -419,106 +423,122 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
                 for (const entry how : {entry::lane_major, entry::grounded, entry::step,
                                         entry::pair_lane_major, entry::pair_shared}) {
                     const bool pair = how == entry::pair_lane_major || how == entry::pair_shared;
-                    for (const std::size_t length : {std::size_t{1}, tile - 1, tile, tile + 1}) {
-                        const std::size_t total = length + follow_up;
-                        bistna::rng stimulus(1000 * lanes + length);
-                        std::vector<double> xs(total * lanes);
-                        std::vector<double> record(total);
-                        std::vector<double> qsigns[2] = {std::vector<double>(total),
-                                                         std::vector<double>(total)};
-                        std::vector<double> signs(total);
-                        for (auto& x : xs) {
-                            x = stimulus.uniform(-0.7, 0.7);
-                        }
-                        for (std::size_t n = 0; n < total; ++n) {
-                            record[n] = stimulus.uniform(-0.7, 0.7);
-                            qsigns[0][n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
-                            qsigns[1][n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
-                            signs[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
-                        }
+                    // 0: one sign-table entry per sample.
+                    const std::vector<std::size_t> periods =
+                        pair ? std::vector<std::size_t>{96, 48, 1} : std::vector<std::size_t>{0};
+                    for (const std::size_t period : periods) {
+                        for (const std::size_t length :
+                             {std::size_t{1}, tile - 1, tile, tile + 1}) {
+                            const std::size_t total = length + follow_up;
+                            const std::size_t entries = std::max(total, period);
+                            bistna::rng stimulus(1000 * lanes + length + period);
+                            std::vector<double> xs(total * lanes);
+                            std::vector<double> record(total);
+                            std::vector<double> qsigns[2] = {std::vector<double>(entries),
+                                                             std::vector<double>(entries)};
+                            std::vector<double> signs(entries);
+                            for (auto& x : xs) {
+                                x = stimulus.uniform(-0.7, 0.7);
+                            }
+                            for (std::size_t n = 0; n < total; ++n) {
+                                record[n] = stimulus.uniform(-0.7, 0.7);
+                            }
+                            for (std::size_t n = 0; n < entries; ++n) {
+                                qsigns[0][n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                                qsigns[1][n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                                signs[n] = stimulus.bernoulli(0.5) ? 1.0 : -1.0;
+                            }
 
-                        // Channel 0 is the bank every entry runs; channel 1
-                        // is the pair entries' Q bank.
-                        struct channel {
-                            modulator_bank bank;
-                            std::vector<sd_modulator> scalars;
-                            std::vector<double> acc;
-                            std::vector<double> expected;
-                        };
-                        std::vector<channel> channels(pair ? 2 : 1);
-                        for (std::size_t c = 0; c < channels.size(); ++c) {
-                            for (std::size_t l = 0; l < lanes; ++l) {
-                                const bistna::rng noise_rng(seeds[l] + c * q_seed_offset);
-                                channels[c].bank.add_lane(configs[l], noise_rng);
-                                channels[c].scalars.emplace_back(configs[l], noise_rng);
-                            }
-                            channels[c].acc.assign(lanes, 0.0);
-                            channels[c].expected.assign(lanes, 0.0);
-                            ASSERT_EQ(channels[c].bank.noise_streams(), noisy_seeds.size());
-                        }
-                        modulator_bank& bank = channels[0].bank;
-                        std::vector<double>& acc = channels[0].acc;
-                        std::vector<double> bits(lanes);
-                        std::size_t first = 0;
-                        for (const std::size_t count : {length, follow_up}) {
-                            switch (how) {
-                            case entry::lane_major:
-                                bank.accumulate_lane_major(xs.data() + first * lanes,
-                                                           qsigns[0].data() + first,
-                                                           signs.data() + first, count, acc.data());
-                                break;
-                            case entry::grounded:
-                                bank.accumulate_grounded(count, acc.data());
-                                break;
-                            case entry::step:
-                                for (std::size_t n = first; n < first + count; ++n) {
-                                    bank.step(xs.data() + n * lanes, qsigns[0][n] > 0.0,
-                                              bits.data());
-                                    for (std::size_t l = 0; l < lanes; ++l) {
-                                        acc[l] += signs[n] * bits[l];
-                                    }
-                                }
-                                break;
-                            case entry::pair_lane_major:
-                                modulator_bank::accumulate_pair_lane_major(
-                                    bank, channels[1].bank, xs.data() + first * lanes,
-                                    qsigns[0].data() + first, qsigns[1].data() + first,
-                                    signs.data() + first, count, acc.data(),
-                                    channels[1].acc.data());
-                                break;
-                            case entry::pair_shared:
-                                modulator_bank::accumulate_pair_shared(
-                                    bank, channels[1].bank, record.data() + first,
-                                    qsigns[0].data() + first, qsigns[1].data() + first,
-                                    signs.data() + first, count, acc.data(),
-                                    channels[1].acc.data());
-                                break;
-                            }
+                            // Channel 0 is the bank every entry runs; channel 1
+                            // is the pair entries' Q bank.
+                            struct channel {
+                                modulator_bank bank;
+                                std::vector<sd_modulator> scalars;
+                                std::vector<double> acc;
+                                std::vector<double> expected;
+                            };
+                            std::vector<channel> channels(pair ? 2 : 1);
                             for (std::size_t c = 0; c < channels.size(); ++c) {
-                                channel& ch = channels[c];
                                 for (std::size_t l = 0; l < lanes; ++l) {
-                                    for (std::size_t n = first; n < first + count; ++n) {
-                                        if (how == entry::grounded) {
-                                            ch.expected[l] += ch.scalars[l].step(0.0, true);
-                                            continue;
-                                        }
-                                        const double x = how == entry::pair_shared ? record[n] : xs[n * lanes + l];
-                                        ch.expected[l] +=
-                                            signs[n] * ch.scalars[l].step(x, qsigns[c][n] > 0.0);
-                                    }
-                                    ASSERT_EQ(ch.expected[l], ch.acc[l])
-                                        << "lanes " << lanes << " noise " << static_cast<int>(kind)
-                                        << " streams " << static_cast<int>(layout) << " entry "
-                                        << static_cast<int>(how) << " length " << length
-                                        << " call at " << first << " channel " << c << " lane "
-                                        << l;
-                                    ASSERT_EQ(ch.scalars[l].state(), ch.bank.state(l))
-                                        << "channel " << c << " lane " << l;
-                                    ASSERT_EQ(ch.scalars[l].clip_events(), ch.bank.clip_events(l))
-                                        << "channel " << c << " lane " << l;
+                                    const bistna::rng noise_rng(seeds[l] + c * q_seed_offset);
+                                    channels[c].bank.add_lane(configs[l], noise_rng);
+                                    channels[c].scalars.emplace_back(configs[l], noise_rng);
                                 }
+                                channels[c].acc.assign(lanes, 0.0);
+                                channels[c].expected.assign(lanes, 0.0);
+                                ASSERT_EQ(channels[c].bank.noise_streams(), noisy_seeds.size());
                             }
-                            first += count;
+                            modulator_bank& bank = channels[0].bank;
+                            std::vector<double>& acc = channels[0].acc;
+                            std::vector<double> bits(lanes);
+                            std::size_t first = 0;
+                            for (const std::size_t count : {length, follow_up}) {
+                                // The sign-table entry of sample n of this call.
+                                const auto at = [&](std::size_t n) {
+                                    return period == 0 ? n : (n - first) % period;
+                                };
+                                switch (how) {
+                                case entry::lane_major:
+                                    bank.accumulate_lane_major(
+                                        xs.data() + first * lanes, qsigns[0].data() + first,
+                                        signs.data() + first, count, acc.data());
+                                    break;
+                                case entry::grounded:
+                                    bank.accumulate_grounded(count, acc.data());
+                                    break;
+                                case entry::step:
+                                    for (std::size_t n = first; n < first + count; ++n) {
+                                        bank.step(xs.data() + n * lanes, qsigns[0][n] > 0.0,
+                                                  bits.data());
+                                        for (std::size_t l = 0; l < lanes; ++l) {
+                                            acc[l] += signs[n] * bits[l];
+                                        }
+                                    }
+                                    break;
+                                case entry::pair_lane_major:
+                                    modulator_bank::accumulate_pair_lane_major(
+                                        bank, channels[1].bank, xs.data() + first * lanes,
+                                        qsigns[0].data(), qsigns[1].data(), signs.data(), period,
+                                        count, acc.data(), channels[1].acc.data());
+                                    break;
+                                case entry::pair_shared:
+                                    modulator_bank::accumulate_pair_shared(
+                                        bank, channels[1].bank, record.data() + first,
+                                        qsigns[0].data(), qsigns[1].data(), signs.data(), period,
+                                        count, acc.data(), channels[1].acc.data());
+                                    break;
+                                }
+                                for (std::size_t c = 0; c < channels.size(); ++c) {
+                                    channel& ch = channels[c];
+                                    for (std::size_t l = 0; l < lanes; ++l) {
+                                        for (std::size_t n = first; n < first + count; ++n) {
+                                            if (how == entry::grounded) {
+                                                ch.expected[l] += ch.scalars[l].step(0.0, true);
+                                                continue;
+                                            }
+                                            const double x = how == entry::pair_shared
+                                                                 ? record[n]
+                                                                 : xs[n * lanes + l];
+                                            const bool q = qsigns[c][at(n)] > 0.0;
+                                            ch.expected[l] +=
+                                                signs[at(n)] * ch.scalars[l].step(x, q);
+                                        }
+                                        ASSERT_EQ(ch.expected[l], ch.acc[l])
+                                            << "lanes " << lanes << " noise "
+                                            << static_cast<int>(kind) << " streams "
+                                            << static_cast<int>(layout) << " entry "
+                                            << static_cast<int>(how) << " period " << period
+                                            << " length " << length << " call at " << first
+                                            << " channel " << c << " lane " << l;
+                                        ASSERT_EQ(ch.scalars[l].state(), ch.bank.state(l))
+                                            << "channel " << c << " lane " << l;
+                                        ASSERT_EQ(ch.scalars[l].clip_events(),
+                                                  ch.bank.clip_events(l))
+                                            << "channel " << c << " lane " << l;
+                                    }
+                                }
+                                first += count;
+                            }
                         }
                     }
                 }
@@ -529,7 +549,8 @@ TEST(ModulatorBank, EveryEntryPointMatchesScalarAtEveryWidth) {
 
 // The pair entries step both banks with the first bank's lane constants, so
 // they refuse banks whose lane counts differ, whose params differ in one
-// lane, or that are one bank twice -- before either bank moves.
+// lane, or that are one bank twice, and sign tables of no entries -- before
+// either bank moves.
 TEST(ModulatorBank, PairRejectsMismatchedBanks) {
     const auto configs = lane_configs();
     const std::size_t lanes = configs.size();
@@ -557,21 +578,26 @@ TEST(ModulatorBank, PairRejectsMismatchedBanks) {
     for (modulator_bank* bad : {&shorter, &other_params, &in_phase}) {
         EXPECT_THROW(modulator_bank::accumulate_pair_lane_major(
                          in_phase, *bad, xs.data(), ones.data(), ones.data(), ones.data(),
-                         count, acc_i.data(), acc_q.data()),
+                         count, count, acc_i.data(), acc_q.data()),
                      bistna::precondition_error);
         EXPECT_THROW(modulator_bank::accumulate_pair_shared(in_phase, *bad, xs.data(),
                                                             ones.data(), ones.data(),
-                                                            ones.data(), count, acc_i.data(),
-                                                            acc_q.data()),
+                                                            ones.data(), count, count,
+                                                            acc_i.data(), acc_q.data()),
                      bistna::precondition_error);
     }
+    // Sign tables of no entries.
+    EXPECT_THROW(modulator_bank::accumulate_pair_lane_major(
+                     in_phase, quadrature, xs.data(), ones.data(), ones.data(), ones.data(), 0,
+                     count, acc_i.data(), acc_q.data()),
+                 bistna::precondition_error);
     for (std::size_t l = 0; l < lanes; ++l) {
         EXPECT_EQ(acc_i[l], 0.0);
         EXPECT_EQ(in_phase.state(l), 0.0);
     }
     modulator_bank::accumulate_pair_lane_major(in_phase, quadrature, xs.data(), ones.data(),
-                                               ones.data(), ones.data(), count, acc_i.data(),
-                                               acc_q.data());
+                                               ones.data(), ones.data(), count, count,
+                                               acc_i.data(), acc_q.data());
     EXPECT_NE(in_phase.state(0), 0.0);
 }
 

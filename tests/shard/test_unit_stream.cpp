@@ -97,11 +97,11 @@ TEST(UnitStream, SliceOfSharedPoolMatchesPrivatePoolByteForByte) {
     EXPECT_GE(wakes.load(), 2);
 }
 
-// A handle that carries the calibration share and table cache (the
-// daemon's shape) lets a range restore what earlier ranges calibrated, so
-// a range's records must not depend on which ranges ran before it: the
-// same three ranges in two orders on two handles, each record against the
-// range alone on a pool-only handle.
+// A handle that carries the calibration share (the daemon's shape) lets a
+// range restore what earlier ranges calibrated, so a range's records must
+// not depend on which ranges ran before it: the same three ranges in two
+// orders on two handles, each record against the range alone on a
+// pool-only handle.
 TEST(UnitStream, SharedCachesKeepEveryRangeIndependentOfHistory) {
     auto cmos = fast_manifest(6);
     cmos.ideal_modulator = false;
@@ -128,8 +128,7 @@ TEST(UnitStream, SharedCachesKeepEveryRangeIndependentOfHistory) {
         ASSERT_EQ(reference.back().size(), r.units);
     }
     const auto shared_handle = [&queue] {
-        return core::engine_pool(queue, std::make_shared<eval::calibration_share>(),
-                                 std::make_shared<eval::demod_table_cache>());
+        return core::engine_pool(queue, std::make_shared<eval::calibration_share>());
     };
     const core::engine_pool forward = shared_handle();
     const core::engine_pool backward = shared_handle();

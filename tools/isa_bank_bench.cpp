@@ -4,9 +4,10 @@
 //   isa_bank_bench <lanes> <mode>
 //     ideal, cmos  an acquisition's I/Q bank pair over a 38,400-sample
 //                  lane-major record, per channel lane-sample: the pair
-//                  entry where the bank has one, else one single-bank call
-//                  per channel.  cmos puts each bank's lanes on one noise
-//                  stream, as a screening lot's acquisitions do.
+//                  entry, given one 96-sample square-wave period of signs
+//                  where it takes a period, else a sign per sample.  cmos
+//                  puts each bank's lanes on one noise stream, as a
+//                  screening lot's acquisitions do.
 //     grounded     one bank's grounded calibration run
 //     single       one bank's accumulate_lane_major
 //
@@ -23,16 +24,21 @@
 
 namespace {
 
+/// The sign tables' first `period` entries are one square-wave period.
 template <typename Bank>
 void run_pair(Bank& in_phase, Bank& quadrature, const double* xs, const double* qsigns_i,
-              const double* qsigns_q, const double* acc_signs, std::size_t count, double* acc_i,
-              double* acc_q) {
-    if constexpr (requires { &Bank::accumulate_pair_lane_major; }) {
+              const double* qsigns_q, const double* acc_signs, std::size_t period,
+              std::size_t count, double* acc_i, double* acc_q) {
+    if constexpr (requires {
+                      Bank::accumulate_pair_lane_major(in_phase, quadrature, xs, qsigns_i,
+                                                       qsigns_q, acc_signs, period, count, acc_i,
+                                                       acc_q);
+                  }) {
+        Bank::accumulate_pair_lane_major(in_phase, quadrature, xs, qsigns_i, qsigns_q, acc_signs,
+                                         period, count, acc_i, acc_q);
+    } else {
         Bank::accumulate_pair_lane_major(in_phase, quadrature, xs, qsigns_i, qsigns_q, acc_signs,
                                          count, acc_i, acc_q);
-    } else {
-        in_phase.accumulate_lane_major(xs, qsigns_i, acc_signs, count, acc_i);
-        quadrature.accumulate_lane_major(xs, qsigns_q, acc_signs, count, acc_q);
     }
 }
 
@@ -50,6 +56,7 @@ int main(int argc, char** argv) {
         return 2;
     }
     constexpr std::size_t samples = 38400;
+    constexpr std::size_t period = 96;
     const bool pair = mode == "ideal" || mode == "cmos";
     const auto params = mode == "cmos" ? bistna::sd::modulator_params::cmos035()
                                        : bistna::sd::modulator_params::ideal();
@@ -62,8 +69,8 @@ int main(int argc, char** argv) {
         x = stimulus.uniform(-0.6, 0.6);
     }
     for (std::size_t n = 0; n < samples; ++n) {
-        qsigns_i[n] = (n % 96) < 48 ? 1.0 : -1.0;
-        qsigns_q[n] = ((n + 24) % 96) < 48 ? 1.0 : -1.0;
+        qsigns_i[n] = (n % period) < period / 2 ? 1.0 : -1.0;
+        qsigns_q[n] = ((n + period / 4) % period) < period / 2 ? 1.0 : -1.0;
     }
 
     std::vector<double> acc_i(lanes);
@@ -79,7 +86,7 @@ int main(int argc, char** argv) {
         const auto start = std::chrono::steady_clock::now();
         if (pair) {
             run_pair(in_phase, quadrature, xs.data(), qsigns_i.data(), qsigns_q.data(),
-                     acc_signs.data(), samples, acc_i.data(), acc_q.data());
+                     acc_signs.data(), period, samples, acc_i.data(), acc_q.data());
         } else if (mode == "grounded") {
             in_phase.accumulate_grounded(samples, acc_i.data());
         } else {
