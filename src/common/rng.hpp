@@ -47,9 +47,8 @@ public:
     rng spawn() noexcept;
 
     /// Exact stream-position equality (state and Box-Muller cache): two
-    /// equal generators produce identical streams forever.  Lets the
-    /// calibration-transplant fast path verify a snapshot matches before
-    /// adopting it.
+    /// equal generators produce identical streams forever, so a noisy
+    /// eval::calibration_key compares its stream this way.
     bool operator==(const rng&) const noexcept = default;
 
 private:

@@ -210,6 +210,12 @@ public:
         }
     }
 
+    /// Whether cancellation was requested, by cancel() on any copy of this
+    /// handle, a worker exception or the queue's destructor.
+    bool cancel_requested() const noexcept {
+        return channel_ && channel_->cancel_requested.load(std::memory_order_relaxed);
+    }
+
     /// Block until the job reaches a terminal state (all items accounted
     /// for).  Does not move the in-order cursor.
     void wait() const {

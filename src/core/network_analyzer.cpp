@@ -90,7 +90,6 @@ stimulus_calibration make_stimulus_calibration(const eval::harmonic_measurement&
 
 frequency_point assemble_frequency_point(hertz f_wave, const stimulus_calibration& input,
                                          const eval::harmonic_measurement& output,
-                                         bool hold_compensation,
                                          const dut::device_under_test& dut) {
     // Deep in the stopband the eq. (5) box may reach the origin; report the
     // point estimate with an honest full-circle interval (the huge error
@@ -115,13 +114,10 @@ frequency_point assemble_frequency_point(hertz f_wave, const stimulus_calibratio
     double phase = output_phase.radians - input.phase.radians;
     interval phase_bounds = output_phase.bounds_radians - input.phase.bounds_radians;
 
-    double gain_correction = 1.0;
-    double phase_correction = 0.0;
-    if (hold_compensation) {
-        const auto hold = hold_effect(1);
-        gain_correction = 1.0 / hold.gain;
-        phase_correction = -hold.phase_rad;
-    }
+    // De-embed the generator's zero-order hold.
+    const auto hold = hold_effect(1);
+    const double gain_correction = 1.0 / hold.gain;
+    const double phase_correction = -hold.phase_rad;
     point.gain_db = amplitude_ratio_to_db(gain * gain_correction);
     point.gain_db_bounds =
         interval(amplitude_ratio_to_db(gain_bounds.lo() * gain_correction),
@@ -180,8 +176,7 @@ frequency_point network_analyzer::measure_point(hertz f_wave) {
                                 settings_.settle_periods);
     const auto source = demonstrator_board::as_source(std::move(record));
     const auto output = evaluator_.measure_harmonic(source, 1, settings_.periods);
-    return assemble_frequency_point(f_wave, input, output, settings_.hold_compensation,
-                                    board_.dut());
+    return assemble_frequency_point(f_wave, input, output, board_.dut());
 }
 
 std::vector<frequency_point> network_analyzer::bode_sweep(

@@ -11,8 +11,7 @@
 // The generator's zero-order hold adds a deterministic sinc(k/16) droop
 // and k*pi/16 excess phase between the sampled stimulus and the
 // continuous-time wave the DUT filters; the analyzer removes this known
-// systematic by default (hold_compensation), the same role as an
-// instrument's fixture de-embedding.
+// systematic, the same role as an instrument's fixture de-embedding.
 #pragma once
 
 #include <optional>
@@ -30,7 +29,6 @@ struct analyzer_settings {
     std::size_t distortion_periods = 400; ///< M for harmonic distortion (Fig. 10c)
     std::size_t settle_periods = 32;
     eval::evaluator_config evaluator;
-    bool hold_compensation = true;
     /// Re-measure the stimulus at every frequency point instead of reusing
     /// the single calibration (ablation of the paper's one-time-calibration
     /// claim; see bench_ablation_sync).
@@ -70,7 +68,6 @@ stimulus_calibration make_stimulus_calibration(const eval::harmonic_measurement&
 /// produces bit-identical points from lockstep acquisitions.
 frequency_point assemble_frequency_point(hertz f_wave, const stimulus_calibration& input,
                                          const eval::harmonic_measurement& output,
-                                         bool hold_compensation,
                                          const dut::device_under_test& dut);
 
 /// Harmonic-distortion readout (Fig. 10c).

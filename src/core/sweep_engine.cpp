@@ -12,8 +12,8 @@
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "dut/state_space.hpp"
-#include "eval/acquire_plan.hpp"
 #include "eval/batch_evaluator.hpp"
+#include "eval/calibration_share.hpp"
 #include "sim/timebase.hpp"
 #include "telemetry/span.hpp"
 
@@ -70,7 +70,7 @@ sweep_stats sweep_engine::stats() const {
     stats.threads = queue_->threads();
     stats.batch_lanes = std::max<std::size_t>(1, options_.batch_lanes);
     stats.stimulus = stimulus_cache_->stats();
-    stats.calibration_snapshots = calibration_share_->entries();
+    stats.calibrations = calibration_share_->entries();
     return stats;
 }
 
@@ -429,9 +429,9 @@ void sweep_engine::execute(const measurement_program& program,
                 active, lane_major, 1, settings_.periods);
             for (std::size_t i = 0; i < active.size(); ++i) {
                 program_lane& lane = lanes[active[i]];
-                results[active[i]].points.push_back(assemble_frequency_point(
-                    stage.frequency(lane.f), inputs[active[i]], outputs[i],
-                    settings_.hold_compensation, lane.board.dut()));
+                results[active[i]].points.push_back(
+                    assemble_frequency_point(stage.frequency(lane.f), inputs[active[i]],
+                                             outputs[i], lane.board.dut()));
             }
             break;
         }

@@ -63,14 +63,14 @@ class calibration_share;
 namespace bistna::core {
 
 /// What engines may share beyond their own lifetime: the worker pool and
-/// the content-keyed calibration share.  A null member gives each engine a
-/// private one.  The share is keyed by everything that shapes a snapshot
-/// and checks it on every hit, so an engine's bytes never depend on what
+/// the calibration share.  A null member gives each engine a private one.
+/// The share is keyed exactly by everything a calibration's rates depend
+/// on (eval::calibration_key), so an engine's bytes never depend on what
 /// other engines on the same handle ran before it; only the work is
 /// shared.  It evicts oldest-first past a fixed cap.
 struct engine_pool {
     std::shared_ptr<job_queue> queue;
-    /// Grounded-calibration snapshots (eval::calibration_share).
+    /// Grounded-calibration offset rates (eval::calibration_share).
     std::shared_ptr<eval::calibration_share> calibrations;
 
     engine_pool() = default;
@@ -115,9 +115,9 @@ struct sweep_stats {
     /// Hit/miss/eviction counters of the engine's stimulus cache, over
     /// every job it has run.
     stimulus_cache_stats stimulus;
-    /// Calibration snapshots resident in the engine's transplant share
-    /// (the handle's, when it carries one).
-    std::size_t calibration_snapshots = 0;
+    /// Calibrations resident in the engine's calibration share (the
+    /// handle's, when it carries one).
+    std::size_t calibrations = 0;
 };
 
 /// Aggregated outcome of a parallel Bode batch.
@@ -269,8 +269,8 @@ private:
     analyzer_settings settings_;
     sweep_engine_options options_;
     std::shared_ptr<stimulus_cache> stimulus_cache_;
-    /// The calibration transplant share: thread-safe, the handle's when it
-    /// carries one, else private.
+    /// The calibration share: thread-safe, the handle's when it carries
+    /// one, else private.
     std::shared_ptr<eval::calibration_share> calibration_share_;
     /// Declared last on purpose: a private queue's destructor cancels and
     /// joins in-flight jobs whose closures use the members above, so it

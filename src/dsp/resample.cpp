@@ -1,7 +1,6 @@
 #include "dsp/resample.hpp"
 
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 
 namespace bistna::dsp {
 
@@ -14,23 +13,6 @@ std::vector<double> zoh_upsample(const std::vector<double>& samples, std::size_t
             out.push_back(x);
         }
     }
-    return out;
-}
-
-std::vector<double> linear_upsample(const std::vector<double>& samples, std::size_t factor) {
-    BISTNA_EXPECTS(factor > 0, "upsampling factor must be positive");
-    if (samples.empty()) {
-        return {};
-    }
-    std::vector<double> out;
-    out.reserve(samples.size() * factor);
-    for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
-        for (std::size_t k = 0; k < factor; ++k) {
-            const double t = static_cast<double>(k) / static_cast<double>(factor);
-            out.push_back(lerp(samples[i], samples[i + 1], t));
-        }
-    }
-    out.push_back(samples.back());
     return out;
 }
 

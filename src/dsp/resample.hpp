@@ -15,9 +15,6 @@ namespace bistna::dsp {
 /// Repeat each sample `factor` times (zero-order hold onto a finer grid).
 std::vector<double> zoh_upsample(const std::vector<double>& samples, std::size_t factor);
 
-/// Linear-interpolation upsampling onto a grid `factor` times finer.
-std::vector<double> linear_upsample(const std::vector<double>& samples, std::size_t factor);
-
 /// Keep every `factor`-th sample starting at `phase`.
 std::vector<double> decimate(const std::vector<double>& samples, std::size_t factor,
                              std::size_t phase = 0);

@@ -75,12 +75,6 @@ mfb_components design_mfb(double cutoff_hz, double q, double gain_abs) {
     return c;
 }
 
-transfer_function tow_thomas_bandpass(double center_hz, double q, double gain) {
-    BISTNA_EXPECTS(center_hz > 0 && q > 0, "invalid Tow-Thomas specs");
-    const double w0 = two_pi * center_hz;
-    return transfer_function({0.0, gain * w0 / q}, {w0 * w0, w0 / q, 1.0});
-}
-
 std::unique_ptr<device_under_test> make_paper_dut(double tolerance_sigma, std::uint64_t seed) {
     bistna::rng generator(seed);
     const auto nominal = design_sallen_key(1000.0, 1.0 / std::sqrt(2.0));

@@ -52,10 +52,6 @@ struct mfb_components {
 transfer_function mfb_lowpass(const mfb_components& components);
 mfb_components design_mfb(double cutoff_hz, double q, double gain_abs);
 
-/// Tow-Thomas biquad band-pass (an extra DUT for the examples):
-/// H_bp(s) = (w0/q) s * gain / (s^2 + (w0/q) s + w0^2).
-transfer_function tow_thomas_bandpass(double center_hz, double q, double gain = 1.0);
-
 /// The paper's DUT: 1 kHz Butterworth Sallen-Key with board tolerances.
 /// `tolerance_sigma` ~ 0.01 for 1 % components.  Returns a linear DUT whose
 /// ideal_response reflects the *drawn* component values.

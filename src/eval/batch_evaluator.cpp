@@ -1,10 +1,6 @@
 #include "eval/batch_evaluator.hpp"
 
-#include <algorithm>
-#include <cstdint>
-
 #include "common/error.hpp"
-#include "eval/acquire_plan.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 
@@ -14,15 +10,24 @@ namespace {
 
 /// Interned once; counter_add is a no-op unless a registry is attached.
 struct calibration_counters {
-    /// Lanes that ran the grounded calibration loop.
+    /// Distinct calibration keys that ran the grounded loop.
     telemetry::metric_id runs = telemetry::counter_id("eval.calibration.runs");
-    /// Lanes that adopted a published snapshot instead.
+    /// Lanes that took the rates of a run instead.
     telemetry::metric_id restores = telemetry::counter_id("eval.calibration.restores");
 };
 
 const calibration_counters& counters() {
     static const calibration_counters ids;
     return ids;
+}
+
+std::vector<harmonic_measurement> estimate_harmonics(const std::vector<signature_result>& sigs) {
+    std::vector<harmonic_measurement> out;
+    out.reserve(sigs.size());
+    for (const signature_result& sig : sigs) {
+        out.push_back(estimate_harmonic(sig));
+    }
+    return out;
 }
 
 } // namespace
@@ -60,88 +65,24 @@ acquisition_settings batch_evaluator::settings_for(std::size_t k,
     return settings;
 }
 
-void batch_evaluator::ensure_calibrated(std::span<const std::size_t> lane_ids) {
+void batch_evaluator::ensure_calibrated(std::span<signature_extractor* const> lanes) {
     if (configs_.front().offset != offset_mode::calibrated) {
         return;
     }
-    const std::size_t cal_periods = configs_.front().calibration_periods;
-    const std::size_t n = configs_.front().n_per_period;
-
-    // Adopt published snapshots where possible.  Restores verify params (and
-    // a noisy lane's stream position), so a transplanted lane is
-    // bit-identical to one that calibrated itself.  Returns the
-    // uncalibrated lanes no snapshot fit.
-    const auto restore = [&](std::span<const std::size_t> lanes_in) {
-        std::vector<std::size_t> missed;
-        std::uint64_t restored = 0;
-        for (std::size_t lane : lanes_in) {
-            BISTNA_EXPECTS(lane < lanes(), "lane index out of range");
-            if (extractors_[lane].offset_calibrated()) {
-                continue;
-            }
-            const auto snapshot = calibration_share_.find(
-                configs_[lane].modulator, configs_[lane].seed, cal_periods, n);
-            if (snapshot != nullptr && extractors_[lane].try_restore_calibration(*snapshot)) {
-                ++restored;
-            } else {
-                missed.push_back(lane);
-            }
+    std::vector<signature_extractor*> uncalibrated;
+    for (signature_extractor* lane : lanes) {
+        if (!lane->offset_calibrated()) {
+            uncalibrated.push_back(lane);
         }
-        telemetry::counter_add(counters().restores, restored);
-        return missed;
-    };
-    // Run the grounded loop over `lanes_in` in one bank pass and publish
-    // every outcome.
-    const auto calibrate_and_publish = [&](const std::vector<std::size_t>& lanes_in) {
-        std::vector<bistna::rng> before;
-        before.reserve(lanes_in.size());
-        for (std::size_t lane : lanes_in) {
-            before.push_back(extractors_[lane].rng_state());
-        }
-        signature_extractor::calibrate_offset_batch(lane_pointers(lanes_in), cal_periods, n);
-        telemetry::counter_add(counters().runs, lanes_in.size());
-        for (std::size_t i = 0; i < lanes_in.size(); ++i) {
-            const std::size_t lane = lanes_in[i];
-            calibration_snapshot snapshot;
-            snapshot.params = configs_[lane].modulator;
-            snapshot.rng_before = before[i];
-            snapshot.offset_rate_1 = extractors_[lane].offset_rate_ch1();
-            snapshot.offset_rate_2 = extractors_[lane].offset_rate_ch2();
-            snapshot.calibration_samples = extractors_[lane].calibration_samples();
-            calibration_share_.store(configs_[lane].seed, cal_periods, n,
-                                     std::move(snapshot));
-        }
-    };
-
-    const std::vector<std::size_t> missed = restore(lane_ids);
-    if (missed.empty()) {
+    }
+    if (uncalibrated.empty()) {
         return;
     }
-    // Calibrate the first lane of each distinct key -- the params, plus the
-    // seed when they draw noise -- all in one pass; its duplicates then
-    // restore what it published.  A screening group or a group of noiseless
-    // dictionary items calibrates one lane per distinct modulator; a noisy
-    // dictionary group (a seed per item) calibrates every lane at once.
-    const auto same_key = [&](std::size_t a, std::size_t b) {
-        const sd::modulator_params& params = configs_[a].modulator;
-        return params == configs_[b].modulator &&
-               (!params.draws_noise() || configs_[a].seed == configs_[b].seed);
-    };
-    std::vector<std::size_t> leaders;
-    std::vector<std::size_t> duplicates;
-    for (std::size_t lane : missed) {
-        const bool seen = std::any_of(leaders.begin(), leaders.end(),
-                                      [&](std::size_t other) { return same_key(other, lane); });
-        (seen ? duplicates : leaders).push_back(lane);
-    }
-    calibrate_and_publish(leaders);
-    // A leader's snapshot that concurrent stores already evicted again (a
-    // share churning past its cap) leaves its duplicates to calibrate
-    // themselves.
-    duplicates = restore(duplicates);
-    if (!duplicates.empty()) {
-        calibrate_and_publish(duplicates);
-    }
+    const std::size_t runs = signature_extractor::calibrate_offset_batch(
+        uncalibrated, calibration_share_, configs_.front().calibration_periods,
+        configs_.front().n_per_period);
+    telemetry::counter_add(counters().runs, runs);
+    telemetry::counter_add(counters().restores, uncalibrated.size() - runs);
 }
 
 std::vector<signature_extractor*>
@@ -155,41 +96,31 @@ batch_evaluator::lane_pointers(std::span<const std::size_t> lane_ids) {
     return out;
 }
 
-std::vector<harmonic_measurement> batch_evaluator::assemble_harmonics(
-    std::span<const std::size_t> lane_ids, const std::vector<signature_result>& sigs) {
-    std::vector<harmonic_measurement> out;
-    out.reserve(sigs.size());
-    for (std::size_t i = 0; i < sigs.size(); ++i) {
-        out.push_back(estimate_harmonic(sigs[i], configs_[lane_ids[i]].constants));
-    }
-    return out;
-}
-
 std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_lane_major(
     std::span<const std::size_t> lane_ids, const double* lane_major, std::size_t k,
     std::size_t periods) {
-    ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
+    ensure_calibrated(lane_ptrs);
     const acquisition_settings settings = settings_for(k, periods);
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
     const auto sigs =
         signature_extractor::acquire_batch_lane_major(lane_ptrs, lane_major, settings);
-    return assemble_harmonics(lane_ids, sigs);
+    return estimate_harmonics(sigs);
 }
 
 std::vector<harmonic_measurement> batch_evaluator::measure_harmonic_lanes_shared(
     std::span<const std::size_t> lane_ids, std::span<const double> record, std::size_t k,
     std::size_t periods) {
-    ensure_calibrated(lane_ids);
     const auto lane_ptrs = lane_pointers(lane_ids);
+    ensure_calibrated(lane_ptrs);
     const acquisition_settings settings = settings_for(k, periods);
     telemetry::trace_span span("eval.modulate");
     span.arg("lanes", static_cast<double>(lane_ids.size()));
     span.arg("k", static_cast<double>(k));
     const auto sigs = signature_extractor::acquire_batch_shared(lane_ptrs, record, settings);
-    return assemble_harmonics(lane_ids, sigs);
+    return estimate_harmonics(sigs);
 }
 
 std::vector<thd_measurement> batch_evaluator::measure_thd_lanes_lane_major(

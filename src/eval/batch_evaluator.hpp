@@ -31,12 +31,11 @@ public:
     /// One config per lane.  Seeds and modulator params may differ per
     /// lane; n_per_period, offset mode and calibration_periods must be
     /// uniform (the lockstep stages share one demodulation program).
-    /// `calibration` transplants post-calibration state between lanes with
-    /// identical modulator params (and seeds, when the params draw noise)
-    /// instead of re-running the grounded calibration -- the dominant
-    /// per-item cost of a screening flow or a dictionary build.  It is
-    /// bit-identical to calibrating per lane, and must outlive the
-    /// evaluator.
+    /// Lanes take the offset rates `calibration` holds for their
+    /// calibration_key instead of re-running the grounded calibration --
+    /// the dominant per-item cost of a screening flow or a dictionary
+    /// build.  It is bit-identical to calibrating per lane, and must
+    /// outlive the evaluator.
     batch_evaluator(std::vector<evaluator_config> configs, calibration_share& calibration);
 
     std::size_t lanes() const noexcept { return configs_.size(); }
@@ -74,13 +73,10 @@ private:
     acquisition_settings settings_for(std::size_t k, std::size_t periods) const;
     /// Offset calibration of the requested lanes that still need it, on
     /// their first acquisition when the offset mode calibrates.  Adds the
-    /// lanes that ran the grounded loop to the eval.calibration.runs
-    /// counter and those that adopted a snapshot to
-    /// eval.calibration.restores.
-    void ensure_calibrated(std::span<const std::size_t> lane_ids);
+    /// keys that ran the grounded loop to the eval.calibration.runs
+    /// counter and the other lanes to eval.calibration.restores.
+    void ensure_calibrated(std::span<signature_extractor* const> lanes);
     std::vector<signature_extractor*> lane_pointers(std::span<const std::size_t> lane_ids);
-    std::vector<harmonic_measurement> assemble_harmonics(
-        std::span<const std::size_t> lane_ids, const std::vector<signature_result>& sigs);
 
     std::vector<evaluator_config> configs_;
     std::vector<signature_extractor> extractors_;

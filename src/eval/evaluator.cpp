@@ -1,11 +1,6 @@
 #include "eval/evaluator.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <complex>
-
 #include "common/error.hpp"
-#include "common/math_util.hpp"
 
 namespace bistna::eval {
 
@@ -44,79 +39,7 @@ harmonic_measurement sinewave_evaluator::measure_harmonic(const sample_source& s
                                                           std::size_t periods) {
     ensure_calibrated();
     const auto sig = extractor_.acquire(source, settings_for(k, periods));
-    return estimate_harmonic(sig, config_.constants);
-}
-
-std::vector<harmonic_measurement> sinewave_evaluator::harmonic_sweep(
-    const sample_source& source, const std::vector<std::size_t>& ks, std::size_t periods) {
-    std::vector<harmonic_measurement> out;
-    out.reserve(ks.size());
-    for (std::size_t k : ks) {
-        out.push_back(measure_harmonic(source, k, periods));
-    }
-    return out;
-}
-
-std::vector<harmonic_measurement> sinewave_evaluator::corrected_harmonic_sweep(
-    const sample_source& source, const std::vector<std::size_t>& ks, std::size_t periods,
-    std::size_t correction_passes) {
-    ensure_calibrated();
-
-    // First pass: raw signatures for every requested harmonic.
-    std::vector<signature_result> sigs;
-    sigs.reserve(ks.size());
-    for (std::size_t k : ks) {
-        BISTNA_EXPECTS(k > 0, "leakage correction applies to harmonics, not DC");
-        sigs.push_back(extractor_.acquire(source, settings_for(k, periods)));
-    }
-
-    // Current complex estimates A_k e^{j phi_k} (sin-reference phases).
-    auto estimates = [&](const std::vector<signature_result>& s) {
-        std::vector<std::complex<double>> est(s.size());
-        for (std::size_t i = 0; i < s.size(); ++i) {
-            const auto h = estimate_harmonic(s[i], constants_mode::exact);
-            const double phase = h.phase ? h.phase->radians : 0.0;
-            est[i] = std::polar(h.amplitude.volts, phase);
-        }
-        return est;
-    };
-
-    std::vector<signature_result> corrected = sigs;
-    for (std::size_t pass = 0; pass < correction_passes; ++pass) {
-        const auto current = estimates(corrected);
-        corrected = sigs;
-        for (std::size_t i = 0; i < ks.size(); ++i) {
-            const std::size_t k = ks[i];
-            const demod_reference demod(k, config_.n_per_period);
-            const double mn = static_cast<double>(sigs[i].total_samples);
-            // Subtract predicted leakage of measured harmonics m*k (m odd >= 3).
-            for (std::size_t m = 3; m * k <= ks.back(); m += 2) {
-                const auto it = std::find(ks.begin(), ks.end(), m * k);
-                if (it == ks.end()) {
-                    continue;
-                }
-                const auto& upper = current[static_cast<std::size_t>(it - ks.begin())];
-                const std::complex<double> cm = demod.coefficient(m);
-                const double amp = std::abs(upper);
-                const double phi = std::arg(upper);
-                const double psi = phi - std::arg(cm);
-                // Leakage into the counters (count units = MN/vref * volts):
-                const double s1 = amp * std::abs(cm) * std::sin(psi);
-                const double s2 =
-                    amp * std::abs(cm) *
-                    std::sin(psi + static_cast<double>(m) * half_pi);
-                corrected[i].i1 -= s1 * mn / sigs[i].vref;
-                corrected[i].i2 -= s2 * mn / sigs[i].vref;
-            }
-        }
-    }
-
-    std::vector<harmonic_measurement> out;
-    out.reserve(ks.size());
-    for (const auto& sig : corrected) {
-        out.push_back(estimate_harmonic(sig, config_.constants));
-    }
-    return out;
+    return estimate_harmonic(sig);
 }
 
 thd_measurement sinewave_evaluator::measure_thd(const sample_source& source,
@@ -143,7 +66,7 @@ std::vector<amplitude_measurement> sinewave_evaluator::amplitude_convergence(
     std::vector<amplitude_measurement> out;
     out.reserve(sigs.size());
     for (const auto& sig : sigs) {
-        out.push_back(estimate_amplitude(sig, config_.constants));
+        out.push_back(estimate_amplitude(sig));
     }
     return out;
 }

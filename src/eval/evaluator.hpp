@@ -3,11 +3,6 @@
 // Wraps the signature extractor and the eq. (3)-(5) estimator into the
 // measurements the network analyzer needs: DC level, per-harmonic
 // amplitude/phase, THD, and amplitude-vs-MN convergence series (Fig. 9).
-//
-// Extension beyond the paper: `corrected_harmonic_sweep` removes the
-// square-wave demodulation's odd-harmonic leakage (the A_{3k}/3, A_{5k}/5
-// terms the paper neglects) by measuring the higher harmonics and
-// subtracting their predicted contribution from the lower signatures.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +17,6 @@ struct evaluator_config {
     sd::modulator_params modulator = sd::modulator_params::ideal();
     std::uint64_t seed = 42;
     std::size_t calibration_periods = 4096;
-    constants_mode constants = constants_mode::exact;
     offset_mode offset = offset_mode::calibrated;
     std::size_t n_per_period = 96; ///< N, fixed by construction on the board
 };
@@ -41,18 +35,6 @@ public:
     /// Amplitude + phase of harmonic k, eqs. (4)-(5).
     harmonic_measurement measure_harmonic(const sample_source& source, std::size_t k,
                                           std::size_t periods);
-
-    /// Amplitudes/phases of several harmonics (sequential acquisitions,
-    /// exactly like the silicon would run them).
-    std::vector<harmonic_measurement> harmonic_sweep(const sample_source& source,
-                                                     const std::vector<std::size_t>& ks,
-                                                     std::size_t periods);
-
-    /// Leakage-corrected sweep (see file comment).  `correction_passes`
-    /// fixed-point iterations; 2 is plenty.
-    std::vector<harmonic_measurement> corrected_harmonic_sweep(
-        const sample_source& source, const std::vector<std::size_t>& ks, std::size_t periods,
-        std::size_t correction_passes = 2);
 
     /// THD from harmonics 1..max_harmonic (skipping ks that violate the
     /// alignment condition, which is documented behaviour).

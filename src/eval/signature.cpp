@@ -1,9 +1,11 @@
 #include "eval/signature.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
+#include "eval/calibration_share.hpp"
 #include "sd/modulator_bank.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -54,27 +56,15 @@ void signature_extractor::calibrate_offset(std::size_t periods, std::size_t n_pe
         acc1 += mod1.step(0.0, true);
         acc2 += mod2.step(0.0, true);
     }
-    offset_rate_1_ = static_cast<double>(acc1) / static_cast<double>(total);
-    offset_rate_2_ = static_cast<double>(acc2) / static_cast<double>(total);
-    calibration_samples_ = static_cast<double>(total);
-    calibrated_ = true;
+    set_calibration({static_cast<double>(acc1) / static_cast<double>(total),
+                     static_cast<double>(acc2) / static_cast<double>(total)},
+                    total);
 }
 
-bool signature_extractor::try_restore_calibration(
-    const calibration_snapshot& snapshot) noexcept {
-    // A noiseless calibration never reads the spawned streams, so only a
-    // noisy one depends on where this lane's stream sits.
-    if (calibrated_ || !(params_ == snapshot.params) ||
-        (params_.draws_noise() && !(rng_ == snapshot.rng_before))) {
-        return false;
-    }
-    (void)rng_.spawn(); // the two channels calibrate_offset would have spawned
-    (void)rng_.spawn();
-    offset_rate_1_ = snapshot.offset_rate_1;
-    offset_rate_2_ = snapshot.offset_rate_2;
-    calibration_samples_ = snapshot.calibration_samples;
+void signature_extractor::set_calibration(offset_rates rates, std::size_t total) {
+    offset_rates_ = rates;
+    calibration_samples_ = static_cast<double>(total);
     calibrated_ = true;
-    return true;
 }
 
 void signature_extractor::validate(const acquisition_settings& settings) const {
@@ -151,8 +141,8 @@ signature_result signature_extractor::assemble(const acquisition_settings& setti
         result.eps_bound = 8.0;
         break;
     case offset_mode::calibrated: {
-        result.i1 -= offset_rate_1_ * static_cast<double>(total);
-        result.i2 -= offset_rate_2_ * static_cast<double>(total);
+        result.i1 -= offset_rates_.ch1 * static_cast<double>(total);
+        result.i2 -= offset_rates_.ch2 * static_cast<double>(total);
         // Residual calibration error: 4/MN_cal per sample, times MN samples.
         result.eps_bound = 4.0 + 4.0 * static_cast<double>(total) / calibration_samples_;
         break;
@@ -256,42 +246,63 @@ std::vector<signature_result> signature_extractor::acquire_batch_shared(
     return acquire_batch_impl(extractors, settings, record.data(), true);
 }
 
-void signature_extractor::calibrate_offset_batch(
-    std::span<signature_extractor* const> extractors, std::size_t periods,
-    std::size_t n_per_period) {
+std::size_t signature_extractor::calibrate_offset_batch(
+    std::span<signature_extractor* const> extractors, calibration_share& share,
+    std::size_t periods, std::size_t n_per_period) {
     BISTNA_EXPECTS(!extractors.empty(), "batch calibration needs at least one lane");
     BISTNA_EXPECTS(periods > 0, "calibration needs at least one period");
     const std::size_t total = periods * n_per_period;
-    const std::size_t n_lanes = extractors.size();
 
-    // The grounded run (input 0, positive modulation, unit counter sign)
-    // gives both channels the same program, so they differ only in their
-    // noise streams.  A noiseless lane runs its I channel alone and both
-    // rates take its count; a noisy lane's two channels are two lanes of
-    // the one bank.  Either way the lane spawns twice, I first, as
-    // calibrate_offset does.
+    // A key the share lacks: its bank lanes of I and Q, and the lanes that
+    // take its rates.
+    struct missing_key {
+        calibration_key key;
+        std::size_t i_lane;
+        std::size_t q_lane;
+        std::vector<signature_extractor*> lanes;
+    };
+    std::vector<missing_key> missing;
     sd::modulator_bank bank;
-    std::vector<std::pair<std::size_t, std::size_t>> channels; // bank lanes of I and Q
-    channels.reserve(n_lanes);
     for (signature_extractor* extractor : extractors) {
         BISTNA_EXPECTS(extractor != nullptr, "null extractor lane");
-        const std::size_t i = bank.add_lane(extractor->params_, extractor->rng_.spawn());
-        const bistna::rng q_stream = extractor->rng_.spawn();
-        channels.emplace_back(
-            i, extractor->params_.draws_noise() ? bank.add_lane(extractor->params_, q_stream) : i);
+        signature_extractor& ex = *extractor;
+        calibration_key key(ex.params_, total, ex.rng_);
+        const bistna::rng i_stream = ex.rng_.spawn();
+        const bistna::rng q_stream = ex.rng_.spawn();
+        if (const auto rates = share.find(key)) {
+            ex.set_calibration(*rates, total);
+            continue;
+        }
+        auto it = std::find_if(missing.begin(), missing.end(),
+                               [&](const missing_key& m) { return m.key == key; });
+        if (it == missing.end()) {
+            // The grounded run (input 0, positive modulation, unit counter
+            // sign) gives both channels the same program, so a noiseless
+            // key's I count serves both rates.
+            const std::size_t i = bank.add_lane(ex.params_, i_stream);
+            const std::size_t q =
+                ex.params_.draws_noise() ? bank.add_lane(ex.params_, q_stream) : i;
+            missing.push_back({std::move(key), i, q, {}});
+            it = std::prev(missing.end());
+        }
+        it->lanes.push_back(&ex);
+    }
+    if (missing.empty()) {
+        return 0;
     }
 
     std::vector<double> acc(bank.lanes(), 0.0);
     bank.accumulate_grounded(total, acc.data());
     count_bank(bank);
-
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-        signature_extractor& ex = *extractors[l];
-        ex.offset_rate_1_ = acc[channels[l].first] / static_cast<double>(total);
-        ex.offset_rate_2_ = acc[channels[l].second] / static_cast<double>(total);
-        ex.calibration_samples_ = static_cast<double>(total);
-        ex.calibrated_ = true;
+    for (const missing_key& m : missing) {
+        const offset_rates rates{acc[m.i_lane] / static_cast<double>(total),
+                                 acc[m.q_lane] / static_cast<double>(total)};
+        share.store(m.key, rates);
+        for (signature_extractor* lane : m.lanes) {
+            lane->set_calibration(rates, total);
+        }
     }
+    return missing.size();
 }
 
 std::vector<signature_result> signature_extractor::acquire_with_checkpoints(

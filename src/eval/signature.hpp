@@ -52,21 +52,13 @@ struct signature_result {
     double vref = 0.7;            ///< modulator full scale used
 };
 
-/// One lane's post-calibration state, transplantable into any uncalibrated
-/// extractor constructed with the same modulator params -- and, when those
-/// draw noise, whose RNG stream still sits at the snapshot's origin.
-/// Calibration consumes two spawns and produces rates that are a pure
-/// function of (params, length) for a noiseless modulator, which never
-/// reads its RNG, and of (params, stream position, length) for a noisy one,
-/// so restoring is bit-identical to the lane running calibrate_offset
-/// itself.
-struct calibration_snapshot {
-    sd::modulator_params params;
-    bistna::rng rng_before{0}; ///< stream position the calibration consumed from
-    double offset_rate_1 = 0.0;
-    double offset_rate_2 = 0.0;
-    double calibration_samples = 0.0;
+/// The two offset count rates a grounded calibration measures.
+struct offset_rates {
+    double ch1 = 0.0;
+    double ch2 = 0.0;
 };
+
+class calibration_share;
 
 /// The acquisition engine: owns the matched modulator pair.
 class signature_extractor {
@@ -78,20 +70,13 @@ public:
     void calibrate_offset(std::size_t periods = 4096, std::size_t n_per_period = 96);
 
     bool offset_calibrated() const noexcept { return calibrated_; }
-    double offset_rate_ch1() const noexcept { return offset_rate_1_; }
-    double offset_rate_ch2() const noexcept { return offset_rate_2_; }
+    double offset_rate_ch1() const noexcept { return offset_rates_.ch1; }
+    double offset_rate_ch2() const noexcept { return offset_rates_.ch2; }
     double calibration_samples() const noexcept { return calibration_samples_; }
 
-    /// Current RNG stream position (calibration-snapshot bookkeeping).
+    /// Current RNG stream position: where the next acquisition or
+    /// calibration spawns its channels from.
     const bistna::rng& rng_state() const noexcept { return rng_; }
-
-    /// Adopt a calibration snapshot captured on a lane with identical
-    /// params (and, when they draw noise, an identical stream position) and
-    /// advance this lane's RNG by the two spawns calibrate_offset makes --
-    /// bit-identical to running calibrate_offset here.  Returns false (and
-    /// changes nothing) when this lane is already calibrated or does not
-    /// match the snapshot's origin.
-    bool try_restore_calibration(const calibration_snapshot& snapshot) noexcept;
 
     /// Acquire signatures for one measurement.
     signature_result acquire(const sample_source& source, const acquisition_settings& settings);
@@ -116,14 +101,18 @@ public:
     // at most N entries, which the banks repeat over the record.
 
     /// Batched grounded-input offset calibration; bit-identical per lane to
-    /// extractors[i]->calibrate_offset(periods, n_per_period).  All lanes
-    /// run in one bank.  The grounded run gives a lane's two channels the
-    /// same program, so a noiseless lane runs one channel and both rates
-    /// take its count, and a noisy lane's two channels are two lanes of the
-    /// bank.  Each lane still spawns twice, I first.
-    static void calibrate_offset_batch(std::span<signature_extractor* const> extractors,
-                                       std::size_t periods = 4096,
-                                       std::size_t n_per_period = 96);
+    /// extractors[i]->calibrate_offset(periods, n_per_period), RNG included:
+    /// every lane spawns its two channels, I first.  A lane whose
+    /// calibration_key `share` holds takes its rates.  One bank runs each
+    /// distinct missing key once and publishes it to `share` and to every
+    /// lane with that key.  The grounded run gives a lane's two channels
+    /// the same program, so a noiseless key runs one channel and both rates
+    /// take its count, and a noisy key's two channels are two lanes of the
+    /// bank.  Returns the number of keys the bank ran.
+    static std::size_t calibrate_offset_batch(std::span<signature_extractor* const> extractors,
+                                              calibration_share& share,
+                                              std::size_t periods = 4096,
+                                              std::size_t n_per_period = 96);
 
     /// Batched acquire over one lane-major record block: lane i's sample n
     /// lives at lane_major[n * extractors.size() + i] -- exactly the layout
@@ -143,6 +132,8 @@ public:
 private:
     void validate(const acquisition_settings& settings) const;
     double initial_state();
+    /// Mark the offset calibrated with these rates over `total` samples.
+    void set_calibration(offset_rates rates, std::size_t total);
 
     /// The result of counters acc1 / acc2 after `periods` periods of
     /// `settings`: the raw counts and metadata, corrected and bounded as
@@ -162,8 +153,7 @@ private:
     sd::modulator_params params_;
     bistna::rng rng_;
     bool calibrated_ = false;
-    double offset_rate_1_ = 0.0;
-    double offset_rate_2_ = 0.0;
+    offset_rates offset_rates_;
     double calibration_samples_ = 0.0;
 };
 

@@ -51,24 +51,6 @@ step_pattern step_pattern::quantized_sine(std::size_t steps_per_period) {
     return step_pattern(std::move(steps));
 }
 
-step_pattern step_pattern::two_tone(std::size_t steps_per_period, std::size_t m, double ratio,
-                                    double phase_rad) {
-    BISTNA_EXPECTS(m >= 2 && m < steps_per_period / 2, "second tone index out of range");
-    BISTNA_EXPECTS(ratio > 0.0 && ratio <= 1.0, "tone ratio must be in (0, 1]");
-    std::vector<double> steps(steps_per_period);
-    double peak = 0.0;
-    for (std::size_t n = 0; n < steps_per_period; ++n) {
-        const double t = two_pi * static_cast<double>(n) /
-                         static_cast<double>(steps_per_period);
-        steps[n] = std::sin(t) + ratio * std::sin(static_cast<double>(m) * t + phase_rad);
-        peak = std::max(peak, std::abs(steps[n]));
-    }
-    for (double& s : steps) {
-        s /= peak;
-    }
-    return step_pattern(std::move(steps));
-}
-
 step_pattern step_pattern::with_mismatch(sim::process_sampler& process) const {
     // One physical capacitor per distinct magnitude: every step sharing a
     // magnitude gets the same drawn value.

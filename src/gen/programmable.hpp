@@ -29,11 +29,6 @@ public:
     /// Quantized sine with P steps per period: values sin(2 pi n / P).
     static step_pattern quantized_sine(std::size_t steps_per_period);
 
-    /// Two-tone pattern: sin(2 pi n/P) + ratio * sin(2 pi m n / P + phase),
-    /// renormalized to unit peak.  Useful for intermodulation testing.
-    static step_pattern two_tone(std::size_t steps_per_period, std::size_t m, double ratio,
-                                 double phase_rad);
-
     std::size_t period() const noexcept { return steps_.size(); }
     double step_value(std::size_t n) const noexcept { return steps_[n % steps_.size()]; }
 

@@ -62,8 +62,8 @@ struct modulator_params {
     void validate() const;
 
     /// Exact (bitwise-value) equality: two equal params drive bit-identical
-    /// modulators from equal RNG streams, the precondition of the
-    /// calibration-transplant fast path.
+    /// modulators from equal RNG streams, so eval::calibration_key compares
+    /// them this way.
     bool operator==(const modulator_params&) const noexcept = default;
 };
 

@@ -8,6 +8,7 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <poll.h>
@@ -17,7 +18,7 @@
 #include "common/cli.hpp"
 #include "common/error.hpp"
 #include "core/job_queue.hpp"
-#include "eval/acquire_plan.hpp"
+#include "eval/calibration_share.hpp"
 #include "shard/unit_stream.hpp"
 #include "svc/protocol.hpp"
 #include "svc/socket.hpp"
@@ -146,6 +147,16 @@ struct service_server::impl {
         const endpoint tcp = opts.tcp_port >= 0
                                  ? parse_endpoint("tcp:" + std::to_string(opts.tcp_port))
                                  : endpoint{};
+        // Likewise a timeout the nanosecond clock arithmetic would wrap.
+        for (const auto& [name, ms] : {std::pair{"stall_timeout_ms", opts.stall_timeout_ms},
+                                       std::pair{"idle_timeout_ms", opts.idle_timeout_ms}}) {
+            if (ms > server_options::max_timeout_ms) {
+                throw configuration_error("service server: " + std::string(name) + " " +
+                                          std::to_string(ms) + " is past " +
+                                          std::to_string(server_options::max_timeout_ms) +
+                                          " ms (2^63 ns)");
+            }
+        }
         pool = core::engine_pool(std::make_shared<core::job_queue>(opts.worker_threads),
                                  std::make_shared<eval::calibration_share>());
         if (!opts.listen_path.empty()) {

@@ -9,8 +9,9 @@
 // because both sides run the same shard::unit_stream pipeline.  Beside the
 // pool the daemon keeps one calibration share for its lifetime
 // (core::engine_pool): the first request of a kind pays the grounded
-// calibration, later ones restore it, and the share is content-keyed, so
-// the bytes do not change.
+// calibration and later ones reuse its rates.  The share is keyed exactly
+// by what the rates depend on (eval::calibration_key), so the bytes do
+// not change.
 //
 // Robustness is the design center, not an afterthought:
 //
@@ -77,6 +78,10 @@ struct server_options {
     /// Sessions with no traffic and no work for this long are closed
     /// with a typed `idle_timeout` error.  0 disables.
     std::uint64_t idle_timeout_ms = 0;
+    /// The longest timeout, 2^63 ns: the loop counts deadlines in
+    /// nanoseconds on a 64-bit clock, so start() throws
+    /// configuration_error past it instead of letting a deadline wrap.
+    static constexpr std::uint64_t max_timeout_ms = (std::uint64_t{1} << 63) / 1000000;
     /// Emit a progress frame every N streamed results (0 = only the
     /// admission-time progress frame).
     std::size_t progress_every = 0;

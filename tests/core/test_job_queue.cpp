@@ -228,10 +228,12 @@ TEST(JobQueue, DestructionFinishesOutstandingHandles) {
         }
         // Let the destructor run against a blocked worker; it requests
         // cancellation, the gate opens, the in-flight item completes and
-        // the rest are skipped.  No public signal marks the destructor's
-        // cancel point, so the opener waits a moment before releasing.
-        opener = std::thread([&release] {
-            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        // the rest are skipped.  The opener releases once the destructor
+        // has requested the cancel.
+        opener = std::thread([&release, &handle] {
+            while (!handle.cancel_requested()) {
+                std::this_thread::yield();
+            }
             release.release();
         });
     }

@@ -2,8 +2,7 @@
 // bit-identical to the scalar core::screen, with or without a telemetry
 // registry attached, and a steady-state lot loop must stop touching the
 // heap for anything sizeable after its first pass (stimulus cache +
-// calibration transplant) and never grow its worker arena again (arena
-// reuse).
+// calibration share) and never grow its worker arena again (arena reuse).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -155,7 +154,7 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
     screening.measure_distortion = true;
 
     // First pass warms every reuse path: arena growth, staircase cache,
-    // calibration snapshot.
+    // calibration share.
     (void)engine.submit_screening(spec_mask::paper_lowpass(), 24, 1, screening).results();
 
     // Arena blocks are mapped from the kernel, not operator new, so the
@@ -177,7 +176,7 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
 
     const auto stats = engine.stats();
     EXPECT_GT(stats.stimulus.hits, 0u);
-    EXPECT_GT(stats.calibration_snapshots, 0u);
+    EXPECT_GT(stats.calibrations, 0u);
 }
 
 } // namespace

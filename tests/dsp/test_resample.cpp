@@ -20,14 +20,6 @@ TEST(Resample, ZohRepeatsSamples) {
     }
 }
 
-TEST(Resample, LinearInterpolates) {
-    const auto out = dsp::linear_upsample({0.0, 2.0}, 4);
-    ASSERT_EQ(out.size(), 5u);
-    EXPECT_DOUBLE_EQ(out[1], 0.5);
-    EXPECT_DOUBLE_EQ(out[2], 1.0);
-    EXPECT_DOUBLE_EQ(out[4], 2.0);
-}
-
 TEST(Resample, DecimatePhase) {
     const auto out = dsp::decimate({0, 1, 2, 3, 4, 5, 6, 7}, 3, 1);
     ASSERT_EQ(out.size(), 3u);

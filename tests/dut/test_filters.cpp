@@ -58,14 +58,6 @@ TEST(Filters, MfbLowpassGainAndOrder) {
     EXPECT_NEAR(std::abs(tf.response(1000.0)), 2.0 / std::sqrt(2.0), 0.05);
 }
 
-TEST(Filters, TowThomasBandpassPeaksAtCenter) {
-    const auto tf = dut::tow_thomas_bandpass(2000.0, 8.0);
-    const double peak = std::abs(tf.response(2000.0));
-    EXPECT_NEAR(peak, 1.0, 1e-6);
-    EXPECT_LT(std::abs(tf.response(500.0)), 0.3);
-    EXPECT_LT(std::abs(tf.response(8000.0)), 0.3);
-}
-
 TEST(Filters, PaperDutDescriptionAndResponse) {
     const auto dut_instance = dut::make_paper_dut(0.01, 7);
     EXPECT_NE(dut_instance->description().find("1 kHz"), std::string::npos);

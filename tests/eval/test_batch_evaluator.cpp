@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "common/math_util.hpp"
-#include "eval/acquire_plan.hpp"
+#include "eval/calibration_share.hpp"
 #include "eval/batch_evaluator.hpp"
 #include "eval/evaluator.hpp"
 #include "eval/signature.hpp"
@@ -149,11 +149,11 @@ INSTANTIATE_TEST_SUITE_P(OffsetModes, AcquireBatchModes,
                          ::testing::Values(offset_mode::none, offset_mode::calibrated,
                                            offset_mode::chopped));
 
-// A mixed calibration group: noiseless lanes (ideal, leak- and
-// offset-faulted) run one grounded channel for both rates, and noisy lanes
-// run both channels in the one bank -- two lanes under one seed share their
-// I stream and their Q stream there.  Every lane must end exactly where a
-// twin running the scalar calibrate_offset does, its RNG included.
+// A mixed calibration group: noiseless keys (ideal, leak- and
+// offset-faulted, whatever the seed) run one grounded channel for both
+// rates, and noisy keys run both channels in the one bank -- two lanes
+// under one seed share one key.  Every lane must end exactly where a twin
+// running the scalar calibrate_offset does, its RNG included.
 TEST(AcquireBatch, CalibrateOffsetBatchMatchesScalarCalibration) {
     auto leaky = sd::modulator_params::ideal();
     leaky.dc_gain_db = 40.0;
@@ -175,7 +175,9 @@ TEST(AcquireBatch, CalibrateOffsetBatchMatchesScalarCalibration) {
     for (auto& lane : batch_lanes) {
         lane_ptrs.push_back(&lane);
     }
-    signature_extractor::calibrate_offset_batch(lane_ptrs, 128);
+    eval::calibration_share share;
+    EXPECT_EQ(signature_extractor::calibrate_offset_batch(lane_ptrs, share, 128), 5u)
+        << "cmos035 at seeds 50 and 51, ideal, offset, leaky";
     for (std::size_t l = 0; l < lanes.size(); ++l) {
         scalar_lanes[l].calibrate_offset(128);
         EXPECT_TRUE(batch_lanes[l].offset_calibrated());
@@ -367,7 +369,7 @@ TEST(BatchEvaluator, RejectsHeterogeneousSharedSettings) {
 }
 
 // One calibration per distinct (params, seed) key, in one pass: duplicates
-// restore the leader's snapshot, and every lane -- leader, duplicate or
+// take the rates of their key's run, and every lane -- first, duplicate or
 // lone -- still matches a scalar evaluator that calibrated itself.
 TEST(BatchEvaluator, CalibratesEachDistinctKeyOnceAndStaysBitIdentical) {
     constexpr std::size_t periods = 16;
@@ -443,7 +445,7 @@ TEST(BatchEvaluator, NoiselessLanesCalibrateOncePerModulator) {
     EXPECT_EQ(expect_lanes_match_scalar(configs), 4u) << "ideal + three leaks";
 }
 
-// Noisy modulators keep seed-keyed snapshots: one calibration per seed.
+// Noisy modulators key on the stream position: one calibration per seed.
 TEST(BatchEvaluator, NoisyLanesCalibrateOncePerSeed) {
     std::vector<evaluator_config> configs;
     for (std::uint64_t seed : {5, 6, 5, 7, 6, 5}) {
@@ -452,46 +454,44 @@ TEST(BatchEvaluator, NoisyLanesCalibrateOncePerSeed) {
     EXPECT_EQ(expect_lanes_match_scalar(configs), 3u) << "seeds 5, 6 and 7";
 }
 
-/// Publish a cmos035 snapshot of a 64-period calibration under `seed`.
-void store_noisy_snapshot(eval::calibration_share& share, std::uint64_t seed) {
-    eval::calibration_snapshot snapshot;
-    snapshot.params = sd::modulator_params::cmos035();
-    snapshot.rng_before = rng(seed);
-    snapshot.calibration_samples = 64.0 * 96.0;
-    share.store(seed, 64, 96, snapshot);
+/// The key of a cmos035 lane's 64-period calibration from stream `seed`.
+eval::calibration_key noisy_key(std::uint64_t seed) {
+    return eval::calibration_key(sd::modulator_params::cmos035(), 64 * 96, rng(seed));
 }
 
 /// Fill `share` to its cap with distinct noisy keys, seeds 1000 upwards.
 void fill_share(eval::calibration_share& share) {
     for (std::uint64_t i = 0; i < eval::calibration_share::max_entries; ++i) {
-        store_noisy_snapshot(share, 1000 + i);
+        share.store(noisy_key(1000 + i), {});
     }
 }
 
 // A full share evicts its oldest key instead of refusing the new one.
 TEST(BatchEvaluator, FullCalibrationShareEvictsItsOldestKey) {
-    const auto params = sd::modulator_params::cmos035();
     eval::calibration_share share;
+    const auto held = [&share](std::uint64_t seed) {
+        return share.find(noisy_key(seed)).has_value();
+    };
     fill_share(share);
     ASSERT_EQ(share.entries(), eval::calibration_share::max_entries);
-    ASSERT_NE(share.find(params, 1000, 64, 96), nullptr);
+    ASSERT_TRUE(held(1000));
 
-    store_noisy_snapshot(share, 99);
-    EXPECT_NE(share.find(params, 99, 64, 96), nullptr) << "the new key is published";
-    EXPECT_EQ(share.find(params, 1000, 64, 96), nullptr) << "the oldest key is gone";
-    EXPECT_NE(share.find(params, 1001, 64, 96), nullptr);
+    share.store(noisy_key(99), {});
+    EXPECT_TRUE(held(99)) << "the new key is published";
+    EXPECT_FALSE(held(1000)) << "the oldest key is gone";
+    EXPECT_TRUE(held(1001));
     EXPECT_EQ(share.entries(), eval::calibration_share::max_entries);
 
     // Republishing a resident key does not move it to the back.
-    store_noisy_snapshot(share, 1001);
-    store_noisy_snapshot(share, 98);
-    EXPECT_EQ(share.find(params, 1001, 64, 96), nullptr);
-    EXPECT_NE(share.find(params, 1002, 64, 96), nullptr);
+    share.store(noisy_key(1001), {});
+    share.store(noisy_key(98), {});
+    EXPECT_FALSE(held(1001));
+    EXPECT_TRUE(held(1002));
 }
 
-// A 16-lane group of one new key on a full share calibrates its leader and
-// restores the other 15 lanes from the snapshot it published, and every
-// lane still matches a scalar evaluator that calibrated itself.
+// A 16-lane group of one new key on a full share runs the key once and
+// hands its rates to the other 15 lanes, and every lane still matches a
+// scalar evaluator that calibrated itself.
 TEST(BatchEvaluator, FullShareStillCalibratesANewKeyOnce) {
     constexpr std::size_t lanes = 16;
     constexpr std::size_t periods = 16;

@@ -1,5 +1,5 @@
 // High-level evaluator: multitone measurement (the Fig. 9 scenario),
-// convergence, THD, leakage correction.
+// convergence, THD, offset calibration.
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
@@ -78,21 +78,6 @@ TEST(Evaluator, ThdOfDistortedToneMatchesConstruction) {
         20.0 * std::log10(std::sqrt(0.005 * 0.005 + 0.0015 * 0.0015) / 0.5);
     EXPECT_NEAR(thd.db, expected, 0.5);
     EXPECT_TRUE(thd.bounds_db.contains(expected));
-}
-
-TEST(Evaluator, LeakageCorrectionImprovesFundamentalEstimate) {
-    // Strong 3rd harmonic leaks A3/3 into the k=1 channel; the corrected
-    // sweep removes most of it.
-    ate::multitone_source stimulus({ate::tone{1, 0.2, 0.5}, ate::tone{3, 0.06, 1.4}}, 96);
-    auto config = ideal_config();
-    sinewave_evaluator evaluator(config);
-    const auto raw = evaluator.harmonic_sweep(stimulus.as_source(), {1, 3}, 2000);
-    const auto corrected = evaluator.corrected_harmonic_sweep(stimulus.as_source(), {1, 3}, 2000);
-
-    const double raw_error = std::abs(raw[0].amplitude.volts - 0.2);
-    const double corrected_error = std::abs(corrected[0].amplitude.volts - 0.2);
-    EXPECT_LT(corrected_error, raw_error * 0.35)
-        << "raw error " << raw_error << ", corrected " << corrected_error;
 }
 
 TEST(Evaluator, CalibratedModeAutoCalibrates) {

@@ -1,6 +1,6 @@
 // Lane-major evaluation kernels: every batched acquisition variant
 // (lane-major block, shared broadcast record) must be bit-identical to the
-// scalar references, and the calibration transplant must be transparent.
+// scalar references, and a reused calibration must be transparent.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -8,15 +8,15 @@
 #include <vector>
 
 #include "common/math_util.hpp"
-#include "eval/acquire_plan.hpp"
+#include "eval/calibration_share.hpp"
 #include "eval/signature.hpp"
 
 namespace {
 
 using namespace bistna;
 using eval::acquisition_settings;
+using eval::calibration_key;
 using eval::calibration_share;
-using eval::calibration_snapshot;
 using eval::signature_extractor;
 
 constexpr std::size_t kN = 96;
@@ -98,18 +98,10 @@ TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
     }
 }
 
-/// A snapshot of the calibration a donor lane ran from `seed`.
-calibration_snapshot calibrated_snapshot(const sd::modulator_params& params,
-                                         std::uint64_t seed, std::size_t cal_periods) {
-    signature_extractor donor(params, seed);
-    calibration_snapshot snapshot;
-    snapshot.params = params;
-    snapshot.rng_before = donor.rng_state();
-    donor.calibrate_offset(cal_periods, kN);
-    snapshot.offset_rate_1 = donor.offset_rate_ch1();
-    snapshot.offset_rate_2 = donor.offset_rate_ch2();
-    snapshot.calibration_samples = donor.calibration_samples();
-    return snapshot;
+/// Calibrate `lanes` in one batch on `share`; returns the keys the bank ran.
+std::size_t calibrate(calibration_share& share, std::vector<signature_extractor*> lanes,
+                      std::size_t cal_periods) {
+    return signature_extractor::calibrate_offset_batch(lanes, share, cal_periods, kN);
 }
 
 /// Two acquisitions are bit-identical.
@@ -127,85 +119,97 @@ void expect_same_acquisition(signature_extractor& got, signature_extractor& expe
     EXPECT_EQ(have.raw_i2, want.raw_i2);
 }
 
+/// A lane that reused a calibration ends where its twin, which ran
+/// calibrate_offset itself, does: rates, length, the RNG after the two
+/// spawns, and the next acquisition.
+void expect_same_calibration(signature_extractor& got, signature_extractor& twin) {
+    EXPECT_TRUE(got.offset_calibrated());
+    EXPECT_EQ(got.offset_rate_ch1(), twin.offset_rate_ch1());
+    EXPECT_EQ(got.offset_rate_ch2(), twin.offset_rate_ch2());
+    EXPECT_EQ(got.calibration_samples(), twin.calibration_samples());
+    EXPECT_TRUE(got.rng_state() == twin.rng_state());
+    expect_same_acquisition(got, twin);
+}
+
+// A noisy lane reuses the calibration a donor at the same stream position
+// published; any other stream position, params or length runs its own.
 TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     const auto params = sd::modulator_params::cmos035();
     const std::uint64_t seed = 42;
     const std::size_t cal_periods = 256;
+    calibration_share share;
+    signature_extractor donor(params, seed);
+    ASSERT_EQ(calibrate(share, {&donor}, cal_periods), 1u);
 
-    // Reference lane calibrates itself.
-    signature_extractor reference(params, seed);
-    reference.calibrate_offset(cal_periods, kN);
-
-    // Donor lane calibrates and publishes a snapshot.
-    const auto snapshot = calibrated_snapshot(params, seed, cal_periods);
-
-    // Receiver adopts it instead of calibrating.
     signature_extractor receiver(params, seed);
-    ASSERT_TRUE(receiver.try_restore_calibration(snapshot));
-    EXPECT_TRUE(receiver.offset_calibrated());
-    EXPECT_EQ(receiver.offset_rate_ch1(), reference.offset_rate_ch1());
-    EXPECT_EQ(receiver.offset_rate_ch2(), reference.offset_rate_ch2());
+    EXPECT_EQ(calibrate(share, {&receiver}, cal_periods), 0u) << "reused, not run";
+    signature_extractor twin(params, seed);
+    twin.calibrate_offset(cal_periods, kN);
+    expect_same_calibration(receiver, twin);
 
-    // And the next acquisition is bit-identical to the self-calibrated lane.
-    expect_same_acquisition(receiver, reference);
-
-    // Restores are refused on any mismatch: already calibrated, wrong
-    // stream position, or wrong params.
-    EXPECT_FALSE(receiver.try_restore_calibration(snapshot)) << "already calibrated";
-    signature_extractor wrong_seed(params, seed + 1);
-    EXPECT_FALSE(wrong_seed.try_restore_calibration(snapshot));
+    signature_extractor other_seed(params, seed + 1);
+    EXPECT_EQ(calibrate(share, {&other_seed}, cal_periods), 1u) << "another seed";
+    signature_extractor moved(params, seed);
+    moved.calibrate_offset(cal_periods, kN);
+    EXPECT_EQ(calibrate(share, {&moved}, cal_periods), 1u) << "the seed, further down";
     auto other_params = params;
     other_params.input_offset += 1e-3;
     signature_extractor wrong_params(other_params, seed);
-    EXPECT_FALSE(wrong_params.try_restore_calibration(snapshot));
+    EXPECT_EQ(calibrate(share, {&wrong_params}, cal_periods), 1u) << "other params";
+    signature_extractor longer(params, seed);
+    EXPECT_EQ(calibrate(share, {&longer}, 2 * cal_periods), 1u) << "another length";
 }
 
-// A noiseless lane adopts a snapshot whatever its seed: the grounded loop
-// never reads the RNG, and the restore advances the stream by the two spawns
-// calibrate_offset makes, so the lane's next acquisition is still its own.
+// A noiseless lane reuses a calibration whatever its seed: the grounded
+// loop never reads the RNG, and the lane still spawns the two channels
+// calibrate_offset would, so its next acquisition is still its own.
 TEST(LaneKernels, NoiselessTransplantIgnoresTheSeed) {
     auto params = sd::modulator_params::ideal();
     params.input_offset = 5e-3;
-    const auto snapshot = calibrated_snapshot(params, 7, 128);
+    calibration_share share;
+    signature_extractor donor(params, 7);
+    ASSERT_EQ(calibrate(share, {&donor}, 128), 1u);
 
     signature_extractor receiver(params, 8);
-    ASSERT_TRUE(receiver.try_restore_calibration(snapshot));
+    EXPECT_EQ(calibrate(share, {&receiver}, 128), 0u) << "reused, not run";
     signature_extractor twin(params, 8);
     twin.calibrate_offset(128, kN);
-    EXPECT_TRUE(receiver.rng_state() == twin.rng_state());
-    EXPECT_EQ(receiver.offset_rate_ch1(), twin.offset_rate_ch1());
-    EXPECT_EQ(receiver.offset_rate_ch2(), twin.offset_rate_ch2());
-    EXPECT_EQ(receiver.calibration_samples(), twin.calibration_samples());
-    expect_same_acquisition(receiver, twin);
+    expect_same_calibration(receiver, twin);
+
+    auto other_params = params;
+    other_params.input_offset = 4e-3;
+    signature_extractor wrong_params(other_params, 7);
+    EXPECT_EQ(calibrate(share, {&wrong_params}, 128), 1u) << "other params";
+    signature_extractor longer(params, 7);
+    EXPECT_EQ(calibrate(share, {&longer}, 256), 1u) << "another length";
 }
 
 TEST(LaneKernels, CalibrationShareVerifiesParamsOnLookup) {
+    const auto cmos = sd::modulator_params::cmos035();
+    const std::size_t total = 128 * kN;
     calibration_share share;
-    const auto params = sd::modulator_params::cmos035();
-    share.store(7, 128, kN, calibrated_snapshot(params, 7, 128));
+    share.store(calibration_key(cmos, total, rng(7)), {0.25, -0.5});
     EXPECT_EQ(share.entries(), 1u);
 
-    EXPECT_NE(share.find(params, 7, 128, kN), nullptr);
-    EXPECT_EQ(share.find(params, 8, 128, kN), nullptr) << "different seed, noisy params";
-    EXPECT_EQ(share.find(params, 7, 256, kN), nullptr) << "different length";
-    auto other = params;
+    const auto hit = share.find(calibration_key(cmos, total, rng(7)));
+    ASSERT_TRUE(hit.has_value());
+    EXPECT_EQ(hit->ch1, 0.25);
+    EXPECT_EQ(hit->ch2, -0.5);
+    const auto held = [&share](const calibration_key& key) {
+        return share.find(key).has_value();
+    };
+    EXPECT_FALSE(held(calibration_key(cmos, total, rng(8)))) << "another stream";
+    EXPECT_FALSE(held(calibration_key(cmos, 256 * kN, rng(7)))) << "another length";
+    auto other = cmos;
     other.noise_rms += 1e-6;
-    EXPECT_EQ(share.find(other, 7, 128, kN), nullptr) << "different params";
+    EXPECT_FALSE(held(calibration_key(other, total, rng(7)))) << "other params";
 
     // Noiseless params key on the params and the length alone.
     const auto ideal = sd::modulator_params::ideal();
-    share.store(7, 128, kN, calibrated_snapshot(ideal, 7, 128));
+    share.store(calibration_key(ideal, total, rng(7)), {0.125, 0.125});
     EXPECT_EQ(share.entries(), 2u);
-    EXPECT_NE(share.find(ideal, 7, 128, kN), nullptr);
-    EXPECT_NE(share.find(ideal, 8, 128, kN), nullptr) << "different seed, noiseless params";
-    EXPECT_EQ(share.find(ideal, 8, 256, kN), nullptr) << "different length";
-
-    // The lookup checks the snapshot's own length too, so a snapshot filed
-    // under the wrong key (as a hash collision would) is never served.
-    auto offset = ideal;
-    offset.input_offset = 1e-3;
-    share.store(7, 256, kN, calibrated_snapshot(offset, 7, 128));
-    EXPECT_EQ(share.find(offset, 7, 256, kN), nullptr) << "128-period snapshot, 256 asked";
+    EXPECT_TRUE(held(calibration_key(ideal, total, rng(8)))) << "another stream";
+    EXPECT_FALSE(held(calibration_key(ideal, 256 * kN, rng(7)))) << "another length";
 }
 
 } // namespace

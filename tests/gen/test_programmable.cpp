@@ -1,5 +1,5 @@
 // Programmable-waveform generator extension: pattern construction,
-// hardware-cost accounting, spectral behaviour vs step count, two-tone.
+// hardware-cost accounting, spectral behaviour vs step count.
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
@@ -69,26 +69,6 @@ TEST(ProgrammableGenerator, BiquadRetunedToPatternPeriod) {
     EXPECT_NEAR(g32.normalized_output_frequency(), 1.0 / 32.0, 1e-15);
 }
 
-TEST(ProgrammableGenerator, TwoTonePatternEmitsBothTones) {
-    programmable_generator::params config;
-    config.opamp1 = sc::opamp_params::ideal();
-    config.opamp2 = sc::opamp_params::ideal();
-    config.process = sim::process_params::ideal();
-    // Tones at f_gen/32 and 3 f_gen/32, 0.5 ratio before filter shaping.
-    programmable_generator generator(step_pattern::two_tone(32, 3, 0.5, 0.4), config);
-    generator.set_amplitude(0.2);
-    generator.settle(64);
-    const auto wave = generator.generate(32 * 64);
-    const double a1 = dsp::estimate_tone(wave, 1.0 / 32.0, 1.0).amplitude;
-    const double a3 = dsp::estimate_tone(wave, 3.0 / 32.0, 1.0).amplitude;
-    EXPECT_GT(a1, 0.05);
-    EXPECT_GT(a3, 0.005);
-    // The smoothing biquad (peaked at f_gen/32) attenuates the upper tone.
-    const double shaping = std::abs(sc::biquad_response(generator.caps(), 3.0 / 32.0)) /
-                           std::abs(sc::biquad_response(generator.caps(), 1.0 / 32.0));
-    EXPECT_NEAR(a3 / a1, 0.5 * shaping, 0.1 * shaping);
-}
-
 TEST(ProgrammableGenerator, FinerQuantizationLowersCloseInImages) {
     // With exact sine samples the in-band harmonics come from mismatch;
     // the ZOH images sit at P -/+ 1 times f_wave, so doubling P pushes
@@ -102,7 +82,6 @@ TEST(ProgrammableGenerator, FinerQuantizationLowersCloseInImages) {
 TEST(StepPattern, Validation) {
     EXPECT_THROW(step_pattern::quantized_sine(3), precondition_error);
     EXPECT_THROW(step_pattern::quantized_sine(5), precondition_error);
-    EXPECT_THROW(step_pattern::two_tone(32, 20, 0.5, 0.0), precondition_error);
     EXPECT_THROW(step_pattern({1.5, 0.0, -1.5, 0.0}), precondition_error);
 }
 

@@ -12,7 +12,7 @@
 
 #include "core/job_queue.hpp"
 #include "core/sweep_engine.hpp"
-#include "eval/acquire_plan.hpp"
+#include "eval/calibration_share.hpp"
 #include "shard/manifest.hpp"
 #include "shard/unit_stream.hpp"
 #include "store/format.hpp"

@@ -2,12 +2,13 @@
 // bit-identity against the offline unit_stream, fairness across
 // concurrent sessions, graceful overload shedding (admission, quota,
 // slow readers), cooperative cancel (frame and disconnect), malformed
-// input survival, framing-damage byte offsets, idle timeouts and the TCP
-// loopback listener.
+// input survival, framing-damage byte offsets, idle timeouts, the timeout
+// bound and the TCP loopback listener.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdint>
 #include <cstring>
 #include <future>
 #include <string>
@@ -499,6 +500,33 @@ TEST(SvcServer, IdleSessionsAreClosedWithTypedError) {
     EXPECT_EQ(e->error.code, error_code::idle_timeout);
     EXPECT_FALSE(c.next_event().has_value()); // then EOF
     server.stop();
+}
+
+// The loop counts both timeouts in nanoseconds on a 64-bit clock, so
+// start() refuses either one past 2^63 ns, as it refuses a port past 65535;
+// unchecked, 18446744073710 ms would wrap to a 0.45 ms idle timeout.
+TEST(SvcServer, TimeoutsPastTwoToThe63NanosecondsAreRejected) {
+    ASSERT_EQ(server_options::max_timeout_ms, 9'223'372'036'854u);
+    const std::string path = socket_path("timeouts");
+    for (const auto field :
+         {&server_options::stall_timeout_ms, &server_options::idle_timeout_ms}) {
+        for (const std::uint64_t ms : {server_options::max_timeout_ms,
+                                       server_options::max_timeout_ms + 1,
+                                       std::uint64_t{18'446'744'073'710}}) {
+            auto options = fast_options(path);
+            options.*field = ms;
+            service_server server(std::move(options));
+            if (ms > server_options::max_timeout_ms) {
+                EXPECT_THROW(server.start(), configuration_error) << ms;
+                EXPECT_FALSE(server.running());
+                continue;
+            }
+            server.start();
+            client c(path);
+            EXPECT_EQ(c.hello().protocol, svc::protocol_version);
+            server.stop();
+        }
+    }
 }
 
 TEST(SvcServer, TcpLoopbackListenerServesJobs) {
