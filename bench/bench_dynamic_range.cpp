@@ -20,7 +20,7 @@ namespace {
 
 double measure_bist(double amplitude, std::size_t periods, std::uint64_t seed) {
     using namespace bistna;
-    ate::multitone_source stimulus({ate::tone{1, amplitude, 0.4}}, 96);
+    ate::multitone_source stimulus({ate::tone{1, amplitude, 0.4}});
     eval::evaluator_config config;
     config.modulator = sd::modulator_params::cmos035();
     config.offset = eval::offset_mode::calibrated;
@@ -54,8 +54,8 @@ int main() {
         const double e2000 = measure_bist(amplitude, 2000, 43) - level;
         const double e20000 = measure_bist(amplitude, 20000, 44) - level;
 
-        ate::multitone_source stimulus({ate::tone{1, amplitude, 0.4}}, 96);
-        const auto bp = bandpass.measure(stimulus.as_source(), 1, 96);
+        ate::multitone_source stimulus({ate::tone{1, amplitude, 0.4}});
+        const auto bp = bandpass.measure(stimulus.as_source(), 1);
         const double ebp =
             20.0 * std::log10(std::max(bp.amplitude, 1e-9) / amplitude);
 

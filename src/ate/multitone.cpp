@@ -4,16 +4,15 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "sim/timebase.hpp"
 
 namespace bistna::ate {
 
-multitone_source::multitone_source(std::vector<tone> tones, std::size_t n_per_period,
-                                   double dc)
-    : tones_(std::move(tones)), n_(n_per_period), dc_(dc) {
-    BISTNA_EXPECTS(n_per_period > 0, "oversampling ratio must be positive");
+multitone_source::multitone_source(std::vector<tone> tones, double dc)
+    : tones_(std::move(tones)), dc_(dc) {
     for (const tone& t : tones_) {
         BISTNA_EXPECTS(t.amplitude >= 0.0, "tone amplitude must be non-negative");
-        BISTNA_EXPECTS(2 * t.harmonic < n_per_period,
+        BISTNA_EXPECTS(2 * t.harmonic < sim::timebase::oversampling_ratio,
                        "tone harmonic exceeds the Nyquist limit of the sample grid");
     }
 }
@@ -26,7 +25,8 @@ void multitone_source::set_noise(double rms_volts, std::uint64_t seed) {
 
 double multitone_source::sample(std::size_t n) const {
     double x = dc_;
-    const double base = two_pi * static_cast<double>(n) / static_cast<double>(n_);
+    const double base = two_pi * static_cast<double>(n) /
+                        static_cast<double>(sim::timebase::oversampling_ratio);
     for (const tone& t : tones_) {
         x += t.amplitude * std::sin(static_cast<double>(t.harmonic) * base + t.phase_rad);
     }
@@ -40,11 +40,8 @@ eval::sample_source multitone_source::as_source() const {
     return [this](std::size_t n) { return sample(n); };
 }
 
-multitone_source multitone_source::fig9_stimulus(std::size_t n_per_period, double phase1,
-                                                 double phase2, double phase3) {
-    return multitone_source({tone{1, 0.2, phase1}, tone{2, 0.02, phase2},
-                             tone{3, 0.002, phase3}},
-                            n_per_period);
+multitone_source multitone_source::fig9_stimulus() {
+    return multitone_source({tone{1, 0.2, 0.3}, tone{2, 0.02, 1.1}, tone{3, 0.002, 2.2}});
 }
 
 } // namespace bistna::ate

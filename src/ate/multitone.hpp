@@ -3,7 +3,9 @@
 // The Fig. 9 experiment feeds the evaluator a multitone built from
 // harmonics of the wave frequency: x[n] = dc + sum_i A_i sin(2 pi k_i n/N
 // + phi_i), plus optional source noise.  Tones are specified on the
-// master-clock grid so acquisitions stay coherent by construction.
+// master-clock grid, N = 96 samples per wave period as on the board
+// (sim::timebase::oversampling_ratio), so acquisitions stay coherent by
+// construction.
 #pragma once
 
 #include <cstdint>
@@ -22,8 +24,9 @@ struct tone {
 
 class multitone_source {
 public:
-    /// n_per_period = oversampling ratio N (96 on the demonstrator board).
-    multitone_source(std::vector<tone> tones, std::size_t n_per_period, double dc = 0.0);
+    /// Throws precondition_error on a negative amplitude or a harmonic at
+    /// or above the grid's Nyquist limit (N/2).
+    explicit multitone_source(std::vector<tone> tones, double dc = 0.0);
 
     /// Additive white Gaussian source noise (ATE output + board pickup).
     void set_noise(double rms_volts, std::uint64_t seed);
@@ -34,17 +37,15 @@ public:
     /// Adapt to the evaluator's streaming interface.
     eval::sample_source as_source() const;
 
-    /// Paper Fig. 9 stimulus: A1 = 0.2 V, A2 = 0.02 V, A3 = 0.002 V.
-    static multitone_source fig9_stimulus(std::size_t n_per_period = 96,
-                                          double phase1 = 0.3, double phase2 = 1.1,
-                                          double phase3 = 2.2);
+    /// Paper Fig. 9 stimulus: A1 = 0.2 V, A2 = 0.02 V, A3 = 0.002 V, at
+    /// phases 0.3, 1.1 and 2.2 rad.
+    static multitone_source fig9_stimulus();
 
     const std::vector<tone>& tones() const noexcept { return tones_; }
     double dc() const noexcept { return dc_; }
 
 private:
     std::vector<tone> tones_;
-    std::size_t n_;
     double dc_;
     double noise_rms_ = 0.0;
     mutable bistna::rng noise_rng_{0};

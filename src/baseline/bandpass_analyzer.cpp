@@ -7,6 +7,7 @@
 #include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "common/units.hpp"
+#include "sim/timebase.hpp"
 
 namespace bistna::baseline {
 
@@ -18,15 +19,15 @@ bandpass_analyzer::bandpass_analyzer(bandpass_analyzer_params params)
 }
 
 bandpass_measurement bandpass_analyzer::measure(const eval::sample_source& source,
-                                                std::size_t harmonic_k,
-                                                std::size_t n_per_period) {
+                                                std::size_t harmonic_k) {
+    constexpr std::size_t samples_per_period = sim::timebase::oversampling_ratio;
     BISTNA_EXPECTS(harmonic_k >= 1, "band-pass analyzer measures harmonics k >= 1");
-    BISTNA_EXPECTS(2 * harmonic_k < n_per_period, "harmonic beyond the Nyquist limit");
+    BISTNA_EXPECTS(2 * harmonic_k < samples_per_period, "harmonic beyond the Nyquist limit");
 
     // Discrete-time resonator centered on the harmonic, peak gain
     // normalized to 1:  H(z) = g (1 - z^-2) / (1 - 2 r cos(theta) z^-1 + r^2 z^-2).
     const double theta =
-        two_pi * static_cast<double>(harmonic_k) / static_cast<double>(n_per_period);
+        two_pi * static_cast<double>(harmonic_k) / static_cast<double>(samples_per_period);
     const double r = 1.0 - theta / (2.0 * params_.filter_q);
     BISTNA_EXPECTS(r > 0.0 && r < 1.0, "band-pass pole radius out of range");
     const double a1 = -2.0 * r * std::cos(theta);
@@ -41,8 +42,8 @@ bandpass_measurement bandpass_analyzer::measure(const eval::sample_source& sourc
     double s1 = 0.0;
     double s2 = 0.0;
     double peak = 0.0;
-    const std::size_t settle = params_.settle_periods * n_per_period;
-    const std::size_t detect = params_.detect_periods * n_per_period;
+    const std::size_t settle = params_.settle_periods * samples_per_period;
+    const std::size_t detect = params_.detect_periods * samples_per_period;
     for (std::size_t n = 0; n < settle + detect; ++n) {
         const double x = source(n);
         const double y = g * x + s1;

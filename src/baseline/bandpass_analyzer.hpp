@@ -38,10 +38,9 @@ class bandpass_analyzer {
 public:
     explicit bandpass_analyzer(bandpass_analyzer_params params);
 
-    /// Measure harmonic k of a coherent record (n_per_period samples per
-    /// fundamental period).
-    bandpass_measurement measure(const eval::sample_source& source, std::size_t harmonic_k,
-                                 std::size_t n_per_period);
+    /// Measure harmonic k of a coherent record (N = 96 samples per
+    /// fundamental period, the board's oversampling ratio).
+    bandpass_measurement measure(const eval::sample_source& source, std::size_t harmonic_k);
 
     const bandpass_analyzer_params& params() const noexcept { return params_; }
 

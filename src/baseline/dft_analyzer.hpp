@@ -21,9 +21,8 @@ struct dft_point {
 class dft_analyzer {
 public:
     /// Measure a harmonic of the coherent grid: harmonic k of a record with
-    /// n_per_period samples per fundamental period.
-    dft_point measure(const std::vector<double>& record, std::size_t harmonic_k,
-                      std::size_t n_per_period) const;
+    /// N = 96 samples per fundamental period, the board's oversampling ratio.
+    dft_point measure(const std::vector<double>& record, std::size_t harmonic_k) const;
 
     /// Gain/phase between two coherent records (input & output of a DUT).
     struct gain_phase {
@@ -32,7 +31,7 @@ public:
         double phase_rad = 0.0;
     };
     gain_phase transfer(const std::vector<double>& input, const std::vector<double>& output,
-                        std::size_t harmonic_k, std::size_t n_per_period) const;
+                        std::size_t harmonic_k) const;
 };
 
 } // namespace bistna::baseline

@@ -12,7 +12,8 @@ namespace bistna::core {
 
 namespace {
 
-/// Deterministic generator-hold systematics at harmonic k.
+/// Deterministic generator-hold systematics at the fundamental (k = 1), the
+/// one harmonic a Bode point measures.
 ///
 /// The DUT filters the *continuous-time* staircase: its k-th component is
 /// the generator sequence scaled by sinc(k/16) and delayed by half a
@@ -28,38 +29,45 @@ struct hold_systematics {
     double phase_rad; ///< excess phase of the DUT path (negative = lag)
 };
 
-hold_systematics hold_effect(std::size_t harmonic_k) {
-    const double k = static_cast<double>(harmonic_k);
-    const std::size_t hold = sim::timebase::generator_divider; // 6
-    const std::size_t n = sim::timebase::oversampling_ratio;   // 96
+/// A constant of the board, computed on first use.
+const hold_systematics& hold_effect() {
+    static const hold_systematics effect = [] {
+        const std::size_t harmonic_k = 1;
+        const double k = static_cast<double>(harmonic_k);
+        const std::size_t hold = sim::timebase::generator_divider; // 6
+        const std::size_t n = sim::timebase::oversampling_ratio;   // 96
 
-    // DUT-path factor: continuous-time ZOH of the unit generator sequence
-    // at harmonic k: sinc(k/16) with a 3-sample (half generator period) lag.
-    const double zoh_gain = sinc(k / static_cast<double>(sim::timebase::steps_per_period));
-    const double zoh_phase = -k * pi * static_cast<double>(hold) / static_cast<double>(n);
+        // DUT-path factor: continuous-time ZOH of the unit generator
+        // sequence at harmonic k: sinc(k/16) with a 3-sample (half
+        // generator period) lag.
+        const double zoh_gain =
+            sinc(k / static_cast<double>(sim::timebase::steps_per_period));
+        const double zoh_phase = -k * pi * static_cast<double>(hold) / static_cast<double>(n);
 
-    // Calibration-path factor: demodulate the *known* unit staircase
-    // numerically over one period.  This captures both the Dirichlet
-    // droop/lag of the 6-sample hold and the square-wave demodulator's
-    // pickup of the hold images at (16 j +/- k) f_wave -- the dominant
-    // deterministic systematic of the scheme (~1 % at k = 1).
-    const eval::demod_reference demod(harmonic_k, n);
-    double s1 = 0.0;
-    double s2 = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = std::sin(two_pi * k *
-                                  static_cast<double>((i / hold) * hold) /
-                                  static_cast<double>(n));
-        s1 += x * static_cast<double>(demod.in_phase_sign(i));
-        s2 += x * static_cast<double>(demod.quadrature_sign(i));
-    }
-    s1 /= static_cast<double>(n);
-    s2 /= static_cast<double>(n);
-    const double c1_mag = std::abs(demod.c1());
-    const double cal_gain = std::hypot(s1, s2) / c1_mag;
-    const double cal_phase = std::atan2(s1, s2) + std::arg(demod.c1());
+        // Calibration-path factor: demodulate the *known* unit staircase
+        // numerically over one period.  This captures both the Dirichlet
+        // droop/lag of the 6-sample hold and the square-wave demodulator's
+        // pickup of the hold images at (16 j +/- k) f_wave -- the dominant
+        // deterministic systematic of the scheme (~1 % at k = 1).
+        const eval::demod_reference demod(harmonic_k);
+        double s1 = 0.0;
+        double s2 = 0.0;
+        for (std::size_t i = 0; i < n; ++i) {
+            const double x = std::sin(two_pi * k *
+                                      static_cast<double>((i / hold) * hold) /
+                                      static_cast<double>(n));
+            s1 += x * static_cast<double>(demod.in_phase_sign(i));
+            s2 += x * static_cast<double>(demod.quadrature_sign(i));
+        }
+        s1 /= static_cast<double>(n);
+        s2 /= static_cast<double>(n);
+        const double c1_mag = std::abs(demod.c1());
+        const double cal_gain = std::hypot(s1, s2) / c1_mag;
+        const double cal_phase = std::atan2(s1, s2) + std::arg(demod.c1());
 
-    return hold_systematics{zoh_gain / cal_gain, zoh_phase - cal_phase};
+        return hold_systematics{zoh_gain / cal_gain, zoh_phase - cal_phase};
+    }();
+    return effect;
 }
 
 /// Point-estimate phase with an honest full-circle interval, used whenever
@@ -67,7 +75,7 @@ hold_systematics hold_effect(std::size_t harmonic_k) {
 /// pin the phase): the deep-stopband output case and the dead-stimulus
 /// calibration case share this exact convention.
 eval::phase_measurement fallback_phase(const eval::signature_result& sig) {
-    const eval::demod_reference demod(sig.harmonic_k, sig.n_per_period);
+    const eval::demod_reference demod(sig.harmonic_k);
     eval::phase_measurement phase;
     phase.harmonic_k = sig.harmonic_k;
     phase.radians = wrap_phase(std::atan2(sig.i1, sig.i2) + std::arg(demod.c1()));
@@ -115,7 +123,7 @@ frequency_point assemble_frequency_point(hertz f_wave, const stimulus_calibratio
     interval phase_bounds = output_phase.bounds_radians - input.phase.bounds_radians;
 
     // De-embed the generator's zero-order hold.
-    const auto hold = hold_effect(1);
+    const hold_systematics& hold = hold_effect();
     const double gain_correction = 1.0 / hold.gain;
     const double phase_correction = -hold.phase_rad;
     point.gain_db = amplitude_ratio_to_db(gain * gain_correction);
@@ -202,7 +210,7 @@ distortion_result network_analyzer::measure_distortion(hertz f_wave,
 
     std::vector<eval::amplitude_measurement> amplitudes;
     for (std::size_t k = 1; k <= max_harmonic; ++k) {
-        if (!eval::demod_reference::alignment_ok(k, settings_.evaluator.n_per_period)) {
+        if (!eval::demod_reference::alignment_ok(k)) {
             continue;
         }
         amplitudes.push_back(

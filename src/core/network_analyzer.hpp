@@ -95,16 +95,6 @@ public:
         calibration_ = std::move(calibration);
     }
 
-    /// Attach a shared stimulus-record cache to the underlying board: the
-    /// calibration path, measure_point and measure_distortion then all
-    /// reuse one clock-normalized staircase render per (amplitude, periods,
-    /// settle) instead of re-simulating the generator at every frequency.
-    /// Bit-identical to the uncached path; safe to share across the
-    /// analyzers of a concurrent batch (see sweep_engine).
-    void set_stimulus_cache(std::shared_ptr<stimulus_cache> cache) {
-        board_.set_stimulus_cache(std::move(cache));
-    }
-
     /// Measure the DUT at one frequency point.
     frequency_point measure_point(hertz f_wave);
 

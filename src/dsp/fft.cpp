@@ -40,17 +40,6 @@ void fft_inplace(std::vector<cplx>& data) {
     }
 }
 
-void ifft_inplace(std::vector<cplx>& data) {
-    for (auto& x : data) {
-        x = std::conj(x);
-    }
-    fft_inplace(data);
-    const double scale = 1.0 / static_cast<double>(data.size());
-    for (auto& x : data) {
-        x = std::conj(x) * scale;
-    }
-}
-
 std::vector<cplx> rfft(const std::vector<double>& input) {
     std::vector<cplx> buffer(input.begin(), input.end());
     fft_inplace(buffer);

@@ -16,9 +16,6 @@ using cplx = std::complex<double>;
 /// data.size() must be a power of two.
 void fft_inplace(std::vector<cplx>& data);
 
-/// In-place inverse FFT (scaled by 1/N).
-void ifft_inplace(std::vector<cplx>& data);
-
 /// FFT of a real signal; returns the N/2+1 non-negative-frequency bins.
 /// input.size() must be a power of two.
 std::vector<cplx> rfft(const std::vector<double>& input);

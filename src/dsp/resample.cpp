@@ -16,16 +16,4 @@ std::vector<double> zoh_upsample(const std::vector<double>& samples, std::size_t
     return out;
 }
 
-std::vector<double> decimate(const std::vector<double>& samples, std::size_t factor,
-                             std::size_t phase) {
-    BISTNA_EXPECTS(factor > 0, "decimation factor must be positive");
-    BISTNA_EXPECTS(phase < factor, "decimation phase must be < factor");
-    std::vector<double> out;
-    out.reserve(samples.size() / factor + 1);
-    for (std::size_t i = phase; i < samples.size(); i += factor) {
-        out.push_back(samples[i]);
-    }
-    return out;
-}
-
 } // namespace bistna::dsp

@@ -1,4 +1,4 @@
-// Rate conversion helpers.
+// Rate conversion: zero-order-hold upsampling.
 //
 // The paper's Fig. 8b caveat — "these results correspond to the
 // continuous-time analysis of a sampled signal" — is reproduced by
@@ -14,9 +14,5 @@ namespace bistna::dsp {
 
 /// Repeat each sample `factor` times (zero-order hold onto a finer grid).
 std::vector<double> zoh_upsample(const std::vector<double>& samples, std::size_t factor);
-
-/// Keep every `factor`-th sample starting at `phase`.
-std::vector<double> decimate(const std::vector<double>& samples, std::size_t factor,
-                             std::size_t phase = 0);
 
 } // namespace bistna::dsp

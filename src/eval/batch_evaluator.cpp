@@ -38,11 +38,10 @@ batch_evaluator::batch_evaluator(std::vector<evaluator_config> configs,
     BISTNA_EXPECTS(!configs_.empty(), "batch evaluator needs at least one lane");
     const evaluator_config& front = configs_.front();
     for (const evaluator_config& config : configs_) {
-        BISTNA_EXPECTS(config.n_per_period == front.n_per_period &&
-                           config.offset == front.offset &&
+        BISTNA_EXPECTS(config.offset == front.offset &&
                            config.calibration_periods == front.calibration_periods,
-                       "batch lanes must share n_per_period, offset mode and "
-                       "calibration_periods (seeds and modulators may differ)");
+                       "batch lanes must share offset mode and calibration_periods "
+                       "(seeds and modulators may differ)");
     }
     extractors_.reserve(configs_.size());
     for (const evaluator_config& config : configs_) {
@@ -60,7 +59,6 @@ acquisition_settings batch_evaluator::settings_for(std::size_t k,
     acquisition_settings settings;
     settings.harmonic_k = k;
     settings.periods = periods;
-    settings.n_per_period = configs_.front().n_per_period;
     settings.offset = configs_.front().offset;
     return settings;
 }
@@ -79,8 +77,7 @@ void batch_evaluator::ensure_calibrated(std::span<signature_extractor* const> la
         return;
     }
     const std::size_t runs = signature_extractor::calibrate_offset_batch(
-        uncalibrated, calibration_share_, configs_.front().calibration_periods,
-        configs_.front().n_per_period);
+        uncalibrated, calibration_share_, configs_.front().calibration_periods);
     telemetry::counter_add(counters().runs, runs);
     telemetry::counter_add(counters().restores, uncalibrated.size() - runs);
 }
@@ -130,7 +127,7 @@ std::vector<thd_measurement> batch_evaluator::measure_thd_lanes_lane_major(
 
     std::vector<std::vector<amplitude_measurement>> per_lane(lane_ids.size());
     for (std::size_t k = 1; k <= max_harmonic; ++k) {
-        if (!demod_reference::alignment_ok(k, configs_.front().n_per_period)) {
+        if (!demod_reference::alignment_ok(k)) {
             continue; // documented: harmonics violating N mod 4k == 0 are skipped
         }
         const auto harmonics =

@@ -29,8 +29,8 @@ class calibration_share;
 class batch_evaluator {
 public:
     /// One config per lane.  Seeds and modulator params may differ per
-    /// lane; n_per_period, offset mode and calibration_periods must be
-    /// uniform (the lockstep stages share one demodulation program).
+    /// lane; offset mode and calibration_periods must be uniform (the
+    /// lockstep stages share one demodulation program).
     /// Lanes take the offset rates `calibration` holds for their
     /// calibration_key instead of re-running the grounded calibration --
     /// the dominant per-item cost of a screening flow or a dictionary

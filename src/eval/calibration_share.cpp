@@ -7,6 +7,7 @@ namespace bistna::eval {
 calibration_key::calibration_key(const sd::modulator_params& params,
                                  std::size_t total_samples, const bistna::rng& lane_stream)
     : params(params), total_samples(total_samples) {
+    params.validate();
     if (params.draws_noise()) {
         stream = lane_stream;
     }
@@ -37,9 +38,6 @@ std::optional<offset_rates> calibration_share::find(const calibration_key& key) 
 }
 
 void calibration_share::store(const calibration_key& key, offset_rates rates) {
-    if (!(key == key)) {
-        return; // a NaN param never matches, so its entry could never be found or evicted
-    }
     std::lock_guard<std::mutex> lock(mutex_);
     if (!entries_.insert_or_assign(key, rates).second) {
         return; // a republished key keeps its place

@@ -32,7 +32,9 @@ namespace bistna::eval {
 /// bit-identical rates.
 struct calibration_key {
     /// `lane_stream` is the RNG the lane's two channels are about to spawn
-    /// from; the key keeps it only when `params` draw noise.
+    /// from; the key keeps it only when `params` draw noise.  Throws
+    /// precondition_error on params sd::modulator_params::validate()
+    /// rejects, so every key equals itself.
     calibration_key(const sd::modulator_params& params, std::size_t total_samples,
                     const bistna::rng& lane_stream);
 

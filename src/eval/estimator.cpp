@@ -14,22 +14,6 @@ interval signature_interval(double count, double eps_bound) {
     return interval::centered(count, eps_bound);
 }
 
-double demod_magnitude(const signature_result& sig, constants_mode mode) {
-    if (mode == constants_mode::paper) {
-        return demod_reference::ct_magnitude; // 2/pi
-    }
-    const demod_reference demod(sig.harmonic_k, sig.n_per_period);
-    return std::abs(demod.c1());
-}
-
-double demod_phase_reference(const signature_result& sig, constants_mode mode) {
-    if (mode == constants_mode::paper) {
-        return -half_pi; // arg(c1) of the continuous-time square wave
-    }
-    const demod_reference demod(sig.harmonic_k, sig.n_per_period);
-    return std::arg(demod.c1());
-}
-
 } // namespace
 
 dc_measurement estimate_dc(const signature_result& sig) {
@@ -42,11 +26,11 @@ dc_measurement estimate_dc(const signature_result& sig) {
     return m;
 }
 
-amplitude_measurement estimate_amplitude(const signature_result& sig, constants_mode mode) {
+amplitude_measurement estimate_amplitude(const signature_result& sig) {
     BISTNA_EXPECTS(sig.harmonic_k > 0, "harmonic amplitude requires k >= 1");
     BISTNA_EXPECTS(sig.total_samples > 0, "empty signature");
     const double mn = static_cast<double>(sig.total_samples);
-    const double c1_mag = demod_magnitude(sig, mode);
+    const double c1_mag = std::abs(demod_reference(sig.harmonic_k).c1());
     const double scale = sig.vref / (mn * c1_mag);
 
     amplitude_measurement m;
@@ -64,8 +48,7 @@ amplitude_measurement estimate_amplitude(const signature_result& sig, constants_
     return m;
 }
 
-std::optional<phase_measurement> estimate_phase(const signature_result& sig,
-                                                constants_mode mode) {
+std::optional<phase_measurement> estimate_phase(const signature_result& sig) {
     BISTNA_EXPECTS(sig.harmonic_k > 0, "harmonic phase requires k >= 1");
     const interval i1 = signature_interval(sig.i1, sig.eps_bound);
     const interval i2 = signature_interval(sig.i2, sig.eps_bound);
@@ -73,7 +56,7 @@ std::optional<phase_measurement> estimate_phase(const signature_result& sig,
         return std::nullopt; // box encloses the origin: phase undetermined
     }
     // I1 ~ A|c1| sin(phi~), I2 ~ A|c1| cos(phi~); phi = phi~ + arg(c1).
-    const double reference = demod_phase_reference(sig, mode);
+    const double reference = std::arg(demod_reference(sig.harmonic_k).c1());
     phase_measurement m;
     m.harmonic_k = sig.harmonic_k;
     m.radians = wrap_phase(std::atan2(sig.i1, sig.i2) + reference);
@@ -84,10 +67,10 @@ std::optional<phase_measurement> estimate_phase(const signature_result& sig,
     return m;
 }
 
-harmonic_measurement estimate_harmonic(const signature_result& sig, constants_mode mode) {
+harmonic_measurement estimate_harmonic(const signature_result& sig) {
     harmonic_measurement m;
-    m.amplitude = estimate_amplitude(sig, mode);
-    m.phase = estimate_phase(sig, mode);
+    m.amplitude = estimate_amplitude(sig);
+    m.phase = estimate_phase(sig);
     m.signature = sig;
     return m;
 }

@@ -7,10 +7,7 @@
 //   (3)  B      =  vref *  I10 / (MN)
 //   (4)  A_k    =  vref * hypot(I1k, I2k) / (MN |c1|)     (|c1| ~ 2/pi)
 //   (5)  tan(phi_k) = I1k / I2k
-// `constants_mode::paper` uses the continuous-time constant pi/2 exactly as
-// printed in the paper; `constants_mode::exact` uses the discrete-time
-// square-wave coefficient c1 (removes a small systematic, documented in
-// square_wave.hpp).
+// c1 is the sampled square wave's exact coefficient (square_wave.hpp).
 #pragma once
 
 #include <optional>
@@ -20,11 +17,6 @@
 #include "eval/signature.hpp"
 
 namespace bistna::eval {
-
-enum class constants_mode {
-    exact, ///< exact DT demodulation constants (default)
-    paper  ///< continuous-time pi/2 as printed in eq. (4)
-};
 
 /// Full-scale reference for the dB axis of Fig. 9 (the modulator reference
 /// amplitude; the paper's "dBm" axis is dB relative to this).
@@ -53,14 +45,12 @@ struct phase_measurement {
 dc_measurement estimate_dc(const signature_result& sig);
 
 /// eq. (4): k-th harmonic amplitude.
-amplitude_measurement estimate_amplitude(const signature_result& sig,
-                                         constants_mode mode = constants_mode::exact);
+amplitude_measurement estimate_amplitude(const signature_result& sig);
 
 /// eq. (5): k-th harmonic phase w.r.t. the modulating square wave.  Returns
 /// nullopt when the uncertainty box encloses the origin (amplitude below
 /// the quantization floor -- increase M).
-std::optional<phase_measurement> estimate_phase(const signature_result& sig,
-                                                constants_mode mode = constants_mode::exact);
+std::optional<phase_measurement> estimate_phase(const signature_result& sig);
 
 /// Combined amplitude+phase of one harmonic.  The raw signatures are kept
 /// so callers can degrade gracefully when the phase box is undetermined
@@ -72,8 +62,7 @@ struct harmonic_measurement {
     signature_result signature;
 };
 
-harmonic_measurement estimate_harmonic(const signature_result& sig,
-                                       constants_mode mode = constants_mode::exact);
+harmonic_measurement estimate_harmonic(const signature_result& sig);
 
 /// THD from a set of harmonic amplitude measurements (fundamental first):
 /// 20*log10( sqrt(sum_{k>=2} A_k^2) / A_1 ), with interval propagation.

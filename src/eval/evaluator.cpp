@@ -8,7 +8,7 @@ sinewave_evaluator::sinewave_evaluator(const evaluator_config& config)
     : config_(config), extractor_(config.modulator, config.seed) {}
 
 void sinewave_evaluator::calibrate() {
-    extractor_.calibrate_offset(config_.calibration_periods, config_.n_per_period);
+    extractor_.calibrate_offset(config_.calibration_periods);
 }
 
 void sinewave_evaluator::ensure_calibrated() {
@@ -22,7 +22,6 @@ acquisition_settings sinewave_evaluator::settings_for(std::size_t k,
     acquisition_settings settings;
     settings.harmonic_k = k;
     settings.periods = periods;
-    settings.n_per_period = config_.n_per_period;
     settings.offset = config_.offset;
     return settings;
 }
@@ -48,7 +47,7 @@ thd_measurement sinewave_evaluator::measure_thd(const sample_source& source,
     BISTNA_EXPECTS(max_harmonic >= 2, "THD needs at least harmonics 1..2");
     std::vector<amplitude_measurement> amplitudes;
     for (std::size_t k = 1; k <= max_harmonic; ++k) {
-        if (!demod_reference::alignment_ok(k, config_.n_per_period)) {
+        if (!demod_reference::alignment_ok(k)) {
             continue; // documented: harmonics violating N mod 4k == 0 are skipped
         }
         amplitudes.push_back(measure_harmonic(source, k, periods).amplitude);

@@ -10,6 +10,7 @@
 
 #include "eval/estimator.hpp"
 #include "eval/signature.hpp"
+#include "sim/timebase.hpp"
 
 namespace bistna::eval {
 
@@ -18,7 +19,8 @@ struct evaluator_config {
     std::uint64_t seed = 42;
     std::size_t calibration_periods = 4096;
     offset_mode offset = offset_mode::calibrated;
-    std::size_t n_per_period = 96; ///< N, fixed by construction on the board
+    /// N, fixed by construction on the board (sim::timebase::oversampling_ratio).
+    static constexpr std::size_t n_per_period = sim::timebase::oversampling_ratio;
 };
 
 class sinewave_evaluator {

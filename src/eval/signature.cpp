@@ -7,11 +7,18 @@
 #include "common/error.hpp"
 #include "eval/calibration_share.hpp"
 #include "sd/modulator_bank.hpp"
+#include "sim/timebase.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace bistna::eval {
 
 namespace {
+
+/// Samples in `periods` wave periods of N = 96, the board's fixed
+/// oversampling ratio.
+constexpr std::size_t samples_in(std::size_t periods) noexcept {
+    return periods * sim::timebase::oversampling_ratio;
+}
 
 /// Interned once; counter_add is a no-op unless a registry is attached.
 struct bank_counters {
@@ -45,9 +52,9 @@ void count_bank(const sd::modulator_bank& bank) {
 signature_extractor::signature_extractor(sd::modulator_params params, std::uint64_t seed)
     : params_(params), rng_(seed) {}
 
-void signature_extractor::calibrate_offset(std::size_t periods, std::size_t n_per_period) {
+void signature_extractor::calibrate_offset(std::size_t periods) {
     BISTNA_EXPECTS(periods > 0, "calibration needs at least one period");
-    const std::size_t total = periods * n_per_period;
+    const std::size_t total = samples_in(periods);
     sd::sd_modulator mod1(params_, rng_.spawn());
     sd::sd_modulator mod2(params_, rng_.spawn());
     long long acc1 = 0;
@@ -69,7 +76,7 @@ void signature_extractor::set_calibration(offset_rates rates, std::size_t total)
 
 void signature_extractor::validate(const acquisition_settings& settings) const {
     BISTNA_EXPECTS(settings.periods > 0, "evaluation needs at least one period");
-    BISTNA_EXPECTS(demod_reference::alignment_ok(settings.harmonic_k, settings.n_per_period),
+    BISTNA_EXPECTS(demod_reference::alignment_ok(settings.harmonic_k),
                    "harmonic k violates the N mod 4k == 0 alignment condition");
     if (settings.offset == offset_mode::chopped) {
         BISTNA_EXPECTS(settings.periods % 2 == 0,
@@ -90,17 +97,15 @@ double signature_extractor::initial_state() {
 signature_result signature_extractor::acquire(const sample_source& source,
                                               const acquisition_settings& settings) {
     validate(settings);
-    const demod_reference demod(settings.harmonic_k, settings.n_per_period);
-    const std::size_t total = settings.periods * settings.n_per_period;
+    const demod_reference demod(settings.harmonic_k);
+    const std::size_t total = samples_in(settings.periods);
     const std::size_t half = total / 2;
     const bool chop = settings.offset == offset_mode::chopped;
 
     sd::sd_modulator mod1(params_, rng_.spawn());
     sd::sd_modulator mod2(params_, rng_.spawn());
-    if (settings.randomize_initial_state) {
-        mod1.reset(initial_state());
-        mod2.reset(initial_state());
-    }
+    mod1.reset(initial_state());
+    mod2.reset(initial_state());
 
     long long acc1 = 0;
     long long acc2 = 0;
@@ -120,13 +125,12 @@ signature_result signature_extractor::acquire(const sample_source& source,
 signature_result signature_extractor::assemble(const acquisition_settings& settings,
                                                std::size_t periods, long long acc1,
                                                long long acc2) const {
-    const std::size_t total = periods * settings.n_per_period;
+    const std::size_t total = samples_in(periods);
     signature_result result;
     result.raw_i1 = acc1;
     result.raw_i2 = acc2;
     result.total_samples = total;
     result.harmonic_k = settings.harmonic_k;
-    result.n_per_period = settings.n_per_period;
     result.periods = periods;
     result.vref = params_.vref;
     result.i1 = static_cast<double>(acc1);
@@ -160,22 +164,20 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
         extractor->validate(settings);
     }
 
-    const std::size_t total = settings.periods * settings.n_per_period;
+    const std::size_t total = samples_in(settings.periods);
     const std::size_t n_lanes = extractors.size();
 
     // Build the matched modulator pair of every lane.  Per lane the RNG
     // consumption order is exactly the scalar acquire(): spawn ch1, spawn
-    // ch2, then (optionally) draw the two initial states.
+    // ch2, then draw the two initial states.
     sd::modulator_bank bank1;
     sd::modulator_bank bank2;
     for (std::size_t l = 0; l < n_lanes; ++l) {
         signature_extractor& ex = *extractors[l];
         bank1.add_lane(ex.params_, ex.rng_.spawn());
         bank2.add_lane(ex.params_, ex.rng_.spawn());
-        if (settings.randomize_initial_state) {
-            bank1.reset_lane(l, ex.initial_state());
-            bank2.reset_lane(l, ex.initial_state());
-        }
+        bank1.reset_lane(l, ex.initial_state());
+        bank2.reset_lane(l, ex.initial_state());
     }
 
     // The two channels are independent modulators, so stepping both banks
@@ -190,7 +192,7 @@ std::vector<signature_result> signature_extractor::acquire_batch_impl(
     // the pass twice, inverting all three signs over the second half: half
     // = (M/2) N is a whole number of periods, and every noise stream draws
     // the same values in the same order over two calls as over one.
-    const demod_reference demod(settings.harmonic_k, settings.n_per_period);
+    const demod_reference demod(settings.harmonic_k);
     const std::size_t period = std::max<std::size_t>(demod.period(), 1);
     std::vector<double> q1(period);
     std::vector<double> q2(period);
@@ -241,17 +243,17 @@ std::vector<signature_result> signature_extractor::acquire_batch_lane_major(
 std::vector<signature_result> signature_extractor::acquire_batch_shared(
     std::span<signature_extractor* const> extractors, std::span<const double> record,
     const acquisition_settings& settings) {
-    const std::size_t total = settings.periods * settings.n_per_period;
-    BISTNA_EXPECTS(record.size() >= total, "shared record shorter than M*N samples");
+    BISTNA_EXPECTS(record.size() >= samples_in(settings.periods),
+                   "shared record shorter than M*N samples");
     return acquire_batch_impl(extractors, settings, record.data(), true);
 }
 
 std::size_t signature_extractor::calibrate_offset_batch(
     std::span<signature_extractor* const> extractors, calibration_share& share,
-    std::size_t periods, std::size_t n_per_period) {
+    std::size_t periods) {
     BISTNA_EXPECTS(!extractors.empty(), "batch calibration needs at least one lane");
     BISTNA_EXPECTS(periods > 0, "calibration needs at least one period");
-    const std::size_t total = periods * n_per_period;
+    const std::size_t total = samples_in(periods);
 
     // A key the share lacks: its bank lanes of I and Q, and the lanes that
     // take its rates.
@@ -316,15 +318,13 @@ std::vector<signature_result> signature_extractor::acquire_with_checkpoints(
     settings.periods = checkpoint_periods.back();
     validate(settings);
 
-    const demod_reference demod(settings.harmonic_k, settings.n_per_period);
-    const std::size_t total = settings.periods * settings.n_per_period;
+    const demod_reference demod(settings.harmonic_k);
+    const std::size_t total = samples_in(settings.periods);
 
     sd::sd_modulator mod1(params_, rng_.spawn());
     sd::sd_modulator mod2(params_, rng_.spawn());
-    if (settings.randomize_initial_state) {
-        mod1.reset(initial_state());
-        mod2.reset(initial_state());
-    }
+    mod1.reset(initial_state());
+    mod2.reset(initial_state());
 
     std::vector<signature_result> results;
     results.reserve(checkpoint_periods.size());
@@ -340,7 +340,7 @@ std::vector<signature_result> signature_extractor::acquire_with_checkpoints(
 
         const std::size_t samples_done = n + 1;
         while (next_checkpoint < checkpoint_periods.size() &&
-               samples_done == checkpoint_periods[next_checkpoint] * settings.n_per_period) {
+               samples_done == samples_in(checkpoint_periods[next_checkpoint])) {
             results.push_back(
                 assemble(settings, checkpoint_periods[next_checkpoint], acc1, acc2));
             ++next_checkpoint;

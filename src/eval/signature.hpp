@@ -28,12 +28,12 @@ enum class offset_mode { none, calibrated, chopped };
 /// Per-sample signal source on the master-clock grid (argument = sample n).
 using sample_source = std::function<double(std::size_t)>;
 
+/// What one acquisition measures.  Every period is N = 96 samples, fixed
+/// by the board's clocking (sim::timebase::oversampling_ratio).
 struct acquisition_settings {
     std::size_t harmonic_k = 1;   ///< k (0 = DC measurement)
     std::size_t periods = 200;    ///< M; must be even for chopped mode
-    std::size_t n_per_period = 96;///< oversampling ratio N (96 by construction)
     offset_mode offset = offset_mode::calibrated;
-    bool randomize_initial_state = true; ///< silicon-like residual state per run
 };
 
 /// Counter contents after an acquisition, plus the metadata the estimator
@@ -46,7 +46,6 @@ struct signature_result {
     long long raw_i2 = 0;
     std::size_t total_samples = 0;///< M*N
     std::size_t harmonic_k = 0;
-    std::size_t n_per_period = 0;
     std::size_t periods = 0;
     double eps_bound = 4.0;       ///< |eps| bound on each of i1, i2
     double vref = 0.7;            ///< modulator full scale used
@@ -67,7 +66,7 @@ public:
 
     /// Grounded-input calibration run measuring each channel's offset count
     /// rate.  Longer runs make the residual calibration error negligible.
-    void calibrate_offset(std::size_t periods = 4096, std::size_t n_per_period = 96);
+    void calibrate_offset(std::size_t periods = 4096);
 
     bool offset_calibrated() const noexcept { return calibrated_; }
     double offset_rate_ch1() const noexcept { return offset_rates_.ch1; }
@@ -78,7 +77,9 @@ public:
     /// calibration spawns its channels from.
     const bistna::rng& rng_state() const noexcept { return rng_; }
 
-    /// Acquire signatures for one measurement.
+    /// Acquire signatures for one measurement.  Both integrators start from
+    /// a residual state drawn from the extractor's RNG: silicon never
+    /// starts a conversion from exactly zero.
     signature_result acquire(const sample_source& source, const acquisition_settings& settings);
 
     /// Acquire once with the largest M and snapshot the counters at each
@@ -101,7 +102,7 @@ public:
     // at most N entries, which the banks repeat over the record.
 
     /// Batched grounded-input offset calibration; bit-identical per lane to
-    /// extractors[i]->calibrate_offset(periods, n_per_period), RNG included:
+    /// extractors[i]->calibrate_offset(periods), RNG included:
     /// every lane spawns its two channels, I first.  A lane whose
     /// calibration_key `share` holds takes its rates.  One bank runs each
     /// distinct missing key once and publishes it to `share` and to every
@@ -111,8 +112,7 @@ public:
     /// bank.  Returns the number of keys the bank ran.
     static std::size_t calibrate_offset_batch(std::span<signature_extractor* const> extractors,
                                               calibration_share& share,
-                                              std::size_t periods = 4096,
-                                              std::size_t n_per_period = 96);
+                                              std::size_t periods = 4096);
 
     /// Batched acquire over one lane-major record block: lane i's sample n
     /// lives at lane_major[n * extractors.size() + i] -- exactly the layout

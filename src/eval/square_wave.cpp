@@ -4,24 +4,20 @@
 
 #include "common/error.hpp"
 #include "common/math_util.hpp"
+#include "sim/timebase.hpp"
 
 namespace bistna::eval {
 
-bool demod_reference::alignment_ok(std::size_t k, std::size_t n_per_period) noexcept {
-    if (k == 0) {
-        return n_per_period > 0;
-    }
+bool demod_reference::alignment_ok(std::size_t k) noexcept {
     // Quarter-period shift must be an integer number of samples and the
     // period must be even so half-cycles balance.
-    return n_per_period % (4 * k) == 0;
+    return k == 0 || sim::timebase::oversampling_ratio % (4 * k) == 0;
 }
 
-demod_reference::demod_reference(std::size_t k, std::size_t n_per_period)
-    : k_(k), n_(n_per_period) {
-    BISTNA_EXPECTS(n_per_period > 0, "oversampling ratio must be positive");
-    BISTNA_EXPECTS(alignment_ok(k, n_per_period),
+demod_reference::demod_reference(std::size_t k) : k_(k) {
+    BISTNA_EXPECTS(alignment_ok(k),
                    "square-wave alignment requires N mod 4k == 0 (paper section II)");
-    period_ = k == 0 ? 0 : n_per_period / k;
+    period_ = k == 0 ? 0 : sim::timebase::oversampling_ratio / k;
     c1_ = k == 0 ? std::complex<double>(1.0, 0.0) : coefficient(1);
 }
 

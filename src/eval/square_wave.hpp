@@ -1,9 +1,11 @@
 // The modulating square waves SQ_kT(t) and SQ_kT(t - T/4k) (paper Fig. 4).
 //
 // Both are +/-1 sequences derived from the master clock: period P = N/k
-// samples, the quadrature copy delayed by P/4 samples.  The paper's
-// alignment condition ("N/(2^3 k) integer") guarantees these shifts land on
-// the sample grid; we require N mod 4k == 0 and N/k even.
+// samples, the quadrature copy delayed by P/4 samples, where N = 96 is the
+// oversampling ratio the board fixes by construction
+// (sim::timebase::oversampling_ratio).  The paper's alignment condition
+// ("N/(2^3 k) integer") guarantees these shifts land on the sample grid; we
+// require N mod 4k == 0 and N/k even.
 //
 // The demodulation constants are the *exact* discrete-time Fourier
 // coefficients of the sampled square wave:
@@ -20,15 +22,14 @@ namespace bistna::eval {
 
 class demod_reference {
 public:
-    /// k = harmonic index (0 = DC), n_per_period = oversampling ratio N.
-    /// Throws precondition_error if the alignment condition fails.
-    demod_reference(std::size_t k, std::size_t n_per_period);
+    /// k = harmonic index (0 = DC).  Throws precondition_error if the
+    /// alignment condition fails.
+    explicit demod_reference(std::size_t k);
 
     /// True when SQ_kT and its quarter-period shift exist on the grid.
-    static bool alignment_ok(std::size_t k, std::size_t n_per_period) noexcept;
+    static bool alignment_ok(std::size_t k) noexcept;
 
     std::size_t k() const noexcept { return k_; }
-    std::size_t n_per_period() const noexcept { return n_; }
     /// Square-wave period in samples (N/k); 0 for k = 0.
     std::size_t period() const noexcept { return period_; }
 
@@ -44,12 +45,8 @@ public:
     /// Fundamental coefficient c_1 (magnitude ~ 2/pi, phase ~ pi/P - pi/2).
     std::complex<double> c1() const { return c1_; }
 
-    /// The paper's continuous-time constant 2/pi (for "paper mode").
-    static constexpr double ct_magnitude = 2.0 / 3.14159265358979323846;
-
 private:
     std::size_t k_;
-    std::size_t n_;
     std::size_t period_;
     std::complex<double> c1_;
 };

@@ -50,7 +50,6 @@ public:
     /// cin_scale * input_cap * input_voltage; returns the low-pass output v2.
     double step(double input_voltage, double input_cap);
 
-    double v1() const noexcept { return integrator1_.output(); }
     double v2() const noexcept { return integrator2_.output(); }
     void reset();
 

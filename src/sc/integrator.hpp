@@ -39,8 +39,6 @@ public:
     double output() const noexcept { return state_; }
     void reset(double v0 = 0.0) noexcept { state_ = v0; }
 
-    double feedback_cap() const noexcept { return feedback_cap_; }
-    double damping_cap() const noexcept { return damping_cap_; }
     const opamp_params& opamp() const noexcept { return opamp_; }
 
     /// Count of transfers where the output hit the swing limit.

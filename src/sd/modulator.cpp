@@ -33,6 +33,12 @@ void modulator_params::validate() const {
     BISTNA_EXPECTS(vref > 0.0, "Vref must be positive");
     BISTNA_EXPECTS(integrator_swing > 0.0, "integrator swing must be positive");
     BISTNA_EXPECTS(noise_rms >= 0.0, "noise rms must be non-negative");
+    BISTNA_EXPECTS(!std::isnan(dc_gain_db), "DC gain must not be NaN");
+    BISTNA_EXPECTS(!std::isnan(settling_error), "settling error must not be NaN");
+    BISTNA_EXPECTS(!std::isnan(input_offset), "input offset must not be NaN");
+    BISTNA_EXPECTS(!std::isnan(comparator_offset), "comparator offset must not be NaN");
+    BISTNA_EXPECTS(!std::isnan(comparator_hysteresis),
+                   "comparator hysteresis must not be NaN");
 }
 
 modulator_params modulator_params::cmos035() {

@@ -56,9 +56,10 @@ struct modulator_params {
     bool draws_noise() const noexcept { return noise_rms > 0.0; }
 
     /// Throws precondition_error unless CI/CF, Vref and the integrator
-    /// swing are positive and the noise rms is non-negative (NaN fails
-    /// every check).  sd_modulator and modulator_bank::add_lane both call
-    /// it, so the two accept exactly the same configurations.
+    /// swing are positive, the noise rms is non-negative and no other field
+    /// is NaN (NaN fails every check).  sd_modulator,
+    /// modulator_bank::add_lane and eval::calibration_key all call it, so
+    /// they accept exactly the same configurations.
     void validate() const;
 
     /// Exact (bitwise-value) equality: two equal params drive bit-identical

@@ -32,7 +32,7 @@ TEST(Multitone, Fig9StimulusComposition) {
 }
 
 TEST(Multitone, DcOffsetIncluded) {
-    ate::multitone_source source({ate::tone{1, 0.1, 0.0}}, 96, 0.25);
+    ate::multitone_source source({ate::tone{1, 0.1, 0.0}}, 0.25);
     double mean = 0.0;
     const std::size_t n = 96 * 10;
     for (std::size_t i = 0; i < n; ++i) {
@@ -49,9 +49,9 @@ TEST(Multitone, PeriodicInN) {
 }
 
 TEST(Multitone, NoiseIsSeededAndBounded) {
-    ate::multitone_source a({ate::tone{1, 0.1, 0.0}}, 96);
+    ate::multitone_source a({ate::tone{1, 0.1, 0.0}});
     a.set_noise(1e-3, 42);
-    ate::multitone_source b({ate::tone{1, 0.1, 0.0}}, 96);
+    ate::multitone_source b({ate::tone{1, 0.1, 0.0}});
     b.set_noise(1e-3, 42);
     for (std::size_t n = 0; n < 100; ++n) {
         EXPECT_DOUBLE_EQ(a.sample(n), b.sample(n));
@@ -59,7 +59,7 @@ TEST(Multitone, NoiseIsSeededAndBounded) {
 }
 
 TEST(Multitone, RejectsAboveNyquist) {
-    EXPECT_THROW(ate::multitone_source({ate::tone{48, 0.1, 0.0}}, 96), precondition_error);
+    EXPECT_THROW(ate::multitone_source({ate::tone{48, 0.1, 0.0}}), precondition_error);
 }
 
 } // namespace

@@ -23,7 +23,7 @@ eval::sample_source tone_pair(double a1, double a3) {
 
 TEST(BandpassAnalyzer, ReadsStrongToneAccurately) {
     bandpass_analyzer analyzer(bandpass_analyzer_params{});
-    const auto m = analyzer.measure(tone_pair(0.5, 0.0), 1, 96);
+    const auto m = analyzer.measure(tone_pair(0.5, 0.0), 1);
     EXPECT_NEAR(m.amplitude, 0.5, 0.03);
 }
 
@@ -31,7 +31,7 @@ TEST(BandpassAnalyzer, SmallHarmonicMaskedByFundamentalLeakage) {
     // -60 dBc harmonic beside a full-scale fundamental: the filter's
     // leakage + detector floor dominate the true 0.5 mV value.
     bandpass_analyzer analyzer(bandpass_analyzer_params{});
-    const auto m = analyzer.measure(tone_pair(0.5, 0.0005), 3, 96);
+    const auto m = analyzer.measure(tone_pair(0.5, 0.0005), 3);
     EXPECT_GT(m.amplitude, 0.002); // reads the floor, not the harmonic
 }
 
@@ -42,7 +42,7 @@ TEST(BandpassAnalyzer, DynamicRangeIsAbout40Db) {
     double worst_resolved_dbfs = 0.0;
     for (double level_db = -20.0; level_db >= -70.0; level_db -= 10.0) {
         const double amplitude = std::pow(10.0, level_db / 20.0);
-        const auto m = analyzer.measure(tone_pair(amplitude, 0.0), 1, 96);
+        const auto m = analyzer.measure(tone_pair(amplitude, 0.0), 1);
         const double error_db = std::abs(20.0 * std::log10(std::max(m.amplitude, 1e-9) /
                                                            amplitude));
         if (error_db < 3.0) {
@@ -56,8 +56,8 @@ TEST(BandpassAnalyzer, DynamicRangeIsAbout40Db) {
 
 TEST(BandpassAnalyzer, Validation) {
     bandpass_analyzer analyzer(bandpass_analyzer_params{});
-    EXPECT_THROW((void)analyzer.measure(tone_pair(0.1, 0.0), 0, 96), precondition_error);
-    EXPECT_THROW((void)analyzer.measure(tone_pair(0.1, 0.0), 50, 96), precondition_error);
+    EXPECT_THROW((void)analyzer.measure(tone_pair(0.1, 0.0), 0), precondition_error);
+    EXPECT_THROW((void)analyzer.measure(tone_pair(0.1, 0.0), 50), precondition_error);
     bandpass_analyzer_params bad;
     bad.filter_q = 0.1;
     EXPECT_THROW(bandpass_analyzer a(bad), precondition_error);

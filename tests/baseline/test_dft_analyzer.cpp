@@ -17,7 +17,7 @@ TEST(DftAnalyzer, MeasuresCoherentHarmonic) {
         record[n] = 0.25 * std::cos(two_pi * 2.0 * static_cast<double>(n) / 96.0 + 0.7);
     }
     dft_analyzer analyzer;
-    const auto point = analyzer.measure(record, 2, 96);
+    const auto point = analyzer.measure(record, 2);
     EXPECT_NEAR(point.amplitude, 0.25, 1e-12);
     EXPECT_NEAR(point.phase_rad, 0.7, 1e-12);
 }
@@ -30,7 +30,7 @@ TEST(DftAnalyzer, TransferBetweenRecords) {
         out[n] = 0.25 * std::cos(t - 0.9); // gain 0.5, lag 0.9 rad
     }
     dft_analyzer analyzer;
-    const auto gp = analyzer.transfer(in, out, 1, 96);
+    const auto gp = analyzer.transfer(in, out, 1);
     EXPECT_NEAR(gp.gain, 0.5, 1e-12);
     EXPECT_NEAR(gp.gain_db, -6.0206, 1e-3);
     EXPECT_NEAR(gp.phase_rad, -0.9, 1e-12);
@@ -39,14 +39,14 @@ TEST(DftAnalyzer, TransferBetweenRecords) {
 TEST(DftAnalyzer, NonIntegerPeriodsRejected) {
     dft_analyzer analyzer;
     std::vector<double> record(100); // not a multiple of 96
-    EXPECT_THROW((void)analyzer.measure(record, 1, 96), precondition_error);
+    EXPECT_THROW((void)analyzer.measure(record, 1), precondition_error);
 }
 
 TEST(DftAnalyzer, ZeroInputTransferRejected) {
     dft_analyzer analyzer;
     std::vector<double> zeros(96 * 4, 0.0);
     std::vector<double> out(96 * 4, 0.0);
-    EXPECT_THROW((void)analyzer.transfer(zeros, out, 1, 96), precondition_error);
+    EXPECT_THROW((void)analyzer.transfer(zeros, out, 1), precondition_error);
 }
 
 } // namespace

@@ -1,4 +1,3 @@
-#include "common/error.hpp"
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -18,15 +17,6 @@ TEST(Resample, ZohRepeatsSamples) {
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_DOUBLE_EQ(out[i], expected[i]);
     }
-}
-
-TEST(Resample, DecimatePhase) {
-    const auto out = dsp::decimate({0, 1, 2, 3, 4, 5, 6, 7}, 3, 1);
-    ASSERT_EQ(out.size(), 3u);
-    EXPECT_DOUBLE_EQ(out[0], 1.0);
-    EXPECT_DOUBLE_EQ(out[1], 4.0);
-    EXPECT_DOUBLE_EQ(out[2], 7.0);
-    EXPECT_THROW((void)dsp::decimate({1.0}, 2, 2), precondition_error);
 }
 
 TEST(Resample, ZohUpsamplingExposesImages) {

@@ -90,16 +90,11 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(0.0, 0.7, 2.5, -1.3)));
 
 TEST(Estimator, PaperConstantsCloseToExact) {
-    signature_extractor extractor(sd::modulator_params::ideal(), 17);
-    acquisition_settings settings;
-    settings.harmonic_k = 1;
-    settings.periods = 400;
-    settings.offset = offset_mode::none;
-    const auto sig = extractor.acquire(sine_source(0.3, 1, 0.4), settings);
-    const auto exact = eval::estimate_amplitude(sig, eval::constants_mode::exact);
-    const auto paper = eval::estimate_amplitude(sig, eval::constants_mode::paper);
-    // At N = 96 the DT correction is ~0.018 %.
-    EXPECT_NEAR(exact.volts, paper.volts, 4e-4 * exact.volts);
+    // eq. (4) prints the continuous-time |c1| = 2/pi; the estimator divides
+    // by the sampled square wave's exact |c1|.  At N = 96 the two differ by
+    // ~0.018 %, so an amplitude read with 2/pi moves by less than 4e-4.
+    const double exact = std::abs(eval::demod_reference(1).c1());
+    EXPECT_NEAR(exact, 2.0 / pi, 4e-4 * (2.0 / pi));
 }
 
 TEST(Estimator, AmplitudeErrorShrinksWithMn) {

@@ -71,7 +71,7 @@ TEST(Evaluator, PhasesRecoveredForAllTones) {
 TEST(Evaluator, ThdOfDistortedToneMatchesConstruction) {
     // x = sin + 1% 2nd + 0.3% 3rd harmonic -> THD = -39.6 dB.
     ate::multitone_source stimulus(
-        {ate::tone{1, 0.5, 0.2}, ate::tone{2, 0.005, 1.0}, ate::tone{3, 0.0015, 2.0}}, 96);
+        {ate::tone{1, 0.5, 0.2}, ate::tone{2, 0.005, 1.0}, ate::tone{3, 0.0015, 2.0}});
     sinewave_evaluator evaluator(ideal_config());
     const auto thd = evaluator.measure_thd(stimulus.as_source(), 4, 800);
     const double expected =
@@ -85,7 +85,7 @@ TEST(Evaluator, CalibratedModeAutoCalibrates) {
     config.modulator.input_offset = 8e-3;
     config.offset = eval::offset_mode::calibrated;
     sinewave_evaluator evaluator(config);
-    ate::multitone_source stimulus({ate::tone{1, 0.1, 0.0}}, 96);
+    ate::multitone_source stimulus({ate::tone{1, 0.1, 0.0}});
     const auto m = evaluator.measure_harmonic(stimulus.as_source(), 1, 400);
     EXPECT_TRUE(m.amplitude.bounds_volts.contains(0.1));
     EXPECT_TRUE(evaluator.extractor().offset_calibrated());
@@ -96,7 +96,7 @@ TEST(Evaluator, NonIdealModulatorStillMeetsRelaxedAccuracy) {
     config.modulator = sd::modulator_params::cmos035();
     config.offset = eval::offset_mode::calibrated;
     sinewave_evaluator evaluator(config);
-    ate::multitone_source stimulus({ate::tone{1, 0.2, 0.7}}, 96);
+    ate::multitone_source stimulus({ate::tone{1, 0.2, 0.7}});
     const auto m = evaluator.measure_harmonic(stimulus.as_source(), 1, 1000);
     // Noise/offset/hysteresis push beyond the ideal bound but stay small.
     EXPECT_NEAR(m.amplitude.volts, 0.2, 2e-3);
@@ -104,7 +104,7 @@ TEST(Evaluator, NonIdealModulatorStillMeetsRelaxedAccuracy) {
 
 TEST(Evaluator, MeasureThdRequiresTwoHarmonics) {
     sinewave_evaluator evaluator(ideal_config());
-    ate::multitone_source stimulus({ate::tone{1, 0.1, 0.0}}, 96);
+    ate::multitone_source stimulus({ate::tone{1, 0.1, 0.0}});
     EXPECT_THROW((void)evaluator.measure_thd(stimulus.as_source(), 1, 100),
                  precondition_error);
 }

@@ -5,8 +5,10 @@
 
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/math_util.hpp"
 #include "eval/calibration_share.hpp"
 #include "eval/signature.hpp"
@@ -101,7 +103,7 @@ TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
 /// Calibrate `lanes` in one batch on `share`; returns the keys the bank ran.
 std::size_t calibrate(calibration_share& share, std::vector<signature_extractor*> lanes,
                       std::size_t cal_periods) {
-    return signature_extractor::calibrate_offset_batch(lanes, share, cal_periods, kN);
+    return signature_extractor::calibrate_offset_batch(lanes, share, cal_periods);
 }
 
 /// Two acquisitions are bit-identical.
@@ -144,13 +146,13 @@ TEST(LaneKernels, CalibrationTransplantIsBitIdenticalToCalibrating) {
     signature_extractor receiver(params, seed);
     EXPECT_EQ(calibrate(share, {&receiver}, cal_periods), 0u) << "reused, not run";
     signature_extractor twin(params, seed);
-    twin.calibrate_offset(cal_periods, kN);
+    twin.calibrate_offset(cal_periods);
     expect_same_calibration(receiver, twin);
 
     signature_extractor other_seed(params, seed + 1);
     EXPECT_EQ(calibrate(share, {&other_seed}, cal_periods), 1u) << "another seed";
     signature_extractor moved(params, seed);
-    moved.calibrate_offset(cal_periods, kN);
+    moved.calibrate_offset(cal_periods);
     EXPECT_EQ(calibrate(share, {&moved}, cal_periods), 1u) << "the seed, further down";
     auto other_params = params;
     other_params.input_offset += 1e-3;
@@ -173,7 +175,7 @@ TEST(LaneKernels, NoiselessTransplantIgnoresTheSeed) {
     signature_extractor receiver(params, 8);
     EXPECT_EQ(calibrate(share, {&receiver}, 128), 0u) << "reused, not run";
     signature_extractor twin(params, 8);
-    twin.calibrate_offset(128, kN);
+    twin.calibrate_offset(128);
     expect_same_calibration(receiver, twin);
 
     auto other_params = params;
@@ -210,6 +212,20 @@ TEST(LaneKernels, CalibrationShareVerifiesParamsOnLookup) {
     EXPECT_EQ(share.entries(), 2u);
     EXPECT_TRUE(held(calibration_key(ideal, total, rng(8)))) << "another stream";
     EXPECT_FALSE(held(calibration_key(ideal, 256 * kN, rng(7)))) << "another length";
+}
+
+// A NaN param is rejected before any calibration runs: it would leave the
+// integrator state NaN, and the comparator would then decide one way
+// forever and read as a saturated offset.  No key holds such params.
+TEST(LaneKernels, CalibrationRejectsNanParams) {
+    auto params = sd::modulator_params::ideal();
+    params.dc_gain_db = std::numeric_limits<double>::quiet_NaN();
+    calibration_share share;
+    signature_extractor healthy(sd::modulator_params::ideal(), 1);
+    signature_extractor broken(params, 2);
+    EXPECT_THROW((void)calibrate(share, {&healthy, &broken}, 128), precondition_error);
+    EXPECT_THROW((void)calibration_key(params, 128 * kN, rng(7)), precondition_error);
+    EXPECT_EQ(share.entries(), 0u);
 }
 
 } // namespace

@@ -43,7 +43,7 @@ TEST(Signature, CalibrationRemovesOffset) {
     auto params = sd::modulator_params::ideal();
     params.input_offset = 10e-3;
     signature_extractor extractor(params, 3);
-    extractor.calibrate_offset(4096, kN);
+    extractor.calibrate_offset(4096);
     acquisition_settings settings;
     settings.harmonic_k = 0;
     settings.periods = 200;
@@ -102,7 +102,8 @@ TEST(Signature, RawCountsAreIntegerBitSums) {
 
 TEST(Signature, CheckpointsMatchIndividualRuns) {
     // A checkpointed acquisition must agree with the same-length direct
-    // acquisition when the noise and initial state are disabled.
+    // acquisition.  The two extractors share a seed, so both draw the same
+    // initial states, in the same order, from the same stream.
     auto params = sd::modulator_params::ideal();
     signature_extractor ex1(params, 5);
     signature_extractor ex2(params, 5);
@@ -110,7 +111,6 @@ TEST(Signature, CheckpointsMatchIndividualRuns) {
     acquisition_settings settings;
     settings.harmonic_k = 1;
     settings.offset = offset_mode::none;
-    settings.randomize_initial_state = false;
 
     const auto source = sine_source(0.25, 1, 1.7);
     const auto checkpointed = ex1.acquire_with_checkpoints(source, settings, {20, 50, 100});
@@ -153,8 +153,8 @@ TEST(Signature, NoiselessCalibrationIgnoresTheSeed) {
         ASSERT_FALSE(params.draws_noise());
         signature_extractor one(params, 1);
         signature_extractor two(params, 2);
-        one.calibrate_offset(256, kN);
-        two.calibrate_offset(256, kN);
+        one.calibrate_offset(256);
+        two.calibrate_offset(256);
         EXPECT_EQ(one.offset_rate_ch1(), two.offset_rate_ch1());
         EXPECT_EQ(one.offset_rate_ch2(), two.offset_rate_ch2());
         EXPECT_EQ(one.calibration_samples(), two.calibration_samples());
@@ -170,8 +170,8 @@ TEST(Signature, NoiselessCalibrationIgnoresTheSeed) {
     noisy.noise_rms = 5e-3;
     signature_extractor one(noisy, 1);
     signature_extractor two(noisy, 2);
-    one.calibrate_offset(256, kN);
-    two.calibrate_offset(256, kN);
+    one.calibrate_offset(256);
+    two.calibrate_offset(256);
     EXPECT_TRUE(one.offset_rate_ch1() != two.offset_rate_ch1() ||
                 one.offset_rate_ch2() != two.offset_rate_ch2());
 }

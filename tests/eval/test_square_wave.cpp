@@ -16,20 +16,20 @@ using eval::demod_reference;
 TEST(SquareWave, AlignmentRule) {
     // N = 96: k with 96 mod 4k == 0.
     for (std::size_t k : {1UL, 2UL, 3UL, 4UL, 6UL, 8UL, 12UL, 24UL}) {
-        EXPECT_TRUE(demod_reference::alignment_ok(k, 96)) << "k=" << k;
+        EXPECT_TRUE(demod_reference::alignment_ok(k)) << "k=" << k;
     }
     for (std::size_t k : {5UL, 7UL, 9UL, 16UL, 48UL}) {
-        EXPECT_FALSE(demod_reference::alignment_ok(k, 96)) << "k=" << k;
+        EXPECT_FALSE(demod_reference::alignment_ok(k)) << "k=" << k;
     }
-    EXPECT_TRUE(demod_reference::alignment_ok(0, 96));
+    EXPECT_TRUE(demod_reference::alignment_ok(0));
 }
 
 TEST(SquareWave, MisalignedConstructionThrows) {
-    EXPECT_THROW(demod_reference(5, 96), precondition_error);
+    EXPECT_THROW(demod_reference(5), precondition_error);
 }
 
 TEST(SquareWave, PeriodAndHalfCycleBalance) {
-    const demod_reference demod(3, 96);
+    const demod_reference demod(3);
     EXPECT_EQ(demod.period(), 32u);
     int sum = 0;
     for (std::size_t n = 0; n < 96; ++n) {
@@ -39,7 +39,7 @@ TEST(SquareWave, PeriodAndHalfCycleBalance) {
 }
 
 TEST(SquareWave, QuadratureIsQuarterPeriodDelayed) {
-    const demod_reference demod(2, 96);
+    const demod_reference demod(2);
     const std::size_t quarter = demod.period() / 4;
     for (std::size_t n = 0; n < 192; ++n) {
         EXPECT_EQ(demod.quadrature_sign(n + quarter), demod.in_phase_sign(n)) << "n=" << n;
@@ -48,7 +48,7 @@ TEST(SquareWave, QuadratureIsQuarterPeriodDelayed) {
 
 TEST(SquareWave, FundamentalCoefficientApproachesTwoOverPi) {
     for (std::size_t k : {1UL, 2UL, 3UL}) {
-        const demod_reference demod(k, 96);
+        const demod_reference demod(k);
         const double p = static_cast<double>(demod.period());
         // Closed form: |c1| = 2 / (P sin(pi/P)).
         const double expected = 2.0 / (p * std::sin(pi / p));
@@ -58,26 +58,26 @@ TEST(SquareWave, FundamentalCoefficientApproachesTwoOverPi) {
 }
 
 TEST(SquareWave, PhaseOfC1IsHalfSampleOffset) {
-    const demod_reference demod(1, 96);
+    const demod_reference demod(1);
     // arg(c1) = pi/P - pi/2 (derivation in square_wave.hpp).
     const double p = static_cast<double>(demod.period());
     EXPECT_NEAR(std::arg(demod.c1()), pi / p - half_pi, 1e-12);
 }
 
 TEST(SquareWave, EvenCoefficientsVanish) {
-    const demod_reference demod(1, 96);
+    const demod_reference demod(1);
     EXPECT_NEAR(std::abs(demod.coefficient(2)), 0.0, 1e-12);
     EXPECT_NEAR(std::abs(demod.coefficient(4)), 0.0, 1e-12);
 }
 
 TEST(SquareWave, ThirdCoefficientIsOneThirdScale) {
-    const demod_reference demod(1, 96);
+    const demod_reference demod(1);
     const double ratio = std::abs(demod.coefficient(3)) / std::abs(demod.c1());
     EXPECT_NEAR(ratio, 1.0 / 3.0, 0.01); // the harmonic-leakage weight
 }
 
 TEST(SquareWave, DcModeIsConstantPlusOne) {
-    const demod_reference demod(0, 96);
+    const demod_reference demod(0);
     for (std::size_t n = 0; n < 10; ++n) {
         EXPECT_EQ(demod.in_phase_sign(n), 1);
         EXPECT_EQ(demod.quadrature_sign(n), 1);

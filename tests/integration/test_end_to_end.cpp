@@ -51,7 +51,7 @@ TEST(EndToEnd, EvaluatorAgreesWithCoherentDftBaseline) {
     baseline::dft_analyzer dft;
     for (std::size_t k = 1; k <= 3; ++k) {
         const auto bist = evaluator.measure_harmonic(stimulus.as_source(), k, 500);
-        const auto reference = dft.measure(record, k, 96);
+        const auto reference = dft.measure(record, k);
         EXPECT_NEAR(bist.amplitude.volts, reference.amplitude,
                     bist.amplitude.bounds_volts.radius() + 1e-3)
             << "k=" << k;
@@ -62,7 +62,7 @@ TEST(EndToEnd, SeventyDbDynamicRangeWithEnoughPeriods) {
     // Headline claim: >70 dB dynamic range.  A -70 dBFS tone (0.22 mV on
     // the 0.7 V scale) must be measurable within ~2 dB given enough M.
     const double amplitude = 0.7 * std::pow(10.0, -70.0 / 20.0);
-    ate::multitone_source stimulus({ate::tone{1, amplitude, 0.4}}, 96);
+    ate::multitone_source stimulus({ate::tone{1, amplitude, 0.4}});
     eval::evaluator_config config;
     config.modulator = sd::modulator_params::ideal();
     config.offset = eval::offset_mode::none;
@@ -77,7 +77,7 @@ TEST(EndToEnd, AccuracySelectableByM) {
     // "the accuracy of the evaluation can be selected by choosing a proper
     // number of periods M" -- quadrupling MN should roughly quarter the
     // guaranteed bound width.
-    ate::multitone_source stimulus({ate::tone{1, 0.1, 0.0}}, 96);
+    ate::multitone_source stimulus({ate::tone{1, 0.1, 0.0}});
     eval::evaluator_config config;
     config.modulator = sd::modulator_params::ideal();
     config.offset = eval::offset_mode::none;

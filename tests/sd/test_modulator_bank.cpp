@@ -25,7 +25,8 @@ using bistna::sd::modulator_params;
 using bistna::sd::sd_modulator;
 
 /// Configurations modulator_params::validate() rejects: non-positive or
-/// NaN CI/CF, Vref or integrator swing, and negative or NaN noise.
+/// NaN CI/CF, Vref or integrator swing, negative or NaN noise, and a NaN in
+/// any other field.
 std::vector<modulator_params> invalid_configs() {
     const double nan = std::numeric_limits<double>::quiet_NaN();
     std::vector<modulator_params> configs;
@@ -43,6 +44,14 @@ std::vector<modulator_params> invalid_configs() {
     for (const double v : {-1.0e-6, nan}) {
         modulator_params params = modulator_params::cmos035();
         params.noise_rms = v;
+        configs.push_back(params);
+    }
+    for (double modulator_params::*field :
+         {&modulator_params::dc_gain_db, &modulator_params::settling_error,
+          &modulator_params::input_offset, &modulator_params::comparator_offset,
+          &modulator_params::comparator_hysteresis}) {
+        modulator_params params = modulator_params::ideal();
+        params.*field = nan;
         configs.push_back(params);
     }
     return configs;
