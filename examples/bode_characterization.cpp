@@ -15,6 +15,8 @@
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
 #include "gen/generator.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace {
 
@@ -26,8 +28,16 @@ void characterize(const char* title, const bistna::core::board_factory& factory,
     settings.periods = 200;
 
     const auto frequencies = core::log_spaced(hertz{100.0}, kilohertz(20.0), 17);
-    core::sweep_engine engine(factory, settings); // threads = hardware concurrency
-    const auto report = engine.run(frequencies);
+    // A registry attached around the sweep counts its staircase renders
+    // (engine.stimulus.misses) and reuses (engine.stimulus.hits).
+    telemetry::metric_registry registry;
+    core::sweep_report report;
+    {
+        telemetry::registry_scope metering(registry);
+        core::sweep_engine engine(factory, settings); // threads = hardware concurrency
+        report = engine.run(frequencies);
+    }
+    const auto counters = registry.snapshot();
 
     ascii_table table({"f (Hz)", "gain (dB)", "gain lo/hi", "phase (deg)", "phase lo/hi",
                        "true gain", "true phase"});
@@ -48,13 +58,13 @@ void characterize(const char* title, const bistna::core::board_factory& factory,
     }
     std::cout << "\n=== " << title << " ===\n";
     table.print(std::cout);
-    const auto cache = engine.stats().stimulus;
     std::cout << "(" << report.points.size() << " points on " << report.threads_used
               << " thread(s) in " << format_fixed(report.elapsed_seconds, 2)
               << " s; worst |gain error| " << format_fixed(report.worst_gain_error_db, 3)
               << " dB, gain-bound violations " << report.gain_bound_violations << ")\n";
-    std::cout << "(clock-normalized stimulus rendered " << cache.misses << " time(s), reused "
-              << cache.hits << " time(s) across the batch)\n";
+    std::cout << "(clock-normalized stimulus rendered "
+              << counters.counter("engine.stimulus.misses") << " time(s), reused "
+              << counters.counter("engine.stimulus.hits") << " time(s) across the batch)\n";
     std::cout << "(CSV written to " << csv_path << ")\n";
 }
 

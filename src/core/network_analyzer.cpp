@@ -158,27 +158,23 @@ frequency_point assemble_frequency_point(hertz f_wave, const stimulus_calibratio
 network_analyzer::network_analyzer(demonstrator_board& board, analyzer_settings settings)
     : board_(board), settings_(settings), evaluator_(settings.evaluator) {}
 
-stimulus_calibration network_analyzer::measure_stimulus(const sim::timebase& tb) {
-    auto record = board_.render(tb, settings_.periods, signal_path::calibration,
-                                settings_.settle_periods);
-    const auto source = demonstrator_board::as_source(std::move(record));
-    return make_stimulus_calibration(evaluator_.measure_harmonic(source, 1, settings_.periods));
-}
-
 const stimulus_calibration& network_analyzer::calibrate() {
     if (!calibration_) {
         // Clock-normalized system: any master clock yields the same DT
         // stimulus, so calibrate at a convenient one.
         const auto tb = sim::timebase::for_wave_frequency(kilohertz(1.0));
-        calibration_ = measure_stimulus(tb);
+        auto record = board_.render(tb, settings_.periods, signal_path::calibration,
+                                    settings_.settle_periods);
+        const auto source = demonstrator_board::as_source(std::move(record));
+        calibration_ =
+            make_stimulus_calibration(evaluator_.measure_harmonic(source, 1, settings_.periods));
     }
     return *calibration_;
 }
 
 frequency_point network_analyzer::measure_point(hertz f_wave) {
+    const stimulus_calibration& input = calibrate();
     const auto tb = sim::timebase::for_wave_frequency(f_wave);
-    const stimulus_calibration input =
-        settings_.recalibrate_per_point ? measure_stimulus(tb) : calibrate();
 
     auto record = board_.render(tb, settings_.periods, signal_path::through_dut,
                                 settings_.settle_periods);

@@ -29,10 +29,6 @@ struct analyzer_settings {
     std::size_t distortion_periods = 400; ///< M for harmonic distortion (Fig. 10c)
     std::size_t settle_periods = 32;
     eval::evaluator_config evaluator;
-    /// Re-measure the stimulus at every frequency point instead of reusing
-    /// the single calibration (ablation of the paper's one-time-calibration
-    /// claim; see bench_ablation_sync).
-    bool recalibrate_per_point = false;
 };
 
 /// Calibration-path measurement of the stimulus.
@@ -95,7 +91,8 @@ public:
         calibration_ = std::move(calibration);
     }
 
-    /// Measure the DUT at one frequency point.
+    /// Measure the DUT at one frequency point, dividing by the one
+    /// calibration (calibrate() runs first when none is held).
     frequency_point measure_point(hertz f_wave);
 
     /// Bode sweep over a list of frequencies (Fig. 10a/b).
@@ -114,8 +111,6 @@ public:
     eval::sinewave_evaluator& evaluator() noexcept { return evaluator_; }
 
 private:
-    stimulus_calibration measure_stimulus(const sim::timebase& tb);
-
     demonstrator_board& board_;
     analyzer_settings settings_;
     eval::sinewave_evaluator evaluator_;

@@ -46,7 +46,6 @@ void stimulus_cache::evict_for_insert_locked() {
         // evicted future keep their own reference; only the cache forgets.
         entries_.erase(insertion_order_.front());
         insertion_order_.pop_front();
-        ++evictions_;
         telemetry::counter_add(counters().evictions);
     }
 }
@@ -63,11 +62,9 @@ stimulus_cache::record_ptr stimulus_cache::get_or_render(const stimulus_key& key
         std::lock_guard<std::mutex> lock(mutex_);
         const auto it = entries_.find(key);
         if (it != entries_.end()) {
-            ++hits_;
             telemetry::counter_add(counters().hits);
             pending = it->second.future;
         } else {
-            ++misses_;
             telemetry::counter_add(counters().misses);
             evict_for_insert_locked();
             own_id = next_entry_id_++;
@@ -106,10 +103,9 @@ stimulus_cache::record_ptr stimulus_cache::get_or_render(const stimulus_key& key
     }
 }
 
-stimulus_cache_stats stimulus_cache::stats() const {
+std::size_t stimulus_cache::size() const {
     std::lock_guard<std::mutex> lock(mutex_);
-    return stimulus_cache_stats{
-        .hits = hits_, .misses = misses_, .evictions = evictions_, .entries = entries_.size()};
+    return entries_.size();
 }
 
 void stimulus_cache::clear() {

@@ -15,7 +15,8 @@
 // Records are immutable once published (shared_ptr<const vector>), so
 // readers need no further synchronization.  Capacity is bounded by FIFO
 // eviction; eviction only drops the cache's reference, never a record a
-// caller still holds.
+// caller still holds.  Hits, misses and evictions are counted only in the
+// telemetry registry (engine.stimulus.*), when one is attached.
 #pragma once
 
 #include <cstddef>
@@ -48,13 +49,6 @@ struct stimulus_key_hash {
     std::size_t operator()(const stimulus_key& key) const noexcept;
 };
 
-struct stimulus_cache_stats {
-    std::size_t hits = 0;      ///< get_or_render calls served from the cache
-    std::size_t misses = 0;    ///< calls that had to render
-    std::size_t evictions = 0; ///< entries dropped by the capacity bound
-    std::size_t entries = 0;   ///< records currently resident
-};
-
 class stimulus_cache {
 public:
     using record = std::vector<double>;
@@ -71,7 +65,8 @@ public:
     /// and forgets the entry, so a later call can retry.
     record_ptr get_or_render(const stimulus_key& key, const render_fn& render);
 
-    stimulus_cache_stats stats() const;
+    /// Records currently resident.
+    std::size_t size() const;
     std::size_t max_entries() const noexcept { return max_entries_; }
     void clear();
 
@@ -88,11 +83,6 @@ private:
     std::unordered_map<stimulus_key, entry, stimulus_key_hash> entries_;
     std::deque<stimulus_key> insertion_order_;
     std::uint64_t next_entry_id_ = 1;
-    // Guarded by mutex_; every increment also feeds the engine.stimulus.*
-    // counters of an attached telemetry registry.
-    std::size_t hits_ = 0;
-    std::size_t misses_ = 0;
-    std::size_t evictions_ = 0;
 };
 
 } // namespace bistna::core

@@ -65,15 +65,6 @@ sweep_engine::sweep_engine(board_factory factory, analyzer_settings settings,
         std::make_shared<stimulus_cache>(std::max(stimulus_cache_floor, in_flight));
 }
 
-sweep_stats sweep_engine::stats() const {
-    sweep_stats stats;
-    stats.threads = queue_->threads();
-    stats.batch_lanes = std::max<std::size_t>(1, options_.batch_lanes);
-    stats.stimulus = stimulus_cache_->stats();
-    stats.calibrations = calibration_share_->entries();
-    return stats;
-}
-
 // --- Measurement programs --------------------------------------------------
 
 /// One stage of a measurement program, the scalar network_analyzer call it
@@ -94,7 +85,8 @@ struct sweep_engine::program_stage {
     hertz frequency(hertz lane_f) const { return f.value > 0.0 ? f : lane_f; }
 };
 
-/// Each harmonic stage divides by the lane's latest calibration.
+/// Each harmonic stage divides by the lane's calibration: injected, or
+/// measured by the program's one calibrate stage.
 struct sweep_engine::measurement_program {
     std::vector<program_stage> stages;
     /// Injected before the first stage (a Bode batch's shared one-time
@@ -106,19 +98,13 @@ struct sweep_engine::measurement_program {
     std::optional<spec_mask> self_test;
 
     /// The scalar analyzer's call sequence: calibrate() once, then
-    /// measure_point(f) per frequency -- re-measuring the stimulus first
-    /// under recalibrate_per_point, as measure_point does -- then
-    /// optionally measure_distortion.
+    /// measure_point(f) per frequency, then optionally measure_distortion.
     static measurement_program analyzer(const std::vector<hertz>& frequencies,
-                                        bool recalibrate_per_point,
                                         std::optional<program_stage> thd) {
         using kind = program_stage::kind;
         measurement_program program;
         program.stages.push_back({kind::calibrate});
         for (hertz f : frequencies) {
-            if (recalibrate_per_point) {
-                program.stages.push_back({kind::calibrate});
-            }
             program.stages.push_back({kind::harmonic, f});
         }
         if (thd) {
@@ -134,30 +120,24 @@ job_handle<frequency_point>
 sweep_engine::submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed) {
     BISTNA_EXPECTS(!frequencies.empty(), "sweep requires at least one frequency");
 
-    // Each point is one lane measuring at its own frequency; without a
-    // shared calibration it characterizes the stimulus first, exactly as
-    // measure_point does on a fresh analyzer.
+    // One-time calibration, shared by every point.  The system is
+    // clock-normalized, so this is exactly the paper's single calibration;
+    // performing it with seed stream 0 keeps it independent of the
+    // per-point seeds and of scheduling.  It runs here, on the submitting
+    // thread, so every streamed point is a pure per-index function: one
+    // lane measuring at its own frequency.
+    eval::evaluator_config config = settings_.evaluator;
+    config.seed = sweep_item_seed(bode_seed_root, 0);
+    std::vector<program_lane> lane;
+    lane.push_back({factory_(board_seed), config});
+    measurement_program calibrate_only;
+    calibrate_only.stages.push_back({program_stage::kind::calibrate});
+    acquisition_result calibration;
+    arena scratch;
+    execute(calibrate_only, lane, &calibration, scratch);
+
     measurement_program program;
-    if (!settings_.recalibrate_per_point) {
-        // One-time calibration, shared by every point.  The system is
-        // clock-normalized, so this is exactly the paper's single
-        // calibration; performing it with seed stream 0 keeps it
-        // independent of the per-point seeds and of scheduling.  It runs
-        // here, on the submitting thread, so every streamed point is a pure
-        // per-index function.
-        eval::evaluator_config config = settings_.evaluator;
-        config.seed = sweep_item_seed(bode_seed_root, 0);
-        std::vector<program_lane> lane;
-        lane.push_back({factory_(board_seed), config});
-        measurement_program calibrate_only;
-        calibrate_only.stages.push_back({program_stage::kind::calibrate});
-        acquisition_result calibration;
-        arena scratch;
-        execute(calibrate_only, lane, &calibration, scratch);
-        program.calibration = calibration.calibration;
-    } else {
-        program.stages.push_back({program_stage::kind::calibrate});
-    }
+    program.calibration = calibration.calibration;
     program.stages.push_back({program_stage::kind::harmonic});
 
     // Job-lifetime state, shared by every task closure (the handle may
@@ -264,8 +244,7 @@ sweep_engine::submit_screening(const spec_mask& mask, std::size_t dice,
         thd = program_stage{program_stage::kind::thd, hertz{thd_f_hz},
                             screening.distortion_max_harmonic};
     }
-    measurement_program program =
-        measurement_program::analyzer(frequencies, settings_.recalibrate_per_point, thd);
+    measurement_program program = measurement_program::analyzer(frequencies, thd);
     if (!screening.continue_after_self_test_failure) {
         // Broken BIST circuitry: don't trust the die's DUT data.
         program.self_test = mask;
@@ -319,9 +298,8 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
         std::vector<acquisition_item> items;
         measurement_program program;
     };
-    auto job = std::make_shared<const acquisition_job>(acquisition_job{
-        std::move(items), measurement_program::analyzer(program.frequencies,
-                                                        settings_.recalibrate_per_point, thd)});
+    auto job = std::make_shared<const acquisition_job>(
+        acquisition_job{std::move(items), measurement_program::analyzer(program.frequencies, thd)});
     return queue_->submit<acquisition_result>(
         job->items.size(), std::max<std::size_t>(1, options_.batch_lanes),
         [this, job](std::size_t first, std::size_t count, acquisition_result* out) {
@@ -352,16 +330,14 @@ void sweep_engine::execute(const measurement_program& program,
     }
     eval::batch_evaluator evaluators(std::move(configs), *calibration_share_);
 
-    // The stimulus calibration each lane's next harmonic stage divides by.
-    std::vector<stimulus_calibration> inputs(count);
+    // The stimulus calibration each lane's harmonic stages divide by.
     if (program.calibration) {
         for (std::size_t l = 0; l < count; ++l) {
-            inputs[l] = results[l].calibration = *program.calibration;
+            results[l].calibration = *program.calibration;
         }
     }
     std::vector<std::size_t> active(count);
     std::iota(active.begin(), active.end(), std::size_t{0});
-    bool first_calibration = !program.calibration.has_value();
 
     // One staircase per lane, at the longest period count a stage needs;
     // each stage reads settle + its own periods from the front.  Exact:
@@ -397,21 +373,16 @@ void sweep_engine::execute(const measurement_program& program,
             calibrate_span.arg("lanes", lanes_arg);
             const auto measured = calibrate_lanes(stairs, active, evaluators, scratch);
             for (std::size_t i = 0; i < active.size(); ++i) {
-                inputs[active[i]] = make_stimulus_calibration(measured[i]);
-            }
-            if (!first_calibration) {
-                break;
-            }
-            first_calibration = false;
-            for (std::size_t l : active) {
-                results[l].calibration = inputs[l];
+                const std::size_t l = active[i];
+                results[l].calibration = make_stimulus_calibration(measured[i]);
                 results[l].offset_rate = evaluators.extractor(l).offset_rate_ch1();
             }
             if (program.self_test) {
                 // A dropped lane consumes no more of its RNG streams, so its
                 // neighbours are unperturbed; it is a finished item now.
                 std::erase_if(active, [&](std::size_t l) {
-                    return !stimulus_self_test(*program.self_test, inputs[l].amplitude.volts);
+                    return !stimulus_self_test(*program.self_test,
+                                               results[l].calibration.amplitude.volts);
                 });
             }
             break;
@@ -429,9 +400,9 @@ void sweep_engine::execute(const measurement_program& program,
                 active, lane_major, 1, settings_.periods);
             for (std::size_t i = 0; i < active.size(); ++i) {
                 program_lane& lane = lanes[active[i]];
-                results[active[i]].points.push_back(
-                    assemble_frequency_point(stage.frequency(lane.f), inputs[active[i]],
-                                             outputs[i], lane.board.dut()));
+                acquisition_result& result = results[active[i]];
+                result.points.push_back(assemble_frequency_point(
+                    stage.frequency(lane.f), result.calibration, outputs[i], lane.board.dut()));
             }
             break;
         }

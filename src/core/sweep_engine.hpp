@@ -106,20 +106,6 @@ struct sweep_engine_options {
     std::size_t batch_lanes = 1;
 };
 
-/// Resolved execution configuration and shared-resource counters of an
-/// engine.
-struct sweep_stats {
-    /// Worker count a job actually uses (the shared or private pool's).
-    std::size_t threads = 0;
-    std::size_t batch_lanes = 1;
-    /// Hit/miss/eviction counters of the engine's stimulus cache, over
-    /// every job it has run.
-    stimulus_cache_stats stimulus;
-    /// Calibrations resident in the engine's calibration share (the
-    /// handle's, when it carries one).
-    std::size_t calibrations = 0;
-};
-
 /// Aggregated outcome of a parallel Bode batch.
 struct sweep_report {
     std::vector<frequency_point> points; ///< in input frequency order
@@ -190,10 +176,9 @@ public:
     // described at job_queue::submit.
 
     /// Bode batch: item i is frequencies[i] measured on the board drawn
-    /// with `board_seed`.  Unless settings.recalibrate_per_point, the
-    /// paper's one-time calibration runs synchronously here -- on the
-    /// caller's thread -- and every streamed point reuses it; otherwise
-    /// each point characterizes the stimulus itself.
+    /// with `board_seed`.  The paper's one-time calibration runs
+    /// synchronously here -- on the caller's thread -- and every streamed
+    /// point reuses it.
     job_handle<frequency_point>
     submit_bode(std::vector<hertz> frequencies, std::uint64_t board_seed = 1);
 
@@ -216,8 +201,8 @@ public:
     submit_acquisition(std::vector<acquisition_item> items, acquisition_program program,
                        std::function<void()> on_published = nullptr);
 
-    /// Resolved configuration and shared-resource counters.
-    sweep_stats stats() const;
+    /// Worker count a job uses (the shared or private pool's).
+    std::size_t threads() const noexcept { return queue_->threads(); }
 
 private:
     /// The ordered calibrate / harmonic@f / thd@f stages every lane of a job
@@ -235,8 +220,8 @@ private:
     };
 
     /// The executor: run `program` over one lane group in lockstep, lane l's
-    /// outcome into results[l] (calibration = the first one measured or
-    /// injected, points = one per harmonic stage).  Each lane's staircase
+    /// outcome into results[l] (calibration = the one injected or measured
+    /// by the calibrate stage, points = one per harmonic stage).  Each lane's staircase
     /// is fetched once, at the longest stage, and every stage reads its
     /// prefix.  All scratch comes from `scratch`, reset before every stage,
     /// so it grows to the largest one.

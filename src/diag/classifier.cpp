@@ -9,8 +9,7 @@
 
 namespace bistna::diag {
 
-classifier::classifier(fault_dictionary dictionary, classifier_options options)
-    : dictionary_(std::move(dictionary)), options_(options) {
+classifier::classifier(fault_dictionary dictionary) : dictionary_(std::move(dictionary)) {
     const std::size_t dims = dictionary_.space.dimensions();
     BISTNA_EXPECTS(dims > 0, "classifier needs a non-empty signature space");
 
@@ -111,8 +110,8 @@ diagnosis classifier::classify(std::span<const double> signature) const {
               });
 
     if (!result.ranked.empty()) {
-        const double cutoff = result.ranked.front().distance * options_.ambiguity_ratio +
-                              options_.ambiguity_margin;
+        const double cutoff =
+            result.ranked.front().distance * ambiguity_ratio + ambiguity_margin;
         for (const auto& hypothesis : result.ranked) {
             if (hypothesis.distance <= cutoff) {
                 result.ambiguity.push_back(hypothesis);
@@ -122,7 +121,7 @@ diagnosis classifier::classify(std::span<const double> signature) const {
 
     result.fault_detected =
         !result.ranked.empty() && (dictionary_.healthy.empty() ||
-                                   result.healthy_distance > options_.healthy_threshold);
+                                   result.healthy_distance > healthy_threshold);
     return result;
 }
 

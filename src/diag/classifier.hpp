@@ -19,18 +19,6 @@
 
 namespace bistna::diag {
 
-struct classifier_options {
-    /// Normalized distance to the healthy reference below which a die is
-    /// reported fault-free (units: per-component spreads, RMS-averaged).
-    /// Sized to sit above process-variation + measurement noise but below
-    /// the catalog trajectories' failing-severity extents.
-    double healthy_threshold = 0.25;
-    /// A hypothesis joins the ambiguity set when its distance is within
-    /// best * ambiguity_ratio + ambiguity_margin.
-    double ambiguity_ratio = 1.25;
-    double ambiguity_margin = 0.1;
-};
-
 struct fault_hypothesis {
     fault_kind kind = fault_kind::cap_unit_mismatch;
     double severity = 0.0;         ///< interpolated along the trajectory
@@ -49,7 +37,17 @@ struct diagnosis {
 
 class classifier {
 public:
-    explicit classifier(fault_dictionary dictionary, classifier_options options = {});
+    /// Normalized distance to the healthy reference below which a die is
+    /// reported fault-free (units: per-component spreads, RMS-averaged).
+    /// Sized to sit above process-variation + measurement noise but below
+    /// the catalog trajectories' failing-severity extents.
+    static constexpr double healthy_threshold = 0.25;
+    /// A hypothesis joins the ambiguity set when its distance is within
+    /// best * ambiguity_ratio + ambiguity_margin.
+    static constexpr double ambiguity_ratio = 1.25;
+    static constexpr double ambiguity_margin = 0.1;
+
+    explicit classifier(fault_dictionary dictionary);
 
     /// Classify a signature in the dictionary's space (size must equal
     /// space.dimensions()).
@@ -60,7 +58,6 @@ public:
     diagnosis classify_report(const core::screening_report& report) const;
 
     const fault_dictionary& dictionary() const noexcept { return dictionary_; }
-    const classifier_options& options() const noexcept { return options_; }
     /// Per-component normalization scales (dictionary spread, floored).
     const std::vector<double>& component_scales() const noexcept { return scales_; }
 
@@ -68,7 +65,6 @@ private:
     double distance(std::span<const double> a, std::span<const double> b) const;
 
     fault_dictionary dictionary_;
-    classifier_options options_;
     std::vector<double> scales_;
 };
 

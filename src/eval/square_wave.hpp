@@ -43,6 +43,9 @@ public:
     std::complex<double> coefficient(std::size_t m) const;
 
     /// Fundamental coefficient c_1 (magnitude ~ 2/pi, phase ~ pi/P - pi/2).
+    /// It takes one value per aligned k, summed once per process by
+    /// coefficient(1)'s loop (the same bits), so a reference costs no
+    /// trigonometry to build.
     std::complex<double> c1() const { return c1_; }
 
 private:

@@ -8,13 +8,11 @@ namespace bistna::shard {
 
 coordinator_report run_lot(const lot_manifest& manifest,
                            const std::string& out_path,
-                           const supervisor_options& options,
-                           const merge_options& merge) {
+                           const supervisor_options& options) {
     coordinator_report report;
     report.shards = run_shards(manifest, options);
-    report.merge =
-        merge_shard_stores(report.shards.shard_files, out_path,
-                           manifest.record_id(0), manifest.total_units(), merge);
+    report.merge = merge_shard_stores(report.shards.shard_files, out_path,
+                                      manifest.record_id(0), manifest.total_units());
     if (options.telemetry_sidecars) {
         // Sidecars are observability, not lot data: a worker that produced
         // a complete shard store but a missing/torn sidecar (e.g. killed

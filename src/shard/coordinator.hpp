@@ -33,7 +33,6 @@ struct coordinator_report {
 /// verified lot.
 coordinator_report run_lot(const lot_manifest& manifest,
                            const std::string& out_path,
-                           const supervisor_options& options,
-                           const merge_options& merge = {});
+                           const supervisor_options& options);
 
 } // namespace bistna::shard

@@ -7,12 +7,15 @@
 #include "common/error.hpp"
 #include "store/lot_store.hpp"
 #include "store/record_io.hpp"
-#include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 
 namespace bistna::shard {
 
 namespace {
+
+/// Output-store flush cadence: the merge is one shot, so per-record
+/// flushing would only slow it down.
+constexpr std::size_t merge_flush_interval = 256;
 
 /// The merge key: both payload kinds a worker streams (screening_report,
 /// acquisition_result) lead with the u64 global id, little-endian.
@@ -50,8 +53,7 @@ std::vector<store::record> lenient_scan(const std::string& path, bool& torn) {
 
 merge_stats merge_shard_stores(const std::vector<std::string>& shard_files,
                                const std::string& out_path,
-                               std::uint64_t first_id, std::uint64_t id_count,
-                               const merge_options& options) {
+                               std::uint64_t first_id, std::uint64_t id_count) {
     telemetry::trace_span span("shard.merge");
     span.arg("files", static_cast<double>(shard_files.size()));
     span.arg("ids", static_cast<double>(id_count));
@@ -109,31 +111,13 @@ merge_stats merge_shard_stores(const std::vector<std::string>& shard_files,
         }
     }
 
-    store::lot_store out =
-        store::lot_store::create(out_path, {options.flush_interval});
+    store::lot_store out = store::lot_store::create(out_path, {merge_flush_interval});
     for (const auto& [id, r] : by_id) {
         out.append(r);
     }
     out.flush();
     stats.records_merged = out.records_appended();
     stats.bytes_written = out.bytes();
-    // Registry mirrors of the returned struct (the merge.* taxonomy); the
-    // struct stays the API, the registry is how a fleet snapshot sees it.
-    static const telemetry::metric_id seen_id =
-        telemetry::counter_id("merge.records_seen");
-    static const telemetry::metric_id duplicates_id =
-        telemetry::counter_id("merge.duplicates_dropped");
-    static const telemetry::metric_id merged_id =
-        telemetry::counter_id("merge.records_merged");
-    static const telemetry::metric_id torn_id =
-        telemetry::counter_id("merge.torn_files");
-    static const telemetry::metric_id bytes_id =
-        telemetry::counter_id("merge.bytes_written");
-    telemetry::counter_add(seen_id, stats.records_seen);
-    telemetry::counter_add(duplicates_id, stats.duplicates_dropped);
-    telemetry::counter_add(merged_id, stats.records_merged);
-    telemetry::counter_add(torn_id, stats.torn_files);
-    telemetry::counter_add(bytes_id, stats.bytes_written);
     return stats;
 }
 

@@ -20,12 +20,6 @@
 
 namespace bistna::shard {
 
-struct merge_options {
-    /// Output-store flush cadence (the merge is one shot; per-record
-    /// flushing would only slow it down).
-    std::size_t flush_interval = 256;
-};
-
 struct merge_stats {
     std::size_t files = 0;               ///< input files scanned (missing skipped)
     std::size_t torn_files = 0;          ///< inputs with a truncated/corrupt tail
@@ -41,9 +35,10 @@ struct merge_stats {
 /// create()).  Throws configuration_error on an id outside the range, a
 /// duplicate id whose payload differs, or a missing id;
 /// serialization_error on an input that is not a record store at all.
+/// The returned stats are the merge's only account of what it read and
+/// wrote; an attached registry gets the `shard.merge` span alone.
 merge_stats merge_shard_stores(const std::vector<std::string>& shard_files,
                                const std::string& out_path,
-                               std::uint64_t first_id, std::uint64_t id_count,
-                               const merge_options& options = {});
+                               std::uint64_t first_id, std::uint64_t id_count);
 
 } // namespace bistna::shard

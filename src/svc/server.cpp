@@ -79,13 +79,6 @@ struct service_server::impl {
     std::atomic<bool> running{false};
     bool started = false;
 
-    // Introspection counters: written by the loop thread, read by anyone.
-    std::atomic<std::uint64_t> c_accepted{0}, c_closed{0}, c_shed{0};
-    std::atomic<std::uint64_t> c_admitted{0}, c_completed{0}, c_cancelled{0};
-    std::atomic<std::uint64_t> c_rejected{0}, c_failed{0};
-    /// Admitted-not-dispatched requests across all sessions.
-    std::atomic<std::size_t> total_pending{0};
-
     // ----- loop-thread state (never touched from outside the loop) --------
 
     struct pending_request {
@@ -125,6 +118,8 @@ struct service_server::impl {
     std::vector<std::unique_ptr<session>> sessions;
     std::size_t rr_cursor = 0;      ///< fair dispatch position
     std::size_t active_jobs = 0;
+    /// Admitted-not-dispatched requests across all sessions.
+    std::size_t total_pending = 0;
     std::uint64_t next_session_id = 1;
     /// Cancelled streams ride here until finished() so their destructors
     /// never block the event loop.  The accounting that makes a cancelled
@@ -344,7 +339,6 @@ struct service_server::impl {
             s->fd = std::move(fd);
             s->id = next_session_id++;
             s->last_activity_ns = telemetry::now_ns();
-            c_accepted.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().sessions_accepted);
             enqueue(*s, encode(hello_frame{}));
             sessions.push_back(std::move(s));
@@ -457,7 +451,6 @@ struct service_server::impl {
 
     void reject(session& s, std::uint64_t request, error_code code,
                 std::string message) {
-        c_rejected.fetch_add(1, std::memory_order_relaxed);
         telemetry::counter_add(metrics().jobs_rejected);
         error_frame f;
         f.request = request;
@@ -532,7 +525,6 @@ struct service_server::impl {
             if (it->id == f.request) {
                 s.pending.erase(it);
                 --total_pending;
-                c_cancelled.fetch_add(1, std::memory_order_relaxed);
                 telemetry::counter_add(metrics().jobs_cancelled);
                 error_frame e;
                 e.request = f.request;
@@ -590,7 +582,6 @@ struct service_server::impl {
             a.stream = std::make_unique<shard::unit_stream>(
                 req.manifest, 0, a.total, pool, [this] { wake(); });
         } catch (const std::exception& e) {
-            c_failed.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_failed);
             error_frame f;
             f.request = req.id;
@@ -600,7 +591,6 @@ struct service_server::impl {
             return;
         }
         ++active_jobs;
-        c_admitted.fetch_add(1, std::memory_order_relaxed);
         telemetry::counter_add(metrics().jobs_admitted);
         telemetry::histogram_record(metrics().admission_wait,
                                     telemetry::now_ns() - req.submitted_ns);
@@ -670,13 +660,11 @@ struct service_server::impl {
         const std::exception_ptr error = a.stream->error();
         if (a.sent == a.total && error == nullptr) {
             enqueue(s, encode(done_frame{a.id, a.sent}));
-            c_completed.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_completed);
             telemetry::histogram_record(metrics().request_latency, now - a.submitted_ns);
             telemetry::emit_span("svc.request", a.submitted_ns, now - a.submitted_ns,
                                  "units", static_cast<double>(a.total));
         } else if (error != nullptr) {
-            c_failed.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_failed);
             std::string message = "worker failed";
             try {
@@ -691,7 +679,6 @@ struct service_server::impl {
             f.message = std::move(message);
             enqueue(s, encode(f));
         } else {
-            c_cancelled.fetch_add(1, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_cancelled);
             error_frame f;
             f.request = a.id;
@@ -766,7 +753,6 @@ struct service_server::impl {
         enqueue(s, encode(f));
         s.input_dead = true;
         s.close_after_flush = true;
-        c_shed.fetch_add(1, std::memory_order_relaxed);
         telemetry::counter_add(metrics().sessions_shed);
     }
 
@@ -783,7 +769,6 @@ struct service_server::impl {
         }
         s.active.clear();
         if (dropped != 0) {
-            c_cancelled.fetch_add(dropped, std::memory_order_relaxed);
             telemetry::counter_add(metrics().jobs_cancelled, dropped);
         }
     }
@@ -795,7 +780,6 @@ struct service_server::impl {
         }
         cancel_requests(s);
         s.dead = true;
-        c_closed.fetch_add(1, std::memory_order_relaxed);
         telemetry::counter_add(metrics().sessions_closed);
     }
 
@@ -805,7 +789,6 @@ struct service_server::impl {
             return;
         }
         s.dead = true;
-        c_closed.fetch_add(1, std::memory_order_relaxed);
         telemetry::counter_add(metrics().sessions_closed);
     }
 
@@ -855,21 +838,6 @@ std::uint16_t service_server::tcp_port() const noexcept {
 
 const server_options& service_server::options() const noexcept {
     return impl_->opts;
-}
-
-server_counters service_server::counters() const noexcept {
-    const impl& i = *impl_;
-    server_counters c;
-    c.sessions_accepted = i.c_accepted.load(std::memory_order_relaxed);
-    c.sessions_closed = i.c_closed.load(std::memory_order_relaxed);
-    c.sessions_shed = i.c_shed.load(std::memory_order_relaxed);
-    c.jobs_admitted = i.c_admitted.load(std::memory_order_relaxed);
-    c.jobs_completed = i.c_completed.load(std::memory_order_relaxed);
-    c.jobs_cancelled = i.c_cancelled.load(std::memory_order_relaxed);
-    c.jobs_rejected = i.c_rejected.load(std::memory_order_relaxed);
-    c.jobs_failed = i.c_failed.load(std::memory_order_relaxed);
-    c.jobs_pending = i.total_pending.load(std::memory_order_relaxed);
-    return c;
 }
 
 // --- daemon front end -------------------------------------------------------
@@ -939,14 +907,6 @@ int server_main(int argc, char** argv) {
         }
         std::cout << "bistna_serverd: stopping\n";
         server.stop();
-
-        const server_counters c = server.counters();
-        std::cout << "sessions: " << c.sessions_accepted << " accepted, "
-                  << c.sessions_closed << " closed, " << c.sessions_shed
-                  << " shed\njobs: " << c.jobs_admitted << " admitted, "
-                  << c.jobs_completed << " completed, " << c.jobs_cancelled
-                  << " cancelled, " << c.jobs_rejected << " rejected, "
-                  << c.jobs_failed << " failed\n";
 
         if (registry.is_attached()) {
             registry.detach();

@@ -38,7 +38,9 @@
 // listeners, session sockets and a wakeup pipe that job completions
 // write to); worker threads only run measurement closures and the tiny
 // completion callback.  Cross-thread state is limited to the job_queue's
-// own synchronization, the pipe, and relaxed introspection counters.
+// own synchronization, the pipe, and the stop/running flags.  The daemon
+// counts its sessions and jobs only in the telemetry registry (svc.*),
+// which records nothing unless one is attached.
 #pragma once
 
 #include <cstdint>
@@ -91,22 +93,6 @@ struct server_options {
     std::size_t socket_send_buffer = 0;
 };
 
-/// Relaxed introspection counters (tests, --metrics, ops).
-struct server_counters {
-    std::uint64_t sessions_accepted = 0;
-    std::uint64_t sessions_closed = 0;
-    std::uint64_t sessions_shed = 0;
-    std::uint64_t jobs_admitted = 0;
-    std::uint64_t jobs_completed = 0;
-    std::uint64_t jobs_cancelled = 0;
-    std::uint64_t jobs_rejected = 0; ///< overloaded/bad_request sheds
-    std::uint64_t jobs_failed = 0;   ///< worker exceptions
-    /// Admitted-but-undispatched requests right now (a gauge, not a
-    /// running total): what the admission queue holds against
-    /// admission_capacity.
-    std::uint64_t jobs_pending = 0;
-};
-
 class service_server {
 public:
     explicit service_server(server_options options);
@@ -130,8 +116,6 @@ public:
     std::uint16_t tcp_port() const noexcept;
 
     const server_options& options() const noexcept;
-
-    server_counters counters() const noexcept;
 
     struct impl;
 

@@ -1,13 +1,12 @@
 // Bit-identity of the engine's lane groups (screening and Bode) against
 // the scalar oracle -- core::screen and network_analyzer on fresh boards:
 // any lane count, any thread count, dice counts that don't divide evenly,
-// lanes that fail the self-test, per-point recalibration, and a DUT with
-// no linear realization (the executor's scalar-render fallback).
+// lanes that fail the self-test, and a DUT with no linear realization (the
+// executor's scalar-render fallback).
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cstdint>
-#include <optional>
 #include <vector>
 
 #include "core/screening.hpp"
@@ -113,29 +112,22 @@ std::vector<screening_report> scalar_screen(const core::board_factory& factory,
 }
 
 /// The Bode oracle: every point on a fresh board and analyzer seeded like
-/// the engine's item, with the engine's one-time calibration injected when
-/// `shared_calibration`, measuring its own otherwise.
+/// the engine's item, with the engine's one-time calibration injected.
 std::vector<core::frequency_point> scalar_bode(const core::board_factory& factory,
                                                const analyzer_settings& settings,
-                                               const std::vector<hertz>& frequencies,
-                                               bool shared_calibration) {
-    std::optional<core::stimulus_calibration> calibration;
-    if (shared_calibration) {
-        auto board = factory(1);
-        auto calibration_settings = settings;
-        calibration_settings.evaluator.seed = core::sweep_item_seed(core::bode_seed_root, 0);
-        core::network_analyzer analyzer(board, calibration_settings);
-        calibration = analyzer.calibrate();
-    }
+                                               const std::vector<hertz>& frequencies) {
+    auto calibration_board = factory(1);
+    auto calibration_settings = settings;
+    calibration_settings.evaluator.seed = core::sweep_item_seed(core::bode_seed_root, 0);
+    const auto calibration =
+        core::network_analyzer(calibration_board, calibration_settings).calibrate();
     std::vector<core::frequency_point> points;
     for (std::size_t i = 0; i < frequencies.size(); ++i) {
         auto board = factory(1);
         auto point_settings = settings;
         point_settings.evaluator.seed = core::sweep_item_seed(core::bode_seed_root, i + 1);
         core::network_analyzer analyzer(board, point_settings);
-        if (calibration) {
-            analyzer.set_calibration(*calibration);
-        }
+        analyzer.set_calibration(calibration);
         points.push_back(analyzer.measure_point(frequencies[i]));
     }
     return points;
@@ -222,7 +214,7 @@ TEST(BatchScreening, BodeSweepLanesBitIdenticalToScalarPath) {
     const auto factory = make_factory(0.01);
     const auto settings = fast_settings();
     const auto frequencies = core::log_spaced(hertz{100.0}, kilohertz(10.0), 11);
-    const auto scalar = scalar_bode(factory, settings, frequencies, true);
+    const auto scalar = scalar_bode(factory, settings, frequencies);
     for (std::size_t lanes : {std::size_t{1}, std::size_t{4}, std::size_t{5}}) {
         expect_points_identical(scalar, bode_with_lanes(factory, settings, frequencies, lanes),
                                 lanes);
@@ -233,42 +225,10 @@ TEST(BatchScreening, BodeSweepCalibratedOffsetModeBitIdentical) {
     const auto factory = make_factory(0.02);
     const auto settings = calibrated_settings();
     const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(8.0), 6);
-    const auto scalar = scalar_bode(factory, settings, frequencies, true);
+    const auto scalar = scalar_bode(factory, settings, frequencies);
     for (std::size_t lanes : {std::size_t{1}, std::size_t{3}}) {
         expect_points_identical(scalar, bode_with_lanes(factory, settings, frequencies, lanes),
                                 lanes);
-    }
-}
-
-// Under recalibrate_per_point every point characterizes the stimulus
-// itself, at the point's own clock, and the lane groups still match the
-// scalar analyzer.
-TEST(BatchScreening, BodeSweepPerPointCalibrationLanesMatchScalarAnalyzer) {
-    const auto factory = make_factory(0.01);
-    const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(5.0), 5);
-    auto settings = calibrated_settings();
-    settings.recalibrate_per_point = true;
-    const auto scalar = scalar_bode(factory, settings, frequencies, false);
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
-        expect_points_identical(scalar, bode_with_lanes(factory, settings, frequencies, lanes),
-                                lanes);
-    }
-}
-
-// Regression: lane groups once reused the self-test calibration for every
-// limit, while core::screen re-measures the stimulus before each one under
-// recalibrate_per_point.
-TEST(BatchScreening, RecalibratePerPointScreeningMatchesScalarScreen) {
-    const auto factory = make_factory(0.02);
-    auto settings = calibrated_settings();
-    settings.recalibrate_per_point = true;
-    core::screening_options screening;
-    screening.measure_distortion = true;
-    const std::size_t dice = 7;
-    const auto scalar = scalar_screen(factory, settings, dice, screening);
-    for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
-        expect_reports_identical(
-            scalar, screen_with_lanes(factory, settings, dice, 2, lanes, screening));
     }
 }
 

@@ -396,7 +396,7 @@ TEST(JobQueue, EnginesSharingOnePoolStayBitIdentical) {
     auto queue = std::make_shared<job_queue>(4);
     auto screening_engine = make_engine(0, 2, queue);
     auto bode_engine = make_engine(0, 1, queue);
-    EXPECT_EQ(screening_engine.stats().threads, 4u);
+    EXPECT_EQ(screening_engine.threads(), 4u);
 
     // Two sessions in flight on one pool at once.
     auto screening = screening_engine.submit_screening(mask, dice, /*first_seed=*/3);

@@ -17,6 +17,7 @@
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
 #include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 // --- Passive large-allocation counter (this TU only defines it once for
 // the whole test binary; it never changes allocation behaviour) -----------
@@ -148,6 +149,11 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
     sweep_engine_options options;
     options.threads = 1; // one worker -> one arena, deterministic reuse
     options.batch_lanes = 8;
+    // Attached before the first lot, so its counts cover both passes; each
+    // thread's telemetry shard is allocated at its first record, which
+    // falls in the first pass.
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     sweep_engine engine(make_factory(0.02), lot_settings(), options);
 
     screening_options screening;
@@ -174,9 +180,9 @@ TEST(LotRoofline, SecondLotPassAllocatesNoLargeBlocks) {
         << "steady-state lot pass mapped " << (blocks_after - blocks_before)
         << " arena blocks; the worker arena reuse regressed";
 
-    const auto stats = engine.stats();
-    EXPECT_GT(stats.stimulus.hits, 0u);
-    EXPECT_GT(stats.calibrations, 0u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_GT(snapshot.counter("engine.stimulus.hits"), 0u);
+    EXPECT_GT(snapshot.counter("eval.calibration.runs"), 0u);
 }
 
 } // namespace

@@ -83,16 +83,26 @@ TEST(NetworkAnalyzer, CalibrationIsCachedAndReused) {
 TEST(NetworkAnalyzer, RecalibratePerPointAgreesWithCached) {
     demonstrator_board board(gen::generator_params::ideal(), dut::make_paper_dut(0.0, 1));
     board.set_amplitude(millivolt(150.0));
+    const auto settings = ideal_settings();
+    const hertz f{500.0};
 
-    auto cached_settings = ideal_settings();
-    network_analyzer cached(board, cached_settings);
-    auto fresh_settings = ideal_settings();
-    fresh_settings.recalibrate_per_point = true;
-    network_analyzer fresh(board, fresh_settings);
+    network_analyzer cached(board, settings);
+    const auto a = cached.measure_point(f);
 
-    const auto a = cached.measure_point(hertz{500.0});
-    const auto b = fresh.measure_point(hertz{500.0});
+    // The stimulus measured through the calibration path at the point's own
+    // clock, as a per-point recalibration would.
+    const auto tb = sim::timebase::for_wave_frequency(f);
+    const auto source = demonstrator_board::as_source(board.render(
+        tb, settings.periods, core::signal_path::calibration, settings.settle_periods));
+    eval::sinewave_evaluator evaluator(settings.evaluator);
+    const auto per_point = core::make_stimulus_calibration(
+        evaluator.measure_harmonic(source, 1, settings.periods));
+    network_analyzer fresh(board, settings);
+    fresh.set_calibration(per_point);
+    const auto b = fresh.measure_point(f);
+
     // The clock-normalized stimulus makes one-time calibration equivalent.
+    EXPECT_NEAR(per_point.amplitude.volts, cached.calibrate().amplitude.volts, 1e-3);
     EXPECT_NEAR(a.gain_db, b.gain_db, 0.05);
     EXPECT_NEAR(a.phase_deg, b.phase_deg, 0.5);
 }

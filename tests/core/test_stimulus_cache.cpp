@@ -15,6 +15,8 @@
 #include "core/sweep.hpp"
 #include "core/sweep_engine.hpp"
 #include "dut/filters.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace {
 
@@ -35,6 +37,8 @@ stimulus_cache::record make_record(double value, std::size_t length = 4) {
 }
 
 TEST(StimulusCache, RendersOnceThenHits) {
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     stimulus_cache cache;
     stimulus_key key{1, 2, 3, 4};
     std::size_t renders = 0;
@@ -46,13 +50,15 @@ TEST(StimulusCache, RendersOnceThenHits) {
     const auto second = cache.get_or_render(key, render);
     EXPECT_EQ(renders, 1u);
     EXPECT_EQ(first.get(), second.get()); // literally the same record
-    const auto stats = cache.stats();
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, 1u);
-    EXPECT_EQ(stats.entries, 1u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("engine.stimulus.misses"), 1u);
+    EXPECT_EQ(snapshot.counter("engine.stimulus.hits"), 1u);
+    EXPECT_EQ(cache.size(), 1u);
 }
 
 TEST(StimulusCache, DistinctKeysRenderSeparately) {
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     stimulus_cache cache;
     std::size_t renders = 0;
     const auto render = [&] {
@@ -62,11 +68,14 @@ TEST(StimulusCache, DistinctKeysRenderSeparately) {
     (void)cache.get_or_render(stimulus_key{1, 0, 0, 0}, render);
     (void)cache.get_or_render(stimulus_key{2, 0, 0, 0}, render);
     EXPECT_EQ(renders, 2u);
-    EXPECT_EQ(cache.stats().misses, 2u);
-    EXPECT_EQ(cache.stats().hits, 0u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("engine.stimulus.misses"), 2u);
+    EXPECT_EQ(snapshot.counter("engine.stimulus.hits"), 0u);
 }
 
 TEST(StimulusCache, EvictsOldestBeyondCapacity) {
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     stimulus_cache cache(2);
     std::size_t renders = 0;
     const auto render = [&] {
@@ -76,8 +85,8 @@ TEST(StimulusCache, EvictsOldestBeyondCapacity) {
     (void)cache.get_or_render(stimulus_key{1, 0, 0, 0}, render);
     (void)cache.get_or_render(stimulus_key{2, 0, 0, 0}, render);
     (void)cache.get_or_render(stimulus_key{3, 0, 0, 0}, render); // evicts key 1
-    EXPECT_EQ(cache.stats().evictions, 1u);
-    EXPECT_EQ(cache.stats().entries, 2u);
+    EXPECT_EQ(registry.snapshot().counter("engine.stimulus.evictions"), 1u);
+    EXPECT_EQ(cache.size(), 2u);
     (void)cache.get_or_render(stimulus_key{1, 0, 0, 0}, render); // re-render
     EXPECT_EQ(renders, 4u);
 }
@@ -90,7 +99,7 @@ TEST(StimulusCache, RenderFailureForgetsEntrySoRetrySucceeds) {
                          throw configuration_error("render exploded");
                      }),
                  configuration_error);
-    EXPECT_EQ(cache.stats().entries, 0u);
+    EXPECT_EQ(cache.size(), 0u);
     const auto record = cache.get_or_render(key, [] { return make_record(2.0); });
     EXPECT_EQ(record->front(), 2.0);
 }
@@ -142,6 +151,8 @@ TEST(StimulusCache, BoardKeyChangesWithAmplitudeAndSettleAndPeriodsAndDesign) {
 TEST(StimulusCache, CachedRenderBitIdenticalToUncached) {
     const auto tb = sim::timebase::for_wave_frequency(kilohertz(2.0));
     for (const bool ideal : {true, false}) {
+        telemetry::metric_registry registry;
+        telemetry::registry_scope metering(registry);
         auto params = ideal ? gen::generator_params::ideal() : gen::generator_params{};
         auto uncached_board = make_board(params);
         auto cached_board = make_board(params);
@@ -157,9 +168,10 @@ TEST(StimulusCache, CachedRenderBitIdenticalToUncached) {
                 ASSERT_EQ(expected[i], second[i]) << "ideal=" << ideal << " sample " << i;
             }
         }
-        const auto stats = cached_board.shared_stimulus_cache()->stats();
-        EXPECT_EQ(stats.misses, 1u); // calibration + DUT paths share one staircase
-        EXPECT_EQ(stats.hits, 3u);
+        const auto snapshot = registry.snapshot();
+        // calibration + DUT paths share one staircase
+        EXPECT_EQ(snapshot.counter("engine.stimulus.misses"), 1u);
+        EXPECT_EQ(snapshot.counter("engine.stimulus.hits"), 3u);
     }
 }
 
@@ -228,8 +240,13 @@ TEST(StimulusCache, SweepBitIdenticalWithAndWithoutCache) {
 
     core::sweep_engine_options options;
     options.threads = 2;
-    core::sweep_engine cached(paper_factory(), fast_settings(), options);
-    const auto with_cache = cached.run(frequencies);
+    telemetry::metric_registry registry;
+    core::sweep_report with_cache;
+    {
+        telemetry::registry_scope metering(registry);
+        core::sweep_engine cached(paper_factory(), fast_settings(), options);
+        with_cache = cached.run(frequencies);
+    }
 
     // The scalar analyzer on fresh boards, which render every staircase
     // themselves, seeded like the engine's calibration and points.
@@ -250,9 +267,9 @@ TEST(StimulusCache, SweepBitIdenticalWithAndWithoutCache) {
     expect_bit_identical(with_cache.points, without_cache);
 
     // One staircase serves the shared calibration and every point.
-    const auto stats = cached.stats().stimulus;
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_EQ(stats.hits, frequencies.size());
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("engine.stimulus.misses"), 1u);
+    EXPECT_EQ(snapshot.counter("engine.stimulus.hits"), frequencies.size());
 }
 
 TEST(StimulusCache, CachedSweepBitIdenticalAcrossThreadCounts) {
@@ -273,8 +290,13 @@ TEST(StimulusCache, ScreenLotUnchangedByCache) {
 
     core::sweep_engine_options options;
     options.threads = 2;
-    core::sweep_engine cached(paper_factory(), fast_settings(), options);
-    const auto with_cache = cached.submit_screening(mask, dice, /*first_seed=*/3).results();
+    telemetry::metric_registry registry;
+    std::vector<core::screening_report> with_cache;
+    {
+        telemetry::registry_scope metering(registry);
+        core::sweep_engine cached(paper_factory(), fast_settings(), options);
+        with_cache = cached.submit_screening(mask, dice, /*first_seed=*/3).results();
+    }
 
     ASSERT_EQ(with_cache.size(), dice);
     for (std::size_t die = 0; die < dice; ++die) {
@@ -292,9 +314,9 @@ TEST(StimulusCache, ScreenLotUnchangedByCache) {
     }
     // All dice share the same generator design here, so the whole lot needs
     // exactly one staircase render.
-    const auto stats = cached.stats().stimulus;
-    EXPECT_EQ(stats.misses, 1u);
-    EXPECT_GT(stats.hits, 0u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("engine.stimulus.misses"), 1u);
+    EXPECT_GT(snapshot.counter("engine.stimulus.hits"), 0u);
 }
 
 // A distortion program's stages read one staircase per die: the THD
@@ -311,9 +333,13 @@ TEST(StimulusCache, DistortionLotRendersOneStaircase) {
     core::sweep_engine_options options;
     options.threads = 2;
     options.batch_lanes = 2;
-    core::sweep_engine cached(paper_factory(), settings, options);
-    const auto with_cache =
-        cached.submit_screening(mask, dice, /*first_seed=*/3, screening).results();
+    telemetry::metric_registry registry;
+    std::vector<core::screening_report> with_cache;
+    {
+        telemetry::registry_scope metering(registry);
+        core::sweep_engine cached(paper_factory(), settings, options);
+        with_cache = cached.submit_screening(mask, dice, /*first_seed=*/3, screening).results();
+    }
 
     ASSERT_EQ(with_cache.size(), dice);
     for (std::size_t die = 0; die < dice; ++die) {
@@ -329,7 +355,7 @@ TEST(StimulusCache, DistortionLotRendersOneStaircase) {
                       without_cache.limits[i].measured_db);
         }
     }
-    EXPECT_EQ(cached.stats().stimulus.misses, 1u);
+    EXPECT_EQ(registry.snapshot().counter("engine.stimulus.misses"), 1u);
 }
 
 } // namespace

@@ -154,18 +154,16 @@ TEST(SweepEngine, EmptyFrequencyListThrows) {
 }
 
 TEST(SweepEngine, WorkerExceptionPropagatesToCaller) {
-    // Per-point calibration: every factory call, and so the throw, happens
-    // on a worker rather than in the submitting thread's calibration.
+    // A screening job builds every board on a worker, so the throw happens
+    // there rather than on the submitting thread.
     sweep_engine_options options;
     options.threads = 4;
-    auto settings = fast_settings();
-    settings.recalibrate_per_point = true;
     board_factory throwing = [](std::uint64_t) -> core::demonstrator_board {
         throw configuration_error("factory exploded");
     };
-    sweep_engine engine(throwing, settings, options);
-    const auto frequencies = core::log_spaced(hertz{200.0}, kilohertz(1.0), 6);
-    EXPECT_THROW(engine.run(frequencies), configuration_error);
+    sweep_engine engine(throwing, fast_settings(), options);
+    EXPECT_THROW((void)engine.submit_screening(spec_mask::paper_lowpass(), 6).results(),
+                 configuration_error);
 }
 
 } // namespace

@@ -50,14 +50,14 @@ TEST(Classifier, HealthyDieBelowThresholdIsNoFault) {
     // Tiny measurement noise around the healthy signature: no fault.
     const auto healthy = clf.classify(std::vector<double>{0.3002, 0.0001});
     EXPECT_FALSE(healthy.fault_detected);
-    EXPECT_LT(healthy.healthy_distance, clf.options().healthy_threshold);
+    EXPECT_LT(healthy.healthy_distance, diag::classifier::healthy_threshold);
     // Hypotheses are still ranked for inspection.
     ASSERT_EQ(healthy.ranked.size(), 1u);
 
     // A die far down the leak trajectory: fault detected, severity follows.
     const auto faulty = clf.classify(std::vector<double>{0.10, 0.0});
     EXPECT_TRUE(faulty.fault_detected);
-    EXPECT_GT(faulty.healthy_distance, clf.options().healthy_threshold);
+    EXPECT_GT(faulty.healthy_distance, diag::classifier::healthy_threshold);
     EXPECT_EQ(faulty.ranked.front().kind, diag::fault_kind::integrator_leak);
     EXPECT_NEAR(faulty.ranked.front().severity, 0.05, 1e-9);
 }

@@ -235,7 +235,7 @@ TEST(TrajectoryBuilder, ReportSignatureIsCommensurateWithDictionary) {
     ASSERT_TRUE(report.passed);
     const auto result = clf.classify_report(report);
     EXPECT_FALSE(result.fault_detected);
-    EXPECT_LT(result.healthy_distance, clf.options().healthy_threshold);
+    EXPECT_LT(result.healthy_distance, diag::classifier::healthy_threshold);
 }
 
 // The generic acquisition path itself, on every item of a full-catalog

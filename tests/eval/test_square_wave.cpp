@@ -3,7 +3,10 @@
 #include "common/error.hpp"
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <complex>
+#include <cstdint>
 
 #include "common/math_util.hpp"
 #include "eval/square_wave.hpp"
@@ -54,6 +57,22 @@ TEST(SquareWave, FundamentalCoefficientApproachesTwoOverPi) {
         const double expected = 2.0 / (p * std::sin(pi / p));
         EXPECT_NEAR(std::abs(demod.c1()), expected, 1e-12) << "k=" << k;
         EXPECT_NEAR(std::abs(demod.c1()), 2.0 / pi, 0.01) << "k=" << k;
+    }
+}
+
+// c1 comes from a table summed once per aligned k; it must be the very
+// bits coefficient(1) sums for one reference.
+TEST(SquareWave, TabulatedC1IsCoefficientOneBitForBit) {
+    for (std::size_t k : {1UL, 2UL, 3UL, 4UL, 6UL, 8UL, 12UL, 24UL}) {
+        const demod_reference demod(k);
+        const std::complex<double> c1 = demod.c1();
+        const std::complex<double> summed = demod.coefficient(1);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(c1.real()),
+                  std::bit_cast<std::uint64_t>(summed.real()))
+            << "k=" << k;
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(c1.imag()),
+                  std::bit_cast<std::uint64_t>(summed.imag()))
+            << "k=" << k;
     }
 }
 

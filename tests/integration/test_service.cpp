@@ -70,6 +70,13 @@ template <typename Fn> bool eventually(Fn predicate, std::chrono::milliseconds d
     return predicate();
 }
 
+/// Samples recorded so far in one of the registry's histograms.
+std::uint64_t samples(const telemetry::metric_registry& registry, const char* name) {
+    const auto snapshot = registry.snapshot();
+    const auto* histogram = snapshot.find_histogram(name);
+    return histogram == nullptr ? 0 : histogram->count;
+}
+
 shard::lot_manifest fast_screening(std::uint64_t dice, std::uint64_t first_seed) {
     shard::lot_manifest manifest;
     manifest.periods = 20;
@@ -131,6 +138,8 @@ TEST(ServiceEndToEnd, ConcurrentMixedSessionsMatchTheOfflineStoreByteForByte) {
     options.listen_path = socket;
     options.worker_threads = 3;
     options.max_active_jobs = 4;
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(std::move(options));
     server.start();
 
@@ -157,10 +166,10 @@ TEST(ServiceEndToEnd, ConcurrentMixedSessionsMatchTheOfflineStoreByteForByte) {
     }
 
     server.stop();
-    const auto counters = server.counters();
-    EXPECT_EQ(counters.jobs_completed, 3u);
-    EXPECT_EQ(counters.jobs_failed, 0u);
-    EXPECT_EQ(counters.sessions_shed, 0u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("svc.jobs.completed"), 3u);
+    EXPECT_EQ(snapshot.counter("svc.jobs.failed"), 0u);
+    EXPECT_EQ(snapshot.counter("svc.sessions.shed"), 0u);
 }
 
 // The daemon keeps one calibration share for its lifetime: a repeated
@@ -236,6 +245,8 @@ TEST(ServiceEndToEnd, DisconnectAndOverloadLeaveSurvivorsBitIdentical) {
     options.send_queue_limit = 1024;
     options.socket_send_buffer = 4096;
     options.stall_timeout_ms = 0;
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(std::move(options));
     server.start();
 
@@ -245,18 +256,21 @@ TEST(ServiceEndToEnd, DisconnectAndOverloadLeaveSurvivorsBitIdentical) {
     hog->submit(1, fast_screening(5000, 7000));
     ASSERT_TRUE(hog->next_event().has_value()); // admitted
 
-    // ...a well-behaved session queues behind it...
+    // ...a well-behaved session queues behind it (one admission-depth
+    // sample per queued submit, the hog's first)...
     survivor = std::async(std::launch::async, [&] {
         return service_store_bytes(socket, dir, fast_screening(6, 123),
                                    "survivor.store");
     });
-    ASSERT_TRUE(eventually([&] { return server.counters().jobs_pending == 1; }, 8000ms));
+    ASSERT_TRUE(
+        eventually([&] { return samples(registry, "svc.admission.depth") == 2; }, 8000ms));
 
     // ...a third queues too, then the admission queue is full: the next
     // submit is shed with the typed overloaded error.
     client queued(socket);
     queued.submit(1, fast_dictionary());
-    ASSERT_TRUE(eventually([&] { return server.counters().jobs_pending == 2; }, 8000ms));
+    ASSERT_TRUE(
+        eventually([&] { return samples(registry, "svc.admission.depth") == 3; }, 8000ms));
 
     client shed(socket);
     shed.submit(1, fast_screening(2, 1));
@@ -290,10 +304,10 @@ TEST(ServiceEndToEnd, DisconnectAndOverloadLeaveSurvivorsBitIdentical) {
     }
 
     server.stop();
-    const auto counters = server.counters();
-    EXPECT_GE(counters.jobs_cancelled, 1u); // the hog's job
-    EXPECT_GE(counters.jobs_rejected, 1u);  // the shed submit
-    EXPECT_EQ(counters.jobs_failed, 0u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_GE(snapshot.counter("svc.jobs.cancelled"), 1u); // the hog's job
+    EXPECT_GE(snapshot.counter("svc.jobs.rejected"), 1u);  // the shed submit
+    EXPECT_EQ(snapshot.counter("svc.jobs.failed"), 0u);
 }
 
 } // namespace

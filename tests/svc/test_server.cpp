@@ -25,6 +25,8 @@
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
 #include "svc/socket.hpp"
+#include "telemetry/metrics.hpp"
+#include "telemetry/snapshot.hpp"
 
 namespace {
 
@@ -85,6 +87,18 @@ void send_raw(int fd, const std::vector<std::uint8_t>& bytes) {
     }
 }
 
+/// One of the daemon's svc.* counters, as the attached registry holds it.
+std::uint64_t counted(const telemetry::metric_registry& registry, const char* name) {
+    return registry.snapshot().counter(name);
+}
+
+/// Samples recorded so far in one of the registry's histograms.
+std::uint64_t samples(const telemetry::metric_registry& registry, const char* name) {
+    const auto snapshot = registry.snapshot();
+    const auto* histogram = snapshot.find_histogram(name);
+    return histogram == nullptr ? 0 : histogram->count;
+}
+
 /// Spin until `predicate` holds or `deadline` elapses.
 template <typename Fn> bool eventually(Fn predicate, std::chrono::milliseconds deadline) {
     const auto until = std::chrono::steady_clock::now() + deadline;
@@ -99,6 +113,8 @@ template <typename Fn> bool eventually(Fn predicate, std::chrono::milliseconds d
 
 TEST(SvcServer, StreamsAJobBitIdenticalToTheOfflinePath) {
     const std::string path = socket_path("basic");
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(fast_options(path));
     server.start();
 
@@ -114,13 +130,15 @@ TEST(SvcServer, StreamsAJobBitIdenticalToTheOfflinePath) {
         EXPECT_EQ(records[i], expected[i]) << "unit " << i << " diverged";
     }
     server.stop();
-    const auto counters = server.counters();
-    EXPECT_EQ(counters.jobs_completed, 1u);
-    EXPECT_EQ(counters.jobs_failed, 0u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("svc.jobs.completed"), 1u);
+    EXPECT_EQ(snapshot.counter("svc.jobs.failed"), 0u);
 }
 
 TEST(SvcServer, ConcurrentSessionsShareOnePoolAndStayBitIdentical) {
     const std::string path = socket_path("concurrent");
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(fast_options(path));
     server.start();
 
@@ -149,7 +167,7 @@ TEST(SvcServer, ConcurrentSessionsShareOnePoolAndStayBitIdentical) {
         }
     }
     server.stop();
-    EXPECT_EQ(server.counters().jobs_completed, 3u);
+    EXPECT_EQ(counted(registry, "svc.jobs.completed"), 3u);
 }
 
 TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
@@ -164,6 +182,8 @@ TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
     options.send_queue_limit = 1024;
     options.socket_send_buffer = 4096;
     options.stall_timeout_ms = 0;
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(std::move(options));
     server.start();
 
@@ -176,10 +196,12 @@ TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
 
     // B fills the one admission slot.  A queued submit gets no ack (its
     // first frame is the progress on dispatch), so wait until the server
-    // counts it before C races in.
+    // has queued it -- one admission-depth sample per queued submit, A's
+    // and B's -- before C races in.
     client b(path);
     b.submit(1, fast_manifest(2, 900));
-    ASSERT_TRUE(eventually([&] { return server.counters().jobs_pending == 1; }, 8000ms));
+    ASSERT_TRUE(
+        eventually([&] { return samples(registry, "svc.admission.depth") == 2; }, 8000ms));
 
     // C must be shed immediately with a typed overloaded error -- never
     // queued invisibly, never hung.
@@ -206,8 +228,12 @@ TEST(SvcServer, AdmissionOverloadShedsWithTypedError) {
     const auto records = b.collect(1);
     EXPECT_EQ(records.size(), 2u);
     server.stop();
-    EXPECT_GE(server.counters().jobs_rejected, 1u);
-    EXPECT_EQ(server.counters().jobs_pending, 0u);
+    // Every queued submit was dispatched: nothing here is cancelled before
+    // dispatch, so an empty admission queue means as many admissions as
+    // queued submits.
+    EXPECT_GE(counted(registry, "svc.jobs.rejected"), 1u);
+    EXPECT_EQ(counted(registry, "svc.jobs.admitted"),
+              samples(registry, "svc.admission.depth"));
 }
 
 TEST(SvcServer, SessionQuotaShedsTheExtraRequest) {
@@ -246,6 +272,8 @@ TEST(SvcServer, SlowButSteadyReaderBackpressuresWithoutShedding) {
     options.send_queue_limit = 2048;
     options.socket_send_buffer = 4096;
     options.stall_timeout_ms = 4000; // generous: steady readers never stall
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(std::move(options));
     server.start();
 
@@ -272,8 +300,9 @@ TEST(SvcServer, SlowButSteadyReaderBackpressuresWithoutShedding) {
         EXPECT_EQ(records[i], expected[i]) << "unit " << i;
     }
     server.stop();
-    EXPECT_EQ(server.counters().sessions_shed, 0u);
-    EXPECT_EQ(server.counters().jobs_completed, 1u);
+    const auto snapshot = registry.snapshot();
+    EXPECT_EQ(snapshot.counter("svc.sessions.shed"), 0u);
+    EXPECT_EQ(snapshot.counter("svc.jobs.completed"), 1u);
 }
 
 TEST(SvcServer, StalledReaderIsShedWithSlowReaderError) {
@@ -282,6 +311,8 @@ TEST(SvcServer, StalledReaderIsShedWithSlowReaderError) {
     options.send_queue_limit = 2048;
     options.socket_send_buffer = 4096;
     options.stall_timeout_ms = 150;
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(std::move(options));
     server.start();
 
@@ -289,7 +320,8 @@ TEST(SvcServer, StalledReaderIsShedWithSlowReaderError) {
     c.submit(1, fast_manifest(120));
     // Read NOTHING: the kernel buffer fills, then the server-side queue,
     // then the stall clock runs out.
-    ASSERT_TRUE(eventually([&] { return server.counters().sessions_shed == 1; }, 8000ms));
+    ASSERT_TRUE(
+        eventually([&] { return counted(registry, "svc.sessions.shed") == 1; }, 8000ms));
 
     // The verdict is still delivered: drain what the kernel buffered.
     // The shed drops the queued backlog but never truncates mid-frame,
@@ -309,11 +341,13 @@ TEST(SvcServer, StalledReaderIsShedWithSlowReaderError) {
     }
     EXPECT_TRUE(saw_shed);
     server.stop();
-    EXPECT_GE(server.counters().jobs_cancelled, 1u);
+    EXPECT_GE(counted(registry, "svc.jobs.cancelled"), 1u);
 }
 
 TEST(SvcServer, MalformedSubmitGetsBadRequestAndSessionSurvives) {
     const std::string path = socket_path("badsubmit");
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(fast_options(path));
     server.start();
 
@@ -345,7 +379,7 @@ TEST(SvcServer, MalformedSubmitGetsBadRequestAndSessionSurvives) {
     const auto records = c.run(fast_manifest(2));
     EXPECT_EQ(records.size(), 2u);
     server.stop();
-    EXPECT_EQ(server.counters().sessions_shed, 0u);
+    EXPECT_EQ(counted(registry, "svc.sessions.shed"), 0u);
 }
 
 TEST(SvcServer, DuplicateRequestIdIsRejected) {
@@ -464,6 +498,8 @@ TEST(SvcServer, ClientDisconnectCancelsItsJobs) {
     const std::string path = socket_path("disconnect");
     auto options = fast_options(path);
     options.worker_threads = 1;
+    telemetry::metric_registry registry;
+    telemetry::registry_scope metering(registry);
     service_server server(std::move(options));
     server.start();
 
@@ -474,10 +510,10 @@ TEST(SvcServer, ClientDisconnectCancelsItsJobs) {
         ASSERT_TRUE(e.has_value());
     } // socket slams shut mid-job
 
-    ASSERT_TRUE(eventually([&] { return server.counters().jobs_cancelled >= 1; },
-                           8000ms));
-    ASSERT_TRUE(eventually([&] { return server.counters().sessions_closed >= 1; },
-                           2000ms));
+    ASSERT_TRUE(
+        eventually([&] { return counted(registry, "svc.jobs.cancelled") >= 1; }, 8000ms));
+    ASSERT_TRUE(
+        eventually([&] { return counted(registry, "svc.sessions.closed") >= 1; }, 2000ms));
 
     // The pool is free again: a new session's job runs promptly.
     client c(path);
