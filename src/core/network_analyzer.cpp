@@ -195,7 +195,7 @@ std::vector<frequency_point> network_analyzer::bode_sweep(
 
 distortion_result network_analyzer::measure_distortion(hertz f_wave,
                                                        std::size_t max_harmonic) {
-    BISTNA_EXPECTS(max_harmonic >= 2, "distortion needs at least harmonic 2");
+    const std::vector<std::size_t> harmonics = eval::thd_harmonics(max_harmonic);
     const auto tb = sim::timebase::for_wave_frequency(f_wave);
     auto record = board_.render(tb, settings_.distortion_periods, signal_path::through_dut,
                                 settings_.settle_periods);
@@ -205,10 +205,7 @@ distortion_result network_analyzer::measure_distortion(hertz f_wave,
     result.f_wave = f_wave;
 
     std::vector<eval::amplitude_measurement> amplitudes;
-    for (std::size_t k = 1; k <= max_harmonic; ++k) {
-        if (!eval::demod_reference::alignment_ok(k)) {
-            continue;
-        }
+    for (const std::size_t k : harmonics) {
         amplitudes.push_back(
             evaluator_.measure_harmonic(source, k, settings_.distortion_periods).amplitude);
     }

@@ -14,6 +14,7 @@
 #include "dut/state_space.hpp"
 #include "eval/batch_evaluator.hpp"
 #include "eval/calibration_share.hpp"
+#include "eval/estimator.hpp"
 #include "sim/timebase.hpp"
 #include "telemetry/span.hpp"
 
@@ -316,6 +317,115 @@ sweep_engine::submit_acquisition(std::vector<acquisition_item> items,
 
 // --- The executor ----------------------------------------------------------
 
+namespace {
+
+/// Samples per streamed block: 8 whole periods, 96 KiB of lane-major doubles
+/// at 16 lanes, so a block the DUT writes is still in a core's L2 when the
+/// acquisitions at its frequency read it (4, 8 and 16 periods measured
+/// alike).  Whole periods, so every feed starts at phase 0 of the
+/// acquisitions' square-wave sign tables.
+constexpr std::size_t block_samples = 8 * sim::timebase::oversampling_ratio;
+
+/// body(first, count) over `total` samples, one block at a time.
+template <typename Body>
+void for_each_block(std::size_t total, Body&& body) {
+    for (std::size_t first = 0; first < total; first += block_samples) {
+        body(first, std::min(block_samples, total - first));
+    }
+}
+
+/// The active lanes' DUTs stepped through their staircases a block at a
+/// time, into one lane-major block.  The caller has reset and prepared each
+/// device at its lane's master clock, as render_from_stimulus does, and the
+/// stream then walks the staircases from sample 0, so the blocks hold, in
+/// order, exactly the samples one whole-record render would.
+class dut_stream {
+public:
+    /// devices[i] filters staircases[i]; `shared` says every lane reads
+    /// staircases[0].  Bank state comes from `scratch`.
+    dut_stream(std::vector<dut::device_under_test*> devices,
+               std::vector<const double*> staircases, bool shared, arena& scratch)
+        : devices_(std::move(devices)), staircases_(std::move(staircases)), shared_(shared) {
+        std::vector<dut::state_space*> realizations;
+        realizations.reserve(devices_.size());
+        for (dut::device_under_test* device : devices_) {
+            realizations.push_back(device->linear_realization());
+        }
+        if (dut::state_space_bank::compatible({realizations.data(), realizations.size()})) {
+            bank_.emplace(std::span<dut::state_space* const>(realizations), scratch);
+        } else {
+            lane_block_ = scratch.allocate<double>(block_samples).data();
+        }
+    }
+
+    /// The next `count` (at most block_samples) samples of every lane, lane
+    /// i's sample n at out[n * lanes + i].
+    void step(std::size_t count, double* out) {
+        const std::size_t n_lanes = devices_.size();
+        if (bank_ && shared_) {
+            bank_->step_block_shared(staircases_.front(), count, out);
+        } else if (bank_) {
+            bank_->step_block_lanes(staircases_.data(), count, out);
+        } else {
+            // Not bankable (non-linear, or order > 4): each lane's own
+            // process_block, whose state persists between calls.
+            for (std::size_t i = 0; i < n_lanes; ++i) {
+                devices_[i]->process_block({staircases_[i], count}, {lane_block_, count});
+                for (std::size_t n = 0; n < count; ++n) {
+                    out[n * n_lanes + i] = lane_block_[n];
+                }
+            }
+        }
+        for (const double*& cursor : staircases_) {
+            cursor += count;
+        }
+    }
+
+private:
+    std::vector<dut::device_under_test*> devices_;
+    std::vector<const double*> staircases_; ///< each lane's next input sample
+    bool shared_;
+    std::optional<dut::state_space_bank> bank_;
+    double* lane_block_ = nullptr; ///< one lane's block, when not banked
+};
+
+/// Times a lane group's streamed stages without a span per block: each lap
+/// charges the time since the previous one to a bucket, reading the clock
+/// only while a registry is attached, and the buckets are emitted at the
+/// end as consecutive spans that cover the stages' wall time.
+class lap_clock {
+public:
+    lap_clock() noexcept
+        : armed_(telemetry::attached()), at_(armed_ ? telemetry::now_ns() : 0), mark_(at_) {}
+
+    void lap(std::uint64_t& bucket) noexcept {
+        if (armed_) {
+            const std::uint64_t now = telemetry::now_ns();
+            bucket += now - mark_;
+            mark_ = now;
+        }
+    }
+
+    bool armed() const noexcept { return armed_; }
+
+    /// Emit a span of `ns` at the emission cursor, which stays put: what
+    /// the span encloses is emitted next, from its start.
+    void emit(const char* name, std::uint64_t ns, const char* key0, double val0,
+              const char* key1 = nullptr, double val1 = 0.0) noexcept {
+        telemetry::emit_span(name, at_, ns, key0, val0, key1, val1);
+    }
+
+    /// Move the emission cursor `ns` on.
+    void advance(std::uint64_t ns) noexcept { at_ += ns; }
+
+private:
+    bool armed_;
+    std::uint64_t at_;   ///< emission cursor, from the first lap's start
+    std::uint64_t mark_; ///< end of the last lap
+};
+
+} // namespace
+
 void sweep_engine::execute(const measurement_program& program,
                            std::vector<program_lane>& lanes, acquisition_result* results,
                            arena& scratch) {
@@ -358,68 +468,27 @@ void sweep_engine::execute(const measurement_program& program,
         }
     }
 
-    for (const program_stage& stage : program.stages) {
-        if (active.empty()) {
-            break;
+    std::span<const program_stage> stages(program.stages);
+    if (!stages.empty() && stages.front().type == program_stage::kind::calibrate) {
+        telemetry::trace_span calibrate_span("engine.calibrate");
+        calibrate_span.arg("lanes", static_cast<double>(count));
+        const auto measured = calibrate_lanes(stairs, active, evaluators, scratch);
+        for (std::size_t l = 0; l < count; ++l) {
+            results[l].calibration = make_stimulus_calibration(measured[l]);
+            results[l].offset_rate = evaluators.extractor(l).offset_rate_ch1();
         }
-        // A stage's lane-major block is dead once the stage has measured it,
-        // so every stage reuses the same scratch: the footprint is the
-        // largest stage, not the sum of them.
-        scratch.reset();
-        const double lanes_arg = static_cast<double>(active.size());
-        switch (stage.type) {
-        case program_stage::kind::calibrate: {
-            telemetry::trace_span calibrate_span("engine.calibrate");
-            calibrate_span.arg("lanes", lanes_arg);
-            const auto measured = calibrate_lanes(stairs, active, evaluators, scratch);
-            for (std::size_t i = 0; i < active.size(); ++i) {
-                const std::size_t l = active[i];
-                results[l].calibration = make_stimulus_calibration(measured[i]);
-                results[l].offset_rate = evaluators.extractor(l).offset_rate_ch1();
-            }
-            if (program.self_test) {
-                // A dropped lane consumes no more of its RNG streams, so its
-                // neighbours are unperturbed; it is a finished item now.
-                std::erase_if(active, [&](std::size_t l) {
-                    return !stimulus_self_test(*program.self_test,
-                                               results[l].calibration.amplitude.volts);
-                });
-            }
-            break;
+        if (program.self_test) {
+            // A dropped lane consumes no more of its RNG streams, so its
+            // neighbours are unperturbed; it is a finished item now.
+            std::erase_if(active, [&](std::size_t l) {
+                return !stimulus_self_test(*program.self_test,
+                                           results[l].calibration.amplitude.volts);
+            });
         }
-        case program_stage::kind::harmonic: {
-            const double* lane_major = [&] {
-                telemetry::trace_span render_span("engine.render");
-                render_span.arg("lanes", lanes_arg);
-                return render_dut_lane_major(lanes, stairs, active, stage, settings_.periods,
-                                             scratch);
-            }();
-            telemetry::trace_span evaluate_span("engine.evaluate");
-            evaluate_span.arg("lanes", lanes_arg);
-            const auto outputs = evaluators.measure_harmonic_lanes_lane_major(
-                active, lane_major, 1, settings_.periods);
-            for (std::size_t i = 0; i < active.size(); ++i) {
-                program_lane& lane = lanes[active[i]];
-                acquisition_result& result = results[active[i]];
-                result.points.push_back(assemble_frequency_point(
-                    stage.frequency(lane.f), result.calibration, outputs[i], lane.board.dut()));
-            }
-            break;
-        }
-        case program_stage::kind::thd: {
-            telemetry::trace_span thd_span("engine.thd");
-            thd_span.arg("lanes", lanes_arg);
-            const double* lane_major = render_dut_lane_major(
-                lanes, stairs, active, stage, settings_.distortion_periods, scratch);
-            const auto thd = evaluators.measure_thd_lanes_lane_major(
-                active, lane_major, stage.max_harmonic, settings_.distortion_periods);
-            for (std::size_t i = 0; i < active.size(); ++i) {
-                results[active[i]].has_thd = true;
-                results[active[i]].thd_db = thd[i].db;
-            }
-            break;
-        }
-        }
+        stages = stages.subspan(1);
+    }
+    if (!active.empty() && !stages.empty()) {
+        measure_stages(stages, lanes, stairs, active, evaluators, results, scratch);
     }
 }
 
@@ -427,97 +496,201 @@ std::vector<eval::harmonic_measurement>
 sweep_engine::calibrate_lanes(const std::vector<stimulus_cache::record_ptr>& stairs,
                               const std::vector<std::size_t>& active,
                               eval::batch_evaluator& evaluators, arena& scratch) {
-    // The calibration record *is* the staircase after the settle prefix, so
-    // the lanes read the cached records in place.
+    evaluators.calibrate(active); // the grounded run, outside the acquisition's span
+    telemetry::trace_span modulate_span("eval.modulate");
+    modulate_span.arg("lanes", static_cast<double>(active.size()));
+    modulate_span.arg("k", 1.0);
+    eval::batch_acquisition acquisition = evaluators.begin_acquisition(active, 1, settings_.periods);
+
+    // The calibration record *is* the staircase after the settle prefix.
     const std::size_t n_lanes = active.size();
     const std::size_t keep_from =
         sim::timebase::samples_per_period() * settings_.settle_periods;
-    const std::size_t tail = sim::timebase::samples_per_period() * settings_.periods;
     if (one_staircase(stairs, active)) {
-        return evaluators.measure_harmonic_lanes_shared(
-            active, {stairs[active.front()]->data() + keep_from, tail}, 1, settings_.periods);
+        const double* tail = stairs[active.front()]->data() + keep_from;
+        for_each_block(acquisition.remaining(), [&](std::size_t first, std::size_t count) {
+            acquisition.feed_shared(tail + first, count);
+        });
+    } else {
+        scratch.reset();
+        double* block = scratch.allocate<double>(block_samples * n_lanes).data();
+        for_each_block(acquisition.remaining(), [&](std::size_t first, std::size_t count) {
+            for (std::size_t i = 0; i < n_lanes; ++i) {
+                const double* tail = stairs[active[i]]->data() + keep_from + first;
+                for (std::size_t n = 0; n < count; ++n) {
+                    block[n * n_lanes + i] = tail[n];
+                }
+            }
+            acquisition.feed_lane_major(block, count);
+        });
     }
-    double* lane_major = scratch.allocate<double>(tail * n_lanes).data();
-    for (std::size_t i = 0; i < n_lanes; ++i) {
-        const double* record = stairs[active[i]]->data() + keep_from;
-        for (std::size_t n = 0; n < tail; ++n) {
-            lane_major[n * n_lanes + i] = record[n];
-        }
+    std::vector<eval::harmonic_measurement> measured;
+    measured.reserve(n_lanes);
+    for (const eval::signature_result& signature : acquisition.finish()) {
+        measured.push_back(eval::estimate_harmonic(signature));
     }
-    return evaluators.measure_harmonic_lanes_lane_major(active, lane_major, 1,
-                                                        settings_.periods);
+    return measured;
 }
 
-double* sweep_engine::render_dut_lane_major(
-    std::vector<program_lane>& lanes, const std::vector<stimulus_cache::record_ptr>& stairs,
-    const std::vector<std::size_t>& active, const program_stage& stage, std::size_t periods,
-    arena& scratch) {
+void sweep_engine::measure_stages(std::span<const program_stage> stages,
+                                  std::vector<program_lane>& lanes,
+                                  const std::vector<stimulus_cache::record_ptr>& stairs,
+                                  const std::vector<std::size_t>& active,
+                                  eval::batch_evaluator& evaluators,
+                                  acquisition_result* results, arena& scratch) {
+    using kind = program_stage::kind;
     const std::size_t n_lanes = active.size();
-    // Record lengths are frequency-independent (N = 96 by construction), so
-    // lanes at different frequencies still share one block layout.
-    const std::size_t keep_from =
-        sim::timebase::samples_per_period() * settings_.settle_periods;
-    const std::size_t tail = sim::timebase::samples_per_period() * periods;
-    double* out = scratch.allocate<double>(tail * n_lanes).data();
+    lap_clock clock;
 
-    // Stage 1 per lane: the first keep_from + tail samples of its staircase,
-    // read straight from the shared record (no copies).
-    const bool same_staircase = one_staircase(stairs, active);
-
-    // Stage 2: the lockstep state-space pass when every lane is a prepared
-    // linear realization of bankable order -- the same reset / prepare /
-    // settle-block / tail-block sequence as render_from_stimulus, run
-    // lane-major across the group, each lane discretized at its own master
-    // clock.
-    std::vector<sim::timebase> timebases;
-    timebases.reserve(n_lanes);
-    std::vector<dut::state_space*> realizations(n_lanes);
-    bool bankable = true;
-    for (std::size_t i = 0; i < n_lanes; ++i) {
-        program_lane& lane = lanes[active[i]];
-        timebases.push_back(sim::timebase::for_wave_frequency(stage.frequency(lane.f)));
-        auto& device = lane.board.dut();
-        device.reset();
-        device.prepare(timebases.back().master().value);
-        realizations[i] = device.linear_realization();
-        bankable = bankable && realizations[i] != nullptr;
+    // Every acquisition's setup first, in program order.  An acquisition
+    // reads its lanes' RNGs only here (two spawns and two initial states)
+    // and draws its noise from the streams it spawned, so the order the
+    // records are fed in afterwards moves no draw.
+    struct acquisition_slot {
+        eval::batch_acquisition acquisition;
+        std::uint64_t ns = 0; ///< setup, feeds and finish
+    };
+    struct stage_run {
+        const program_stage* stage = nullptr;
+        std::size_t periods = 0;
+        std::size_t point = 0; ///< a harmonic stage's index in points
+        std::vector<acquisition_slot> slots; ///< one per harmonic k
+        std::uint64_t other_ns = 0; ///< calibration and report assembly
+    };
+    std::vector<stage_run> runs;
+    runs.reserve(stages.size());
+    std::size_t points = 0;
+    for (const program_stage& stage : stages) {
+        BISTNA_EXPECTS(stage.type != kind::calibrate,
+                       "a program calibrates at most once, as its first stage");
+        stage_run& run = runs.emplace_back();
+        run.stage = &stage;
+        run.periods = stage.type == kind::thd ? settings_.distortion_periods : settings_.periods;
+        run.point = points;
+        points += stage.type == kind::harmonic ? 1 : 0;
+        // Calibrates the lanes on the first stage of a program with no
+        // calibrate stage (a Bode batch); a no-op after that.
+        evaluators.calibrate(active);
+        clock.lap(run.other_ns);
+        const std::vector<std::size_t> harmonics =
+            stage.type == kind::thd ? eval::thd_harmonics(stage.max_harmonic)
+                                    : std::vector<std::size_t>{1};
+        for (const std::size_t k : harmonics) {
+            run.slots.push_back({evaluators.begin_acquisition(active, k, run.periods)});
+            clock.lap(run.slots.back().ns);
+        }
     }
-    if (bankable &&
-        dut::state_space_bank::compatible({realizations.data(), n_lanes})) {
-        dut::state_space_bank bank({realizations.data(), n_lanes}, scratch);
-        // The settle prefix is discarded, so it can pass through `out`
-        // before the tail overwrites it.
-        double* discard = keep_from <= tail
-                              ? out
-                              : scratch.allocate<double>(keep_from * n_lanes).data();
-        if (same_staircase) {
-            const double* input = stairs[active.front()]->data();
-            bank.step_block_shared(input, keep_from, discard);
-            bank.step_block_shared(input + keep_from, tail, out);
-        } else {
-            const double** settle_inputs = scratch.allocate<const double*>(n_lanes).data();
-            const double** tail_inputs = scratch.allocate<const double*>(n_lanes).data();
-            for (std::size_t i = 0; i < n_lanes; ++i) {
-                settle_inputs[i] = stairs[active[i]]->data();
-                tail_inputs[i] = stairs[active[i]]->data() + keep_from;
+    for (const std::size_t l : active) {
+        results[l].points.resize(points);
+    }
+
+    // One DUT stream per distinct stage frequency, in order of first
+    // appearance (f = 0, each lane at its own, is one frequency too).
+    struct dut_group {
+        std::vector<stage_run*> runs;
+        std::size_t periods = 0; ///< the longest tail a run reads
+        std::uint64_t render_ns = 0;
+    };
+    std::vector<dut_group> groups;
+    for (stage_run& run : runs) {
+        auto group = std::find_if(groups.begin(), groups.end(), [&](const dut_group& g) {
+            return g.runs.front()->stage->f.value == run.stage->f.value;
+        });
+        if (group == groups.end()) {
+            group = groups.insert(groups.end(), dut_group{});
+        }
+        group->runs.push_back(&run);
+        group->periods = std::max(group->periods, run.periods);
+    }
+
+    const std::size_t settle = sim::timebase::samples_per_period() * settings_.settle_periods;
+    for (dut_group& group : groups) {
+        // The footprint is one block and one group's bank: neither grows
+        // with the period counts.
+        scratch.reset();
+        double* block = scratch.allocate<double>(block_samples * n_lanes).data();
+        const program_stage& stage = *group.runs.front()->stage;
+        std::vector<dut::device_under_test*> devices;
+        std::vector<const double*> staircases;
+        for (const std::size_t l : active) {
+            dut::device_under_test& device = lanes[l].board.dut();
+            device.reset();
+            device.prepare(
+                sim::timebase::for_wave_frequency(stage.frequency(lanes[l].f)).master().value);
+            devices.push_back(&device);
+            staircases.push_back(stairs[l]->data());
+        }
+        dut_stream dut(std::move(devices), std::move(staircases), one_staircase(stairs, active),
+                       scratch);
+        for_each_block(settle, [&](std::size_t, std::size_t count) { dut.step(count, block); });
+        clock.lap(group.render_ns);
+        for_each_block(sim::timebase::samples_per_period() * group.periods,
+                       [&](std::size_t, std::size_t count) {
+                           dut.step(count, block);
+                           clock.lap(group.render_ns);
+                           for (stage_run* run : group.runs) {
+                               for (acquisition_slot& slot : run->slots) {
+                                   const std::size_t take =
+                                       std::min(count, slot.acquisition.remaining());
+                                   if (take > 0) {
+                                       slot.acquisition.feed_lane_major(block, take);
+                                       clock.lap(slot.ns);
+                                   }
+                               }
+                           }
+                       });
+
+        for (stage_run* run : group.runs) {
+            std::vector<std::vector<eval::signature_result>> signatures;
+            for (acquisition_slot& slot : run->slots) {
+                signatures.push_back(slot.acquisition.finish());
+                clock.lap(slot.ns);
             }
-            bank.step_block_lanes(settle_inputs, keep_from, discard);
-            bank.step_block_lanes(tail_inputs, tail, out);
+            for (std::size_t i = 0; i < n_lanes; ++i) {
+                program_lane& lane = lanes[active[i]];
+                acquisition_result& result = results[active[i]];
+                if (run->stage->type == kind::harmonic) {
+                    result.points[run->point] = assemble_frequency_point(
+                        run->stage->frequency(lane.f), result.calibration,
+                        eval::estimate_harmonic(signatures.front()[i]), lane.board.dut());
+                } else {
+                    std::vector<eval::amplitude_measurement> amplitudes;
+                    for (const auto& harmonic : signatures) {
+                        amplitudes.push_back(eval::estimate_amplitude(harmonic[i]));
+                    }
+                    result.has_thd = true;
+                    result.thd_db = eval::compute_thd_lenient(amplitudes).db;
+                }
+            }
+            clock.lap(run->other_ns);
         }
-        return out;
     }
 
-    // Fallback (non-linear or high-order DUTs): scalar per-lane renders
-    // transposed into the lane-major layout -- bit-identical by definition.
-    for (std::size_t i = 0; i < n_lanes; ++i) {
-        const auto record = lanes[active[i]].board.render_from_stimulus(
-            std::span<const double>(*stairs[active[i]]).first(keep_from + tail), timebases[i],
-            periods, signal_path::through_dut, settings_.settle_periods);
-        for (std::size_t n = 0; n < tail; ++n) {
-            out[n * n_lanes + i] = record[n];
+    // The spans lotbench's ledger splits time by, laid end to end over the
+    // wall time the stages took: per DUT group its render, then each of its
+    // stages with that stage's acquisitions inside it.
+    if (!clock.armed()) {
+        return;
+    }
+    const double lanes_arg = static_cast<double>(n_lanes);
+    for (const dut_group& group : groups) {
+        clock.emit("engine.render", group.render_ns, "lanes", lanes_arg);
+        clock.advance(group.render_ns);
+        for (const stage_run* run : group.runs) {
+            std::uint64_t stage_ns = run->other_ns;
+            for (const acquisition_slot& slot : run->slots) {
+                stage_ns += slot.ns;
+            }
+            clock.emit(run->stage->type == kind::thd ? "engine.thd" : "engine.evaluate",
+                       stage_ns, "lanes", lanes_arg);
+            for (const acquisition_slot& slot : run->slots) {
+                clock.emit("eval.modulate", slot.ns, "lanes", lanes_arg, "k",
+                           static_cast<double>(slot.acquisition.settings().harmonic_k));
+                clock.advance(slot.ns);
+            }
+            clock.advance(run->other_ns);
         }
     }
-    return out;
 }
 
 } // namespace bistna::core

@@ -20,9 +20,11 @@
 // Every batch shape -- a screening die, a dictionary item, a Bode point --
 // is one measurement_program (an ordered list of calibrate / harmonic@f /
 // thd@f stages), and one arena-backed executor runs each lane group of
-// every job through the banked DUT pass and the lane-major evaluator
-// kernels.  batch_lanes = 1 is a group of width 1 on that same executor;
-// the scalar network_analyzer / core::screen is the only oracle.
+// every job: it renders each distinct stage frequency's DUTs once and
+// streams them, in blocks of whole periods that stay in cache, through
+// every lane-major acquisition at that frequency.  batch_lanes = 1 is a
+// group of width 1 on that same executor; the scalar network_analyzer /
+// core::screen is the only oracle.
 //
 // Work enters through submit_bode / submit_screening / submit_acquisition,
 // which return immediately with a job_handle: results() waits for the
@@ -43,6 +45,7 @@
 #include <functional>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -221,34 +224,41 @@ private:
 
     /// The executor: run `program` over one lane group in lockstep, lane l's
     /// outcome into results[l] (calibration = the one injected or measured
-    /// by the calibrate stage, points = one per harmonic stage).  Each lane's staircase
-    /// is fetched once, at the longest stage, and every stage reads its
-    /// prefix.  All scratch comes from `scratch`, reset before every stage,
-    /// so it grows to the largest one.
+    /// by the calibrate stage, points = one per harmonic stage).  Each
+    /// lane's staircase is fetched once, at the longest stage, and every
+    /// stage reads its prefix.  The calibrate stage and the self-test drop
+    /// run first; then measure_stages streams the rest.
     void execute(const measurement_program& program, std::vector<program_lane>& lanes,
                  acquisition_result* results, bistna::arena& scratch);
 
     /// Stimulus characterization of the active lanes straight from their
-    /// cached staircases (stairs[l] is lane l's, as execute fetched it):
-    /// one broadcast acquisition when every lane holds the same record, one
-    /// lane-major block otherwise.
+    /// cached staircases (stairs[l] is lane l's, as execute fetched it),
+    /// the tail after the settle prefix streamed a block at a time: read in
+    /// place when every lane holds the same record, a block transposed
+    /// into `scratch` otherwise.
     std::vector<eval::harmonic_measurement>
     calibrate_lanes(const std::vector<stimulus_cache::record_ptr>& stairs,
                     const std::vector<std::size_t>& active, eval::batch_evaluator& evaluators,
                     bistna::arena& scratch);
 
-    /// Render the through-DUT stage of every active lane, each at its own
-    /// frequency, from the first settle + `periods` periods of its
-    /// staircase, as one lane-major block (sample n of active lane i at
-    /// out[n * active.size() + i]), arena-allocated.  Uses the
-    /// state_space_bank lockstep pass when every lane exposes a compatible
-    /// linear realization, otherwise per-lane scalar renders transposed
-    /// into the same layout -- bit-identical either way.
-    double* render_dut_lane_major(std::vector<program_lane>& lanes,
-                                  const std::vector<stimulus_cache::record_ptr>& stairs,
-                                  const std::vector<std::size_t>& active,
-                                  const program_stage& stage, std::size_t periods,
-                                  bistna::arena& scratch);
+    /// The harmonic and thd stages of the active lanes.  Every acquisition
+    /// is set up first, in program order, so each lane's RNG ends where
+    /// measuring stage by stage leaves it.  Then each distinct stage
+    /// frequency's DUTs are prepared once and stepped from their
+    /// staircases over the settle prefix and the longest tail a stage at
+    /// that frequency reads, one block of whole periods at a time in
+    /// `scratch`, each block feeding every acquisition at that frequency
+    /// that still needs samples: harmonic@f and thd@f run the same reset /
+    /// prepare / settle / tail sequence, so the shorter record is a prefix
+    /// of the longer.  The state-space bank steps the lanes when every one
+    /// is a linear realization of bankable order, otherwise each lane's
+    /// process_block does, its state kept between blocks -- bit-identical
+    /// either way, and to a whole-record render.
+    void measure_stages(std::span<const program_stage> stages, std::vector<program_lane>& lanes,
+                        const std::vector<stimulus_cache::record_ptr>& stairs,
+                        const std::vector<std::size_t>& active,
+                        eval::batch_evaluator& evaluators, acquisition_result* results,
+                        bistna::arena& scratch);
 
     board_factory factory_;
     analyzer_settings settings_;

@@ -4,6 +4,17 @@
 
 namespace bistna::eval {
 
+std::vector<std::size_t> thd_harmonics(std::size_t max_harmonic) {
+    BISTNA_EXPECTS(max_harmonic >= 2, "THD needs at least harmonics 1..2");
+    std::vector<std::size_t> harmonics;
+    for (std::size_t k = 1; k <= max_harmonic; ++k) {
+        if (demod_reference::alignment_ok(k)) {
+            harmonics.push_back(k);
+        }
+    }
+    return harmonics;
+}
+
 sinewave_evaluator::sinewave_evaluator(const evaluator_config& config)
     : config_(config), extractor_(config.modulator, config.seed) {}
 
@@ -44,12 +55,8 @@ harmonic_measurement sinewave_evaluator::measure_harmonic(const sample_source& s
 thd_measurement sinewave_evaluator::measure_thd(const sample_source& source,
                                                 std::size_t max_harmonic,
                                                 std::size_t periods) {
-    BISTNA_EXPECTS(max_harmonic >= 2, "THD needs at least harmonics 1..2");
     std::vector<amplitude_measurement> amplitudes;
-    for (std::size_t k = 1; k <= max_harmonic; ++k) {
-        if (!demod_reference::alignment_ok(k)) {
-            continue; // documented: harmonics violating N mod 4k == 0 are skipped
-        }
+    for (const std::size_t k : thd_harmonics(max_harmonic)) {
         amplitudes.push_back(measure_harmonic(source, k, periods).amplitude);
     }
     return compute_thd_lenient(amplitudes);

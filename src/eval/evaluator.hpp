@@ -23,6 +23,14 @@ struct evaluator_config {
     static constexpr std::size_t n_per_period = sim::timebase::oversampling_ratio;
 };
 
+/// The harmonics a THD measurement over 1..max_harmonic reads: every k in
+/// that range the N = 96 grid aligns (demod_reference::alignment_ok),
+/// ascending; the others are skipped, which is documented behaviour.  The
+/// scalar evaluator, the network analyzer and the sweep engine all take
+/// their THD harmonics from here.  Throws precondition_error below
+/// max_harmonic = 2.
+std::vector<std::size_t> thd_harmonics(std::size_t max_harmonic);
+
 class sinewave_evaluator {
 public:
     explicit sinewave_evaluator(const evaluator_config& config);
@@ -38,8 +46,7 @@ public:
     harmonic_measurement measure_harmonic(const sample_source& source, std::size_t k,
                                           std::size_t periods);
 
-    /// THD from harmonics 1..max_harmonic (skipping ks that violate the
-    /// alignment condition, which is documented behaviour).
+    /// THD from the harmonics thd_harmonics(max_harmonic) names.
     thd_measurement measure_thd(const sample_source& source, std::size_t max_harmonic,
                                 std::size_t periods);
 

@@ -1,12 +1,12 @@
 #include "eval/signature.hpp"
 
 #include <algorithm>
+#include <array>
 #include <iterator>
 #include <utility>
 
 #include "common/error.hpp"
 #include "eval/calibration_share.hpp"
-#include "sd/modulator_bank.hpp"
 #include "sim/timebase.hpp"
 #include "telemetry/metrics.hpp"
 
@@ -155,97 +155,100 @@ signature_result signature_extractor::assemble(const acquisition_settings& setti
     return result;
 }
 
-std::vector<signature_result> signature_extractor::acquire_batch_impl(
-    std::span<signature_extractor* const> extractors, const acquisition_settings& settings,
-    const double* record, bool shared_record) {
-    BISTNA_EXPECTS(!extractors.empty(), "batch acquisition needs at least one lane");
-    for (signature_extractor* extractor : extractors) {
+batch_acquisition::batch_acquisition(std::span<signature_extractor* const> extractors,
+                                     const acquisition_settings& settings)
+    : extractors_(extractors.begin(), extractors.end()),
+      settings_(settings),
+      demod_(settings.harmonic_k),
+      total_(samples_in(settings.periods)),
+      acc1_(extractors.size(), 0.0),
+      acc2_(extractors.size(), 0.0) {
+    BISTNA_EXPECTS(!extractors_.empty(), "batch acquisition needs at least one lane");
+    for (signature_extractor* extractor : extractors_) {
         BISTNA_EXPECTS(extractor != nullptr, "null extractor lane");
-        extractor->validate(settings);
+        extractor->validate(settings_);
     }
-
-    const std::size_t total = samples_in(settings.periods);
-    const std::size_t n_lanes = extractors.size();
-
-    // Build the matched modulator pair of every lane.  Per lane the RNG
-    // consumption order is exactly the scalar acquire(): spawn ch1, spawn
-    // ch2, then draw the two initial states.
-    sd::modulator_bank bank1;
-    sd::modulator_bank bank2;
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-        signature_extractor& ex = *extractors[l];
-        bank1.add_lane(ex.params_, ex.rng_.spawn());
-        bank2.add_lane(ex.params_, ex.rng_.spawn());
-        bank1.reset_lane(l, ex.initial_state());
-        bank2.reset_lane(l, ex.initial_state());
+    // Per lane the RNG consumption order is exactly the scalar acquire():
+    // spawn ch1, spawn ch2, then draw the two initial states.
+    for (std::size_t l = 0; l < lanes(); ++l) {
+        signature_extractor& ex = *extractors_[l];
+        in_phase_.add_lane(ex.params_, ex.rng_.spawn());
+        quadrature_.add_lane(ex.params_, ex.rng_.spawn());
+        in_phase_.reset_lane(l, ex.initial_state());
+        quadrature_.reset_lane(l, ex.initial_state());
     }
+}
 
+void batch_acquisition::feed_lane_major(const double* lane_major, std::size_t count) {
+    feed(lane_major, false, count);
+}
+
+void batch_acquisition::feed_shared(const double* record, std::size_t count) {
+    feed(record, true, count);
+}
+
+void batch_acquisition::feed(const double* samples, bool shared, std::size_t count) {
+    BISTNA_EXPECTS(count <= remaining(), "feed runs past the end of the acquisition's record");
+    BISTNA_EXPECTS(count % sim::timebase::oversampling_ratio == 0,
+                   "a feed must be a whole number of periods, so it starts at phase 0 of "
+                   "the sign tables");
+    // A chopped acquisition inverts every sign over the second half of its
+    // record, from sample (M/2) N on: a whole number of periods, so a feed
+    // that straddles it splits into two passes that each start at phase 0.
+    const std::size_t chop = settings_.offset == offset_mode::chopped ? total_ / 2 : total_;
+    const std::size_t upright = fed_ < chop ? std::min(count, chop - fed_) : 0;
+    if (upright > 0) {
+        pass(samples, shared, upright, 1.0);
+    }
+    if (upright < count) {
+        pass(samples + upright * (shared ? 1 : lanes()), shared, count - upright, -1.0);
+    }
+    fed_ += count;
+}
+
+void batch_acquisition::pass(const double* samples, bool shared, std::size_t count,
+                             double sense) {
     // The two channels are independent modulators, so stepping both banks
-    // in one pass over the record produces the same per-lane sequences as
-    // the scalar per-sample interleaving; the pair pass loads each sample
-    // once for both.  The +/-1 counter sums are exact in double
-    // (total << 2^53).
-    //
-    // The pass reads one square-wave period of each channel's modulation
+    // in one pass produces the same per-lane sequences as the scalar
+    // per-sample interleaving; the pair pass loads each sample once for
+    // both.  It reads one square-wave period of each channel's modulation
     // sign and of the counter sign, P = N/k entries (1 for DC, whose signs
-    // are all +1), repeated over the record.  A chopped acquisition runs
-    // the pass twice, inverting all three signs over the second half: half
-    // = (M/2) N is a whole number of periods, and every noise stream draws
-    // the same values in the same order over two calls as over one.
-    const demod_reference demod(settings.harmonic_k);
-    const std::size_t period = std::max<std::size_t>(demod.period(), 1);
-    std::vector<double> q1(period);
-    std::vector<double> q2(period);
-    std::vector<double> acc_sign(period);
-    std::vector<double> acc1(n_lanes, 0.0);
-    std::vector<double> acc2(n_lanes, 0.0);
-    const auto pass = [&](std::size_t first, std::size_t count, double sense) {
-        for (std::size_t n = 0; n < period; ++n) {
-            q1[n] = sense * demod.in_phase_sign(n);
-            q2[n] = sense * demod.quadrature_sign(n);
-            acc_sign[n] = sense;
-        }
-        if (shared_record) {
-            sd::modulator_bank::accumulate_pair_shared(bank1, bank2, record + first, q1.data(),
-                                                       q2.data(), acc_sign.data(), period,
-                                                       count, acc1.data(), acc2.data());
-        } else {
-            sd::modulator_bank::accumulate_pair_lane_major(
-                bank1, bank2, record + first * n_lanes, q1.data(), q2.data(), acc_sign.data(),
-                period, count, acc1.data(), acc2.data());
-        }
-    };
-    if (settings.offset == offset_mode::chopped) {
-        pass(0, total / 2, 1.0);
-        pass(total / 2, total / 2, -1.0);
-    } else {
-        pass(0, total, 1.0);
+    // are all +1), repeated over the pass.  The +/-1 counter sums are exact
+    // in double (total << 2^53).
+    const std::size_t period = std::max<std::size_t>(demod_.period(), 1);
+    std::array<double, sim::timebase::oversampling_ratio> q1{};
+    std::array<double, sim::timebase::oversampling_ratio> q2{};
+    std::array<double, sim::timebase::oversampling_ratio> acc_sign{};
+    for (std::size_t n = 0; n < period; ++n) {
+        q1[n] = sense * demod_.in_phase_sign(n);
+        q2[n] = sense * demod_.quadrature_sign(n);
+        acc_sign[n] = sense;
     }
-    count_bank(bank1);
-    count_bank(bank2);
+    if (shared) {
+        sd::modulator_bank::accumulate_pair_shared(in_phase_, quadrature_, samples, q1.data(),
+                                                   q2.data(), acc_sign.data(), period, count,
+                                                   acc1_.data(), acc2_.data());
+    } else {
+        sd::modulator_bank::accumulate_pair_lane_major(in_phase_, quadrature_, samples,
+                                                       q1.data(), q2.data(), acc_sign.data(),
+                                                       period, count, acc1_.data(),
+                                                       acc2_.data());
+    }
+}
 
+std::vector<signature_result> batch_acquisition::finish() const {
+    BISTNA_EXPECTS(remaining() == 0,
+                   "an acquisition finishes only once its whole record is fed");
+    count_bank(in_phase_);
+    count_bank(quadrature_);
     std::vector<signature_result> results;
-    results.reserve(n_lanes);
-    for (std::size_t l = 0; l < n_lanes; ++l) {
-        results.push_back(extractors[l]->assemble(settings, settings.periods,
-                                                  static_cast<long long>(acc1[l]),
-                                                  static_cast<long long>(acc2[l])));
+    results.reserve(lanes());
+    for (std::size_t l = 0; l < lanes(); ++l) {
+        results.push_back(extractors_[l]->assemble(settings_, settings_.periods,
+                                                   static_cast<long long>(acc1_[l]),
+                                                   static_cast<long long>(acc2_[l])));
     }
     return results;
-}
-
-std::vector<signature_result> signature_extractor::acquire_batch_lane_major(
-    std::span<signature_extractor* const> extractors, const double* lane_major,
-    const acquisition_settings& settings) {
-    return acquire_batch_impl(extractors, settings, lane_major, false);
-}
-
-std::vector<signature_result> signature_extractor::acquire_batch_shared(
-    std::span<signature_extractor* const> extractors, std::span<const double> record,
-    const acquisition_settings& settings) {
-    BISTNA_EXPECTS(record.size() >= samples_in(settings.periods),
-                   "shared record shorter than M*N samples");
-    return acquire_batch_impl(extractors, settings, record.data(), true);
 }
 
 std::size_t signature_extractor::calibrate_offset_batch(

@@ -20,6 +20,7 @@
 #include "common/rng.hpp"
 #include "eval/square_wave.hpp"
 #include "sd/modulator.hpp"
+#include "sd/modulator_bank.hpp"
 
 namespace bistna::eval {
 
@@ -97,9 +98,8 @@ public:
     // scalar member functions would, so each lane's result is bit-identical
     // to the scalar call on that extractor alone -- at any lane count and
     // under any lane permutation (lanes never interact).  The scalar
-    // members above remain the reference implementation.  Each call builds
-    // one square-wave period of demodulation signs from demod_reference,
-    // at most N entries, which the banks repeat over the record.
+    // members above remain the reference implementation; batched
+    // acquisitions run through batch_acquisition below.
 
     /// Batched grounded-input offset calibration; bit-identical per lane to
     /// extractors[i]->calibrate_offset(periods), RNG included:
@@ -114,22 +114,9 @@ public:
                                               calibration_share& share,
                                               std::size_t periods = 4096);
 
-    /// Batched acquire over one lane-major record block: lane i's sample n
-    /// lives at lane_major[n * extractors.size() + i] -- exactly the layout
-    /// dut::state_space_bank emits, so render feeds measure with no
-    /// transpose at all.
-    static std::vector<signature_result> acquire_batch_lane_major(
-        std::span<signature_extractor* const> extractors, const double* lane_major,
-        const acquisition_settings& settings);
-
-    /// Batched acquire over one record shared by every lane (the
-    /// calibration path's cache-shared staircase tail): no per-lane copy of
-    /// the broadcast input.
-    static std::vector<signature_result> acquire_batch_shared(
-        std::span<signature_extractor* const> extractors, std::span<const double> record,
-        const acquisition_settings& settings);
-
 private:
+    friend class batch_acquisition;
+
     void validate(const acquisition_settings& settings) const;
     double initial_state();
     /// Mark the offset calibrated with these rates over `total` samples.
@@ -141,20 +128,73 @@ private:
     signature_result assemble(const acquisition_settings& settings, std::size_t periods,
                               long long acc1, long long acc2) const;
 
-    /// Shared skeleton of the batched acquires: validate, build the two
-    /// lockstep banks with the scalar RNG consumption order, step both over
-    /// `record` in one pair pass, or one per half when chopped (lane-major,
-    /// or one record every lane shares when `shared_record`), assemble
-    /// per-lane results.
-    static std::vector<signature_result> acquire_batch_impl(
-        std::span<signature_extractor* const> extractors,
-        const acquisition_settings& settings, const double* record, bool shared_record);
-
     sd::modulator_params params_;
     bistna::rng rng_;
     bool calibrated_ = false;
     offset_rates offset_rates_;
     double calibration_samples_ = 0.0;
+};
+
+/// One batched acquisition (every lane's matched modulator pair, stepped in
+/// lockstep through sd::modulator_bank) that takes its M x N record in
+/// pieces, so a caller can stream the record through it a block at a time
+/// instead of holding the whole of it.  Three steps:
+///   * setup (the constructor): the two channel banks, each lane spawning
+///     its I then its Q channel and drawing their two initial states -- the
+///     scalar acquire()'s RNG consumption, and the only use an acquisition
+///     makes of its lanes' RNGs;
+///   * feed: advance both banks over the next samples in one pair pass,
+///     split at the chop point of a chopped acquisition;
+///   * finish: the lanes' signature results once the whole record is fed.
+/// Lane i's result is bit-identical to extractors[i]->acquire() over the
+/// same samples however the record is cut into feeds: each channel draws
+/// its noise per sample from its own spawned stream, every feed is a whole
+/// number of periods and so starts at phase 0 of the square-wave sign
+/// tables (one period, P = N/k entries, repeated over the feed), and the
+/// counters are exact +/-1 sums.  The extractors must outlive the
+/// acquisition.
+class batch_acquisition {
+public:
+    /// Throws precondition_error on no lanes, a null lane, or settings a
+    /// lane's acquire() rejects.
+    batch_acquisition(std::span<signature_extractor* const> extractors,
+                      const acquisition_settings& settings);
+
+    std::size_t lanes() const noexcept { return extractors_.size(); }
+    const acquisition_settings& settings() const noexcept { return settings_; }
+    /// Samples still to feed, M x N before the first feed.
+    std::size_t remaining() const noexcept { return total_ - fed_; }
+
+    /// The next `count` samples, lane-major: lane i's sample n at
+    /// lane_major[n * lanes() + i], the layout dut::state_space_bank emits.
+    /// `count` must be a whole number of periods and at most remaining();
+    /// otherwise throws precondition_error.
+    void feed_lane_major(const double* lane_major, std::size_t count);
+
+    /// The next `count` samples of one record every lane reads (the
+    /// calibration path's cache-shared staircase), with no lane-major copy.
+    void feed_shared(const double* record, std::size_t count);
+
+    /// The lanes' signature results, corrected and bounded as the offset
+    /// mode prescribes, and the banks' noise and clip counts into the
+    /// telemetry registry.  Throws precondition_error before the whole
+    /// record is fed.
+    std::vector<signature_result> finish() const;
+
+private:
+    void feed(const double* samples, bool shared, std::size_t count);
+    /// One pair pass over `count` samples, every sign times `sense`.
+    void pass(const double* samples, bool shared, std::size_t count, double sense);
+
+    std::vector<signature_extractor*> extractors_;
+    acquisition_settings settings_;
+    demod_reference demod_;
+    std::size_t total_;
+    std::size_t fed_ = 0;
+    sd::modulator_bank in_phase_;
+    sd::modulator_bank quadrature_;
+    std::vector<double> acc1_;
+    std::vector<double> acc2_;
 };
 
 } // namespace bistna::eval

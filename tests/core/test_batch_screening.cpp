@@ -1,19 +1,25 @@
-// Bit-identity of the engine's lane groups (screening and Bode) against
-// the scalar oracle -- core::screen and network_analyzer on fresh boards:
-// any lane count, any thread count, dice counts that don't divide evenly,
-// lanes that fail the self-test, and a DUT with no linear realization (the
-// executor's scalar-render fallback).
+// Bit-identity of the engine's lane groups (screening, Bode and dictionary
+// items) against the scalar oracle -- core::screen and network_analyzer on
+// fresh boards: any lane count, any thread count, dice counts that don't
+// divide evenly, lanes that fail the self-test, a DUT with no linear
+// realization (the executor's per-lane fallback), and record lengths that
+// are no whole number of the executor's streamed blocks.
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <initializer_list>
+#include <stdexcept>
 #include <cstdint>
 #include <vector>
 
 #include "core/screening.hpp"
 #include "core/sweep.hpp"
 #include "core/sweep_engine.hpp"
+#include "diag/fault_model.hpp"
+#include "diag/trajectory_builder.hpp"
 #include "dut/filters.hpp"
 #include "dut/nonlinear.hpp"
+#include "store/records.hpp"
 
 namespace {
 
@@ -250,6 +256,192 @@ TEST(BatchScreening, NonBankableDutWithThdMatchesScalarScreen) {
     for (std::size_t lanes : {std::size_t{1}, std::size_t{4}}) {
         expect_reports_identical(
             scalar, screen_with_lanes(factory, settings, dice, 2, lanes, screening));
+    }
+}
+
+// --- The streamed executor on awkward shapes ---------------------------------
+//
+// The executor streams each stage frequency's DUT render through every
+// acquisition at that frequency in blocks of 8 whole periods.  These lots
+// use settle, harmonic and distortion lengths that are no multiple of the
+// block (and a chop point inside a block), THD both where a harmonic stage
+// shares its render and where none does, and compare every die or item
+// with the scalar oracle through its store record, byte for byte.
+
+/// Lengths that are no multiple of the 8-period block, even for chopped
+/// mode: 22 periods chop at 11, inside the second block.
+analyzer_settings awkward_settings(eval::offset_mode offset, bool cmos035) {
+    analyzer_settings settings;
+    settings.evaluator.modulator =
+        cmos035 ? sd::modulator_params::cmos035() : sd::modulator_params::ideal();
+    settings.evaluator.offset = offset;
+    settings.evaluator.calibration_periods = 64;
+    settings.settle_periods = 5;
+    settings.periods = 22;
+    settings.distortion_periods = 38;
+    return settings;
+}
+
+/// Every die's store record, engine at `lanes` against core::screen.
+void expect_lot_records_match_scalar(const core::board_factory& factory,
+                                     const analyzer_settings& settings, std::size_t dice,
+                                     const core::screening_options& screening,
+                                     std::initializer_list<std::size_t> lane_counts) {
+    const auto scalar = scalar_screen(factory, settings, dice, screening);
+    for (const std::size_t lanes : lane_counts) {
+        const auto streamed = screen_with_lanes(factory, settings, dice, 2, lanes, screening);
+        ASSERT_EQ(streamed.size(), dice);
+        for (std::size_t die = 0; die < dice; ++die) {
+            EXPECT_EQ(store::to_record(streamed[die], die), store::to_record(scalar[die], die))
+                << "lanes " << lanes << " die " << die;
+        }
+    }
+}
+
+core::board_factory make_parts_factory(bool cmos035) {
+    return [cmos035](std::uint64_t seed) {
+        core::demonstrator_board board(
+            cmos035 ? gen::generator_params{} : gen::generator_params::ideal(),
+            dut::make_paper_dut(0.03, seed));
+        board.set_amplitude(millivolt(150.0));
+        return board;
+    };
+}
+
+TEST(BatchScreening, StreamedLotMatchesScalarAtAwkwardLengths) {
+    for (const eval::offset_mode offset :
+         {eval::offset_mode::calibrated, eval::offset_mode::chopped, eval::offset_mode::none}) {
+        for (const bool cmos035 : {false, true}) {
+            // THD at a mask frequency (its render shared with that limit's
+            // stage) and at one no harmonic stage measures.
+            for (const double thd_f_hz : {1000.0, 1600.0}) {
+                SCOPED_TRACE(testing::Message() << "offset " << static_cast<int>(offset)
+                                                << " cmos035 " << cmos035 << " thd at "
+                                                << thd_f_hz << " Hz");
+                core::screening_options screening;
+                screening.measure_distortion = true;
+                screening.distortion_f_hz = thd_f_hz;
+                screening.distortion_max_harmonic = 4;
+                expect_lot_records_match_scalar(make_parts_factory(cmos035),
+                                                awkward_settings(offset, cmos035), 17,
+                                                screening, {1, 5, 16});
+            }
+        }
+    }
+}
+
+TEST(BatchScreening, StreamedLotWithSelfTestDropsMatchesScalar) {
+    for (const bool continue_after : {false, true}) {
+        SCOPED_TRACE(testing::Message() << "continue_after_self_test_failure "
+                                        << continue_after);
+        core::screening_options screening;
+        screening.measure_distortion = true;
+        screening.continue_after_self_test_failure = continue_after;
+        expect_lot_records_match_scalar(make_flawed_factory(),
+                                        awkward_settings(eval::offset_mode::calibrated, true),
+                                        8, screening, {1, 5, 16});
+    }
+}
+
+// A DUT with an output nonlinearity streams its blocks through each lane's
+// process_block, which keeps its state between blocks.
+TEST(BatchScreening, StreamedPerLaneFallbackMatchesScalar) {
+    const core::board_factory factory = [](std::uint64_t seed) {
+        core::demonstrator_board board(gen::generator_params::ideal(),
+                                       dut::make_paper_dut_with_distortion(0.02, seed));
+        board.set_amplitude(millivolt(150.0));
+        return board;
+    };
+    ASSERT_EQ(factory(1).dut().linear_realization(), nullptr);
+    for (const eval::offset_mode offset : {eval::offset_mode::chopped, eval::offset_mode::none}) {
+        SCOPED_TRACE(testing::Message() << "offset " << static_cast<int>(offset));
+        core::screening_options screening;
+        screening.measure_distortion = true;
+        expect_lot_records_match_scalar(factory, awkward_settings(offset, false), 7, screening,
+                                        {1, 5, 16});
+    }
+}
+
+// A Bode batch: every lane of a group at its own frequency.
+TEST(BatchScreening, StreamedBodeBatchAtPerLaneFrequenciesMatchesScalar) {
+    const auto factory = make_factory(0.01);
+    for (const eval::offset_mode offset :
+         {eval::offset_mode::calibrated, eval::offset_mode::chopped}) {
+        const auto settings = awkward_settings(offset, true);
+        const auto frequencies = core::log_spaced(hertz{100.0}, kilohertz(10.0), 17);
+        const auto scalar = scalar_bode(factory, settings, frequencies);
+        for (const std::size_t lanes : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
+            const auto streamed = bode_with_lanes(factory, settings, frequencies, lanes);
+            ASSERT_EQ(streamed.size(), scalar.size());
+            for (std::size_t i = 0; i < scalar.size(); ++i) {
+                sweep_engine::acquisition_result got;
+                got.points = {streamed[i]};
+                sweep_engine::acquisition_result expected;
+                expected.points = {scalar[i]};
+                EXPECT_EQ(store::to_record(got, i), store::to_record(expected, i))
+                    << "offset " << static_cast<int>(offset) << " lanes " << lanes
+                    << " point " << i;
+            }
+        }
+    }
+}
+
+/// The dictionary oracle: one item's program on a fresh scalar analyzer.
+sweep_engine::acquisition_result
+scalar_item(const sweep_engine::acquisition_item& item, analyzer_settings settings,
+            const sweep_engine::acquisition_program& program) {
+    auto board = item.make_board();
+    settings.evaluator = item.evaluator;
+    core::network_analyzer analyzer(board, settings);
+    sweep_engine::acquisition_result result;
+    result.calibration = analyzer.calibrate();
+    result.offset_rate = analyzer.evaluator().extractor().offset_rate_ch1();
+    for (const hertz f : program.frequencies) {
+        result.points.push_back(analyzer.measure_point(f));
+    }
+    result.has_thd = true;
+    result.thd_db = analyzer.measure_distortion(program.distortion_f,
+                                                program.distortion_max_harmonic)
+                        .thd_db;
+    return result;
+}
+
+// A dictionary slice of generator faults: the items' staircases differ, so
+// the calibrate stage transposes them block by block and the DUT bank reads
+// one staircase per lane.
+TEST(BatchScreening, StreamedDictionarySliceWithDistinctStaircasesMatchesScalar) {
+    const auto settings = awkward_settings(eval::offset_mode::calibrated, false);
+    auto space = diag::signature_space::from_mask(spec_mask::paper_lowpass(), 3);
+    space.thd_f_hz = 1600.0; // a frequency no harmonic stage measures
+    diag::trajectory_build_options build;
+    build.grid_points = 5;
+    const std::vector<diag::fault_spec> faults = {
+        {diag::fault_kind::cap_unit_mismatch, -0.3, 0.3, "relative"},
+        {diag::fault_kind::biquad_cap_drift, -0.2, 0.2, "relative"},
+        {diag::fault_kind::integrator_leak, 0.0, 0.02, "leak"},
+    };
+    const auto plan =
+        diag::make_dictionary_plan(diag::die_design{}, settings, space, faults, build);
+    ASSERT_EQ(plan.program.distortion_f.value, 1600.0);
+    std::vector<store::record> expected;
+    for (std::size_t i = 0; i < plan.items.size(); ++i) {
+        expected.push_back(
+            store::to_record(scalar_item(plan.items[i], settings, plan.program), i));
+    }
+    const core::board_factory unused = [](std::uint64_t) -> core::demonstrator_board {
+        throw std::logic_error("acquisition items build their own boards");
+    };
+    for (const std::size_t lanes : {std::size_t{1}, std::size_t{5}, std::size_t{16}}) {
+        sweep_engine_options options;
+        options.threads = 2;
+        options.batch_lanes = lanes;
+        sweep_engine engine(unused, settings, options);
+        const auto results = engine.submit_acquisition(plan.items, plan.program).results();
+        ASSERT_EQ(results.size(), expected.size());
+        for (std::size_t i = 0; i < results.size(); ++i) {
+            EXPECT_EQ(store::to_record(results[i], i), expected[i])
+                << "lanes " << lanes << " item " << i;
+        }
     }
 }
 

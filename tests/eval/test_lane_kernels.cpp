@@ -1,6 +1,6 @@
-// Lane-major evaluation kernels: every batched acquisition variant
-// (lane-major block, shared broadcast record) must be bit-identical to the
-// scalar references, and a reused calibration must be transparent.
+// Lane-major evaluation kernels: a batched acquisition over either input
+// layout (lane-major block, shared broadcast record) must be bit-identical
+// to the scalar references, and a reused calibration must be transparent.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -88,15 +88,16 @@ TEST(LaneKernels, LaneMajorAndSharedVariantsBitIdenticalToLegacy) {
     };
     {
         lane_set fast(lanes);
-        expect_scalar(signature_extractor::acquire_batch_lane_major(fast.pointers,
-                                                                    lane_major.data(), settings),
-                      false);
+        eval::batch_acquisition acquisition(fast.pointers, settings);
+        acquisition.feed_lane_major(lane_major.data(), acquisition.remaining());
+        expect_scalar(acquisition.finish(), false);
     }
     // One broadcast record shared by every lane.
     {
         lane_set fast(lanes);
-        expect_scalar(
-            signature_extractor::acquire_batch_shared(fast.pointers, records[0], settings), true);
+        eval::batch_acquisition acquisition(fast.pointers, settings);
+        acquisition.feed_shared(records[0].data(), acquisition.remaining());
+        expect_scalar(acquisition.finish(), true);
     }
 }
 
